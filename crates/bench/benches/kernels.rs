@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gf2::bitvec::BitVec;
 use gf2::decoder::Decoder;
 use gf2::matrix::BitMatrix;
-use kbcast::baseline::run_bii;
-use kbcast::runner::{run, Workload};
+use kbcast::baseline::BiiProtocol;
+use kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use kbcast::session::run_protocol;
 use kbcast::stage3::schedule;
 use kbcast::Config;
 use kbcast_bench::micro::forward_once;
@@ -85,7 +86,14 @@ fn bench_end_to_end(c: &mut Criterion) {
         let topo = Topology::Gnp { n: 32, p: 0.22 };
         let w = Workload::random(32, 64, 3);
         b.iter(|| {
-            let r = run(&topo, &w, None, 3).unwrap();
+            let r = run_protocol(
+                &CodedProtocol::default(),
+                &topo,
+                &w,
+                3,
+                RunOptions::default(),
+            )
+            .unwrap();
             assert!(r.success);
             r.rounds_total
         });
@@ -93,7 +101,11 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.bench_function("bii_n32_k64", |b| {
         let topo = Topology::Gnp { n: 32, p: 0.22 };
         let w = Workload::random(32, 64, 3);
-        b.iter(|| run_bii(&topo, &w, None, 3).unwrap().rounds_total);
+        b.iter(|| {
+            run_protocol(&BiiProtocol::default(), &topo, &w, 3, RunOptions::default())
+                .unwrap()
+                .rounds_total
+        });
     });
     g.bench_function("forward_layer_t8_m8", |b| {
         b.iter(|| forward_once(8, 8, 8, 32, 40, 8, 1).decoded_fraction);

@@ -7,11 +7,15 @@
 //! Stage 4) should absorb moderate loss with only a rounds penalty;
 //! heavy loss eventually breaks the one-shot stages (BFS labeling,
 //! dissemination waves), which is where success collapses.
+//!
+//! The loss is the `uniform:rate=…` fault model (E17's `uniform`
+//! family) swept over its rate.
 
 use kbcast::runner::CodedProtocol;
 use kbcast_bench::session::{sweep_protocol, SweepSpec};
 use kbcast_bench::table::{f1, f3, Table};
 use kbcast_bench::{verify_from_env, Scale};
+use radio_net::faults::FaultSpec;
 use radio_net::topology::Topology;
 
 fn main() {
@@ -27,8 +31,10 @@ fn main() {
     let mut t = Table::new(&["loss", "success", "median rounds", "slowdown", "dropped/rx"]);
     let mut base_rounds = None;
     for &loss in &[0.0f64, 0.02, 0.05, 0.10, 0.20, 0.35] {
+        let fault = FaultSpec::Uniform { rate: loss };
         let mut spec = SweepSpec::new(&topo, k, seeds);
-        spec.options.loss_rate = loss;
+        // Rate 0 is the clean model: no fault model at all.
+        spec.faults = (loss > 0.0).then_some(&fault);
         spec.options.verify = verify_from_env();
         let reports = sweep_protocol(&CodedProtocol::default(), &spec);
         let mut ok = 0;

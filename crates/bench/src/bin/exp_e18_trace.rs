@@ -5,10 +5,12 @@
 //! turned on, and aggregates the per-round trace samples into a
 //! per-stage breakdown: rounds spent, transmissions, receptions,
 //! collisions and reception rate per stage, plus a per-packet
-//! amortized-round histogram across seeds. This supersedes the
-//! eyeballed stage table of E5 — the numbers here come from the
-//! engine's own round events, not from re-deriving stage boundaries
-//! offline.
+//! amortized-round histogram across seeds. This supersedes E5's stage
+//! table — the numbers here come from the engine's own round events,
+//! not from re-deriving stage boundaries offline. E5's per-stage
+//! columns are kept as a second table: each coded seed's stage rounds
+//! next to the paper's per-stage bound formulas (Fact 1, Theorem 1,
+//! Lemmas 5 and 7, evaluated without their hidden constants).
 //!
 //! A structural self-check is asserted before anything is written: for
 //! every protocol the merged per-stage round totals must sum exactly to
@@ -29,13 +31,14 @@ use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
 use kbcast::dynamic::{Arrival, DynamicProtocol};
-use kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
 use kbcast::session::{run_protocol_on_graph, SessionReport};
 use kbcast_bench::parallel::par_map_indexed;
 use kbcast_bench::session::{merge_traces, sweep_protocol, SweepSpec};
 use kbcast_bench::stats::median;
-use kbcast_bench::table::Table;
+use kbcast_bench::table::{f2, Table};
 use kbcast_bench::{trace_from_env, verify_from_env, Scale};
+use protocols::timing::{epoch_len, log_n};
 use radio_net::topology::Topology;
 use radio_net::trace::TraceSummary;
 
@@ -151,6 +154,51 @@ fn print_histogram(values: &[f64]) {
     }
 }
 
+/// Each successful coded seed's stage rounds against the per-stage
+/// bound formulas: Stage 1 `(D + log n)·log n·logΔ`, Stage 2
+/// `D·log n·logΔ`, Stage 3 `k + (D + log n)·log n`, Stage 4
+/// `k·logΔ + D·log n·logΔ`. The ratios should stay roughly flat if the
+/// measured shape matches the claims.
+fn print_stage_bounds(reports: &[SessionReport<KbcastMeta>]) {
+    let mut t = Table::new(&[
+        "seed", "n", "k", "D", "Δ", "s1", "s1/bound", "s2", "s2/bound", "s3", "s3/bound", "s4",
+        "s4/bound",
+    ]);
+    for (seed, r) in reports.iter().enumerate().filter(|(_, r)| r.success) {
+        #[allow(clippy::cast_precision_loss)]
+        let (d, ln, ld, k) = (
+            r.diameter as f64,
+            log_n(r.n) as f64,
+            epoch_len(r.max_degree) as f64,
+            r.k as f64,
+        );
+        let bounds = [
+            (d + ln) * ln * ld,
+            d * ln * ld,
+            k + (d + ln) * ln,
+            k * ld + d * ln * ld,
+        ];
+        let s = r.meta.stages;
+        let mut row = vec![
+            seed.to_string(),
+            r.n.to_string(),
+            r.k.to_string(),
+            r.diameter.to_string(),
+            r.max_degree.to_string(),
+        ];
+        for (rounds, bound) in [s.leader, s.bfs, s.collect, s.disseminate]
+            .into_iter()
+            .zip(bounds)
+        {
+            row.push(rounds.to_string());
+            #[allow(clippy::cast_precision_loss)]
+            row.push(f2(rounds as f64 / bound));
+        }
+        t.row(&row);
+    }
+    t.print();
+}
+
 fn main() {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 5);
@@ -165,7 +213,7 @@ fn main() {
         ..RunOptions::default()
     };
 
-    println!("E18 (extension): traced per-stage breakdown (supersedes the eyeballed E5 table)");
+    println!("E18 (extension): traced per-stage breakdown (supersedes the E5 stage table)");
     println!("({topo}, k={k}, {seeds} seeds per protocol; trace ring cap 4096)");
     println!();
 
@@ -222,6 +270,10 @@ fn main() {
         }
     }
     t.print();
+
+    println!();
+    println!("coded stage rounds / per-stage bound formulas (successful seeds):");
+    print_stage_bounds(&coded_reports);
 
     println!();
     println!("amortized rounds per packet (successful seeds):");

@@ -1,11 +1,9 @@
 //! **E19 (extension) — streaming saturation curves under a λ-sweep.**
 //!
-//! The continuous-traffic companion to E14's one-shot batches: Poisson
-//! arrivals at offered load λ (packets/round, network-wide) stream into
-//! the dynamic protocol, run both unpipelined (`Sequential`, batches
-//! tile time) and pipelined (`Interleaved`, parity-TDM epochs), across
-//! grid, unit-disk and G(n,p) topologies. For each (topology, mode, λ)
-//! the sweep records sustained throughput, queue-depth statistics (from
+//! Poisson arrivals at offered load λ (packets/round, network-wide)
+//! stream into the dynamic protocol (sequential epochs: batches tile
+//! time) across grid, unit-disk and G(n,p) topologies. For each
+//! (topology, λ) the sweep records sustained throughput, queue-depth statistics (from
 //! the trace collector's streaming gauges) and per-packet latency
 //! percentiles p50/p95/p99 (nearest-rank over delivery stamps), then
 //! locates the *knee*: the largest swept λ every seed still fully
@@ -15,10 +13,7 @@
 //! mid-run arrivals, so they enter as *reference service rates*:
 //! `k / T(k)` from a one-shot run is the ceiling a streaming adaptation
 //! of each could sustain — the measured knees sit below the coded
-//! reference (batch framing + marker overhead), and the interleaved
-//! TDM's knee sits at or below the sequential one (its parity lanes
-//! halve each lane's rate; the pipelining buys structure, not
-//! capacity — see DESIGN.md).
+//! reference (batch framing + marker overhead).
 //!
 //! Output: a table to stdout and `results/E19_saturation.json`
 //! (redirect with `KB_E19_OUT`; `scripts/check.sh` runs the quick
@@ -28,7 +23,7 @@
 use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
-use kbcast::dynamic::{run_streaming, PipelineMode, StreamingReport};
+use kbcast::dynamic::{run_streaming, StreamingReport};
 use kbcast::runner::{CodedProtocol, RunOptions, Workload};
 use kbcast::session::run_protocol;
 use kbcast_bench::parallel::par_map_indexed;
@@ -38,10 +33,9 @@ use kbcast_bench::traffic::{SaturationSpec, TrafficPattern, TrafficSpec};
 use kbcast_bench::{verify_from_env, Scale};
 use radio_net::topology::Topology;
 
-/// One (topology, mode, λ) sweep point, aggregated over seeds.
+/// One (topology, λ) sweep point, aggregated over seeds.
 struct Point {
     topology: String,
-    mode: &'static str,
     lambda: f64,
     seeds: u64,
     /// Seeds that delivered every arrived packet within the horizon.
@@ -69,20 +63,8 @@ struct Reference {
     rate: f64,
 }
 
-fn mode_name(mode: PipelineMode) -> &'static str {
-    match mode {
-        PipelineMode::Sequential => "seq",
-        PipelineMode::Interleaved => "tdm",
-    }
-}
-
 #[allow(clippy::cast_precision_loss)]
-fn summarize(
-    topology: &Topology,
-    mode: PipelineMode,
-    lambda: f64,
-    reports: &[StreamingReport],
-) -> Point {
+fn summarize(topology: &Topology, lambda: f64, reports: &[StreamingReport]) -> Point {
     let ok = reports.iter().filter(|r| r.latencies.len() == r.k).count() as u64;
     let mean_k = reports.iter().map(|r| r.k as f64).sum::<f64>() / reports.len().max(1) as f64;
     let throughput = reports
@@ -104,7 +86,6 @@ fn summarize(
     };
     Point {
         topology: topology.to_string(),
-        mode: mode_name(mode),
         lambda,
         seeds: reports.len() as u64,
         ok,
@@ -130,7 +111,6 @@ fn summarize(
 
 fn sweep_point(
     topo: &Topology,
-    mode: PipelineMode,
     lambda: f64,
     spec: &SaturationSpec,
     seeds: u64,
@@ -151,7 +131,7 @@ fn sweep_point(
                 trace: true, // queue/in-flight gauges feed the curves
                 ..RunOptions::default()
             };
-            run_streaming(topo, &arrivals, None, mode, seed, spec.horizon, options)
+            run_streaming(topo, &arrivals, None, seed, spec.horizon, options)
                 .expect("streaming session runs")
         },
     )
@@ -231,7 +211,7 @@ fn main() {
 
     println!("E19 (extension): streaming saturation under a Poisson λ-sweep");
     println!(
-        "(3 topologies, modes seq+tdm, λ ∈ {:?}, window {} rounds, horizon {}, {} seeds)",
+        "(3 topologies, λ ∈ {:?}, window {} rounds, horizon {}, {} seeds)",
         spec.lambdas, spec.window, spec.horizon, seeds
     );
     println!();
@@ -241,28 +221,22 @@ fn main() {
     for topo in &topologies {
         refs.push(reference(topo, "coded", ref_k, seeds));
         refs.push(reference(topo, "bii", ref_k, seeds));
-        for mode in [PipelineMode::Sequential, PipelineMode::Interleaved] {
-            for &lambda in &spec.lambdas {
-                let reports = sweep_point(topo, mode, lambda, &spec, seeds);
-                points.push(summarize(topo, mode, lambda, &reports));
-            }
+        for &lambda in &spec.lambdas {
+            let reports = sweep_point(topo, lambda, &spec, seeds);
+            points.push(summarize(topo, lambda, &reports));
         }
     }
 
-    // The knee per (topology, mode): largest swept λ at which every
-    // seed still delivered every packet within the horizon.
-    let mut knees: Vec<(String, &'static str, Option<f64>)> = Vec::new();
+    // The knee per topology: largest swept λ at which every seed still
+    // delivered every packet within the horizon.
+    let mut knees: Vec<(String, Option<f64>)> = Vec::new();
     for topo in &topologies {
-        for mode in [PipelineMode::Sequential, PipelineMode::Interleaved] {
-            let knee = points
-                .iter()
-                .filter(|p| {
-                    p.topology == topo.to_string() && p.mode == mode_name(mode) && p.ok == p.seeds
-                })
-                .map(|p| p.lambda)
-                .fold(None::<f64>, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))));
-            knees.push((topo.to_string(), mode_name(mode), knee));
-        }
+        let knee = points
+            .iter()
+            .filter(|p| p.topology == topo.to_string() && p.ok == p.seeds)
+            .map(|p| p.lambda)
+            .fold(None::<f64>, |acc, l| Some(acc.map_or(l, |a: f64| a.max(l))));
+        knees.push((topo.to_string(), knee));
     }
 
     // Guardrail: below the knee there must be no packet loss. The knee
@@ -270,12 +244,12 @@ fn main() {
     // with ok < seeds means the delivery curve is non-monotone — a
     // protocol or horizon bug, not a saturation effect. check.sh relies
     // on this abort for its streaming smoke stage.
-    for (topo, mode, knee) in &knees {
+    for (topo, knee) in &knees {
         let Some(knee) = knee else { continue };
         for p in &points {
             assert!(
-                !(p.topology == *topo && p.mode == *mode && p.lambda <= *knee && p.ok < p.seeds),
-                "packet loss below the knee: {topo} {mode} λ={} ok {}/{} (knee λ*={knee})",
+                !(p.topology == *topo && p.lambda <= *knee && p.ok < p.seeds),
+                "packet loss below the knee: {topo} λ={} ok {}/{} (knee λ*={knee})",
                 p.lambda,
                 p.ok,
                 p.seeds
@@ -284,12 +258,11 @@ fn main() {
     }
 
     let mut t = Table::new(&[
-        "topology", "mode", "lambda", "ok", "k", "thrpt", "q_max", "q_mean", "p50", "p95", "p99",
+        "topology", "lambda", "ok", "k", "thrpt", "q_max", "q_mean", "p50", "p95", "p99",
     ]);
     for p in &points {
         t.row(&[
             p.topology.clone(),
-            p.mode.to_string(),
             format!("{:.4}", p.lambda),
             format!("{}/{}", p.ok, p.seeds),
             format!("{:.0}", p.mean_k),
@@ -311,16 +284,15 @@ fn main() {
         );
     }
     println!("knees (largest fully-delivered λ):");
-    for (topo, mode, knee) in &knees {
+    for (topo, knee) in &knees {
         match knee {
-            Some(l) => println!("  {topo} {mode}: λ* = {l:.4}"),
-            None => println!("  {topo} {mode}: below the smallest swept λ"),
+            Some(l) => println!("  {topo}: λ* = {l:.4}"),
+            None => println!("  {topo}: below the smallest swept λ"),
         }
     }
     println!();
     println!("shape check: throughput tracks λ below the knee (queues bounded, p99 flat),");
-    println!("then saturates at the service rate while queues and tail latency diverge;");
-    println!("the tdm knee is at or below the seq knee — parity lanes halve lane rate.");
+    println!("then saturates at the service rate while queues and tail latency diverge.");
 
     // Deterministic JSON (no timestamps).
     let mut entries = Vec::new();
@@ -328,11 +300,10 @@ fn main() {
         let mut j = String::new();
         write!(
             j,
-            "    {{\"topology\": \"{}\", \"mode\": \"{}\", \"lambda\": {}, \"seeds\": {}, \
+            "    {{\"topology\": \"{}\", \"lambda\": {}, \"seeds\": {}, \
              \"ok\": {}, \"mean_k\": {:.2}, \"throughput\": {:.6}, \"queue_max\": {:.1}, \
              \"queue_mean\": {:.3}, \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}}",
             p.topology,
-            p.mode,
             p.lambda,
             p.seeds,
             p.ok,
@@ -356,9 +327,9 @@ fn main() {
         ));
     }
     let mut knee_entries = Vec::new();
-    for (topo, mode, knee) in &knees {
+    for (topo, knee) in &knees {
         knee_entries.push(format!(
-            "    {{\"topology\": \"{topo}\", \"mode\": \"{mode}\", \"knee_lambda\": {}}}",
+            "    {{\"topology\": \"{topo}\", \"knee_lambda\": {}}}",
             knee.map_or("null".to_string(), |l| format!("{l}"))
         ));
     }

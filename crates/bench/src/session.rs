@@ -53,7 +53,7 @@ pub struct SweepSpec<'a> {
     pub seeds: u64,
     /// Workload placement.
     pub workload: WorkloadSpec,
-    /// Harness knobs (noise injection, round-cap override).
+    /// Harness knobs (round-cap override, verify, trace, churn).
     pub options: RunOptions,
     /// Fault injection (`None` = the clean, statically fault-free
     /// engine). Each seed builds its own model from this spec with that

@@ -132,8 +132,8 @@ pub fn gnp_standard(n: usize) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kbcast::baseline::run_bii_on_graph;
-    use kbcast::runner::{run_on_graph, RunOptions, Workload};
+    use kbcast::runner::{RunOptions, Workload};
+    use kbcast::session::run_protocol_on_graph;
 
     #[test]
     fn measure_small_coded() {
@@ -151,11 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn measure_bit_identical_to_legacy_entry_points() {
-        // `measure` routes through the protocol trait and the parallel
-        // sweep driver; rebuild the same aggregates from the legacy
-        // single-run entry points in a plain sequential loop and demand
-        // bit-identical medians.
+    fn measure_bit_identical_to_single_sessions() {
+        // `measure` routes through the parallel sweep driver; rebuild
+        // the same aggregates from single driver sessions in a plain
+        // sequential loop and demand bit-identical medians.
         let topo = Topology::Gnp { n: 20, p: 0.3 };
         for algo in [Algo::Coded, Algo::Bii] {
             let p = measure(algo, &topo, 6, 4);
@@ -166,18 +165,31 @@ mod tests {
                     #[allow(clippy::cast_precision_loss)]
                     match algo {
                         Algo::Coded | Algo::Uncoded => {
-                            let r = run_on_graph(g, &w, None, seed, RunOptions::default())
-                                .expect("run");
+                            let r = run_protocol_on_graph(
+                                &CodedProtocol::default(),
+                                g,
+                                &w,
+                                seed,
+                                RunOptions::default(),
+                            )
+                            .expect("run");
                             r.success.then(|| {
                                 (
                                     r.rounds_total as f64,
                                     r.amortized_rounds_per_packet(),
-                                    r.stages.disseminate as f64,
+                                    r.meta.stages.disseminate as f64,
                                 )
                             })
                         }
                         Algo::Bii => {
-                            let r = run_bii_on_graph(g, &w, None, seed).expect("run");
+                            let r = run_protocol_on_graph(
+                                &BiiProtocol::default(),
+                                g,
+                                &w,
+                                seed,
+                                RunOptions::default(),
+                            )
+                            .expect("run");
                             r.success.then(|| {
                                 (r.rounds_total as f64, r.amortized_rounds_per_packet(), 0.0)
                             })
@@ -199,7 +211,6 @@ mod tests {
     #[test]
     fn per_seed_sessions_independent_of_thread_count() {
         use crate::parallel::par_map_indexed_with;
-        use kbcast::session::run_protocol_on_graph;
         let topo = Topology::Path { n: 8 };
         let proto = CodedProtocol::default();
         let run = |i: usize| {

@@ -18,18 +18,16 @@ use std::collections::HashSet;
 use protocols::decay::Decay;
 use protocols::timing::{epoch_len, log_n};
 use radio_net::engine::Node;
-use radio_net::graph::{Graph, NodeId};
+use radio_net::graph::NodeId;
 use radio_net::message::MessageSize;
 use radio_net::rng;
 use radio_net::session::{NoopObserver, RoundEvents, SessionEnd};
-use radio_net::stats::SimStats;
-use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 use rand::rngs::SmallRng;
 
 use crate::packet::{Packet, PacketKey};
-use crate::runner::{RunOptions, Workload};
-use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
+use crate::runner::Workload;
+use crate::session::{BroadcastProtocol, NetParams};
 
 impl MessageSize for Packet {
     fn size_bits(&self) -> usize {
@@ -200,80 +198,6 @@ impl Node for BiiNode {
     }
 }
 
-/// Result of one BII baseline run.
-#[derive(Clone, Debug)]
-pub struct BiiReport {
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of packets.
-    pub k: usize,
-    /// Whether every node received every packet within the cap.
-    pub success: bool,
-    /// Rounds until the last node had everything (or the cap).
-    pub rounds_total: u64,
-    /// Channel statistics.
-    pub stats: SimStats,
-}
-
-impl BiiReport {
-    /// Amortized rounds per packet.
-    #[must_use]
-    pub fn amortized_rounds_per_packet(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.rounds_total as f64 / self.k.max(1) as f64
-        }
-    }
-}
-
-/// Runs the BII baseline on `topology` with `workload` (same interface
-/// as [`crate::runner::run`], for side-by-side comparisons).
-///
-/// # Errors
-///
-/// Propagates topology-generation failures.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the topology's.
-pub fn run_bii(
-    topology: &Topology,
-    workload: &Workload,
-    config: Option<BiiConfig>,
-    seed: u64,
-) -> Result<BiiReport, radio_net::error::Error> {
-    let graph = topology.build(seed)?;
-    run_bii_on_graph(graph, workload, config, seed)
-}
-
-/// [`run_bii`] on a prebuilt [`Graph`], skipping topology generation
-/// (mirrors [`crate::runner::run_on_graph`]). A thin wrapper over the
-/// generic session driver with a [`BiiProtocol`].
-///
-/// # Errors
-///
-/// Propagates engine construction failures.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the graph's.
-pub fn run_bii_on_graph(
-    graph: Graph,
-    workload: &Workload,
-    config: Option<BiiConfig>,
-    seed: u64,
-) -> Result<BiiReport, radio_net::error::Error> {
-    let protocol = BiiProtocol { config };
-    let r = run_protocol_on_graph(&protocol, graph, workload, seed, RunOptions::default())?;
-    Ok(BiiReport {
-        n: r.n,
-        k: r.k,
-        success: r.success,
-        rounds_total: r.rounds_total,
-        stats: r.stats,
-    })
-}
-
 /// The BII baseline as a [`BroadcastProtocol`].
 ///
 /// BII has no termination detection of its own, so nodes are built
@@ -364,17 +288,31 @@ impl BroadcastProtocol for BiiProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radio_net::topology::Topology;
+
+    fn bii_session(
+        topology: &Topology,
+        workload: &Workload,
+        seed: u64,
+    ) -> crate::session::SessionReport<()> {
+        crate::session::run_protocol(
+            &BiiProtocol::default(),
+            topology,
+            workload,
+            seed,
+            crate::runner::RunOptions::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn delivers_on_path() {
         for seed in 0..3 {
-            let r = run_bii(
+            let r = bii_session(
                 &Topology::Path { n: 12 },
                 &Workload::single_source(12, 0, 5),
-                None,
                 seed,
-            )
-            .unwrap();
+            );
             assert!(r.success, "seed {seed}: {r:?}");
         }
     }
@@ -382,26 +320,22 @@ mod tests {
     #[test]
     fn delivers_spread_workload_on_gnp() {
         for seed in 0..3 {
-            let r = run_bii(
+            let r = bii_session(
                 &Topology::Gnp { n: 25, p: 0.2 },
                 &Workload::round_robin(25, 12),
-                None,
                 seed,
-            )
-            .unwrap();
+            );
             assert!(r.success, "seed {seed}: {r:?}");
         }
     }
 
     #[test]
     fn zero_packets_trivial() {
-        let r = run_bii(
+        let r = bii_session(
             &Topology::Path { n: 4 },
             &Workload::new(vec![Vec::new(); 4]),
-            None,
             0,
-        )
-        .unwrap();
+        );
         assert!(r.success);
         assert_eq!(r.rounds_total, 0);
     }

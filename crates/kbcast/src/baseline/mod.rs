@@ -11,4 +11,4 @@
 
 pub mod bii;
 
-pub use bii::{run_bii, run_bii_on_graph, BiiConfig, BiiNode, BiiProtocol, BiiReport};
+pub use bii::{BiiConfig, BiiNode, BiiProtocol};

@@ -17,37 +17,18 @@
 //! Per-packet latency is `O(own batch's span)`: amortized `O(logΔ)`
 //! rounds per packet plus the batch-framing overhead — the fixed
 //! `(D + log n)·log n` Stage 3 floor is paid once per batch, which is
-//! exactly the static bound recycled (experiment E14).
+//! exactly the static bound recycled (experiment E19).
 //!
-//! **Streaming epochs.** Two generalizations turn the one-shot batch
-//! loop into a steady-state service (experiment E19):
-//!
-//! 1. *Arrival seam* — the session is driven through
-//!    [`radio_net::session::TrafficSource`] ([`ScheduleSource`] here),
-//!    so unbounded workloads terminate on a round budget or a drain
-//!    predicate instead of `all_done`, and every packet carries
-//!    birth/delivery *stamps* (see [`DynamicNode::stamps`]) from which
-//!    per-packet latency percentiles are computed — batch-level
-//!    accounting is derived, not primary.
-//! 2. *Pipelined epochs* ([`PipelineMode::Interleaved`], via
-//!    [`StreamProtocol`]) — once epoch 0's collection finishes, rounds
-//!    are time-divided by parity: even offsets form the *dissemination
-//!    lane*, odd offsets the *collection lane*, so collection of epoch
-//!    `t+1` overlaps dissemination of epoch `t`. The two lanes never
-//!    share a round, which is the engineering realization of the
-//!    paper's ring-separation non-interference argument: within each
-//!    lane the unmodified Stage 3/Stage 4 machines run on lane-local
-//!    time, and cross-lane collisions are impossible by construction.
-//!    Epoch boundaries are agreed the same way batches are: collection
-//!    length from the locally computed (w.h.p. identical)
-//!    `finished_at`, dissemination length from the coded headers'
-//!    group count. Note that on a single shared channel this parity
-//!    TDM *conserves* capacity rather than adding any: its steady-state
-//!    period is `max(2·C, 2·D)` versus the sequential loop's `C + D`,
-//!    so it trades throughput for pipelining structure — E19 measures
-//!    both honestly (see DESIGN.md).
+//! **Streaming.** The session is driven through
+//! [`radio_net::session::TrafficSource`] ([`ScheduleSource`] here), so
+//! unbounded workloads terminate on a round budget or a drain predicate
+//! instead of `all_done`, and every packet carries birth/delivery
+//! *stamps* (see [`DynamicNode::stamps`]) from which per-packet latency
+//! percentiles are computed — batch-level accounting is derived, not
+//! primary. [`run_streaming`] is the entry point; experiment E19 sweeps
+//! it under Poisson load.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use protocols::bfs::{BfsBuild, BfsConfig};
 use protocols::leader::{LeaderConfig, LeaderElection};
@@ -69,68 +50,11 @@ use crate::runner::{RunOptions, Workload};
 use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
 use crate::stage3::CollectState;
 use crate::stage4::DissemState;
+use crate::verify::EpochConservation;
 
 /// Reserved origin id for batch-marker packets (never a real node id —
 /// real ids are `< 2^id_bits ≤ 2^32`).
 pub const MARKER_ORIGIN: u64 = u64::MAX;
-
-/// How the batch/epoch loop schedules collection against dissemination
-/// (see the [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// The original batch loop: Stage 3 of batch `b+1` starts only
-    /// after Stage 4 of batch `b` ended. Batches tile time.
-    #[default]
-    Sequential,
-    /// Parity-TDM pipelining: after epoch 0's collection, even round
-    /// offsets disseminate epoch `t` while odd offsets collect epoch
-    /// `t+1`. Steady-state period `max(2C, 2D)` — structure, not extra
-    /// capacity.
-    Interleaved,
-}
-
-impl PipelineMode {
-    /// The protocol name this mode runs as — the same string
-    /// [`StreamProtocol`] reports and [`FromStr`](std::str::FromStr)
-    /// accepts, so services can select modes by name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineMode::Sequential => "stream-seq",
-            PipelineMode::Interleaved => "stream-tdm",
-        }
-    }
-}
-
-impl std::str::FromStr for PipelineMode {
-    type Err = radio_net::error::Error;
-
-    /// Parses a streaming protocol name. `"dynamic"` (the sequential
-    /// one-shot protocol's name) is accepted as an alias for
-    /// [`PipelineMode::Sequential`], which is bit-identical to it.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "stream-seq" | "seq" | "sequential" | "dynamic" => Ok(PipelineMode::Sequential),
-            "stream-tdm" | "tdm" | "interleaved" => Ok(PipelineMode::Interleaved),
-            other => Err(radio_net::error::Error::InvalidParameter {
-                reason: format!(
-                    "unknown streaming protocol {other:?} (expected stream-seq/stream-tdm)"
-                ),
-            }),
-        }
-    }
-}
-
-/// One epoch whose collection has closed, queued for the dissemination
-/// lane (interleaved mode).
-#[derive(Debug)]
-struct ReadyEpoch {
-    epoch: u32,
-    /// Collect-lane local round at which the collection closed.
-    close_lane: u64,
-    /// Root only: the packets collected (empty elsewhere).
-    packets: Vec<Packet>,
-}
 
 /// An externally arriving packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,8 +114,7 @@ pub struct DynamicNode {
 
     /// Root only: closed batches.
     history: Vec<BatchRecord>,
-    /// Root only: engine round each epoch's *collection* closed —
-    /// makes the TDM's collection/dissemination overlap observable.
+    /// Root only: engine round each batch's *collection* closed.
     collect_log: Vec<(u32, u64)>,
 
     /// Per-packet delivery stamps at *this* node: the round each real
@@ -199,24 +122,6 @@ pub struct DynamicNode {
     /// harvest — whichever came first). One entry per key.
     stamps: Vec<(PacketKey, u64)>,
     stamped: HashSet<PacketKey>,
-
-    mode: PipelineMode,
-    /// Interleaved only: engine round where the parity TDM started
-    /// (end of epoch 0's collection).
-    pipeline_start: Option<u64>,
-    /// Interleaved only: epoch the collect lane is working on, and the
-    /// lane-local round its collection started.
-    c_epoch: u32,
-    c_start: u64,
-    /// Interleaved only: epoch the dissem lane is working on; its
-    /// lane-local start once scheduled; and the earliest lane-local
-    /// start of the next epoch (end of the previous one).
-    d_epoch: u32,
-    d_start: Option<u64>,
-    d_next_min: u64,
-    /// Interleaved only: closed-collection epochs awaiting the dissem
-    /// lane, in epoch order.
-    ready: VecDeque<ReadyEpoch>,
 }
 
 impl DynamicNode {
@@ -225,18 +130,6 @@ impl DynamicNode {
     /// engine's initially-awake set).
     #[must_use]
     pub fn new(cfg: Config, my_id: u64, initial: Vec<Vec<u8>>, rng: SmallRng) -> Self {
-        Self::with_mode(cfg, my_id, initial, rng, PipelineMode::Sequential)
-    }
-
-    /// [`DynamicNode::new`] with an explicit [`PipelineMode`].
-    #[must_use]
-    pub fn with_mode(
-        cfg: Config,
-        my_id: u64,
-        initial: Vec<Vec<u8>>,
-        rng: SmallRng,
-        mode: PipelineMode,
-    ) -> Self {
         let candidate = !initial.is_empty();
         let leader_cfg = LeaderConfig {
             id_bits: cfg.id_bits,
@@ -265,14 +158,6 @@ impl DynamicNode {
             collect_log: Vec::new(),
             stamps: Vec::new(),
             stamped: HashSet::new(),
-            mode,
-            pipeline_start: None,
-            c_epoch: 0,
-            c_start: 0,
-            d_epoch: 0,
-            d_start: None,
-            d_next_min: 0,
-            ready: VecDeque::new(),
         };
         for payload in initial {
             node.inject(payload);
@@ -313,14 +198,10 @@ impl DynamicNode {
         self.is_root
     }
 
-    /// Batch currently executing (the epoch being disseminated, in
-    /// interleaved mode).
+    /// Batch currently executing.
     #[must_use]
     pub fn batch(&self) -> u32 {
-        match self.mode {
-            PipelineMode::Sequential => self.batch,
-            PipelineMode::Interleaved => self.d_epoch,
-        }
+        self.batch
     }
 
     /// Per-packet delivery stamps at this node: `(key, round)` for
@@ -363,9 +244,8 @@ impl DynamicNode {
         &self.history
     }
 
-    /// Root only: `(epoch, engine round)` each epoch's collection
-    /// closed. In interleaved mode these land *inside* earlier epochs'
-    /// dissemination windows — the observable pipelining overlap.
+    /// Root only: `(batch, engine round)` each batch's collection
+    /// closed.
     #[must_use]
     pub fn collect_closes(&self) -> &[(u32, u64)] {
         &self.collect_log
@@ -500,288 +380,8 @@ impl DynamicNode {
         self.foreign_rx.remove(&self.batch.wrapping_sub(1));
     }
 
-    // ---- interleaved (parity-TDM) machinery -------------------------
-
-    /// Switches from the real-time epoch-0 collection into the parity
-    /// TDM at engine round `p` (= end of epoch 0's collection, agreed
-    /// w.h.p. via `finished_at`). Called from the round that notices.
-    fn start_pipeline(&mut self, p: u64, now: u64) {
-        self.pipeline_start = Some(p);
-        let collected = self
-            .collect
-            .take()
-            .map(|c| c.collected().to_vec())
-            .unwrap_or_default();
-        if self.is_root {
-            self.deliver_packets(&collected);
-            self.stamp_packets(now, &collected);
-            self.collect_log.push((0, now));
-        }
-        self.ready.push_back(ReadyEpoch {
-            epoch: 0,
-            close_lane: 0,
-            packets: if self.is_root { collected } else { Vec::new() },
-        });
-        self.c_epoch = 1;
-        self.c_start = 0;
-        self.d_epoch = 0;
-        self.d_start = None;
-        self.d_next_min = 0;
-    }
-
-    /// Lazily creates the collect lane's state machine for the current
-    /// epoch (draining pending arrivals; root adds the epoch marker).
-    fn ensure_lane_collect(&mut self, lane: u64) {
-        if self.collect.is_some() {
-            return;
-        }
-        let parent = self
-            .bfs
-            .as_ref()
-            .and_then(|b| b.label())
-            .and_then(|l| l.parent);
-        let mut eligible: Vec<Packet> = std::mem::take(&mut self.pending);
-        if self.is_root {
-            eligible.push(Packet::new(MARKER_ORIGIN, self.c_epoch, Vec::new()));
-        }
-        self.collect = Some(CollectState::new(
-            self.cfg,
-            self.my_id,
-            self.is_root,
-            parent,
-            eligible,
-            lane.saturating_sub(self.c_start),
-        ));
-    }
-
-    /// Closes the collect lane's epoch at lane-local `c_start +
-    /// finished` and queues it for the dissem lane.
-    fn close_lane_collect(&mut self, finished: u64, now: u64) {
-        let close_lane = self.c_start + finished;
-        let collected = self
-            .collect
-            .take()
-            .map(|c| c.collected().to_vec())
-            .unwrap_or_default();
-        let packets = if self.is_root {
-            self.deliver_packets(&collected);
-            self.stamp_packets(now, &collected);
-            self.collect_log.push((self.c_epoch, now));
-            collected
-        } else {
-            Vec::new()
-        };
-        self.ready.push_back(ReadyEpoch {
-            epoch: self.c_epoch,
-            close_lane,
-            packets,
-        });
-        self.c_epoch += 1;
-        self.c_start = close_lane;
-    }
-
-    /// One collect-lane round: poll the current epoch's collection and
-    /// roll the lane over once it finishes.
-    fn collect_lane_poll(&mut self, lane: u64, now: u64) -> Option<Msg> {
-        self.ensure_lane_collect(lane);
-        let local = lane - self.c_start;
-        let out = self
-            .collect
-            .as_mut()
-            .expect("lane collect ensured")
-            .poll(local, &mut self.rng);
-        if out.is_some() {
-            return out;
-        }
-        if let Some(f) = self.collect.as_ref().and_then(CollectState::finished_at) {
-            self.close_lane_collect(f, now);
-            // The successor epoch gets this round too — the sequential
-            // mode likewise polls the next stage in transition rounds.
-            self.ensure_lane_collect(lane);
-            let local = lane - self.c_start;
-            return self
-                .collect
-                .as_mut()
-                .expect("lane collect ensured")
-                .poll(local, &mut self.rng);
-        }
-        None
-    }
-
-    /// Advances the dissem lane's epoch boundaries: closes a finished
-    /// epoch and opens the next one when it is due. Deterministic in
-    /// the agreed schedule: epoch `e` starts at lane-local
-    /// `max(end of epoch e-1, close of e's collection + 1)` — the `+1`
-    /// leaves one lane round between a collection closing and its
-    /// dissemination starting, so the close is always noticed first.
-    fn sync_dissem_lane(&mut self, lane: u64, now: u64) {
-        if let (Some(ds), Some(total)) = (
-            self.d_start,
-            self.dissem.as_ref().and_then(DissemState::total_rounds),
-        ) {
-            if lane >= ds + total {
-                self.close_dissem_epoch(ds, total, now);
-            }
-        }
-        if self.d_start.is_some() {
-            return;
-        }
-        let Some(front) = self.ready.front() else {
-            return;
-        };
-        if front.epoch != self.d_epoch {
-            return;
-        }
-        let start = if self.d_epoch == 0 {
-            0
-        } else {
-            self.d_next_min.max(front.close_lane + 1)
-        };
-        if lane < start {
-            return;
-        }
-        let r = self.ready.pop_front().expect("front checked");
-        if self.dissem.is_none() {
-            self.dissem = Some(if self.is_root {
-                DissemState::new_root_in_batch(self.cfg, r.packets, r.epoch)
-            } else if let Some(rx) = self.foreign_rx.remove(&r.epoch) {
-                // Coded traffic for this epoch already arrived while we
-                // lagged; keep the accumulated decoder state (it is
-                // receive-only — no ring position — but loses nothing).
-                rx
-            } else {
-                let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
-                DissemState::new_node_in_batch(self.cfg, dist, r.epoch)
-            });
-        }
-        self.d_start = Some(start);
-    }
-
-    /// Harvests the dissem lane's finished epoch and records it (root).
-    fn close_dissem_epoch(&mut self, ds: u64, total: u64, now: u64) {
-        let p = self.pipeline_start.expect("interleaved pipeline started");
-        if let Some(packets) = self.dissem.as_ref().map(DissemState::packets) {
-            self.deliver_packets(&packets);
-            self.stamp_packets(now, &packets);
-            if self.is_root {
-                let keys: Vec<PacketKey> = packets
-                    .iter()
-                    .map(|pk| pk.key)
-                    .filter(|k| k.origin != MARKER_ORIGIN)
-                    .collect();
-                self.history.push(BatchRecord {
-                    batch: self.d_epoch,
-                    k: keys.len(),
-                    // Dissem-lane rounds are the even offsets, so the
-                    // epoch's engine-round window is 2× its lane span.
-                    start: p + 2 * ds,
-                    end: p + 2 * (ds + total),
-                    keys,
-                });
-            }
-        }
-        self.d_next_min = ds + total;
-        self.d_epoch += 1;
-        self.d_start = None;
-        self.dissem = None;
-        self.foreign_rx.remove(&(self.d_epoch - 1));
-    }
-
-    /// One dissem-lane round.
-    fn dissem_lane_poll(&mut self, lane: u64, now: u64) -> Option<Msg> {
-        self.sync_dissem_lane(lane, now);
-        let ds = self.d_start?;
-        self.dissem
-            .as_mut()
-            .expect("dissem exists once d_start is set")
-            .poll(lane - ds, &mut self.rng)
-    }
-
-    /// Post-Stage-2 poll dispatch in interleaved mode.
-    fn poll_interleaved(&mut self, round: u64) -> Option<Msg> {
-        if self.pipeline_start.is_none() {
-            // Epoch 0's collection runs in real time, exactly like the
-            // sequential mode's first batch.
-            self.ensure_collect(round);
-            let local = round - self.batch_start;
-            let out = self
-                .collect
-                .as_mut()
-                .expect("collect ensured")
-                .poll(local, &mut self.rng);
-            if out.is_some() {
-                return out;
-            }
-            let f = self.collect.as_ref().and_then(CollectState::finished_at)?;
-            self.start_pipeline(self.batch_start + f, round);
-            // Fall through: this round already belongs to the TDM.
-        }
-        let p = self.pipeline_start.expect("pipeline started");
-        let offset = round - p;
-        if offset.is_multiple_of(2) {
-            self.dissem_lane_poll(offset / 2, round)
-        } else {
-            self.collect_lane_poll((offset - 1) / 2, round)
-        }
-    }
-
-    /// Collection-message delivery in interleaved mode.
-    fn receive_collect_interleaved(&mut self, round: u64, msg: &Msg) {
-        match self.pipeline_start {
-            None => {
-                self.ensure_collect(round);
-                let local = round - self.batch_start;
-                self.collect
-                    .as_mut()
-                    .expect("collect ensured")
-                    .deliver(local, msg);
-            }
-            Some(p) => {
-                let offset = round - p;
-                if offset % 2 == 1 {
-                    let lane = (offset - 1) / 2;
-                    self.ensure_lane_collect(lane);
-                    let local = lane - self.c_start;
-                    self.collect
-                        .as_mut()
-                        .expect("lane collect ensured")
-                        .deliver(local, msg);
-                }
-                // Collect traffic landing on a dissem-lane round means
-                // the sender disagrees on the schedule (non-w.h.p.
-                // path): drop rather than corrupt either lane.
-            }
-        }
-    }
-
-    /// Coded-message delivery in interleaved mode.
-    fn receive_coded_interleaved(&mut self, round: u64, msg: &Msg) {
-        let Msg::Coded(c) = msg else {
-            return;
-        };
-        if self.pipeline_start.is_some() && c.batch == self.d_epoch {
-            if self.dissem.is_none() && !self.is_root {
-                // Epoch traffic can precede this node's own lane sync
-                // (its collect close lagged); join aligned to the
-                // global schedule once `d_start` is derived.
-                let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
-                self.dissem = Some(DissemState::new_node_in_batch(self.cfg, dist, c.batch));
-            }
-            if let Some(d) = self.dissem.as_mut() {
-                let before = d.decoded_groups();
-                d.deliver(c);
-                if d.decoded_groups() != before {
-                    let packets = d.packets();
-                    self.stamp_packets(round, &packets);
-                }
-            }
-        } else {
-            self.foreign_deliver(round, c);
-        }
-    }
-
-    /// Receive-only decoding of an epoch this node is not scheduled in
-    /// (also the pre-pipeline and straggler path).
+    /// Receive-only decoding of a batch this node is not scheduled in
+    /// (straggler recovery).
     fn foreign_deliver(&mut self, round: u64, c: &crate::messages::CodedMsg) {
         let cfg = self.cfg;
         let rx = self
@@ -805,8 +405,8 @@ impl DynamicNode {
         }
     }
 
-    /// Post-Stage-2 poll in sequential mode: the original batch loop.
-    fn poll_sequential(&mut self, round: u64) -> Option<Msg> {
+    /// Post-Stage-2 poll: the batch loop.
+    fn poll_batches(&mut self, round: u64) -> Option<Msg> {
         // Batch loop: close the batch when its schedule ends.
         if let Some(end) = self.batch_end {
             if round >= end {
@@ -844,8 +444,8 @@ impl DynamicNode {
         out
     }
 
-    /// Coded-message delivery in sequential mode.
-    fn receive_coded_sequential(&mut self, round: u64, c: &crate::messages::CodedMsg) {
+    /// Coded-message delivery.
+    fn receive_coded(&mut self, round: u64, c: &crate::messages::CodedMsg) {
         if c.batch == self.batch {
             if self.dissem.is_none() && !self.is_root {
                 let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
@@ -892,10 +492,7 @@ impl Node for DynamicNode {
                 .poll(local, &mut self.rng)
                 .map(Msg::Bfs);
         }
-        match self.mode {
-            PipelineMode::Sequential => self.poll_sequential(round),
-            PipelineMode::Interleaved => self.poll_interleaved(round),
-        }
+        self.poll_batches(round)
     }
 
     fn receive(&mut self, round: u64, msg: &Msg) {
@@ -914,139 +511,30 @@ impl Node for DynamicNode {
             }
             Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
                 if round >= self.s2_end() {
-                    match self.mode {
-                        PipelineMode::Sequential => {
-                            self.ensure_collect(round);
-                            let local = round - self.batch_start;
-                            self.collect
-                                .as_mut()
-                                .expect("collect ensured")
-                                .deliver(local, msg);
-                        }
-                        PipelineMode::Interleaved => {
-                            self.receive_collect_interleaved(round, msg);
-                        }
-                    }
+                    self.ensure_collect(round);
+                    let local = round - self.batch_start;
+                    self.collect
+                        .as_mut()
+                        .expect("collect ensured")
+                        .deliver(local, msg);
                 }
             }
             Msg::Coded(c) => {
                 self.ensure_bfs();
-                match self.mode {
-                    PipelineMode::Sequential => self.receive_coded_sequential(round, c),
-                    PipelineMode::Interleaved => self.receive_coded_interleaved(round, msg),
-                }
+                self.receive_coded(round, c);
             }
         }
     }
 }
 
-/// Result of a dynamic run.
-#[derive(Clone, Debug)]
-pub struct DynamicReport {
-    /// Nodes.
-    pub n: usize,
-    /// Total real packets that arrived.
-    pub k: usize,
-    /// Whether every arrived packet reached every node within the
-    /// horizon.
-    pub success: bool,
-    /// Rounds executed.
-    pub rounds_total: u64,
-    /// Closed batches (root's view).
-    pub batches: Vec<BatchRecord>,
-    /// Per-packet latency (birth round → round the packet's delivery
-    /// stamp landed at the last node), for packets every node holds.
-    pub latencies: Vec<u64>,
-    /// Channel statistics.
-    pub stats: SimStats,
-}
-
-impl DynamicReport {
-    /// Mean per-packet latency in rounds (0 if nothing was measured).
-    /// Consistent with [`DynamicReport::latency_percentile`]: both read
-    /// the same per-packet stamp-derived latencies.
-    #[must_use]
-    pub fn mean_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
-        }
-    }
-
-    /// Nearest-rank latency percentile (`p` in `[0, 100]`), or `None`
-    /// if nothing was measured. See [`radio_net::stats::nearest_rank`].
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        nearest_rank(&sorted, p)
-    }
-}
-
-/// Runs the dynamic protocol on `topology` with the given arrival
-/// schedule, for at most `horizon` rounds (it stops early once every
-/// arrived packet reached every node). A thin wrapper over the generic
-/// session driver with a [`DynamicProtocol`].
-///
-/// # Errors
-///
-/// Propagates topology-generation failures.
-///
-/// # Panics
-///
-/// Panics if no arrival occurs at round 0 (someone must wake the
-/// network and elect the leader) or an arrival names an invalid node.
-pub fn run_dynamic(
-    topology: &Topology,
-    arrivals: &[Arrival],
-    config: Option<Config>,
-    seed: u64,
-    horizon: u64,
-) -> Result<DynamicReport, radio_net::error::Error> {
-    let graph = topology.build(seed)?;
-    let n = graph.len();
-    assert!(
-        arrivals.iter().any(|a| a.round == 0),
-        "at least one packet must be present at round 0"
-    );
-    assert!(
-        arrivals.iter().all(|a| a.node < n),
-        "arrival at nonexistent node"
-    );
-
-    let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-    for a in arrivals {
-        if a.round == 0 {
-            initial[a.node].push(a.payload.clone());
-        }
-    }
-    let workload = Workload::new(initial);
-    let protocol = DynamicProtocol {
-        arrivals,
-        config,
-        horizon,
-    };
-    let r = run_protocol_on_graph(&protocol, graph, &workload, seed, RunOptions::default())?;
-    Ok(DynamicReport {
-        n: r.n,
-        k: r.k,
-        success: r.success,
-        rounds_total: r.rounds_total,
-        batches: r.meta.batches,
-        latencies: r.meta.latencies,
-        stats: r.stats,
-    })
-}
-
-/// The dynamic batch-pipelining variant as a [`BroadcastProtocol`].
+/// The dynamic batch-loop protocol as a [`BroadcastProtocol`] — the one
+/// streaming protocol (the service runs it as `stream-seq`).
 ///
 /// The workload handed to the driver covers only the round-0 arrivals
 /// (they wake the network); later arrivals are injected by the
 /// protocol's session control hook, which also owns the stop condition
-/// (every arrived packet delivered everywhere).
+/// (every arrived packet delivered everywhere). [`run_streaming`]
+/// builds that workload from an arrival schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicProtocol<'a> {
     /// The full arrival schedule (at least one arrival at round 0).
@@ -1119,7 +607,7 @@ pub struct DynamicMeta {
     /// Per-packet latency (birth round → last node's delivery stamp),
     /// for packets every node holds.
     pub latencies: Vec<u64>,
-    /// `(epoch, engine round)` each epoch's collection closed (root's
+    /// `(batch, engine round)` each batch's collection closed (root's
     /// view).
     pub collect_closes: Vec<(u32, u64)>,
 }
@@ -1265,11 +753,7 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
     ) -> Vec<Box<dyn radio_net::verify::Check<DynamicNode>>> {
         let mut expected = self.expected_keys(workload);
         expected.sort_unstable();
-        vec![Box::new(crate::verify::EpochConservation::new(
-            expected,
-            PipelineMode::Sequential,
-            clean,
-        ))]
+        vec![Box::new(EpochConservation::new(expected, clean))]
     }
 
     fn drive<
@@ -1349,133 +833,6 @@ pub fn stamp_latencies(arrivals: &[Arrival], nodes: &[DynamicNode]) -> Vec<u64> 
         .collect()
 }
 
-/// The streaming variant: a [`DynamicProtocol`] with an explicit
-/// [`PipelineMode`]. Kept as a separate protocol type so the original
-/// `DynamicProtocol` stays field-stable (its struct literal is pinned
-/// by bit-identity tests) and sequential one-shot sessions are
-/// bit-identical to it.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamProtocol<'a> {
-    /// The full arrival schedule (at least one arrival at round 0).
-    pub arrivals: &'a [Arrival],
-    /// Explicit configuration, or `None` for [`Config::for_network`].
-    pub config: Option<Config>,
-    /// Round budget of the session.
-    pub horizon: u64,
-    /// How collection is scheduled against dissemination.
-    pub mode: PipelineMode,
-}
-
-impl BroadcastProtocol for StreamProtocol<'_> {
-    type Node = DynamicNode;
-    type Cd = radio_net::NoCd;
-    type Obs = NoopObserver;
-    type Meta = DynamicMeta;
-
-    fn name(&self) -> &'static str {
-        self.mode.name()
-    }
-
-    fn build(
-        &self,
-        net: &NetParams,
-        workload: &Workload,
-        seed: u64,
-    ) -> (Vec<DynamicNode>, Vec<NodeId>) {
-        let cfg = self
-            .config
-            .unwrap_or_else(|| Config::for_network(net.n, net.diameter, net.max_degree));
-        let awake = (0..net.n)
-            .filter(|&i| !workload.payloads_of(i).is_empty())
-            .map(NodeId::new)
-            .collect();
-        let nodes = (0..net.n)
-            .map(|i| {
-                DynamicNode::with_mode(
-                    cfg,
-                    i as u64,
-                    workload.payloads_of(i).to_vec(),
-                    rng::stream(seed, i as u64),
-                    self.mode,
-                )
-            })
-            .collect();
-        (nodes, awake)
-    }
-
-    fn observer(&self, _net: &NetParams) -> NoopObserver {
-        NoopObserver
-    }
-
-    fn round_cap(&self, _net: &NetParams, _k: usize) -> u64 {
-        self.horizon
-    }
-
-    fn trace_probe(&self, net: &NetParams) -> Box<dyn StageProbe<DynamicNode>> {
-        let cfg = self
-            .config
-            .unwrap_or_else(|| Config::for_network(net.n, net.diameter, net.max_degree));
-        Box::new(DynamicStageProbe::new(cfg))
-    }
-
-    fn expected_keys(&self, workload: &Workload) -> Vec<PacketKey> {
-        DynamicProtocol {
-            arrivals: self.arrivals,
-            config: self.config,
-            horizon: self.horizon,
-        }
-        .expected_keys(workload)
-    }
-
-    fn delivered(&self, node: &DynamicNode) -> Vec<PacketKey> {
-        node.delivered().iter().map(|p| p.key).collect()
-    }
-
-    fn verify_checks(
-        &self,
-        _net: &NetParams,
-        workload: &Workload,
-        clean: bool,
-    ) -> Vec<Box<dyn radio_net::verify::Check<DynamicNode>>> {
-        let mut expected = self.expected_keys(workload);
-        expected.sort_unstable();
-        vec![Box::new(crate::verify::EpochConservation::new(
-            expected, self.mode, clean,
-        ))]
-    }
-
-    fn drive<
-        F: radio_net::faults::FaultModel,
-        T: radio_net::TopologyModel,
-        O: radio_net::session::Observer<DynamicNode>,
-    >(
-        &self,
-        engine: &mut Engine<DynamicNode, F, radio_net::NoCd, T>,
-        cap: u64,
-        obs: &mut O,
-    ) -> SessionEnd {
-        DynamicProtocol {
-            arrivals: self.arrivals,
-            config: self.config,
-            horizon: self.horizon,
-        }
-        .drive(engine, cap, obs)
-    }
-
-    fn finish(&self, _obs: NoopObserver, nodes: &[DynamicNode], _end: &SessionEnd) -> DynamicMeta {
-        let root = nodes.iter().find(|nd| nd.is_root());
-        let batches: Vec<BatchRecord> = root.map(|r| r.history().to_vec()).unwrap_or_default();
-        let collect_closes = root
-            .map(|r| r.collect_closes().to_vec())
-            .unwrap_or_default();
-        DynamicMeta {
-            batches,
-            latencies: stamp_latencies(self.arrivals, nodes),
-            collect_closes,
-        }
-    }
-}
-
 /// Result of a streaming run (see [`run_streaming`]).
 #[derive(Clone, Debug)]
 pub struct StreamingReport {
@@ -1493,8 +850,7 @@ pub struct StreamingReport {
     /// ascending — ready for [`nearest_rank`].
     pub latencies: Vec<u64>,
     /// `(epoch, engine round)` each epoch's collection closed (root's
-    /// view): in interleaved mode these fall inside earlier epochs'
-    /// dissemination windows.
+    /// view).
     pub collect_closes: Vec<(u32, u64)>,
     /// Fraction of `(node, packet)` deliveries achieved.
     pub delivered_fraction: f64,
@@ -1537,9 +893,9 @@ impl StreamingReport {
     }
 }
 
-/// Runs the streaming protocol on `topology` with the given arrival
-/// schedule and [`PipelineMode`], for at most `horizon` rounds (it
-/// stops early once every arrived packet reached every node).
+/// Runs the streaming protocol ([`DynamicProtocol`]) on `topology` with
+/// the given arrival schedule, for at most `horizon` rounds (it stops
+/// early once every arrived packet reached every node).
 ///
 /// # Errors
 ///
@@ -1551,7 +907,6 @@ pub fn run_streaming(
     topology: &Topology,
     arrivals: &[Arrival],
     config: Option<Config>,
-    mode: PipelineMode,
     seed: u64,
     horizon: u64,
     options: RunOptions,
@@ -1580,11 +935,10 @@ pub fn run_streaming(
         }
     }
     let workload = Workload::new(initial);
-    let protocol = StreamProtocol {
+    let protocol = DynamicProtocol {
         arrivals,
         config,
         horizon,
-        mode,
     };
     let r = run_protocol_on_graph(&protocol, graph, &workload, seed, options)?;
     let mut latencies = r.meta.latencies;
@@ -1606,6 +960,7 @@ pub fn run_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radio_net::error::Error;
 
     fn steady_arrivals(n: usize, per_wave: usize, waves: usize, gap: u64) -> Vec<Arrival> {
         let mut out = Vec::new();
@@ -1621,18 +976,27 @@ mod tests {
         out
     }
 
+    fn stream(
+        topology: &Topology,
+        arrivals: &[Arrival],
+        seed: u64,
+        horizon: u64,
+    ) -> Result<StreamingReport, Error> {
+        run_streaming(
+            topology,
+            arrivals,
+            None,
+            seed,
+            horizon,
+            RunOptions::default(),
+        )
+    }
+
     #[test]
     fn static_case_reduces_to_one_batch() {
         // All arrivals at round 0: one batch carries everything.
         let arrivals = steady_arrivals(16, 12, 1, 0);
-        let r = run_dynamic(
-            &Topology::Gnp { n: 16, p: 0.35 },
-            &arrivals,
-            None,
-            1,
-            200_000,
-        )
-        .unwrap();
+        let r = stream(&Topology::Gnp { n: 16, p: 0.35 }, &arrivals, 1, 200_000).unwrap();
         assert!(r.success, "{r:?}");
         assert_eq!(r.batches.len(), 1);
         assert_eq!(r.batches[0].k, 12);
@@ -1650,14 +1014,7 @@ mod tests {
                 payload: vec![0xBB, i as u8],
             });
         }
-        let r = run_dynamic(
-            &Topology::Gnp { n: 16, p: 0.35 },
-            &arrivals,
-            None,
-            2,
-            400_000,
-        )
-        .unwrap();
+        let r = stream(&Topology::Gnp { n: 16, p: 0.35 }, &arrivals, 2, 400_000).unwrap();
         assert!(r.success, "{r:?}");
         assert!(r.batches.len() >= 2, "batches: {:?}", r.batches.len());
         let first_batch_keys = &r.batches[0].keys;
@@ -1666,6 +1023,8 @@ mod tests {
             "first batch must carry at least the initial wave"
         );
         assert_eq!(r.k, 12);
+        assert!(r.latency_percentile(50.0).unwrap() <= r.latency_percentile(99.0).unwrap());
+        assert!(r.sustained_throughput() > 0.0);
     }
 
     #[test]
@@ -1684,10 +1043,9 @@ mod tests {
                 payload: vec![2],
             },
         ];
-        let r = run_dynamic(
+        let r = stream(
             &Topology::Grid2d { rows: 3, cols: 3 },
             &arrivals,
-            None,
             3,
             600_000,
         )
@@ -1707,29 +1065,19 @@ mod tests {
     #[test]
     fn batch_boundaries_are_contiguous() {
         let arrivals = steady_arrivals(12, 4, 3, 3_000);
-        let r = run_dynamic(
-            &Topology::Gnp { n: 12, p: 0.4 },
-            &arrivals,
-            None,
-            4,
-            500_000,
-        )
-        .unwrap();
+        let r = stream(&Topology::Gnp { n: 12, p: 0.4 }, &arrivals, 4, 500_000).unwrap();
         assert!(r.success, "{r:?}");
         for w in r.batches.windows(2) {
             assert_eq!(w[0].end, w[1].start, "batches must tile time");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "round 0")]
-    fn requires_an_initial_packet() {
-        let arrivals = vec![Arrival {
-            round: 5,
-            node: 0,
-            payload: vec![],
-        }];
-        let _ = run_dynamic(&Topology::Path { n: 4 }, &arrivals, None, 0, 1_000);
+        // Each batch's collection closes inside its own window.
+        for (b, &(batch, close)) in r.batches.iter().zip(&r.collect_closes) {
+            assert_eq!(b.batch, batch);
+            assert!(
+                b.start <= close && close <= b.end,
+                "{b:?} closed at {close}"
+            );
+        }
     }
 
     #[test]
@@ -1738,134 +1086,27 @@ mod tests {
     }
 
     #[test]
-    fn sequential_streaming_matches_run_dynamic() {
-        // The streaming wrapper in Sequential mode is the same machine
-        // as run_dynamic: identical rounds, batches, and latency sets.
-        let arrivals = steady_arrivals(16, 4, 2, 3_000);
-        let topo = Topology::Gnp { n: 16, p: 0.35 };
-        let dy = run_dynamic(&topo, &arrivals, None, 7, 400_000).unwrap();
-        let st = run_streaming(
-            &topo,
-            &arrivals,
-            None,
-            PipelineMode::Sequential,
-            7,
-            400_000,
-            RunOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(st.success, dy.success);
-        assert_eq!(st.rounds_total, dy.rounds_total);
-        assert_eq!(st.batches, dy.batches);
-        let mut dy_lat = dy.latencies.clone();
-        dy_lat.sort_unstable();
-        assert_eq!(st.latencies, dy_lat);
-    }
-
-    #[test]
-    fn interleaved_delivers_steady_traffic() {
-        let arrivals = steady_arrivals(12, 4, 3, 2_500);
-        let r = run_streaming(
-            &Topology::Gnp { n: 12, p: 0.4 },
-            &arrivals,
-            None,
-            PipelineMode::Interleaved,
-            5,
-            800_000,
-            RunOptions::default(),
-        )
-        .unwrap();
-        assert!(r.success, "{r:?}");
-        assert_eq!(r.k, 12);
-        assert_eq!(
-            r.latencies.len(),
-            12,
-            "every packet must get a full-coverage stamp"
-        );
-        assert_eq!(
-            r.batches.iter().map(|b| b.k).sum::<usize>(),
-            12,
-            "root history carries every real packet: {:?}",
-            r.batches
-        );
-        assert!(r.latency_percentile(50.0).unwrap() <= r.latency_percentile(99.0).unwrap());
-        assert!(r.sustained_throughput() > 0.0);
-    }
-
-    #[test]
-    fn interleaved_overlaps_collection_with_dissemination() {
-        // The parity TDM's pipelining, observed from the root's logs:
-        // epoch e+1's collection runs on the odd lane *while* epoch e
-        // disseminates on the even lane, so its collection close lands
-        // after epoch e's dissemination started (in the sequential
-        // loop it could only start after that dissemination ended).
-        let arrivals = steady_arrivals(12, 4, 4, 1_500);
-        let r = run_streaming(
-            &Topology::Gnp { n: 12, p: 0.4 },
-            &arrivals,
-            None,
-            PipelineMode::Interleaved,
-            6,
-            800_000,
-            RunOptions::default(),
-        )
-        .unwrap();
-        assert!(r.success, "{r:?}");
-        assert!(r.batches.len() >= 2, "need >= 2 epochs: {:?}", r.batches);
-        let p = r.batches[0].start; // pipeline start: epoch 0 dissem opens the TDM
-                                    // Dissemination windows sit on even lane offsets and stay
-                                    // disjoint (the lane serves one epoch at a time)...
-        for w in r.batches.windows(2) {
-            assert!(w[1].start >= w[0].end, "dissem lane must be sequential");
-        }
-        for b in &r.batches {
-            assert_eq!((b.start - p) % 2, 0, "dissem opens on the even lane");
-            assert_eq!((b.end - b.start) % 2, 0, "dissem spans even offsets");
-        }
-        // ...while collections of later epochs close mid-pipeline:
-        // epoch e+1's collection began one round after the TDM started
-        // (odd lane), i.e. inside epoch 0's dissemination window, and
-        // closes strictly after earlier dissemination work started.
-        for (e, close) in &r.collect_closes {
-            if *e == 0 {
-                continue;
-            }
-            assert!(
-                *close > p,
-                "epoch {e} collection (close {close}) must overlap the pipeline"
-            );
-            assert_eq!((close - p) % 2, 1, "collection closes on the odd lane");
-        }
-        assert!(
-            r.collect_closes.iter().any(|&(e, _)| e >= 1),
-            "steady traffic must produce pipelined collections: {:?}",
-            r.collect_closes
-        );
-    }
-
-    #[test]
     fn streaming_rejects_invalid_inputs() {
-        use radio_net::error::Error;
         let ok = vec![Arrival {
             round: 0,
             node: 0,
             payload: vec![1],
         }];
         let topo = Topology::Path { n: 4 };
-        let opts = RunOptions::default();
-        let zero = run_streaming(&topo, &ok, None, PipelineMode::Sequential, 0, 0, opts);
+        let zero = stream(&topo, &ok, 0, 0);
         assert!(
             matches!(zero, Err(Error::InvalidParameter { .. })),
             "{zero:?}"
         );
+        // Someone must be present at round 0 to wake the network.
         let late = vec![Arrival {
             round: 5,
             node: 0,
             payload: vec![1],
         }];
-        let no_seed = run_streaming(&topo, &late, None, PipelineMode::Sequential, 0, 1_000, opts);
+        let no_seed = stream(&topo, &late, 0, 1_000);
         assert!(
-            matches!(no_seed, Err(Error::InvalidParameter { .. })),
+            matches!(&no_seed, Err(Error::InvalidParameter { reason }) if reason.contains("round 0")),
             "{no_seed:?}"
         );
         let bad_node = vec![Arrival {
@@ -1873,15 +1114,7 @@ mod tests {
             node: 9,
             payload: vec![1],
         }];
-        let oob = run_streaming(
-            &topo,
-            &bad_node,
-            None,
-            PipelineMode::Sequential,
-            0,
-            1_000,
-            opts,
-        );
+        let oob = stream(&topo, &bad_node, 0, 1_000);
         assert!(
             matches!(oob, Err(Error::InvalidParameter { .. })),
             "{oob:?}"
@@ -1889,22 +1122,15 @@ mod tests {
     }
 
     #[test]
-    fn stamps_never_exceed_batch_accounting_in_sequential_mode() {
+    fn stamps_never_exceed_batch_accounting() {
         // A node stamps a packet when it decodes its group — at or
         // before the batch's schedule end, where the old batch-level
         // accounting placed every latency. So the per-packet stamps
         // refine the batch numbers: same count, pointwise no larger.
         let arrivals = steady_arrivals(16, 6, 2, 4_000);
-        let r = run_dynamic(
-            &Topology::Gnp { n: 16, p: 0.35 },
-            &arrivals,
-            None,
-            9,
-            400_000,
-        )
-        .unwrap();
+        let r = stream(&Topology::Gnp { n: 16, p: 0.35 }, &arrivals, 9, 400_000).unwrap();
         assert!(r.success, "{r:?}");
-        let mut seq_at = vec![0u32; 16];
+        let mut seq_at = [0u32; 16];
         let mut by_key: HashMap<PacketKey, u64> = HashMap::new();
         for a in &arrivals {
             let key = PacketKey {
@@ -1921,8 +1147,8 @@ mod tests {
             .flat_map(|b| b.keys.iter().map(move |k| b.end - by_key[k]))
             .collect();
         batch_lat.sort_unstable();
-        let mut stamp_lat = r.latencies.clone();
-        stamp_lat.sort_unstable();
+        // `run_streaming` reports latencies sorted.
+        let stamp_lat = &r.latencies;
         assert_eq!(stamp_lat.len(), batch_lat.len());
         // Sorted-order dominance follows from per-key dominance.
         for (s, b) in stamp_lat.iter().zip(&batch_lat) {

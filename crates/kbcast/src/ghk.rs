@@ -44,18 +44,17 @@ use std::collections::HashSet;
 use protocols::decay::Decay;
 use protocols::timing::{epoch_len, log_n};
 use radio_net::engine::Node;
-use radio_net::graph::{Graph, NodeId};
+use radio_net::graph::NodeId;
 use radio_net::message::MessageSize;
 use radio_net::rng;
 use radio_net::session::{NoopObserver, RoundEvents, SessionEnd};
-use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 use radio_net::verify::{Check, Violation, ViolationLog};
 use rand::rngs::SmallRng;
 
 use crate::packet::{Packet, PacketKey};
-use crate::runner::{RunOptions, Workload};
-use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
+use crate::runner::Workload;
+use crate::session::{BroadcastProtocol, NetParams};
 
 /// Maximum backoff exponent of the flood stage (participation thins to
 /// one epoch in `2^GHK_MAX_BACKOFF`).
@@ -659,69 +658,34 @@ impl BroadcastProtocol for GhkProtocol {
     }
 }
 
-/// Runs the GHK protocol on `topology` with `workload` (same surface
-/// as [`crate::baseline::bii::run_bii`], for side-by-side comparisons).
-///
-/// # Errors
-///
-/// Propagates topology-generation failures and invalid options.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the topology's.
-pub fn run_ghk(
-    topology: &Topology,
-    workload: &Workload,
-    config: Option<GhkConfig>,
-    seed: u64,
-    options: RunOptions,
-) -> Result<SessionReport<GhkMeta>, radio_net::error::Error> {
-    let graph = topology.build(seed)?;
-    run_ghk_on_graph(graph, workload, config, seed, options)
-}
-
-/// [`run_ghk`] on a prebuilt [`Graph`].
-///
-/// # Errors
-///
-/// Propagates engine construction failures and verification failures.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the graph's.
-pub fn run_ghk_on_graph(
-    graph: Graph,
-    workload: &Workload,
-    config: Option<GhkConfig>,
-    seed: u64,
-    options: RunOptions,
-) -> Result<SessionReport<GhkMeta>, radio_net::error::Error> {
-    let protocol = GhkProtocol { config };
-    run_protocol_on_graph(&protocol, graph, workload, seed, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunOptions;
+    use radio_net::topology::Topology;
 
-    fn verified() -> RunOptions {
-        RunOptions {
+    /// A verified session of the GHK protocol with default config.
+    fn ghk_session(
+        topology: &Topology,
+        workload: &Workload,
+        seed: u64,
+    ) -> crate::session::SessionReport<GhkMeta> {
+        let opts = RunOptions {
             verify: true,
             ..RunOptions::default()
-        }
+        };
+        crate::session::run_protocol(&GhkProtocol::default(), topology, workload, seed, opts)
+            .unwrap()
     }
 
     #[test]
     fn delivers_single_source_on_path() {
         for seed in 0..3 {
-            let r = run_ghk(
+            let r = ghk_session(
                 &Topology::Path { n: 12 },
                 &Workload::single_source(12, 0, 5),
-                None,
                 seed,
-                verified(),
-            )
-            .unwrap();
+            );
             assert!(r.success, "seed {seed}: {r:?}");
             assert_eq!(r.meta.leader, Some(11), "seed {seed}");
             assert_eq!(r.meta.wave_reached, 12, "seed {seed}");
@@ -731,14 +695,11 @@ mod tests {
     #[test]
     fn delivers_spread_workload_on_gnp() {
         for seed in 0..3 {
-            let r = run_ghk(
+            let r = ghk_session(
                 &Topology::Gnp { n: 25, p: 0.2 },
                 &Workload::round_robin(25, 12),
-                None,
                 seed,
-                verified(),
-            )
-            .unwrap();
+            );
             assert!(r.success, "seed {seed}: {r:?}");
             assert_eq!(r.meta.leader, Some(24), "seed {seed}");
         }
@@ -746,14 +707,11 @@ mod tests {
 
     #[test]
     fn elects_the_max_id_on_a_grid() {
-        let r = run_ghk(
+        let r = ghk_session(
             &Topology::Grid2d { rows: 5, cols: 5 },
             &Workload::single_source(25, 12, 3),
-            None,
             9,
-            verified(),
-        )
-        .unwrap();
+        );
         assert!(r.success, "{r:?}");
         assert_eq!(r.meta.leader, Some(24));
         assert_eq!(r.meta.leaders, 1);
@@ -789,14 +747,11 @@ mod tests {
 
     #[test]
     fn zero_packets_trivial() {
-        let r = run_ghk(
+        let r = ghk_session(
             &Topology::Path { n: 4 },
             &Workload::new(vec![Vec::new(); 4]),
-            None,
             0,
-            verified(),
-        )
-        .unwrap();
+        );
         assert!(r.success);
         assert_eq!(r.rounds_total, 0);
     }

@@ -21,14 +21,15 @@
 //! `O(logΔ)` rounds per packet**, versus `O(log n·logΔ)` for the
 //! Bar-Yehuda–Israeli–Itai baseline implemented in [`baseline`].
 //!
-//! Use [`runner`] for end-to-end executions and measurement; use
+//! Run any protocol end to end with [`session::run_protocol`] (or
+//! [`session::run_protocol_on_graph`] on a prebuilt graph); use
 //! [`node::KbcastNode`] directly to embed the protocol in a custom
-//! harness. Two extensions go beyond the paper: [`dynamic`] adapts the
-//! static algorithm to continuously arriving packets (the paper's
-//! concluding open problem) by pipelining stages 3+4 in batches, and
-//! [`runner::RunOptions::loss_rate`] injects channel noise for
-//! robustness studies. [`analysis`] reproduces the paper's
-//! Chernoff-type lemmas by Monte Carlo.
+//! harness. [`dynamic`] goes beyond the paper: it adapts the static
+//! algorithm to continuously arriving packets (the paper's concluding
+//! open problem) by looping stages 3+4 in batches. Channel noise for
+//! robustness studies is a `radio_net::faults` model such as
+//! `UniformLoss`. [`analysis`] reproduces the paper's Chernoff-type
+//! lemmas by Monte Carlo.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +52,7 @@ pub use config::Config;
 pub use ghk::{GhkConfig, GhkMeta, GhkProtocol};
 pub use node::KbcastNode;
 pub use packet::{Packet, PacketKey};
-pub use runner::{run, CodedProtocol, RunReport, Workload};
+pub use runner::{CodedProtocol, Workload};
 pub use session::{
     run_protocol, run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport,
 };

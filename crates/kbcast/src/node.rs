@@ -32,7 +32,7 @@ pub enum Stage {
 
 /// Per-message-type transmission counters of one node (the protocol's
 /// "energy" profile; aggregated into
-/// [`crate::runner::RunReport::tx_by_type`]).
+/// [`crate::runner::KbcastMeta::tx_by_type`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TxCounts {
     /// Stage 1 probe floods.

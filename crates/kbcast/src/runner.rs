@@ -1,18 +1,38 @@
-//! End-to-end execution harness: build a network, place packets, run the
-//! protocol, verify delivery and report round counts.
+//! The paper's coded protocol as a session-driver
+//! [`BroadcastProtocol`] ([`CodedProtocol`]), plus the pieces every
+//! run shares: packet placement ([`Workload`]), run knobs
+//! ([`RunOptions`]) and the default round cap ([`round_cap`]). Run it
+//! with [`crate::session::run_protocol`]:
+//!
+//! ```
+//! use kbcast::runner::{CodedProtocol, RunOptions, Workload};
+//! use kbcast::session::run_protocol;
+//! use radio_net::topology::Topology;
+//!
+//! # fn main() -> Result<(), radio_net::error::Error> {
+//! let report = run_protocol(
+//!     &CodedProtocol::default(),
+//!     &Topology::Grid2d { rows: 3, cols: 3 },
+//!     &Workload::single_source(9, 4, 5),
+//!     7,
+//!     RunOptions::default(),
+//! )?;
+//! assert!(report.success);
+//! assert_eq!(report.k, 5);
+//! # Ok(())
+//! # }
+//! ```
 
 use radio_net::dyntopo::ChurnSpec;
-use radio_net::graph::{Graph, NodeId};
+use radio_net::graph::NodeId;
 use radio_net::rng;
 use radio_net::session::{Observer, RoundEvents, SessionEnd};
-use radio_net::stats::SimStats;
-use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 
 use crate::config::Config;
 use crate::node::{KbcastNode, TxCounts};
 use crate::packet::Packet;
-use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
+use crate::session::{BroadcastProtocol, NetParams};
 use crate::stage3::schedule;
 
 /// Where the `k` packets initially live: `payloads[i]` is the list of
@@ -155,53 +175,9 @@ impl StageFaults {
     }
 }
 
-/// Result of one end-to-end run.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Number of nodes.
-    pub n: usize,
-    /// Number of packets.
-    pub k: usize,
-    /// True diameter of the generated topology.
-    pub diameter: usize,
-    /// True maximum degree of the generated topology.
-    pub max_degree: usize,
-    /// Whether every node ended up holding every packet.
-    pub success: bool,
-    /// Rounds until the last node held everything (or the cap).
-    pub rounds_total: u64,
-    /// Per-stage breakdown (valid when `success`).
-    pub stages: StageRounds,
-    /// Collection phases executed by the root (doublings of the
-    /// `k`-estimate).
-    pub collection_phases: u32,
-    /// Average fraction of packets delivered per node (1.0 on success).
-    pub delivered_fraction: f64,
-    /// Channel statistics from the engine.
-    pub stats: SimStats,
-    /// Transmissions by message type, summed over all nodes.
-    pub tx_by_type: TxCounts,
-}
-
-impl RunReport {
-    /// Amortized rounds per packet — the paper's headline metric
-    /// (`O(logΔ)` for this algorithm, `O(log n·logΔ)` for BII).
-    #[must_use]
-    pub fn amortized_rounds_per_packet(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.rounds_total as f64 / self.k.max(1) as f64
-        }
-    }
-}
-
 /// Optional knobs for a run beyond the protocol configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunOptions {
-    /// Channel-noise injection: each successful reception is dropped
-    /// independently with this probability (0 = the paper's clean
-    /// model). See `radio_net::Engine::set_loss`.
-    pub loss_rate: f64,
     /// Override the default round cap (None = the formula in
     /// [`round_cap`]).
     pub max_rounds: Option<u64>,
@@ -242,22 +218,10 @@ impl RunOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`radio_net::error::Error::InvalidParameter`] for a
-    /// NaN `loss_rate` or one outside `[0, 1)`, or for
+    /// Returns [`radio_net::error::Error::InvalidParameter`] for
     /// `max_rounds == Some(0)` (a zero-round run can never deliver
-    /// anything; use `None` for the default cap). Every rejection names
-    /// the offending value.
+    /// anything; use `None` for the default cap).
     pub fn validate(&self) -> Result<(), radio_net::error::Error> {
-        if self.loss_rate.is_nan() {
-            return Err(radio_net::error::Error::InvalidParameter {
-                reason: format!("loss_rate {} is NaN; must be in [0, 1)", self.loss_rate),
-            });
-        }
-        if !(0.0..1.0).contains(&self.loss_rate) {
-            return Err(radio_net::error::Error::InvalidParameter {
-                reason: format!("loss_rate {} must be in [0, 1)", self.loss_rate),
-            });
-        }
         if self.max_rounds == Some(0) {
             return Err(radio_net::error::Error::InvalidParameter {
                 reason: "max_rounds must be at least 1 (use None for the default cap)".into(),
@@ -283,110 +247,6 @@ pub fn round_cap(cfg: &Config, k: usize) -> u64 {
     let g = k.div_ceil(cfg.group_size()).max(1) as u64;
     let s4 = (cfg.group_spacing * g + cfg.d_bound as u64 + 1) * cfg.forward_phase_rounds();
     2 * (s12 + s3 + s4) + 64
-}
-
-/// Runs the full four-stage protocol on `topology` with `workload`.
-///
-/// `config` overrides the defaults from [`Config::for_network`] (which
-/// uses the generated graph's true `n`, `D`, `Δ`). The run is fully
-/// deterministic in `seed`.
-///
-/// ```
-/// use kbcast::runner::{run, Workload};
-/// use radio_net::topology::Topology;
-///
-/// # fn main() -> Result<(), radio_net::error::Error> {
-/// let report = run(
-///     &Topology::Grid2d { rows: 3, cols: 3 },
-///     &Workload::single_source(9, 4, 5),
-///     None,
-///     7,
-/// )?;
-/// assert!(report.success);
-/// assert_eq!(report.k, 5);
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Propagates topology-generation failures.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the topology's.
-pub fn run(
-    topology: &Topology,
-    workload: &Workload,
-    config: Option<Config>,
-    seed: u64,
-) -> Result<RunReport, radio_net::error::Error> {
-    run_with_options(topology, workload, config, seed, RunOptions::default())
-}
-
-/// [`run`] with extra harness knobs (noise injection, round-cap
-/// override).
-///
-/// # Errors
-///
-/// Propagates topology-generation failures and invalid options.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the topology's.
-pub fn run_with_options(
-    topology: &Topology,
-    workload: &Workload,
-    config: Option<Config>,
-    seed: u64,
-    options: RunOptions,
-) -> Result<RunReport, radio_net::error::Error> {
-    let graph = topology.build(seed)?;
-    run_on_graph(graph, workload, config, seed, options)
-}
-
-/// [`run_with_options`] on a prebuilt [`Graph`], skipping topology
-/// generation. Sweep drivers that probe the graph (diameter, degree)
-/// to derive a [`Config`] can hand the same graph here instead of
-/// building the topology a second time.
-///
-/// This is a thin wrapper over the generic session driver
-/// ([`crate::session::run_protocol_on_graph`]) with a
-/// [`CodedProtocol`], reshaping its report into the historical
-/// [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates invalid options.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the graph's.
-pub fn run_on_graph(
-    graph: Graph,
-    workload: &Workload,
-    config: Option<Config>,
-    seed: u64,
-    options: RunOptions,
-) -> Result<RunReport, radio_net::error::Error> {
-    let protocol = CodedProtocol {
-        config,
-        uncoded: false,
-    };
-    let r = run_protocol_on_graph(&protocol, graph, workload, seed, options)?;
-    Ok(RunReport {
-        n: r.n,
-        k: r.k,
-        diameter: r.diameter,
-        max_degree: r.max_degree,
-        success: r.success,
-        rounds_total: r.rounds_total,
-        stages: r.meta.stages,
-        collection_phases: r.meta.collection_phases,
-        delivered_fraction: r.delivered_fraction,
-        stats: r.stats,
-        tx_by_type: r.meta.tx_by_type,
-    })
 }
 
 /// The paper's four-stage coded algorithm as a [`BroadcastProtocol`].
@@ -649,6 +509,20 @@ impl BroadcastProtocol for CodedProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{run_protocol, SessionReport};
+    use radio_net::stats::SimStats;
+    use radio_net::topology::Topology;
+
+    fn run(topology: &Topology, workload: &Workload, seed: u64) -> SessionReport<KbcastMeta> {
+        run_protocol(
+            &CodedProtocol::default(),
+            topology,
+            workload,
+            seed,
+            RunOptions::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn workload_constructors() {
@@ -674,21 +548,14 @@ mod tests {
     }
 
     #[test]
-    fn validate_reports_the_offending_loss_rate() {
-        let mut opts = RunOptions::default();
-        opts.loss_rate = f64::NAN;
+    fn validate_rejects_a_zero_round_cap() {
+        let opts = RunOptions {
+            max_rounds: Some(0),
+            ..RunOptions::default()
+        };
         let err = opts.validate().unwrap_err();
-        assert!(
-            err.to_string().contains("NaN"),
-            "NaN must be called out: {err}"
-        );
-
-        opts.loss_rate = 1.5;
-        let err = opts.validate().unwrap_err();
-        assert!(
-            err.to_string().contains("1.5"),
-            "offending value must appear in the message: {err}"
-        );
+        assert!(err.to_string().contains("max_rounds"), "{err}");
+        assert!(RunOptions::default().validate().is_ok());
     }
 
     #[test]
@@ -696,10 +563,8 @@ mod tests {
         let r = run(
             &Topology::Path { n: 5 },
             &Workload::new(vec![Vec::new(); 5]),
-            None,
             0,
-        )
-        .unwrap();
+        );
         assert!(r.success);
         assert_eq!(r.rounds_total, 0);
     }
@@ -709,17 +574,13 @@ mod tests {
         let r = run(
             &Topology::Path { n: 6 },
             &Workload::single_source(6, 5, 3),
-            None,
             1,
-        )
-        .unwrap();
+        );
         assert!(r.success, "report: {r:?}");
         assert_eq!(r.k, 3);
         assert!((r.delivered_fraction - 1.0).abs() < 1e-9);
-        assert_eq!(
-            r.stages.leader + r.stages.bfs + r.stages.collect + r.stages.disseminate,
-            r.rounds_total
-        );
+        let s = r.meta.stages;
+        assert_eq!(s.leader + s.bfs + s.collect + s.disseminate, r.rounds_total);
     }
 
     #[test]
@@ -727,12 +588,10 @@ mod tests {
         let r = run(
             &Topology::Grid2d { rows: 4, cols: 4 },
             &Workload::round_robin(16, 10),
-            None,
             2,
-        )
-        .unwrap();
+        );
         assert!(r.success, "report: {r:?}");
-        assert!(r.collection_phases <= 3);
+        assert!(r.meta.collection_phases <= 3);
     }
 
     #[test]
@@ -740,39 +599,30 @@ mod tests {
         let r = run(
             &Topology::Path { n: 1 },
             &Workload::single_source(1, 0, 2),
-            None,
             0,
-        )
-        .unwrap();
+        );
         assert!(r.success, "report: {r:?}");
     }
 
     #[test]
     fn two_node_network() {
-        let r = run(
-            &Topology::Path { n: 2 },
-            &Workload::round_robin(2, 3),
-            None,
-            4,
-        )
-        .unwrap();
+        let r = run(&Topology::Path { n: 2 }, &Workload::round_robin(2, 3), 4);
         assert!(r.success, "report: {r:?}");
     }
 
     #[test]
     fn amortized_metric_uses_total_rounds() {
-        let r = RunReport {
+        let r = SessionReport {
             n: 1,
             k: 10,
             diameter: 1,
             max_degree: 1,
             success: true,
             rounds_total: 50,
-            stages: StageRounds::default(),
-            collection_phases: 0,
             delivered_fraction: 1.0,
             stats: SimStats::new(),
-            tx_by_type: TxCounts::default(),
+            meta: KbcastMeta::default(),
+            trace: None,
         };
         assert!((r.amortized_rounds_per_packet() - 5.0).abs() < 1e-12);
     }

@@ -149,7 +149,7 @@ pub trait BroadcastProtocol {
     /// model-conformance checker under [`RunOptions::verify`].
     ///
     /// `clean` is `true` when the session injects no adversity (no
-    /// fault model, no legacy loss, no [`RunOptions::churn`]): checkers
+    /// fault model, no [`RunOptions::churn`]): checkers
     /// may then also assert w.h.p. invariants that injected faults —
     /// or a graph that changes under the protocol — could legitimately
     /// break (e.g. unique leader election). Defaults to no extra
@@ -239,9 +239,9 @@ pub fn run_protocol<P: BroadcastProtocol>(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] for a `loss_rate` outside
-/// `[0, 1)` or `max_rounds == Some(0)` — checked before any engine
-/// state is constructed — and propagates engine-construction failures.
+/// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)` —
+/// checked before any engine state is constructed — and propagates
+/// engine-construction failures.
 /// With [`RunOptions::verify`] set, returns
 /// [`Error::VerificationFailed`] (carrying the seed and the first
 /// violations) if the online model/invariant checkers flag anything.
@@ -384,7 +384,7 @@ fn run_session_core<P: BroadcastProtocol, F: FaultModel, T: TopologyModel>(
             ),
             None => ModelChecker::new_with_cd(graph.clone(), awake.iter().copied(), P::Cd::ENABLED),
         }));
-        let clean = !F::ENABLED && options.loss_rate == 0.0 && options.churn.is_none();
+        let clean = !F::ENABLED && options.churn.is_none();
         for check in protocol.verify_checks(&net, workload, clean) {
             stack.push(check);
         }
@@ -406,9 +406,6 @@ fn run_session_core<P: BroadcastProtocol, F: FaultModel, T: TopologyModel>(
 
     let mut engine =
         Engine::<P::Node, F, P::Cd, T>::with_topology(graph, nodes, awake, faults, topo)?;
-    if options.loss_rate > 0.0 {
-        engine.set_loss(options.loss_rate, seed)?;
-    }
     let cap = options
         .max_rounds
         .unwrap_or_else(|| protocol.round_cap(&net, k));

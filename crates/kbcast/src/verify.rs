@@ -19,7 +19,7 @@
 //! - **End-to-end no-forgery** — every packet any node ends up holding
 //!   has a key from the ground-truth set, with no duplicates.
 //!
-//! Checked only in *clean* runs (no fault model, no legacy loss),
+//! Checked only in *clean* runs (no fault model, no churn),
 //! because injected adversity can legitimately break them:
 //!
 //! - **Unique leader** (Stage 1) — exactly one root, and it is the
@@ -38,7 +38,7 @@ use radio_net::verify::{Check, Violation, ViolationLog};
 use radio_net::SessionEnd;
 
 use crate::config::Config;
-use crate::dynamic::{DynamicNode, PipelineMode};
+use crate::dynamic::DynamicNode;
 use crate::node::KbcastNode;
 use crate::packet::PacketKey;
 
@@ -333,22 +333,20 @@ impl Check<KbcastNode> for StageInvariants {
     }
 }
 
-/// Streaming-mode invariants for the dynamic/streaming protocols: key
+/// Streaming invariants for the dynamic protocol: key
 /// conservation is checked **per epoch, as each epoch closes**, rather
 /// than once at end-of-run — an unbounded streaming session validates
 /// continuously instead of deferring everything to a final audit.
 ///
-/// Checked as the root's epoch history grows (every mode, faults
-/// included — these are structural, not w.h.p., properties):
+/// Checked as the root's epoch history grows (faults included — these
+/// are structural, not w.h.p., properties):
 ///
 /// - epoch indices are contiguous from 0;
 /// - each record's `k` matches its key list, which contains no
 ///   duplicates, no marker, and no key outside the arrival-derived
 ///   ground truth (no forgery);
 /// - no key is carried by two epochs (conservation across epochs);
-/// - epoch windows respect the mode's schedule: sequential batches
-///   tile time, interleaved dissemination windows are disjoint and
-///   ordered.
+/// - epoch windows tile time: each starts where the previous one ended.
 ///
 /// At session end, every node's holdings are audited (unique, no
 /// forgery, stamps cover holdings), and in *clean* runs a node holding
@@ -357,7 +355,6 @@ impl Check<KbcastNode> for StageInvariants {
 pub struct EpochConservation {
     /// Ground-truth key set, sorted (arrival-derived).
     expected: Vec<PacketKey>,
-    mode: PipelineMode,
     clean: bool,
     root: Option<usize>,
     /// Epoch records already validated.
@@ -371,14 +368,13 @@ pub struct EpochConservation {
 
 impl EpochConservation {
     /// A checker verifying against the sorted ground-truth key set
-    /// `expected`, for a session scheduled in `mode`. `clean` enables
-    /// the w.h.p.-only completeness invariant.
+    /// `expected`. `clean` enables the w.h.p.-only completeness
+    /// invariant.
     #[must_use]
-    pub fn new(expected: Vec<PacketKey>, mode: PipelineMode, clean: bool) -> Self {
+    pub fn new(expected: Vec<PacketKey>, clean: bool) -> Self {
         debug_assert!(expected.windows(2).all(|w| w[0] < w[1]));
         EpochConservation {
             expected,
-            mode,
             clean,
             root: None,
             seen: 0,
@@ -435,19 +431,12 @@ impl EpochConservation {
             );
         }
         if let Some(prev_end) = self.prev_end {
-            let ok = match self.mode {
-                // Sequential batches tile time exactly.
-                PipelineMode::Sequential => record.start == prev_end,
-                // Interleaved dissemination windows may gap (the lane
-                // waits for a collection) but never overlap.
-                PipelineMode::Interleaved => record.start >= prev_end,
-            };
-            if !ok {
+            if record.start != prev_end {
                 self.log.record(
                     round,
                     format!(
-                        "epoch {} starts at {} against previous end {prev_end} ({:?} schedule)",
-                        record.batch, record.start, self.mode
+                        "epoch {} starts at {} against previous end {prev_end}",
+                        record.batch, record.start
                     ),
                 );
             }
@@ -658,8 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_protocols_register_the_epoch_check() {
-        use crate::dynamic::{Arrival, DynamicProtocol, StreamProtocol};
+    fn dynamic_protocol_registers_the_epoch_check() {
+        use crate::dynamic::{Arrival, DynamicProtocol};
         let arrivals = vec![Arrival {
             round: 0,
             node: 0,
@@ -689,13 +678,6 @@ mod tests {
         let checks = dy.verify_checks(&net, &workload, true);
         assert_eq!(checks.len(), 1);
         assert_eq!(checks[0].name(), "epoch");
-        let st = StreamProtocol {
-            arrivals: &arrivals,
-            config: None,
-            horizon: 1_000,
-            mode: PipelineMode::Interleaved,
-        };
-        assert_eq!(st.verify_checks(&net, &workload, true)[0].name(), "epoch");
     }
 
     #[test]
@@ -721,19 +703,16 @@ mod tests {
                 payload: vec![0x40, i],
             });
         }
-        for mode in [PipelineMode::Sequential, PipelineMode::Interleaved] {
-            let r = run_streaming(
-                &Topology::Gnp { n: 12, p: 0.4 },
-                &arrivals,
-                None,
-                mode,
-                13,
-                800_000,
-                verify_opts(),
-            )
-            .expect("verified streaming run must be violation-free");
-            assert!(r.success, "{mode:?}: {r:?}");
-        }
+        let r = run_streaming(
+            &Topology::Gnp { n: 12, p: 0.4 },
+            &arrivals,
+            None,
+            13,
+            800_000,
+            verify_opts(),
+        )
+        .expect("verified streaming run must be violation-free");
+        assert!(r.success, "{r:?}");
     }
 
     #[test]
@@ -743,7 +722,7 @@ mod tests {
             PacketKey { origin: 0, seq: 0 },
             PacketKey { origin: 1, seq: 0 },
         ];
-        let mut check = EpochConservation::new(expected, PipelineMode::Sequential, true);
+        let mut check = EpochConservation::new(expected, true);
         check.check_epoch(
             10,
             &BatchRecord {

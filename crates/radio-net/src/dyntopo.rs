@@ -462,8 +462,8 @@ impl TopologyModel for BuiltTopology {
 /// * `waypoint:radius=0.3,speed=0.01`
 /// * `partition:at=200,heal=400` (optionally `,period=1000`)
 ///
-/// `Copy`, so it rides inside copyable option structs the way
-/// `loss_rate` does.
+/// `Copy`, so it rides inside copyable option structs such as
+/// `RunOptions`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ChurnSpec {
     /// Frozen graph (the default).

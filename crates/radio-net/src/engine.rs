@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use crate::bitset::{words_for, ActiveSet};
 use crate::dyntopo::{StaticTopology, TopologyModel};
 use crate::error::Error;
-use crate::faults::{ChannelView, FaultEvents, FaultModel, NoFaults, UniformLoss};
+use crate::faults::{ChannelView, FaultEvents, FaultModel, NoFaults};
 use crate::graph::{Graph, NodeId};
 use crate::message::MessageSize;
 use crate::session::{
@@ -293,10 +293,6 @@ pub struct Engine<
     /// the harness may have changed their `is_done`, so their cached flag
     /// is refreshed before it is next consulted.
     dirty: Vec<u32>,
-    /// Legacy injected channel noise ([`Engine::set_loss`]): a
-    /// [`UniformLoss`] applied in addition to — and after — the fault
-    /// model's own `drop_delivery`. `None` in the paper's clean model.
-    loss: Option<UniformLoss>,
     /// The fault model driving this engine's adversity (a ZST for the
     /// default [`NoFaults`]).
     faults: F,
@@ -482,7 +478,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
             done,
             done_count,
             dirty: Vec::new(),
-            loss: None,
             faults,
             topo,
             jam_stamp: vec![u64::MAX; n],
@@ -563,31 +558,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     pub fn all_done(&mut self) -> bool {
         self.flush_dirty();
         self.done_count == self.nodes.len()
-    }
-
-    /// Injects channel noise: from now on every successful reception is
-    /// independently dropped with probability `rate` (drawn from a
-    /// stream seeded by `seed`). Models fading/interference beyond the
-    /// collision semantics; the paper's model corresponds to no loss.
-    ///
-    /// This is a legacy shim kept for `RunOptions { loss_rate }`-style
-    /// callers: it stores a [`UniformLoss`] (same salt, same draw order
-    /// as the original hard-coded path, so fixed-seed runs stay
-    /// bit-identical) applied *after* the engine's fault model. New code
-    /// should pass a [`UniformLoss`] to [`Engine::with_faults`] instead —
-    /// with the same `seed` the two are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN and rates outside `[0, 1)`.
-    pub fn set_loss(&mut self, rate: f64, seed: u64) -> Result<(), Error> {
-        let model = UniformLoss::new(rate, seed)?;
-        self.loss = if model.rate() == 0.0 {
-            None
-        } else {
-            Some(model)
-        };
-        Ok(())
     }
 
     /// The engine's fault model (harness-side inspection, e.g. a
@@ -816,7 +786,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         let word_fast = !F::ENABLED
             && !R::ENABLED
             && !C::ENABLED
-            && self.loss.is_none()
             && !force_deliver
             && !force_noise
             && !force_silence;
@@ -891,10 +860,8 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                 }
                 let unique_rx = (self.twos[wi] & vbit == 0 && !force_noise) || force_deliver;
                 if unique_rx {
-                    // Fault-model loss first, then the legacy `set_loss`
-                    // noise. Both streams advance at the same sequence
-                    // points as the pre-subsystem engine (ascending
-                    // listener order), keeping fixed-seed runs
+                    // Fault-model loss draws advance in ascending
+                    // listener order, keeping fixed-seed runs
                     // bit-identical.
                     if F::ENABLED
                         && self
@@ -907,16 +874,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                             sink.dropped(v32);
                         }
                         continue;
-                    }
-                    if let Some(loss) = &mut self.loss {
-                        if loss.sample() {
-                            self.stats.dropped += 1;
-                            fev.dropped += 1;
-                            if R::ENABLED {
-                                sink.dropped(v32);
-                            }
-                            continue;
-                        }
                     }
                     if !self.awake[v] {
                         if F::ENABLED && self.faults.corrupt_wakeup(round, v) {
@@ -1243,6 +1200,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::UniformLoss;
     use crate::topology;
 
     /// Transmits `plan[round]` each round; records receptions and (on
@@ -1400,52 +1358,68 @@ mod tests {
         assert_eq!(e.round(), 5);
     }
 
+    /// A lone leaf transmitting to its neighbor every round for `rounds`
+    /// rounds under a [`UniformLoss`] of `rate`: the engine's stats and
+    /// the rounds in which the neighbor actually received.
+    fn lossy_link(rounds: usize, rate: f64, seed: u64) -> (SimStats, Vec<u64>) {
+        let g = topology::path(2).unwrap();
+        let nodes = vec![
+            Scripted::new((0..rounds).map(|_| Some(7)).collect()),
+            Scripted::silent(),
+        ];
+        let faults = UniformLoss::new(rate, seed).unwrap();
+        let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
+        e.run(rounds as u64);
+        let rx = e
+            .node(NodeId::new(1))
+            .received
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        (*e.stats(), rx)
+    }
+
     #[test]
     fn full_loss_is_rejected_and_zero_is_noop() {
-        let g = topology::path(2).unwrap();
-        let nodes = vec![Scripted::new(vec![Some(1)]), Scripted::silent()];
-        let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
-        assert!(e.set_loss(1.0, 0).is_err());
-        assert!(e.set_loss(-0.1, 0).is_err());
-        e.set_loss(0.0, 0).unwrap();
-        e.step();
-        assert_eq!(e.stats().receptions, 1);
-        assert_eq!(e.stats().dropped, 0);
+        assert!(UniformLoss::new(1.0, 0).is_err());
+        assert!(UniformLoss::new(-0.1, 0).is_err());
+        let (stats, rx) = lossy_link(1, 0.0, 0);
+        assert_eq!(stats.receptions, 1);
+        assert_eq!(stats.dropped, 0);
+        assert_eq!(rx, vec![0]);
     }
 
     #[test]
     fn loss_drops_about_the_right_fraction() {
-        // Star hub receives one message per round from a lone leaf; with
-        // 30% loss over 1000 rounds, ~300 drops.
-        let g = topology::path(2).unwrap();
-        let nodes = vec![
-            Scripted::new((0..1000).map(|_| Some(7)).collect()),
-            Scripted::silent(),
-        ];
-        let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
-        e.set_loss(0.3, 42).unwrap();
-        e.run(1000);
-        let dropped = e.stats().dropped;
-        assert!((200..400).contains(&dropped), "dropped {dropped}");
-        assert_eq!(e.stats().receptions + dropped, 1000);
+        // 30% loss over 1000 one-message rounds: the recorded drop count
+        // of this seed, which is also ~300.
+        let (stats, _) = lossy_link(1000, 0.3, 42);
+        assert_eq!(stats.dropped, 307);
+        assert!((200..400).contains(&stats.dropped));
+        assert_eq!(stats.receptions + stats.dropped, 1000);
     }
 
     #[test]
     fn loss_is_seed_deterministic() {
         // Compare the exact reception pattern, not a summary statistic.
-        let run = |seed| -> Vec<(u64, u32)> {
-            let g = topology::path(2).unwrap();
-            let nodes = vec![
-                Scripted::new((0..100).map(|_| Some(7)).collect()),
-                Scripted::silent(),
-            ];
-            let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
-            e.set_loss(0.5, seed).unwrap();
-            e.run(100);
-            e.node(NodeId::new(1)).received.clone()
-        };
+        let run = |seed| lossy_link(100, 0.5, seed).1;
         assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2));
+        assert_eq!(
+            run(1),
+            [
+                1, 2, 5, 6, 7, 8, 9, 19, 20, 21, 23, 25, 26, 29, 33, 36, 37, 39, 40, 42, 44, 45,
+                48, 50, 52, 53, 54, 55, 56, 57, 59, 64, 65, 66, 71, 72, 74, 78, 79, 80, 82, 83, 84,
+                90, 94, 95, 96, 97, 99
+            ]
+        );
+        assert_eq!(
+            run(2),
+            [
+                3, 5, 6, 7, 8, 10, 11, 13, 15, 16, 17, 20, 21, 22, 24, 25, 27, 28, 30, 33, 34, 37,
+                39, 41, 43, 45, 46, 47, 49, 52, 53, 55, 58, 62, 65, 73, 77, 79, 80, 84, 85, 86, 92,
+                93, 94
+            ]
+        );
     }
 
     /// Records every round's events; used to check observer plumbing.
@@ -1541,33 +1515,36 @@ mod tests {
     }
 
     #[test]
-    fn uniform_loss_fault_matches_set_loss_exactly() {
-        // The fault-model path and the legacy shim draw from the same
-        // salted stream at the same sequence points: identical drops.
-        let run_legacy = |seed| -> Vec<(u64, u32)> {
-            let g = topology::path(2).unwrap();
-            let nodes = vec![
-                Scripted::new((0..200).map(|_| Some(7)).collect()),
-                Scripted::silent(),
-            ];
-            let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
-            e.set_loss(0.5, seed).unwrap();
-            e.run(200);
-            e.node(NodeId::new(1)).received.clone()
-        };
-        let run_fault = |seed| -> Vec<(u64, u32)> {
-            let g = topology::path(2).unwrap();
-            let nodes = vec![
-                Scripted::new((0..200).map(|_| Some(7)).collect()),
-                Scripted::silent(),
-            ];
-            let faults = UniformLoss::new(0.5, seed).unwrap();
-            let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
-            e.run(200);
-            e.node(NodeId::new(1)).received.clone()
-        };
-        assert_eq!(run_legacy(9), run_fault(9));
-        assert_ne!(run_legacy(9), run_fault(10));
+    fn uniform_loss_fault_matches_recorded_drops() {
+        // The salted loss stream is drawn at the same sequence points
+        // as the engine's original hard-coded loss path: these are that
+        // path's recorded receptions for seeds 9 and 10.
+        let (stats, rx) = lossy_link(200, 0.5, 9);
+        assert_eq!((stats.dropped, stats.receptions), (107, 93));
+        assert_eq!(
+            rx,
+            [
+                0, 1, 2, 3, 5, 9, 17, 18, 23, 25, 26, 28, 32, 34, 35, 38, 40, 44, 45, 46, 48, 49,
+                51, 53, 55, 56, 61, 63, 68, 69, 70, 71, 73, 76, 77, 78, 80, 83, 86, 88, 89, 90, 92,
+                95, 97, 99, 100, 102, 104, 105, 108, 109, 111, 112, 114, 120, 121, 123, 124, 129,
+                130, 131, 134, 136, 138, 140, 143, 144, 145, 146, 147, 148, 149, 150, 152, 153,
+                154, 156, 157, 160, 163, 164, 166, 176, 179, 180, 181, 182, 183, 189, 190, 191,
+                193
+            ]
+        );
+        let (stats, rx) = lossy_link(200, 0.5, 10);
+        assert_eq!((stats.dropped, stats.receptions), (100, 100));
+        assert_eq!(
+            rx,
+            [
+                0, 1, 4, 7, 8, 9, 10, 14, 15, 19, 20, 23, 24, 25, 26, 28, 29, 33, 36, 38, 40, 41,
+                43, 45, 46, 47, 48, 49, 52, 53, 55, 58, 60, 61, 62, 65, 66, 68, 70, 75, 77, 80, 81,
+                83, 84, 85, 87, 88, 89, 90, 92, 94, 96, 100, 106, 109, 110, 111, 112, 113, 114,
+                115, 116, 118, 119, 121, 123, 126, 128, 129, 130, 133, 134, 138, 140, 141, 145,
+                146, 149, 151, 152, 153, 156, 159, 164, 174, 175, 177, 178, 182, 183, 184, 186,
+                190, 192, 193, 194, 195, 198, 199
+            ]
+        );
     }
 
     #[test]

@@ -68,8 +68,7 @@ pub struct FaultEvents {
     /// Nodes that recovered at the start of this round.
     pub recoveries: usize,
     /// Successful receptions suppressed by channel loss — a model's
-    /// [`FaultModel::drop_delivery`] or the engine's legacy `set_loss`
-    /// noise (which is a [`UniformLoss`] under the hood).
+    /// [`FaultModel::drop_delivery`] (e.g. [`UniformLoss`]).
     pub dropped: usize,
     /// Listener-rounds silenced by jamming (the listener had at least
     /// one transmitting neighbor but heard only noise).
@@ -162,10 +161,9 @@ impl FaultModel for NoFaults {
 /// I.i.d. reception loss: every successful delivery is independently
 /// dropped with a fixed probability.
 ///
-/// This subsumes the engine's historical `set_loss` path (which now
-/// stores one of these): same salt, same draw order, so fixed-seed
-/// lossy runs are bit-identical to the pre-subsystem behavior whether
-/// the loss is configured through `set_loss` or as a fault model.
+/// This is the engine's only loss channel. It keeps the salt and draw
+/// order of the engine's original hard-coded loss path, so fixed-seed
+/// lossy runs are bit-identical to the pre-subsystem behavior.
 #[derive(Clone, Debug)]
 pub struct UniformLoss {
     rate: f64,
@@ -204,7 +202,7 @@ impl UniformLoss {
     }
 
     /// Draws one drop decision. Zero-rate models never touch the
-    /// stream, matching the historical `set_loss(0, _) == no loss`.
+    /// stream, so a zero rate is exactly no loss.
     pub(crate) fn sample(&mut self) -> bool {
         self.rate > 0.0 && self.rng.gen_bool(self.rate)
     }

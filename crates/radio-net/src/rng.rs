@@ -57,7 +57,7 @@ pub mod salts {
     pub const ANALYSIS: u64 = 0xF00D_0000_0000_0003;
     /// Uniform reception-loss sampling ([`crate::faults::UniformLoss`]).
     /// The value predates the `salts` table (it was hard-coded in the
-    /// engine's original `set_loss` path) and must stay unchanged so
+    /// engine's original loss path) and must stay unchanged so
     /// fixed-seed lossy runs remain bit-identical.
     pub const LOSS: u64 = 0xC4A5_0FF5;
     /// Per-edge Gilbert–Elliott channels; XORed with the edge key

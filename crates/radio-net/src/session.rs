@@ -35,8 +35,8 @@ pub struct RoundEvents {
     pub collisions: usize,
     /// Sleeping nodes woken by their first reception this round.
     pub wakeups: usize,
-    /// Fault occurrences this round (all zero under [`crate::faults::NoFaults`]
-    /// with no legacy loss), so observers can attribute slowdowns to
+    /// Fault occurrences this round (all zero under
+    /// [`crate::faults::NoFaults`]), so observers can attribute slowdowns to
     /// injected adversity rather than protocol behavior.
     pub faults: FaultEvents,
 }
@@ -78,8 +78,7 @@ pub struct RoundDetail<'a> {
     /// [`crate::engine::Engine::wake`] since the previous round. These
     /// wakes precede the round: the node may already transmit in it.
     pub external_wakes: &'a [u32],
-    /// Listeners whose sole reception was dropped by the fault model or
-    /// the legacy [`crate::engine::Engine::set_loss`] noise.
+    /// Listeners whose sole reception was dropped by the fault model.
     pub dropped: &'a [u32],
     /// Listeners silenced by jamming (any number of transmitting
     /// neighbors).

@@ -21,8 +21,7 @@ pub struct SimStats {
     pub bits_transmitted: u64,
     /// Number of wake-up events (sleeping node receiving its first message).
     pub wakeups: u64,
-    /// Receptions dropped by injected channel noise — the legacy
-    /// [`crate::engine::Engine::set_loss`] path or a fault model's
+    /// Receptions dropped by injected channel noise — a fault model's
     /// `drop_delivery` hook; 0 in the paper's clean model.
     pub dropped: u64,
     /// Listener-rounds silenced by jamming (see

@@ -162,7 +162,7 @@ pub struct CounterTotals {
     pub collisions: u64,
     /// Radio wake-ups.
     pub wakeups: u64,
-    /// Receptions dropped by loss (fault model or legacy noise).
+    /// Receptions dropped by the fault model's loss.
     pub dropped: u64,
     /// Listener-rounds silenced by jamming.
     pub jammed: u64,

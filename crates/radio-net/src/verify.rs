@@ -879,7 +879,7 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
-    fn stack_with_model(graph: &Graph, awake: &[NodeId]) -> VerifyStack<Scripted> {
+    fn model_stack(graph: &Graph, awake: &[NodeId]) -> VerifyStack<Scripted> {
         let mut stack = VerifyStack::new();
         stack.push(Box::new(ModelChecker::new(
             graph.clone(),
@@ -900,7 +900,7 @@ mod tests {
             Scripted::silent(),
         ];
         let awake = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
-        let mut stack = stack_with_model(g_ref(&g), &awake);
+        let mut stack = model_stack(g_ref(&g), &awake);
         let mut e = Engine::new(g, nodes, awake).unwrap();
         for _ in 0..4 {
             e.step_observed(&mut stack);
@@ -925,7 +925,7 @@ mod tests {
             Scripted::silent(),
         ];
         let awake = [NodeId::new(0)];
-        let mut stack = stack_with_model(g_ref(&g), &awake);
+        let mut stack = model_stack(g_ref(&g), &awake);
         let mut e = Engine::new(g, nodes, awake).unwrap();
         e.step_observed(&mut stack);
         e.wake(NodeId::new(1));
@@ -946,7 +946,7 @@ mod tests {
             Scripted::new(vec![Some(2)]),
         ];
         let awake = all_awake(3);
-        let mut stack = stack_with_model(g_ref(&g), &awake);
+        let mut stack = model_stack(g_ref(&g), &awake);
         let mut e = Engine::new(g, nodes, awake).unwrap();
         e.force_deliver_on_collision = true;
         e.step_observed(&mut stack);
@@ -1557,7 +1557,7 @@ mod tests {
         let g = topology::path(2).unwrap();
         let nodes = vec![Scripted::new(vec![Some(1)]), Scripted::silent()];
         let awake = all_awake(2);
-        let mut stack = stack_with_model(g_ref(&g), &awake);
+        let mut stack = model_stack(g_ref(&g), &awake);
         let mut e = Engine::new(g, nodes, awake).unwrap();
         let mut inner = NoopObserver;
         let mut tee = Verified {

@@ -65,7 +65,7 @@ impl Default for Args {
 fn usage() -> &'static str {
     "kbcast-drive: replay heavy traffic against kbcast-serve sessions\n\
      \n\
-     workload:    --sessions N --topology SPEC --protocol stream-seq|stream-tdm\n\
+     workload:    --sessions N --topology SPEC --protocol stream-seq\n\
      \x20            --seed S --lambda PKT_PER_ROUND --window ROUNDS\n\
      \x20            [--flip FAULTSPEC@ROUND[+RECOVER_ROUNDS]] [--verify] [--batch N]\n\
      \x20            [--drain-rounds R] [--churn CHURNSPEC]\n\

@@ -41,7 +41,7 @@ pub struct FaultFlip {
 pub struct WorkloadSpec {
     /// Topology spec ([`Topology`] grammar).
     pub topology: String,
-    /// Streaming protocol name (`stream-seq` / `stream-tdm`).
+    /// Streaming protocol name (`stream-seq`).
     pub protocol: String,
     /// Session seed.
     pub seed: u64,

@@ -30,7 +30,7 @@ pub enum Request {
     Init {
         /// Topology spec, [`radio_net::topology::Topology`] grammar.
         topology: String,
-        /// Streaming protocol name (`stream-seq` / `stream-tdm`).
+        /// Streaming protocol name (`stream-seq`).
         protocol: String,
         /// Session seed; all randomness derives from it.
         seed: u64,
@@ -74,7 +74,8 @@ pub enum Request {
     /// Run until every injected packet is delivered everywhere.
     RunUntilDrained {
         /// Extra round budget on top of the current round; `None` =
-        /// up to the horizon.
+        /// up to the horizon, or — without one — a default budget of
+        /// `kbcast::runner::round_cap` rounds for the injected packets.
         max_rounds: Option<u64>,
     },
     /// Report delivery state, stats and latency percentiles.

@@ -7,7 +7,7 @@
 //! *ingestion* (requests arriving between runs) only mutates harness
 //! state: `inject` queues arrivals into a [`TrafficSource`]
 //! implementation ([`QueueSource`]) that the engine consults once per
-//! round, exactly like the in-process streaming driver. The pipelined
+//! round, exactly like the in-process streaming driver. The streaming
 //! epoch protocol, the fault stack, the verify stack and the trace
 //! collector therefore apply unchanged — the service adds no second
 //! code path through the simulation.
@@ -24,8 +24,9 @@ use std::collections::HashMap;
 use std::str::FromStr;
 
 use kbcast::config::Config;
-use kbcast::dynamic::{stamp_latencies, Arrival, DynamicNode, DynamicStageProbe, PipelineMode};
+use kbcast::dynamic::{stamp_latencies, Arrival, DynamicNode, DynamicStageProbe};
 use kbcast::packet::PacketKey;
+use kbcast::runner::round_cap;
 use kbcast::verify::EpochConservation;
 use radio_net::dyntopo::{BuiltTopology, ChurnSpec, TopologyModel};
 use radio_net::engine::{CdModel, Engine, NoCd, WithCd};
@@ -113,7 +114,6 @@ impl Observer<DynamicNode> for VerifyTee<'_> {
 /// request builds the engine.
 struct Pending {
     graph: Graph,
-    mode: PipelineMode,
     seed: u64,
     faults: FaultSpec,
     verify: bool,
@@ -196,6 +196,9 @@ impl LiveEngine {
 
 /// The live simulation once the engine exists.
 struct Live {
+    /// The protocol configuration the nodes were built with; sizes the
+    /// default drain budget.
+    cfg: Config,
     engine: LiveEngine,
     source: QueueSource,
     stack: Option<VerifyStack<DynamicNode>>,
@@ -221,7 +224,6 @@ pub struct Service {
     phase: Phase,
     /// Session parameters copied out of [`Pending`] when the engine is
     /// built (the `Running` phase still needs them for queries).
-    mode: PipelineMode,
     seed: u64,
     horizon: u64,
     faults: FaultSpec,
@@ -242,6 +244,19 @@ fn err(msg: impl Into<String>) -> Response {
     Response::Error { error: msg.into() }
 }
 
+/// The one streaming protocol's name, as `init` echoes it.
+const PROTOCOL: &str = "stream-seq";
+
+/// Accepts the streaming protocol's name or one of its aliases.
+fn check_protocol(name: &str) -> Result<(), String> {
+    match name.trim() {
+        "stream-seq" | "seq" | "sequential" | "dynamic" => Ok(()),
+        other => Err(format!(
+            "unknown streaming protocol {other:?} (expected {PROTOCOL})"
+        )),
+    }
+}
+
 impl Default for Service {
     fn default() -> Self {
         Self::new()
@@ -254,7 +269,6 @@ impl Service {
     pub fn new() -> Self {
         Service {
             phase: Phase::Uninit,
-            mode: PipelineMode::Sequential,
             seed: 0,
             horizon: u64::MAX,
             faults: FaultSpec::None,
@@ -335,10 +349,9 @@ impl Service {
             Ok(t) => t,
             Err(e) => return err(format!("init: {e}")),
         };
-        let mode = match PipelineMode::from_str(protocol) {
-            Ok(m) => m,
-            Err(e) => return err(format!("init: {e}")),
-        };
+        if let Err(e) = check_protocol(protocol) {
+            return err(format!("init: {e}"));
+        }
         let spec = match faults {
             None => FaultSpec::None,
             Some(s) => match FaultSpec::from_str(s) {
@@ -372,14 +385,12 @@ impl Service {
         let n = graph.len() as u64;
         let diameter = graph.diameter().unwrap_or(0) as u64;
         let max_degree = graph.max_degree() as u64;
-        self.mode = mode;
         self.seed = seed;
         self.horizon = horizon;
         self.faults = spec.clone();
         self.seq_next = vec![0; graph.len()];
         self.phase = Phase::Configured(Pending {
             graph,
-            mode,
             seed,
             faults: spec.clone(),
             verify: verify.unwrap_or_else(kbcast_bench::verify_from_env),
@@ -391,7 +402,7 @@ impl Service {
             n,
             diameter,
             max_degree,
-            protocol: mode.name().to_string(),
+            protocol: PROTOCOL.to_string(),
             topology: topo.to_string(),
             faults: spec.to_string(),
             churn: (!churn_spec.is_none()).then(|| churn_spec.label()),
@@ -562,12 +573,11 @@ impl Service {
             .collect();
         let nodes: Vec<DynamicNode> = (0..n)
             .map(|i| {
-                DynamicNode::with_mode(
+                DynamicNode::new(
                     cfg,
                     i as u64,
                     std::mem::take(&mut initial[i]),
                     rng::stream(pending.seed, i as u64),
-                    pending.mode,
                 )
             })
             .collect();
@@ -641,10 +651,7 @@ impl Service {
             // claimed when the *initial* spec is fault-free and the
             // graph is frozen, matching the library driver.
             let clean = pending.faults.is_none() && pending.churn.is_none();
-            (
-                Some(stack),
-                Some(EpochConservation::new(expected, pending.mode, clean)),
-            )
+            (Some(stack), Some(EpochConservation::new(expected, clean)))
         } else {
             (None, None)
         };
@@ -652,6 +659,7 @@ impl Service {
             .trace
             .then(|| TraceCollector::new(Box::new(DynamicStageProbe::new(cfg))));
         self.phase = Phase::Running(Live {
+            cfg,
             engine,
             source,
             stack,
@@ -676,6 +684,7 @@ impl Service {
             stack,
             epoch,
             tracer,
+            ..
         } = live;
         let pred =
             move |nodes: &[DynamicNode]| drain && nodes.iter().all(|nd| nd.delivered_count() == k);
@@ -748,17 +757,30 @@ impl Service {
         }
     }
 
+    /// Runs until every injected packet reached every node, or until
+    /// the budget runs out: `max_rounds` when given, else the session's
+    /// `horizon`. With neither, the budget is [`round_cap`] for the
+    /// injected packet count, counted from the later of the current
+    /// round and the last injection — enough to carry every packet in
+    /// a batch, so a session whose packets can never arrive (e.g.
+    /// their sources crashed) answers `completed: false` instead of
+    /// running forever.
     fn run_until_drained(&mut self, max_rounds: Option<u64>) -> Response {
         if let Err(resp) = self.ensure_running() {
             return resp;
         }
-        let current = match &self.phase {
-            Phase::Running(live) => live.engine.round(),
+        let (current, cfg) = match &self.phase {
+            Phase::Running(live) => (live.engine.round(), live.cfg),
             _ => unreachable!(),
         };
-        let target = current
-            .saturating_add(max_rounds.unwrap_or(u64::MAX))
-            .min(self.horizon);
+        let budget = match max_rounds {
+            Some(m) => current.saturating_add(m),
+            None if self.horizon == u64::MAX => current
+                .max(self.last_inject_round)
+                .saturating_add(round_cap(&cfg, self.arrivals.len())),
+            None => u64::MAX,
+        };
+        let target = budget.min(self.horizon);
         let end = self.run_span(target, true);
         Response::DrainAck {
             completed: end.completed && self.is_drained(),
@@ -976,7 +998,7 @@ mod tests {
     fn mid_run_injection_and_fault_flip_still_drain() {
         let mut s = Service::new();
         ok(&s.handle_line(
-            r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-tdm","seed":11,"verify":true}"#,
+            r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":11,"verify":true}"#,
         ));
         ok(&s.handle_line(r#"{"op":"inject","node":0,"round":0,"payload":[9]}"#));
         ok(&s.handle_line(r#"{"op":"tick","rounds":500}"#));

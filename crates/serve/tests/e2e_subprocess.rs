@@ -35,7 +35,7 @@ fn spec(protocol: &str, seed: u64) -> WorkloadSpec {
 
 #[test]
 fn child_process_sessions_match_in_process_sessions_exactly() {
-    let scripts: Vec<Vec<String>> = [spec("stream-seq", 9), spec("stream-tdm", 10)]
+    let scripts: Vec<Vec<String>> = [spec("stream-seq", 9), spec("stream-seq", 10)]
         .iter()
         .map(|s| s.script().unwrap())
         .collect();

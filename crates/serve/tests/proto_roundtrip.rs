@@ -22,7 +22,7 @@ fn all_requests() -> Vec<Request> {
         },
         Request::Init {
             topology: "gnp(n=16,p=0.4)".into(),
-            protocol: "stream-tdm".into(),
+            protocol: "stream-seq".into(),
             seed: 0,
             faults: None,
             horizon: None,
@@ -101,7 +101,7 @@ fn all_responses() -> Vec<Response> {
             n: 16,
             diameter: 6,
             max_degree: 5,
-            protocol: "stream-tdm".into(),
+            protocol: "stream-seq".into(),
             topology: "gnp(n=16,p=0.4)".into(),
             faults: "none".into(),
             churn: Some("partition:at=200,heal=400,period=1000".into()),

@@ -1,7 +1,7 @@
 //! The determinism contract: a service session reproduces the
 //! in-process [`kbcast::dynamic::run_streaming`] run bit-for-bit on the
 //! same seed — same stop round, same channel counters, same per-packet
-//! latency distribution — for both pipeline modes. The service is not a
+//! latency distribution. The service is not a
 //! second simulator; it is the same simulator behind a protocol.
 
 use kbcast::dynamic::run_streaming;
@@ -34,7 +34,7 @@ fn get(doc: &Json, key: &str) -> u64 {
 
 #[test]
 fn service_sessions_match_the_library_run_bit_for_bit() {
-    for (protocol, seed) in [("stream-seq", 41u64), ("stream-tdm", 42u64)] {
+    for (protocol, seed) in [("stream-seq", 41u64), ("stream-seq", 42u64)] {
         let topology = "grid(4x4)";
         let horizon = 400_000u64;
         let topo = Topology::from_str(topology).unwrap();
@@ -52,7 +52,6 @@ fn service_sessions_match_the_library_run_bit_for_bit() {
             &topo,
             &arrivals,
             None,
-            protocol.parse().unwrap(),
             seed,
             horizon,
             RunOptions {
@@ -179,7 +178,6 @@ fn churned_service_session_matches_the_library_run_bit_for_bit() {
         &topo,
         &arrivals,
         None,
-        protocol.parse().unwrap(),
         seed,
         horizon,
         RunOptions {

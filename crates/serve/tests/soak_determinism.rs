@@ -11,12 +11,7 @@ fn scripts() -> Vec<Vec<String>> {
         .map(|i| {
             WorkloadSpec {
                 topology: "gnp(n=12,p=0.45)".into(),
-                protocol: if i % 2 == 0 {
-                    "stream-seq"
-                } else {
-                    "stream-tdm"
-                }
-                .into(),
+                protocol: "stream-seq".into(),
                 seed: 100 + i,
                 lambda: 0.008,
                 window: 3_000,

@@ -10,7 +10,8 @@
 //! cargo run --release --example dynamic_stream
 //! ```
 
-use radio_kbcast::kbcast::dynamic::{run_dynamic, Arrival};
+use radio_kbcast::kbcast::dynamic::{run_streaming, Arrival};
+use radio_kbcast::kbcast::runner::RunOptions;
 use radio_kbcast::radio_net::topology::Topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let report = run_dynamic(&topology, &arrivals, None, 7, 2_000_000)?;
+    let report = run_streaming(
+        &topology,
+        &arrivals,
+        None,
+        7,
+        2_000_000,
+        RunOptions::default(),
+    )?;
     assert!(report.success, "every event must reach every node");
 
     println!("network   : {topology}");
@@ -59,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "latency   : mean {:.0} rounds, max {} rounds (arrival → network-wide delivery)",
         report.mean_latency(),
-        report.latencies.iter().max().copied().unwrap_or(0)
+        report.latencies.last().copied().unwrap_or(0)
     );
     Ok(())
 }

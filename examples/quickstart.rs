@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use radio_kbcast::kbcast::runner::{run, Workload};
+use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use radio_kbcast::kbcast::session::run_protocol;
 use radio_kbcast::radio_net::topology::Topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +17,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::random(64, 40, /* seed */ 1);
 
     // Run the full four-stage algorithm with calibrated defaults.
-    let report = run(&topology, &workload, None, /* seed */ 1)?;
+    let report = run_protocol(
+        &CodedProtocol::default(),
+        &topology,
+        &workload,
+        /* seed */ 1,
+        RunOptions::default(),
+    )?;
+    let stages = report.meta.stages;
 
     println!("topology        : {topology}");
     println!(
@@ -28,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("total rounds    : {}", report.rounds_total);
     println!(
         "stage breakdown : leader {} | bfs {} | collect {} | disseminate {}",
-        report.stages.leader, report.stages.bfs, report.stages.collect, report.stages.disseminate
+        stages.leader, stages.bfs, stages.collect, stages.disseminate
     );
     println!(
         "amortized       : {:.1} rounds/packet",

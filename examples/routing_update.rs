@@ -12,8 +12,9 @@
 //! cargo run --release --example routing_update
 //! ```
 
-use radio_kbcast::kbcast::baseline::run_bii;
-use radio_kbcast::kbcast::runner::{run, Workload};
+use radio_kbcast::kbcast::baseline::BiiProtocol;
+use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use radio_kbcast::kbcast::session::run_protocol;
 use radio_kbcast::radio_net::topology::Topology;
 
 /// One route update: `[prefix: u32][prefix_len: u8][next_hop: u32][metric: u16]`.
@@ -46,9 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::new(payloads);
     let k = workload.k();
 
-    let report = run(&topology, &workload, None, 3)?;
+    let opts = RunOptions::default();
+    let report = run_protocol(&CodedProtocol::default(), &topology, &workload, 3, opts)?;
     assert!(report.success, "all routers must converge");
-    let bii = run_bii(&topology, &workload, None, 3)?;
+    let bii = run_protocol(&BiiProtocol::default(), &topology, &workload, 3, opts)?;
 
     println!(
         "backbone        : {topology} (n = {}, D = {}, Δ = {})",
@@ -74,7 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "stage breakdown : leader {} | bfs {} | collect {} | disseminate {}",
-        report.stages.leader, report.stages.bfs, report.stages.collect, report.stages.disseminate
+        report.meta.stages.leader,
+        report.meta.stages.bfs,
+        report.meta.stages.collect,
+        report.meta.stages.disseminate
     );
     println!("all {} routers now hold all {k} route updates.", report.n);
     Ok(())

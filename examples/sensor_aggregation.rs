@@ -11,8 +11,9 @@
 //! cargo run --release --example sensor_aggregation
 //! ```
 
-use radio_kbcast::kbcast::baseline::run_bii;
-use radio_kbcast::kbcast::runner::{run, Workload};
+use radio_kbcast::kbcast::baseline::BiiProtocol;
+use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use radio_kbcast::kbcast::session::run_protocol;
 use radio_kbcast::radio_net::topology::Topology;
 
 /// A sensor reading, serialized into a packet payload.
@@ -32,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every sensor holds exactly one packet: its own reading.
     let workload = Workload::new((0..n).map(|i| vec![reading_payload(i)]).collect());
 
-    let report = run(&topology, &workload, None, 7)?;
+    let opts = RunOptions::default();
+    let report = run_protocol(&CodedProtocol::default(), &topology, &workload, 7, opts)?;
     assert!(report.success, "aggregation requires full delivery");
 
     // Any node can now aggregate locally; the harness demonstrates with
@@ -61,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  mean = {:.3} °C", mean as f64 / 1000.0);
 
     // The same task under the BII baseline, for comparison.
-    let bii = run_bii(&topology, &workload, None, 7)?;
+    let bii = run_protocol(&BiiProtocol::default(), &topology, &workload, 7, opts)?;
     println!(
         "baseline (BII)  : {} rounds ({:.1}/reading), success = {}",
         bii.rounds_total,

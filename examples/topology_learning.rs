@@ -12,7 +12,8 @@
 //! ```
 
 use radio_kbcast::kbcast::packet::Packet;
-use radio_kbcast::kbcast::runner::{run, Workload};
+use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use radio_kbcast::kbcast::session::run_protocol;
 use radio_kbcast::radio_net::graph::{Graph, NodeId};
 use radio_kbcast::radio_net::topology::Topology;
 
@@ -61,7 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect(),
     );
 
-    let report = run(&topology, &workload, None, 11)?;
+    let report = run_protocol(
+        &CodedProtocol::default(),
+        &topology,
+        &workload,
+        11,
+        RunOptions::default(),
+    )?;
     assert!(report.success);
 
     // Every node can now rebuild the graph; verify the reconstruction

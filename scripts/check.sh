@@ -10,6 +10,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+
+# Doc hygiene: no doc comment may describe its item as "legacy" or
+# "kept for" compatibility (any case) — such an item should be deleted,
+# not documented. Scans every `///` and `//!` line under crates/*/src.
+if grep -rniE '^[[:space:]]*//[/!].*(legacy|kept for)' crates/*/src; then
+    echo "check.sh: doc comments above describe items as legacy/kept for" >&2
+    exit 1
+fi
+
 # --workspace so the bench path (perf_smoke and the exp_* binaries) is
 # compile-checked on every run, even when every bench stage below is
 # skipped via KB_SKIP_PERF=1 without KB_PERF=1.
@@ -66,11 +75,12 @@ grep -q '"per_stage"' target/E18_trace_smoke.json || {
 }
 
 # Streaming smoke: the quick E19 configuration runs a short λ-sweep of
-# the streaming (continuous-arrival) sessions in both pipeline modes.
-# The binary itself aborts on packet loss below the measured knee (the
-# delivery curve must be monotone in λ); the greps pin the JSON schema
-# markers the plotting consumers key on — the sweep entries, the
-# one-shot reference service rates and the per-(topology, mode) knees.
+# the streaming (continuous-arrival) sessions, sequential epochs on
+# every topology. The binary itself aborts on packet loss below the
+# measured knee (the delivery curve must be monotone in λ); the greps
+# pin the JSON schema markers the plotting consumers key on — the sweep
+# entries, the one-shot reference service rates and the per-topology
+# knees.
 KB_SCALE=quick KB_E19_OUT=target/E19_saturation_smoke.json \
     cargo run --release -q -p kbcast-bench --bin exp_e19_saturation
 for marker in '"experiment": "E19_saturation"' '"entries"' '"references"' \

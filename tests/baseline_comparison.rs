@@ -1,26 +1,58 @@
 //! Cross-algorithm integration tests: the coded algorithm, the uncoded
 //! ablation and the BII baseline on identical inputs.
 
-use radio_kbcast::kbcast::baseline::{run_bii, BiiConfig};
-use radio_kbcast::kbcast::runner::{run, Workload};
+use radio_kbcast::kbcast::baseline::{BiiConfig, BiiProtocol};
+use radio_kbcast::kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
+use radio_kbcast::kbcast::session::{run_protocol, SessionReport};
 use radio_kbcast::kbcast::Config;
 use radio_kbcast::radio_net::topology::Topology;
+
+/// One session of the coded protocol (`None` = config from the graph).
+fn coded_session(
+    topo: &Topology,
+    w: &Workload,
+    config: Option<Config>,
+    seed: u64,
+) -> SessionReport<KbcastMeta> {
+    let protocol = CodedProtocol {
+        config,
+        uncoded: false,
+    };
+    run_protocol(&protocol, topo, w, seed, RunOptions::default()).unwrap()
+}
+
+/// One session of the BII baseline (`None` = config from the graph).
+fn bii_session(
+    topo: &Topology,
+    w: &Workload,
+    config: Option<BiiConfig>,
+    seed: u64,
+) -> SessionReport<()> {
+    run_protocol(
+        &BiiProtocol { config },
+        topo,
+        w,
+        seed,
+        RunOptions::default(),
+    )
+    .unwrap()
+}
 
 #[test]
 fn all_three_deliver_on_a_moderate_network() {
     let topo = Topology::Gnp { n: 40, p: 0.15 };
     let w = Workload::random(40, 80, 1);
 
-    let coded = run(&topo, &w, None, 1).unwrap();
+    let coded = coded_session(&topo, &w, None, 1);
     assert!(coded.success, "coded failed: {coded:?}");
 
     let g = topo.build(1).unwrap();
     let mut cfg = Config::for_network(g.len(), g.diameter().unwrap(), g.max_degree());
     cfg.group_size_override = Some(1);
-    let uncoded = run(&topo, &w, Some(cfg), 1).unwrap();
+    let uncoded = coded_session(&topo, &w, Some(cfg), 1);
     assert!(uncoded.success, "uncoded failed: {uncoded:?}");
 
-    let bii = run_bii(&topo, &w, None, 1).unwrap();
+    let bii = bii_session(&topo, &w, None, 1);
     assert!(bii.success, "bii failed: {bii:?}");
 }
 
@@ -36,21 +68,21 @@ fn coding_beats_ablation_in_dissemination_rounds() {
     let k = 256;
     let w = Workload::random(64, k, seed);
 
-    let coded = run(&topo, &w, Some(base), seed).unwrap();
+    let coded = coded_session(&topo, &w, Some(base), seed);
     let mut ab = base;
     ab.group_size_override = Some(1);
-    let uncoded = run(&topo, &w, Some(ab), seed).unwrap();
+    let uncoded = coded_session(&topo, &w, Some(ab), seed);
 
     assert!(coded.success && uncoded.success);
     assert!(
-        coded.stages.disseminate < uncoded.stages.disseminate,
+        coded.meta.stages.disseminate < uncoded.meta.stages.disseminate,
         "coded {} !< uncoded {}",
-        coded.stages.disseminate,
-        uncoded.stages.disseminate
+        coded.meta.stages.disseminate,
+        uncoded.meta.stages.disseminate
     );
     // Stages 1-3 are identical schedules (same seed, same constants).
-    assert_eq!(coded.stages.leader, uncoded.stages.leader);
-    assert_eq!(coded.stages.bfs, uncoded.stages.bfs);
+    assert_eq!(coded.meta.stages.leader, uncoded.meta.stages.leader);
+    assert_eq!(coded.meta.stages.bfs, uncoded.meta.stages.bfs);
 }
 
 #[test]
@@ -61,7 +93,7 @@ fn bii_with_custom_budget() {
         epochs_per_packet: 24,
         delta_bound: 4,
     };
-    let r = run_bii(&topo, &w, Some(cfg), 3).unwrap();
+    let r = bii_session(&topo, &w, Some(cfg), 3);
     assert!(r.success, "{r:?}");
     assert!(r.stats.transmissions > 0);
 }
@@ -70,8 +102,8 @@ fn bii_with_custom_budget() {
 fn reports_expose_channel_statistics() {
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let w = Workload::random(16, 24, 4);
-    let coded = run(&topo, &w, None, 4).unwrap();
-    let bii = run_bii(&topo, &w, None, 4).unwrap();
+    let coded = coded_session(&topo, &w, None, 4);
+    let bii = bii_session(&topo, &w, None, 4);
     for (name, stats) in [("coded", coded.stats), ("bii", bii.stats)] {
         assert!(stats.transmissions > 0, "{name}");
         assert!(stats.receptions > 0, "{name}");
@@ -86,8 +118,8 @@ fn reports_expose_channel_statistics() {
 fn amortized_metric_consistency() {
     let topo = Topology::Gnp { n: 32, p: 0.2 };
     let w = Workload::random(32, 64, 5);
-    let coded = run(&topo, &w, None, 5).unwrap();
-    let bii = run_bii(&topo, &w, None, 5).unwrap();
+    let coded = coded_session(&topo, &w, None, 5);
+    let bii = bii_session(&topo, &w, None, 5);
     #[allow(clippy::cast_precision_loss)]
     {
         assert!(

@@ -93,7 +93,7 @@ fn observe(success: bool, stats: &SimStats, rounds: u64) -> Golden {
     }
 }
 
-fn run_coded(churn: ChurnSpec, seed: u64) -> Golden {
+fn measure_coded(churn: ChurnSpec, seed: u64) -> Golden {
     let w = Workload::random(N, K, seed);
     let r = run_protocol(
         &CodedProtocol::default(),
@@ -106,7 +106,7 @@ fn run_coded(churn: ChurnSpec, seed: u64) -> Golden {
     observe(r.success, &r.stats, r.rounds_total)
 }
 
-fn run_ghk(churn: ChurnSpec, seed: u64) -> Golden {
+fn measure_ghk(churn: ChurnSpec, seed: u64) -> Golden {
     let w = Workload::random(N, K, seed);
     let r = run_protocol(
         &GhkProtocol::default(),
@@ -207,10 +207,10 @@ fn golden_ghk() -> [[Golden; 3]; 2] {
 
 #[test]
 fn coded_under_churn_matches_golden() {
-    check("coded", &golden_coded(), run_coded);
+    check("coded", &golden_coded(), measure_coded);
 }
 
 #[test]
 fn ghk_under_churn_matches_golden() {
-    check("ghk", &golden_ghk(), run_ghk);
+    check("ghk", &golden_ghk(), measure_ghk);
 }

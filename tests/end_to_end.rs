@@ -1,20 +1,33 @@
 //! End-to-end integration tests: the full four-stage protocol across
 //! the topology zoo, workload shapes and seeds.
 
-use radio_kbcast::kbcast::runner::{run, RunReport, Workload};
+use radio_kbcast::kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
+use radio_kbcast::kbcast::session::{run_protocol, SessionReport};
 use radio_kbcast::kbcast::Config;
 use radio_kbcast::radio_net::topology::Topology;
 
-fn assert_delivers(topology: &Topology, workload: &Workload, seed: u64) -> RunReport {
-    let r = run(topology, workload, None, seed).expect("run executes");
+type Report = SessionReport<KbcastMeta>;
+
+/// One coded session (`None` = config from the graph).
+fn run(topology: &Topology, workload: &Workload, config: Option<Config>, seed: u64) -> Report {
+    let protocol = CodedProtocol {
+        config,
+        uncoded: false,
+    };
+    run_protocol(&protocol, topology, workload, seed, RunOptions::default()).expect("run executes")
+}
+
+fn assert_delivers(topology: &Topology, workload: &Workload, seed: u64) -> Report {
+    let r = run(topology, workload, None, seed);
     assert!(
         r.success,
         "{topology} seed {seed}: delivered {:.3} in {} rounds",
         r.delivered_fraction, r.rounds_total
     );
     assert!((r.delivered_fraction - 1.0).abs() < 1e-9);
+    let s = r.meta.stages;
     assert_eq!(
-        r.stages.leader + r.stages.bfs + r.stages.collect + r.stages.disseminate,
+        s.leader + s.bfs + s.collect + s.disseminate,
         r.rounds_total,
         "stage breakdown must partition the run"
     );
@@ -83,12 +96,12 @@ fn many_seeds_on_one_family() {
 fn determinism_same_seed_same_outcome() {
     let topo = Topology::Gnp { n: 40, p: 0.16 };
     let w = Workload::random(40, 60, 4);
-    let a = run(&topo, &w, None, 4).unwrap();
-    let b = run(&topo, &w, None, 4).unwrap();
+    let a = run(&topo, &w, None, 4);
+    let b = run(&topo, &w, None, 4);
     assert_eq!(a.rounds_total, b.rounds_total);
-    assert_eq!(a.stages, b.stages);
+    assert_eq!(a.meta.stages, b.meta.stages);
     assert_eq!(a.stats, b.stats);
-    assert_eq!(a.collection_phases, b.collection_phases);
+    assert_eq!(a.meta.collection_phases, b.meta.collection_phases);
 }
 
 #[test]
@@ -96,7 +109,7 @@ fn different_seeds_differ() {
     let topo = Topology::Grid2d { rows: 6, cols: 6 };
     let w = Workload::random(36, 50, 0);
     let rounds: Vec<u64> = (0..4)
-        .map(|seed| run(&topo, &w, None, seed).unwrap().rounds_total)
+        .map(|seed| run(&topo, &w, None, seed).rounds_total)
         .collect();
     assert!(
         rounds.windows(2).any(|w| w[0] != w[1]),
@@ -112,7 +125,7 @@ fn loose_parameter_bounds_still_work() {
     let mut cfg = Config::for_network(2 * g.len(), 2 * g.diameter().unwrap(), 2 * g.max_degree());
     cfg.id_bits = 8; // ids still fit
     let w = Workload::random(24, 30, 1);
-    let r = run(&topo, &w, Some(cfg), 1).unwrap();
+    let r = run(&topo, &w, Some(cfg), 1);
     assert!(r.success, "{r:?}");
 }
 
@@ -125,7 +138,7 @@ fn large_k_multiple_estimate_doublings() {
     let w = Workload::round_robin(24, k);
     let r = assert_delivers(&topo, &w, 2);
     assert!(
-        r.collection_phases >= 1,
+        r.meta.collection_phases >= 1,
         "k = {k} must force at least one alarm/doubling"
     );
 }
@@ -154,9 +167,9 @@ fn single_node_and_tiny_networks() {
 fn tx_counts_cover_every_stage() {
     let topo = Topology::Gnp { n: 32, p: 0.2 };
     let w = Workload::random(32, 48, 3);
-    let r = run(&topo, &w, None, 3).unwrap();
+    let r = run(&topo, &w, None, 3);
     assert!(r.success);
-    let t = r.tx_by_type;
+    let t = r.meta.tx_by_type;
     assert!(t.probe > 0, "stage 1 transmitted");
     assert!(t.bfs > 0, "stage 2 transmitted");
     assert!(t.data > 0, "stage 3 data flowed");
@@ -178,8 +191,7 @@ fn empty_workload_is_trivial() {
         &Workload::new(vec![Vec::new(); 8]),
         None,
         0,
-    )
-    .unwrap();
+    );
     assert!(r.success);
     assert_eq!(r.rounds_total, 0);
     assert_eq!(r.k, 0);

@@ -42,7 +42,6 @@ fn topologies() -> [Topology; 3] {
 
 fn options() -> RunOptions {
     RunOptions {
-        loss_rate: 0.0,
         max_rounds: None,
         verify: true,
         trace: true,
@@ -73,7 +72,7 @@ fn observe(stats: &SimStats, rounds: u64) -> Golden {
     }
 }
 
-fn run_coded(topo: &Topology, seed: u64) -> Golden {
+fn measure_coded(topo: &Topology, seed: u64) -> Golden {
     let n = match topo {
         Topology::Grid2d { rows, cols } => rows * cols,
         Topology::Gnp { n, .. } | Topology::Cycle { n } => *n,
@@ -85,7 +84,7 @@ fn run_coded(topo: &Topology, seed: u64) -> Golden {
     observe(&r.stats, r.rounds_total)
 }
 
-fn run_bii(topo: &Topology, seed: u64) -> Golden {
+fn measure_bii(topo: &Topology, seed: u64) -> Golden {
     let n = match topo {
         Topology::Grid2d { rows, cols } => rows * cols,
         Topology::Gnp { n, .. } | Topology::Cycle { n } => *n,
@@ -97,7 +96,7 @@ fn run_bii(topo: &Topology, seed: u64) -> Golden {
     observe(&r.stats, r.rounds_total)
 }
 
-fn run_dynamic(topo: &Topology, seed: u64) -> Golden {
+fn measure_dynamic(topo: &Topology, seed: u64) -> Golden {
     let n = match topo {
         Topology::Grid2d { rows, cols } => rows * cols,
         Topology::Gnp { n, .. } | Topology::Cycle { n } => *n,
@@ -144,7 +143,7 @@ fn run_dynamic(topo: &Topology, seed: u64) -> Golden {
     observe(&r.stats, r.rounds_total)
 }
 
-fn run_ghk(topo: &Topology, seed: u64) -> Golden {
+fn measure_ghk(topo: &Topology, seed: u64) -> Golden {
     let n = match topo {
         Topology::Grid2d { rows, cols } => rows * cols,
         Topology::Gnp { n, .. } | Topology::Cycle { n } => *n,
@@ -216,22 +215,22 @@ macro_rules! g {
 
 #[test]
 fn coded_sessions_are_bit_identical() {
-    check("coded", &golden_coded(), run_coded);
+    check("coded", &golden_coded(), measure_coded);
 }
 
 #[test]
 fn bii_sessions_are_bit_identical() {
-    check("bii", &golden_bii(), run_bii);
+    check("bii", &golden_bii(), measure_bii);
 }
 
 #[test]
 fn dynamic_sessions_are_bit_identical() {
-    check("dynamic", &golden_dynamic(), run_dynamic);
+    check("dynamic", &golden_dynamic(), measure_dynamic);
 }
 
 #[test]
 fn ghk_sessions_are_bit_identical() {
-    check("ghk", &golden_ghk(), run_ghk);
+    check("ghk", &golden_ghk(), measure_ghk);
 }
 
 /// Prints the golden tables from the current engine in source form.
@@ -239,10 +238,10 @@ fn ghk_sessions_are_bit_identical() {
 #[ignore = "golden-value regeneration helper"]
 fn print_golden() {
     for (name, run) in [
-        ("coded", run_coded as fn(&Topology, u64) -> Golden),
-        ("bii", run_bii as fn(&Topology, u64) -> Golden),
-        ("dynamic", run_dynamic as fn(&Topology, u64) -> Golden),
-        ("ghk", run_ghk as fn(&Topology, u64) -> Golden),
+        ("coded", measure_coded as fn(&Topology, u64) -> Golden),
+        ("bii", measure_bii as fn(&Topology, u64) -> Golden),
+        ("dynamic", measure_dynamic as fn(&Topology, u64) -> Golden),
+        ("ghk", measure_ghk as fn(&Topology, u64) -> Golden),
     ] {
         print_table(name, run);
     }

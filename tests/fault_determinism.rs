@@ -1,19 +1,23 @@
 //! Determinism contract of the fault-injection subsystem: a
 //! [`FaultSpec`] plus a seed pins the *entire* execution. Two runs with
 //! the same spec and seed must agree on every report field, the faulted
-//! entry point with [`NoFaults`] must be bit-identical to the legacy
-//! entry point, and the `uniform:` fault model must reproduce the
-//! pre-subsystem `RunOptions::loss_rate` path exactly (same RNG salt,
-//! same draw points).
+//! entry point with [`NoFaults`] (or a zero-rate [`UniformLoss`]) must
+//! be bit-identical to the clean entry point, and the `uniform:` fault
+//! model must reproduce the recorded outputs of the engine's original
+//! loss path exactly (same RNG salt, same draw points).
 
 use proptest::prelude::*;
 use radio_kbcast::kbcast::baseline::BiiProtocol;
 use radio_kbcast::kbcast::dynamic::{Arrival, DynamicProtocol};
-use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
+use radio_kbcast::kbcast::node::TxCounts;
+use radio_kbcast::kbcast::runner::{
+    CodedProtocol, KbcastMeta, RunOptions, StageFaults, StageRounds, Workload,
+};
 use radio_kbcast::kbcast::session::{
     run_protocol_on_graph, run_protocol_on_graph_with_faults, BroadcastProtocol, SessionReport,
 };
-use radio_kbcast::radio_net::faults::{FaultSpec, NoFaults};
+use radio_kbcast::radio_net::faults::{FaultSpec, NoFaults, UniformLoss};
+use radio_kbcast::radio_net::stats::SimStats;
 use radio_kbcast::radio_net::topology::Topology;
 
 /// Field-by-field bitwise equality (floats compared by bits — the
@@ -134,29 +138,70 @@ fn dynamic_runs_are_reproducible_for_every_fault_family() {
     }
 }
 
-/// The `uniform:` model is the `RunOptions::loss_rate` path, relocated:
-/// same salt, same draw points, so the two must agree bit for bit.
+/// The `uniform:` model is the engine's original loss path, relocated:
+/// same seed ⇒ the same drops, and therefore the same session. These
+/// are that path's recorded outputs (coded protocol, rate 0.08).
 #[test]
-fn uniform_fault_model_reproduces_legacy_loss_rate_option() {
+fn uniform_fault_model_reproduces_recorded_loss_goldens() {
+    // (rounds, tx, rx, collisions, bits, dropped, stages, phases,
+    //  tx by type [probe, bfs, data, ack, alarm, coded],
+    //  stage faults [leader, bfs, collect, disseminate])
+    type Golden = (
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        [u64; 4],
+        u32,
+        [u64; 6],
+        [u64; 4],
+    );
+    let goldens: [Golden; 3] = [
+        (
+            5958,
+            2473,
+            3723,
+            2644,
+            366_636,
+            312,
+            [540, 240, 4720, 458],
+            0,
+            [1623, 304, 9, 6, 0, 531],
+            [139, 67, 6, 100],
+        ),
+        (
+            5809,
+            1064,
+            2188,
+            968,
+            167_404,
+            173,
+            [540, 240, 4720, 309],
+            0,
+            [485, 355, 15, 10, 0, 199],
+            [40, 58, 13, 62],
+        ),
+        (
+            12839,
+            2626,
+            3935,
+            2068,
+            381_756,
+            329,
+            [540, 240, 11620, 439],
+            1,
+            [1106, 344, 54, 16, 615, 491],
+            [88, 59, 84, 98],
+        ),
+    ];
     let topo = Topology::Gnp { n: 24, p: 0.25 };
     let fault: FaultSpec = "uniform:rate=0.08".parse().expect("spec parses");
-    for seed in 0..3 {
+    for (seed, g) in (0u64..).zip(goldens) {
+        let (rounds, tx, rx, collisions, bits, dropped, st, phases, by_type, sf) = g;
         let graph = topo.build(seed).expect("topology builds");
         let workload = Workload::random(graph.len(), 4, seed);
-
-        let legacy_opts = RunOptions {
-            loss_rate: 0.08,
-            ..Default::default()
-        };
-        let legacy = run_protocol_on_graph(
-            &CodedProtocol::default(),
-            topo.build(seed).expect("topology builds"),
-            &workload,
-            seed,
-            legacy_opts,
-        )
-        .expect("session runs");
-
         let faults = fault.build(graph.len(), seed).expect("spec builds");
         let modeled = run_protocol_on_graph_with_faults(
             &CodedProtocol::default(),
@@ -168,12 +213,45 @@ fn uniform_fault_model_reproduces_legacy_loss_rate_option() {
         )
         .expect("session runs");
 
-        assert_reports_identical(
-            &legacy,
-            &modeled,
-            &format!("uniform-vs-loss_rate/seed{seed}"),
-        );
-        assert!(modeled.stats.dropped > 0, "loss actually sampled");
+        let what = format!("uniform/seed{seed}");
+        assert!(modeled.success, "{what}: success");
+        assert_eq!(modeled.rounds_total, rounds, "{what}: rounds_total");
+        assert_eq!(modeled.delivered_fraction.to_bits(), 1.0f64.to_bits());
+        let stats = SimStats {
+            rounds,
+            transmissions: tx,
+            receptions: rx,
+            collisions,
+            bits_transmitted: bits,
+            wakeups: 20,
+            dropped,
+            ..SimStats::new()
+        };
+        assert_eq!(modeled.stats, stats, "{what}: stats");
+        let meta = KbcastMeta {
+            stages: StageRounds {
+                leader: st[0],
+                bfs: st[1],
+                collect: st[2],
+                disseminate: st[3],
+            },
+            collection_phases: phases,
+            tx_by_type: TxCounts {
+                probe: by_type[0],
+                bfs: by_type[1],
+                data: by_type[2],
+                ack: by_type[3],
+                alarm: by_type[4],
+                coded: by_type[5],
+            },
+            stage_faults: StageFaults {
+                leader: sf[0],
+                bfs: sf[1],
+                collect: sf[2],
+                disseminate: sf[3],
+            },
+        };
+        assert_eq!(modeled.meta, meta, "{what}: meta");
     }
 }
 
@@ -181,24 +259,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `NoFaults` is the pre-subsystem engine: the faulted entry point
-    /// must be bit-identical to the legacy one for arbitrary topology
-    /// parameters, workloads and (legacy-path) loss rates, and must
-    /// never report a fault occurrence.
+    /// with `NoFaults`, and with a zero-rate `UniformLoss` (which takes
+    /// the per-listener slow path instead of the word-parallel one),
+    /// must be bit-identical to the clean entry point for arbitrary
+    /// topology parameters and workloads, and never report a fault. A
+    /// lossy `UniformLoss` built directly must match the `uniform:`
+    /// spec, and every drop must be attributed to a stage.
     #[test]
     fn no_faults_is_bit_identical_to_legacy(
         seed in 0u64..64,
         n in 6usize..20,
         k in 1usize..5,
-        loss_centi in 0u32..20,
+        loss_centi in 1u32..20,
     ) {
         let topo = Topology::Gnp { n, p: 0.35 };
         let workload = Workload::random(n, k, seed);
-        let options = RunOptions {
-            loss_rate: f64::from(loss_centi) / 100.0,
-            ..Default::default()
+        let options = RunOptions::default();
+        let faulted_with = |faults: UniformLoss| {
+            run_protocol_on_graph_with_faults(
+                &CodedProtocol::default(),
+                topo.build(seed).expect("topology builds"),
+                &workload,
+                seed,
+                options,
+                faults,
+            )
+            .expect("session runs")
         };
 
-        let legacy = run_protocol_on_graph(
+        let clean = run_protocol_on_graph(
             &CodedProtocol::default(),
             topo.build(seed).expect("topology builds"),
             &workload,
@@ -215,15 +304,18 @@ proptest! {
             NoFaults,
         )
         .expect("session runs");
+        let zero = faulted_with(UniformLoss::new(0.0, seed).expect("rate is valid"));
 
-        prop_assert_eq!(legacy.success, faulted.success);
-        prop_assert_eq!(legacy.rounds_total, faulted.rounds_total);
-        prop_assert_eq!(
-            legacy.delivered_fraction.to_bits(),
-            faulted.delivered_fraction.to_bits()
-        );
-        prop_assert_eq!(legacy.stats, faulted.stats);
-        prop_assert_eq!(legacy.meta, faulted.meta);
+        for other in [&faulted, &zero] {
+            prop_assert_eq!(clean.success, other.success);
+            prop_assert_eq!(clean.rounds_total, other.rounds_total);
+            prop_assert_eq!(
+                clean.delivered_fraction.to_bits(),
+                other.delivered_fraction.to_bits()
+            );
+            prop_assert_eq!(clean.stats, other.stats);
+            prop_assert_eq!(clean.meta, other.meta);
+        }
 
         // A clean engine reports no fault occurrences, ever.
         prop_assert_eq!(faulted.stats.jammed, 0);
@@ -231,6 +323,25 @@ proptest! {
         prop_assert_eq!(faulted.stats.wakeups_suppressed, 0);
         prop_assert_eq!(faulted.stats.crash_events, 0);
         prop_assert_eq!(faulted.stats.recover_events, 0);
-        prop_assert_eq!(faulted.meta.stage_faults.total(), legacy.stats.dropped);
+        prop_assert_eq!(faulted.stats.dropped, 0);
+
+        // A lossy model: direct construction ≡ the parsed spec, and the
+        // stage attribution accounts for every drop.
+        let rate = f64::from(loss_centi) / 100.0;
+        let direct = faulted_with(UniformLoss::new(rate, seed).expect("rate is valid"));
+        let spec = FaultSpec::Uniform { rate };
+        let parsed = run_protocol_on_graph_with_faults(
+            &CodedProtocol::default(),
+            topo.build(seed).expect("topology builds"),
+            &workload,
+            seed,
+            options,
+            spec.build(n, seed).expect("spec builds"),
+        )
+        .expect("session runs");
+        prop_assert_eq!(direct.rounds_total, parsed.rounds_total);
+        prop_assert_eq!(direct.stats, parsed.stats);
+        prop_assert_eq!(&direct.meta, &parsed.meta);
+        prop_assert_eq!(direct.meta.stage_faults.total(), direct.stats.dropped);
     }
 }

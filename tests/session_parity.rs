@@ -1,25 +1,40 @@
-//! Pins the session-layer refactor to the legacy semantics: the
-//! trait-driven entry points (`run`, `run_bii`) must produce reports
-//! bit-identical to a hand-rolled engine drive that replicates the
-//! original post-hoc computation (fixed seeds, every report field).
-//! Also covers the `RunOptions` validation and round-cap contracts.
+//! Pins the session driver to the original semantics: `run_protocol`
+//! with the coded and BII protocols must produce reports bit-identical
+//! to a hand-rolled engine drive that replicates the original post-hoc
+//! computation (fixed seeds, every report field). Also covers the
+//! `RunOptions` validation and round-cap contracts, and loss injection
+//! through the `UniformLoss` fault model.
 
-use radio_kbcast::kbcast::baseline::{run_bii, BiiConfig, BiiNode, BiiReport};
+use radio_kbcast::kbcast::baseline::{BiiConfig, BiiNode, BiiProtocol};
 use radio_kbcast::kbcast::runner::{
-    round_cap, run, run_with_options, RunOptions, RunReport, StageRounds, Workload,
+    round_cap, CodedProtocol, KbcastMeta, RunOptions, StageRounds, Workload,
+};
+use radio_kbcast::kbcast::session::{
+    run_protocol, run_protocol_on_graph_with_faults, SessionReport,
 };
 use radio_kbcast::kbcast::{Config, KbcastNode};
 use radio_kbcast::protocols::decay::Decay;
 use radio_kbcast::radio_net::engine::Engine;
 use radio_kbcast::radio_net::error::Error;
+use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
 use radio_kbcast::radio_net::graph::NodeId;
 use radio_kbcast::radio_net::rng;
 use radio_kbcast::radio_net::topology::Topology;
 
-/// The pre-refactor `run_on_graph`, verbatim: drive the engine with
+/// A coded-protocol session through the driver.
+fn coded(
+    topology: &Topology,
+    w: &Workload,
+    seed: u64,
+    opts: RunOptions,
+) -> SessionReport<KbcastMeta> {
+    run_protocol(&CodedProtocol::default(), topology, w, seed, opts).unwrap()
+}
+
+/// The original coded-protocol runner, verbatim: drive the engine with
 /// `run_until_all_done` and recover success, stages and phases by
 /// post-hoc scans over the final node states.
-fn legacy_coded_run(topology: &Topology, k: usize, seed: u64) -> RunReport {
+fn legacy_coded_run(topology: &Topology, k: usize, seed: u64) -> SessionReport<KbcastMeta> {
     let g = topology.build(seed).unwrap();
     let n = g.len();
     let diameter = g.diameter().unwrap_or(0);
@@ -89,27 +104,32 @@ fn legacy_coded_run(topology: &Topology, k: usize, seed: u64) -> RunReport {
     }
 
     #[allow(clippy::cast_precision_loss)]
-    RunReport {
+    SessionReport {
         n,
         k,
         diameter,
         max_degree,
         success,
         rounds_total,
-        stages,
-        collection_phases,
         delivered_fraction: delivered_sum / n as f64,
         stats: *engine.stats(),
-        tx_by_type,
+        meta: KbcastMeta {
+            stages,
+            collection_phases,
+            tx_by_type,
+            ..KbcastMeta::default()
+        },
+        trace: None,
     }
 }
 
-/// The pre-refactor `run_bii_on_graph`, verbatim: `run_until` with the
+/// The original BII runner, verbatim: `run_until` with the
 /// all-nodes-know-k predicate.
-fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> BiiReport {
+fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> SessionReport<()> {
     let g = topology.build(seed).unwrap();
     let n = g.len();
-    let cfg = BiiConfig::for_network(n, g.max_degree());
+    let g_max_degree = g.max_degree();
+    let cfg = BiiConfig::for_network(n, g_max_degree);
     let d = g.diameter().unwrap_or(0);
     let w = Workload::random(n, k, seed);
     let per_node: Vec<_> = (0..n).map(|i| w.packets_of(i)).collect();
@@ -128,12 +148,17 @@ fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> BiiReport {
     let epoch = Decay::new(cfg.delta_bound).epoch_len() as u64;
     let cap = 8 * ((k as u64 + d as u64 + 2) * cfg.epochs_per_packet as u64 * epoch) + 64;
     let success = engine.run_until(cap, |e| e.nodes().iter().all(|nd| nd.known_count() == k));
-    BiiReport {
+    SessionReport {
         n,
         k,
+        diameter: d,
+        max_degree: g_max_degree,
         success,
         rounds_total: engine.round(),
+        delivered_fraction: 1.0,
         stats: *engine.stats(),
+        meta: (),
+        trace: None,
     }
 }
 
@@ -141,14 +166,22 @@ fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> BiiReport {
 fn coded_report_matches_legacy_engine_drive() {
     let topo = Topology::Gnp { n: 24, p: 0.25 };
     for seed in 0..3 {
-        let new = run(&topo, &Workload::random(24, 12, seed), None, seed).unwrap();
+        let new = coded(
+            &topo,
+            &Workload::random(24, 12, seed),
+            seed,
+            RunOptions::default(),
+        );
         let old = legacy_coded_run(&topo, 12, seed);
         assert_eq!(new.success, old.success, "seed {seed}");
         assert_eq!(new.rounds_total, old.rounds_total, "seed {seed}");
         assert_eq!(new.stats, old.stats, "seed {seed}");
-        assert_eq!(new.stages, old.stages, "seed {seed}");
-        assert_eq!(new.collection_phases, old.collection_phases, "seed {seed}");
-        assert_eq!(new.tx_by_type, old.tx_by_type, "seed {seed}");
+        assert_eq!(new.meta.stages, old.meta.stages, "seed {seed}");
+        assert_eq!(
+            new.meta.collection_phases, old.meta.collection_phases,
+            "seed {seed}"
+        );
+        assert_eq!(new.meta.tx_by_type, old.meta.tx_by_type, "seed {seed}");
         assert_eq!(
             new.delivered_fraction.to_bits(),
             old.delivered_fraction.to_bits(),
@@ -167,52 +200,64 @@ fn coded_report_matches_legacy_engine_drive() {
 fn bii_report_matches_legacy_engine_drive() {
     let topo = Topology::Grid2d { rows: 4, cols: 5 };
     for seed in 0..3 {
-        let new = run_bii(&topo, &Workload::random(20, 10, seed), None, seed).unwrap();
+        let new = run_protocol(
+            &BiiProtocol::default(),
+            &topo,
+            &Workload::random(20, 10, seed),
+            seed,
+            RunOptions::default(),
+        )
+        .unwrap();
         let old = legacy_bii_run(&topo, 10, seed);
         assert_eq!(new.success, old.success, "seed {seed}");
         assert_eq!(new.rounds_total, old.rounds_total, "seed {seed}");
         assert_eq!(new.stats, old.stats, "seed {seed}");
         assert_eq!((new.n, new.k), (old.n, old.k), "seed {seed}");
+        assert_eq!(
+            (new.diameter, new.max_degree),
+            (old.diameter, old.max_degree),
+            "seed {seed}"
+        );
     }
 }
 
 #[test]
 fn lossy_run_succeeds_on_small_grid() {
-    let topo = Topology::Grid2d { rows: 4, cols: 4 };
+    let graph = Topology::Grid2d { rows: 4, cols: 4 }.build(0).unwrap();
     let w = Workload::random(16, 8, 0);
-    let opts = RunOptions {
-        loss_rate: 0.05,
-        max_rounds: None,
-        verify: false,
-        trace: false,
-        ..RunOptions::default()
-    };
-    let r = run_with_options(&topo, &w, None, 0, opts).unwrap();
+    let faults = UniformLoss::new(0.05, 0).unwrap();
+    let r = run_protocol_on_graph_with_faults(
+        &CodedProtocol::default(),
+        graph,
+        &w,
+        0,
+        RunOptions::default(),
+        faults,
+    )
+    .unwrap();
     assert!(r.success, "5% loss must be absorbed on a 4x4 grid");
     assert!((r.delivered_fraction - 1.0).abs() < 1e-12);
-    assert!(
-        r.stats.dropped > 0,
-        "loss injection must actually drop receptions"
-    );
+    // The recorded outcome of this seed on the engine's original loss
+    // path, which the fault model reproduces draw for draw.
+    assert_eq!(r.rounds_total, 4461);
+    assert_eq!(r.stats.dropped, 108);
 }
 
 #[test]
-fn invalid_loss_rate_is_rejected_up_front() {
-    let topo = Topology::Path { n: 4 };
-    let w = Workload::random(4, 2, 0);
+fn invalid_uniform_rate_is_rejected_up_front() {
     for bad in [-0.1, 1.0, 1.5, f64::NAN] {
-        let opts = RunOptions {
-            loss_rate: bad,
-            max_rounds: None,
-            verify: false,
-            trace: false,
-            ..RunOptions::default()
-        };
-        let err = run_with_options(&topo, &w, None, 0, opts).unwrap_err();
+        let err = UniformLoss::new(bad, 0).unwrap_err();
         assert!(
             matches!(err, Error::InvalidParameter { .. }),
-            "loss_rate {bad} must be rejected as InvalidParameter, got {err:?}"
+            "rate {bad} must be rejected as InvalidParameter, got {err:?}"
         );
+        // The spec form fails when it is built, before any engine exists.
+        let err = FaultSpec::Uniform { rate: bad }.build(4, 0).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter { .. }), "{err:?}");
+    }
+    for text in ["uniform:rate=1.5", "uniform:rate=-0.1"] {
+        let spec: FaultSpec = text.parse().unwrap();
+        assert!(spec.build(4, 0).is_err(), "{text} must not build");
     }
 }
 
@@ -221,13 +266,10 @@ fn zero_round_cap_is_rejected_up_front() {
     let topo = Topology::Path { n: 4 };
     let w = Workload::random(4, 2, 0);
     let opts = RunOptions {
-        loss_rate: 0.0,
         max_rounds: Some(0),
-        verify: false,
-        trace: false,
         ..RunOptions::default()
     };
-    let err = run_with_options(&topo, &w, None, 0, opts).unwrap_err();
+    let err = run_protocol(&CodedProtocol::default(), &topo, &w, 0, opts).unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }));
 }
 
@@ -236,13 +278,10 @@ fn round_cap_reports_truthful_failure() {
     let topo = Topology::Gnp { n: 24, p: 0.25 };
     let w = Workload::random(24, 12, 0);
     let opts = RunOptions {
-        loss_rate: 0.0,
         max_rounds: Some(10),
-        verify: false,
-        trace: false,
         ..RunOptions::default()
     };
-    let r = run_with_options(&topo, &w, None, 0, opts).unwrap();
+    let r = coded(&topo, &w, 0, opts);
     assert!(!r.success, "10 rounds cannot complete leader election");
     assert_eq!(r.rounds_total, 10);
     // Truthful partial delivery: this early nothing is decoded, and the

@@ -1,14 +1,13 @@
 //! Streaming-session determinism: a golden pin for one small streaming
-//! scenario in both pipeline modes, plus the validation surface of the
-//! streaming entry point.
+//! scenario, plus the validation surface of the streaming entry point.
 //!
 //! The pins are the streaming analogue of `engine_bit_identity.rs`: if
 //! any of these numbers move, a change has altered the simulated
-//! execution (RNG draw order, injection timing, lane scheduling, stamp
+//! execution (RNG draw order, injection timing, epoch scheduling, stamp
 //! placement) rather than just its reporting — bump them only with a
 //! changelog note explaining why the schedule legitimately changed.
 
-use kbcast::dynamic::{run_streaming, Arrival, PipelineMode};
+use kbcast::dynamic::{run_streaming, Arrival};
 use kbcast::runner::RunOptions;
 use radio_net::topology::Topology;
 
@@ -44,72 +43,6 @@ fn arrivals() -> Vec<Arrival> {
     ]
 }
 
-struct Golden {
-    mode: PipelineMode,
-    rounds: u64,
-    transmissions: u64,
-    receptions: u64,
-    collisions: u64,
-    wakeups: u64,
-    epochs: usize,
-    latencies: &'static [u64],
-}
-
-#[test]
-fn streaming_golden_pins() {
-    let goldens = [
-        Golden {
-            mode: PipelineMode::Sequential,
-            rounds: GOLDEN_SEQ.0,
-            transmissions: GOLDEN_SEQ.1,
-            receptions: GOLDEN_SEQ.2,
-            collisions: GOLDEN_SEQ.3,
-            wakeups: GOLDEN_SEQ.4,
-            epochs: GOLDEN_SEQ.5,
-            latencies: GOLDEN_SEQ.6,
-        },
-        Golden {
-            mode: PipelineMode::Interleaved,
-            rounds: GOLDEN_TDM.0,
-            transmissions: GOLDEN_TDM.1,
-            receptions: GOLDEN_TDM.2,
-            collisions: GOLDEN_TDM.3,
-            wakeups: GOLDEN_TDM.4,
-            epochs: GOLDEN_TDM.5,
-            latencies: GOLDEN_TDM.6,
-        },
-    ];
-    let arrivals = arrivals();
-    for g in &goldens {
-        let r = run_streaming(
-            &Topology::Grid2d { rows: 3, cols: 3 },
-            &arrivals,
-            None,
-            g.mode,
-            42,
-            200_000,
-            RunOptions {
-                verify: true,
-                trace: true,
-                ..RunOptions::default()
-            },
-        )
-        .expect("pinned streaming scenario runs");
-        assert!(r.success, "{:?}: {r:?}", g.mode);
-        assert_eq!(r.rounds_total, g.rounds, "{:?}: rounds", g.mode);
-        assert_eq!(
-            r.stats.transmissions, g.transmissions,
-            "{:?}: transmissions",
-            g.mode
-        );
-        assert_eq!(r.stats.receptions, g.receptions, "{:?}: receptions", g.mode);
-        assert_eq!(r.stats.collisions, g.collisions, "{:?}: collisions", g.mode);
-        assert_eq!(r.stats.wakeups, g.wakeups, "{:?}: wakeups", g.mode);
-        assert_eq!(r.batches.len(), g.epochs, "{:?}: epochs", g.mode);
-        assert_eq!(r.latencies, g.latencies, "{:?}: latencies", g.mode);
-    }
-}
-
 // (rounds, transmissions, receptions, collisions, wakeups, epochs, latencies)
 const GOLDEN_SEQ: (u64, u64, u64, u64, u64, usize, &[u64]) = (
     10081,
@@ -120,15 +53,32 @@ const GOLDEN_SEQ: (u64, u64, u64, u64, u64, usize, &[u64]) = (
     3,
     &[3432, 3434, 4498, 5198, 5961],
 );
-const GOLDEN_TDM: (u64, u64, u64, u64, u64, usize, &[u64]) = (
-    15843,
-    1004,
-    1391,
-    452,
-    7,
-    3,
-    &[3558, 3564, 7386, 8086, 11610],
-);
+
+#[test]
+fn streaming_golden_pins() {
+    let (rounds, transmissions, receptions, collisions, wakeups, epochs, latencies) = GOLDEN_SEQ;
+    let r = run_streaming(
+        &Topology::Grid2d { rows: 3, cols: 3 },
+        &arrivals(),
+        None,
+        42,
+        200_000,
+        RunOptions {
+            verify: true,
+            trace: true,
+            ..RunOptions::default()
+        },
+    )
+    .expect("pinned streaming scenario runs");
+    assert!(r.success, "{r:?}");
+    assert_eq!(r.rounds_total, rounds, "rounds");
+    assert_eq!(r.stats.transmissions, transmissions, "transmissions");
+    assert_eq!(r.stats.receptions, receptions, "receptions");
+    assert_eq!(r.stats.collisions, collisions, "collisions");
+    assert_eq!(r.stats.wakeups, wakeups, "wakeups");
+    assert_eq!(r.batches.len(), epochs, "epochs");
+    assert_eq!(r.latencies, latencies, "latencies");
+}
 
 #[test]
 fn streaming_rejects_invalid_specs() {
@@ -137,38 +87,22 @@ fn streaming_rejects_invalid_specs() {
     let opts = RunOptions::default();
     let all = arrivals();
 
-    let r = run_streaming(&topo, &all, None, PipelineMode::Sequential, 1, 0, opts);
+    let r = run_streaming(&topo, &all, None, 1, 0, opts);
     assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
 
     let no_wake: Vec<Arrival> = all.iter().filter(|a| a.round > 0).cloned().collect();
-    let r = run_streaming(
-        &topo,
-        &no_wake,
-        None,
-        PipelineMode::Sequential,
-        1,
-        1_000,
-        opts,
-    );
+    let r = run_streaming(&topo, &no_wake, None, 1, 1_000, opts);
     assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
 
     let mut oob = all.clone();
     oob[0].node = 99;
-    let r = run_streaming(&topo, &oob, None, PipelineMode::Sequential, 1, 1_000, opts);
+    let r = run_streaming(&topo, &oob, None, 1, 1_000, opts);
     assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
 
     let bad_opts = RunOptions {
-        loss_rate: f64::NAN,
+        max_rounds: Some(0),
         ..RunOptions::default()
     };
-    let r = run_streaming(
-        &topo,
-        &all,
-        None,
-        PipelineMode::Sequential,
-        1,
-        1_000,
-        bad_opts,
-    );
+    let r = run_streaming(&topo, &all, None, 1, 1_000, bad_opts);
     assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
 }

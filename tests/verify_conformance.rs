@@ -16,7 +16,7 @@ use radio_kbcast::kbcast::session::{
 use radio_kbcast::radio_net::dyntopo::{ChurnSpec, PartitionWindow};
 use radio_kbcast::radio_net::engine::{Engine, Node, WithCd};
 use radio_kbcast::radio_net::error::Error;
-use radio_kbcast::radio_net::faults::FaultSpec;
+use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
 use radio_kbcast::radio_net::graph::{Graph, NodeId};
 use radio_kbcast::radio_net::session::{NoopObserver, SessionControl};
 use radio_kbcast::radio_net::topology::Topology;
@@ -81,16 +81,25 @@ fn model_checker_accepts_composed_faults() {
     run_coded_verified("jam:budget=100+wakeup:rate=0.2", 2);
 }
 
+/// Lossy drops through a bare [`UniformLoss`] model, the engine's one
+/// loss channel.
 #[test]
 fn model_checker_accepts_legacy_loss_path() {
-    let topo = Topology::Grid2d { rows: 4, cols: 4 };
+    let graph = Topology::Grid2d { rows: 4, cols: 4 }
+        .build(3)
+        .expect("topology builds");
     let workload = Workload::random(16, 8, 3);
-    let opts = RunOptions {
-        loss_rate: 0.1,
-        ..verify_opts()
-    };
-    run_protocol(&CodedProtocol::default(), &topo, &workload, 3, opts)
-        .expect("lossy verified run must not trip the checkers");
+    let faults = UniformLoss::new(0.1, 3).expect("rate is valid");
+    let r = run_protocol_on_graph_with_faults(
+        &CodedProtocol::default(),
+        graph,
+        &workload,
+        3,
+        verify_opts(),
+        faults,
+    )
+    .expect("lossy verified run must not trip the checkers");
+    assert!(r.stats.dropped > 0, "loss actually sampled");
 }
 
 #[test]
@@ -449,12 +458,11 @@ fn model_checker_accepts_churn_fault_cd_combinations() {
     }
 }
 
-/// Churn composes with the legacy loss knob too — the checker sees
-/// drops on edges of the *current* snapshot.
+/// Churn composes with a bare [`UniformLoss`] model too — the checker
+/// sees drops on edges of the *current* snapshot.
 #[test]
 fn model_checker_accepts_churn_with_legacy_loss() {
     let opts = RunOptions {
-        loss_rate: 0.1,
         max_rounds: Some(30_000),
         churn: ChurnSpec::Edge {
             rho: 0.02,
@@ -462,10 +470,21 @@ fn model_checker_accepts_churn_with_legacy_loss() {
         },
         ..verify_opts()
     };
-    let topo = Topology::Grid2d { rows: 4, cols: 4 };
+    let graph = Topology::Grid2d { rows: 4, cols: 4 }
+        .build(3)
+        .expect("topology builds");
     let workload = Workload::random(16, 6, 3);
-    run_protocol(&CodedProtocol::default(), &topo, &workload, 3, opts)
-        .expect("lossy churned verified run must not trip the checkers");
+    let faults = UniformLoss::new(0.1, 3).expect("rate is valid");
+    let r = run_protocol_on_graph_with_faults(
+        &CodedProtocol::default(),
+        graph,
+        &workload,
+        3,
+        opts,
+        faults,
+    )
+    .expect("lossy churned verified run must not trip the checkers");
+    assert!(r.stats.dropped > 0, "loss actually sampled");
 }
 
 /// Seed-pinned spot checks on larger random topologies: the exact
