@@ -19,7 +19,6 @@ use protocols::decay::Decay;
 use protocols::timing::{epoch_len, log_n};
 use radio_net::engine::Node;
 use radio_net::graph::NodeId;
-use radio_net::message::MessageSize;
 use radio_net::rng;
 use radio_net::session::{NoopObserver, RoundEvents, SessionEnd};
 use radio_net::trace::{StageProbe, StageSample};
@@ -28,12 +27,6 @@ use rand::rngs::SmallRng;
 use crate::packet::{Packet, PacketKey};
 use crate::runner::Workload;
 use crate::session::{BroadcastProtocol, NetParams};
-
-impl MessageSize for Packet {
-    fn size_bits(&self) -> usize {
-        Packet::size_bits(self)
-    }
-}
 
 /// Parameters of the BII baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,41 +55,51 @@ impl BiiConfig {
     }
 }
 
-/// One node of the BII baseline.
+/// One node of the BII baseline. A silent poll, or a duplicate reception
+/// at a node knowing at most [`BiiNode::INLINE_KEYS`] packets, reads only
+/// this struct: no heap memory, hash probe, scan or division.
 #[derive(Debug)]
 pub struct BiiNode {
-    cfg: BiiConfig,
     rng: SmallRng,
+    /// First round after the current epoch (0 = never polled).
+    epoch_end: u64,
+    /// FIFO budget cursor (the pipelining discipline): packets before
+    /// `head` are exhausted, `known[head]` has sent `spent < budget` epochs.
+    head: u32,
+    spent: u32,
+    budget: u32,
     decay: Decay,
+    /// Known-packet count that completes the node (`u32::MAX`: never).
+    target: u32,
+    /// Whether `known[head]` is transmitted this epoch.
+    sending: bool,
+    /// Keys of `known[..INLINE_KEYS]`; `spill` holds the rest.
+    inline: [PacketKey; Self::INLINE_KEYS],
+    spill: HashSet<PacketKey>,
     known: Vec<Packet>,
-    known_keys: HashSet<PacketKey>,
-    /// `epochs_done[i]` = epochs spent transmitting `known[i]`.
-    epochs_done: Vec<usize>,
-    /// Index into `known` being transmitted this epoch.
-    current: Option<usize>,
-    last_epoch: Option<u64>,
-    /// Packet count at which this node reports [`Node::is_done`]
-    /// (`None` = never; BII itself has no termination detection, so the
-    /// target is harness-provided omniscience).
-    target_k: Option<usize>,
 }
 
 impl BiiNode {
+    /// Known keys held inline before the hash set (chosen in DESIGN §4c).
+    pub const INLINE_KEYS: usize = 2;
+
     /// Creates a node initially holding `packets`.
     #[must_use]
     pub fn new(cfg: BiiConfig, packets: Vec<Packet>, rng: SmallRng) -> Self {
-        let known_keys = packets.iter().map(|p| p.key).collect();
-        let epochs_done = vec![0; packets.len()];
+        let empty = PacketKey { origin: 0, seq: 0 };
+        let (first, rest) = packets.split_at(packets.len().min(Self::INLINE_KEYS));
         BiiNode {
-            cfg,
             rng,
+            epoch_end: 0,
+            head: 0,
+            spent: 0,
+            budget: u32::try_from(cfg.epochs_per_packet).unwrap_or(u32::MAX),
             decay: Decay::new(cfg.delta_bound),
+            target: u32::MAX,
+            sending: false,
+            inline: std::array::from_fn(|i| first.get(i).map_or(empty, |p| p.key)),
+            spill: rest.iter().map(|p| p.key).collect(),
             known: packets,
-            known_keys,
-            epochs_done,
-            current: None,
-            last_epoch: None,
-            target_k: None,
         }
     }
 
@@ -111,7 +114,7 @@ impl BiiNode {
         target_k: usize,
     ) -> Self {
         let mut node = BiiNode::new(cfg, packets, rng);
-        node.target_k = Some(target_k);
+        node.target = u32::try_from(target_k).unwrap_or(u32::MAX);
         node
     }
 
@@ -127,21 +130,22 @@ impl BiiNode {
         self.known.len()
     }
 
-    fn begin_epoch(&mut self, epoch: u64) {
-        if self.last_epoch == Some(epoch) {
-            return;
-        }
-        // Credit the epoch just finished.
-        if self.last_epoch.is_some() {
-            if let Some(cur) = self.current {
-                self.epochs_done[cur] += 1;
+    fn has_budget(&self) -> bool {
+        (self.head as usize) < self.known.len() && self.spent < self.budget
+    }
+
+    /// Enters the epoch holding `round`: credits one epoch to the packet sent in the
+    /// last one (skipped epochs of a crashed or parked node sent nothing), then re-picks.
+    fn begin_epoch(&mut self, round: u64) {
+        if self.sending {
+            self.spent += 1;
+            if self.spent == self.budget {
+                self.head += 1;
+                self.spent = 0;
             }
         }
-        self.last_epoch = Some(epoch);
-        // Oldest packet still under its transmission budget (FIFO in
-        // first-seen order — the pipelining discipline).
-        self.current =
-            (0..self.known.len()).find(|&i| self.epochs_done[i] < self.cfg.epochs_per_packet);
+        self.epoch_end = self.decay.epoch_end(round);
+        self.sending = self.has_budget();
     }
 }
 
@@ -149,52 +153,48 @@ impl Node for BiiNode {
     type Msg = Packet;
 
     fn poll(&mut self, round: u64) -> Option<Packet> {
-        let epoch = self.decay.epoch_of(round);
-        self.begin_epoch(epoch);
-        let cur = self.current?;
-        self.decay
-            .should_transmit(round, &mut self.rng)
-            .then(|| self.known[cur].clone())
+        if round >= self.epoch_end {
+            self.begin_epoch(round);
+        }
+        let rung = self.decay.rung_before(round, self.epoch_end);
+        (self.sending && Decay::rung_draw(rung, &mut self.rng))
+            .then(|| self.known[self.head as usize].clone())
     }
 
     fn receive(&mut self, round: u64, msg: &Packet) {
-        // A parked node skipped some per-poll `begin_epoch` calls; replay
-        // them before admitting the packet so the pick happens exactly as
-        // it would on an always-polling node (every skipped epoch had
-        // `current = None`, so one catch-up call is cumulative-equivalent).
-        // Nodes that have never polled keep `last_epoch = None` and with
-        // it their first-poll pick behavior.
-        if self.last_epoch.is_some() {
-            self.begin_epoch(self.decay.epoch_of(round));
+        // A parked node skipped epoch starts that sent nothing; one
+        // catch-up call replays them before the packet is admitted.
+        // Never-polled nodes (`epoch_end == 0`) keep their first-poll pick.
+        if self.epoch_end != 0 && round >= self.epoch_end {
+            self.begin_epoch(round);
         }
-        if self.known_keys.insert(msg.key) {
-            self.known.push(msg.clone());
-            self.epochs_done.push(0);
+        let n = self.known.len();
+        if self.inline[..n.min(Self::INLINE_KEYS)].contains(&msg.key) {
+            return;
         }
+        if n < Self::INLINE_KEYS {
+            self.inline[n] = msg.key;
+        } else if !self.spill.insert(msg.key) {
+            return;
+        }
+        self.known.push(msg.clone());
     }
 
     fn is_done(&self) -> bool {
-        self.target_k.is_some_and(|t| self.known.len() >= t)
+        self.known.len() >= self.target as usize
     }
 
     /// Transmitting a packet this epoch → active every round. Idle but
     /// holding untransmitted budget (a packet arrived after this
     /// epoch's pick) → parked until the next epoch boundary, where
-    /// `begin_epoch` re-picks. All budgets exhausted → silent until a
-    /// reception, which voids the hint.
+    /// `begin_epoch` re-picks: `epoch_end`, as the hint follows a poll.
+    /// All budgets exhausted → silent until a reception, which voids it.
     fn next_activity(&self, round: u64) -> u64 {
-        if self.current.is_some() {
-            return round + 1;
+        match (self.sending, self.has_budget()) {
+            (true, _) => round + 1,
+            (false, true) => self.epoch_end,
+            (false, false) => u64::MAX,
         }
-        if self
-            .epochs_done
-            .iter()
-            .any(|&done| done < self.cfg.epochs_per_packet)
-        {
-            let epoch = self.decay.epoch_len() as u64;
-            return ((round / epoch) + 1) * epoch;
-        }
-        u64::MAX
     }
 }
 

@@ -390,17 +390,15 @@ impl DynamicNode {
             .or_insert_with(|| DissemState::new_node_in_batch(cfg, None, c.batch));
         let before = rx.decoded_groups();
         rx.deliver(c);
-        let changed = rx.decoded_groups() != before;
-        let complete = rx.is_complete();
-        let packets = if changed || complete {
-            rx.packets()
-        } else {
-            Vec::new()
-        };
-        if changed {
-            self.stamp_packets(round, &packets);
+        // Only a decode changes anything: the rows after completion are
+        // ignored, and completion itself is a decode.
+        if rx.decoded_groups() == before {
+            return;
         }
-        if complete {
+        let decoded = rx.group_packets(c.group);
+        let complete = rx.is_complete().then(|| rx.packets());
+        self.stamp_packets(round, &decoded);
+        if let Some(packets) = complete {
             self.deliver_packets(&packets);
         }
     }
@@ -454,8 +452,9 @@ impl DynamicNode {
             if let Some(d) = self.dissem.as_mut() {
                 let before = d.decoded_groups();
                 d.deliver(c);
+                // Earlier groups were stamped when they decoded.
                 if d.decoded_groups() != before {
-                    let packets = d.packets();
+                    let packets = d.group_packets(c.group);
                     self.stamp_packets(round, &packets);
                 }
             }

@@ -1,5 +1,7 @@
 //! Packets: the unit of work of multiple-message broadcast.
 
+use radio_net::message::MessageSize;
+
 /// Globally unique packet identity: the originating node's id plus a
 /// per-origin sequence number. (The paper assumes each packet carries at
 /// least one id, which is why `b ≥ log n`.)
@@ -18,6 +20,12 @@ pub struct Packet {
     pub key: PacketKey,
     /// Application payload bytes.
     pub payload: Vec<u8>,
+}
+
+impl MessageSize for Packet {
+    fn size_bits(&self) -> usize {
+        Packet::size_bits(self)
+    }
 }
 
 impl Packet {

@@ -200,6 +200,20 @@ impl DissemState {
         out
     }
 
+    /// The packets of group `j`, in the root's canonical order, once this
+    /// node has decoded it (empty before, and always at the root, which
+    /// sources the groups) — what one group decode adds to
+    /// [`DissemState::packets`].
+    #[must_use]
+    pub fn group_packets(&self, j: u32) -> Vec<Packet> {
+        match self.rx.get(j as usize) {
+            Some(Some(GroupRx {
+                ready: Some(ready), ..
+            })) => ready.iter().filter_map(|b| Packet::from_bytes(b)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Per-group decoding status for every group this node has seen a
     /// header for, in group order — the harness-side view the invariant
     /// checkers read (rank monotonicity, decode only at full rank).

@@ -175,11 +175,8 @@ mod tests {
             edges: vec![(0, 3), (1, 2), (4, 5), (0, 7), (2, 6), (3, 8)],
         };
         assert!(fails(&cur));
-        loop {
-            match s.shrink(&cur).into_iter().find(|c| fails(c)) {
-                Some(simpler) => cur = simpler,
-                None => break,
-            }
+        while let Some(simpler) = s.shrink(&cur).into_iter().find(|c| fails(c)) {
+            cur = simpler;
         }
         assert_eq!(cur.n, 2);
         assert_eq!(cur.edges, vec![(0, 1)]);

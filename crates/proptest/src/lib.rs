@@ -242,7 +242,6 @@ mod tests {
     fn failures_shrink_to_the_boundary() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
-            #[test]
             fn boundary(x in 0usize..1000) {
                 prop_assert!(x < 37);
             }
@@ -272,7 +271,6 @@ mod tests {
     fn failures_are_reported() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
-            #[test]
             fn always_fails(x in 0usize..4) {
                 prop_assert!(x > 100, "x was {}", x);
             }

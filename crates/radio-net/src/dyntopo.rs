@@ -641,7 +641,7 @@ mod tests {
 
     #[test]
     fn static_topology_is_disabled_and_inert() {
-        assert!(!StaticTopology::ENABLED);
+        const { assert!(!StaticTopology::ENABLED) };
         let g = topology::path(3).unwrap();
         assert!(StaticTopology.reshape(0, &g).is_none());
         assert!(StaticTopology.reshape(7, &g).is_none());

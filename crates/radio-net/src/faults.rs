@@ -984,7 +984,7 @@ mod tests {
 
     #[test]
     fn no_faults_is_disabled_and_benign() {
-        assert!(!NoFaults::ENABLED);
+        const { assert!(!NoFaults::ENABLED) };
         let mut f = NoFaults;
         let mut ev = FaultEvents::default();
         f.begin_round(0, &mut ev);
@@ -1176,8 +1176,8 @@ mod tests {
         for r in 0..64 {
             assert_eq!(stacked.drop_delivery(r, 0, 1), solo.sample());
         }
-        assert!(Stacked::<NoFaults, NoFaults>::ENABLED == false);
-        assert!(Stacked::<NoFaults, UniformLoss>::ENABLED);
+        const { assert!(!Stacked::<NoFaults, NoFaults>::ENABLED) };
+        const { assert!(Stacked::<NoFaults, UniformLoss>::ENABLED) };
     }
 
     #[test]

@@ -28,6 +28,12 @@ use radio_net::graph::{Graph, NodeId};
 use radio_net::stats::{RoundOutcome, SimStats};
 use radio_net::{NoCd, WithCd};
 
+/// Per-node reception logs: `(round, message)` in delivery order.
+type Receptions = Vec<Vec<(u64, u32)>>;
+
+/// Per-node collision-noise rounds.
+type NoiseLog = Vec<Vec<u64>>;
+
 /// A node that transmits per a fixed script and records receptions.
 struct Scripted {
     /// `plan[r]` = message to transmit in round `r` (if any).
@@ -77,7 +83,7 @@ fn reference(
     plans: &[Vec<Option<u32>>],
     awake0: &[bool],
     rounds: usize,
-) -> (Vec<Vec<(u64, u32)>>, Vec<RoundOutcome>, Vec<Vec<u64>>) {
+) -> (Receptions, Vec<RoundOutcome>, NoiseLog) {
     let mut adj = vec![vec![false; n]; n];
     for &(u, v) in edges {
         adj[u][v] = true;
@@ -141,12 +147,7 @@ fn run_engine_as<C: CdModel>(
     awake0: &[bool],
     rounds: usize,
     hinted: bool,
-) -> (
-    Vec<RoundOutcome>,
-    Vec<Vec<(u64, u32)>>,
-    SimStats,
-    Vec<Vec<u64>>,
-) {
+) -> (Vec<RoundOutcome>, Receptions, SimStats, NoiseLog) {
     let graph = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
     let nodes: Vec<Scripted> = plans
         .iter()
@@ -180,7 +181,7 @@ fn run_engine(
     awake0: &[bool],
     rounds: usize,
     hinted: bool,
-) -> (Vec<RoundOutcome>, Vec<Vec<(u64, u32)>>, SimStats) {
+) -> (Vec<RoundOutcome>, Receptions, SimStats) {
     let (outcomes, received, stats, noise) =
         run_engine_as::<NoCd>(n, edges, plans, awake0, rounds, hinted);
     assert!(

@@ -160,7 +160,7 @@ impl Transport {
     /// An embedded service.
     #[must_use]
     pub fn in_process() -> Self {
-        Transport::InProcess(Box::new(Service::new()))
+        Transport::InProcess(Box::default())
     }
 
     /// Spawns `program` (a `kbcast-serve` binary) with piped

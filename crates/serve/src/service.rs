@@ -213,7 +213,7 @@ enum Phase {
     /// `run_until_drained`.
     Configured(Pending),
     /// Rounds have (possibly) executed.
-    Running(Live),
+    Running(Box<Live>),
 }
 
 /// One service session: the request dispatcher plus all simulation
@@ -545,20 +545,20 @@ impl Service {
     /// Builds the engine if the session is still `Configured`,
     /// replicating the construction recipe of
     /// [`kbcast::dynamic::run_streaming`] exactly (see module docs).
-    fn ensure_running(&mut self) -> Result<(), Response> {
+    fn ensure_running(&mut self) -> Result<(), String> {
         let pending = match &self.phase {
-            Phase::Uninit => return Err(err("no session (send init first)")),
+            Phase::Uninit => return Err("no session (send init first)".into()),
             Phase::Running(_) => return Ok(()),
             Phase::Configured(p) => p,
         };
         if !self.arrivals.iter().any(|a| a.round == 0) {
-            return Err(err(
-                "at least one packet must be injected at round 0 to wake the network",
-            ));
+            return Err(
+                "at least one packet must be injected at round 0 to wake the network".into(),
+            );
         }
         let n = pending.graph.len();
         let Some(diameter) = pending.graph.diameter() else {
-            return Err(err("the topology is disconnected"));
+            return Err("the topology is disconnected".into());
         };
         let cfg = Config::for_network(n, diameter, pending.graph.max_degree());
         let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
@@ -583,7 +583,7 @@ impl Service {
             .collect();
         let built = match pending.faults.build(n, pending.seed) {
             Ok(b) => b,
-            Err(e) => return Err(err(format!("fault spec stopped building: {e}"))),
+            Err(e) => return Err(format!("fault spec stopped building: {e}")),
         };
         // The engine's dynamic-topology model, built against the final
         // (post-add_node) graph; `BuiltTopology::Static` for frozen
@@ -591,7 +591,7 @@ impl Service {
         // contract holds.
         let topo = match pending.churn.build(&pending.graph, pending.seed) {
             Ok(t) => t,
-            Err(e) => return Err(err(format!("churn spec stopped building: {e}"))),
+            Err(e) => return Err(format!("churn spec stopped building: {e}")),
         };
         let engine = if pending.cd {
             match Engine::<DynamicNode, BuiltFaults, WithCd, BuiltTopology>::with_topology(
@@ -602,7 +602,7 @@ impl Service {
                 topo.clone(),
             ) {
                 Ok(e) => LiveEngine::Cd(e),
-                Err(e) => return Err(err(format!("engine construction failed: {e}"))),
+                Err(e) => return Err(format!("engine construction failed: {e}")),
             }
         } else {
             match Engine::<DynamicNode, BuiltFaults, NoCd, BuiltTopology>::with_topology(
@@ -613,7 +613,7 @@ impl Service {
                 topo.clone(),
             ) {
                 Ok(e) => LiveEngine::NoCd(e),
-                Err(e) => return Err(err(format!("engine construction failed: {e}"))),
+                Err(e) => return Err(format!("engine construction failed: {e}")),
             }
         };
         let mut source = QueueSource::default();
@@ -658,14 +658,14 @@ impl Service {
         let tracer = pending
             .trace
             .then(|| TraceCollector::new(Box::new(DynamicStageProbe::new(cfg))));
-        self.phase = Phase::Running(Live {
+        self.phase = Phase::Running(Box::new(Live {
             cfg,
             engine,
             source,
             stack,
             epoch,
             tracer,
-        });
+        }));
         Ok(())
     }
 
@@ -685,7 +685,7 @@ impl Service {
             epoch,
             tracer,
             ..
-        } = live;
+        } = &mut **live;
         let pred =
             move |nodes: &[DynamicNode]| drain && nodes.iter().all(|nd| nd.delivered_count() == k);
         match (stack, tracer) {
@@ -738,8 +738,8 @@ impl Service {
     }
 
     fn tick(&mut self, rounds: u64) -> Response {
-        if let Err(resp) = self.ensure_running() {
-            return resp;
+        if let Err(e) = self.ensure_running() {
+            return err(e);
         }
         let current = match &self.phase {
             Phase::Running(live) => live.engine.round(),
@@ -766,8 +766,8 @@ impl Service {
     /// their sources crashed) answers `completed: false` instead of
     /// running forever.
     fn run_until_drained(&mut self, max_rounds: Option<u64>) -> Response {
-        if let Err(resp) = self.ensure_running() {
-            return resp;
+        if let Err(e) = self.ensure_running() {
+            return err(e);
         }
         let (current, cfg) = match &self.phase {
             Phase::Running(live) => (live.engine.round(), live.cfg),
@@ -949,7 +949,7 @@ impl Service {
                 stack,
                 epoch,
                 ..
-            } = live;
+            } = &mut **live;
             let nodes: &[DynamicNode] = engine.nodes();
             if let Some(stack) = stack {
                 stack.session_end(nodes, &end);

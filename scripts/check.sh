@@ -24,7 +24,7 @@ fi
 # skipped via KB_SKIP_PERF=1 without KB_PERF=1.
 cargo build --release --workspace
 cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Fault-injection smoke: the quick E17 configuration (grid 16x16, every
 # fault family, 2 seeds) must run to completion and emit its JSON. This
