@@ -144,12 +144,10 @@ impl Decoder {
                         let hit = row
                             .coeffs
                             .iter_ones()
-                            .find(|&j| j != lead && self.pivot[j].is_some());
+                            .filter(|&j| j != lead)
+                            .find_map(|j| self.pivot[j].as_ref());
                         match hit {
-                            Some(j) => {
-                                let p = self.pivot[j].clone().expect("checked above");
-                                row.xor_assign(&p);
-                            }
+                            Some(p) => row.xor_assign(p),
                             None => break,
                         }
                     }

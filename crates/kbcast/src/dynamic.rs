@@ -45,6 +45,7 @@ use rand::rngs::SmallRng;
 
 use crate::config::Config;
 use crate::messages::Msg;
+use crate::node::{collect_dissem_activity, setup_activity};
 use crate::packet::{Packet, PacketKey};
 use crate::runner::{RunOptions, Workload};
 use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
@@ -88,6 +89,10 @@ pub struct DynamicNode {
     cfg: Config,
     my_id: u64,
     rng: SmallRng,
+    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`), as in
+    /// [`crate::node::KbcastNode`]: every poll consults them.
+    s1_end: u64,
+    s2_end: u64,
 
     leader: LeaderElection,
     is_root: bool,
@@ -140,6 +145,8 @@ impl DynamicNode {
             cfg,
             my_id,
             rng,
+            s1_end: cfg.stage1_rounds(),
+            s2_end: cfg.stage3_start(),
             leader: LeaderElection::new(leader_cfg, my_id, candidate),
             is_root: false,
             bfs: None,
@@ -268,14 +275,6 @@ impl DynamicNode {
                 self.stamps.push((p.key, round));
             }
         }
-    }
-
-    fn s1_end(&self) -> u64 {
-        self.cfg.stage1_rounds()
-    }
-
-    fn s2_end(&self) -> u64 {
-        self.cfg.stage3_start()
     }
 
     fn ensure_bfs(&mut self) {
@@ -478,12 +477,12 @@ impl Node for DynamicNode {
     type Msg = Msg;
 
     fn poll(&mut self, round: u64) -> Option<Msg> {
-        if round < self.s1_end() {
+        if round < self.s1_end {
             return self.leader.poll(round, &mut self.rng).map(Msg::Probe);
         }
         self.ensure_bfs();
-        if round < self.s2_end() {
-            let local = round - self.s1_end();
+        if round < self.s2_end {
+            let local = round - self.s1_end;
             return self
                 .bfs
                 .as_mut()
@@ -497,19 +496,19 @@ impl Node for DynamicNode {
     fn receive(&mut self, round: u64, msg: &Msg) {
         match msg {
             Msg::Probe(p) => {
-                if round < self.s1_end() {
+                if round < self.s1_end {
                     self.leader.deliver(round, p);
                 }
             }
             Msg::Bfs(b) => {
-                if round >= self.s1_end() && round < self.s2_end() {
+                if round >= self.s1_end && round < self.s2_end {
                     self.ensure_bfs();
-                    let local = round - self.s1_end();
+                    let local = round - self.s1_end;
                     self.bfs.as_mut().expect("bfs ensured").deliver(local, b);
                 }
             }
             Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
-                if round >= self.s2_end() {
+                if round >= self.s2_end {
                     self.ensure_collect(round);
                     let local = round - self.batch_start;
                     self.collect
@@ -523,6 +522,33 @@ impl Node for DynamicNode {
                 self.receive_coded(round, c);
             }
         }
+    }
+
+    /// Delegates to the current stage's hint, as
+    /// [`crate::node::KbcastNode`] does, with the batch start as the
+    /// collection's stage start. On top of the `s1_end`/`s2_end` caps,
+    /// the hint never passes `batch_end`: the poll there closes the
+    /// batch (delivering and stamping its packets, which the drain
+    /// predicate and observers read) and opens the next collection with
+    /// `created_local = 0`.
+    fn next_activity(&self, round: u64) -> u64 {
+        setup_activity(
+            round,
+            self.s1_end,
+            self.s2_end,
+            &self.leader,
+            self.bfs.as_ref(),
+        )
+        .unwrap_or_else(|| {
+            let hint = collect_dissem_activity(
+                round,
+                self.batch_start,
+                self.collect.as_ref(),
+                self.s4_start,
+                self.dissem.as_ref(),
+            );
+            self.batch_end.map_or(hint, |end| hint.min(end))
+        })
     }
 }
 

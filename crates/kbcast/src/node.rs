@@ -354,55 +354,88 @@ impl radio_net::engine::Node for KbcastNode {
         self.has_all_packets()
     }
 
-    /// Delegates to the current stage's hint, translated to global
-    /// rounds and capped at the next stage boundary.
-    ///
-    /// The boundary caps are load-bearing, not cosmetic: the poll at
-    /// `s1_end` runs `ensure_bfs` (leader finalization and the root
-    /// scan) and the poll at `s2_end` creates the stage-3 state with
-    /// `created_local = 0` — a node parked across either boundary
-    /// would build divergent stage state on its next event. Stage 3
-    /// needs no cap because its hints already target the mandatory
-    /// phase-boundary polls where `advance` decides the finish, and
-    /// the stage-3→4 hand-off happens inside the same poll that
-    /// observes the finish.
+    /// Delegates to the current stage's hint (see [`setup_activity`]
+    /// and [`collect_dissem_activity`]).
     fn next_activity(&self, round: u64) -> u64 {
-        let cap = |stage_start: u64, hint: u64| {
-            if hint == u64::MAX {
-                u64::MAX
-            } else {
-                stage_start.saturating_add(hint)
-            }
-        };
-        if round < self.s1_end() {
-            return self.leader.next_activity(round).min(self.s1_end());
-        }
-        if round < self.s2_end() {
-            let hint = self
-                .bfs
-                .as_ref()
-                .map_or(u64::MAX, |b| b.next_activity(round - self.s1_end()));
-            return cap(self.s1_end(), hint).min(self.s2_end());
-        }
-        match self.s4_start {
-            None => {
-                let hint = self
-                    .collect
-                    .as_ref()
-                    .map_or(round + 1, |c| c.next_activity(round - self.s2_end()));
-                cap(self.s2_end(), hint)
-            }
-            Some(s4) => {
-                if round < s4 {
-                    return s4;
-                }
-                let hint = self
-                    .dissem
-                    .as_ref()
-                    .map_or(round + 1, |d| d.next_activity(round - s4));
-                cap(s4, hint)
-            }
-        }
+        setup_activity(
+            round,
+            self.s1_end,
+            self.s2_end,
+            &self.leader,
+            self.bfs.as_ref(),
+        )
+        .unwrap_or_else(|| {
+            collect_dissem_activity(
+                round,
+                self.s2_end,
+                self.collect.as_ref(),
+                self.s4_start,
+                self.dissem.as_ref(),
+            )
+        })
+    }
+}
+
+/// Translates a stage-local activity hint to a global round; `u64::MAX`
+/// (park until a reception) stays `u64::MAX`.
+fn global_hint(stage_start: u64, hint: u64) -> u64 {
+    if hint == u64::MAX {
+        u64::MAX
+    } else {
+        stage_start.saturating_add(hint)
+    }
+}
+
+/// The Stage 1–2 activity hint shared by [`KbcastNode`] and
+/// [`crate::dynamic::DynamicNode`]: the leader or BFS hint, translated
+/// to global rounds and capped at the next stage boundary; `None` from
+/// `s2_end` on.
+///
+/// The `s2_end` cap is load-bearing: the poll there creates the stage-3
+/// state with `created_local = 0`, and a node parked across it would
+/// build divergent stage state on its next event. The `s1_end` cap
+/// keeps `ensure_bfs` (leader finalization and the root scan) on the
+/// boundary poll; a candidate's leader hint already stops there, and a
+/// parked non-candidate would finalize to the same non-root outcome on
+/// its next reception, so that cap is defensive.
+pub(crate) fn setup_activity(
+    round: u64,
+    s1_end: u64,
+    s2_end: u64,
+    leader: &LeaderElection,
+    bfs: Option<&BfsBuild>,
+) -> Option<u64> {
+    if round < s1_end {
+        return Some(leader.next_activity(round).min(s1_end));
+    }
+    if round < s2_end {
+        let hint = bfs.map_or(u64::MAX, |b| b.next_activity(round - s1_end));
+        return Some(global_hint(s1_end, hint).min(s2_end));
+    }
+    None
+}
+
+/// The Stage 3–4 activity hint of one collection (started at global
+/// round `s3_start`) and the dissemination that follows it (from
+/// `s4_start`), translated to global rounds.
+///
+/// Stage 3 needs no cap because its hints already target the mandatory
+/// phase-boundary polls where `advance` decides the finish, and the
+/// stage-3→4 hand-off happens inside the same poll that observes the
+/// finish.
+pub(crate) fn collect_dissem_activity(
+    round: u64,
+    s3_start: u64,
+    collect: Option<&CollectState>,
+    s4_start: Option<u64>,
+    dissem: Option<&DissemState>,
+) -> u64 {
+    match s4_start {
+        None => collect.map_or(round + 1, |c| {
+            global_hint(s3_start, c.next_activity(round - s3_start))
+        }),
+        Some(s4) if round < s4 => s4,
+        Some(s4) => dissem.map_or(round + 1, |d| global_hint(s4, d.next_activity(round - s4))),
     }
 }
 

@@ -45,6 +45,9 @@ pub struct GroupStatus {
 #[derive(Clone, Debug)]
 pub struct DissemState {
     cfg: Config,
+    /// `cfg.forward_phase_rounds()`, cached: `poll` and `next_activity`
+    /// split every stage-local round by it.
+    phase_len: u64,
     dist: Option<u32>,
     is_root: bool,
 
@@ -100,6 +103,7 @@ impl DissemState {
             .collect();
         DissemState {
             cfg,
+            phase_len: cfg.forward_phase_rounds(),
             dist: Some(0),
             is_root: true,
             root_packets: packets,
@@ -127,6 +131,7 @@ impl DissemState {
     pub fn new_node_in_batch(cfg: Config, dist: Option<u32>, batch: u32) -> Self {
         DissemState {
             cfg,
+            phase_len: cfg.forward_phase_rounds(),
             dist,
             is_root: false,
             root_packets: Vec::new(),
@@ -168,7 +173,7 @@ impl DissemState {
     /// Stage length in rounds, once `g` is known.
     #[must_use]
     pub fn total_rounds(&self) -> Option<u64> {
-        Some(self.total_phases()? * self.cfg.forward_phase_rounds())
+        Some(self.total_phases()? * self.phase_len)
     }
 
     /// `true` once this node holds all `k` packets (the root trivially
@@ -238,9 +243,8 @@ impl DissemState {
 
     /// Transmit decision at stage-local round `local`.
     pub fn poll(&mut self, local: u64, rng: &mut impl Rng) -> Option<Msg> {
-        let phase_len = self.cfg.forward_phase_rounds();
-        let phase = local / phase_len;
-        let within = local % phase_len;
+        let phase = local / self.phase_len;
+        let within = local % self.phase_len;
         if self.is_root {
             self.poll_root(phase, within)
         } else {
@@ -317,7 +321,7 @@ impl DissemState {
     /// the hint, and decoding only happens in `deliver`.
     #[must_use]
     pub fn next_activity(&self, local: u64) -> u64 {
-        let phase_len = self.cfg.forward_phase_rounds();
+        let phase_len = self.phase_len;
         let phase = local / phase_len;
         let within = local % phase_len;
         if self.is_root {

@@ -250,14 +250,19 @@ pub struct Engine<
     /// bit test). Wake-ups insert; parking (see [`Node::next_activity`])
     /// removes; nodes never go back to sleep.
     active: ActiveSet,
-    /// Per-node parking state: 0 when active, otherwise the round at
-    /// which the node's activity hint expires (`u64::MAX` = parked until
-    /// a reception or harness event). Guards stale [`Engine::timers`]
-    /// entries: an entry fires only if it still matches this value.
+    /// Per-node round of the latest park, i.e. the round its activity
+    /// hint expires (`u64::MAX` = parked until a reception or harness
+    /// event; 0 = never parked). Whether the node is parked *now* is
+    /// "awake and not in `active`": an unpark leaves this value alone,
+    /// so a later re-park to the same round finds its finite entry
+    /// still pending in [`Engine::timers`] and pushes no second one.
+    /// Guards stale timer entries: an entry fires only if it still
+    /// matches this value.
     parked_until: Vec<u64>,
     /// Pending hint expirations `(round, node)`, drained at the top of
-    /// each round. Finite hints get an entry; `u64::MAX` parks don't
-    /// (they end only via reception / [`Engine::node_mut`]).
+    /// each round. Finite hints get an entry unless the node's pending
+    /// one already holds that round; `u64::MAX` parks don't (they end
+    /// only via reception / [`Engine::node_mut`]).
     timers: BinaryHeap<Reverse<(u64, u32)>>,
     round: u64,
     stats: SimStats,
@@ -522,16 +527,14 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         }
     }
 
-    /// Returns node `i` to the pollable set if it was parked. Its stale
-    /// timer entry (if any) is left in the heap; the `parked_until`
-    /// match on expiry makes it a no-op.
+    /// Returns node `i` to the pollable set if it was parked (awake
+    /// nodes outside `active` are exactly the parked ones). Its timer
+    /// entry (if any) is left in the heap: firing it for an active node
+    /// is a no-op, and a re-park to the same round reuses it.
     #[inline]
     fn unpark(&mut self, i: usize) {
-        if self.parked_until[i] != 0 {
-            self.parked_until[i] = 0;
-            if self.awake[i] {
-                self.active.insert(i);
-            }
+        if self.awake[i] {
+            self.active.insert(i);
         }
     }
 
@@ -638,7 +641,9 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         // Expired activity hints: return parked nodes to the pollable
         // set before phase 1. Entries whose `parked_until` no longer
         // matches are stale (the node was unparked by a reception or
-        // `node_mut` and possibly re-parked since) and are dropped.
+        // `node_mut` and re-parked to another round since) and are
+        // dropped; a matching entry of a node unparked meanwhile finds
+        // it already active.
         while let Some(&Reverse((when, id))) = self.timers.peek() {
             if when > round {
                 break;
@@ -646,10 +651,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
             self.timers.pop();
             let i = id as usize;
             if self.parked_until[i] == when {
-                self.parked_until[i] = 0;
-                if self.awake[i] {
-                    self.active.insert(i);
-                }
+                self.active.insert(i);
             }
         }
 
@@ -707,11 +709,14 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     }
                     let next = self.nodes[i].next_activity(round);
                     if next > round + 1 {
-                        self.parked_until[i] = next;
                         self.active.remove(i);
-                        if next != u64::MAX {
+                        // `parked_until[i] == next` means the entry of an
+                        // earlier park to this round is still pending
+                        // (it pops at `next`, which is in the future).
+                        if next != u64::MAX && next != self.parked_until[i] {
                             self.timers.push(Reverse((next, raw)));
                         }
+                        self.parked_until[i] = next;
                     }
                 }
             }
@@ -1923,6 +1928,57 @@ mod tests {
             }
             Either::Leaf(_) => unreachable!(),
         }
+    }
+
+    #[test]
+    fn repark_to_the_same_round_reuses_the_timer_entry() {
+        // Node 0 transmits in rounds 0..20. Node 1 promises round 50
+        // after every poll, and each reception voids that promise; the
+        // re-park that follows targets the same round, so the heap keeps
+        // its one pending entry instead of gaining one per reception.
+        struct Reparker {
+            tx_until: u64,
+            wake_at: u64,
+            polls: Vec<u64>,
+        }
+        impl Node for Reparker {
+            type Msg = u32;
+            fn poll(&mut self, round: u64) -> Option<u32> {
+                self.polls.push(round);
+                (round < self.tx_until).then_some(1)
+            }
+            fn receive(&mut self, _round: u64, _msg: &u32) {}
+            fn next_activity(&self, round: u64) -> u64 {
+                if round < self.tx_until {
+                    round + 1
+                } else {
+                    self.wake_at.max(round + 1)
+                }
+            }
+        }
+        let g = topology::path(2).unwrap();
+        let nodes = vec![
+            Reparker {
+                tx_until: 20,
+                wake_at: 0,
+                polls: Vec::new(),
+            },
+            Reparker {
+                tx_until: 0,
+                wake_at: 50,
+                polls: Vec::new(),
+            },
+        ];
+        let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
+        for _ in 0..60 {
+            e.step();
+            assert!(e.timers.len() <= 1, "heap holds {} entries", e.timers.len());
+        }
+        // Polled after every reception (rounds 1..=20), then parked
+        // until the entry fires at round 50.
+        let want: Vec<u64> = (0..=20).chain(50..60).collect();
+        assert_eq!(e.node(NodeId::new(1)).polls, want);
+        assert!(e.timers.is_empty());
     }
 
     #[test]

@@ -294,7 +294,10 @@ proptest! {
     ) {
         // Hinted scripts park between scripted transmissions; deliveries
         // must still match the always-polling reference exactly
-        // (receptions void hints, collisions and silence must not).
+        // (receptions void hints, collisions and silence must not). A
+        // reception inside a park makes the next poll re-park to the
+        // same scripted round, so the engine's reuse of a pending timer
+        // entry is exercised too.
         differential_check!(topo, plan_seed, awake_seed, true);
     }
 

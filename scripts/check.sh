@@ -26,6 +26,13 @@ cargo build --release --workspace
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark suite: perfbench is a package of its own, outside the
+# workspace, so the `cargo test` above never reaches it. Its tests pin
+# the metric names and that a timed session is bit-identical to an
+# untimed one (tests/timed_identity.rs), so a change to node forwarding
+# or parking that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Fault-injection smoke: the quick E17 configuration (grid 16x16, every
 # fault family, 2 seeds) must run to completion and emit its JSON. This
 # exercises the whole fault stack — spec parsing, per-seed model
