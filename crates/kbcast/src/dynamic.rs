@@ -570,6 +570,45 @@ pub struct DynamicProtocol<'a> {
     pub horizon: u64,
 }
 
+impl DynamicProtocol<'_> {
+    /// The configuration the nodes run: the explicit one, else
+    /// [`Config::for_network`] of the probed network.
+    #[must_use]
+    pub fn config_for(&self, net: &NetParams) -> Config {
+        self.config
+            .unwrap_or_else(|| Config::for_network(net.n, net.diameter, net.max_degree))
+    }
+
+    /// The driver's workload on `n` nodes: the round-0 arrivals, which
+    /// wake the network. Later arrivals enter through a
+    /// [`ScheduleSource`].
+    #[must_use]
+    pub fn initial_workload(&self, n: usize) -> Workload {
+        let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
+        for a in self.arrivals.iter().filter(|a| a.round == 0) {
+            initial[a.node].push(a.payload.clone());
+        }
+        Workload::new(initial)
+    }
+}
+
+/// The streaming key rule: the `j`-th arrival at node `i`, counted in
+/// schedule order, is keyed `(i, j)` — the numbering
+/// [`DynamicNode::inject_at`] gives it. `counts[i]` is the number of
+/// arrivals at `i` keyed so far (grown on demand); this keys one more
+/// and advances it. Every arrival-to-key mapping goes through here.
+pub fn arrival_key(counts: &mut Vec<u32>, node: usize) -> PacketKey {
+    if counts.len() <= node {
+        counts.resize(node + 1, 0);
+    }
+    let key = PacketKey {
+        origin: node as u64,
+        seq: counts[node],
+    };
+    counts[node] += 1;
+    key
+}
+
 /// A [`TrafficSource`] replaying a fixed arrival schedule: each round's
 /// arrivals (in schedule order) are injected into their nodes, waking
 /// them if asleep. Round-0 arrivals are assumed pre-injected by the
@@ -586,21 +625,24 @@ impl ScheduleSource {
     /// entries (the workload owns those).
     #[must_use]
     pub fn new(arrivals: &[Arrival]) -> Self {
-        let mut schedule: HashMap<u64, Vec<(usize, Vec<u8>)>> = HashMap::new();
-        let mut remaining = 0;
-        for a in arrivals {
-            if a.round > 0 {
-                schedule
-                    .entry(a.round)
-                    .or_default()
-                    .push((a.node, a.payload.clone()));
-                remaining += 1;
-            }
+        let mut source = ScheduleSource {
+            schedule: HashMap::new(),
+            remaining: 0,
+        };
+        for a in arrivals.iter().filter(|a| a.round > 0) {
+            source.push(a.round, a.node, a.payload.clone());
         }
-        ScheduleSource {
-            schedule,
-            remaining,
-        }
+        source
+    }
+
+    /// Schedules one more arrival: `payload` enters `node` at the top of
+    /// `round`, after every arrival already scheduled for that round.
+    pub fn push(&mut self, round: u64, node: usize, payload: Vec<u8>) {
+        self.schedule
+            .entry(round)
+            .or_default()
+            .push((node, payload));
+        self.remaining += 1;
     }
 }
 
@@ -711,9 +753,7 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         workload: &Workload,
         seed: u64,
     ) -> (Vec<DynamicNode>, Vec<NodeId>) {
-        let cfg = self
-            .config
-            .unwrap_or_else(|| Config::for_network(net.n, net.diameter, net.max_degree));
+        let cfg = self.config_for(net);
         let awake = (0..net.n)
             .filter(|&i| !workload.payloads_of(i).is_empty())
             .map(NodeId::new)
@@ -740,30 +780,19 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
     }
 
     fn trace_probe(&self, net: &NetParams) -> Box<dyn StageProbe<DynamicNode>> {
-        let cfg = self
-            .config
-            .unwrap_or_else(|| Config::for_network(net.n, net.diameter, net.max_degree));
-        Box::new(DynamicStageProbe::new(cfg))
+        Box::new(DynamicStageProbe::new(self.config_for(net)))
     }
 
     fn expected_keys(&self, workload: &Workload) -> Vec<PacketKey> {
-        // Every arrival at node `i` eventually gets a key `(i, seq)`
-        // with consecutive per-node sequence numbers, so the expected
-        // set is fully determined by per-node arrival counts.
-        let mut counts = vec![0u32; workload.len()];
-        for a in self.arrivals {
-            counts[a.node] += 1;
-        }
-        counts
+        // Every arrival, the later ones included, ends up keyed.
+        let mut counts = vec![0; workload.len()];
+        let mut keys: Vec<PacketKey> = self
+            .arrivals
             .iter()
-            .enumerate()
-            .flat_map(|(i, &c)| {
-                (0..c).map(move |seq| PacketKey {
-                    origin: i as u64,
-                    seq,
-                })
-            })
-            .collect()
+            .map(|a| arrival_key(&mut counts, a.node))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn delivered(&self, node: &DynamicNode) -> Vec<PacketKey> {
@@ -773,12 +802,10 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
     fn verify_checks(
         &self,
         _net: &NetParams,
-        workload: &Workload,
+        _workload: &Workload,
         clean: bool,
     ) -> Vec<Box<dyn radio_net::verify::Check<DynamicNode>>> {
-        let mut expected = self.expected_keys(workload);
-        expected.sort_unstable();
-        vec![Box::new(EpochConservation::new(expected, clean))]
+        vec![Box::new(EpochConservation::new(self.arrivals, clean))]
     }
 
     fn drive<
@@ -828,18 +855,11 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
 /// holds it. This is end-to-end broadcast latency measured per packet,
 /// not inferred from batch boundaries.
 pub fn stamp_latencies(arrivals: &[Arrival], nodes: &[DynamicNode]) -> Vec<u64> {
-    // Reconstruct each arrival's key: per-node sequence numbers are
-    // assigned in schedule order by `inject_at`.
-    let mut seq_at: Vec<u32> = vec![0; nodes.len()];
-    let mut births: Vec<(PacketKey, u64)> = Vec::with_capacity(arrivals.len());
-    for a in arrivals {
-        let key = PacketKey {
-            origin: a.node as u64,
-            seq: seq_at[a.node],
-        };
-        seq_at[a.node] += 1;
-        births.push((key, a.round));
-    }
+    let mut counts = vec![0; nodes.len()];
+    let births: Vec<(PacketKey, u64)> = arrivals
+        .iter()
+        .map(|a| (arrival_key(&mut counts, a.node), a.round))
+        .collect();
     // Per key: latest stamp across nodes, and how many nodes stamped it.
     let mut last_stamp: HashMap<PacketKey, (u64, usize)> = HashMap::new();
     for nd in nodes {
@@ -953,18 +973,12 @@ pub fn run_streaming(
             reason: format!("arrival at node {} but the topology has {n} nodes", a.node),
         });
     }
-    let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-    for a in arrivals {
-        if a.round == 0 {
-            initial[a.node].push(a.payload.clone());
-        }
-    }
-    let workload = Workload::new(initial);
     let protocol = DynamicProtocol {
         arrivals,
         config,
         horizon,
     };
+    let workload = protocol.initial_workload(n);
     let r = run_protocol_on_graph(&protocol, graph, &workload, seed, options)?;
     let mut latencies = r.meta.latencies;
     latencies.sort_unstable();

@@ -13,9 +13,16 @@
 //!   events plus read-only node state into completion metadata (stage
 //!   boundaries, collection phases) *while the run executes*, instead
 //!   of re-deriving them from node internals afterwards.
+//! * [`LiveSession`] is the one place a session is assembled. `build`
+//!   probes the network and constructs the nodes, the observer, the
+//!   verify stack, the trace collector and the engine; `run` drives any
+//!   [`Drive`] through that observer stack; `finish` runs the
+//!   end-of-session checks, verifies delivery against the ground-truth
+//!   key set and assembles a [`SessionReport`].
 //! * [`run_protocol_on_graph`] is the one driver: validate options,
-//!   build nodes, run the session, verify delivery against the
-//!   ground-truth key set, and assemble a [`SessionReport`].
+//!   then build, run the protocol's own drive and finish. The
+//!   line-protocol service (`kbcast-serve`) holds a `LiveSession` of the
+//!   streaming protocol instead and runs it one request span at a time.
 //! * `kbcast-bench`'s sweep layer fans seeds of this driver across
 //!   worker threads.
 //!
@@ -25,7 +32,7 @@
 //! accessor — and inheriting the driver, the verification and the
 //! whole sweep/table toolchain for free.
 
-use radio_net::dyntopo::{BuiltTopology, StaticTopology, TopologyModel};
+use radio_net::dyntopo::{StaticTopology, TopologyModel};
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::error::Error;
 use radio_net::faults::{FaultModel, NoFaults};
@@ -285,205 +292,337 @@ pub fn run_protocol_on_graph_with_faults<P: BroadcastProtocol, F: FaultModel>(
     faults: F,
 ) -> Result<SessionReport<P::Meta>, Error> {
     options.validate()?;
+    let clean = !F::ENABLED && options.churn.is_none();
     if options.churn.is_none() {
         // The static session monomorphizes over `StaticTopology`
         // (`ENABLED = false`): the reshape hook compiles out and the
         // loop is the exact pre-churn one.
-        run_session_core(
+        let session = LiveSession::build(
             protocol,
             graph,
             workload,
             seed,
-            options,
+            &options,
             faults,
             StaticTopology,
-            None,
-        )
+            clean,
+        )?;
+        session.run_to_end(protocol)
     } else {
-        // Build the dynamic model — validating its parameters — plus a
-        // clone for the verifier: `ModelChecker` replays the replica
-        // itself, so it re-derives every round against that round's
-        // actual graph snapshot.
         let topo = options.churn.build(&graph, seed)?;
-        let replica = topo.clone();
-        run_session_core(
-            protocol,
-            graph,
-            workload,
-            seed,
-            options,
-            faults,
-            topo,
-            Some(replica),
-        )
+        let session = LiveSession::build(
+            protocol, graph, workload, seed, &options, faults, topo, clean,
+        )?;
+        session.run_to_end(protocol)
     }
 }
 
-/// The topology-generic session core behind
-/// [`run_protocol_on_graph_with_faults`]: one body serves both the
-/// static path (`T = StaticTopology`, `checker_topo = None`) and every
-/// churned session (`T = BuiltTopology` plus an identically-seeded
-/// checker replica).
-#[allow(clippy::too_many_arguments)]
-fn run_session_core<P: BroadcastProtocol, F: FaultModel, T: TopologyModel>(
-    protocol: &P,
-    graph: Graph,
-    workload: &Workload,
-    seed: u64,
-    options: RunOptions,
-    faults: F,
-    topo: T,
-    checker_topo: Option<BuiltTopology>,
-) -> Result<SessionReport<P::Meta>, Error> {
-    let n = graph.len();
-    assert_eq!(
-        workload.len(),
-        n,
-        "workload shaped for {} nodes, graph has {n}",
-        workload.len()
-    );
-    let net = NetParams::of_graph(&graph);
-    let expected = protocol.expected_keys(workload);
-    debug_assert!(
-        expected.windows(2).all(|w| w[0] < w[1]),
-        "expected_keys must be sorted and duplicate-free"
-    );
-    let k = expected.len();
+/// One span of engine time, run through whichever observer a
+/// [`LiveSession`]'s verify and trace options put together. A trait
+/// rather than a closure, because a closure cannot be generic over that
+/// observer type.
+pub trait Drive<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> {
+    /// Advances `engine`, reporting every round to `obs`.
+    fn drive<O: Observer<N>>(self, engine: &mut Engine<N, F, C, T>, obs: &mut O) -> SessionEnd;
+}
 
-    if k == 0 {
-        // Nothing to broadcast: the protocol never starts (no node wakes).
-        return Ok(SessionReport {
+/// A protocol's own [`BroadcastProtocol::drive`], up to the round cap.
+struct ProtocolDrive<'p, P> {
+    protocol: &'p P,
+    cap: u64,
+}
+
+impl<P: BroadcastProtocol, F: FaultModel, T: TopologyModel> Drive<P::Node, F, P::Cd, T>
+    for ProtocolDrive<'_, P>
+{
+    fn drive<O: Observer<P::Node>>(
+        self,
+        engine: &mut Engine<P::Node, F, P::Cd, T>,
+        obs: &mut O,
+    ) -> SessionEnd {
+        self.protocol.drive(engine, self.cap, obs)
+    }
+}
+
+/// A session assembled and ready to run: a protocol's nodes on an
+/// engine, its observer and — as [`RunOptions`] ask — the verify stack
+/// and the trace collector. This is the one place a session is put
+/// together. [`run_protocol_on_graph_with_faults`] builds one, runs the
+/// protocol's drive through it and finishes it; the line-protocol
+/// service keeps one alive across requests and runs it a span at a
+/// time.
+///
+/// The type parameters are the protocol's node, channel and observer
+/// types next to the engine's fault and topology models, not the
+/// protocol itself, so a session does not borrow the protocol value it
+/// was built from.
+pub struct LiveSession<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>> {
+    net: NetParams,
+    seed: u64,
+    /// The sorted ground-truth key set at build time.
+    expected: Vec<PacketKey>,
+    /// The round cap of the protocol's own drive.
+    cap: u64,
+    engine: Engine<N, F, C, T>,
+    obs: O,
+    stack: Option<VerifyStack<N>>,
+    tracer: Option<TraceCollector<N>>,
+}
+
+impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
+    LiveSession<N, F, C, T, O>
+{
+    /// Builds a session of `protocol` on `graph`: probes the network,
+    /// builds the protocol's nodes and observer, under
+    /// [`RunOptions::verify`] the [`ModelChecker`] plus the protocol's
+    /// [`BroadcastProtocol::verify_checks`], under [`RunOptions::trace`]
+    /// a [`TraceCollector`], and the engine.
+    ///
+    /// `topo` is the engine's topology model for [`RunOptions::churn`]:
+    /// [`StaticTopology`] or the model the spec builds. The checker
+    /// replays its own replica of it, built from the spec. `clean` tells
+    /// the protocol's checks that the session injects no adversity (see
+    /// [`BroadcastProtocol::verify_checks`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine-construction and churn-model failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload's node count differs from the graph's.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
+        protocol: &P,
+        graph: Graph,
+        workload: &Workload,
+        seed: u64,
+        options: &RunOptions,
+        faults: F,
+        topo: T,
+        clean: bool,
+    ) -> Result<Self, Error> {
+        let n = graph.len();
+        assert_eq!(
+            workload.len(),
             n,
-            k,
-            diameter: net.diameter,
-            max_degree: net.max_degree,
-            success: true,
-            rounds_total: 0,
-            delivered_fraction: 1.0,
-            stats: SimStats::new(),
-            meta: P::Meta::default(),
-            trace: None,
-        });
+            "workload shaped for {} nodes, graph has {n}",
+            workload.len()
+        );
+        let net = NetParams::of_graph(&graph);
+        let expected = protocol.expected_keys(workload);
+        debug_assert!(
+            expected.windows(2).all(|w| w[0] < w[1]),
+            "expected_keys must be sorted and duplicate-free"
+        );
+        let (nodes, awake) = protocol.build(&net, workload, seed);
+        let obs = protocol.observer(&net);
+
+        // The checker stack gets its own copy of the engine's
+        // construction inputs (topology, initial awake set and, on a
+        // moving graph, an identically seeded churn model), so every
+        // round is re-derived from independent state.
+        let stack = if options.verify {
+            let mut stack = VerifyStack::new();
+            let awake = awake.iter().copied();
+            stack.push(Box::new(if options.churn.is_none() {
+                ModelChecker::new_with_cd(graph.clone(), awake, C::ENABLED)
+            } else {
+                let replica = options.churn.build(&graph, seed)?;
+                ModelChecker::with_topology(graph.clone(), awake, C::ENABLED, replica)
+            }));
+            for check in protocol.verify_checks(&net, workload, clean) {
+                stack.push(check);
+            }
+            Some(stack)
+        } else {
+            None
+        };
+        let tracer = options
+            .trace
+            .then(|| TraceCollector::new(protocol.trace_probe(&net)));
+
+        let engine = Engine::with_topology(graph, nodes, awake, faults, topo)?;
+        let cap = options
+            .max_rounds
+            .unwrap_or_else(|| protocol.round_cap(&net, expected.len()));
+        Ok(LiveSession {
+            net,
+            seed,
+            expected,
+            cap,
+            engine,
+            obs,
+            stack,
+            tracer,
+        })
     }
 
-    let (nodes, awake) = protocol.build(&net, workload, seed);
-    let mut obs = protocol.observer(&net);
-
-    // Under `--verify`, give the checker stack its own copy of the
-    // engine's two construction inputs (topology + initial awake set)
-    // before the engine consumes them, so every round is re-derived
-    // from independent state.
-    let mut stack: Option<VerifyStack<P::Node>> = if options.verify {
-        let mut stack = VerifyStack::new();
-        stack.push(Box::new(match checker_topo {
-            Some(replica) => ModelChecker::with_topology(
-                graph.clone(),
-                awake.iter().copied(),
-                P::Cd::ENABLED,
-                replica,
+    /// Runs `drive` through the session's observer: the protocol's own,
+    /// teed with the verify stack and the trace collector when they
+    /// exist. The tees inherit the inner observer's `DETAIL` choice, so
+    /// tracing alone never turns on the engine's recording path, and an
+    /// untraced, unverified session runs the bare observer's loop.
+    pub fn run<D: Drive<N, F, C, T>>(&mut self, drive: D) -> SessionEnd {
+        let LiveSession {
+            engine,
+            obs,
+            stack,
+            tracer,
+            ..
+        } = self;
+        match (stack, tracer) {
+            (Some(stack), Some(collector)) => {
+                let mut verified = Verified { inner: obs, stack };
+                let mut tee = Traced {
+                    inner: &mut verified,
+                    collector,
+                };
+                drive.drive(engine, &mut tee)
+            }
+            (Some(stack), None) => drive.drive(engine, &mut Verified { inner: obs, stack }),
+            (None, Some(collector)) => drive.drive(
+                engine,
+                &mut Traced {
+                    inner: obs,
+                    collector,
+                },
             ),
-            None => ModelChecker::new_with_cd(graph.clone(), awake.iter().copied(), P::Cd::ENABLED),
-        }));
-        let clean = !F::ENABLED && options.churn.is_none();
-        for check in protocol.verify_checks(&net, workload, clean) {
-            stack.push(check);
+            (None, None) => drive.drive(engine, obs),
         }
-        Some(stack)
-    } else {
-        None
-    };
+    }
 
-    // Under `--trace`, run a trace collector alongside the protocol's
-    // observer. The tee inherits the inner observer's `DETAIL` choice,
-    // so tracing alone never turns on the engine's recording path — and
-    // an untraced, unverified session takes the exact pre-existing
-    // monomorphization (bit-identical hot loop).
-    let mut tracer: Option<TraceCollector<P::Node>> = if options.trace {
-        Some(TraceCollector::new(protocol.trace_probe(&net)))
-    } else {
-        None
-    };
+    /// The probed network.
+    #[must_use]
+    pub fn net(&self) -> NetParams {
+        self.net
+    }
 
-    let mut engine =
-        Engine::<P::Node, F, P::Cd, T>::with_topology(graph, nodes, awake, faults, topo)?;
-    let cap = options
-        .max_rounds
-        .unwrap_or_else(|| protocol.round_cap(&net, k));
-    let end = match (stack.as_mut(), tracer.as_mut()) {
-        (Some(stack), Some(collector)) => {
-            let mut verified = Verified {
-                inner: &mut obs,
-                stack,
-            };
-            let mut tee = Traced {
-                inner: &mut verified,
-                collector,
-            };
-            protocol.drive(&mut engine, cap, &mut tee)
-        }
-        (Some(stack), None) => {
-            let mut tee = Verified {
-                inner: &mut obs,
-                stack,
-            };
-            protocol.drive(&mut engine, cap, &mut tee)
-        }
-        (None, Some(collector)) => {
-            let mut tee = Traced {
-                inner: &mut obs,
-                collector,
-            };
-            protocol.drive(&mut engine, cap, &mut tee)
-        }
-        (None, None) => protocol.drive(&mut engine, cap, &mut obs),
-    };
+    /// The engine, for reading rounds, stats and node state.
+    #[must_use]
+    pub fn engine(&self) -> &Engine<N, F, C, T> {
+        &self.engine
+    }
 
-    if let Some(stack) = stack.as_mut() {
-        stack.session_end(engine.nodes(), &end);
-        let count = stack.total_violations();
-        if count > 0 {
-            return Err(Error::VerificationFailed {
-                seed,
-                count,
-                details: stack.summary(8),
+    /// The engine's fault model, swappable between runs.
+    pub fn faults_mut(&mut self) -> &mut F {
+        self.engine.faults_mut()
+    }
+
+    /// The trace collector, when [`RunOptions::trace`] was set.
+    #[must_use]
+    pub fn tracer(&self) -> Option<&TraceCollector<N>> {
+        self.tracer.as_ref()
+    }
+
+    /// Tells the verify stack the harness scheduled one more packet at
+    /// `node` (see [`Check::on_inject`]).
+    pub fn on_inject(&mut self, node: NodeId) {
+        if let Some(stack) = &mut self.stack {
+            stack.on_inject(node);
+        }
+    }
+
+    /// Violations the verify stack found so far (0 without verify).
+    #[must_use]
+    pub fn violations(&self) -> usize {
+        self.stack.as_ref().map_or(0, VerifyStack::total_violations)
+    }
+
+    /// Runs the verify stack's end-of-session checks.
+    pub fn end_checks(&mut self, end: &SessionEnd) {
+        if let Some(stack) = &mut self.stack {
+            stack.session_end(self.engine.nodes(), end);
+        }
+    }
+
+    /// Ends the session: runs the end-of-session checks, verifies every
+    /// node's holdings against the ground-truth key set and assembles
+    /// the report. Success requires the drive's stop condition to have
+    /// held (`end.completed`) and every node to hold exactly the
+    /// expected keys.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::VerificationFailed`] (carrying the seed and the
+    /// first violations) if the verify stack flagged anything.
+    pub fn finish<P: BroadcastProtocol<Node = N, Obs = O>>(
+        mut self,
+        protocol: &P,
+        end: &SessionEnd,
+    ) -> Result<SessionReport<P::Meta>, Error> {
+        self.end_checks(end);
+        if let Some(stack) = &self.stack {
+            let count = stack.total_violations();
+            if count > 0 {
+                return Err(Error::VerificationFailed {
+                    seed: self.seed,
+                    count,
+                    details: stack.summary(8),
+                });
+            }
+        }
+
+        let k = self.expected.len();
+        let mut delivered_sum = 0.0f64;
+        let mut success = end.completed;
+        for node in self.engine.nodes() {
+            let mut got = protocol.delivered(node);
+            got.sort_unstable();
+            got.dedup();
+            #[allow(clippy::cast_precision_loss)]
+            {
+                delivered_sum += got
+                    .iter()
+                    .filter(|key| self.expected.binary_search(key).is_ok())
+                    .count() as f64
+                    / k as f64;
+            }
+            if got != self.expected {
+                success = false;
+            }
+        }
+
+        let meta = protocol.finish(self.obs, self.engine.nodes(), end);
+        let trace = self.tracer.map(|collector| Box::new(collector.finish()));
+        #[allow(clippy::cast_precision_loss)]
+        Ok(SessionReport {
+            n: self.net.n,
+            k,
+            diameter: self.net.diameter,
+            max_degree: self.net.max_degree,
+            success,
+            rounds_total: end.rounds,
+            delivered_fraction: delivered_sum / self.net.n as f64,
+            stats: *self.engine.stats(),
+            meta,
+            trace,
+        })
+    }
+
+    /// Runs the protocol's own drive to its round cap, then finishes.
+    fn run_to_end<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
+        mut self,
+        protocol: &P,
+    ) -> Result<SessionReport<P::Meta>, Error> {
+        if self.expected.is_empty() {
+            // Nothing to broadcast: the protocol never starts (no node
+            // wakes).
+            return Ok(SessionReport {
+                n: self.net.n,
+                k: 0,
+                diameter: self.net.diameter,
+                max_degree: self.net.max_degree,
+                success: true,
+                rounds_total: 0,
+                delivered_fraction: 1.0,
+                stats: SimStats::new(),
+                meta: P::Meta::default(),
+                trace: None,
             });
         }
+        let cap = self.cap;
+        let end = self.run(ProtocolDrive { protocol, cap });
+        self.finish(protocol, &end)
     }
-
-    // Verify delivery against the shared ground-truth key set.
-    let mut delivered_sum = 0.0f64;
-    let mut success = end.completed;
-    for node in engine.nodes() {
-        let mut got = protocol.delivered(node);
-        got.sort_unstable();
-        got.dedup();
-        #[allow(clippy::cast_precision_loss)]
-        {
-            delivered_sum += got
-                .iter()
-                .filter(|key| expected.binary_search(key).is_ok())
-                .count() as f64
-                / k as f64;
-        }
-        if got != expected {
-            success = false;
-        }
-    }
-
-    let meta = protocol.finish(obs, engine.nodes(), &end);
-    let trace = tracer.map(|collector| Box::new(collector.finish()));
-
-    #[allow(clippy::cast_precision_loss)]
-    Ok(SessionReport {
-        n,
-        k,
-        diameter: net.diameter,
-        max_degree: net.max_degree,
-        success,
-        rounds_total: end.rounds,
-        delivered_fraction: delivered_sum / n as f64,
-        stats: *engine.stats(),
-        meta,
-        trace,
-    })
 }

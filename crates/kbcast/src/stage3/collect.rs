@@ -424,7 +424,8 @@ impl CollectState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_net::engine::{Engine, Node};
+    use radio_net::dyntopo::StaticTopology;
+    use radio_net::engine::{Engine, NoCd, Node};
     use radio_net::graph::NodeId;
     use radio_net::rng;
     use radio_net::topology::Topology;
@@ -592,7 +593,14 @@ mod tests {
                 }
             })
             .collect();
-        let mut e = Engine::with_faults(g, nodes, (0..n).map(NodeId::new), DropAll).unwrap();
+        let mut e = Engine::<_, _, NoCd>::with_topology(
+            g,
+            nodes,
+            (0..n).map(NodeId::new),
+            DropAll,
+            StaticTopology,
+        )
+        .unwrap();
         let cap = 80 * schedule::phase_rounds(cfg.initial_estimate(), &cfg);
         assert!(
             e.run_until_all_done(cap),

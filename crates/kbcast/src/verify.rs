@@ -33,12 +33,13 @@
 
 use std::collections::HashSet;
 
+use radio_net::graph::NodeId;
 use radio_net::session::RoundEvents;
 use radio_net::verify::{Check, Violation, ViolationLog};
 use radio_net::SessionEnd;
 
 use crate::config::Config;
-use crate::dynamic::DynamicNode;
+use crate::dynamic::{arrival_key, Arrival, DynamicNode};
 use crate::node::KbcastNode;
 use crate::packet::PacketKey;
 
@@ -351,10 +352,17 @@ impl Check<KbcastNode> for StageInvariants {
 /// At session end, every node's holdings are audited (unique, no
 /// forgery, stamps cover holdings), and in *clean* runs a node holding
 /// the full count must hold exactly the expected set.
+///
+/// The ground truth grows with every injection the harness reports
+/// through [`Check::on_inject`], so a service that learns arrivals one
+/// request at a time checks against the same set a fixed schedule
+/// would give.
 #[derive(Debug)]
 pub struct EpochConservation {
     /// Ground-truth key set, sorted (arrival-derived).
     expected: Vec<PacketKey>,
+    /// Per-node arrivals keyed so far (see [`arrival_key`]).
+    counts: Vec<u32>,
     clean: bool,
     root: Option<usize>,
     /// Epoch records already validated.
@@ -367,32 +375,26 @@ pub struct EpochConservation {
 }
 
 impl EpochConservation {
-    /// A checker verifying against the sorted ground-truth key set
-    /// `expected`. `clean` enables the w.h.p.-only completeness
+    /// A checker verifying against the keys of the arrival schedule
+    /// `arrivals`. `clean` enables the w.h.p.-only completeness
     /// invariant.
     #[must_use]
-    pub fn new(expected: Vec<PacketKey>, clean: bool) -> Self {
-        debug_assert!(expected.windows(2).all(|w| w[0] < w[1]));
+    pub fn new(arrivals: &[Arrival], clean: bool) -> Self {
+        let mut counts = Vec::new();
+        let mut expected: Vec<PacketKey> = arrivals
+            .iter()
+            .map(|a| arrival_key(&mut counts, a.node))
+            .collect();
+        expected.sort_unstable();
         EpochConservation {
             expected,
+            counts,
             clean,
             root: None,
             seen: 0,
             prev_end: None,
             carried: HashSet::new(),
             log: ViolationLog::default(),
-        }
-    }
-
-    /// Grows the expected key set mid-session — the incremental-
-    /// injection counterpart of passing the full set to
-    /// [`EpochConservation::new`], for services that learn arrivals one
-    /// `inject` request at a time. Sound because a key can only appear
-    /// in an epoch after its packet was injected, so registering it at
-    /// injection time precedes any round that could carry it.
-    pub fn expect(&mut self, key: PacketKey) {
-        if let Err(pos) = self.expected.binary_search(&key) {
-            self.expected.insert(pos, key);
         }
     }
 
@@ -482,6 +484,15 @@ impl Check<DynamicNode> for EpochConservation {
         while self.seen < history.len() {
             let record = history[self.seen].clone();
             self.check_epoch(events.round, &record);
+        }
+    }
+
+    /// Sound because a key can only appear in an epoch after its packet
+    /// was injected, and the harness reports the injection first.
+    fn on_inject(&mut self, node: NodeId) {
+        let key = arrival_key(&mut self.counts, node.index());
+        if let Err(pos) = self.expected.binary_search(&key) {
+            self.expected.insert(pos, key);
         }
     }
 
@@ -715,14 +726,23 @@ mod tests {
         assert!(r.success, "{r:?}");
     }
 
+    /// One round-0 arrival at each of `nodes`, in order.
+    fn arrivals_at(nodes: &[usize]) -> Vec<Arrival> {
+        nodes
+            .iter()
+            .map(|&node| Arrival {
+                round: 0,
+                node,
+                payload: vec![1],
+            })
+            .collect()
+    }
+
     #[test]
     fn epoch_conservation_flags_duplicate_and_forged_keys() {
         use crate::dynamic::BatchRecord;
-        let expected = vec![
-            PacketKey { origin: 0, seq: 0 },
-            PacketKey { origin: 1, seq: 0 },
-        ];
-        let mut check = EpochConservation::new(expected, true);
+        // Ground truth: keys (0,0) and (1,0).
+        let mut check = EpochConservation::new(&arrivals_at(&[0, 1]), true);
         check.check_epoch(
             10,
             &BatchRecord {
@@ -757,6 +777,37 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("carried twice")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("forged key")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("starts at")), "{msgs:?}");
+    }
+
+    #[test]
+    fn injected_keys_join_the_ground_truth() {
+        use crate::dynamic::BatchRecord;
+        // Node 2's packet arrives after the checker was built; the epoch
+        // carrying it is legitimate only once the harness reported it.
+        let epoch = BatchRecord {
+            batch: 0,
+            k: 2,
+            start: 0,
+            end: 10,
+            keys: vec![
+                PacketKey { origin: 0, seq: 0 },
+                PacketKey { origin: 2, seq: 0 },
+            ],
+        };
+        let mut told = EpochConservation::new(&arrivals_at(&[0]), true);
+        told.on_inject(NodeId::new(2));
+        told.check_epoch(10, &epoch);
+        assert_eq!(told.total_violations(), 0, "{:?}", told.violations());
+
+        let mut untold = EpochConservation::new(&arrivals_at(&[0]), true);
+        untold.check_epoch(10, &epoch);
+        let msgs: Vec<&str> = untold
+            .violations()
+            .iter()
+            .map(|v| v.message.as_str())
+            .collect();
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].contains("forged key"), "{msgs:?}");
     }
 
     #[test]

@@ -217,21 +217,25 @@ pub trait Node {
 /// The second type parameter is the fault model (see [`crate::faults`]).
 /// It defaults to [`NoFaults`], whose `ENABLED = false` constant compiles
 /// every fault hook out of the hot loop — an `Engine<N>` is exactly the
-/// clean-channel engine. Construct faulted engines with
-/// [`Engine::with_faults`].
+/// clean-channel engine.
 ///
 /// The third type parameter is the collision-detection capability (see
 /// [`CdModel`]). It defaults to [`NoCd`] — the seed paper's model, where
 /// a collision is indistinguishable from silence — and every CD branch
 /// is behind `if C::ENABLED`, so a `NoCd` engine monomorphizes to
-/// exactly the pre-CD hot loop. Construct CD engines with
-/// [`Engine::with_faults_cd`].
+/// exactly the pre-CD hot loop.
 ///
 /// The fourth type parameter is the dynamic-topology model (see
 /// [`crate::dyntopo`]). It defaults to [`StaticTopology`], whose
 /// `ENABLED = false` constant compiles the per-round reshape hook out
 /// of the hot loop — a static engine is exactly the frozen-graph
-/// engine. Construct churned engines with [`Engine::with_topology`].
+/// engine.
+///
+/// [`Engine::new`] builds the clean default; every other combination
+/// comes from [`Engine::with_topology`], with the CD capability picked
+/// by turbofish (struct defaults don't drive inference at call sites),
+/// e.g. `Engine::<_, _, WithCd>::with_topology(g, nodes, awake, faults,
+/// StaticTopology)`.
 #[derive(Debug)]
 pub struct Engine<
     N: Node,
@@ -357,7 +361,8 @@ impl<N: Node> Engine<N> {
     ///
     /// The resulting engine has no fault model ([`NoFaults`]) and
     /// monomorphizes to the clean-channel hot loop; use
-    /// [`Engine::with_faults`] to inject faults.
+    /// [`Engine::with_topology`] to inject faults, pick the CD
+    /// capability or move the graph.
     ///
     /// # Errors
     ///
@@ -368,57 +373,18 @@ impl<N: Node> Engine<N> {
         nodes: Vec<N>,
         initially_awake: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, Error> {
-        Self::with_faults(graph, nodes, initially_awake, NoFaults)
-    }
-}
-
-impl<N: Node, F: FaultModel> Engine<N, F> {
-    /// Creates an engine like [`Engine::new`] but driven by the given
-    /// fault model (see [`crate::faults`] for the hook semantics).
-    ///
-    /// The result has no collision detection ([`NoCd`]); use
-    /// [`Engine::with_faults_cd`] to pick the capability by type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeCountMismatch`] if `nodes.len() != graph.len()`
-    /// and [`Error::NodeOutOfRange`] if an initially-awake id is invalid.
-    pub fn with_faults(
-        graph: Graph,
-        nodes: Vec<N>,
-        initially_awake: impl IntoIterator<Item = NodeId>,
-        faults: F,
-    ) -> Result<Self, Error> {
-        Self::with_faults_cd(graph, nodes, initially_awake, faults)
-    }
-}
-
-impl<N: Node, F: FaultModel, C: CdModel> Engine<N, F, C> {
-    /// Creates an engine like [`Engine::with_faults`] with the
-    /// collision-detection capability chosen by the `C` type parameter
-    /// (struct defaults don't drive inference at call sites, so the CD
-    /// capability is picked here, e.g.
-    /// `Engine::<_, _, WithCd>::with_faults_cd(...)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeCountMismatch`] if `nodes.len() != graph.len()`
-    /// and [`Error::NodeOutOfRange`] if an initially-awake id is invalid.
-    pub fn with_faults_cd(
-        graph: Graph,
-        nodes: Vec<N>,
-        initially_awake: impl IntoIterator<Item = NodeId>,
-        faults: F,
-    ) -> Result<Self, Error> {
-        Self::with_topology(graph, nodes, initially_awake, faults, StaticTopology)
+        Self::with_topology(graph, nodes, initially_awake, NoFaults, StaticTopology)
     }
 }
 
 impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
-    /// Creates an engine like [`Engine::with_faults_cd`] driven by the
-    /// given dynamic-topology model (see [`crate::dyntopo`]): `topo`'s
-    /// reshape hook runs at the top of every round and may swap the
-    /// adjacency before that round's transmissions resolve.
+    /// Creates an engine like [`Engine::new`] driven by the given fault
+    /// model (see [`crate::faults`] for the hook semantics) and
+    /// dynamic-topology model (see [`crate::dyntopo`]; pass
+    /// [`StaticTopology`] for a frozen graph): `topo`'s reshape hook
+    /// runs at the top of every round and may swap the adjacency before
+    /// that round's transmissions resolve. The collision-detection
+    /// capability is the `C` type parameter.
     ///
     /// `graph` is the round-0 base topology (for a
     /// [`crate::dyntopo::Waypoint`] model it only fixes the node
@@ -1373,7 +1339,9 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = UniformLoss::new(rate, seed).unwrap();
-        let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
+                .unwrap();
         e.run(rounds as u64);
         let rx = e
             .node(NodeId::new(1))
@@ -1564,8 +1532,14 @@ mod tests {
         let (g, nodes) = build();
         let mut a = Engine::new(g, nodes, [NodeId::new(0), NodeId::new(1)]).unwrap();
         let (g, nodes) = build();
-        let mut b =
-            Engine::with_faults(g, nodes, [NodeId::new(0), NodeId::new(1)], NoFaults).unwrap();
+        let mut b = Engine::<_, _, NoCd>::with_topology(
+            g,
+            nodes,
+            [NodeId::new(0), NodeId::new(1)],
+            NoFaults,
+            StaticTopology,
+        )
+        .unwrap();
         for _ in 0..20 {
             assert_eq!(a.step(), b.step());
         }
@@ -1583,7 +1557,9 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::CrashSchedule::new(2, 1.0, 2, 3, Some(3), 0).unwrap();
-        let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
+                .unwrap();
         for _ in 0..8 {
             e.step();
         }
@@ -1623,7 +1599,9 @@ mod tests {
             })
             .expect("some seed picks node 1");
         let faults = crate::faults::CrashSchedule::new(2, 0.5, 1, 2, None, seed).unwrap();
-        let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
+                .unwrap();
         for _ in 0..4 {
             e.step();
         }
@@ -1643,7 +1621,9 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::AdversarialJammer::new(2);
-        let mut e = Engine::with_faults(g, nodes, all_awake(3), faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(3), faults, StaticTopology)
+                .unwrap();
         for _ in 0..6 {
             e.step();
         }
@@ -1669,7 +1649,9 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::WakeupCorrupt::new(1.0, 0).unwrap();
-        let mut e = Engine::with_faults(g, nodes, [NodeId::new(0)], faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, [NodeId::new(0)], faults, StaticTopology)
+                .unwrap();
         for _ in 0..5 {
             e.step();
         }
@@ -1687,7 +1669,9 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = UniformLoss::new(0.5, 3).unwrap();
-        let mut e = Engine::with_faults(g, nodes, all_awake(2), faults).unwrap();
+        let mut e =
+            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
+                .unwrap();
         let mut rec = Recorder::default();
         e.run_session(50, &mut rec);
         let dropped: usize = rec.events.iter().map(|ev| ev.faults.dropped).sum();
@@ -1701,7 +1685,7 @@ mod tests {
         awake: Vec<NodeId>,
         faults: F,
     ) -> Engine<Scripted, F, WithCd> {
-        Engine::with_faults_cd(g, nodes, awake, faults).unwrap()
+        Engine::with_topology(g, nodes, awake, faults, StaticTopology).unwrap()
     }
 
     #[test]
@@ -1915,7 +1899,7 @@ mod tests {
             Either::Leaf(Shouter),
         ];
         let mut e: Engine<Either, NoFaults, WithCd> =
-            Engine::with_faults_cd(g, nodes, all_awake(3), NoFaults).unwrap();
+            Engine::with_topology(g, nodes, all_awake(3), NoFaults, StaticTopology).unwrap();
         for _ in 0..4 {
             e.step();
         }

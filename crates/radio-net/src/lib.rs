@@ -62,8 +62,6 @@
 //!   per-listener round traces ([`session::RoundDetail`]). Zero-cost
 //!   when disabled — recording is gated on the monomorphized
 //!   [`session::Observer::DETAIL`] constant.
-//! * [`viz`] — degree statistics and GraphViz export for harness-side
-//!   inspection.
 //!
 //! ## Example
 //!
@@ -123,7 +121,6 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 pub mod verify;
-pub mod viz;
 
 pub use dyntopo::{
     BuiltTopology, ChurnSpec, EdgeChurn, PartitionHeal, PartitionWindow, StaticTopology,

@@ -91,6 +91,14 @@ pub trait Check<N: Node> {
         let _ = (nodes, end);
     }
 
+    /// The harness scheduled one more packet for injection at `node`,
+    /// after every packet it scheduled there before. Called before any
+    /// round that could carry the packet, so a check whose ground truth
+    /// is the set of injected packets grows it here.
+    fn on_inject(&mut self, node: NodeId) {
+        let _ = node;
+    }
+
     /// Violations recorded so far (capped; see
     /// [`Check::total_violations`] for the true count).
     fn violations(&self) -> &[Violation];
@@ -759,6 +767,14 @@ impl<N: Node> VerifyStack<N> {
         }
     }
 
+    /// Forwards a harness injection at `node` to every check (see
+    /// [`Check::on_inject`]).
+    pub fn on_inject(&mut self, node: NodeId) {
+        for c in &mut self.checks {
+            c.on_inject(node);
+        }
+    }
+
     /// Total violations across all checks.
     #[must_use]
     pub fn total_violations(&self) -> usize {
@@ -845,6 +861,7 @@ impl<O: Observer<N>, N: Node> Observer<N> for Verified<'_, O, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyntopo::StaticTopology;
     use crate::engine::{Engine, Node};
     use crate::session::NoopObserver;
     use crate::topology;
@@ -1373,7 +1390,7 @@ mod tests {
         nodes: Vec<Scripted>,
         awake: Vec<NodeId>,
     ) -> Engine<Scripted, crate::faults::NoFaults, crate::engine::WithCd> {
-        Engine::with_faults_cd(g, nodes, awake, crate::faults::NoFaults).unwrap()
+        Engine::with_topology(g, nodes, awake, crate::faults::NoFaults, StaticTopology).unwrap()
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!   neighbors" while the `NoCd` hook never fires at all.
 
 use proptest::prelude::*;
+use radio_net::dyntopo::StaticTopology;
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::faults::NoFaults;
 use radio_net::graph::{Graph, NodeId};
@@ -159,9 +160,14 @@ fn run_engine_as<C: CdModel>(
         })
         .collect();
     let awake_ids: Vec<NodeId> = (0..n).filter(|&i| awake0[i]).map(NodeId::new).collect();
-    let mut engine =
-        Engine::<Scripted, NoFaults, C>::with_faults_cd(graph, nodes, awake_ids, NoFaults)
-            .expect("engine builds");
+    let mut engine = Engine::<Scripted, NoFaults, C>::with_topology(
+        graph,
+        nodes,
+        awake_ids,
+        NoFaults,
+        StaticTopology,
+    )
+    .expect("engine builds");
     let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.step()).collect();
     let stats = *engine.stats();
     let received = (0..n)

@@ -43,8 +43,9 @@ pub enum Request {
         verify: Option<bool>,
         /// Record a structured trace; `None` = `KB_TRACE` env.
         trace: Option<bool>,
-        /// Run the engine with collision detection (`WithCd`);
-        /// `None` = no CD (the default radio model).
+        /// Collision detection: must be absent or `false`. The
+        /// streaming protocol never listens for collision noise, so
+        /// `init` refuses `true`.
         cd: Option<bool>,
         /// Dynamic-topology spec ([`radio_net::dyntopo::ChurnSpec`]
         /// grammar, e.g. `edge:rho=0.02,heal=0.2`); `None` = frozen

@@ -1,215 +1,108 @@
 //! The service: a persistent simulated radio network behind the line
 //! protocol.
 //!
+//! The service is a codec over the library's session: it validates
+//! requests, keeps the arrival log and answers in JSON, while the
+//! simulation itself is a [`LiveSession`] of
+//! [`kbcast::dynamic::DynamicProtocol`] — the same builder
+//! [`kbcast::dynamic::run_streaming`] goes through, with the same
+//! nodes, fault and churn models, verify stack and trace collector.
+//!
 //! Ownership split: the [`Service`] owns engine *time* — rounds only
-//! advance inside `tick` / `run_until_drained` requests, driven through
-//! the library's [`Engine::run_streaming_until`] seam. Wall-clock
-//! *ingestion* (requests arriving between runs) only mutates harness
-//! state: `inject` queues arrivals into a [`TrafficSource`]
-//! implementation ([`QueueSource`]) that the engine consults once per
-//! round, exactly like the in-process streaming driver. The streaming
-//! epoch protocol, the fault stack, the verify stack and the trace
-//! collector therefore apply unchanged — the service adds no second
-//! code path through the simulation.
+//! advance inside `tick` / `run_until_drained` requests, each one
+//! `run_streaming_until` span of the session's engine. Wall-clock
+//! *ingestion* (requests arriving between runs)
+//! only mutates harness state: `inject` queues arrivals into the
+//! library's [`ScheduleSource`], which the engine consults once per
+//! round exactly as in the in-process streaming driver.
 //!
 //! Determinism contract: a session is fully determined by the `init`
-//! parameters plus the request sequence. The engine is built lazily at
-//! the first run request with *exactly* the construction recipe of
-//! [`kbcast::dynamic::run_streaming`] (same config derivation, same
-//! per-node rng streams, same awake set), so a service session whose
-//! faults are never flipped mid-run reproduces the library run
-//! bit-for-bit on the same seed (pinned by `tests/service_vs_library.rs`).
+//! parameters plus the request sequence. The session is built lazily at
+//! the first run request, from the arrivals logged so far, so a service
+//! session whose faults are never flipped mid-run reproduces the
+//! library run bit-for-bit on the same seed (pinned by
+//! `tests/service_vs_library.rs`).
 
-use std::collections::HashMap;
 use std::str::FromStr;
 
 use kbcast::config::Config;
-use kbcast::dynamic::{stamp_latencies, Arrival, DynamicNode, DynamicStageProbe};
-use kbcast::packet::PacketKey;
-use kbcast::runner::round_cap;
-use kbcast::verify::EpochConservation;
-use radio_net::dyntopo::{BuiltTopology, ChurnSpec, TopologyModel};
-use radio_net::engine::{CdModel, Engine, NoCd, WithCd};
-use radio_net::faults::{BuiltFaults, FaultModel, FaultSpec};
-use radio_net::graph::{Graph, NodeId};
-use radio_net::rng;
-use radio_net::session::{
-    NoopObserver, Observer, RoundDetail, RoundEvents, SessionEnd, TrafficSource,
+use kbcast::dynamic::{
+    arrival_key, stamp_latencies, Arrival, DynamicNode, DynamicProtocol, ScheduleSource,
 };
-use radio_net::stats::{nearest_rank, SimStats};
+use kbcast::packet::PacketKey;
+use kbcast::runner::{round_cap, RunOptions};
+use kbcast::session::{Drive, LiveSession};
+use radio_net::dyntopo::{BuiltTopology, ChurnSpec};
+use radio_net::engine::{Engine, NoCd};
+use radio_net::faults::{BuiltFaults, FaultSpec};
+use radio_net::graph::{Graph, NodeId};
+use radio_net::session::{NoopObserver, Observer, SessionEnd};
+use radio_net::stats::nearest_rank;
 use radio_net::topology::Topology;
-use radio_net::trace::{TraceCollector, Traced};
-use radio_net::verify::{Check, ModelChecker, VerifyStack};
 
 use crate::json::Json;
 use crate::proto::{
     Envelope, InjectPacket, LatencyBlock, PacketState, Request, Response, StatsBlock,
 };
 
-/// A [`TrafficSource`] over a growable arrival schedule — the
-/// request-fed counterpart of [`kbcast::dynamic::ScheduleSource`], with
-/// identical injection semantics (per-round batches in request order,
-/// waking sleeping nodes).
-#[derive(Debug, Default)]
-struct QueueSource {
-    schedule: HashMap<u64, Vec<(usize, Vec<u8>)>>,
-    remaining: usize,
+/// The service's session: the streaming protocol over runtime-chosen
+/// fault and churn models. A frozen graph is [`BuiltTopology::Static`],
+/// whose reshape hook draws no randomness.
+type Session = LiveSession<DynamicNode, BuiltFaults, NoCd, BuiltTopology, NoopObserver>;
+
+/// One `tick` / `run_until_drained` span: the engine runs up to the
+/// absolute round `target`, injecting queued arrivals, and with `drain`
+/// set stops early once every node holds all `k` packets.
+struct Span<'a> {
+    target: u64,
+    drain: bool,
+    k: usize,
+    source: &'a mut ScheduleSource,
 }
 
-impl QueueSource {
-    fn push(&mut self, round: u64, node: usize, payload: Vec<u8>) {
-        self.schedule
-            .entry(round)
-            .or_default()
-            .push((node, payload));
-        self.remaining += 1;
-    }
-}
-
-impl TrafficSource<DynamicNode> for QueueSource {
-    fn inject<F: FaultModel, C: CdModel, T: TopologyModel>(
-        &mut self,
-        engine: &mut Engine<DynamicNode, F, C, T>,
-    ) {
-        let round = engine.round();
-        if let Some(batch) = self.schedule.remove(&round) {
-            for (node, payload) in batch {
-                engine.wake(NodeId::new(node));
-                engine.node_mut(NodeId::new(node)).inject_at(payload, round);
-                self.remaining -= 1;
-            }
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
-/// Observer tee for verified service runs: feeds the boxed
-/// [`VerifyStack`] (radio-axiom checks) and the un-boxed
-/// [`EpochConservation`] (kept outside the stack so `inject` requests
-/// can grow its expected-key set via
-/// [`EpochConservation::expect`]).
-struct VerifyTee<'a> {
-    stack: &'a mut VerifyStack<DynamicNode>,
-    epoch: &'a mut EpochConservation,
-}
-
-impl Observer<DynamicNode> for VerifyTee<'_> {
-    const DETAIL: bool = true;
-
-    fn on_round(&mut self, events: &RoundEvents, nodes: &[DynamicNode]) {
-        Observer::on_round(self.stack, events, nodes);
-        Check::on_round(self.epoch, events, nodes);
-    }
-
-    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, nodes: &[DynamicNode]) {
-        Observer::on_round_detail(self.stack, detail, nodes);
-        Check::on_round_detail(self.epoch, detail, nodes);
+impl Drive<DynamicNode, BuiltFaults, NoCd, BuiltTopology> for Span<'_> {
+    fn drive<O: Observer<DynamicNode>>(
+        self,
+        engine: &mut Engine<DynamicNode, BuiltFaults, NoCd, BuiltTopology>,
+        obs: &mut O,
+    ) -> SessionEnd {
+        let Span {
+            target,
+            drain,
+            k,
+            source,
+        } = self;
+        engine.run_streaming_until(target, obs, source, |e| {
+            drain && e.nodes().iter().all(|nd| nd.delivered_count() == k)
+        })
     }
 }
 
 /// Session parameters fixed at `init`, mutable until the first run
-/// request builds the engine.
+/// request builds the session.
 struct Pending {
     graph: Graph,
     seed: u64,
     faults: FaultSpec,
     verify: bool,
     trace: bool,
-    cd: bool,
     churn: ChurnSpec,
 }
 
-/// The session's engine, monomorphized per the `init` collision-
-/// detection flag. Exactly two variants exist — the no-CD default
-/// (bit-identical to every pre-CD session) and the `WithCd` engine —
-/// and all run requests dispatch through this enum once, so the hot
-/// loop inside either variant stays fully monomorphized.
-///
-/// Both variants run over [`BuiltTopology`]: a frozen-graph session
-/// uses [`BuiltTopology::Static`], whose reshape hook is a no-op that
-/// draws no randomness, so unchurned transcripts stay bit-identical to
-/// the pre-churn service.
-enum LiveEngine {
-    NoCd(Engine<DynamicNode, BuiltFaults, NoCd, BuiltTopology>),
-    Cd(Engine<DynamicNode, BuiltFaults, WithCd, BuiltTopology>),
-}
-
-impl LiveEngine {
-    fn round(&self) -> u64 {
-        match self {
-            LiveEngine::NoCd(e) => e.round(),
-            LiveEngine::Cd(e) => e.round(),
-        }
-    }
-
-    fn stats(&self) -> &SimStats {
-        match self {
-            LiveEngine::NoCd(e) => e.stats(),
-            LiveEngine::Cd(e) => e.stats(),
-        }
-    }
-
-    fn graph(&self) -> &Graph {
-        match self {
-            LiveEngine::NoCd(e) => e.graph(),
-            LiveEngine::Cd(e) => e.graph(),
-        }
-    }
-
-    fn nodes(&self) -> &[DynamicNode] {
-        match self {
-            LiveEngine::NoCd(e) => e.nodes(),
-            LiveEngine::Cd(e) => e.nodes(),
-        }
-    }
-
-    fn faults_mut(&mut self) -> &mut BuiltFaults {
-        match self {
-            LiveEngine::NoCd(e) => e.faults_mut(),
-            LiveEngine::Cd(e) => e.faults_mut(),
-        }
-    }
-
-    /// [`Engine::run_streaming_until`] over whichever variant is live.
-    /// The drain predicate sees the node slice instead of the engine so
-    /// one caller-side closure serves both monomorphizations.
-    fn run_streaming_until<O: Observer<DynamicNode>>(
-        &mut self,
-        horizon: u64,
-        obs: &mut O,
-        source: &mut QueueSource,
-        mut drained: impl FnMut(&[DynamicNode]) -> bool,
-    ) -> SessionEnd {
-        match self {
-            LiveEngine::NoCd(e) => {
-                e.run_streaming_until(horizon, obs, source, |e| drained(e.nodes()))
-            }
-            LiveEngine::Cd(e) => {
-                e.run_streaming_until(horizon, obs, source, |e| drained(e.nodes()))
-            }
-        }
-    }
-}
-
-/// The live simulation once the engine exists.
+/// The live simulation once the session exists.
 struct Live {
     /// The protocol configuration the nodes were built with; sizes the
     /// default drain budget.
     cfg: Config,
-    engine: LiveEngine,
-    source: QueueSource,
-    stack: Option<VerifyStack<DynamicNode>>,
-    epoch: Option<EpochConservation>,
-    tracer: Option<TraceCollector<DynamicNode>>,
+    session: Session,
+    /// Arrivals queued for rounds the engine has not reached.
+    source: ScheduleSource,
 }
 
 enum Phase {
     /// No `init` yet.
     Uninit,
-    /// Configured; the engine is built at the first `tick` /
+    /// Configured; the session is built at the first `tick` /
     /// `run_until_drained`.
     Configured(Pending),
     /// Rounds have (possibly) executed.
@@ -222,18 +115,15 @@ enum Phase {
 /// accepting requests.
 pub struct Service {
     phase: Phase,
-    /// Session parameters copied out of [`Pending`] when the engine is
+    /// Session parameters copied out of [`Pending`] when the session is
     /// built (the `Running` phase still needs them for queries).
     seed: u64,
     horizon: u64,
     faults: FaultSpec,
     /// Full arrival log in request order. Because inject rounds are
-    /// monotone, this is simultaneously schedule order — the order
-    /// [`stamp_latencies`] needs for key reconstruction.
+    /// monotone, this is simultaneously schedule order — the order the
+    /// key rule ([`arrival_key`]) counts in.
     arrivals: Vec<Arrival>,
-    /// Per-node next sequence number — the service-side mirror of
-    /// [`DynamicNode`]'s key assignment, final at request time.
-    seq_next: Vec<u32>,
     /// Highest round any packet was injected at (monotonicity floor).
     last_inject_round: u64,
     /// Set once `shutdown` was acknowledged.
@@ -273,7 +163,6 @@ impl Service {
             horizon: u64::MAX,
             faults: FaultSpec::None,
             arrivals: Vec::new(),
-            seq_next: Vec::new(),
             last_inject_round: 0,
             done: false,
         }
@@ -352,6 +241,12 @@ impl Service {
         if let Err(e) = check_protocol(protocol) {
             return err(format!("init: {e}"));
         }
+        if cd == Some(true) {
+            return err(format!(
+                "init: the streaming protocol ({PROTOCOL}) does not use collision detection; \
+                 \"cd\" must be false or absent"
+            ));
+        }
         let spec = match faults {
             None => FaultSpec::None,
             Some(s) => match FaultSpec::from_str(s) {
@@ -388,14 +283,12 @@ impl Service {
         self.seed = seed;
         self.horizon = horizon;
         self.faults = spec.clone();
-        self.seq_next = vec![0; graph.len()];
         self.phase = Phase::Configured(Pending {
             graph,
             seed,
             faults: spec.clone(),
             verify: verify.unwrap_or_else(kbcast_bench::verify_from_env),
             trace: trace.unwrap_or_else(kbcast_bench::trace_from_env),
-            cd: cd.unwrap_or(false),
             churn: churn_spec,
         });
         Response::InitAck {
@@ -444,7 +337,6 @@ impl Service {
             Ok(g) => pending.graph = g,
             Err(e) => return err(format!("add_node: {e}")),
         }
-        self.seq_next.push(0);
         Response::AddNodeAck {
             node: n as u64,
             n: (n + 1) as u64,
@@ -455,7 +347,7 @@ impl Service {
         let (n, current) = match &self.phase {
             Phase::Uninit => return err("inject: no session (send init first)"),
             Phase::Configured(p) => (p.graph.len(), 0),
-            Phase::Running(l) => (l.engine.graph().len(), l.engine.round()),
+            Phase::Running(l) => (l.session.net().n, l.session.engine().round()),
         };
         // Validate the whole batch before accepting any of it, so a
         // failed request leaves no partial state behind.
@@ -486,25 +378,18 @@ impl Service {
         }
         let accepted = resolved.len() as u64;
         for (node, round, payload) in resolved {
-            let key = PacketKey {
-                origin: node as u64,
-                seq: self.seq_next[node],
-            };
-            self.seq_next[node] += 1;
             self.last_inject_round = round;
-            self.arrivals.push(Arrival {
-                round,
-                node,
-                payload: payload.clone(),
-            });
             if let Phase::Running(live) = &mut self.phase {
                 // Round-0 packets only exist pre-start (the floor is
                 // the current round once running).
-                live.source.push(round, node, payload);
-                if let Some(epoch) = &mut live.epoch {
-                    epoch.expect(key);
-                }
+                live.source.push(round, node, payload.clone());
+                live.session.on_inject(NodeId::new(node));
             }
+            self.arrivals.push(Arrival {
+                round,
+                node,
+                payload,
+            });
         }
         Response::InjectAck {
             accepted,
@@ -527,12 +412,11 @@ impl Service {
                 0
             }
             Phase::Running(live) => {
-                let n = live.engine.graph().len();
-                match spec.build(n, self.seed) {
-                    Ok(built) => *live.engine.faults_mut() = built,
+                match spec.build(live.session.net().n, self.seed) {
+                    Ok(built) => *live.session.faults_mut() = built,
                     Err(e) => return err(format!("set_faults: {e}")),
                 }
-                live.engine.round()
+                live.session.engine().round()
             }
         };
         self.faults = spec.clone();
@@ -542,9 +426,10 @@ impl Service {
         }
     }
 
-    /// Builds the engine if the session is still `Configured`,
-    /// replicating the construction recipe of
-    /// [`kbcast::dynamic::run_streaming`] exactly (see module docs).
+    /// Builds the session if it is still `Configured`: the library's
+    /// [`LiveSession::build`] over the arrivals logged so far, exactly
+    /// as [`kbcast::dynamic::run_streaming`] builds it for the same
+    /// schedule.
     fn ensure_running(&mut self) -> Result<(), String> {
         let pending = match &self.phase {
             Phase::Uninit => return Err("no session (send init first)".into()),
@@ -556,180 +441,95 @@ impl Service {
                 "at least one packet must be injected at round 0 to wake the network".into(),
             );
         }
-        let n = pending.graph.len();
-        let Some(diameter) = pending.graph.diameter() else {
+        if !pending.graph.is_connected() {
             return Err("the topology is disconnected".into());
-        };
-        let cfg = Config::for_network(n, diameter, pending.graph.max_degree());
-        let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-        for a in &self.arrivals {
-            if a.round == 0 {
-                initial[a.node].push(a.payload.clone());
-            }
         }
-        let awake: Vec<NodeId> = (0..n)
-            .filter(|&i| !initial[i].is_empty())
-            .map(NodeId::new)
-            .collect();
-        let nodes: Vec<DynamicNode> = (0..n)
-            .map(|i| {
-                DynamicNode::new(
-                    cfg,
-                    i as u64,
-                    std::mem::take(&mut initial[i]),
-                    rng::stream(pending.seed, i as u64),
-                )
-            })
-            .collect();
-        let built = match pending.faults.build(n, pending.seed) {
-            Ok(b) => b,
-            Err(e) => return Err(format!("fault spec stopped building: {e}")),
+        let n = pending.graph.len();
+        let faults = pending
+            .faults
+            .build(n, pending.seed)
+            .map_err(|e| format!("fault spec stopped building: {e}"))?;
+        let topo = pending
+            .churn
+            .build(&pending.graph, pending.seed)
+            .map_err(|e| format!("churn spec stopped building: {e}"))?;
+        let protocol = DynamicProtocol {
+            arrivals: &self.arrivals,
+            config: None,
+            horizon: self.horizon,
         };
-        // The engine's dynamic-topology model, built against the final
-        // (post-add_node) graph; `BuiltTopology::Static` for frozen
-        // sessions draws no randomness, so the pre-churn bit-identity
-        // contract holds.
-        let topo = match pending.churn.build(&pending.graph, pending.seed) {
-            Ok(t) => t,
-            Err(e) => return Err(format!("churn spec stopped building: {e}")),
+        let options = RunOptions {
+            max_rounds: None,
+            verify: pending.verify,
+            trace: pending.trace,
+            churn: pending.churn,
         };
-        let engine = if pending.cd {
-            match Engine::<DynamicNode, BuiltFaults, WithCd, BuiltTopology>::with_topology(
-                pending.graph.clone(),
-                nodes,
-                awake.iter().copied(),
-                built,
-                topo.clone(),
-            ) {
-                Ok(e) => LiveEngine::Cd(e),
-                Err(e) => return Err(format!("engine construction failed: {e}")),
-            }
-        } else {
-            match Engine::<DynamicNode, BuiltFaults, NoCd, BuiltTopology>::with_topology(
-                pending.graph.clone(),
-                nodes,
-                awake.iter().copied(),
-                built,
-                topo.clone(),
-            ) {
-                Ok(e) => LiveEngine::NoCd(e),
-                Err(e) => return Err(format!("engine construction failed: {e}")),
-            }
-        };
-        let mut source = QueueSource::default();
-        for a in &self.arrivals {
-            if a.round > 0 {
-                source.push(a.round, a.node, a.payload.clone());
-            }
-        }
-        let (stack, epoch) = if pending.verify {
-            let mut stack = VerifyStack::new();
-            // A churned session hands the checker its own replica of
-            // the topology model, so every round is re-derived against
-            // that round's actual graph snapshot.
-            stack.push(Box::new(if pending.churn.is_none() {
-                ModelChecker::new_with_cd(pending.graph.clone(), awake.iter().copied(), pending.cd)
-            } else {
-                ModelChecker::with_topology(
-                    pending.graph.clone(),
-                    awake.iter().copied(),
-                    pending.cd,
-                    topo,
-                )
-            }));
-            let mut expected: Vec<PacketKey> = Vec::with_capacity(self.arrivals.len());
-            let mut seq_at = vec![0u32; n];
-            for a in &self.arrivals {
-                expected.push(PacketKey {
-                    origin: a.node as u64,
-                    seq: seq_at[a.node],
-                });
-                seq_at[a.node] += 1;
-            }
-            expected.sort_unstable();
-            // `clean` gates the w.h.p. completeness invariant — only
-            // claimed when the *initial* spec is fault-free and the
-            // graph is frozen, matching the library driver.
-            let clean = pending.faults.is_none() && pending.churn.is_none();
-            (Some(stack), Some(EpochConservation::new(expected, clean)))
-        } else {
-            (None, None)
-        };
-        let tracer = pending
-            .trace
-            .then(|| TraceCollector::new(Box::new(DynamicStageProbe::new(cfg))));
+        // `clean` gates the w.h.p. completeness invariant: claimed only
+        // when the *initial* spec is fault-free and the graph is frozen.
+        // It comes from the specs, not the engine types — `BuiltFaults`
+        // and `BuiltTopology` always have their hooks compiled in.
+        let clean = pending.faults.is_none() && pending.churn.is_none();
+        let session = Session::build(
+            &protocol,
+            pending.graph.clone(),
+            &protocol.initial_workload(n),
+            pending.seed,
+            &options,
+            faults,
+            topo,
+            clean,
+        )
+        .map_err(|e| format!("session construction failed: {e}"))?;
+        let cfg = protocol.config_for(&session.net());
+        let source = ScheduleSource::new(&self.arrivals);
         self.phase = Phase::Running(Box::new(Live {
             cfg,
-            engine,
+            session,
             source,
-            stack,
-            epoch,
-            tracer,
         }));
         Ok(())
     }
 
-    /// Runs the engine up to the absolute round `target`, stopping
-    /// early at the drain condition when `drain` is set. Dispatches to
-    /// the monomorphized observer combination the session was
-    /// configured with — the same four-way tee as the library driver.
+    /// Runs the session up to the absolute round `target`, stopping
+    /// early at the drain condition when `drain` is set.
     fn run_span(&mut self, target: u64, drain: bool) -> SessionEnd {
         let k = self.arrivals.len();
         let Phase::Running(live) = &mut self.phase else {
             unreachable!("run_span is only called on running sessions");
         };
         let Live {
-            engine,
-            source,
-            stack,
-            epoch,
-            tracer,
-            ..
+            session, source, ..
         } = &mut **live;
-        let pred =
-            move |nodes: &[DynamicNode]| drain && nodes.iter().all(|nd| nd.delivered_count() == k);
-        match (stack, tracer) {
-            (Some(stack), Some(tracer)) => {
-                let mut tee = VerifyTee {
-                    stack,
-                    epoch: epoch.as_mut().expect("verify implies epoch checker"),
-                };
-                let mut obs = Traced {
-                    inner: &mut tee,
-                    collector: tracer,
-                };
-                engine.run_streaming_until(target, &mut obs, source, pred)
-            }
-            (Some(stack), None) => {
-                let mut obs = VerifyTee {
-                    stack,
-                    epoch: epoch.as_mut().expect("verify implies epoch checker"),
-                };
-                engine.run_streaming_until(target, &mut obs, source, pred)
-            }
-            (None, Some(tracer)) => {
-                let mut noop = NoopObserver;
-                let mut obs = Traced {
-                    inner: &mut noop,
-                    collector: tracer,
-                };
-                engine.run_streaming_until(target, &mut obs, source, pred)
-            }
-            (None, None) => engine.run_streaming_until(target, &mut NoopObserver, source, pred),
+        session.run(Span {
+            target,
+            drain,
+            k,
+            source,
+        })
+    }
+
+    /// The running session, if it has started.
+    fn live(&self) -> Option<&Live> {
+        match &self.phase {
+            Phase::Running(live) => Some(live),
+            _ => None,
         }
     }
 
+    fn nodes(&self) -> &[DynamicNode] {
+        self.live().map_or(&[], |l| l.session.engine().nodes())
+    }
+
+    fn round(&self) -> u64 {
+        self.live().map_or(0, |l| l.session.engine().round())
+    }
+
     fn delivered_min(&self) -> u64 {
-        match &self.phase {
-            Phase::Running(live) => live
-                .engine
-                .nodes()
-                .iter()
-                .map(|nd| nd.delivered_count() as u64)
-                .min()
-                .unwrap_or(0),
-            _ => 0,
-        }
+        self.nodes()
+            .iter()
+            .map(|nd| nd.delivered_count() as u64)
+            .min()
+            .unwrap_or(0)
     }
 
     fn is_drained(&self) -> bool {
@@ -741,17 +541,10 @@ impl Service {
         if let Err(e) = self.ensure_running() {
             return err(e);
         }
-        let current = match &self.phase {
-            Phase::Running(live) => live.engine.round(),
-            _ => unreachable!(),
-        };
-        let target = current.saturating_add(rounds).min(self.horizon);
+        let target = self.round().saturating_add(rounds).min(self.horizon);
         self.run_span(target, false);
         Response::TickAck {
-            round: match &self.phase {
-                Phase::Running(live) => live.engine.round(),
-                _ => unreachable!(),
-            },
+            round: self.round(),
             delivered_min: self.delivered_min(),
             drained: self.is_drained(),
         }
@@ -769,46 +562,31 @@ impl Service {
         if let Err(e) = self.ensure_running() {
             return err(e);
         }
-        let (current, cfg) = match &self.phase {
-            Phase::Running(live) => (live.engine.round(), live.cfg),
-            _ => unreachable!(),
-        };
-        let budget = match max_rounds {
-            Some(m) => current.saturating_add(m),
-            None if self.horizon == u64::MAX => current
+        let current = self.round();
+        let budget = match (max_rounds, self.live()) {
+            (Some(m), _) => current.saturating_add(m),
+            (None, Some(live)) if self.horizon == u64::MAX => current
                 .max(self.last_inject_round)
-                .saturating_add(round_cap(&cfg, self.arrivals.len())),
-            None => u64::MAX,
+                .saturating_add(round_cap(&live.cfg, self.arrivals.len())),
+            (None, _) => u64::MAX,
         };
         let target = budget.min(self.horizon);
         let end = self.run_span(target, true);
         Response::DrainAck {
             completed: end.completed && self.is_drained(),
-            round: match &self.phase {
-                Phase::Running(live) => live.engine.round(),
-                _ => unreachable!(),
-            },
+            round: self.round(),
         }
     }
 
     fn violations(&self) -> u64 {
-        match &self.phase {
-            Phase::Running(live) => {
-                let stack = live.stack.as_ref().map_or(0, VerifyStack::total_violations);
-                let epoch = live.epoch.as_ref().map_or(0, |e| {
-                    <EpochConservation as Check<DynamicNode>>::total_violations(e)
-                });
-                (stack + epoch) as u64
-            }
-            _ => 0,
-        }
+        self.live().map_or(0, |l| l.session.violations() as u64)
     }
 
     fn latency_block(&self) -> (LatencyBlock, Vec<u64>) {
-        let Phase::Running(live) = &self.phase else {
+        if self.live().is_none() {
             return (LatencyBlock::default(), Vec::new());
-        };
-        let mut lats = stamp_latencies(&self.arrivals, live.engine.nodes());
+        }
+        let mut lats = stamp_latencies(&self.arrivals, self.nodes());
         lats.sort_unstable();
         let mean = if lats.is_empty() {
             0.0
@@ -835,14 +613,10 @@ impl Service {
         if matches!(self.phase, Phase::Uninit) {
             return err("query: no session (send init first)");
         }
-        let (round, started, stats) = match &self.phase {
-            Phase::Running(live) => (
-                live.engine.round(),
-                true,
-                StatsBlock::of(live.engine.stats()),
-            ),
-            _ => (0, false, StatsBlock::default()),
-        };
+        let round = self.round();
+        let stats = self.live().map_or_else(StatsBlock::default, |l| {
+            StatsBlock::of(l.session.engine().stats())
+        });
         let (latency, lats) = self.latency_block();
         #[allow(clippy::cast_precision_loss)]
         let throughput = if round == 0 {
@@ -853,11 +627,11 @@ impl Service {
         let packet = match packet {
             None => None,
             Some((origin, seq)) => {
-                let Phase::Running(live) = &self.phase else {
+                if self.live().is_none() {
                     return err("query: packet drill-down needs a started session");
-                };
+                }
                 let key = PacketKey { origin, seq };
-                let nodes = live.engine.nodes();
+                let nodes = self.nodes();
                 let mut holders = 0u64;
                 let mut last_stamp = 0u64;
                 for nd in nodes {
@@ -867,7 +641,12 @@ impl Service {
                     }
                 }
                 let delivered = holders == nodes.len() as u64;
-                let birth = self.birth_round(key);
+                let mut counts = Vec::new();
+                let birth = self
+                    .arrivals
+                    .iter()
+                    .find(|a| arrival_key(&mut counts, a.node) == key)
+                    .map(|a| a.round);
                 Some(PacketState {
                     origin,
                     seq,
@@ -882,7 +661,7 @@ impl Service {
         };
         Response::QueryAck {
             round,
-            started,
+            started: self.live().is_some(),
             k: self.arrivals.len() as u64,
             delivered_min: self.delivered_min(),
             all_delivered: self.is_drained(),
@@ -893,21 +672,6 @@ impl Service {
             throughput,
             packet,
         }
-    }
-
-    /// Birth round of the packet with `key`, reconstructed from the
-    /// arrival log the same way [`stamp_latencies`] does.
-    fn birth_round(&self, key: PacketKey) -> Option<u64> {
-        let mut seq = 0u32;
-        for a in &self.arrivals {
-            if a.node as u64 == key.origin {
-                if seq == key.seq {
-                    return Some(a.round);
-                }
-                seq += 1;
-            }
-        }
-        None
     }
 
     fn snapshot(&mut self) -> Response {
@@ -922,41 +686,27 @@ impl Service {
             }
             Phase::Running(l) => l,
         };
-        let trace = live.tracer.as_ref().map(|t| {
+        let trace = live.session.tracer().map(|t| {
             let text = t.snapshot_summary().to_json();
             Json::parse(&text).expect("TraceSummary::to_json emits valid JSON")
         });
         Response::SnapshotAck {
-            round: live.engine.round(),
+            round: live.session.engine().round(),
             violations: self.violations(),
             trace,
         }
     }
 
     fn shutdown(&mut self) -> Response {
-        let mut round = 0;
+        let round = self.round();
         if let Phase::Running(live) = &mut self.phase {
-            round = live.engine.round();
-            let end = SessionEnd {
-                completed: true,
-                rounds: round,
-            };
             // End-of-session invariants (delivery completeness,
             // duplicate/forged keys) run now, like the library driver's
-            // post-drive hook.
-            let Live {
-                engine,
-                stack,
-                epoch,
-                ..
-            } = &mut **live;
-            let nodes: &[DynamicNode] = engine.nodes();
-            if let Some(stack) = stack {
-                stack.session_end(nodes, &end);
-            }
-            if let Some(epoch) = epoch {
-                epoch.on_session_end(nodes, &end);
-            }
+            // `finish`.
+            live.session.end_checks(&SessionEnd {
+                completed: true,
+                rounds: round,
+            });
         }
         let violations = self.violations();
         self.done = true;
@@ -1014,6 +764,44 @@ mod tests {
         assert_eq!(drain.get("completed").and_then(Json::as_bool), Some(true));
         let sd = ok(&s.handle_line(r#"{"op":"shutdown"}"#));
         assert_eq!(sd.get("violations").and_then(Json::as_u64), Some(0));
+    }
+
+    /// A verified grid(3x3) session whose verify stack is told of a
+    /// packet at node 1 while the network gets one at node 2 instead.
+    /// Returns the violation count at shutdown.
+    fn misreported_injection_violations(faults: &str) -> u64 {
+        let mut s = Service::new();
+        ok(&s.handle_line(&format!(
+            r#"{{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":5,"verify":true,"faults":"{faults}"}}"#
+        )));
+        ok(&s.handle_line(r#"{"op":"inject","node":0,"round":0,"payload":[1]}"#));
+        ok(&s.handle_line(r#"{"op":"tick","rounds":10}"#));
+        let Phase::Running(live) = &mut s.phase else {
+            panic!("tick starts the session");
+        };
+        live.session.on_inject(NodeId::new(1));
+        live.source.push(10, 2, vec![2]);
+        s.arrivals.push(Arrival {
+            round: 10,
+            node: 2,
+            payload: vec![2],
+        });
+        let drain = ok(&s.handle_line(r#"{"op":"run_until_drained","max_rounds":400000}"#));
+        assert_eq!(drain.get("completed").and_then(Json::as_bool), Some(true));
+        let sd = ok(&s.handle_line(r#"{"op":"shutdown"}"#));
+        sd.get("violations").and_then(Json::as_u64).unwrap()
+    }
+
+    #[test]
+    fn a_session_without_faults_or_churn_runs_the_clean_checks() {
+        // Either way the unreported key (2,0) is flagged as forged.
+        // Only a clean session also asserts that a node holding the full
+        // count holds exactly the expected set, which flags all 9 nodes.
+        // Zero-rate loss runs the same rounds but is not clean.
+        let clean = misreported_injection_violations("none");
+        let lossy = misreported_injection_violations("uniform:rate=0");
+        assert!(lossy > 0);
+        assert_eq!(clean, lossy + 9);
     }
 
     #[test]

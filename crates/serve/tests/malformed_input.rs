@@ -124,6 +124,22 @@ fn every_bad_line_errs_and_the_service_keeps_serving() {
         );
     }
 
+    // The streaming protocol never listens for collision noise, so an
+    // init asking for collision detection is refused and says why; an
+    // explicit `"cd":false` is accepted.
+    let resp = s.handle_line(
+        r#"{"op":"init","topology":"path(n=4)","protocol":"stream-seq","seed":1,"cd":true}"#,
+    );
+    assert!(is_error(&resp), "cd:true: expected an error, got {resp}");
+    assert!(
+        resp.contains("does not use collision detection"),
+        "cd:true: the error must say why: {resp}"
+    );
+    let resp = Service::new().handle_line(
+        r#"{"op":"init","topology":"path(n=4)","protocol":"stream-seq","seed":1,"cd":false}"#,
+    );
+    assert!(!is_error(&resp), "cd:false must be accepted: {resp}");
+
     // A healthy init must now succeed on the SAME instance.
     let resp = s.handle_line(
         r#"{"op":"init","topology":"gnp(n=10,p=0.5)","protocol":"stream-seq","seed":5}"#,

@@ -190,4 +190,9 @@ if [ "${KB_PERF:-0}" = "1" ]; then
     }
 fi
 
+# Net Rust line count outside perfbench/, a tracked number (CHANGES.md
+# reports it per change).
+echo "check.sh: rust lines outside perfbench/: $(git ls-files '*.rs' |
+    grep -v '^perfbench/' | xargs cat | wc -l)"
+
 echo "check.sh: all gates passed"

@@ -13,7 +13,7 @@ use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
 use radio_kbcast::kbcast::session::{
     run_protocol, run_protocol_on_graph, run_protocol_on_graph_with_faults,
 };
-use radio_kbcast::radio_net::dyntopo::{ChurnSpec, PartitionWindow};
+use radio_kbcast::radio_net::dyntopo::{ChurnSpec, PartitionWindow, StaticTopology};
 use radio_kbcast::radio_net::engine::{Engine, Node, WithCd};
 use radio_kbcast::radio_net::error::Error;
 use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
@@ -341,9 +341,14 @@ fn cd_fault_interactions_match_the_checker() {
             awake.iter().copied(),
             true,
         )));
-        let mut engine =
-            Engine::<CdScripted, _, WithCd>::with_faults_cd(graph, nodes, awake, faults)
-                .expect("engine builds");
+        let mut engine = Engine::<CdScripted, _, WithCd>::with_topology(
+            graph,
+            nodes,
+            awake,
+            faults,
+            StaticTopology,
+        )
+        .expect("engine builds");
         let mut obs = NoopObserver;
         let mut verified = Verified {
             inner: &mut obs,
