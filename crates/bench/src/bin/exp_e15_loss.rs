@@ -31,10 +31,12 @@ fn main() {
     let mut t = Table::new(&["loss", "success", "median rounds", "slowdown", "dropped/rx"]);
     let mut base_rounds = None;
     for &loss in &[0.0f64, 0.02, 0.05, 0.10, 0.20, 0.35] {
-        let fault = FaultSpec::Uniform { rate: loss };
         let mut spec = SweepSpec::new(&topo, k, seeds);
         // Rate 0 is the clean model: no fault model at all.
-        spec.faults = (loss > 0.0).then_some(&fault);
+        spec.options.faults = FaultSpec {
+            uniform: (loss > 0.0).then_some(loss),
+            ..FaultSpec::default()
+        };
         spec.options.verify = verify_from_env();
         let reports = sweep_protocol(&CodedProtocol::default(), &spec);
         let mut ok = 0;

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use kbcast::baseline::BiiProtocol;
 use kbcast::dynamic::{Arrival, DynamicProtocol};
 use kbcast::runner::{CodedProtocol, RunOptions, StageFaults, Workload};
-use kbcast::session::{run_protocol_on_graph_with_faults, SessionReport};
+use kbcast::session::{run_protocol_on_graph, SessionReport};
 use kbcast_bench::parallel::par_map_indexed;
 use kbcast_bench::session::{sweep_protocol, SweepSpec};
 use kbcast_bench::stats::median;
@@ -83,7 +83,7 @@ fn summarize<M>(
 
 /// The dynamic-arrival sweep is not expressible as a [`SweepSpec`]
 /// (arrivals are injected mid-session), so it fans its seeds out by
-/// hand through the same faulted session driver.
+/// hand through the same session driver.
 fn sweep_dynamic(
     topo: &Topology,
     seeds: u64,
@@ -121,13 +121,12 @@ fn sweep_dynamic(
                 config: None,
                 horizon: 150_000,
             };
-            let faults = fault.build(n, seed).expect("fault spec is valid");
             let options = RunOptions {
                 verify: verify_from_env(),
+                faults: *fault,
                 ..RunOptions::default()
             };
-            run_protocol_on_graph_with_faults(&protocol, graph, &workload, seed, options, faults)
-                .expect("session runs")
+            run_protocol_on_graph(&protocol, graph, &workload, seed, options).expect("session runs")
         },
     )
 }
@@ -181,12 +180,9 @@ fn main() {
     let mut entries: Vec<Entry> = Vec::new();
     for s in &specs {
         let fault: FaultSpec = s.parse().expect("experiment fault specs parse");
-        fault.build(16, 0).expect("experiment fault specs validate");
-
         let mut spec = SweepSpec::new(&topo, k, seeds);
         spec.options.verify = verify_from_env();
-        let is_clean = fault.is_none();
-        spec.faults = if is_clean { None } else { Some(&fault) };
+        spec.options.faults = fault;
 
         let coded = sweep_protocol(&CodedProtocol::default(), &spec);
         let mut stage_faults = StageFaults::default();

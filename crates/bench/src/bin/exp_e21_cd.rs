@@ -122,11 +122,9 @@ fn main() {
         let n_minus_1 = topo.build(0).expect("topology builds").len() as u64 - 1;
         for s in &specs {
             let fault: FaultSpec = s.parse().expect("experiment fault specs parse");
-            fault.build(16, 0).expect("experiment fault specs validate");
-
             let mut spec = SweepSpec::new(topo, *k, seeds);
             spec.options.verify = verify_from_env();
-            spec.faults = if fault.is_none() { None } else { Some(&fault) };
+            spec.options.faults = fault;
 
             let ghk = sweep_protocol(&GhkProtocol::default(), &spec);
             let clean_elections = ghk

@@ -7,11 +7,7 @@
 //! returned [`SessionReport`]s.
 
 use kbcast::runner::{RunOptions, Workload};
-use kbcast::session::{
-    run_protocol_on_graph, run_protocol_on_graph_with_faults, BroadcastProtocol, NetParams,
-    SessionReport,
-};
-use radio_net::faults::FaultSpec;
+use kbcast::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
 use radio_net::topology::Topology;
 use radio_net::trace::TraceSummary;
 
@@ -53,12 +49,11 @@ pub struct SweepSpec<'a> {
     pub seeds: u64,
     /// Workload placement.
     pub workload: WorkloadSpec,
-    /// Harness knobs (round-cap override, verify, trace, churn).
+    /// Harness knobs (round-cap override, verify, trace, churn,
+    /// faults). Each seed builds its own fault and churn models from the
+    /// specs with that seed, so adverse sweeps are as reproducible as
+    /// clean ones.
     pub options: RunOptions,
-    /// Fault injection (`None` = the clean, statically fault-free
-    /// engine). Each seed builds its own model from this spec with that
-    /// seed, so faulted sweeps are as reproducible as clean ones.
-    pub faults: Option<&'a FaultSpec>,
 }
 
 impl<'a> SweepSpec<'a> {
@@ -72,7 +67,6 @@ impl<'a> SweepSpec<'a> {
             seeds,
             workload: WorkloadSpec::Random,
             options: RunOptions::default(),
-            faults: None,
         }
     }
 }
@@ -108,24 +102,7 @@ where
         let seed = i as u64;
         let graph = spec.topology.build(seed).expect("topology builds");
         let workload = spec.workload.build(n, spec.k, seed);
-        match spec.faults {
-            None => run_protocol_on_graph(protocol, graph, &workload, seed, spec.options)
-                .expect("session runs"),
-            Some(fspec) => {
-                let faults = fspec
-                    .build(graph.len(), seed)
-                    .expect("fault spec validated by caller");
-                run_protocol_on_graph_with_faults(
-                    protocol,
-                    graph,
-                    &workload,
-                    seed,
-                    spec.options,
-                    faults,
-                )
-                .expect("session runs")
-            }
-        }
+        run_protocol_on_graph(protocol, graph, &workload, seed, spec.options).expect("session runs")
     })
 }
 

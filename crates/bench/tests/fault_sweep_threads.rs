@@ -5,7 +5,7 @@
 //! the same faulted sweep body must agree on every report field.
 
 use kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
-use kbcast::session::{run_protocol_on_graph, run_protocol_on_graph_with_faults, SessionReport};
+use kbcast::session::{run_protocol_on_graph, SessionReport};
 use kbcast_bench::parallel::par_map_indexed_with;
 use kbcast_bench::session::{merge_traces, sweep_protocol, SweepSpec};
 use radio_net::faults::FaultSpec;
@@ -15,16 +15,12 @@ fn faulted_seed_run(fault: &FaultSpec, seed: u64) -> SessionReport<KbcastMeta> {
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let graph = topo.build(seed).expect("topology builds");
     let workload = Workload::random(graph.len(), 4, seed);
-    let faults = fault.build(graph.len(), seed).expect("spec builds");
-    run_protocol_on_graph_with_faults(
-        &CodedProtocol::default(),
-        graph,
-        &workload,
-        seed,
-        RunOptions::default(),
-        faults,
-    )
-    .expect("session runs")
+    let options = RunOptions {
+        faults: *fault,
+        ..RunOptions::default()
+    };
+    run_protocol_on_graph(&CodedProtocol::default(), graph, &workload, seed, options)
+        .expect("session runs")
 }
 
 #[test]
@@ -110,7 +106,7 @@ fn sweep_spec_faults_matches_hand_rolled_sessions() {
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let fault: FaultSpec = "jam:budget=30".parse().expect("spec parses");
     let mut spec = SweepSpec::new(&topo, 4, 3);
-    spec.faults = Some(&fault);
+    spec.options.faults = fault;
     let swept = sweep_protocol(&CodedProtocol::default(), &spec);
     for (seed, r) in swept.iter().enumerate() {
         let solo = faulted_seed_run(&fault, seed as u64);

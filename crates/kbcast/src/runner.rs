@@ -24,6 +24,7 @@
 //! ```
 
 use radio_net::dyntopo::ChurnSpec;
+use radio_net::faults::FaultSpec;
 use radio_net::graph::NodeId;
 use radio_net::rng;
 use radio_net::session::{Observer, RoundEvents, SessionEnd};
@@ -211,6 +212,17 @@ pub struct RunOptions {
     /// checker replays an identically-seeded replica of the churn
     /// model, so verification stays sound on a moving graph.
     pub churn: ChurnSpec,
+    /// Faults injected into the channel (see [`radio_net::faults`]):
+    /// loss, bursty loss, crashes, jamming and wake-up corruption, at
+    /// most one model per family. The default (no family) is the
+    /// paper's clean channel — and zero-cost: the session then
+    /// monomorphizes over [`radio_net::NoFaults`], the fault-free hot
+    /// loop. Each seed builds its own models from the spec, validated
+    /// before any engine state exists. A session with neither faults
+    /// nor churn is *clean*: its protocol checks may also assert the
+    /// w.h.p. invariants adversity could break (see
+    /// [`crate::session::BroadcastProtocol::verify_checks`]).
+    pub faults: FaultSpec,
 }
 
 impl RunOptions {

@@ -13,14 +13,20 @@
 //!   events plus read-only node state into completion metadata (stage
 //!   boundaries, collection phases) *while the run executes*, instead
 //!   of re-deriving them from node internals afterwards.
+//! * A session is described by one [`RunOptions`] value: round cap,
+//!   verify, trace, and the adversity specs
+//!   ([`RunOptions::faults`], [`RunOptions::churn`]).
 //! * [`LiveSession`] is the one place a session is assembled. `build`
-//!   probes the network and constructs the nodes, the observer, the
-//!   verify stack, the trace collector and the engine; `run` drives any
-//!   [`Drive`] through that observer stack; `finish` runs the
-//!   end-of-session checks, verifies delivery against the ground-truth
-//!   key set and assembles a [`SessionReport`].
+//!   probes the network, derives the engine's fault and topology models
+//!   from the specs (through [`SessionModel`]) and whether the session
+//!   is clean, and constructs the nodes, the observer, the verify stack,
+//!   the trace collector and the engine; `run` drives any [`Drive`]
+//!   through that observer stack; `finish` runs the end-of-session
+//!   checks, verifies delivery against the ground-truth key set and
+//!   assembles a [`SessionReport`].
 //! * [`run_protocol_on_graph`] is the one driver: validate options,
-//!   then build, run the protocol's own drive and finish. The
+//!   pick the static fault and topology models whenever their specs are
+//!   empty, then build, run the protocol's own drive and finish. The
 //!   line-protocol service (`kbcast-serve`) holds a `LiveSession` of the
 //!   streaming protocol instead and runs it one request span at a time.
 //! * `kbcast-bench`'s sweep layer fans seeds of this driver across
@@ -32,10 +38,10 @@
 //! accessor — and inheriting the driver, the verification and the
 //! whole sweep/table toolchain for free.
 
-use radio_net::dyntopo::{StaticTopology, TopologyModel};
+use radio_net::dyntopo::{BuiltTopology, StaticTopology, TopologyModel};
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::error::Error;
-use radio_net::faults::{FaultModel, NoFaults};
+use radio_net::faults::{BuiltFaults, FaultModel, NoFaults};
 use radio_net::graph::{Graph, NodeId};
 use radio_net::session::{Observer, SessionEnd};
 use radio_net::stats::SimStats;
@@ -128,7 +134,7 @@ pub trait BroadcastProtocol {
     /// arrivals) override this with a custom control hook.
     ///
     /// Generic over the engine's fault model so the same drive serves
-    /// clean ([`NoFaults`]) and fault-injected sessions, over the
+    /// clean ([`NoFaults`]) and [`RunOptions::faults`] sessions, over the
     /// topology model so a [`RunOptions::churn`] session reuses the
     /// same drive (static sessions monomorphize over
     /// [`StaticTopology`], the exact pre-churn loop), and over the
@@ -156,7 +162,7 @@ pub trait BroadcastProtocol {
     /// model-conformance checker under [`RunOptions::verify`].
     ///
     /// `clean` is `true` when the session injects no adversity (no
-    /// fault model, no [`RunOptions::churn`]): checkers
+    /// [`RunOptions::faults`], no [`RunOptions::churn`]): checkers
     /// may then also assert w.h.p. invariants that injected faults —
     /// or a graph that changes under the protocol — could legitimately
     /// break (e.g. unique leader election). Defaults to no extra
@@ -244,11 +250,16 @@ pub fn run_protocol<P: BroadcastProtocol>(
 /// requires the protocol's own stop condition to have held within the
 /// round cap.
 ///
+/// A session without [`RunOptions::faults`] runs on [`NoFaults`] and
+/// one without [`RunOptions::churn`] on [`StaticTopology`], whose hooks
+/// compile out of the engine's hot loop; the others run the
+/// [`BuiltFaults`] and [`BuiltTopology`] their specs build.
+///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)` —
-/// checked before any engine state is constructed — and propagates
-/// engine-construction failures.
+/// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)` and
+/// for invalid fault or churn parameters — checked before any engine
+/// state is constructed — and propagates engine-construction failures.
 /// With [`RunOptions::verify`] set, returns
 /// [`Error::VerificationFailed`] (carrying the seed and the first
 /// violations) if the online model/invariant checkers flag anything.
@@ -263,57 +274,113 @@ pub fn run_protocol_on_graph<P: BroadcastProtocol>(
     seed: u64,
     options: RunOptions,
 ) -> Result<SessionReport<P::Meta>, Error> {
-    run_protocol_on_graph_with_faults(protocol, graph, workload, seed, options, NoFaults)
+    options.validate()?;
+    let opts = &options;
+    match (options.faults.is_none(), options.churn.is_none()) {
+        (true, true) => {
+            run_to_end::<P, NoFaults, StaticTopology>(protocol, graph, workload, seed, opts)
+        }
+        (false, true) => {
+            run_to_end::<P, BuiltFaults, StaticTopology>(protocol, graph, workload, seed, opts)
+        }
+        (true, false) => {
+            run_to_end::<P, NoFaults, BuiltTopology>(protocol, graph, workload, seed, opts)
+        }
+        (false, false) => {
+            run_to_end::<P, BuiltFaults, BuiltTopology>(protocol, graph, workload, seed, opts)
+        }
+    }
 }
 
-/// [`run_protocol_on_graph`] with an injected fault model (see
-/// [`radio_net::faults`]): the engine is driven with `faults` hooked
-/// into every round, while everything else — validation, delivery
-/// verification, reporting — is identical. With [`NoFaults`] this *is*
-/// `run_protocol_on_graph`, bit for bit.
-///
-/// Runtime-configured experiments typically parse a
-/// [`radio_net::faults::FaultSpec`] and pass the
-/// [`radio_net::faults::BuiltFaults`] it builds.
-///
-/// # Errors
-///
-/// As [`run_protocol_on_graph`].
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the graph's.
-pub fn run_protocol_on_graph_with_faults<P: BroadcastProtocol, F: FaultModel>(
+/// Builds a session on the engine models `F` and `T`, runs the
+/// protocol's own drive to its round cap, then finishes.
+fn run_to_end<P, F, T>(
     protocol: &P,
     graph: Graph,
     workload: &Workload,
     seed: u64,
-    options: RunOptions,
-    faults: F,
-) -> Result<SessionReport<P::Meta>, Error> {
-    options.validate()?;
-    let clean = !F::ENABLED && options.churn.is_none();
-    if options.churn.is_none() {
-        // The static session monomorphizes over `StaticTopology`
-        // (`ENABLED = false`): the reshape hook compiles out and the
-        // loop is the exact pre-churn one.
-        let session = LiveSession::build(
-            protocol,
-            graph,
-            workload,
-            seed,
-            &options,
-            faults,
-            StaticTopology,
-            clean,
-        )?;
-        session.run_to_end(protocol)
-    } else {
-        let topo = options.churn.build(&graph, seed)?;
-        let session = LiveSession::build(
-            protocol, graph, workload, seed, &options, faults, topo, clean,
-        )?;
-        session.run_to_end(protocol)
+    options: &RunOptions,
+) -> Result<SessionReport<P::Meta>, Error>
+where
+    P: BroadcastProtocol,
+    F: FaultModel + SessionModel,
+    T: TopologyModel + SessionModel,
+{
+    let mut session = LiveSession::<P::Node, F, P::Cd, T, P::Obs>::build(
+        protocol, graph, workload, seed, options,
+    )?;
+    if session.expected.is_empty() {
+        // Nothing to broadcast: the protocol never starts (no node
+        // wakes).
+        return Ok(SessionReport {
+            n: session.net.n,
+            k: 0,
+            diameter: session.net.diameter,
+            max_degree: session.net.max_degree,
+            success: true,
+            rounds_total: 0,
+            delivered_fraction: 1.0,
+            stats: SimStats::new(),
+            meta: P::Meta::default(),
+            trace: None,
+        });
+    }
+    let cap = session.cap;
+    let end = session.run(ProtocolDrive { protocol, cap });
+    session.finish(protocol, &end)
+}
+
+/// An engine model a [`LiveSession`] builds from its [`RunOptions`]:
+/// the fault models from [`RunOptions::faults`], the topology models
+/// from [`RunOptions::churn`]. The static models ([`NoFaults`],
+/// [`StaticTopology`]) accept only an empty spec, so a session cannot
+/// run clean while its options say otherwise.
+pub trait SessionModel: Sized {
+    /// Builds the model for `graph`, all streams derived from `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for invalid parameters, and
+    /// from a static model whose spec is not empty.
+    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error>;
+}
+
+/// The error a static model returns for a spec it cannot run.
+fn not_static(model: &str, spec: String) -> Error {
+    Error::InvalidParameter {
+        reason: format!("{model} cannot run \"{spec}\"; it needs the built model"),
+    }
+}
+
+impl SessionModel for NoFaults {
+    fn from_options(options: &RunOptions, _graph: &Graph, _seed: u64) -> Result<Self, Error> {
+        if options.faults.is_none() {
+            Ok(NoFaults)
+        } else {
+            Err(not_static("NoFaults", options.faults.label()))
+        }
+    }
+}
+
+impl SessionModel for BuiltFaults {
+    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error> {
+        options.faults.build(graph.len(), seed)
+    }
+}
+
+impl SessionModel for StaticTopology {
+    fn from_options(options: &RunOptions, _graph: &Graph, _seed: u64) -> Result<Self, Error> {
+        if options.churn.is_none() {
+            Ok(StaticTopology)
+        } else {
+            Err(not_static("StaticTopology", options.churn.label()))
+        }
+    }
+}
+
+impl SessionModel for BuiltTopology {
+    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error> {
+        options.churn.build(graph, seed)
     }
 }
 
@@ -347,10 +414,9 @@ impl<P: BroadcastProtocol, F: FaultModel, T: TopologyModel> Drive<P::Node, F, P:
 /// A session assembled and ready to run: a protocol's nodes on an
 /// engine, its observer and — as [`RunOptions`] ask — the verify stack
 /// and the trace collector. This is the one place a session is put
-/// together. [`run_protocol_on_graph_with_faults`] builds one, runs the
-/// protocol's drive through it and finishes it; the line-protocol
-/// service keeps one alive across requests and runs it a span at a
-/// time.
+/// together. [`run_protocol_on_graph`] builds one, runs the protocol's
+/// drive through it and finishes it; the line-protocol service keeps
+/// one alive across requests and runs it a span at a time.
 ///
 /// The type parameters are the protocol's node, channel and observer
 /// types next to the engine's fault and topology models, not the
@@ -372,36 +438,39 @@ pub struct LiveSession<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: 
 impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
     LiveSession<N, F, C, T, O>
 {
-    /// Builds a session of `protocol` on `graph`: probes the network,
-    /// builds the protocol's nodes and observer, under
-    /// [`RunOptions::verify`] the [`ModelChecker`] plus the protocol's
+    /// Builds a session of `protocol` on `graph` as `options` describe
+    /// it: probes the network, builds the engine's fault model `F` from
+    /// [`RunOptions::faults`] and its topology model `T` from
+    /// [`RunOptions::churn`] (see [`SessionModel`]), the protocol's
+    /// nodes and observer, under [`RunOptions::verify`] the
+    /// [`ModelChecker`] (on a moving graph with its own replica of the
+    /// churn model) plus the protocol's
     /// [`BroadcastProtocol::verify_checks`], under [`RunOptions::trace`]
     /// a [`TraceCollector`], and the engine.
     ///
-    /// `topo` is the engine's topology model for [`RunOptions::churn`]:
-    /// [`StaticTopology`] or the model the spec builds. The checker
-    /// replays its own replica of it, built from the spec. `clean` tells
-    /// the protocol's checks that the session injects no adversity (see
-    /// [`BroadcastProtocol::verify_checks`]).
+    /// The session is *clean* — the protocol's checks may assert the
+    /// w.h.p. invariants adversity could break — exactly when the
+    /// options name neither faults nor churn.
     ///
     /// # Errors
     ///
-    /// Propagates engine-construction and churn-model failures.
+    /// Propagates fault-model, churn-model and engine-construction
+    /// failures.
     ///
     /// # Panics
     ///
     /// Panics if the workload's node count differs from the graph's.
-    #[allow(clippy::too_many_arguments)]
     pub fn build<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
         protocol: &P,
         graph: Graph,
         workload: &Workload,
         seed: u64,
         options: &RunOptions,
-        faults: F,
-        topo: T,
-        clean: bool,
-    ) -> Result<Self, Error> {
+    ) -> Result<Self, Error>
+    where
+        F: SessionModel,
+        T: SessionModel,
+    {
         let n = graph.len();
         assert_eq!(
             workload.len(),
@@ -415,6 +484,9 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
             expected.windows(2).all(|w| w[0] < w[1]),
             "expected_keys must be sorted and duplicate-free"
         );
+        let faults = F::from_options(options, &graph, seed)?;
+        let topo = T::from_options(options, &graph, seed)?;
+        let clean = options.faults.is_none() && options.churn.is_none();
         let (nodes, awake) = protocol.build(&net, workload, seed);
         let obs = protocol.observer(&net);
 
@@ -599,30 +671,29 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
             trace,
         })
     }
+}
 
-    /// Runs the protocol's own drive to its round cap, then finishes.
-    fn run_to_end<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
-        mut self,
-        protocol: &P,
-    ) -> Result<SessionReport<P::Meta>, Error> {
-        if self.expected.is_empty() {
-            // Nothing to broadcast: the protocol never starts (no node
-            // wakes).
-            return Ok(SessionReport {
-                n: self.net.n,
-                k: 0,
-                diameter: self.net.diameter,
-                max_degree: self.net.max_degree,
-                success: true,
-                rounds_total: 0,
-                delivered_fraction: 1.0,
-                stats: SimStats::new(),
-                meta: P::Meta::default(),
-                trace: None,
-            });
-        }
-        let cap = self.cap;
-        let end = self.run(ProtocolDrive { protocol, cap });
-        self.finish(protocol, &end)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn static_models_refuse_a_non_empty_spec() {
+        let graph = radio_net::topology::path(4).unwrap();
+        let adverse = RunOptions {
+            faults: "uniform:rate=0.1".parse().unwrap(),
+            churn: "edge:rho=0.1".parse().unwrap(),
+            ..RunOptions::default()
+        };
+        let err = NoFaults::from_options(&adverse, &graph, 0).unwrap_err();
+        assert!(err.to_string().contains("uniform:rate=0.1"), "{err}");
+        let err = StaticTopology::from_options(&adverse, &graph, 0).unwrap_err();
+        assert!(err.to_string().contains("edge:rho=0.1"), "{err}");
+        assert!(BuiltFaults::from_options(&adverse, &graph, 0).is_ok());
+        assert!(BuiltTopology::from_options(&adverse, &graph, 0).is_ok());
+
+        let clean = RunOptions::default();
+        assert!(NoFaults::from_options(&clean, &graph, 0).is_ok());
+        assert!(StaticTopology::from_options(&clean, &graph, 0).is_ok());
     }
 }

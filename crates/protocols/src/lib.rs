@@ -11,9 +11,6 @@
 //!   Decay epochs; a message crosses the network in
 //!   `O((D + log n)·log Δ)` rounds w.h.p. Doubles as the paper's `ALARM`
 //!   sub-routine (1-bit alarms) and the network-wide OR used below.
-//! * [`emulation`] — the BGI 1991 emulation of a single-hop channel
-//!   *with collision detection* on a multi-hop network without it (two
-//!   epidemic windows per emulated round): the primitive Fact 1 cites.
 //! * [`leader`] — Stage 1 of the paper: elect the highest-id
 //!   packet-holding node by binary search over the id space, each probe
 //!   answered by a network-wide OR flood
@@ -35,13 +32,11 @@
 
 pub mod bfs;
 pub mod decay;
-pub mod emulation;
 pub mod epidemic;
 pub mod leader;
 pub mod timing;
 
 pub use decay::Decay;
-pub use emulation::{CdEmulation, MaxIdSearch};
 pub use epidemic::Epidemic;
 pub use leader::LeaderElection;
 pub use timing::ceil_log2;

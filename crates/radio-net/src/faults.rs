@@ -43,9 +43,10 @@
 //! * [`FaultModel::corrupt_wakeup`] — a sleeping node's would-be first
 //!   reception fizzles: it neither wakes nor receives.
 //!
-//! Runtime-configurable experiments parse a [`FaultSpec`] (compact
-//! `kind:key=val,…` strings composable with `+`) and run the
-//! [`BuiltFaults`] it builds; statically chosen models monomorphize.
+//! A session carries a [`FaultSpec`] (compact `kind:key=val,…`
+//! strings composable with `+`, at most one per family) in `kbcast`'s
+//! `RunOptions` and runs the [`BuiltFaults`] it builds — or the
+//! [`NoFaults`] engine when the spec is empty.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -576,133 +577,97 @@ impl FaultModel for WakeupCorrupt {
     }
 }
 
-/// Two fault models composed: both see every hook, and a delivery (or
-/// wake-up) survives only if *neither* suppresses it. Both models are
-/// always consulted — no short-circuiting — so each one's RNG stream
-/// advances identically whether or not the other fired.
-#[derive(Clone, Copy, Debug)]
-pub struct Stacked<A, B>(pub A, pub B);
-
-impl<A: FaultModel, B: FaultModel> FaultModel for Stacked<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn begin_round(&mut self, round: u64, events: &mut FaultEvents) {
-        self.0.begin_round(round, events);
-        self.1.begin_round(round, events);
-    }
-
-    fn is_crashed(&self, node: usize) -> bool {
-        self.0.is_crashed(node) || self.1.is_crashed(node)
-    }
-
-    fn jam(&mut self, round: u64, view: &ChannelView<'_>, jammed: &mut Vec<u32>) {
-        self.0.jam(round, view, jammed);
-        self.1.jam(round, view, jammed);
-    }
-
-    fn drop_delivery(&mut self, round: u64, from: usize, to: usize) -> bool {
-        let a = self.0.drop_delivery(round, from, to);
-        let b = self.1.drop_delivery(round, from, to);
-        a | b
-    }
-
-    fn corrupt_wakeup(&mut self, round: u64, node: usize) -> bool {
-        let a = self.0.corrupt_wakeup(round, node);
-        let b = self.1.corrupt_wakeup(round, node);
-        a | b
-    }
-}
-
-/// A runtime-chosen fault model: the dynamically dispatched counterpart
-/// of the statically monomorphized models, built from a [`FaultSpec`].
-/// Always `ENABLED` — use [`NoFaults`] statically when the clean hot
-/// loop matters.
-#[derive(Clone, Debug)]
-pub enum BuiltFaults {
-    /// No faults (but with the hooks compiled in).
-    None,
+/// A runtime-chosen fault model: one optional slot per family, built
+/// from a [`FaultSpec`]. Each present model answers the hooks its
+/// family implements, in the fixed family order uniform, ge, crash,
+/// jam, wakeup, and a delivery (or wake-up) survives only if none of
+/// them suppresses it. No hook short-circuits — both loss models draw
+/// on every candidate delivery — so each model's RNG stream advances
+/// identically whether or not another one fired. Always `ENABLED` —
+/// use [`NoFaults`] statically when the clean hot loop matters.
+#[derive(Clone, Debug, Default)]
+pub struct BuiltFaults {
     /// [`UniformLoss`].
-    Uniform(UniformLoss),
+    pub uniform: Option<UniformLoss>,
     /// [`GilbertElliott`].
-    Gilbert(GilbertElliott),
+    pub ge: Option<GilbertElliott>,
     /// [`CrashSchedule`].
-    Crash(CrashSchedule),
+    pub crash: Option<CrashSchedule>,
     /// [`AdversarialJammer`].
-    Jam(AdversarialJammer),
+    pub jam: Option<AdversarialJammer>,
     /// [`WakeupCorrupt`].
-    Wakeup(WakeupCorrupt),
-    /// All the contained models, composed like [`Stacked`] (every
-    /// model sees every hook; suppressions are OR-ed).
-    Stack(Vec<BuiltFaults>),
+    pub wakeup: Option<WakeupCorrupt>,
 }
 
 impl FaultModel for BuiltFaults {
     fn begin_round(&mut self, round: u64, events: &mut FaultEvents) {
-        match self {
-            BuiltFaults::Crash(m) => m.begin_round(round, events),
-            BuiltFaults::Stack(ms) => {
-                for m in ms {
-                    m.begin_round(round, events);
-                }
-            }
-            _ => {}
+        if let Some(m) = &mut self.crash {
+            m.begin_round(round, events);
         }
     }
 
     fn is_crashed(&self, node: usize) -> bool {
-        match self {
-            BuiltFaults::Crash(m) => m.is_crashed(node),
-            BuiltFaults::Stack(ms) => ms.iter().any(|m| m.is_crashed(node)),
-            _ => false,
-        }
+        self.crash.as_ref().is_some_and(|m| m.is_crashed(node))
     }
 
     fn jam(&mut self, round: u64, view: &ChannelView<'_>, jammed: &mut Vec<u32>) {
-        match self {
-            BuiltFaults::Jam(m) => m.jam(round, view, jammed),
-            BuiltFaults::Stack(ms) => {
-                for m in ms {
-                    m.jam(round, view, jammed);
-                }
-            }
-            _ => {}
+        if let Some(m) = &mut self.jam {
+            m.jam(round, view, jammed);
         }
     }
 
     fn drop_delivery(&mut self, round: u64, from: usize, to: usize) -> bool {
-        match self {
-            BuiltFaults::Uniform(m) => m.drop_delivery(round, from, to),
-            BuiltFaults::Gilbert(m) => m.drop_delivery(round, from, to),
-            BuiltFaults::Stack(ms) => {
-                let mut any = false;
-                for m in ms {
-                    any |= m.drop_delivery(round, from, to);
-                }
-                any
-            }
-            _ => false,
-        }
+        let uniform = self
+            .uniform
+            .as_mut()
+            .is_some_and(|m| m.drop_delivery(round, from, to));
+        let ge = self
+            .ge
+            .as_mut()
+            .is_some_and(|m| m.drop_delivery(round, from, to));
+        uniform | ge
     }
 
     fn corrupt_wakeup(&mut self, round: u64, node: usize) -> bool {
-        match self {
-            BuiltFaults::Wakeup(m) => m.corrupt_wakeup(round, node),
-            BuiltFaults::Stack(ms) => {
-                let mut any = false;
-                for m in ms {
-                    any |= m.corrupt_wakeup(round, node);
-                }
-                any
-            }
-            _ => false,
-        }
+        self.wakeup
+            .as_mut()
+            .is_some_and(|m| m.corrupt_wakeup(round, node))
     }
 }
 
+/// Parameters of a [`GilbertElliott`] channel in a [`FaultSpec`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GilbertSpec {
+    /// Per-round probability of an edge entering its bad state.
+    pub p_bad: f64,
+    /// Per-round probability of leaving the bad state.
+    pub p_good: f64,
+    /// Loss probability while good.
+    pub loss_good: f64,
+    /// Loss probability while bad.
+    pub loss_bad: f64,
+}
+
+/// Parameters of a [`CrashSchedule`] in a [`FaultSpec`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CrashSpec {
+    /// Fraction of nodes that crash, in `[0, 1]`.
+    pub fraction: f64,
+    /// Crash rounds are drawn from `[from, until)`.
+    pub from: u64,
+    /// Exclusive end of the crash window.
+    pub until: u64,
+    /// Rounds until recovery (`None` = never).
+    pub downtime: Option<u64>,
+}
+
 /// A declarative, parse-and-printable fault configuration — the form
-/// experiment binaries, sweep drivers and environment variables carry
-/// around. [`FaultSpec::build`] turns it into runnable [`BuiltFaults`]
-/// for a concrete network size and seed.
+/// `RunOptions`, experiment binaries and the serve `init` request carry
+/// around. [`FaultSpec::build`] turns it into runnable [`BuiltFaults`] for a
+/// concrete network size and seed.
+///
+/// One optional slot per family; the default (every slot empty) is the
+/// clean channel. `Copy`, so it rides inside copyable option structs.
 ///
 /// The text format is `kind:key=val,key=val`, composable with `+`:
 ///
@@ -715,60 +680,35 @@ impl FaultModel for BuiltFaults {
 /// * `jam:budget=500` (or shorthand `jam:500`)
 /// * `wakeup:rate=0.5` (or shorthand `wakeup:0.5`)
 /// * `uniform:rate=0.05+crash:frac=0.1,from=0,until=1000` (stacked)
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultSpec {
-    /// No faults.
-    None,
-    /// I.i.d. loss at `rate` — see [`UniformLoss`].
-    Uniform {
-        /// Per-delivery drop probability in `[0, 1)`.
-        rate: f64,
-    },
+///
+/// A family may appear at most once: each one draws from one fixed
+/// salt per seed, so a second copy would replay the first one's stream
+/// and add no independent fault. `none` components add nothing. The
+/// printed form lists the families in the fixed order uniform, ge,
+/// crash, jam, wakeup (the order [`BuiltFaults`] runs its hooks in),
+/// whatever order they were parsed in.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FaultSpec {
+    /// I.i.d. loss at this per-delivery drop probability in `[0, 1)` —
+    /// see [`UniformLoss`].
+    pub uniform: Option<f64>,
     /// Bursty per-edge loss — see [`GilbertElliott`].
-    Gilbert {
-        /// Per-round probability of an edge entering its bad state.
-        p_bad: f64,
-        /// Per-round probability of leaving the bad state.
-        p_good: f64,
-        /// Loss probability while good.
-        loss_good: f64,
-        /// Loss probability while bad.
-        loss_bad: f64,
-    },
+    pub ge: Option<GilbertSpec>,
     /// Seeded crash/recover timeline — see [`CrashSchedule`].
-    Crash {
-        /// Fraction of nodes that crash, in `[0, 1]`.
-        fraction: f64,
-        /// Crash rounds are drawn from `[from, until)`.
-        from: u64,
-        /// Exclusive end of the crash window.
-        until: u64,
-        /// Rounds until recovery (`None` = never).
-        downtime: Option<u64>,
-    },
-    /// Budgeted neighborhood jamming — see [`AdversarialJammer`].
-    Jam {
-        /// Total rounds the jammer may jam.
-        budget: u64,
-    },
-    /// Wake-up corruption — see [`WakeupCorrupt`].
-    Wakeup {
-        /// Per-wake-up corruption probability in `[0, 1]`.
-        rate: f64,
-    },
-    /// All the contained specs, stacked.
-    Stack(Vec<FaultSpec>),
+    pub crash: Option<CrashSpec>,
+    /// Budgeted neighborhood jamming for at most this many rounds — see
+    /// [`AdversarialJammer`].
+    pub jam: Option<u64>,
+    /// Wake-up corruption at this per-wake-up probability in `[0, 1]` —
+    /// see [`WakeupCorrupt`].
+    pub wakeup: Option<f64>,
 }
 
 impl FaultSpec {
     /// `true` if this spec injects nothing.
     #[must_use]
     pub fn is_none(&self) -> bool {
-        match self {
-            FaultSpec::None => true,
-            FaultSpec::Stack(v) => v.iter().all(FaultSpec::is_none),
-            _ => false,
-        }
+        *self == FaultSpec::default()
     }
 
     /// Builds the runnable model for an `n`-node network, all streams
@@ -779,34 +719,24 @@ impl FaultSpec {
     /// Returns [`Error::InvalidParameter`] for out-of-range parameters
     /// (see each model's constructor).
     pub fn build(&self, n: usize, seed: u64) -> Result<BuiltFaults, Error> {
-        Ok(match *self {
-            FaultSpec::None => BuiltFaults::None,
-            FaultSpec::Uniform { rate } => BuiltFaults::Uniform(UniformLoss::new(rate, seed)?),
-            FaultSpec::Gilbert {
-                p_bad,
-                p_good,
-                loss_good,
-                loss_bad,
-            } => BuiltFaults::Gilbert(GilbertElliott::new(
-                p_bad, p_good, loss_good, loss_bad, seed,
-            )?),
-            FaultSpec::Crash {
-                fraction,
-                from,
-                until,
-                downtime,
-            } => BuiltFaults::Crash(CrashSchedule::new(
-                n, fraction, from, until, downtime, seed,
-            )?),
-            FaultSpec::Jam { budget } => BuiltFaults::Jam(AdversarialJammer::new(budget)),
-            FaultSpec::Wakeup { rate } => BuiltFaults::Wakeup(WakeupCorrupt::new(rate, seed)?),
-            FaultSpec::Stack(ref specs) => {
-                let mut models = Vec::with_capacity(specs.len());
-                for s in specs {
-                    models.push(s.build(n, seed)?);
-                }
-                BuiltFaults::Stack(models)
-            }
+        Ok(BuiltFaults {
+            uniform: self
+                .uniform
+                .map(|rate| UniformLoss::new(rate, seed))
+                .transpose()?,
+            ge: self
+                .ge
+                .map(|g| GilbertElliott::new(g.p_bad, g.p_good, g.loss_good, g.loss_bad, seed))
+                .transpose()?,
+            crash: self
+                .crash
+                .map(|c| CrashSchedule::new(n, c.fraction, c.from, c.until, c.downtime, seed))
+                .transpose()?,
+            jam: self.jam.map(AdversarialJammer::new),
+            wakeup: self
+                .wakeup
+                .map(|rate| WakeupCorrupt::new(rate, seed))
+                .transpose()?,
         })
     }
 
@@ -820,42 +750,48 @@ impl FaultSpec {
 
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultSpec::None => write!(f, "none"),
-            FaultSpec::Uniform { rate } => write!(f, "uniform:rate={rate}"),
-            FaultSpec::Gilbert {
-                p_bad,
-                p_good,
-                loss_good,
-                loss_bad,
-            } => write!(
-                f,
-                "ge:p_bad={p_bad},p_good={p_good},loss_good={loss_good},loss_bad={loss_bad}"
-            ),
-            FaultSpec::Crash {
-                fraction,
-                from,
-                until,
-                downtime,
-            } => {
-                write!(f, "crash:frac={fraction},from={from},until={until}")?;
-                if let Some(d) = downtime {
-                    write!(f, ",down={d}")?;
-                }
-                Ok(())
-            }
-            FaultSpec::Jam { budget } => write!(f, "jam:budget={budget}"),
-            FaultSpec::Wakeup { rate } => write!(f, "wakeup:rate={rate}"),
-            FaultSpec::Stack(specs) => {
-                for (i, s) in specs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "+")?;
-                    }
-                    write!(f, "{s}")?;
-                }
-                Ok(())
-            }
+        if self.is_none() {
+            return write!(f, "none");
         }
+        let mut sep = "";
+        if let Some(rate) = self.uniform {
+            write!(f, "uniform:rate={rate}")?;
+            sep = "+";
+        }
+        if let Some(GilbertSpec {
+            p_bad,
+            p_good,
+            loss_good,
+            loss_bad,
+        }) = self.ge
+        {
+            write!(
+                f,
+                "{sep}ge:p_bad={p_bad},p_good={p_good},loss_good={loss_good},loss_bad={loss_bad}"
+            )?;
+            sep = "+";
+        }
+        if let Some(CrashSpec {
+            fraction,
+            from,
+            until,
+            downtime,
+        }) = self.crash
+        {
+            write!(f, "{sep}crash:frac={fraction},from={from},until={until}")?;
+            if let Some(d) = downtime {
+                write!(f, ",down={d}")?;
+            }
+            sep = "+";
+        }
+        if let Some(budget) = self.jam {
+            write!(f, "{sep}jam:budget={budget}")?;
+            sep = "+";
+        }
+        if let Some(rate) = self.wakeup {
+            write!(f, "{sep}wakeup:rate={rate}")?;
+        }
+        Ok(())
     }
 }
 
@@ -873,8 +809,18 @@ fn parse_u64(kind: &str, key: &str, val: &str) -> Result<u64, Error> {
         .map_err(|_| bad_spec(format!("fault spec {kind}: {key}={val} is not an integer")))
 }
 
-/// Parses one `kind:args` component (no `+`).
-fn parse_one(part: &str) -> Result<FaultSpec, Error> {
+/// Fills `slot` with one parsed family, refusing a second copy.
+fn fill<T>(slot: &mut Option<T>, kind: &str, value: T) -> Result<(), Error> {
+    if slot.replace(value).is_some() {
+        return Err(bad_spec(format!(
+            "fault spec names {kind} twice (each family may appear once)"
+        )));
+    }
+    Ok(())
+}
+
+/// Parses one `kind:args` component (no `+`) into its slot of `spec`.
+fn parse_one(part: &str, spec: &mut FaultSpec) -> Result<(), Error> {
     let part = part.trim();
     let (kind, args) = match part.split_once(':') {
         Some((k, a)) => (k.trim(), a.trim()),
@@ -900,29 +846,28 @@ fn parse_one(part: &str) -> Result<FaultSpec, Error> {
         })
     };
     match kind {
-        "none" => Ok(FaultSpec::None),
+        "none" => Ok(()),
         "uniform" => {
             let rate = primary("rate")
                 .ok_or_else(|| bad_spec("fault spec uniform: missing rate".into()))?;
-            Ok(FaultSpec::Uniform {
-                rate: parse_f64("uniform", "rate", rate)?,
-            })
+            fill(&mut spec.uniform, kind, parse_f64("uniform", "rate", rate)?)
         }
         "ge" => {
             let get = |key: &str| {
                 lookup(key).ok_or_else(|| bad_spec(format!("fault spec ge: missing {key}")))
             };
-            Ok(FaultSpec::Gilbert {
+            let ge = GilbertSpec {
                 p_bad: parse_f64("ge", "p_bad", get("p_bad")?)?,
                 p_good: parse_f64("ge", "p_good", get("p_good")?)?,
                 loss_good: parse_f64("ge", "loss_good", get("loss_good")?)?,
                 loss_bad: parse_f64("ge", "loss_bad", get("loss_bad")?)?,
-            })
+            };
+            fill(&mut spec.ge, kind, ge)
         }
         "crash" => {
             let frac =
                 primary("frac").ok_or_else(|| bad_spec("fault spec crash: missing frac".into()))?;
-            Ok(FaultSpec::Crash {
+            let crash = CrashSpec {
                 fraction: parse_f64("crash", "frac", frac)?,
                 from: lookup("from")
                     .map(|v| parse_u64("crash", "from", v))
@@ -935,21 +880,18 @@ fn parse_one(part: &str) -> Result<FaultSpec, Error> {
                 downtime: lookup("down")
                     .map(|v| parse_u64("crash", "down", v))
                     .transpose()?,
-            })
+            };
+            fill(&mut spec.crash, kind, crash)
         }
         "jam" => {
             let budget = primary("budget")
                 .ok_or_else(|| bad_spec("fault spec jam: missing budget".into()))?;
-            Ok(FaultSpec::Jam {
-                budget: parse_u64("jam", "budget", budget)?,
-            })
+            fill(&mut spec.jam, kind, parse_u64("jam", "budget", budget)?)
         }
         "wakeup" => {
             let rate = primary("rate")
                 .ok_or_else(|| bad_spec("fault spec wakeup: missing rate".into()))?;
-            Ok(FaultSpec::Wakeup {
-                rate: parse_f64("wakeup", "rate", rate)?,
-            })
+            fill(&mut spec.wakeup, kind, parse_f64("wakeup", "rate", rate)?)
         }
         other => Err(bad_spec(format!(
             "unknown fault kind {other:?} (expected none/uniform/ge/crash/jam/wakeup)"
@@ -965,16 +907,11 @@ impl FromStr for FaultSpec {
         if s.is_empty() {
             return Err(bad_spec("empty fault spec".into()));
         }
-        let parts: Vec<&str> = s.split('+').collect();
-        if parts.len() == 1 {
-            parse_one(parts[0])
-        } else {
-            let mut specs = Vec::with_capacity(parts.len());
-            for p in parts {
-                specs.push(parse_one(p)?);
-            }
-            Ok(FaultSpec::Stack(specs))
+        let mut spec = FaultSpec::default();
+        for part in s.split('+') {
+            parse_one(part, &mut spec)?;
         }
+        Ok(spec)
     }
 }
 
@@ -1165,19 +1102,58 @@ mod tests {
     }
 
     #[test]
-    fn stacked_consults_both_models_without_short_circuit() {
-        // Two uniform-loss models with the same seed: identical draw
-        // sequences, so their ORed pattern equals either alone — which
-        // only holds if both streams advance on every call.
-        let a = UniformLoss::new(0.5, 11).unwrap();
-        let b = UniformLoss::new(0.5, 11).unwrap();
-        let mut solo = UniformLoss::new(0.5, 11).unwrap();
-        let mut stacked = Stacked(a, b);
+    fn built_faults_consult_every_family_without_short_circuit() {
+        // Certain loss while bad: the bursty channel drops often, so the
+        // uniform stream only stays in step with its solo twin if it is
+        // drawn on every call, dropped by the other family or not.
+        let spec: FaultSpec =
+            "uniform:rate=0.5+ge:p_bad=0.3,p_good=0.3,loss_good=0,loss_bad=0.999999+jam:budget=3"
+                .parse()
+                .unwrap();
+        let mut built = spec.build(5, 11).unwrap();
+        let mut uniform = UniformLoss::new(0.5, 11).unwrap();
+        let mut ge = GilbertElliott::new(0.3, 0.3, 0.0, 0.999_999, 11).unwrap();
+        let mut jammer = AdversarialJammer::new(3);
+        let g = crate::topology::star(5).unwrap();
+        let view = ChannelView {
+            graph: &g,
+            transmitters: &[1],
+        };
+        let (mut both, mut only_one) = (0, 0);
         for r in 0..64 {
-            assert_eq!(stacked.drop_delivery(r, 0, 1), solo.sample());
+            let (a, b) = (uniform.sample(), ge.drop_delivery(r, 0, 1));
+            assert_eq!(built.drop_delivery(r, 0, 1), a | b, "round {r}");
+            both += usize::from(a && b);
+            only_one += usize::from(a != b);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            built.jam(r, &view, &mut got);
+            jammer.jam(r, &view, &mut want);
+            assert_eq!(got, want, "round {r}");
         }
-        const { assert!(!Stacked::<NoFaults, NoFaults>::ENABLED) };
-        const { assert!(Stacked::<NoFaults, UniformLoss>::ENABLED) };
+        assert!(both > 0 && only_one > 0, "both families fired");
+        assert_eq!(
+            built.jam.as_ref().map(AdversarialJammer::remaining),
+            Some(0)
+        );
+        const { assert!(BuiltFaults::ENABLED) };
+    }
+
+    #[test]
+    fn spec_rejects_a_repeated_family() {
+        let err = "uniform:rate=0.1+uniform:rate=0.2"
+            .parse::<FaultSpec>()
+            .unwrap_err();
+        assert!(err.to_string().contains("uniform"), "{err}");
+        assert!("jam:5+crash:0.1+jam:6".parse::<FaultSpec>().is_err());
+    }
+
+    #[test]
+    fn spec_prints_families_in_fixed_order() {
+        let spec: FaultSpec = "wakeup:0.5+jam:10+uniform:0.05".parse().unwrap();
+        assert_eq!(
+            spec.to_string(),
+            "uniform:rate=0.05+jam:budget=10+wakeup:rate=0.5"
+        );
     }
 
     #[test]
@@ -1204,19 +1180,28 @@ mod tests {
     fn spec_shorthands() {
         assert_eq!(
             "uniform:0.1".parse::<FaultSpec>().unwrap(),
-            FaultSpec::Uniform { rate: 0.1 }
+            FaultSpec {
+                uniform: Some(0.1),
+                ..FaultSpec::default()
+            }
         );
         assert_eq!(
             "jam:500".parse::<FaultSpec>().unwrap(),
-            FaultSpec::Jam { budget: 500 }
+            FaultSpec {
+                jam: Some(500),
+                ..FaultSpec::default()
+            }
         );
         assert_eq!(
             "crash:0.5".parse::<FaultSpec>().unwrap(),
-            FaultSpec::Crash {
-                fraction: 0.5,
-                from: 0,
-                until: u64::MAX,
-                downtime: None
+            FaultSpec {
+                crash: Some(CrashSpec {
+                    fraction: 0.5,
+                    from: 0,
+                    until: u64::MAX,
+                    downtime: None
+                }),
+                ..FaultSpec::default()
             }
         );
     }
@@ -1240,9 +1225,9 @@ mod tests {
 
     #[test]
     fn spec_is_none_sees_through_stacks() {
-        assert!(FaultSpec::None.is_none());
-        assert!(FaultSpec::Stack(vec![FaultSpec::None, FaultSpec::None]).is_none());
-        assert!(!FaultSpec::Uniform { rate: 0.1 }.is_none());
+        assert!(FaultSpec::default().is_none());
+        assert!("none+none".parse::<FaultSpec>().unwrap().is_none());
+        assert!(!"uniform:0.1".parse::<FaultSpec>().unwrap().is_none());
     }
 
     #[test]

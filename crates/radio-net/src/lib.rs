@@ -129,8 +129,8 @@ pub use dyntopo::{
 pub use engine::{CdModel, Engine, NoCd, Node, WithCd};
 pub use error::Error;
 pub use faults::{
-    AdversarialJammer, BuiltFaults, CrashSchedule, FaultEvents, FaultModel, FaultSpec,
-    GilbertElliott, NoFaults, Stacked, UniformLoss, WakeupCorrupt,
+    AdversarialJammer, BuiltFaults, CrashSchedule, CrashSpec, FaultEvents, FaultModel, FaultSpec,
+    GilbertElliott, GilbertSpec, NoFaults, UniformLoss, WakeupCorrupt,
 };
 pub use graph::{Graph, NodeId};
 pub use message::MessageSize;

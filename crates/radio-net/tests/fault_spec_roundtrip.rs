@@ -3,63 +3,60 @@
 //! by result files and `kbcast-serve` responses can be fed back in
 //! verbatim (`set_faults` with a string previously returned by `query`).
 //!
-//! The generator covers every fault family plus flat stacks of 2..4
-//! components. Two shapes are deliberately excluded because their
-//! `Display` form is not canonical: empty stacks (print as `""`, which
-//! is a parse error) and one-element stacks (print without `+`, so they
-//! re-parse to the bare variant) — `FromStr` never produces either.
+//! The generator draws one optional value per fault family, so it
+//! covers the empty spec, every single family and every stack of two
+//! to five families.
 
-use proptest::collection::vec;
 use proptest::prelude::*;
-use radio_net::faults::FaultSpec;
+use radio_net::faults::{CrashSpec, FaultSpec, GilbertSpec};
 
-/// Raw integer material for one stack component; the test body maps it
-/// onto a concrete variant. Probabilities are exact 1/1024 fractions
-/// (f64 `Display` uses the shortest representation that round-trips, so
-/// any f64 works — the fractions just keep the printed specs short).
-/// `z`'s parity doubles as the has-downtime flag (the shim's tuple
-/// strategies stop at 8 elements).
-type Raw = (usize, u32, u32, u32, u32, u64, u64, u64);
+/// Raw integer material: a presence bit per family (uniform, ge, crash,
+/// jam, wakeup in bit order) plus the parameters the families draw
+/// from. Probabilities are exact 1/1024 fractions (f64 `Display` uses
+/// the shortest representation that round-trips, so any f64 works —
+/// the fractions just keep the printed specs short). `z`'s parity
+/// doubles as the has-downtime flag.
+type Raw = (
+    u32,
+    (u32, u32, u32, u32, u32, u32, u32),
+    (u64, u64, u64, u64),
+);
 
 fn frac(num: u32) -> f64 {
     f64::from(num % 1024) / 1024.0
 }
 
-fn component((kind, a, b, c, d, x, y, z): Raw) -> FaultSpec {
-    match kind % 6 {
-        0 => FaultSpec::None,
-        1 => FaultSpec::Uniform { rate: frac(a) },
-        2 => FaultSpec::Gilbert {
-            p_bad: frac(a),
-            p_good: frac(b),
-            loss_good: frac(c),
-            loss_bad: frac(d),
-        },
-        3 => FaultSpec::Crash {
-            fraction: frac(a),
+fn spec((mask, (a, b, c, d, e, f, g), (x, y, z, w)): Raw) -> FaultSpec {
+    let on = |bit: u32| mask & (1 << bit) != 0;
+    FaultSpec {
+        uniform: on(0).then(|| frac(a)),
+        ge: on(1).then(|| GilbertSpec {
+            p_bad: frac(b),
+            p_good: frac(c),
+            loss_good: frac(d),
+            loss_bad: frac(e),
+        }),
+        crash: on(2).then(|| CrashSpec {
+            fraction: frac(f),
             from: x,
             until: x.saturating_add(y.max(1)),
             downtime: (z % 2 == 1).then_some(z / 2),
-        },
-        4 => FaultSpec::Jam { budget: x },
-        _ => FaultSpec::Wakeup { rate: frac(a) },
+        }),
+        jam: on(3).then_some(w),
+        wakeup: on(4).then(|| frac(g)),
     }
 }
 
 proptest! {
     #[test]
     fn display_reparses_to_the_same_spec(
-        raws in vec(
-            (0usize..6, 0u32..2048, 0u32..2048, 0u32..2048, 0u32..2048,
-             0u64..100_000, 0u64..100_000, 0u64..100_000),
-            1..5,
+        raw in (
+            0u32..32,
+            (0u32..2048, 0u32..2048, 0u32..2048, 0u32..2048, 0u32..2048, 0u32..2048, 0u32..2048),
+            (0u64..100_000, 0u64..100_000, 0u64..100_000, 0u64..100_000),
         ),
     ) {
-        let spec = if raws.len() == 1 {
-            component(raws[0])
-        } else {
-            FaultSpec::Stack(raws.iter().copied().map(component).collect())
-        };
+        let spec = spec(raw);
         let text = spec.to_string();
         let reparsed: FaultSpec = text
             .parse()
@@ -73,22 +70,36 @@ proptest! {
 #[test]
 fn display_reparses_edge_specs() {
     let specs = [
-        FaultSpec::Uniform { rate: 0.1 },
-        FaultSpec::Wakeup { rate: 1.0 },
-        FaultSpec::Crash {
-            fraction: 0.25,
-            from: 0,
-            until: u64::MAX,
-            downtime: None,
+        FaultSpec {
+            uniform: Some(0.1),
+            ..FaultSpec::default()
         },
-        FaultSpec::Jam { budget: u64::MAX },
-        FaultSpec::Gilbert {
-            p_bad: 0.01,
-            p_good: 0.1,
-            loss_good: 0.0,
-            loss_bad: 0.9,
+        FaultSpec {
+            wakeup: Some(1.0),
+            ..FaultSpec::default()
         },
-        FaultSpec::Stack(vec![FaultSpec::None, FaultSpec::None]),
+        FaultSpec {
+            crash: Some(CrashSpec {
+                fraction: 0.25,
+                from: 0,
+                until: u64::MAX,
+                downtime: None,
+            }),
+            ..FaultSpec::default()
+        },
+        FaultSpec {
+            jam: Some(u64::MAX),
+            ..FaultSpec::default()
+        },
+        FaultSpec {
+            ge: Some(GilbertSpec {
+                p_bad: 0.01,
+                p_good: 0.1,
+                loss_good: 0.0,
+                loss_bad: 0.9,
+            }),
+            ..FaultSpec::default()
+        },
     ];
     for spec in specs {
         let text = spec.to_string();
@@ -97,4 +108,8 @@ fn display_reparses_edge_specs() {
             .unwrap_or_else(|e| panic!("{text:?} failed to re-parse: {e}"));
         assert_eq!(reparsed, spec, "{text:?}");
     }
+    // A stack of `none`s is the empty spec.
+    let none: FaultSpec = "none+none".parse().expect("none+none parses");
+    assert!(none.is_none());
+    assert_eq!(none.to_string(), "none");
 }

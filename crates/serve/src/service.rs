@@ -78,17 +78,6 @@ impl Drive<DynamicNode, BuiltFaults, NoCd, BuiltTopology> for Span<'_> {
     }
 }
 
-/// Session parameters fixed at `init`, mutable until the first run
-/// request builds the session.
-struct Pending {
-    graph: Graph,
-    seed: u64,
-    faults: FaultSpec,
-    verify: bool,
-    trace: bool,
-    churn: ChurnSpec,
-}
-
 /// The live simulation once the session exists.
 struct Live {
     /// The protocol configuration the nodes were built with; sizes the
@@ -102,9 +91,9 @@ struct Live {
 enum Phase {
     /// No `init` yet.
     Uninit,
-    /// Configured; the session is built at the first `tick` /
-    /// `run_until_drained`.
-    Configured(Pending),
+    /// Configured with this graph (`add_node` may still grow it); the
+    /// session is built at the first `tick` / `run_until_drained`.
+    Configured(Graph),
     /// Rounds have (possibly) executed.
     Running(Box<Live>),
 }
@@ -115,11 +104,12 @@ enum Phase {
 /// accepting requests.
 pub struct Service {
     phase: Phase,
-    /// Session parameters copied out of [`Pending`] when the session is
-    /// built (the `Running` phase still needs them for queries).
     seed: u64,
     horizon: u64,
-    faults: FaultSpec,
+    /// The session's faults, churn, verify and trace switches. The
+    /// session is built from them; afterwards `set_faults` keeps
+    /// `faults` current for `query`'s echo.
+    options: RunOptions,
     /// Full arrival log in request order. Because inject rounds are
     /// monotone, this is simultaneously schedule order — the order the
     /// key rule ([`arrival_key`]) counts in.
@@ -161,7 +151,7 @@ impl Service {
             phase: Phase::Uninit,
             seed: 0,
             horizon: u64::MAX,
-            faults: FaultSpec::None,
+            options: RunOptions::default(),
             arrivals: Vec::new(),
             last_inject_round: 0,
             done: false,
@@ -248,7 +238,7 @@ impl Service {
             ));
         }
         let spec = match faults {
-            None => FaultSpec::None,
+            None => FaultSpec::default(),
             Some(s) => match FaultSpec::from_str(s) {
                 Ok(spec) => spec,
                 Err(e) => return err(format!("init: {e}")),
@@ -269,11 +259,11 @@ impl Service {
             Ok(g) => g,
             Err(e) => return err(format!("init: {e}")),
         };
-        // Fail un-buildable fault specs now, not at the first run.
+        // Fail un-buildable fault and churn specs now, not at the first
+        // run.
         if let Err(e) = spec.build(graph.len(), seed) {
             return err(format!("init: {e}"));
         }
-        // Same eager validation for the churn spec's parameters.
         if let Err(e) = churn_spec.build(&graph, seed) {
             return err(format!("init: {e}"));
         }
@@ -282,15 +272,14 @@ impl Service {
         let max_degree = graph.max_degree() as u64;
         self.seed = seed;
         self.horizon = horizon;
-        self.faults = spec.clone();
-        self.phase = Phase::Configured(Pending {
-            graph,
-            seed,
-            faults: spec.clone(),
+        self.options = RunOptions {
             verify: verify.unwrap_or_else(kbcast_bench::verify_from_env),
             trace: trace.unwrap_or_else(kbcast_bench::trace_from_env),
             churn: churn_spec,
-        });
+            faults: spec,
+            ..RunOptions::default()
+        };
+        self.phase = Phase::Configured(graph);
         Response::InitAck {
             n,
             diameter,
@@ -303,14 +292,14 @@ impl Service {
     }
 
     fn add_node(&mut self, neighbors: &[usize]) -> Response {
-        let pending = match &mut self.phase {
+        let graph = match &mut self.phase {
             Phase::Uninit => return err("add_node: no session (send init first)"),
             Phase::Running(_) => {
                 return err("add_node: the first round has been scheduled; topology is frozen")
             }
-            Phase::Configured(p) => p,
+            Phase::Configured(g) => g,
         };
-        let n = pending.graph.len();
+        let n = graph.len();
         if neighbors.is_empty() {
             return err("add_node: a new node needs at least one neighbor");
         }
@@ -322,9 +311,9 @@ impl Service {
         // Rebuild the graph with one more node: existing adjacency plus
         // the new node's edges.
         let mut edges: Vec<(usize, usize)> =
-            Vec::with_capacity(pending.graph.edge_count() + neighbors.len());
+            Vec::with_capacity(graph.edge_count() + neighbors.len());
         for u in 0..n {
-            for &v in pending.graph.neighbors(NodeId::new(u)) {
+            for &v in graph.neighbors(NodeId::new(u)) {
                 if u < v.index() {
                     edges.push((u, v.index()));
                 }
@@ -334,7 +323,7 @@ impl Service {
             edges.push((v, n));
         }
         match Graph::from_edges(n + 1, edges) {
-            Ok(g) => pending.graph = g,
+            Ok(g) => *graph = g,
             Err(e) => return err(format!("add_node: {e}")),
         }
         Response::AddNodeAck {
@@ -346,7 +335,7 @@ impl Service {
     fn inject(&mut self, packets: Vec<InjectPacket>) -> Response {
         let (n, current) = match &self.phase {
             Phase::Uninit => return err("inject: no session (send init first)"),
-            Phase::Configured(p) => (p.graph.len(), 0),
+            Phase::Configured(g) => (g.len(), 0),
             Phase::Running(l) => (l.session.net().n, l.session.engine().round()),
         };
         // Validate the whole batch before accepting any of it, so a
@@ -404,11 +393,10 @@ impl Service {
         };
         let round = match &mut self.phase {
             Phase::Uninit => return err("set_faults: no session (send init first)"),
-            Phase::Configured(p) => {
-                if let Err(e) = spec.build(p.graph.len(), p.seed) {
+            Phase::Configured(g) => {
+                if let Err(e) = spec.build(g.len(), self.seed) {
                     return err(format!("set_faults: {e}"));
                 }
-                p.faults = spec.clone();
                 0
             }
             Phase::Running(live) => {
@@ -419,7 +407,7 @@ impl Service {
                 live.session.engine().round()
             }
         };
-        self.faults = spec.clone();
+        self.options.faults = spec;
         Response::SetFaultsAck {
             faults: spec.to_string(),
             round,
@@ -431,53 +419,31 @@ impl Service {
     /// as [`kbcast::dynamic::run_streaming`] builds it for the same
     /// schedule.
     fn ensure_running(&mut self) -> Result<(), String> {
-        let pending = match &self.phase {
+        let graph = match &self.phase {
             Phase::Uninit => return Err("no session (send init first)".into()),
             Phase::Running(_) => return Ok(()),
-            Phase::Configured(p) => p,
+            Phase::Configured(g) => g,
         };
         if !self.arrivals.iter().any(|a| a.round == 0) {
             return Err(
                 "at least one packet must be injected at round 0 to wake the network".into(),
             );
         }
-        if !pending.graph.is_connected() {
+        if !graph.is_connected() {
             return Err("the topology is disconnected".into());
         }
-        let n = pending.graph.len();
-        let faults = pending
-            .faults
-            .build(n, pending.seed)
-            .map_err(|e| format!("fault spec stopped building: {e}"))?;
-        let topo = pending
-            .churn
-            .build(&pending.graph, pending.seed)
-            .map_err(|e| format!("churn spec stopped building: {e}"))?;
+        let n = graph.len();
         let protocol = DynamicProtocol {
             arrivals: &self.arrivals,
             config: None,
             horizon: self.horizon,
         };
-        let options = RunOptions {
-            max_rounds: None,
-            verify: pending.verify,
-            trace: pending.trace,
-            churn: pending.churn,
-        };
-        // `clean` gates the w.h.p. completeness invariant: claimed only
-        // when the *initial* spec is fault-free and the graph is frozen.
-        // It comes from the specs, not the engine types — `BuiltFaults`
-        // and `BuiltTopology` always have their hooks compiled in.
-        let clean = pending.faults.is_none() && pending.churn.is_none();
         let session = Session::build(
             &protocol,
-            pending.graph.clone(),
+            graph.clone(),
             &protocol.initial_workload(n),
-            pending.seed,
-            &options,
-            faults,
-            topo,
-            clean,
+            self.seed,
+            &self.options,
         )
         .map_err(|e| format!("session construction failed: {e}"))?;
         let cfg = protocol.config_for(&session.net());
@@ -665,7 +631,7 @@ impl Service {
             k: self.arrivals.len() as u64,
             delivered_min: self.delivered_min(),
             all_delivered: self.is_drained(),
-            faults: self.faults.to_string(),
+            faults: self.options.faults.to_string(),
             violations: self.violations(),
             stats,
             latency,

@@ -257,3 +257,33 @@ fn unbounded_drain_of_an_undeliverable_session_answers() {
     let q = Json::parse(&s.handle_line(r#"{"op":"query"}"#)).unwrap();
     assert_eq!(q.get("all_delivered").and_then(Json::as_bool), Some(false));
 }
+
+/// A fault spec naming one family twice is refused with the family's
+/// name; the running session keeps its faults and keeps serving.
+#[test]
+fn set_faults_refuses_a_repeated_family() {
+    let mut s = Service::new();
+    for line in [
+        r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":2}"#,
+        r#"{"op":"inject","node":0,"round":0,"payload":[1]}"#,
+        r#"{"op":"tick","rounds":50}"#,
+    ] {
+        let resp = s.handle_line(line);
+        assert!(!is_error(&resp), "{line} failed: {resp}");
+    }
+    let resp = s.handle_line(r#"{"op":"set_faults","faults":"uniform:rate=0.1+uniform:rate=0.2"}"#);
+    assert!(is_error(&resp), "a repeated family must be refused: {resp}");
+    let doc = Json::parse(&resp).unwrap();
+    let error = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("uniform"), "{error}");
+
+    let q = Json::parse(&s.handle_line(r#"{"op":"query"}"#)).unwrap();
+    assert_eq!(q.get("faults").and_then(Json::as_str), Some("none"));
+    let resp = s.handle_line(r#"{"op":"run_until_drained","max_rounds":200000}"#);
+    let doc = Json::parse(&resp).unwrap();
+    assert_eq!(
+        doc.get("completed").and_then(Json::as_bool),
+        Some(true),
+        "{resp}"
+    );
+}

@@ -247,3 +247,94 @@ fn churned_service_session_matches_the_library_run_bit_for_bit() {
     let sd = ok(&mut s, r#"{"op":"shutdown"}"#);
     assert_eq!(get(&sd, "violations"), 0, "churned end-of-session checks");
 }
+
+/// The same contract under faults: a service session whose `init`
+/// names a fault spec (never flipped mid-run) must reproduce the
+/// in-process streaming run with the same spec in its `RunOptions`
+/// bit-for-bit, verify stack live the whole way.
+#[test]
+fn faulted_service_session_matches_the_library_run_bit_for_bit() {
+    let (protocol, seed) = ("stream-seq", 44u64);
+    let topology = "grid(4x4)";
+    let faults = "uniform:rate=0.03";
+    let horizon = 400_000u64;
+    let topo = Topology::from_str(topology).unwrap();
+    let n = topo.build(seed).unwrap().len();
+    let arrivals = TrafficSpec {
+        pattern: TrafficPattern::Poisson { lambda: 0.01 },
+        window: 2_000,
+    }
+    .generate(n, seed)
+    .unwrap();
+    assert!(arrivals.len() > 5, "workload too small to be interesting");
+
+    // Ground truth: the in-process faulted streaming run.
+    let lib = run_streaming(
+        &topo,
+        &arrivals,
+        None,
+        seed,
+        horizon,
+        RunOptions {
+            verify: true,
+            faults: faults.parse().unwrap(),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(lib.stats.dropped > 0, "the loss model actually fired");
+
+    // The same session through the service front-end.
+    let mut s = Service::new();
+    let ack = ok(
+        &mut s,
+        &format!(
+            r#"{{"op":"init","topology":"{topology}","protocol":"{protocol}","seed":{seed},"horizon":{horizon},"verify":true,"faults":"{faults}"}}"#
+        ),
+    );
+    assert_eq!(ack.get("faults").and_then(Json::as_str), Some(faults));
+    for chunk in arrivals.chunks(64) {
+        let req = Envelope {
+            id: None,
+            req: Request::Inject {
+                packets: chunk
+                    .iter()
+                    .map(|a| InjectPacket {
+                        node: a.node,
+                        round: Some(a.round),
+                        payload: a.payload.clone(),
+                    })
+                    .collect(),
+            },
+        };
+        ok(&mut s, &req.to_json().to_string());
+    }
+    let drain = ok(&mut s, r#"{"op":"run_until_drained"}"#);
+    assert_eq!(
+        drain.get("completed").and_then(Json::as_bool),
+        Some(lib.success),
+        "faulted drain outcome"
+    );
+    let q = ok(&mut s, r#"{"op":"query"}"#);
+    assert_eq!(get(&q, "round"), lib.rounds_total, "faulted stop round");
+    assert_eq!(get(&q, "k"), lib.k as u64, "faulted packet count");
+    assert_eq!(get(&q, "violations"), 0, "faulted violations");
+    let stats = q.get("stats").unwrap();
+    assert_eq!(get(stats, "rounds"), lib.stats.rounds);
+    assert_eq!(get(stats, "transmissions"), lib.stats.transmissions);
+    assert_eq!(get(stats, "receptions"), lib.stats.receptions);
+    assert_eq!(get(stats, "collisions"), lib.stats.collisions);
+    assert_eq!(get(stats, "wakeups"), lib.stats.wakeups);
+    assert_eq!(get(stats, "dropped"), lib.stats.dropped);
+    let lat = q.get("latency").unwrap();
+    assert_eq!(get(lat, "count"), lib.latencies.len() as u64);
+    for (key, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
+        assert_eq!(
+            lat.get(key).and_then(Json::as_u64),
+            nearest_rank(&lib.latencies, p),
+            "faulted {key}"
+        );
+    }
+    let sd = ok(&mut s, r#"{"op":"shutdown"}"#);
+    assert_eq!(get(&sd, "violations"), 0, "faulted end-of-session checks");
+}

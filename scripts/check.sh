@@ -37,8 +37,11 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # fault family, 2 seeds) must run to completion and emit its JSON. This
 # exercises the whole fault stack — spec parsing, per-seed model
 # construction, the faulted engine hooks, stage attribution — in a few
-# seconds.
-KB_SCALE=quick KB_E17_OUT=target/E17_faults_smoke.json \
+# seconds. KB_VERIFY=1 runs every session under the online verifiers
+# (checkers only observe, so the JSON is the unverified one); its
+# `none` rows are clean sessions, so they also assert the clean-only
+# invariants.
+KB_SCALE=quick KB_VERIFY=1 KB_E17_OUT=target/E17_faults_smoke.json \
     cargo run --release -q -p kbcast-bench --bin exp_e17_faults
 [ -s target/E17_faults_smoke.json ] || {
     echo "check.sh: fault smoke produced no target/E17_faults_smoke.json" >&2

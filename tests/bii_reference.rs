@@ -326,7 +326,7 @@ fn default_budget_completes_clean_sessions() {
             k,
             None,
             1,
-            &FaultSpec::None,
+            &FaultSpec::default(),
             BiiNode::with_target,
             BiiNode::known,
         );

@@ -1,10 +1,10 @@
 //! Determinism contract of the fault-injection subsystem: a
 //! [`FaultSpec`] plus a seed pins the *entire* execution. Two runs with
-//! the same spec and seed must agree on every report field, the faulted
-//! entry point with [`NoFaults`] (or a zero-rate [`UniformLoss`]) must
-//! be bit-identical to the clean entry point, and the `uniform:` fault
-//! model must reproduce the recorded outputs of the engine's original
-//! loss path exactly (same RNG salt, same draw points).
+//! the same spec and seed must agree on every report field, a zero-rate
+//! `uniform:` spec (which runs the `BuiltFaults` engine) must be
+//! bit-identical to the clean (`NoFaults`) session, and the `uniform:`
+//! fault model must reproduce the recorded outputs of the engine's
+//! original loss path exactly (same RNG salt, same draw points).
 
 use proptest::prelude::*;
 use radio_kbcast::kbcast::baseline::BiiProtocol;
@@ -13,10 +13,8 @@ use radio_kbcast::kbcast::node::TxCounts;
 use radio_kbcast::kbcast::runner::{
     CodedProtocol, KbcastMeta, RunOptions, StageFaults, StageRounds, Workload,
 };
-use radio_kbcast::kbcast::session::{
-    run_protocol_on_graph, run_protocol_on_graph_with_faults, BroadcastProtocol, SessionReport,
-};
-use radio_kbcast::radio_net::faults::{FaultSpec, NoFaults, UniformLoss};
+use radio_kbcast::kbcast::session::{run_protocol_on_graph, BroadcastProtocol, SessionReport};
+use radio_kbcast::radio_net::faults::FaultSpec;
 use radio_kbcast::radio_net::stats::SimStats;
 use radio_kbcast::radio_net::topology::Topology;
 
@@ -60,16 +58,11 @@ where
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let graph = topo.build(seed).expect("topology builds");
     let workload = Workload::random(graph.len(), 5, seed);
-    let faults = fault.build(graph.len(), seed).expect("zoo specs build");
-    run_protocol_on_graph_with_faults(
-        protocol,
-        graph,
-        &workload,
-        seed,
-        RunOptions::default(),
-        faults,
-    )
-    .expect("session runs")
+    let options = RunOptions {
+        faults: *fault,
+        ..RunOptions::default()
+    };
+    run_protocol_on_graph(protocol, graph, &workload, seed, options).expect("session runs")
 }
 
 #[test]
@@ -122,16 +115,12 @@ fn dynamic_runs_are_reproducible_for_every_fault_family() {
                     config: None,
                     horizon: 50_000,
                 };
-                let faults = fault.build(n, seed).expect("zoo specs build");
-                run_protocol_on_graph_with_faults(
-                    &protocol,
-                    graph,
-                    &workload,
-                    seed,
-                    RunOptions::default(),
-                    faults,
-                )
-                .expect("session runs")
+                let options = RunOptions {
+                    faults: fault,
+                    ..RunOptions::default()
+                };
+                run_protocol_on_graph(&protocol, graph, &workload, seed, options)
+                    .expect("session runs")
             };
             assert_reports_identical(&run(), &run(), &format!("dynamic/{fault}/seed{seed}"));
         }
@@ -202,16 +191,13 @@ fn uniform_fault_model_reproduces_recorded_loss_goldens() {
         let (rounds, tx, rx, collisions, bits, dropped, st, phases, by_type, sf) = g;
         let graph = topo.build(seed).expect("topology builds");
         let workload = Workload::random(graph.len(), 4, seed);
-        let faults = fault.build(graph.len(), seed).expect("spec builds");
-        let modeled = run_protocol_on_graph_with_faults(
-            &CodedProtocol::default(),
-            graph,
-            &workload,
-            seed,
-            RunOptions::default(),
-            faults,
-        )
-        .expect("session runs");
+        let options = RunOptions {
+            faults: fault,
+            ..RunOptions::default()
+        };
+        let modeled =
+            run_protocol_on_graph(&CodedProtocol::default(), graph, &workload, seed, options)
+                .expect("session runs");
 
         let what = format!("uniform/seed{seed}");
         assert!(modeled.success, "{what}: success");
@@ -258,13 +244,13 @@ fn uniform_fault_model_reproduces_recorded_loss_goldens() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `NoFaults` is the pre-subsystem engine: the faulted entry point
-    /// with `NoFaults`, and with a zero-rate `UniformLoss` (which takes
-    /// the per-listener slow path instead of the word-parallel one),
-    /// must be bit-identical to the clean entry point for arbitrary
-    /// topology parameters and workloads, and never report a fault. A
-    /// lossy `UniformLoss` built directly must match the `uniform:`
-    /// spec, and every drop must be attributed to a stage.
+    /// `NoFaults` is the pre-subsystem engine: a zero-rate `uniform:`
+    /// spec, which runs the `BuiltFaults` engine and takes the
+    /// per-listener slow path instead of the word-parallel one, must be
+    /// bit-identical to the clean session for arbitrary topology
+    /// parameters and workloads, and the clean session never reports a
+    /// fault. Every drop of a lossy `uniform:` spec must be attributed
+    /// to a stage.
     #[test]
     fn no_faults_is_bit_identical_to_legacy(
         seed in 0u64..64,
@@ -275,14 +261,17 @@ proptest! {
         let topo = Topology::Gnp { n, p: 0.35 };
         let workload = Workload::random(n, k, seed);
         let options = RunOptions::default();
-        let faulted_with = |faults: UniformLoss| {
-            run_protocol_on_graph_with_faults(
+        let faulted_with = |rate: f64| {
+            let faults = FaultSpec {
+                uniform: Some(rate),
+                ..FaultSpec::default()
+            };
+            run_protocol_on_graph(
                 &CodedProtocol::default(),
                 topo.build(seed).expect("topology builds"),
                 &workload,
                 seed,
-                options,
-                faults,
+                RunOptions { faults, ..options },
             )
             .expect("session runs")
         };
@@ -295,53 +284,28 @@ proptest! {
             options,
         )
         .expect("session runs");
-        let faulted = run_protocol_on_graph_with_faults(
-            &CodedProtocol::default(),
-            topo.build(seed).expect("topology builds"),
-            &workload,
-            seed,
-            options,
-            NoFaults,
-        )
-        .expect("session runs");
-        let zero = faulted_with(UniformLoss::new(0.0, seed).expect("rate is valid"));
+        let zero = faulted_with(0.0);
 
-        for other in [&faulted, &zero] {
-            prop_assert_eq!(clean.success, other.success);
-            prop_assert_eq!(clean.rounds_total, other.rounds_total);
-            prop_assert_eq!(
-                clean.delivered_fraction.to_bits(),
-                other.delivered_fraction.to_bits()
-            );
-            prop_assert_eq!(clean.stats, other.stats);
-            prop_assert_eq!(clean.meta, other.meta);
-        }
+        prop_assert_eq!(clean.success, zero.success);
+        prop_assert_eq!(clean.rounds_total, zero.rounds_total);
+        prop_assert_eq!(
+            clean.delivered_fraction.to_bits(),
+            zero.delivered_fraction.to_bits()
+        );
+        prop_assert_eq!(clean.stats, zero.stats);
+        prop_assert_eq!(clean.meta, zero.meta);
 
         // A clean engine reports no fault occurrences, ever.
-        prop_assert_eq!(faulted.stats.jammed, 0);
-        prop_assert_eq!(faulted.stats.crashed_rx, 0);
-        prop_assert_eq!(faulted.stats.wakeups_suppressed, 0);
-        prop_assert_eq!(faulted.stats.crash_events, 0);
-        prop_assert_eq!(faulted.stats.recover_events, 0);
-        prop_assert_eq!(faulted.stats.dropped, 0);
+        prop_assert_eq!(clean.stats.jammed, 0);
+        prop_assert_eq!(clean.stats.crashed_rx, 0);
+        prop_assert_eq!(clean.stats.wakeups_suppressed, 0);
+        prop_assert_eq!(clean.stats.crash_events, 0);
+        prop_assert_eq!(clean.stats.recover_events, 0);
+        prop_assert_eq!(clean.stats.dropped, 0);
 
-        // A lossy model: direct construction ≡ the parsed spec, and the
-        // stage attribution accounts for every drop.
+        // A lossy model: the stage attribution accounts for every drop.
         let rate = f64::from(loss_centi) / 100.0;
-        let direct = faulted_with(UniformLoss::new(rate, seed).expect("rate is valid"));
-        let spec = FaultSpec::Uniform { rate };
-        let parsed = run_protocol_on_graph_with_faults(
-            &CodedProtocol::default(),
-            topo.build(seed).expect("topology builds"),
-            &workload,
-            seed,
-            options,
-            spec.build(n, seed).expect("spec builds"),
-        )
-        .expect("session runs");
-        prop_assert_eq!(direct.rounds_total, parsed.rounds_total);
-        prop_assert_eq!(direct.stats, parsed.stats);
-        prop_assert_eq!(&direct.meta, &parsed.meta);
-        prop_assert_eq!(direct.meta.stage_faults.total(), direct.stats.dropped);
+        let lossy = faulted_with(rate);
+        prop_assert_eq!(lossy.meta.stage_faults.total(), lossy.stats.dropped);
     }
 }

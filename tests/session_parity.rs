@@ -9,9 +9,7 @@ use radio_kbcast::kbcast::baseline::{BiiConfig, BiiNode, BiiProtocol};
 use radio_kbcast::kbcast::runner::{
     round_cap, CodedProtocol, KbcastMeta, RunOptions, StageRounds, Workload,
 };
-use radio_kbcast::kbcast::session::{
-    run_protocol, run_protocol_on_graph_with_faults, SessionReport,
-};
+use radio_kbcast::kbcast::session::{run_protocol, run_protocol_on_graph, SessionReport};
 use radio_kbcast::kbcast::{Config, KbcastNode};
 use radio_kbcast::protocols::decay::Decay;
 use radio_kbcast::radio_net::engine::Engine;
@@ -225,16 +223,11 @@ fn bii_report_matches_legacy_engine_drive() {
 fn lossy_run_succeeds_on_small_grid() {
     let graph = Topology::Grid2d { rows: 4, cols: 4 }.build(0).unwrap();
     let w = Workload::random(16, 8, 0);
-    let faults = UniformLoss::new(0.05, 0).unwrap();
-    let r = run_protocol_on_graph_with_faults(
-        &CodedProtocol::default(),
-        graph,
-        &w,
-        0,
-        RunOptions::default(),
-        faults,
-    )
-    .unwrap();
+    let opts = RunOptions {
+        faults: "uniform:rate=0.05".parse().unwrap(),
+        ..RunOptions::default()
+    };
+    let r = run_protocol_on_graph(&CodedProtocol::default(), graph, &w, 0, opts).unwrap();
     assert!(r.success, "5% loss must be absorbed on a 4x4 grid");
     assert!((r.delivered_fraction - 1.0).abs() < 1e-12);
     // The recorded outcome of this seed on the engine's original loss
@@ -245,19 +238,37 @@ fn lossy_run_succeeds_on_small_grid() {
 
 #[test]
 fn invalid_uniform_rate_is_rejected_up_front() {
+    let lossy = |faults: FaultSpec| {
+        let opts = RunOptions {
+            faults,
+            ..RunOptions::default()
+        };
+        run_protocol(
+            &CodedProtocol::default(),
+            &Topology::Path { n: 4 },
+            &Workload::random(4, 2, 0),
+            0,
+            opts,
+        )
+    };
     for bad in [-0.1, 1.0, 1.5, f64::NAN] {
         let err = UniformLoss::new(bad, 0).unwrap_err();
         assert!(
             matches!(err, Error::InvalidParameter { .. }),
             "rate {bad} must be rejected as InvalidParameter, got {err:?}"
         );
-        // The spec form fails when it is built, before any engine exists.
-        let err = FaultSpec::Uniform { rate: bad }.build(4, 0).unwrap_err();
+        // The spec form fails when the driver builds it, before any
+        // engine exists.
+        let err = lossy(FaultSpec {
+            uniform: Some(bad),
+            ..FaultSpec::default()
+        })
+        .unwrap_err();
         assert!(matches!(err, Error::InvalidParameter { .. }), "{err:?}");
     }
     for text in ["uniform:rate=1.5", "uniform:rate=-0.1"] {
         let spec: FaultSpec = text.parse().unwrap();
-        assert!(spec.build(4, 0).is_err(), "{text} must not build");
+        assert!(lossy(spec).is_err(), "{text} must not build");
     }
 }
 

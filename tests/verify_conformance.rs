@@ -10,13 +10,11 @@ use radio_kbcast::kbcast::baseline::BiiProtocol;
 use radio_kbcast::kbcast::dynamic::{Arrival, DynamicProtocol};
 use radio_kbcast::kbcast::ghk::GhkProtocol;
 use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
-use radio_kbcast::kbcast::session::{
-    run_protocol, run_protocol_on_graph, run_protocol_on_graph_with_faults,
-};
+use radio_kbcast::kbcast::session::{run_protocol, run_protocol_on_graph};
 use radio_kbcast::radio_net::dyntopo::{ChurnSpec, PartitionWindow, StaticTopology};
 use radio_kbcast::radio_net::engine::{Engine, Node, WithCd};
 use radio_kbcast::radio_net::error::Error;
-use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
+use radio_kbcast::radio_net::faults::FaultSpec;
 use radio_kbcast::radio_net::graph::{Graph, NodeId};
 use radio_kbcast::radio_net::session::{NoopObserver, SessionControl};
 use radio_kbcast::radio_net::topology::Topology;
@@ -48,14 +46,15 @@ fn run_coded_verified(spec: &str, seed: u64) {
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let graph = topo.build(seed).expect("topology builds");
     let workload = Workload::random(16, 8, seed);
-    let faults = fault.build(16, seed).expect("family spec validates");
-    let result = run_protocol_on_graph_with_faults(
+    let result = run_protocol_on_graph(
         &CodedProtocol::default(),
         graph,
         &workload,
         seed,
-        verify_opts(),
-        faults,
+        RunOptions {
+            faults: fault,
+            ..verify_opts()
+        },
     );
     match result {
         Ok(_) => {}
@@ -81,22 +80,23 @@ fn model_checker_accepts_composed_faults() {
     run_coded_verified("jam:budget=100+wakeup:rate=0.2", 2);
 }
 
-/// Lossy drops through a bare [`UniformLoss`] model, the engine's one
-/// loss channel.
+/// Lossy drops through the `uniform:` model, the engine's one loss
+/// channel.
 #[test]
 fn model_checker_accepts_legacy_loss_path() {
     let graph = Topology::Grid2d { rows: 4, cols: 4 }
         .build(3)
         .expect("topology builds");
     let workload = Workload::random(16, 8, 3);
-    let faults = UniformLoss::new(0.1, 3).expect("rate is valid");
-    let r = run_protocol_on_graph_with_faults(
+    let r = run_protocol_on_graph(
         &CodedProtocol::default(),
         graph,
         &workload,
         3,
-        verify_opts(),
-        faults,
+        RunOptions {
+            faults: "uniform:rate=0.1".parse().expect("rate is valid"),
+            ..verify_opts()
+        },
     )
     .expect("lossy verified run must not trip the checkers");
     assert!(r.stats.dropped > 0, "loss actually sampled");
@@ -109,14 +109,15 @@ fn model_checker_accepts_bii_baseline() {
         let topo = Topology::Grid2d { rows: 4, cols: 4 };
         let graph = topo.build(7).expect("topology builds");
         let workload = Workload::random(16, 8, 7);
-        let faults = fault.build(16, 7).expect("family spec validates");
-        run_protocol_on_graph_with_faults(
+        run_protocol_on_graph(
             &BiiProtocol::default(),
             graph,
             &workload,
             7,
-            verify_opts(),
-            faults,
+            RunOptions {
+                faults: fault,
+                ..verify_opts()
+            },
         )
         .unwrap_or_else(|e| panic!("BII verified run under '{spec}': {e}"));
     }
@@ -202,14 +203,15 @@ fn model_checker_accepts_all_fault_families_ghk_with_cd() {
             let topo = Topology::Grid2d { rows: 4, cols: 4 };
             let graph = topo.build(seed).expect("topology builds");
             let workload = Workload::random(16, 8, seed);
-            let faults = fault.build(16, seed).expect("family spec validates");
-            let result = run_protocol_on_graph_with_faults(
+            let result = run_protocol_on_graph(
                 &GhkProtocol::default(),
                 graph,
                 &workload,
                 seed,
-                verify_opts(),
-                faults,
+                RunOptions {
+                    faults: fault,
+                    ..verify_opts()
+                },
             );
             match result {
                 Ok(_) => {}
@@ -417,22 +419,21 @@ fn model_checker_accepts_churn_fault_cd_combinations() {
                 let topo = Topology::Grid2d { rows: 4, cols: 4 };
                 let graph = topo.build(seed).expect("topology builds");
                 let workload = Workload::random(16, 6, seed);
-                let faults = fault.build(16, seed).expect("family spec validates");
                 let opts = RunOptions {
                     // Bound the partition-split sessions: conformance
                     // is about violations, not delivery.
                     max_rounds: Some(30_000),
                     churn,
+                    faults: fault,
                     ..verify_opts()
                 };
                 // No-CD channel: the coded protocol.
-                match run_protocol_on_graph_with_faults(
+                match run_protocol_on_graph(
                     &CodedProtocol::default(),
                     graph.clone(),
                     &workload,
                     seed,
                     opts,
-                    faults.clone(),
                 ) {
                     Ok(_) => {}
                     Err(Error::VerificationFailed { details, .. }) => panic!(
@@ -443,14 +444,7 @@ fn model_checker_accepts_churn_fault_cd_combinations() {
                 }
                 // CD channel: GHK — the CD axiom must reconcile noise
                 // against the *churned* graph's transmitter sets.
-                match run_protocol_on_graph_with_faults(
-                    &GhkProtocol::default(),
-                    graph,
-                    &workload,
-                    seed,
-                    opts,
-                    faults,
-                ) {
+                match run_protocol_on_graph(&GhkProtocol::default(), graph, &workload, seed, opts) {
                     Ok(_) => {}
                     Err(Error::VerificationFailed { details, .. }) => panic!(
                         "churn checker false positive: ghk under '{churn}' + '{spec}' \
@@ -463,7 +457,7 @@ fn model_checker_accepts_churn_fault_cd_combinations() {
     }
 }
 
-/// Churn composes with a bare [`UniformLoss`] model too — the checker
+/// Churn composes with the `uniform:` loss model too — the checker
 /// sees drops on edges of the *current* snapshot.
 #[test]
 fn model_checker_accepts_churn_with_legacy_loss() {
@@ -473,22 +467,15 @@ fn model_checker_accepts_churn_with_legacy_loss() {
             rho: 0.02,
             heal: 0.25,
         },
+        faults: "uniform:rate=0.1".parse().expect("rate is valid"),
         ..verify_opts()
     };
     let graph = Topology::Grid2d { rows: 4, cols: 4 }
         .build(3)
         .expect("topology builds");
     let workload = Workload::random(16, 6, 3);
-    let faults = UniformLoss::new(0.1, 3).expect("rate is valid");
-    let r = run_protocol_on_graph_with_faults(
-        &CodedProtocol::default(),
-        graph,
-        &workload,
-        3,
-        opts,
-        faults,
-    )
-    .expect("lossy churned verified run must not trip the checkers");
+    let r = run_protocol_on_graph(&CodedProtocol::default(), graph, &workload, 3, opts)
+        .expect("lossy churned verified run must not trip the checkers");
     assert!(r.stats.dropped > 0, "loss actually sampled");
 }
 
