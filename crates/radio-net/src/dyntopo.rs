@@ -56,7 +56,7 @@ use rand::Rng;
 use crate::error::Error;
 use crate::graph::Graph;
 use crate::rng::{self, salts};
-use crate::topology::unit_disk_edges;
+use crate::topology::unit_disk_graph;
 
 /// Type-level dynamic-topology capability of an
 /// [`Engine`](crate::engine::Engine).
@@ -209,10 +209,12 @@ impl TopologyModel for EdgeChurn {
 /// Unit-disk random-waypoint mobility: `n` seeded points on the unit
 /// square each move toward a seeded destination at `speed` per round
 /// (drawing a fresh destination on arrival), and the adjacency is the
-/// unit-disk graph of the current positions at radius `radius` — found
-/// with the same bucket-grid neighbor search as the static
+/// unit-disk graph of the current positions at radius `radius` — built
+/// by the same bucket-grid CSR builder as the static
 /// `topology::unit_disk` generator, so a round costs O(n · occupancy),
-/// not O(n²).
+/// not O(n²). Node `i` is the point at `pos[i]`: the waypoint model
+/// keeps its own ids and does not apply the static generator's
+/// Z-order relabelling, since positions are model state.
 ///
 /// The initial graph handed to the engine is replaced on round 0 by
 /// the disk graph of the seeded initial positions (the engine's
@@ -290,8 +292,7 @@ impl TopologyModel for Waypoint {
         if round > 0 {
             self.advance();
         }
-        let g = Graph::from_edges(self.pos.len(), unit_disk_edges(&self.pos, self.radius))
-            .expect("disk edges are valid");
+        let g = unit_disk_graph(&self.pos, self.radius);
         // Skip the swap when nothing moved across the radius (also
         // keeps round 0 a no-op when the caller already built the
         // engine on this exact disk graph).

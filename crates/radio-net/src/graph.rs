@@ -137,6 +137,27 @@ impl Graph {
         })
     }
 
+    /// Wraps adjacency rows that are already in CSR form: `offsets` has
+    /// length `n + 1` with `n >= 1`, and `targets[offsets[v]..offsets[v + 1]]`
+    /// are the neighbors of `v`. The caller guarantees what
+    /// [`Graph::from_edges`] would establish — every row strictly ascending
+    /// (hence duplicate-free), no self-loops, and `u ∈ row(v)` iff
+    /// `v ∈ row(u)`; debug builds check all three.
+    pub(crate) fn from_csr(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
+        let g = Graph {
+            edges: targets.len() / 2,
+            offsets,
+            targets,
+        };
+        debug_assert!(!g.is_empty(), "a graph has at least one node");
+        debug_assert_eq!(g.offsets[g.len()] as usize, g.targets.len());
+        debug_assert!(g.node_ids().all(|v| {
+            let row = g.neighbors(v);
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&u| u != v && g.has_edge(u, v))
+        }));
+        g
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {

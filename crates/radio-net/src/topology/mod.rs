@@ -18,7 +18,7 @@ pub use deterministic::{
     binary_tree, caterpillar, complete, cycle, dumbbell, grid2d, hypercube, lollipop, path, star,
     torus,
 };
-pub(crate) use random::unit_disk_edges;
+pub(crate) use random::unit_disk_graph;
 pub use random::{gnp_connected, random_regular, random_tree, unit_disk, MAX_ATTEMPTS};
 
 use std::fmt;

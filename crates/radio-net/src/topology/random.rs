@@ -8,7 +8,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::Error;
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId};
 use crate::rng::{self, salts};
 
 /// Retry budget for connectivity-conditioned generators.
@@ -102,6 +102,15 @@ pub fn random_tree(n: usize, seed: u64) -> Result<Graph, Error> {
 /// between pairs at Euclidean distance ≤ `radius`; resampled until
 /// connected. The standard abstraction of an ad-hoc wireless deployment.
 ///
+/// Node ids follow space, not draw order: the first drawn point is
+/// node 0, and the other points are numbered by the Z-order (Morton)
+/// key of their coordinates, each quantized to 32 bits (ties keep draw
+/// order). Nearby points thus get nearby ids, so a flood front touches
+/// contiguous memory in the node array and the adjacency. Node 0 is
+/// kept out of the sort because single-source workloads put their
+/// source there: it stays a uniformly placed point instead of becoming
+/// the corner of the square with the smallest key.
+///
 /// # Errors
 ///
 /// Rejects `n == 0` or non-positive `radius`; returns
@@ -116,10 +125,11 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<Graph, Error> {
     }
     let mut rng = rng::stream(seed, salts::TOPOLOGY);
     for _ in 0..MAX_ATTEMPTS {
-        let pts: Vec<(f64, f64)> = (0..n)
+        let mut pts: Vec<(f64, f64)> = (0..n)
             .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
             .collect();
-        let g = Graph::from_edges(n, unit_disk_edges(&pts, radius))?;
+        pts[1..].sort_by_cached_key(|&(x, y)| morton_key(x, y));
+        let g = unit_disk_graph(&pts, radius);
         if g.is_connected() {
             return Ok(g);
         }
@@ -129,15 +139,29 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<Graph, Error> {
     })
 }
 
-/// All pairs of `pts` at Euclidean distance ≤ `radius`, found via a
-/// uniform bucket grid: with cell side ≥ `radius`, any qualifying pair
-/// lies in the same or adjacent cells, so only the 3×3 neighborhood of
-/// each point is scanned — `O(n · occupancy)` instead of the `O(n²)`
-/// all-pairs loop, which is what makes million-node unit-disk graphs
-/// buildable. Emission order is arbitrary; [`Graph::from_edges`] sorts
-/// and dedups globally, so the resulting graph is identical to the
-/// all-pairs scan's.
-pub(crate) fn unit_disk_edges(pts: &[(f64, f64)], radius: f64) -> Vec<(usize, usize)> {
+/// Z-order key of a point of the unit square: both coordinates
+/// quantized to 32 bits (saturating), `x` on the even bits and `y` on
+/// the odd ones.
+fn morton_key(x: f64, y: f64) -> u64 {
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let (qx, qy) = (
+        u64::from((x * 4_294_967_296.0) as u32),
+        u64::from((y * 4_294_967_296.0) as u32),
+    );
+    (0..32).fold(0, |key, b| {
+        key | (qx >> b & 1) << (2 * b) | (qy >> b & 1) << (2 * b + 1)
+    })
+}
+
+/// The unit-disk graph of `pts` at `radius`, node `i` at `pts[i]`,
+/// built row by row straight into CSR form. A uniform bucket grid with
+/// cell side ≥ `radius` puts every neighbor of a point in its own or an
+/// adjacent cell, so each row scans only the 3×3 neighborhood —
+/// `O(n · occupancy)` instead of the `O(n²)` all-pairs loop, which is
+/// what makes million-node unit-disk graphs buildable. Rows come out
+/// symmetric because `dx² + dy²` is bitwise the same with the two
+/// points swapped.
+pub(crate) fn unit_disk_graph(pts: &[(f64, f64)], radius: f64) -> Graph {
     let n = pts.len();
     let r2 = radius * radius;
     // Cell side = 1/cells ≥ radius keeps the 3×3 scan sufficient; the
@@ -160,26 +184,28 @@ pub(crate) fn unit_disk_edges(pts: &[(f64, f64)], radius: f64) -> Vec<(usize, us
         let idx = u32::try_from(i).expect("point index fits u32");
         buckets[cell_of(y) * cells + cell_of(x)].push(idx);
     }
-    let mut edges = Vec::new();
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut targets = Vec::new();
     for (i, &(x, y)) in pts.iter().enumerate() {
+        let row = targets.len();
         let (cx, cy) = (cell_of(x), cell_of(y));
         for ny in cy.saturating_sub(1)..=(cy + 1).min(cells - 1) {
             for nx in cx.saturating_sub(1)..=(cx + 1).min(cells - 1) {
-                for &j32 in &buckets[ny * cells + nx] {
-                    let j = j32 as usize;
-                    if j <= i {
-                        continue;
-                    }
+                for &j in &buckets[ny * cells + nx] {
+                    let j = j as usize;
                     let dx = x - pts[j].0;
                     let dy = y - pts[j].1;
-                    if dx * dx + dy * dy <= r2 {
-                        edges.push((i, j));
+                    if j != i && dx * dx + dy * dy <= r2 {
+                        targets.push(NodeId::new(j));
                     }
                 }
             }
         }
+        targets[row..].sort_unstable();
+        offsets.push(u32::try_from(targets.len()).expect("directed edge count exceeds u32::MAX"));
     }
-    edges
+    Graph::from_csr(offsets, targets)
 }
 
 /// Random `d`-regular graph via the configuration model with random
@@ -314,7 +340,13 @@ mod tests {
     #[test]
     fn unit_disk_grid_matches_all_pairs_scan() {
         let mut rng = rng::stream(9, salts::TOPOLOGY);
-        for &(n, radius) in &[(40usize, 0.35), (64, 0.12), (33, 1.5), (7, 0.02)] {
+        for &(n, radius) in &[
+            (40usize, 0.35),
+            (64, 0.12),
+            (33, 1.5),
+            (7, 0.02),
+            (2_000, 0.04),
+        ] {
             let pts: Vec<(f64, f64)> = (0..n)
                 .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
                 .collect();
@@ -329,10 +361,69 @@ mod tests {
                     }
                 }
             }
-            let mut grid = unit_disk_edges(&pts, radius);
-            grid.sort_unstable();
-            assert_eq!(grid, naive, "n={n} radius={radius}");
+            assert_eq!(
+                unit_disk_graph(&pts, radius),
+                Graph::from_edges(n, naive).unwrap(),
+                "n={n} radius={radius}"
+            );
         }
+    }
+
+    #[test]
+    fn unit_disk_ids_follow_z_order_after_the_first_point() {
+        assert_eq!(morton_key(0.5, 0.0), 1 << 62);
+        assert_eq!(morton_key(0.75, 0.5), 0b1101 << 60);
+        let (n, radius, seed) = (300, 0.12, 11);
+        // Redraw the attempts of `unit_disk`, keeping the first connected
+        // one in draw order.
+        let mut rng = rng::stream(seed, salts::TOPOLOGY);
+        let (pts, drawn) = loop {
+            let pts: Vec<(f64, f64)> = (0..n)
+                .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
+                .collect();
+            let g = unit_disk_graph(&pts, radius);
+            if g.is_connected() {
+                break (pts, g);
+            }
+        };
+        // Node 0 is draw index 0; ids 1.. follow non-decreasing keys.
+        let mut order: Vec<usize> = (1..n).collect();
+        order.sort_by_key(|&i| morton_key(pts[i].0, pts[i].1));
+        let mut id_of = vec![0; n];
+        for (id, &i) in order.iter().enumerate() {
+            id_of[i] = id + 1;
+        }
+        let id_of = &id_of;
+        let relabelled = drawn.node_ids().flat_map(|u| {
+            let iu = id_of[u.index()];
+            drawn
+                .neighbors(u)
+                .iter()
+                .map(move |v| (iu, id_of[v.index()]))
+        });
+        let g = unit_disk(n, radius, seed).unwrap();
+        assert_eq!(g, Graph::from_edges(n, relabelled).unwrap());
+        assert_ne!(g, drawn);
+    }
+
+    #[test]
+    fn unit_disk_neighbors_have_nearby_ids() {
+        let n = 20_000;
+        #[allow(clippy::cast_precision_loss)]
+        let radius = (20.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        let g = unit_disk(n, radius, 3).unwrap();
+        // Sums both directions of every edge.
+        let gap: usize = g
+            .node_ids()
+            .flat_map(|u| {
+                g.neighbors(u)
+                    .iter()
+                    .map(move |v| u.index().abs_diff(v.index()))
+            })
+            .sum();
+        #[allow(clippy::cast_precision_loss)]
+        let mean = gap as f64 / (2 * g.edge_count()) as f64;
+        assert!(mean < n as f64 / 50.0, "mean |u - v| over edges is {mean}");
     }
 
     #[test]

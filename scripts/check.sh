@@ -26,6 +26,15 @@ cargo build --release --workspace
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Examples: every program under examples/ is built and run, not only
+# compiled. Each asserts its own outcome (sensor_aggregation, the one
+# unit-disk example, asserts full delivery); together they take well
+# under a second.
+cargo build --release -q --examples
+for ex in examples/*.rs; do
+    ./target/release/examples/"$(basename "$ex" .rs)" > /dev/null
+done
+
 # Benchmark suite: perfbench is a package of its own, outside the
 # workspace, so the `cargo test` above never reaches it. Its tests pin
 # the metric names and that a timed session is bit-identical to an
