@@ -221,13 +221,20 @@ impl BiiProtocol {
 /// algorithm has no stages — every round is epidemic flooding — so the
 /// whole run is one `"flood"` span, with the summed known-packet count
 /// across all nodes as the progress gauge (from `k` placed packets to
-/// `n·k` at completion).
+/// `n·k` at completion). A node's known set grows only on reception,
+/// so the gauge is re-summed only in rounds with a reception.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BiiStageProbe;
+pub struct BiiStageProbe {
+    gauge: Option<u64>,
+}
 
 impl StageProbe<BiiNode> for BiiStageProbe {
-    fn sample(&mut self, _events: &RoundEvents, nodes: &[BiiNode]) -> StageSample {
-        let gauge: u64 = nodes.iter().map(|n| n.known_count() as u64).sum();
+    fn sample(&mut self, events: &RoundEvents, nodes: &[BiiNode]) -> StageSample {
+        let gauge = match self.gauge {
+            Some(g) if events.receptions == 0 => g,
+            _ => nodes.iter().map(|n| n.known_count() as u64).sum(),
+        };
+        self.gauge = Some(gauge);
         StageSample::new("flood").with_gauge(gauge)
     }
 }
@@ -275,7 +282,7 @@ impl BroadcastProtocol for BiiProtocol {
     }
 
     fn trace_probe(&self, _net: &NetParams) -> Box<dyn StageProbe<BiiNode>> {
-        Box::new(BiiStageProbe)
+        Box::new(BiiStageProbe::default())
     }
 
     fn delivered(&self, node: &BiiNode) -> Vec<PacketKey> {

@@ -200,6 +200,13 @@ impl KbcastNode {
         self.dissem.as_ref()
     }
 
+    /// Mutable Stage 4 state, for arming a
+    /// [`crate::stage4::disseminate::Sabotage`] in tests.
+    #[cfg(test)]
+    pub(crate) fn dissem_state_mut(&mut self) -> Option<&mut DissemState> {
+        self.dissem.as_mut()
+    }
+
     /// Stage-local round at which this node saw Stage 3 end, if it has.
     #[must_use]
     pub fn collection_finished_at(&self) -> Option<u64> {

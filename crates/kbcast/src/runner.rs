@@ -35,6 +35,7 @@ use crate::node::{KbcastNode, TxCounts};
 use crate::packet::Packet;
 use crate::session::{BroadcastProtocol, NetParams};
 use crate::stage3::schedule;
+use crate::stage4::DissemState;
 
 /// Where the `k` packets initially live: `payloads[i]` is the list of
 /// packet payloads held by node `i` at round 0.
@@ -347,12 +348,17 @@ impl Observer<KbcastNode> for StageObserver {
 /// reports summed GF(2) decoder rank across all nodes as the
 /// protocol-progress gauge — the trace's rank-progress curve is the
 /// per-round view of Stage 4's decoding front.
+///
+/// Ranks only grow on reception ([`DissemState::deliver`]), so the
+/// gauge is re-summed — one running total per node — only in rounds
+/// with a reception, and reused otherwise.
 #[derive(Debug)]
 pub struct CodedStageProbe {
     cfg: Config,
     root: Option<usize>,
     scanned: bool,
     collect_end: Option<u64>,
+    gauge: Option<u64>,
 }
 
 impl CodedStageProbe {
@@ -364,6 +370,7 @@ impl CodedStageProbe {
             root: None,
             scanned: false,
             collect_end: None,
+            gauge: None,
         }
     }
 }
@@ -391,11 +398,15 @@ impl StageProbe<KbcastNode> for CodedStageProbe {
         } else {
             "disseminate"
         };
-        let gauge: u64 = nodes
-            .iter()
-            .filter_map(KbcastNode::dissem_state)
-            .flat_map(|d| d.group_status().map(|g| g.rank as u64))
-            .sum();
+        let gauge = match self.gauge {
+            Some(g) if events.receptions == 0 => g,
+            _ => nodes
+                .iter()
+                .filter_map(KbcastNode::dissem_state)
+                .map(DissemState::rank_total)
+                .sum(),
+        };
+        self.gauge = Some(gauge);
         StageSample::new(stage).with_gauge(gauge)
     }
 }

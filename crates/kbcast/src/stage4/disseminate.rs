@@ -1,7 +1,7 @@
 //! The per-node dissemination state machine (`FORWARD` + decoding).
 
 use gf2::bitvec::BitVec;
-use gf2::decoder::Decoder;
+use gf2::decoder::{Decoder, Insert};
 use protocols::decay::Decay;
 use rand::Rng;
 
@@ -67,9 +67,31 @@ pub struct DissemState {
     /// [`DissemState::deliver`] so [`DissemState::is_complete`] is O(1) —
     /// the engine consults it after every poll and reception.
     decoded: u32,
+    /// Sum of every group decoder's rank, bumped by
+    /// [`DissemState::deliver`] on each innovative row so the trace
+    /// gauge reads one field per node instead of every decoder.
+    rank_total: u64,
     decay: Decay,
     /// Batch tag — 0 for the static problem; see [`crate::dynamic`].
     batch: u32,
+    /// Test-only corruption applied by the next `deliver` (see
+    /// [`Sabotage`]).
+    #[cfg(test)]
+    pub(crate) sabotage: Option<Sabotage>,
+}
+
+/// A deliberate decoder-state corruption, applied to the received
+/// group by the next [`DissemState::deliver`] and then cleared, so the
+/// Stage 4 invariant checks in [`crate::verify`] can be shown to fire.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Sabotage {
+    /// Forget the group's rows: its rank falls to 0.
+    ForgetRows,
+    /// Mark the group decoded at whatever rank it holds.
+    DecodeEarly,
+    /// Decrement the decoded-group count.
+    UndoDecode,
 }
 
 impl DissemState {
@@ -112,8 +134,11 @@ impl DissemState {
             groups,
             rx: Vec::new(),
             decoded: 0,
+            rank_total: 0,
             decay: Decay::new(cfg.delta_bound),
             batch,
+            #[cfg(test)]
+            sabotage: None,
         }
     }
 
@@ -140,8 +165,11 @@ impl DissemState {
             g: None,
             rx: Vec::new(),
             decoded: 0,
+            rank_total: 0,
             decay: Decay::new(cfg.delta_bound),
             batch,
+            #[cfg(test)]
+            sabotage: None,
         }
     }
 
@@ -239,6 +267,13 @@ impl DissemState {
     #[must_use]
     pub fn decoded_groups(&self) -> u32 {
         self.decoded
+    }
+
+    /// Sum of the decoder ranks in [`DissemState::group_status`],
+    /// maintained by [`DissemState::deliver`] (0 for the root).
+    #[must_use]
+    pub fn rank_total(&self) -> u64 {
+        self.rank_total
     }
 
     /// Transmit decision at stage-local round `local`.
@@ -399,7 +434,19 @@ impl DissemState {
     /// Handles a received coded message (time-independent: decoding does
     /// not care which phase the row arrived in). Rows from other batches
     /// are ignored.
+    ///
+    /// This is the only place a node's decoder ranks and decoded-group
+    /// count change, which is what lets the Stage 4 invariant checks
+    /// and the trace gauge visit receivers only.
     pub fn deliver(&mut self, msg: &CodedMsg) {
+        self.insert_row(msg);
+        #[cfg(test)]
+        if let Some(s) = self.sabotage.take() {
+            self.apply_sabotage(s, msg.group as usize);
+        }
+    }
+
+    fn insert_row(&mut self, msg: &CodedMsg) {
         if self.is_root || msg.batch != self.batch {
             return;
         }
@@ -423,12 +470,35 @@ impl DissemState {
         if rx.ready.is_some() || msg.coeffs.len() != rx.meta.size {
             return; // already decoded, or malformed row
         }
-        rx.decoder.insert(msg.coeffs.clone(), msg.payload.clone());
+        if let Insert::Innovative { .. } =
+            rx.decoder.insert(msg.coeffs.clone(), msg.payload.clone())
+        {
+            self.rank_total += 1;
+        }
         if rx.decoder.is_complete() {
             rx.ready = rx.decoder.decode();
             if rx.ready.is_some() {
                 self.decoded += 1;
             }
+        }
+    }
+
+    #[cfg(test)]
+    fn apply_sabotage(&mut self, s: Sabotage, group: usize) {
+        if let Sabotage::UndoDecode = s {
+            self.decoded = self.decoded.saturating_sub(1);
+            return;
+        }
+        let Some(Some(rx)) = self.rx.get_mut(group) else {
+            return;
+        };
+        match s {
+            Sabotage::ForgetRows => rx.decoder = Decoder::new(rx.meta.size, rx.meta.payload_len),
+            Sabotage::DecodeEarly if rx.ready.is_none() => {
+                rx.ready = Some(Vec::new());
+                self.decoded += 1;
+            }
+            _ => {}
         }
     }
 }

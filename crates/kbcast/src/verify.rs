@@ -27,14 +27,21 @@
 //! - **Conservation on completion** — a node claiming all packets
 //!   ([`KbcastNode::has_all_packets`]) holds exactly the expected set.
 //!
-//! All per-round work is gated on `events.receptions > 0`: protocol
-//! state only changes through receptions, so silent rounds cost one
-//! branch.
+//! Per-round work follows receptions, since protocol state only
+//! changes in `receive`. The Stage 2/3 flag scans run only in rounds
+//! with a reception, so silent rounds cost one branch. The decoder
+//! checks are receiver-driven: they visit only the round's listeners
+//! (the [`RoundDetail`] deliveries), because a node's decoder ranks
+//! and decoded-group count change only in
+//! [`crate::stage4::DissemState::deliver`], which runs only inside
+//! that node's `receive`, and a fresh decoder state reads all zeros.
+//! A checked coded round thus costs O(receptions · groups), not
+//! O(n · groups).
 
 use std::collections::HashSet;
 
 use radio_net::graph::NodeId;
-use radio_net::session::RoundEvents;
+use radio_net::session::{RoundDetail, RoundEvents};
 use radio_net::verify::{Check, Violation, ViolationLog};
 use radio_net::SessionEnd;
 
@@ -211,11 +218,14 @@ impl StageInvariants {
         }
     }
 
-    /// Stage 4 decoder sanity: ranks and decoded counts only grow, and
-    /// decode happens exactly at full rank.
-    fn check_dissemination(&mut self, round: u64, nodes: &[KbcastNode]) {
-        for (i, node) in nodes.iter().enumerate() {
-            let Some(dissem) = node.dissem_state() else {
+    /// Stage 4 decoder sanity for this round's listeners: ranks and
+    /// decoded counts only grow, and decode happens exactly at full
+    /// rank. Nodes that received nothing kept their decoder state, so
+    /// visiting the listeners (ascending, like a full scan) is exact.
+    fn check_dissemination(&mut self, round: u64, deliveries: &[(u32, u32)], nodes: &[KbcastNode]) {
+        for &(listener, _) in deliveries {
+            let i = listener as usize;
+            let Some(dissem) = nodes[i].dissem_state() else {
                 continue;
             };
             let decoded = dissem.decoded_groups();
@@ -281,7 +291,7 @@ impl Check<KbcastNode> for StageInvariants {
                 self.check_election(events.round, nodes);
             }
         }
-        // Everything below watches state that only changes through
+        // The flag scans below watch state that only changes through
         // receptions; silent rounds are free.
         if events.receptions == 0 {
             return;
@@ -289,7 +299,10 @@ impl Check<KbcastNode> for StageInvariants {
         let round = events.round;
         self.check_bfs(round, nodes);
         self.check_collection(round, nodes);
-        self.check_dissemination(round, nodes);
+    }
+
+    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, nodes: &[KbcastNode]) {
+        self.check_dissemination(detail.round, detail.deliveries, nodes);
     }
 
     fn on_session_end(&mut self, nodes: &[KbcastNode], _end: &SessionEnd) {
@@ -808,6 +821,106 @@ mod tests {
             .collect();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("forged key"), "{msgs:?}");
+    }
+
+    /// Node 1 receives one unit row of a 4-member group from node 0 in
+    /// each round `100 + r`, `r < rows`, reported to a
+    /// [`StageInvariants`] through the same hooks a session uses, with
+    /// `sabotage` armed on node 1's decoder state just before row
+    /// `arm_at` (≥ 1, so the state exists). Returns every violation.
+    fn sabotaged_rows(
+        sabotage: crate::stage4::disseminate::Sabotage,
+        arm_at: usize,
+        rows: usize,
+    ) -> Vec<Violation> {
+        use crate::messages::{CodedMsg, Msg};
+        use gf2::bitvec::BitVec;
+        use radio_net::engine::Node as _;
+
+        let cfg = Config::for_network(2, 1, 1);
+        let mut nodes: Vec<KbcastNode> = (0..2)
+            .map(|i| KbcastNode::new(cfg, i, Vec::new(), radio_net::rng::stream(0, i)))
+            .collect();
+        let mut check = StageInvariants::new(cfg, 2, Vec::new(), false);
+        for r in 0..rows {
+            if r == arm_at {
+                nodes[1]
+                    .dissem_state_mut()
+                    .expect("row 0 created it")
+                    .sabotage = Some(sabotage);
+            }
+            let round = 100 + r as u64;
+            let row = CodedMsg {
+                batch: 0,
+                group: 0,
+                num_groups: 1,
+                k: 4,
+                group_size: 4,
+                payload_len: 8,
+                coeffs: BitVec::unit(4, r % 4),
+                payload: vec![0; 8],
+            };
+            nodes[1].receive(round, &Msg::Coded(row));
+            let events = RoundEvents {
+                round,
+                transmissions: 1,
+                receptions: 1,
+                ..RoundEvents::default()
+            };
+            check.on_round(&events, &nodes);
+            check.on_round_detail(
+                &RoundDetail {
+                    round,
+                    transmitters: &[0],
+                    deliveries: &[(1, 0)],
+                    collisions: &[],
+                    woken: &[],
+                    external_wakes: &[],
+                    dropped: &[],
+                    jammed: &[],
+                    crashed: &[],
+                    wakeups_suppressed: &[],
+                    noise: &[],
+                },
+                &nodes,
+            );
+        }
+        assert_eq!(check.total_violations(), check.violations().len());
+        check.violations().to_vec()
+    }
+
+    #[test]
+    fn decoder_sabotage_is_caught_at_its_round() {
+        use crate::stage4::disseminate::Sabotage;
+        let at = |round: u64, message: &str| {
+            vec![Violation {
+                round,
+                message: message.to_string(),
+            }]
+        };
+        // Armed past the last row: the control run is clean.
+        assert_eq!(sabotaged_rows(Sabotage::ForgetRows, 6, 6), Vec::new());
+        assert_eq!(
+            sabotaged_rows(Sabotage::ForgetRows, 2, 3),
+            at(
+                102,
+                "node 1 group 0 rank fell from 2 to 0 (must be monotone nondecreasing)"
+            )
+        );
+        // Stop at the sabotaged row: every later reception would
+        // re-report the early decode.
+        assert_eq!(
+            sabotaged_rows(Sabotage::DecodeEarly, 1, 2),
+            at(
+                101,
+                "node 1 decoded group 0 at rank 2 of 4 (decode requires full rank)"
+            )
+        );
+        // Row 4 arrives after the full-rank decode at row 3.
+        assert_eq!(
+            sabotaged_rows(Sabotage::UndoDecode, 4, 5),
+            at(104, "node 1 decoded-group count fell from 1 to 0")
+        );
     }
 
     #[test]

@@ -24,6 +24,11 @@ fi
 # skipped via KB_SKIP_PERF=1 without KB_PERF=1.
 cargo build --release --workspace
 cargo test -q
+# `cargo test` alone runs only the root package; the crates' own unit
+# and integration tests (the engine and ModelChecker sabotage tests,
+# kbcast::verify's tampered and decoder-sabotage tests, the service's
+# session tests) run here, in release like everything below.
+cargo test --release --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Examples: every program under examples/ is built and run, not only

@@ -1,4 +1,6 @@
-//! Property tests for the trace subsystem on random topologies.
+//! Property tests for the trace subsystem on random topologies, plus
+//! an every-round check of the protocol probes' reused gauges
+//! (`reused_gauges_equal_full_recomputes`).
 //!
 //! Two laws, checked against the engine's own accounting rather than
 //! against the trace's idea of itself:
@@ -25,9 +27,15 @@
 //! conservation must hold on the truncated run too).
 
 use proptest::prelude::*;
+use radio_kbcast::kbcast::baseline::BiiProtocol;
 use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
-use radio_kbcast::kbcast::session::run_protocol_on_graph;
+use radio_kbcast::kbcast::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
+use radio_kbcast::kbcast::KbcastNode;
+use radio_kbcast::radio_net::engine::{Engine, Node};
 use radio_kbcast::radio_net::graph::Graph;
+use radio_kbcast::radio_net::session::{Observer, RoundEvents};
+use radio_kbcast::radio_net::topology::Topology;
+use radio_kbcast::radio_net::trace::StageProbe;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -111,5 +119,68 @@ proptest! {
         let chrome = chrome.trim();
         prop_assert!(chrome.starts_with('[') && chrome.ends_with(']'));
         prop_assert!(chrome.contains("\"ph\": \"X\""), "chrome trace has duration spans");
+    }
+}
+
+/// Samples a protocol's trace probe every round and demands the gauge a
+/// full recompute over all nodes gives: the coded and BII probes reuse
+/// their gauge in rounds without a reception, which is exact only
+/// because decoder ranks and known sets change only in `receive`.
+struct GaugeCheck<N> {
+    probe: Box<dyn StageProbe<N>>,
+    full: fn(&[N]) -> u64,
+    rounds: u64,
+}
+
+impl<N: Node> Observer<N> for GaugeCheck<N> {
+    fn on_round(&mut self, events: &RoundEvents, nodes: &[N]) {
+        let sample = self.probe.sample(events, nodes);
+        assert_eq!(
+            sample.gauge,
+            Some((self.full)(nodes)),
+            "round {}",
+            events.round
+        );
+        self.rounds += 1;
+    }
+}
+
+fn check_gauge<P: BroadcastProtocol>(
+    protocol: &P,
+    topology: &Topology,
+    k: usize,
+    seed: u64,
+    full: fn(&[P::Node]) -> u64,
+) {
+    let graph = topology.build(seed).expect("topology builds");
+    let net = NetParams::of_graph(&graph);
+    let (nodes, awake) = protocol.build(&net, &Workload::random(net.n, k, seed), seed);
+    let mut engine = Engine::new(graph, nodes, awake).expect("engine builds");
+    let mut check = GaugeCheck {
+        probe: protocol.trace_probe(&net),
+        full,
+        rounds: 0,
+    };
+    let end = engine.run_session(protocol.round_cap(&net, k), &mut check);
+    assert!(end.completed, "{topology} seed {seed}");
+    assert_eq!(check.rounds, end.rounds);
+}
+
+#[test]
+fn reused_gauges_equal_full_recomputes() {
+    for (topology, seed) in [
+        (Topology::Grid2d { rows: 5, cols: 5 }, 1),
+        (Topology::Gnp { n: 30, p: 0.2 }, 4),
+    ] {
+        check_gauge(&CodedProtocol::default(), &topology, 12, seed, |nodes| {
+            nodes
+                .iter()
+                .filter_map(KbcastNode::dissem_state)
+                .flat_map(|d| d.group_status().map(|g| g.rank as u64))
+                .sum()
+        });
+        check_gauge(&BiiProtocol::default(), &topology, 4, seed, |nodes| {
+            nodes.iter().map(|n| n.known_count() as u64).sum()
+        });
     }
 }
