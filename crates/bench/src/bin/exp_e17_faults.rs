@@ -24,16 +24,11 @@
 use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
-use kbcast::dynamic::{Arrival, DynamicProtocol};
-use kbcast::runner::{CodedProtocol, RunOptions, StageFaults, Workload};
-use kbcast::session::{run_protocol_on_graph, SessionReport};
-use kbcast_bench::parallel::par_map_indexed;
-use kbcast_bench::session::{sweep_protocol, SweepSpec};
-use kbcast_bench::stats::median;
+use kbcast::runner::{CodedProtocol, StageFaults};
+use kbcast_bench::session::{sweep_dynamic, sweep_protocol, two_wave_arrivals, Summary, SweepSpec};
 use kbcast_bench::table::{f3, Table};
-use kbcast_bench::{verify_from_env, Scale};
+use kbcast_bench::{verify_from_env, write_result, Scale};
 use radio_net::faults::FaultSpec;
-use radio_net::stats::SimStats;
 use radio_net::topology::Topology;
 
 /// Everything the table and the JSON need from one protocol × fault
@@ -41,97 +36,11 @@ use radio_net::topology::Topology;
 struct Entry {
     fault: String,
     protocol: &'static str,
-    ok: u64,
-    seeds: u64,
-    median_rounds: f64,
-    mean_delivered: f64,
-    lost_receptions: u64,
+    summary: Summary,
     stage_faults: Option<StageFaults>,
 }
 
-fn lost(stats: &SimStats) -> u64 {
-    stats.dropped + stats.jammed + stats.crashed_rx + stats.wakeups_suppressed
-}
-
-fn summarize<M>(
-    fault: &FaultSpec,
-    protocol: &'static str,
-    reports: &[SessionReport<M>],
-    stage_faults: Option<StageFaults>,
-) -> Entry {
-    let ok = reports.iter().filter(|r| r.success).count() as u64;
-    #[allow(clippy::cast_precision_loss)]
-    let rounds: Vec<f64> = reports
-        .iter()
-        .filter(|r| r.success)
-        .map(|r| r.rounds_total as f64)
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean_delivered =
-        reports.iter().map(|r| r.delivered_fraction).sum::<f64>() / reports.len().max(1) as f64;
-    Entry {
-        fault: fault.label(),
-        protocol,
-        ok,
-        seeds: reports.len() as u64,
-        median_rounds: median(&rounds),
-        mean_delivered,
-        lost_receptions: reports.iter().map(|r| lost(&r.stats)).sum(),
-        stage_faults,
-    }
-}
-
-/// The dynamic-arrival sweep is not expressible as a [`SweepSpec`]
-/// (arrivals are injected mid-session), so it fans its seeds out by
-/// hand through the same session driver.
-fn sweep_dynamic(
-    topo: &Topology,
-    seeds: u64,
-    fault: &FaultSpec,
-) -> Vec<SessionReport<kbcast::dynamic::DynamicMeta>> {
-    par_map_indexed(
-        usize::try_from(seeds).expect("seed count fits usize"),
-        |i| {
-            let seed = i as u64;
-            let graph = topo.build(seed).expect("topology builds");
-            let n = graph.len();
-            // A round-0 wave (wakes the network, elects the leader) plus a
-            // late wave that must ride a subsequent batch.
-            let mut arrivals: Vec<Arrival> = (0..4)
-                .map(|j| Arrival {
-                    round: 0,
-                    node: (j * 3) % n,
-                    payload: vec![0, j as u8],
-                })
-                .collect();
-            arrivals.extend((0..4).map(|j| Arrival {
-                round: 1500,
-                node: (j * 7 + 1) % n,
-                payload: vec![1, j as u8],
-            }));
-            let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-            for a in &arrivals {
-                if a.round == 0 {
-                    initial[a.node].push(a.payload.clone());
-                }
-            }
-            let workload = Workload::new(initial);
-            let protocol = DynamicProtocol {
-                arrivals: &arrivals,
-                config: None,
-                horizon: 150_000,
-            };
-            let options = RunOptions {
-                verify: verify_from_env(),
-                faults: *fault,
-                ..RunOptions::default()
-            };
-            run_protocol_on_graph(&protocol, graph, &workload, seed, options).expect("session runs")
-        },
-    )
-}
-
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 5);
     let (topo, k) = if matches!(scale, Scale::Quick) {
@@ -193,13 +102,19 @@ fn main() {
             stage_faults.collect += s.collect;
             stage_faults.disseminate += s.disseminate;
         }
-        entries.push(summarize(&fault, "coded", &coded, Some(stage_faults)));
+        let entry = |protocol, summary, stage_faults| Entry {
+            fault: fault.label(),
+            protocol,
+            summary,
+            stage_faults,
+        };
+        entries.push(entry("coded", Summary::of(&coded), Some(stage_faults)));
 
         let bii = sweep_protocol(&BiiProtocol::default(), &spec);
-        entries.push(summarize(&fault, "bii", &bii, None));
+        entries.push(entry("bii", Summary::of(&bii), None));
 
-        let dynamic = sweep_dynamic(&topo, seeds, &fault);
-        entries.push(summarize(&fault, "dynamic", &dynamic, None));
+        let dynamic = sweep_dynamic(&topo, seeds, 150_000, spec.options, two_wave_arrivals);
+        entries.push(entry("dynamic", Summary::of(&dynamic), None));
     }
 
     let mut t = Table::new(&[
@@ -211,13 +126,14 @@ fn main() {
         "fault-lost rx",
     ]);
     for e in &entries {
+        let s = &e.summary;
         t.row(&[
             e.fault.clone(),
             e.protocol.to_string(),
-            format!("{}/{}", e.ok, e.seeds),
-            format!("{:.0}", e.median_rounds),
-            f3(e.mean_delivered),
-            format!("{}", e.lost_receptions),
+            format!("{}/{}", s.ok, s.seeds),
+            format!("{:.0}", s.median_rounds),
+            f3(s.mean_delivered),
+            format!("{}", s.lost_receptions),
         ]);
     }
     t.print();
@@ -231,6 +147,7 @@ fn main() {
     // must be reproducible bit-for-bit from a fixed seed range.
     let mut json_entries = Vec::new();
     for e in &entries {
+        let s = &e.summary;
         let mut j = String::new();
         write!(
             j,
@@ -238,11 +155,11 @@ fn main() {
              \"median_rounds\": {:.1}, \"mean_delivered\": {:.6}, \"lost_receptions\": {}",
             e.fault,
             e.protocol,
-            e.ok,
-            e.seeds,
-            e.median_rounds,
-            e.mean_delivered,
-            e.lost_receptions
+            s.ok,
+            s.seeds,
+            s.median_rounds,
+            s.mean_delivered,
+            s.lost_receptions
         )
         .expect("write to string");
         if let Some(s) = e.stage_faults {
@@ -262,10 +179,5 @@ fn main() {
          \"seeds\": {seeds},\n  \"entries\": [\n{}\n  ]\n}}\n",
         json_entries.join(",\n")
     );
-    let path =
-        std::env::var("KB_E17_OUT").unwrap_or_else(|_| "results/E17_faults.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_E17_OUT", "results/E17_faults.json", &json)
 }

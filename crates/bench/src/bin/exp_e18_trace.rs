@@ -30,14 +30,14 @@
 use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
-use kbcast::dynamic::{Arrival, DynamicProtocol};
-use kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
-use kbcast::session::{run_protocol_on_graph, SessionReport};
-use kbcast_bench::parallel::par_map_indexed;
-use kbcast_bench::session::{merge_traces, sweep_protocol, SweepSpec};
+use kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions};
+use kbcast::session::SessionReport;
+use kbcast_bench::session::{
+    merge_traces, sweep_dynamic, sweep_protocol, two_wave_arrivals, SweepSpec,
+};
 use kbcast_bench::stats::median;
 use kbcast_bench::table::{f2, Table};
-use kbcast_bench::{trace_from_env, verify_from_env, Scale};
+use kbcast_bench::{trace_from_env, verify_from_env, write_result, Scale};
 use protocols::timing::{epoch_len, log_n};
 use radio_net::topology::Topology;
 use radio_net::trace::TraceSummary;
@@ -80,49 +80,6 @@ fn reduce<M>(
         amortized,
         stage_gauge,
     }
-}
-
-/// The dynamic-arrival sweep injects packets mid-session, which a
-/// [`SweepSpec`] cannot express; fan the seeds out by hand (same shape
-/// as E17's dynamic sweep, with tracing on).
-fn sweep_dynamic(
-    topo: &Topology,
-    seeds: u64,
-    options: RunOptions,
-) -> Vec<SessionReport<kbcast::dynamic::DynamicMeta>> {
-    par_map_indexed(
-        usize::try_from(seeds).expect("seed count fits usize"),
-        |i| {
-            let seed = i as u64;
-            let graph = topo.build(seed).expect("topology builds");
-            let n = graph.len();
-            let mut arrivals: Vec<Arrival> = (0..4)
-                .map(|j| Arrival {
-                    round: 0,
-                    node: (j * 3) % n,
-                    payload: vec![0, j as u8],
-                })
-                .collect();
-            arrivals.extend((0..4).map(|j| Arrival {
-                round: 1500,
-                node: (j * 7 + 1) % n,
-                payload: vec![1, j as u8],
-            }));
-            let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-            for a in &arrivals {
-                if a.round == 0 {
-                    initial[a.node].push(a.payload.clone());
-                }
-            }
-            let workload = Workload::new(initial);
-            let protocol = DynamicProtocol {
-                arrivals: &arrivals,
-                config: None,
-                horizon: 150_000,
-            };
-            run_protocol_on_graph(&protocol, graph, &workload, seed, options).expect("session runs")
-        },
-    )
 }
 
 /// Fixed-width ASCII histogram of the amortized rounds-per-packet
@@ -199,7 +156,7 @@ fn print_stage_bounds(reports: &[SessionReport<KbcastMeta>]) {
     t.print();
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 5);
     let (topo, k) = if matches!(scale, Scale::Quick) {
@@ -221,7 +178,7 @@ fn main() {
     spec.options = options;
     let coded_reports = sweep_protocol(&CodedProtocol::default(), &spec);
     let bii_reports = sweep_protocol(&BiiProtocol::default(), &spec);
-    let dynamic_reports = sweep_dynamic(&topo, seeds, options);
+    let dynamic_reports = sweep_dynamic(&topo, seeds, 150_000, options, two_wave_arrivals);
 
     let entries = [
         reduce("coded", &coded_reports, k),
@@ -320,29 +277,20 @@ fn main() {
          \"seeds\": {seeds},\n  \"entries\": [\n{}\n  ]\n}}\n",
         json_entries.join(",\n")
     );
-    let path = std::env::var("KB_E18_OUT").unwrap_or_else(|_| "results/E18_trace.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_E18_OUT", "results/E18_trace.json", &json)?;
 
     // Raw artifacts (seed-0 coded run) on request: the JSONL event
     // stream for ad-hoc analysis and the Chrome-trace span file for
     // Perfetto / chrome://tracing.
     if trace_from_env() {
         if let Some(trace) = coded_reports.first().and_then(|r| r.trace.as_ref()) {
-            let jsonl_path = std::env::var("KB_E18_JSONL")
-                .unwrap_or_else(|_| "results/E18_trace.jsonl".to_string());
-            match std::fs::write(&jsonl_path, trace.to_jsonl()) {
-                Ok(()) => println!("wrote {jsonl_path}"),
-                Err(e) => eprintln!("could not write {jsonl_path}: {e}"),
-            }
-            let chrome_path = std::env::var("KB_E18_CHROME")
-                .unwrap_or_else(|_| "results/E18_trace_chrome.json".to_string());
-            match std::fs::write(&chrome_path, trace.to_chrome_trace()) {
-                Ok(()) => println!("wrote {chrome_path}"),
-                Err(e) => eprintln!("could not write {chrome_path}: {e}"),
-            }
+            write_result("KB_E18_JSONL", "results/E18_trace.jsonl", &trace.to_jsonl())?;
+            write_result(
+                "KB_E18_CHROME",
+                "results/E18_trace_chrome.json",
+                &trace.to_chrome_trace(),
+            )?;
         }
     }
+    Ok(())
 }

@@ -30,7 +30,7 @@ use kbcast_bench::parallel::par_map_indexed;
 use kbcast_bench::stats::median;
 use kbcast_bench::table::Table;
 use kbcast_bench::traffic::{SaturationSpec, TrafficPattern, TrafficSpec};
-use kbcast_bench::{verify_from_env, Scale};
+use kbcast_bench::{verify_from_env, write_result, Scale};
 use radio_net::topology::Topology;
 
 /// One (topology, λ) sweep point, aggregated over seeds.
@@ -177,7 +177,7 @@ fn reference(topo: &Topology, protocol: &'static str, k: usize, seeds: u64) -> R
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 3);
     let topologies: Vec<Topology> = vec![
@@ -343,10 +343,5 @@ fn main() {
         ref_entries.join(",\n"),
         knee_entries.join(",\n")
     );
-    let path =
-        std::env::var("KB_E19_OUT").unwrap_or_else(|_| "results/E19_saturation.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_E19_OUT", "results/E19_saturation.json", &json)
 }

@@ -29,13 +29,10 @@ use std::fmt::Write as _;
 use kbcast::baseline::BiiProtocol;
 use kbcast::ghk::GhkProtocol;
 use kbcast::runner::CodedProtocol;
-use kbcast::session::SessionReport;
-use kbcast_bench::session::{sweep_protocol, SweepSpec};
-use kbcast_bench::stats::median;
+use kbcast_bench::session::{sweep_protocol, Summary, SweepSpec};
 use kbcast_bench::table::{f3, Table};
-use kbcast_bench::{verify_from_env, Scale};
+use kbcast_bench::{verify_from_env, write_result, Scale};
 use radio_net::faults::FaultSpec;
-use radio_net::stats::SimStats;
 use radio_net::topology::Topology;
 
 /// One protocol × topology × fault row.
@@ -43,51 +40,13 @@ struct Entry {
     topology: String,
     fault: String,
     protocol: &'static str,
-    ok: u64,
-    seeds: u64,
-    median_rounds: f64,
-    mean_delivered: f64,
-    lost_receptions: u64,
+    summary: Summary,
     /// Sessions whose election produced the unique maximum-id leader
     /// (GHK only).
     clean_elections: Option<u64>,
 }
 
-fn lost(stats: &SimStats) -> u64 {
-    stats.dropped + stats.jammed + stats.crashed_rx + stats.wakeups_suppressed
-}
-
-fn summarize<M>(
-    topo: &Topology,
-    fault: &FaultSpec,
-    protocol: &'static str,
-    reports: &[SessionReport<M>],
-    clean_elections: Option<u64>,
-) -> Entry {
-    let ok = reports.iter().filter(|r| r.success).count() as u64;
-    #[allow(clippy::cast_precision_loss)]
-    let rounds: Vec<f64> = reports
-        .iter()
-        .filter(|r| r.success)
-        .map(|r| r.rounds_total as f64)
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean_delivered =
-        reports.iter().map(|r| r.delivered_fraction).sum::<f64>() / reports.len().max(1) as f64;
-    Entry {
-        topology: topo.to_string(),
-        fault: fault.label(),
-        protocol,
-        ok,
-        seeds: reports.len() as u64,
-        median_rounds: median(&rounds),
-        mean_delivered,
-        lost_receptions: reports.iter().map(|r| lost(&r.stats)).sum(),
-        clean_elections,
-    }
-}
-
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 5);
     let zoo: Vec<(Topology, usize)> = if matches!(scale, Scale::Quick) {
@@ -131,13 +90,20 @@ fn main() {
                 .iter()
                 .filter(|r| r.meta.leader == Some(n_minus_1))
                 .count() as u64;
-            entries.push(summarize(topo, &fault, "ghk", &ghk, Some(clean_elections)));
+            let entry = |protocol, summary, clean_elections| Entry {
+                topology: topo.to_string(),
+                fault: fault.label(),
+                protocol,
+                summary,
+                clean_elections,
+            };
+            entries.push(entry("ghk", Summary::of(&ghk), Some(clean_elections)));
 
             let coded = sweep_protocol(&CodedProtocol::default(), &spec);
-            entries.push(summarize(topo, &fault, "coded", &coded, None));
+            entries.push(entry("coded", Summary::of(&coded), None));
 
             let bii = sweep_protocol(&BiiProtocol::default(), &spec);
-            entries.push(summarize(topo, &fault, "bii", &bii, None));
+            entries.push(entry("bii", Summary::of(&bii), None));
         }
     }
 
@@ -152,16 +118,17 @@ fn main() {
         "clean elections",
     ]);
     for e in &entries {
+        let s = &e.summary;
         t.row(&[
             e.topology.clone(),
             e.fault.clone(),
             e.protocol.to_string(),
-            format!("{}/{}", e.ok, e.seeds),
-            format!("{:.0}", e.median_rounds),
-            f3(e.mean_delivered),
-            format!("{}", e.lost_receptions),
+            format!("{}/{}", s.ok, s.seeds),
+            format!("{:.0}", s.median_rounds),
+            f3(s.mean_delivered),
+            format!("{}", s.lost_receptions),
             e.clean_elections
-                .map_or_else(|| "-".to_string(), |c| format!("{c}/{}", e.seeds)),
+                .map_or_else(|| "-".to_string(), |c| format!("{c}/{}", s.seeds)),
         ]);
     }
     t.print();
@@ -176,6 +143,7 @@ fn main() {
     // from the fixed seed range.
     let mut json_entries = Vec::new();
     for e in &entries {
+        let s = &e.summary;
         let mut j = String::new();
         write!(
             j,
@@ -185,11 +153,11 @@ fn main() {
             e.topology,
             e.fault,
             e.protocol,
-            e.ok,
-            e.seeds,
-            e.median_rounds,
-            e.mean_delivered,
-            e.lost_receptions
+            s.ok,
+            s.seeds,
+            s.median_rounds,
+            s.mean_delivered,
+            s.lost_receptions
         )
         .expect("write to string");
         if let Some(c) = e.clean_elections {
@@ -202,9 +170,5 @@ fn main() {
         "{{\n  \"experiment\": \"E21_cd\",\n  \"seeds\": {seeds},\n  \"entries\": [\n{}\n  ]\n}}\n",
         json_entries.join(",\n")
     );
-    let path = std::env::var("KB_E21_OUT").unwrap_or_else(|_| "results/E21_cd.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_E21_OUT", "results/E21_cd.json", &json)
 }

@@ -36,14 +36,12 @@
 use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
-use kbcast::dynamic::{Arrival, DynamicProtocol};
+use kbcast::dynamic::Arrival;
 use kbcast::ghk::GhkProtocol;
-use kbcast::runner::{CodedProtocol, RunOptions, Workload};
-use kbcast::session::{run_protocol_on_graph, SessionReport};
-use kbcast_bench::session::{sweep_protocol, SweepSpec};
-use kbcast_bench::stats::median;
+use kbcast::runner::CodedProtocol;
+use kbcast_bench::session::{sweep_dynamic, sweep_protocol, Summary, SweepSpec};
 use kbcast_bench::table::{f3, Table};
-use kbcast_bench::{verify_from_env, Scale};
+use kbcast_bench::{verify_from_env, write_result, Scale};
 use radio_net::dyntopo::{ChurnSpec, PartitionWindow};
 use radio_net::topology::Topology;
 
@@ -58,78 +56,18 @@ struct Entry {
     topology: String,
     churn: String,
     protocol: &'static str,
-    ok: u64,
-    seeds: u64,
-    median_rounds: f64,
-    mean_delivered: f64,
+    summary: Summary,
 }
 
-/// The flattened per-seed observation shared by the sweep-driven and
-/// hand-driven protocols.
-struct Obs {
-    success: bool,
-    rounds: u64,
-    delivered: f64,
-}
-
-fn obs<M>(r: &SessionReport<M>) -> Obs {
-    Obs {
-        success: r.success,
-        rounds: r.rounds_total,
-        delivered: r.delivered_fraction,
-    }
-}
-
-fn summarize(topo: &Topology, churn: &ChurnSpec, protocol: &'static str, runs: &[Obs]) -> Entry {
-    let ok = runs.iter().filter(|r| r.success).count() as u64;
-    #[allow(clippy::cast_precision_loss)]
-    let rounds: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.success)
-        .map(|r| r.rounds as f64)
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean_delivered = runs.iter().map(|r| r.delivered).sum::<f64>() / runs.len().max(1) as f64;
-    Entry {
-        topology: topo.to_string(),
-        churn: churn.label(),
-        protocol,
-        ok,
-        seeds: runs.len() as u64,
-        median_rounds: median(&rounds),
-        mean_delivered,
-    }
-}
-
-/// The dynamic variant does not fit `sweep_protocol` (its protocol
-/// value borrows a per-seed arrival schedule), so it gets the same
-/// per-seed fan-out by hand: `k` packets, half present at round 0 to
-/// wake the network, the rest injected mid-session through the
+/// The dynamic variant's schedule: `k` packets, half present at round 0
+/// to wake the network, the rest injected mid-session through the
 /// session-control seam — churn active underneath the whole time.
-fn dynamic_runs(topo: &Topology, k: usize, seeds: u64, options: RunOptions) -> Vec<Obs> {
-    (0..seeds)
-        .map(|seed| {
-            let graph = topo.build(seed).expect("topology builds");
-            let n = graph.len();
-            let arrivals: Vec<Arrival> = (0..k)
-                .map(|i| Arrival {
-                    round: if i < k.div_ceil(2) { 0 } else { 200 * i as u64 },
-                    node: (i * 7 + seed as usize) % n,
-                    payload: vec![0xE2, i as u8, seed as u8],
-                })
-                .collect();
-            let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-            for a in arrivals.iter().filter(|a| a.round == 0) {
-                initial[a.node].push(a.payload.clone());
-            }
-            let protocol = DynamicProtocol {
-                arrivals: &arrivals,
-                config: None,
-                horizon: CAP,
-            };
-            let r = run_protocol_on_graph(&protocol, graph, &Workload::new(initial), seed, options)
-                .expect("session runs");
-            obs(&r)
+fn arrivals(k: usize, seed: u64, n: usize) -> Vec<Arrival> {
+    (0..k)
+        .map(|i| Arrival {
+            round: if i < k.div_ceil(2) { 0 } else { 200 * i as u64 },
+            node: (i * 7 + seed as usize) % n,
+            payload: vec![0xE2, i as u8, seed as u8],
         })
         .collect()
 }
@@ -155,7 +93,7 @@ fn churn_grid() -> Vec<ChurnSpec> {
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let seeds = scale.pick(2u64, 5);
     let zoo: Vec<(Topology, usize)> = if matches!(scale, Scale::Quick) {
@@ -185,31 +123,24 @@ fn main() {
             spec.options.churn = *churn;
 
             let coded = sweep_protocol(&CodedProtocol::default(), &spec);
-            entries.push(summarize(
-                topo,
-                churn,
-                "coded",
-                &coded.iter().map(obs).collect::<Vec<_>>(),
-            ));
-
             let bii = sweep_protocol(&BiiProtocol::default(), &spec);
-            entries.push(summarize(
-                topo,
-                churn,
-                "bii",
-                &bii.iter().map(obs).collect::<Vec<_>>(),
-            ));
-
             let ghk = sweep_protocol(&GhkProtocol::default(), &spec);
-            entries.push(summarize(
-                topo,
-                churn,
-                "ghk",
-                &ghk.iter().map(obs).collect::<Vec<_>>(),
-            ));
-
-            let dynamic = dynamic_runs(topo, *k, seeds, spec.options);
-            entries.push(summarize(topo, churn, "dynamic", &dynamic));
+            let dynamic = sweep_dynamic(topo, seeds, CAP, spec.options, |seed, n| {
+                arrivals(*k, seed, n)
+            });
+            for (protocol, summary) in [
+                ("coded", Summary::of(&coded)),
+                ("bii", Summary::of(&bii)),
+                ("ghk", Summary::of(&ghk)),
+                ("dynamic", Summary::of(&dynamic)),
+            ] {
+                entries.push(Entry {
+                    topology: topo.to_string(),
+                    churn: churn.label(),
+                    protocol,
+                    summary,
+                });
+            }
         }
     }
 
@@ -222,13 +153,14 @@ fn main() {
         "delivered",
     ]);
     for e in &entries {
+        let s = &e.summary;
         t.row(&[
             e.topology.clone(),
             e.churn.clone(),
             e.protocol.to_string(),
-            format!("{}/{}", e.ok, e.seeds),
-            format!("{:.0}", e.median_rounds),
-            f3(e.mean_delivered),
+            format!("{}/{}", s.ok, s.seeds),
+            format!("{:.0}", s.median_rounds),
+            f3(s.mean_delivered),
         ]);
     }
     t.print();
@@ -256,7 +188,7 @@ fn main() {
                         .find(|e| {
                             e.topology == tname && e.protocol == protocol && e.churn == *label
                         })
-                        .map(|e| e.mean_delivered)
+                        .map(|e| e.summary.mean_delivered)
                 })
                 .collect();
             let monotone = series.windows(2).all(|w| w[1] <= w[0] + 0.02);
@@ -279,13 +211,14 @@ fn main() {
     // from the fixed seed range.
     let mut json_entries = Vec::new();
     for e in &entries {
+        let s = &e.summary;
         let mut j = String::new();
         write!(
             j,
             "    {{\"topology\": \"{}\", \"churn\": \"{}\", \"protocol\": \"{}\", \
              \"success\": {}, \"seeds\": {}, \"median_rounds\": {:.1}, \
              \"mean_delivered\": {:.6}}}",
-            e.topology, e.churn, e.protocol, e.ok, e.seeds, e.median_rounds, e.mean_delivered
+            e.topology, e.churn, e.protocol, s.ok, s.seeds, s.median_rounds, s.mean_delivered
         )
         .expect("write to string");
         json_entries.push(j);
@@ -295,9 +228,5 @@ fn main() {
          \"monotone_degradation\": {all_monotone},\n  \"entries\": [\n{}\n  ]\n}}\n",
         json_entries.join(",\n")
     );
-    let path = std::env::var("KB_E22_OUT").unwrap_or_else(|_| "results/E22_churn.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_E22_OUT", "results/E22_churn.json", &json)
 }

@@ -34,7 +34,7 @@ use std::time::Instant;
 use kbcast::baseline::{BiiConfig, BiiNode};
 use kbcast::runner::{round_cap, Workload};
 use kbcast::{Config, KbcastNode};
-use kbcast_bench::Scale;
+use kbcast_bench::{write_result, Scale};
 use protocols::decay::Decay;
 use radio_net::engine::{Engine, Node};
 use radio_net::graph::{Graph, NodeId};
@@ -183,7 +183,7 @@ fn median_by<T, F: Fn(&T) -> f64>(items: &[T], key: F) -> f64 {
     v[v.len() / 2]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     let reps = scale.pick(1, 3);
     let quick = reps == 1;
@@ -299,10 +299,5 @@ fn main() {
     );
     // KB_BENCH_OUT redirects the report (the perf gate writes to a
     // scratch path so the committed baseline stays untouched).
-    let path =
-        std::env::var("KB_BENCH_OUT").unwrap_or_else(|_| "results/BENCH_engine.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e} (printing instead)\n{json}"),
-    }
+    write_result("KB_BENCH_OUT", "results/BENCH_engine.json", &json)
 }

@@ -66,9 +66,36 @@ pub fn trace_from_env() -> bool {
     std::env::var("KB_TRACE").as_deref() == Ok("1")
 }
 
+/// Writes a binary's result file to the path named by the environment
+/// variable `var` (`KB_E17_OUT`, `KB_BENCH_OUT`, ...), or to `default`
+/// when it is unset, and prints the path written.
+///
+/// # Errors
+///
+/// Returns the write error, prefixed with the path. Binaries return it
+/// from `main`, so a failed write exits non-zero.
+pub fn write_result(var: &str, default: &str, text: &str) -> std::io::Result<()> {
+    let path = std::env::var(var).unwrap_or_else(|_| default.to_string());
+    std::fs::write(&path, text)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("could not write {path}: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_result_fails_on_an_unwritable_path() {
+        // A directory cannot be written as a file, whatever the user's
+        // permissions.
+        let dir = std::env::temp_dir();
+        let dir = dir.to_str().expect("temp dir is UTF-8");
+        let err = write_result("KB_WRITE_RESULT_TEST_UNSET", dir, "{}")
+            .expect_err("writing over a directory must fail");
+        assert!(err.to_string().contains(dir), "error names the path: {err}");
+    }
 
     #[test]
     fn scale_pick() {

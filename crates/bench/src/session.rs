@@ -3,9 +3,11 @@
 //! [`BroadcastProtocol`] session" over a seed range. This module owns
 //! that plumbing — seed fan-out across worker threads, per-seed graph
 //! and workload construction, the session driver call — so an
-//! experiment is reduced to picking a [`SweepSpec`] and aggregating the
-//! returned [`SessionReport`]s.
+//! experiment is reduced to picking a [`SweepSpec`] (or an arrival
+//! schedule for [`sweep_dynamic`]) and aggregating the returned
+//! [`SessionReport`]s, for adversity sweeps through [`Summary::of`].
 
+use kbcast::dynamic::{Arrival, DynamicMeta, DynamicProtocol};
 use kbcast::runner::{RunOptions, Workload};
 use kbcast::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
 use radio_net::topology::Topology;
@@ -104,6 +106,102 @@ where
         let workload = spec.workload.build(n, spec.k, seed);
         run_protocol_on_graph(protocol, graph, &workload, seed, spec.options).expect("session runs")
     })
+}
+
+/// Runs the dynamic-arrival protocol once per seed on per-seed builds of
+/// `topology`, fanned out like [`sweep_protocol`] and returned in seed
+/// order. `arrivals(seed, n)` is the seed's full schedule on its
+/// `n`-node graph; its round-0 arrivals form the initial workload
+/// ([`DynamicProtocol::initial_workload`]) and the rest are injected
+/// mid-session. Such sweeps cannot be a [`SweepSpec`]: the protocol
+/// value borrows the per-seed schedule.
+///
+/// # Panics
+///
+/// Panics if a topology fails to build or a session errors.
+#[must_use]
+pub fn sweep_dynamic(
+    topology: &Topology,
+    seeds: u64,
+    horizon: u64,
+    options: RunOptions,
+    arrivals: impl Fn(u64, usize) -> Vec<Arrival> + Sync,
+) -> Vec<SessionReport<DynamicMeta>> {
+    let seeds = usize::try_from(seeds).expect("seed count fits usize");
+    par_map_indexed(seeds, |i| {
+        let seed = i as u64;
+        let graph = topology.build(seed).expect("topology builds");
+        let n = graph.len();
+        let arrivals = arrivals(seed, n);
+        let protocol = DynamicProtocol {
+            arrivals: &arrivals,
+            config: None,
+            horizon,
+        };
+        let workload = protocol.initial_workload(n);
+        run_protocol_on_graph(&protocol, graph, &workload, seed, options).expect("session runs")
+    })
+}
+
+/// A round-0 wave of four packets (wakes the network, elects the
+/// leader) plus a late wave of four at round 1500 that must ride a
+/// subsequent batch; the same on every seed.
+#[must_use]
+pub fn two_wave_arrivals(_seed: u64, n: usize) -> Vec<Arrival> {
+    let mut arrivals: Vec<Arrival> = (0..4)
+        .map(|j| Arrival {
+            round: 0,
+            node: (j * 3) % n,
+            payload: vec![0, j as u8],
+        })
+        .collect();
+    arrivals.extend((0..4).map(|j| Arrival {
+        round: 1500,
+        node: (j * 7 + 1) % n,
+        payload: vec![1, j as u8],
+    }));
+    arrivals
+}
+
+/// The row an adversity sweep (faults, churn, collision detection)
+/// reports per protocol: how many seeds succeeded, the median rounds
+/// over the successes, the mean delivered fraction and the receptions
+/// lost to injected faults.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Summary {
+    /// Successful seeds.
+    pub ok: u64,
+    /// Seeds run.
+    pub seeds: u64,
+    /// Median `rounds_total` over the successful seeds (0 if none).
+    pub median_rounds: f64,
+    /// Mean `delivered_fraction` over all seeds.
+    pub mean_delivered: f64,
+    /// Receptions lost to faults (dropped, jammed, crashed listener,
+    /// suppressed wake-up), summed over all seeds.
+    pub lost_receptions: u64,
+}
+
+impl Summary {
+    /// Summarizes a sweep's reports.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn of<M>(reports: &[SessionReport<M>]) -> Self {
+        Summary {
+            ok: successes(reports).count() as u64,
+            seeds: reports.len() as u64,
+            median_rounds: median_over(reports, |r| r.rounds_total as f64),
+            mean_delivered: reports.iter().map(|r| r.delivered_fraction).sum::<f64>()
+                / reports.len().max(1) as f64,
+            lost_receptions: reports
+                .iter()
+                .map(|r| {
+                    let s = &r.stats;
+                    s.dropped + s.jammed + s.crashed_rx + s.wakeups_suppressed
+                })
+                .sum(),
+        }
+    }
 }
 
 /// Folds the traces of a sweep into one [`TraceSummary`], merging in

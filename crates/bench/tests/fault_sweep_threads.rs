@@ -4,10 +4,13 @@
 //! fault-model RNG streams), so a 1-thread and a 4-thread fan-out of
 //! the same faulted sweep body must agree on every report field.
 
+use kbcast::dynamic::DynamicProtocol;
 use kbcast::runner::{CodedProtocol, KbcastMeta, RunOptions, Workload};
 use kbcast::session::{run_protocol_on_graph, SessionReport};
 use kbcast_bench::parallel::par_map_indexed_with;
-use kbcast_bench::session::{merge_traces, sweep_protocol, SweepSpec};
+use kbcast_bench::session::{
+    merge_traces, sweep_dynamic, sweep_protocol, two_wave_arrivals, SweepSpec,
+};
 use radio_net::faults::FaultSpec;
 use radio_net::topology::Topology;
 
@@ -115,4 +118,48 @@ fn sweep_spec_faults_matches_hand_rolled_sessions() {
         assert_eq!(r.stats, solo.stats);
         assert_eq!(r.meta, solo.meta);
     }
+}
+
+/// `sweep_dynamic` returns one report per seed, in seed order, each
+/// bit-identical to a sequential session with the same schedule, and
+/// the worker-thread count changes none of them.
+#[test]
+fn dynamic_sweep_matches_sequential_sessions_at_any_thread_count() {
+    let topo = Topology::Grid2d { rows: 4, cols: 4 };
+    let options = RunOptions {
+        faults: "uniform:rate=0.05".parse().expect("spec parses"),
+        ..RunOptions::default()
+    };
+    let sequential: Vec<_> = (0..4)
+        .map(|seed| {
+            let graph = topo.build(seed).expect("topology builds");
+            let arrivals = two_wave_arrivals(seed, graph.len());
+            let protocol = DynamicProtocol {
+                arrivals: &arrivals,
+                config: None,
+                horizon: 50_000,
+            };
+            let workload = protocol.initial_workload(graph.len());
+            run_protocol_on_graph(&protocol, graph, &workload, seed, options).expect("session runs")
+        })
+        .collect();
+    // Process-global, but every other test here only reads it, and the
+    // thread count never changes results.
+    for threads in ["1", "3"] {
+        std::env::set_var("KBCAST_THREADS", threads);
+        let swept = sweep_dynamic(&topo, 4, 50_000, options, two_wave_arrivals);
+        assert_eq!(swept.len(), sequential.len());
+        for (seed, (a, b)) in swept.iter().zip(&sequential).enumerate() {
+            assert_eq!(a.success, b.success, "seed {seed}: success");
+            assert_eq!(a.rounds_total, b.rounds_total, "seed {seed}: rounds");
+            assert_eq!(
+                a.delivered_fraction.to_bits(),
+                b.delivered_fraction.to_bits(),
+                "seed {seed}: delivered_fraction"
+            );
+            assert_eq!(a.stats, b.stats, "seed {seed}: stats");
+            assert_eq!(a.meta, b.meta, "seed {seed}: meta");
+        }
+    }
+    std::env::remove_var("KBCAST_THREADS");
 }

@@ -2,8 +2,8 @@
 # Full local gate: release build, tests, clippy with warnings denied.
 #
 # Dependency policy: this repo must build offline. The only external
-# crates are the in-repo shims under crates/rand, crates/proptest and
-# crates/criterion (path dependencies in the workspace Cargo.toml).
+# crates are the in-repo shims under crates/rand and crates/proptest
+# (path dependencies in the workspace Cargo.toml).
 # Do NOT add crates.io dependencies — CI and the reproduction
 # environment have no registry access.
 set -eu

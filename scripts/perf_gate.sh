@@ -2,7 +2,8 @@
 # Perf gate: the engine hot loop must not regress. Reruns perf_smoke
 # (quick scale, scratch output via KB_BENCH_OUT) and fails if either
 # gated grid scenario drops more than 35% below the committed baseline
-# in results/BENCH_engine.json, or below its absolute floor.
+# in results/BENCH_engine.json, or below its absolute floor. A gated
+# scenario with no row in that file fails the gate too.
 #
 # perf_smoke drives Engine<_, NoFaults> with an Observer whose
 # DETAIL = false, so holding this floor is the zero-cost proof for
@@ -53,11 +54,6 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Pre-bitset-engine floor (rounds/s): 80% of the ~6931 r/s scalar-loop
-# baseline. Kept as the documented fallback applied when a scenario has
-# no committed baseline entry to compute a relative floor from.
-legacy_abs_floor=5545
-
 extract_rps() {
     grep -o "\"scenario\": \"$1\"[^}]*" "$2" \
         | grep -o '"rounds_per_sec": [0-9.]*' \
@@ -73,11 +69,10 @@ gate() {
     abs_floor="$2"
 
     baseline=$(extract_rps "$scenario" results/BENCH_engine.json || true)
-    if [ -z "$baseline" ]; then
-        echo "perf_gate: no $scenario baseline committed; using legacy floor" >&2
-        baseline=$legacy_abs_floor
-        abs_floor=$legacy_abs_floor
-    fi
+    [ -n "$baseline" ] || {
+        echo "perf_gate: results/BENCH_engine.json has no $scenario row to gate against" >&2
+        exit 1
+    }
 
     fresh=$(extract_rps "$scenario" "$out")
     [ -n "$fresh" ] || {

@@ -126,18 +126,12 @@ fn measure_dynamic(topo: &Topology, seed: u64) -> Golden {
             payload: vec![0xB1, seed as u8],
         },
     ];
-    let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-    for a in &arrivals {
-        if a.round == 0 {
-            initial[a.node].push(a.payload.clone());
-        }
-    }
-    let w = Workload::new(initial);
     let protocol = DynamicProtocol {
         arrivals: &arrivals,
         config: None,
         horizon: 200_000,
     };
+    let w = protocol.initial_workload(n);
     let r = run_protocol(&protocol, topo, &w, seed, options()).unwrap();
     assert!(r.success, "dynamic run must complete on {topo} seed {seed}");
     observe(&r.stats, r.rounds_total)

@@ -16,7 +16,6 @@
 
 use radio_kbcast::kbcast::dynamic::{Arrival, BatchRecord, DynamicNode, DynamicProtocol};
 use radio_kbcast::kbcast::packet::{Packet, PacketKey};
-use radio_kbcast::kbcast::runner::Workload;
 use radio_kbcast::kbcast::session::{BroadcastProtocol, NetParams};
 use radio_kbcast::radio_net::dyntopo::{BuiltTopology, ChurnSpec, TopologyModel};
 use radio_kbcast::radio_net::engine::{CdModel, Engine, NoCd, Node};
@@ -135,17 +134,16 @@ fn run(topology: &Topology, seed: u64, fault: &str, churn: &str, park: bool) -> 
     let graph = topology.build(seed).expect("topology builds");
     let n = graph.len();
     let arrivals = schedule(n);
-    let mut initial = vec![Vec::new(); n];
-    for a in arrivals.iter().filter(|a| a.round == 0) {
-        initial[a.node].push(a.payload.clone());
-    }
     let protocol = DynamicProtocol {
         arrivals: &arrivals,
         config: None,
         horizon: HORIZON,
     };
-    let (nodes, awake) =
-        protocol.build(&NetParams::of_graph(&graph), &Workload::new(initial), seed);
+    let (nodes, awake) = protocol.build(
+        &NetParams::of_graph(&graph),
+        &protocol.initial_workload(n),
+        seed,
+    );
     let nodes = nodes
         .into_iter()
         .map(|node| Probe {

@@ -143,18 +143,12 @@ fn model_checker_accepts_dynamic_external_wakes() {
         node: 11,
         payload: vec![1, 0],
     });
-    let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-    for a in &arrivals {
-        if a.round == 0 {
-            initial[a.node].push(a.payload.clone());
-        }
-    }
-    let workload = Workload::new(initial);
     let protocol = DynamicProtocol {
         arrivals: &arrivals,
         config: None,
         horizon: 150_000,
     };
+    let workload = protocol.initial_workload(n);
     run_protocol_on_graph(&protocol, graph, &workload, 5, verify_opts())
         .expect("dynamic verified run must not trip the model checker");
 }
