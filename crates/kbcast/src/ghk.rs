@@ -728,12 +728,12 @@ mod tests {
         let net = NetParams::of_graph(&graph);
         let (nodes, awake) = protocol.build(&net, &workload, 3);
         let mut engine =
-            radio_net::Engine::<GhkNode, radio_net::NoFaults, radio_net::WithCd>::with_topology(
+            radio_net::Engine::<GhkNode, radio_net::BuiltFaults, radio_net::WithCd>::with_topology(
                 graph,
                 nodes,
                 awake,
-                radio_net::NoFaults,
-                radio_net::StaticTopology,
+                radio_net::BuiltFaults::default(),
+                radio_net::BuiltTopology::Static,
             )
             .unwrap();
         engine.run(cfg.wave_end());

@@ -205,10 +205,9 @@ pub struct RunOptions {
     /// Dynamic-topology model applied while the protocol runs (see
     /// [`radio_net::dyntopo`]): per-round edge churn, random-waypoint
     /// mobility, or scheduled partition/heal. The default
-    /// [`ChurnSpec::None`] keeps the graph frozen — and zero-cost: the
-    /// static session monomorphizes over
-    /// [`radio_net::StaticTopology`], the exact pre-churn hot loop.
-    /// Parameters are validated when the model is built, before any
+    /// [`ChurnSpec::None`] keeps the graph frozen: it builds
+    /// [`radio_net::BuiltTopology::Static`], which never reshapes and
+    /// draws nothing. Parameters are validated when the model is built, before any
     /// engine state exists. Under [`RunOptions::verify`] the model
     /// checker replays an identically-seeded replica of the churn
     /// model, so verification stays sound on a moving graph.
@@ -216,9 +215,9 @@ pub struct RunOptions {
     /// Faults injected into the channel (see [`radio_net::faults`]):
     /// loss, bursty loss, crashes, jamming and wake-up corruption, at
     /// most one model per family. The default (no family) is the
-    /// paper's clean channel — and zero-cost: the session then
-    /// monomorphizes over [`radio_net::NoFaults`], the fault-free hot
-    /// loop. Each seed builds its own models from the spec, validated
+    /// paper's clean channel: its empty [`radio_net::BuiltFaults`] is
+    /// not [`radio_net::FaultModel::enabled`], so the engine skips every
+    /// fault hook and keeps its word-parallel path. Each seed builds its own models from the spec, validated
     /// before any engine state exists. A session with neither faults
     /// nor churn is *clean*: its protocol checks may also assert the
     /// w.h.p. invariants adversity could break (see

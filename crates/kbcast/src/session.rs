@@ -17,18 +17,18 @@
 //!   verify, trace, and the adversity specs
 //!   ([`RunOptions::faults`], [`RunOptions::churn`]).
 //! * [`LiveSession`] is the one place a session is assembled. `build`
-//!   probes the network, derives the engine's fault and topology models
-//!   from the specs (through [`SessionModel`]) and whether the session
-//!   is clean, and constructs the nodes, the observer, the verify stack,
-//!   the trace collector and the engine; `run` drives any [`Drive`]
+//!   probes the network, builds the engine's [`BuiltFaults`] and
+//!   [`BuiltTopology`] from the specs (empty specs build the clean
+//!   channel and the frozen graph) and whether the session is clean,
+//!   and constructs the nodes, the observer, the verify stack, the
+//!   trace collector and the engine; `run` drives any [`Drive`]
 //!   through that observer stack; `finish` runs the end-of-session
 //!   checks, verifies delivery against the ground-truth key set and
 //!   assembles a [`SessionReport`].
 //! * [`run_protocol_on_graph`] is the one driver: validate options,
-//!   pick the static fault and topology models whenever their specs are
-//!   empty, then build, run the protocol's own drive and finish. The
-//!   line-protocol service (`kbcast-serve`) holds a `LiveSession` of the
-//!   streaming protocol instead and runs it one request span at a time.
+//!   build, run the protocol's own drive and finish. The line-protocol
+//!   service (`kbcast-serve`) holds a `LiveSession` of the streaming
+//!   protocol instead and runs it one request span at a time.
 //! * `kbcast-bench`'s sweep layer fans seeds of this driver across
 //!   worker threads.
 //!
@@ -38,10 +38,10 @@
 //! accessor — and inheriting the driver, the verification and the
 //! whole sweep/table toolchain for free.
 
-use radio_net::dyntopo::{BuiltTopology, StaticTopology, TopologyModel};
+use radio_net::dyntopo::{BuiltTopology, TopologyModel};
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::error::Error;
-use radio_net::faults::{BuiltFaults, FaultModel, NoFaults};
+use radio_net::faults::{BuiltFaults, FaultModel};
 use radio_net::graph::{Graph, NodeId};
 use radio_net::session::{Observer, SessionEnd};
 use radio_net::stats::SimStats;
@@ -133,13 +133,11 @@ pub trait BroadcastProtocol {
     /// [`Node::is_done`]; protocols with external events (dynamic
     /// arrivals) override this with a custom control hook.
     ///
-    /// Generic over the engine's fault model so the same drive serves
-    /// clean ([`NoFaults`]) and [`RunOptions::faults`] sessions, over the
-    /// topology model so a [`RunOptions::churn`] session reuses the
-    /// same drive (static sessions monomorphize over
-    /// [`StaticTopology`], the exact pre-churn loop), and over the
-    /// observer so the driver can tee the protocol's own observer with
-    /// a [`VerifyStack`] under [`RunOptions::verify`].
+    /// Sessions call it on [`BuiltFaults`] and [`BuiltTopology`]; it
+    /// stays generic over the fault and topology models so a harness
+    /// can drive an engine of its own, and over the observer so the
+    /// driver can tee the protocol's own observer with a
+    /// [`VerifyStack`] under [`RunOptions::verify`].
     fn drive<F: FaultModel, T: TopologyModel, O: Observer<Self::Node>>(
         &self,
         engine: &mut Engine<Self::Node, F, Self::Cd, T>,
@@ -250,10 +248,9 @@ pub fn run_protocol<P: BroadcastProtocol>(
 /// requires the protocol's own stop condition to have held within the
 /// round cap.
 ///
-/// A session without [`RunOptions::faults`] runs on [`NoFaults`] and
-/// one without [`RunOptions::churn`] on [`StaticTopology`], whose hooks
-/// compile out of the engine's hot loop; the others run the
-/// [`BuiltFaults`] and [`BuiltTopology`] their specs build.
+/// Every session runs the [`BuiltFaults`] and [`BuiltTopology`] its
+/// specs build; empty specs give the clean channel, whose rounds take
+/// the engine's word-parallel path, and the frozen graph.
 ///
 /// # Errors
 ///
@@ -275,40 +272,8 @@ pub fn run_protocol_on_graph<P: BroadcastProtocol>(
     options: RunOptions,
 ) -> Result<SessionReport<P::Meta>, Error> {
     options.validate()?;
-    let opts = &options;
-    match (options.faults.is_none(), options.churn.is_none()) {
-        (true, true) => {
-            run_to_end::<P, NoFaults, StaticTopology>(protocol, graph, workload, seed, opts)
-        }
-        (false, true) => {
-            run_to_end::<P, BuiltFaults, StaticTopology>(protocol, graph, workload, seed, opts)
-        }
-        (true, false) => {
-            run_to_end::<P, NoFaults, BuiltTopology>(protocol, graph, workload, seed, opts)
-        }
-        (false, false) => {
-            run_to_end::<P, BuiltFaults, BuiltTopology>(protocol, graph, workload, seed, opts)
-        }
-    }
-}
-
-/// Builds a session on the engine models `F` and `T`, runs the
-/// protocol's own drive to its round cap, then finishes.
-fn run_to_end<P, F, T>(
-    protocol: &P,
-    graph: Graph,
-    workload: &Workload,
-    seed: u64,
-    options: &RunOptions,
-) -> Result<SessionReport<P::Meta>, Error>
-where
-    P: BroadcastProtocol,
-    F: FaultModel + SessionModel,
-    T: TopologyModel + SessionModel,
-{
-    let mut session = LiveSession::<P::Node, F, P::Cd, T, P::Obs>::build(
-        protocol, graph, workload, seed, options,
-    )?;
+    let mut session =
+        LiveSession::<P::Node, P::Cd, P::Obs>::build(protocol, graph, workload, seed, &options)?;
     if session.expected.is_empty() {
         // Nothing to broadcast: the protocol never starts (no node
         // wakes).
@@ -330,67 +295,17 @@ where
     session.finish(protocol, &end)
 }
 
-/// An engine model a [`LiveSession`] builds from its [`RunOptions`]:
-/// the fault models from [`RunOptions::faults`], the topology models
-/// from [`RunOptions::churn`]. The static models ([`NoFaults`],
-/// [`StaticTopology`]) accept only an empty spec, so a session cannot
-/// run clean while its options say otherwise.
-pub trait SessionModel: Sized {
-    /// Builds the model for `graph`, all streams derived from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for invalid parameters, and
-    /// from a static model whose spec is not empty.
-    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error>;
-}
-
-/// The error a static model returns for a spec it cannot run.
-fn not_static(model: &str, spec: String) -> Error {
-    Error::InvalidParameter {
-        reason: format!("{model} cannot run \"{spec}\"; it needs the built model"),
-    }
-}
-
-impl SessionModel for NoFaults {
-    fn from_options(options: &RunOptions, _graph: &Graph, _seed: u64) -> Result<Self, Error> {
-        if options.faults.is_none() {
-            Ok(NoFaults)
-        } else {
-            Err(not_static("NoFaults", options.faults.label()))
-        }
-    }
-}
-
-impl SessionModel for BuiltFaults {
-    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error> {
-        options.faults.build(graph.len(), seed)
-    }
-}
-
-impl SessionModel for StaticTopology {
-    fn from_options(options: &RunOptions, _graph: &Graph, _seed: u64) -> Result<Self, Error> {
-        if options.churn.is_none() {
-            Ok(StaticTopology)
-        } else {
-            Err(not_static("StaticTopology", options.churn.label()))
-        }
-    }
-}
-
-impl SessionModel for BuiltTopology {
-    fn from_options(options: &RunOptions, graph: &Graph, seed: u64) -> Result<Self, Error> {
-        options.churn.build(graph, seed)
-    }
-}
-
 /// One span of engine time, run through whichever observer a
 /// [`LiveSession`]'s verify and trace options put together. A trait
 /// rather than a closure, because a closure cannot be generic over that
 /// observer type.
-pub trait Drive<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> {
+pub trait Drive<N: Node, C: CdModel> {
     /// Advances `engine`, reporting every round to `obs`.
-    fn drive<O: Observer<N>>(self, engine: &mut Engine<N, F, C, T>, obs: &mut O) -> SessionEnd;
+    fn drive<O: Observer<N>>(
+        self,
+        engine: &mut Engine<N, BuiltFaults, C, BuiltTopology>,
+        obs: &mut O,
+    ) -> SessionEnd;
 }
 
 /// A protocol's own [`BroadcastProtocol::drive`], up to the round cap.
@@ -399,12 +314,10 @@ struct ProtocolDrive<'p, P> {
     cap: u64,
 }
 
-impl<P: BroadcastProtocol, F: FaultModel, T: TopologyModel> Drive<P::Node, F, P::Cd, T>
-    for ProtocolDrive<'_, P>
-{
+impl<P: BroadcastProtocol> Drive<P::Node, P::Cd> for ProtocolDrive<'_, P> {
     fn drive<O: Observer<P::Node>>(
         self,
-        engine: &mut Engine<P::Node, F, P::Cd, T>,
+        engine: &mut Engine<P::Node, BuiltFaults, P::Cd, BuiltTopology>,
         obs: &mut O,
     ) -> SessionEnd {
         self.protocol.drive(engine, self.cap, obs)
@@ -419,32 +332,28 @@ impl<P: BroadcastProtocol, F: FaultModel, T: TopologyModel> Drive<P::Node, F, P:
 /// one alive across requests and runs it a span at a time.
 ///
 /// The type parameters are the protocol's node, channel and observer
-/// types next to the engine's fault and topology models, not the
-/// protocol itself, so a session does not borrow the protocol value it
-/// was built from.
-pub struct LiveSession<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>> {
+/// types, not the protocol itself, so a session does not borrow the
+/// protocol value it was built from.
+pub struct LiveSession<N: Node, C: CdModel, O: Observer<N>> {
     net: NetParams,
     seed: u64,
     /// The sorted ground-truth key set at build time.
     expected: Vec<PacketKey>,
     /// The round cap of the protocol's own drive.
     cap: u64,
-    engine: Engine<N, F, C, T>,
+    engine: Engine<N, BuiltFaults, C, BuiltTopology>,
     obs: O,
     stack: Option<VerifyStack<N>>,
     tracer: Option<TraceCollector<N>>,
 }
 
-impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
-    LiveSession<N, F, C, T, O>
-{
+impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
     /// Builds a session of `protocol` on `graph` as `options` describe
-    /// it: probes the network, builds the engine's fault model `F` from
-    /// [`RunOptions::faults`] and its topology model `T` from
-    /// [`RunOptions::churn`] (see [`SessionModel`]), the protocol's
-    /// nodes and observer, under [`RunOptions::verify`] the
-    /// [`ModelChecker`] (on a moving graph with its own replica of the
-    /// churn model) plus the protocol's
+    /// it: probes the network, builds the engine's [`BuiltFaults`] from
+    /// [`RunOptions::faults`] and its [`BuiltTopology`] from
+    /// [`RunOptions::churn`], the protocol's nodes and observer, under
+    /// [`RunOptions::verify`] the [`ModelChecker`] (with its own
+    /// replica of the topology model) plus the protocol's
     /// [`BroadcastProtocol::verify_checks`], under [`RunOptions::trace`]
     /// a [`TraceCollector`], and the engine.
     ///
@@ -466,11 +375,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
         workload: &Workload,
         seed: u64,
         options: &RunOptions,
-    ) -> Result<Self, Error>
-    where
-        F: SessionModel,
-        T: SessionModel,
-    {
+    ) -> Result<Self, Error> {
         let n = graph.len();
         assert_eq!(
             workload.len(),
@@ -484,25 +389,26 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
             expected.windows(2).all(|w| w[0] < w[1]),
             "expected_keys must be sorted and duplicate-free"
         );
-        let faults = F::from_options(options, &graph, seed)?;
-        let topo = T::from_options(options, &graph, seed)?;
+        let faults = options.faults.build(n, seed)?;
+        let topo = options.churn.build(&graph, seed)?;
         let clean = options.faults.is_none() && options.churn.is_none();
         let (nodes, awake) = protocol.build(&net, workload, seed);
         let obs = protocol.observer(&net);
 
         // The checker stack gets its own copy of the engine's
-        // construction inputs (topology, initial awake set and, on a
-        // moving graph, an identically seeded churn model), so every
-        // round is re-derived from independent state.
+        // construction inputs (topology, initial awake set and an
+        // identically seeded topology model), so every round is
+        // re-derived from independent state.
         let stack = if options.verify {
             let mut stack = VerifyStack::new();
             let awake = awake.iter().copied();
-            stack.push(Box::new(if options.churn.is_none() {
-                ModelChecker::new_with_cd(graph.clone(), awake, C::ENABLED)
-            } else {
-                let replica = options.churn.build(&graph, seed)?;
-                ModelChecker::with_topology(graph.clone(), awake, C::ENABLED, replica)
-            }));
+            let replica = options.churn.build(&graph, seed)?;
+            stack.push(Box::new(ModelChecker::with_topology(
+                graph.clone(),
+                awake,
+                C::ENABLED,
+                replica,
+            )));
             for check in protocol.verify_checks(&net, workload, clean) {
                 stack.push(check);
             }
@@ -535,7 +441,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
     /// exist. The tees inherit the inner observer's `DETAIL` choice, so
     /// tracing alone never turns on the engine's recording path, and an
     /// untraced, unverified session runs the bare observer's loop.
-    pub fn run<D: Drive<N, F, C, T>>(&mut self, drive: D) -> SessionEnd {
+    pub fn run<D: Drive<N, C>>(&mut self, drive: D) -> SessionEnd {
         let LiveSession {
             engine,
             obs,
@@ -572,12 +478,12 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
 
     /// The engine, for reading rounds, stats and node state.
     #[must_use]
-    pub fn engine(&self) -> &Engine<N, F, C, T> {
+    pub fn engine(&self) -> &Engine<N, BuiltFaults, C, BuiltTopology> {
         &self.engine
     }
 
     /// The engine's fault model, swappable between runs.
-    pub fn faults_mut(&mut self) -> &mut F {
+    pub fn faults_mut(&mut self) -> &mut BuiltFaults {
         self.engine.faults_mut()
     }
 
@@ -670,30 +576,5 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel, O: Observer<N>>
             meta,
             trace,
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_models_refuse_a_non_empty_spec() {
-        let graph = radio_net::topology::path(4).unwrap();
-        let adverse = RunOptions {
-            faults: "uniform:rate=0.1".parse().unwrap(),
-            churn: "edge:rho=0.1".parse().unwrap(),
-            ..RunOptions::default()
-        };
-        let err = NoFaults::from_options(&adverse, &graph, 0).unwrap_err();
-        assert!(err.to_string().contains("uniform:rate=0.1"), "{err}");
-        let err = StaticTopology::from_options(&adverse, &graph, 0).unwrap_err();
-        assert!(err.to_string().contains("edge:rho=0.1"), "{err}");
-        assert!(BuiltFaults::from_options(&adverse, &graph, 0).is_ok());
-        assert!(BuiltTopology::from_options(&adverse, &graph, 0).is_ok());
-
-        let clean = RunOptions::default();
-        assert!(NoFaults::from_options(&clean, &graph, 0).is_ok());
-        assert!(StaticTopology::from_options(&clean, &graph, 0).is_ok());
     }
 }

@@ -424,7 +424,7 @@ impl CollectState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_net::dyntopo::StaticTopology;
+    use radio_net::dyntopo::BuiltTopology;
     use radio_net::engine::{Engine, NoCd, Node};
     use radio_net::graph::NodeId;
     use radio_net::rng;
@@ -598,7 +598,7 @@ mod tests {
             nodes,
             (0..n).map(NodeId::new),
             DropAll,
-            StaticTopology,
+            BuiltTopology::Static,
         )
         .unwrap();
         let cap = 80 * schedule::phase_rounds(cfg.initial_estimate(), &cfg);

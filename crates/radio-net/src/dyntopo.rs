@@ -12,13 +12,11 @@
 //! per-round snapshot, which is what keeps the online verification
 //! stack sound under churn.
 //!
-//! The trait mirrors the zero-cost `const ENABLED` idiom of
-//! [`crate::faults::FaultModel`] and [`crate::engine::CdModel`]: the
-//! default [`StaticTopology`] has `ENABLED = false`, so the reshape
-//! hook monomorphizes out of [`crate::engine::Engine::step`] entirely
-//! and a static engine compiles to exactly the pre-churn word-parallel
-//! hot loop (pinned by the golden round-count tables and the perf-gate
-//! floors).
+//! Every session runs a [`BuiltTopology`]; a frozen graph is
+//! [`BuiltTopology::Static`], whose reshape returns `None` and draws
+//! nothing, so a static session resolves every round exactly as before
+//! churn existed (pinned by the golden round-count tables and the
+//! perf-gate floors).
 //!
 //! Three dynamic models are provided:
 //!
@@ -38,8 +36,8 @@
 //! All three draw from dedicated [`crate::rng::salts`] streams, so
 //! enabling churn never perturbs the draw order of topology, workload,
 //! protocol or loss randomness — a churn model at rate zero is
-//! bit-identical to [`StaticTopology`] (pinned by a differential
-//! property test).
+//! bit-identical to [`BuiltTopology::Static`] (pinned by a
+//! differential property test).
 //!
 //! [`ChurnSpec`] is the declarative, parse-and-printable form the
 //! harness layers carry (`RunOptions`, sweep specs, the serve `init`
@@ -64,40 +62,21 @@ use crate::topology::unit_disk_graph;
 /// [`Engine::step`](crate::engine::Engine::step) calls
 /// [`TopologyModel::reshape`] once at the top of every round; a
 /// `Some(graph)` return replaces the engine's adjacency before any
-/// transmission resolves. The default [`StaticTopology`] has
-/// `ENABLED = false`, which compiles the hook out of the hot loop —
-/// exactly how [`crate::faults::NoFaults`] and
-/// [`crate::engine::NoCd`] erase their seams.
+/// transmission resolves. The default [`BuiltTopology`] covers every
+/// model a session runs; the trait is the seam the per-model types
+/// compose through.
 ///
 /// Implementations must be deterministic functions of their own state:
 /// the [`crate::verify::ModelChecker`] replays an independent clone of
 /// the model round by round and re-derives every reception against the
 /// replayed snapshot, so engine and checker must reshape identically.
 pub trait TopologyModel {
-    /// Whether the topology can change between rounds. `false` removes
-    /// the reshape hook from the hot loop entirely.
-    const ENABLED: bool;
-
     /// Called at the top of round `round` with the current adjacency.
     /// Returning `Some(g)` installs `g` (same node count) as the graph
     /// this round's transmissions resolve against; `None` keeps the
     /// current graph. Must be pure in the model's own state — no
     /// global randomness.
     fn reshape(&mut self, round: u64, current: &Graph) -> Option<Graph>;
-}
-
-/// The frozen-graph default: the adjacency never changes and the
-/// reshape hook compiles out of the engine entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticTopology;
-
-impl TopologyModel for StaticTopology {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn reshape(&mut self, _round: u64, _current: &Graph) -> Option<Graph> {
-        None
-    }
 }
 
 /// `g` with every edge incident to `node` removed — the "forgotten
@@ -133,7 +112,7 @@ fn edge_list(g: &Graph) -> Vec<(u32, u32)> {
 /// driven by a dedicated [`salts::CHURN`] stream.
 ///
 /// With `rho == 0` no edge ever leaves the up state, no randomness is
-/// drawn, and the run is bit-identical to [`StaticTopology`].
+/// drawn, and the run is bit-identical to [`BuiltTopology::Static`].
 #[derive(Debug, Clone)]
 pub struct EdgeChurn {
     n: usize,
@@ -176,8 +155,6 @@ impl EdgeChurn {
 }
 
 impl TopologyModel for EdgeChurn {
-    const ENABLED: bool = true;
-
     fn reshape(&mut self, _round: u64, _current: &Graph) -> Option<Graph> {
         if self.rho == 0.0 {
             // No edge can ever go down, so no draw is made at all:
@@ -286,8 +263,6 @@ impl Waypoint {
 }
 
 impl TopologyModel for Waypoint {
-    const ENABLED: bool = true;
-
     fn reshape(&mut self, round: u64, current: &Graph) -> Option<Graph> {
         if round > 0 {
             self.advance();
@@ -355,7 +330,7 @@ impl PartitionWindow {
 /// node set whose crossing edges vanish while a [`PartitionWindow`] is
 /// open and reappear when it heals. With no window (`schedule: None`)
 /// the model never touches the graph — bit-identical to
-/// [`StaticTopology`].
+/// [`BuiltTopology::Static`].
 #[derive(Debug, Clone)]
 pub struct PartitionHeal {
     /// The full (healed) graph.
@@ -402,8 +377,6 @@ impl PartitionHeal {
 }
 
 impl TopologyModel for PartitionHeal {
-    const ENABLED: bool = true;
-
     fn reshape(&mut self, round: u64, _current: &Graph) -> Option<Graph> {
         let want = self.schedule.as_ref().is_some_and(|w| w.open_at(round));
         if want == self.open {
@@ -418,14 +391,12 @@ impl TopologyModel for PartitionHeal {
     }
 }
 
-/// A runtime-chosen topology model: the dynamically dispatched
-/// counterpart of the statically monomorphized models, built from a
-/// [`ChurnSpec`]. Always `ENABLED` — use [`StaticTopology`] statically
-/// when the frozen-graph hot loop matters. `Clone` so the
+/// A runtime-chosen topology model, built from a [`ChurnSpec`]: the
+/// one topology model every session runs. `Clone` so the
 /// [`crate::verify::ModelChecker`] can replay an independent replica.
 #[derive(Debug, Clone)]
 pub enum BuiltTopology {
-    /// A frozen graph (but with the reshape hook compiled in).
+    /// A frozen graph: never reshapes, draws nothing.
     Static,
     /// [`EdgeChurn`].
     Edge(EdgeChurn),
@@ -436,8 +407,6 @@ pub enum BuiltTopology {
 }
 
 impl TopologyModel for BuiltTopology {
-    const ENABLED: bool = true;
-
     fn reshape(&mut self, round: u64, current: &Graph) -> Option<Graph> {
         match self {
             BuiltTopology::Static => None,
@@ -639,14 +608,6 @@ impl FromStr for ChurnSpec {
 mod tests {
     use super::*;
     use crate::topology;
-
-    #[test]
-    fn static_topology_is_disabled_and_inert() {
-        const { assert!(!StaticTopology::ENABLED) };
-        let g = topology::path(3).unwrap();
-        assert!(StaticTopology.reshape(0, &g).is_none());
-        assert!(StaticTopology.reshape(7, &g).is_none());
-    }
 
     #[test]
     fn edge_churn_zero_rate_never_reshapes_or_draws() {

@@ -10,9 +10,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::bitset::{words_for, ActiveSet};
-use crate::dyntopo::{StaticTopology, TopologyModel};
+use crate::dyntopo::{BuiltTopology, TopologyModel};
 use crate::error::Error;
-use crate::faults::{ChannelView, FaultEvents, FaultModel, NoFaults};
+use crate::faults::{BuiltFaults, ChannelView, FaultEvents, FaultModel};
 use crate::graph::{Graph, NodeId};
 use crate::message::MessageSize;
 use crate::session::{
@@ -20,8 +20,8 @@ use crate::session::{
 };
 use crate::stats::{RoundOutcome, SimStats};
 
-/// Engine-internal sink for per-listener round events, mirroring the
-/// `const ENABLED` gating of [`FaultModel`]: [`Engine::step`] runs with
+/// Engine-internal sink for per-listener round events, gated by a
+/// `const ENABLED`: [`Engine::step`] runs with
 /// [`NoDetail`] (`ENABLED = false`), so every recording call below
 /// monomorphizes to nothing and the hot loop is untouched; detail-opted
 /// observers (see [`Observer::DETAIL`]) run with a [`RoundRecord`] sink.
@@ -108,8 +108,8 @@ impl DetailSink for RoundRecord {
 /// change exactly that one axiom — with CD, the channel is
 /// three-valued per round: silence / message / collision-noise.
 ///
-/// This trait selects between the two models the same way
-/// [`FaultModel::ENABLED`] selects fault hooks: the default [`NoCd`]
+/// The capability is a property of the protocol, so it is fixed by
+/// type rather than read at run time: the default [`NoCd`]
 /// has `ENABLED = false`, so every CD branch in
 /// [`Engine::step`] monomorphizes away and the word-parallel no-CD
 /// hot loop compiles to exactly the pre-CD code. [`WithCd`] engines
@@ -214,10 +214,13 @@ pub trait Node {
 ///
 /// See the [crate-level documentation](crate) for the model and an example.
 ///
-/// The second type parameter is the fault model (see [`crate::faults`]).
-/// It defaults to [`NoFaults`], whose `ENABLED = false` constant compiles
-/// every fault hook out of the hot loop — an `Engine<N>` is exactly the
-/// clean-channel engine.
+/// The second type parameter is the fault model (see [`crate::faults`])
+/// and the fourth the dynamic-topology model (see [`crate::dyntopo`]).
+/// They default to [`BuiltFaults`] and [`BuiltTopology`], the models
+/// every session runs. [`FaultModel::enabled`] is read once per round:
+/// an empty [`BuiltFaults`] skips every fault hook and keeps the
+/// word-parallel delivery path, and [`BuiltTopology::Static`] never
+/// reshapes, so an `Engine<N>` is exactly the clean-channel engine.
 ///
 /// The third type parameter is the collision-detection capability (see
 /// [`CdModel`]). It defaults to [`NoCd`] — the seed paper's model, where
@@ -225,23 +228,17 @@ pub trait Node {
 /// is behind `if C::ENABLED`, so a `NoCd` engine monomorphizes to
 /// exactly the pre-CD hot loop.
 ///
-/// The fourth type parameter is the dynamic-topology model (see
-/// [`crate::dyntopo`]). It defaults to [`StaticTopology`], whose
-/// `ENABLED = false` constant compiles the per-round reshape hook out
-/// of the hot loop — a static engine is exactly the frozen-graph
-/// engine.
-///
 /// [`Engine::new`] builds the clean default; every other combination
 /// comes from [`Engine::with_topology`], with the CD capability picked
 /// by turbofish (struct defaults don't drive inference at call sites),
 /// e.g. `Engine::<_, _, WithCd>::with_topology(g, nodes, awake, faults,
-/// StaticTopology)`.
+/// BuiltTopology::Static)`.
 #[derive(Debug)]
 pub struct Engine<
     N: Node,
-    F: FaultModel = NoFaults,
+    F: FaultModel = BuiltFaults,
     C: CdModel = NoCd,
-    T: TopologyModel = StaticTopology,
+    T: TopologyModel = BuiltTopology,
 > {
     /// The adjacency the current round's transmissions resolve
     /// against. Immutable for static engines; a dynamic model may swap
@@ -302,12 +299,10 @@ pub struct Engine<
     /// the harness may have changed their `is_done`, so their cached flag
     /// is refreshed before it is next consulted.
     dirty: Vec<u32>,
-    /// The fault model driving this engine's adversity (a ZST for the
-    /// default [`NoFaults`]).
+    /// The fault model driving this engine's adversity.
     faults: F,
-    /// The dynamic-topology model (a ZST for the default
-    /// [`StaticTopology`]); consulted once at the top of every round,
-    /// before transmissions resolve.
+    /// The dynamic-topology model; consulted once at the top of every
+    /// round, before transmissions resolve.
     topo: T,
     /// Scratch: round number at which each node was last jammed; a node
     /// is jammed this round iff `jam_stamp[v] == round`.
@@ -359,10 +354,10 @@ impl<N: Node> Engine<N> {
     /// `initially_awake` nodes are polled from round 0; all others sleep
     /// until their first reception.
     ///
-    /// The resulting engine has no fault model ([`NoFaults`]) and
-    /// monomorphizes to the clean-channel hot loop; use
-    /// [`Engine::with_topology`] to inject faults, pick the CD
-    /// capability or move the graph.
+    /// The resulting engine has an empty [`BuiltFaults`] and a
+    /// [`BuiltTopology::Static`] graph, so it runs the clean-channel
+    /// loop; use [`Engine::with_topology`] to inject faults, pick the
+    /// CD capability or move the graph.
     ///
     /// # Errors
     ///
@@ -373,7 +368,13 @@ impl<N: Node> Engine<N> {
         nodes: Vec<N>,
         initially_awake: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, Error> {
-        Self::with_topology(graph, nodes, initially_awake, NoFaults, StaticTopology)
+        Self::with_topology(
+            graph,
+            nodes,
+            initially_awake,
+            BuiltFaults::default(),
+            BuiltTopology::Static,
+        )
     }
 }
 
@@ -381,7 +382,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// Creates an engine like [`Engine::new`] driven by the given fault
     /// model (see [`crate::faults`] for the hook semantics) and
     /// dynamic-topology model (see [`crate::dyntopo`]; pass
-    /// [`StaticTopology`] for a frozen graph): `topo`'s reshape hook
+    /// [`BuiltTopology::Static`] for a frozen graph): `topo`'s reshape hook
     /// runs at the top of every round and may swap the adjacency before
     /// that round's transmissions resolve. The collision-detection
     /// capability is the `C` type parameter.
@@ -560,7 +561,22 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// [`Engine::step`] with a detail sink. Every `sink` call sits behind
     /// `if R::ENABLED`, so the [`NoDetail`] instantiation is bit- and
     /// cost-identical to the pre-detail hot loop.
+    ///
+    /// [`FaultModel::enabled`] is read once per round, not per session:
+    /// a harness may swap the fault model between rounds (see
+    /// [`Engine::faults_mut`]). The round body is compiled once per
+    /// answer, so a round with no fault present runs with every fault
+    /// hook compiled out.
     fn step_with<R: DetailSink>(&mut self, sink: &mut R) -> RoundOutcome {
+        if self.faults.enabled() {
+            self.round_with::<R, true>(sink)
+        } else {
+            self.round_with::<R, false>(sink)
+        }
+    }
+
+    /// One round of [`Engine::step_with`], with the fault flag fixed.
+    fn round_with<R: DetailSink, const FAULTY: bool>(&mut self, sink: &mut R) -> RoundOutcome {
         self.flush_dirty();
         if R::ENABLED {
             for idx in 0..self.ext_wakes.len() {
@@ -575,32 +591,30 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         // hook's ChannelView) all see one consistent per-round
         // snapshot — the same snapshot the ModelChecker's replayed
         // replica re-derives receptions against.
-        if T::ENABLED {
-            #[cfg(test)]
-            let stale = self.churn_stale_graph;
-            #[cfg(not(test))]
-            let stale = false;
-            if let Some(g) = self.topo.reshape(round, &self.graph) {
-                debug_assert_eq!(
-                    g.len(),
-                    self.graph.len(),
-                    "reshape must preserve the node count"
-                );
-                if !stale {
-                    self.graph = g;
-                }
+        #[cfg(test)]
+        let stale = self.churn_stale_graph;
+        #[cfg(not(test))]
+        let stale = false;
+        if let Some(g) = self.topo.reshape(round, &self.graph) {
+            debug_assert_eq!(
+                g.len(),
+                self.graph.len(),
+                "reshape must preserve the node count"
+            );
+            if !stale {
+                self.graph = g;
             }
-            #[cfg(test)]
-            if let Some(x) = self.churn_drop_edges_of {
-                self.graph = crate::dyntopo::drop_node_edges(&self.graph, x as usize);
-            }
+        }
+        #[cfg(test)]
+        if let Some(x) = self.churn_drop_edges_of {
+            self.graph = crate::dyntopo::drop_node_edges(&self.graph, x as usize);
         }
         let mut outcome = RoundOutcome {
             round,
             ..RoundOutcome::default()
         };
         let mut fev = FaultEvents::default();
-        if F::ENABLED {
+        if FAULTY {
             self.faults.begin_round(round, &mut fev);
         }
 
@@ -647,7 +661,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     let b = aw.trailing_zeros() as usize;
                     aw &= aw - 1;
                     let i = base + b;
-                    if F::ENABLED && self.faults.is_crashed(i) {
+                    if FAULTY && self.faults.is_crashed(i) {
                         continue;
                     }
                     #[allow(clippy::cast_possible_truncation)]
@@ -714,7 +728,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         // Jam hook: the fault model sees this round's transmitter set and
         // names the listeners that hear only noise. Marks expire on their
         // own (the stamp is compared against the current round).
-        if F::ENABLED {
+        if FAULTY {
             let mut jam_list = std::mem::take(&mut self.jam_list);
             jam_list.clear();
             let view = ChannelView {
@@ -754,7 +768,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         // bit-identity), detail sinks, collision detection, the test
         // sabotage switches — takes the per-bit slow path instead. All
         // of these constants monomorphize.
-        let word_fast = !F::ENABLED
+        let word_fast = !FAULTY
             && !R::ENABLED
             && !C::ENABLED
             && !force_deliver
@@ -806,7 +820,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                 // jammed one hears noise. Neither registers as a
                 // collision — to the node both are indistinguishable
                 // from silence anyway.
-                if F::ENABLED && self.faults.is_crashed(v) {
+                if FAULTY && self.faults.is_crashed(v) {
                     if self.twos[wi] & vbit == 0 {
                         fev.crashed_rx += 1;
                     }
@@ -815,7 +829,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     }
                     continue;
                 }
-                if F::ENABLED && self.jam_stamp[v] == round {
+                if FAULTY && self.jam_stamp[v] == round {
                     fev.jammed += 1;
                     if R::ENABLED {
                         sink.jammed(v32);
@@ -834,7 +848,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     // Fault-model loss draws advance in ascending
                     // listener order, keeping fixed-seed runs
                     // bit-identical.
-                    if F::ENABLED
+                    if FAULTY
                         && self
                             .faults
                             .drop_delivery(round, self.last_tx[v] as usize, v)
@@ -847,7 +861,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                         continue;
                     }
                     if !self.awake[v] {
-                        if F::ENABLED && self.faults.corrupt_wakeup(round, v) {
+                        if FAULTY && self.faults.corrupt_wakeup(round, v) {
                             fev.wakeups_suppressed += 1;
                             if R::ENABLED {
                                 sink.wakeup_suppressed(v32);
@@ -896,7 +910,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         }
         self.touched_words.clear();
 
-        if F::ENABLED {
+        if FAULTY {
             self.stats.jammed += fev.jammed as u64;
             self.stats.crashed_rx += fev.crashed_rx as u64;
             self.stats.wakeups_suppressed += fev.wakeups_suppressed as u64;
@@ -1339,9 +1353,7 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = UniformLoss::new(rate, seed).unwrap();
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, all_awake(2), faults);
         e.run(rounds as u64);
         let rx = e
             .node(NodeId::new(1))
@@ -1522,6 +1534,10 @@ mod tests {
 
     #[test]
     fn with_no_faults_is_bit_identical_to_new() {
+        // `Engine::new` and an empty `BuiltFaults` have no fault family,
+        // so their rounds take the word-parallel path; a zero-rate loss
+        // model is present, so the same rounds take the per-listener
+        // path and draw nothing.
         let build = || {
             let g = topology::star(6).unwrap();
             let nodes = (0..6)
@@ -1529,21 +1545,24 @@ mod tests {
                 .collect::<Vec<_>>();
             (g, nodes)
         };
+        let awake = [NodeId::new(0), NodeId::new(1)];
         let (g, nodes) = build();
-        let mut a = Engine::new(g, nodes, [NodeId::new(0), NodeId::new(1)]).unwrap();
+        let mut a = Engine::new(g, nodes, awake).unwrap();
         let (g, nodes) = build();
-        let mut b = Engine::<_, _, NoCd>::with_topology(
-            g,
-            nodes,
-            [NodeId::new(0), NodeId::new(1)],
-            NoFaults,
-            StaticTopology,
-        )
-        .unwrap();
+        let mut b = faulted(g, nodes, awake, BuiltFaults::default());
+        let (g, nodes) = build();
+        let zero_loss = crate::faults::FaultSpec {
+            uniform: Some(0.0),
+            ..crate::faults::FaultSpec::default()
+        };
+        let mut c = faulted(g, nodes, awake, zero_loss.build(6, 0).unwrap());
         for _ in 0..20 {
-            assert_eq!(a.step(), b.step());
+            let out = a.step();
+            assert_eq!(out, b.step());
+            assert_eq!(out, c.step());
         }
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.stats(), c.stats());
     }
 
     #[test]
@@ -1557,9 +1576,7 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::CrashSchedule::new(2, 1.0, 2, 3, Some(3), 0).unwrap();
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, all_awake(2), faults);
         for _ in 0..8 {
             e.step();
         }
@@ -1599,9 +1616,7 @@ mod tests {
             })
             .expect("some seed picks node 1");
         let faults = crate::faults::CrashSchedule::new(2, 0.5, 1, 2, None, seed).unwrap();
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, all_awake(2), faults);
         for _ in 0..4 {
             e.step();
         }
@@ -1621,9 +1636,7 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::AdversarialJammer::new(2);
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(3), faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, all_awake(3), faults);
         for _ in 0..6 {
             e.step();
         }
@@ -1649,9 +1662,7 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = crate::faults::WakeupCorrupt::new(1.0, 0).unwrap();
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, [NodeId::new(0)], faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, [NodeId::new(0)], faults);
         for _ in 0..5 {
             e.step();
         }
@@ -1669,14 +1680,22 @@ mod tests {
             Scripted::silent(),
         ];
         let faults = UniformLoss::new(0.5, 3).unwrap();
-        let mut e =
-            Engine::<_, _, NoCd>::with_topology(g, nodes, all_awake(2), faults, StaticTopology)
-                .unwrap();
+        let mut e = faulted(g, nodes, all_awake(2), faults);
         let mut rec = Recorder::default();
         e.run_session(50, &mut rec);
         let dropped: usize = rec.events.iter().map(|ev| ev.faults.dropped).sum();
         assert_eq!(dropped as u64, e.stats().dropped);
         assert!(dropped > 0);
+    }
+
+    /// A no-CD engine on a frozen graph under `faults`.
+    fn faulted<F: FaultModel>(
+        g: Graph,
+        nodes: Vec<Scripted>,
+        awake: impl IntoIterator<Item = NodeId>,
+        faults: F,
+    ) -> Engine<Scripted, F> {
+        Engine::with_topology(g, nodes, awake, faults, BuiltTopology::Static).unwrap()
     }
 
     fn cd_engine<F: FaultModel>(
@@ -1685,7 +1704,7 @@ mod tests {
         awake: Vec<NodeId>,
         faults: F,
     ) -> Engine<Scripted, F, WithCd> {
-        Engine::with_topology(g, nodes, awake, faults, StaticTopology).unwrap()
+        Engine::with_topology(g, nodes, awake, faults, BuiltTopology::Static).unwrap()
     }
 
     #[test]
@@ -1700,7 +1719,7 @@ mod tests {
             Scripted::new(vec![Some(2)]),
             Scripted::silent(),
         ];
-        let mut e = cd_engine(g, nodes, all_awake(4), NoFaults);
+        let mut e = cd_engine(g, nodes, all_awake(4), BuiltFaults::default());
         let out = e.step();
         assert_eq!(out.collisions, 1);
         assert_eq!(e.node(NodeId::new(0)).noise_rounds, vec![0]);
@@ -1733,7 +1752,12 @@ mod tests {
             Scripted::new(vec![Some(1)]),
             Scripted::new(vec![Some(2)]),
         ];
-        let mut e = cd_engine(g, nodes, vec![NodeId::new(1), NodeId::new(2)], NoFaults);
+        let mut e = cd_engine(
+            g,
+            nodes,
+            vec![NodeId::new(1), NodeId::new(2)],
+            BuiltFaults::default(),
+        );
         e.step();
         assert!(!e.is_awake(NodeId::new(0)));
         assert!(e.node(NodeId::new(0)).noise_rounds.is_empty());
@@ -1800,7 +1824,7 @@ mod tests {
         let (g, nodes) = build();
         let mut a = Engine::new(g, nodes, all_awake(6)).unwrap();
         let (g, nodes) = build();
-        let mut b = cd_engine(g, nodes, all_awake(6), NoFaults);
+        let mut b = cd_engine(g, nodes, all_awake(6), BuiltFaults::default());
         for _ in 0..20 {
             assert_eq!(a.step(), b.step());
         }
@@ -1822,7 +1846,7 @@ mod tests {
         &e.node(NodeId::new(i)).received
     }
 
-    fn e_received_cd(e: &Engine<Scripted, NoFaults, WithCd>, i: usize) -> &[(u64, u32)] {
+    fn e_received_cd(e: &Engine<Scripted, BuiltFaults, WithCd>, i: usize) -> &[(u64, u32)] {
         &e.node(NodeId::new(i)).received
     }
 
@@ -1898,8 +1922,14 @@ mod tests {
             Either::Leaf(Shouter),
             Either::Leaf(Shouter),
         ];
-        let mut e: Engine<Either, NoFaults, WithCd> =
-            Engine::with_topology(g, nodes, all_awake(3), NoFaults, StaticTopology).unwrap();
+        let mut e: Engine<Either, BuiltFaults, WithCd> = Engine::with_topology(
+            g,
+            nodes,
+            all_awake(3),
+            BuiltFaults::default(),
+            BuiltTopology::Static,
+        )
+        .unwrap();
         for _ in 0..4 {
             e.step();
         }

@@ -7,15 +7,14 @@
 //! [`FaultModel`] trait with per-round hooks, so experiments can map
 //! *where the w.h.p. guarantees break* without touching protocol code.
 //!
-//! ## Zero cost when disabled
+//! ## One engine, a per-round flag
 //!
-//! The engine is generic over its fault model
-//! (`Engine<N, F = NoFaults>`). [`NoFaults`] sets the associated
-//! constant [`FaultModel::ENABLED`] to `false`, and every fault hook in
-//! the hot loop is guarded by `if F::ENABLED { … }` — monomorphization
-//! deletes the branches, so a fault-free engine compiles to exactly the
-//! loop it had before this module existed (`scripts/perf_gate.sh`
-//! enforces this).
+//! Every session runs the engine over [`BuiltFaults`]. The engine reads
+//! [`FaultModel::enabled`] once at the top of each round; when it is
+//! `false` (an empty [`BuiltFaults`], the paper's clean channel) every
+//! fault hook is skipped and deliveries take the word-parallel path,
+//! exactly as if no fault model existed (`scripts/perf_gate.sh` holds
+//! that path to its throughput floors).
 //!
 //! ## Determinism contract
 //!
@@ -45,8 +44,7 @@
 //!
 //! A session carries a [`FaultSpec`] (compact `kind:key=val,…`
 //! strings composable with `+`, at most one per family) in `kbcast`'s
-//! `RunOptions` and runs the [`BuiltFaults`] it builds — or the
-//! [`NoFaults`] engine when the spec is empty.
+//! `RunOptions` and runs the [`BuiltFaults`] it builds.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -105,10 +103,12 @@ pub struct ChannelView<'a> {
 /// failure modes it cares about. See the [module docs](self) for the
 /// exact engine semantics of each hook and the determinism contract.
 pub trait FaultModel {
-    /// `false` only for [`NoFaults`]: every engine fault hook is
-    /// guarded by this constant, so a `NoFaults` engine monomorphizes
-    /// to the fault-free hot loop.
-    const ENABLED: bool = true;
+    /// Whether any hook below may fire. The engine reads this once per
+    /// round and skips every hook while it is `false`, so a model that
+    /// injects nothing costs nothing. Defaults to `true`.
+    fn enabled(&self) -> bool {
+        true
+    }
 
     /// Called once at the start of every round, before any node is
     /// polled. Timeline models apply their scheduled transitions here
@@ -146,17 +146,6 @@ pub trait FaultModel {
         let _ = (round, node);
         false
     }
-}
-
-/// The clean channel: no faults, and — via
-/// [`FaultModel::ENABLED`]` = false` — no fault-hook code in the
-/// monomorphized engine at all. This is the paper's model and the
-/// engine default.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoFaults;
-
-impl FaultModel for NoFaults {
-    const ENABLED: bool = false;
 }
 
 /// I.i.d. reception loss: every successful delivery is independently
@@ -583,8 +572,9 @@ impl FaultModel for WakeupCorrupt {
 /// jam, wakeup, and a delivery (or wake-up) survives only if none of
 /// them suppresses it. No hook short-circuits — both loss models draw
 /// on every candidate delivery — so each model's RNG stream advances
-/// identically whether or not another one fired. Always `ENABLED` —
-/// use [`NoFaults`] statically when the clean hot loop matters.
+/// identically whether or not another one fired. The default (every
+/// slot empty) is the clean channel: not [`FaultModel::enabled`], so
+/// the engine skips every hook.
 #[derive(Clone, Debug, Default)]
 pub struct BuiltFaults {
     /// [`UniformLoss`].
@@ -600,6 +590,19 @@ pub struct BuiltFaults {
 }
 
 impl FaultModel for BuiltFaults {
+    fn enabled(&self) -> bool {
+        // Destructured so that a new family fails to compile until it
+        // is counted here.
+        let BuiltFaults {
+            uniform,
+            ge,
+            crash,
+            jam,
+            wakeup,
+        } = self;
+        uniform.is_some() || ge.is_some() || crash.is_some() || jam.is_some() || wakeup.is_some()
+    }
+
     fn begin_round(&mut self, round: u64, events: &mut FaultEvents) {
         if let Some(m) = &mut self.crash {
             m.begin_round(round, events);
@@ -918,17 +921,43 @@ impl FromStr for FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyntopo::TopologyModel;
 
     #[test]
-    fn no_faults_is_disabled_and_benign() {
-        const { assert!(!NoFaults::ENABLED) };
-        let mut f = NoFaults;
+    fn empty_models_are_disabled_and_inert() {
+        let mut f = BuiltFaults::default();
+        assert!(!f.enabled());
         let mut ev = FaultEvents::default();
         f.begin_round(0, &mut ev);
         assert!(!f.is_crashed(0));
         assert!(!f.drop_delivery(0, 0, 1));
         assert!(!f.corrupt_wakeup(0, 1));
         assert_eq!(ev, FaultEvents::default());
+        // Every single-family example of `FaultSpec`'s docs is enabled.
+        for s in [
+            "uniform:rate=0.1",
+            "uniform:0.1",
+            "ge:p_bad=0.01,p_good=0.1,loss_good=0,loss_bad=0.9",
+            "crash:frac=0.25,from=0,until=4000,down=2000",
+            "crash:0.25",
+            "jam:budget=500",
+            "jam:500",
+            "wakeup:rate=0.5",
+            "wakeup:0.5",
+        ] {
+            let spec: FaultSpec = s.parse().unwrap();
+            assert!(spec.build(16, 0).unwrap().enabled(), "{s}");
+        }
+        assert!(!"none"
+            .parse::<FaultSpec>()
+            .unwrap()
+            .build(16, 0)
+            .unwrap()
+            .enabled());
+        // The frozen graph never reshapes.
+        let g = crate::topology::path(3).unwrap();
+        let mut t = crate::dyntopo::BuiltTopology::Static;
+        assert!((0..64).all(|r| t.reshape(r, &g).is_none()));
     }
 
     #[test]
@@ -1135,7 +1164,7 @@ mod tests {
             built.jam.as_ref().map(AdversarialJammer::remaining),
             Some(0)
         );
-        const { assert!(BuiltFaults::ENABLED) };
+        assert!(built.enabled());
     }
 
     #[test]

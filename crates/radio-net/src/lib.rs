@@ -39,14 +39,13 @@
 //! * [`dyntopo`] — dynamic topology ([`dyntopo::TopologyModel`]):
 //!   per-round edge churn, random-waypoint mobility and scheduled
 //!   partition/heal can swap the adjacency before each round's
-//!   transmissions resolve. Zero-cost when static — the default
-//!   [`dyntopo::StaticTopology`] engine monomorphizes to the
-//!   frozen-graph hot loop.
+//!   transmissions resolve. A frozen graph is
+//!   [`dyntopo::BuiltTopology::Static`], which never reshapes.
 //! * [`faults`] — composable deterministic fault injection
 //!   ([`faults::FaultModel`]): uniform/bursty loss, crash schedules,
-//!   adversarial jamming, wake-up corruption. Zero-cost when disabled —
-//!   the default [`faults::NoFaults`] engine monomorphizes to the clean
-//!   hot loop.
+//!   adversarial jamming, wake-up corruption. An empty
+//!   [`faults::BuiltFaults`] is the clean channel: the engine skips
+//!   every fault hook for it.
 //! * [`rng`] — deterministic per-node random streams so every simulation is
 //!   reproducible from a single `u64` seed.
 //! * [`stats`] — transmission/reception/collision accounting.
@@ -123,14 +122,13 @@ pub mod trace;
 pub mod verify;
 
 pub use dyntopo::{
-    BuiltTopology, ChurnSpec, EdgeChurn, PartitionHeal, PartitionWindow, StaticTopology,
-    TopologyModel, Waypoint,
+    BuiltTopology, ChurnSpec, EdgeChurn, PartitionHeal, PartitionWindow, TopologyModel, Waypoint,
 };
 pub use engine::{CdModel, Engine, NoCd, Node, WithCd};
 pub use error::Error;
 pub use faults::{
     AdversarialJammer, BuiltFaults, CrashSchedule, CrashSpec, FaultEvents, FaultModel, FaultSpec,
-    GilbertElliott, GilbertSpec, NoFaults, UniformLoss, WakeupCorrupt,
+    GilbertElliott, GilbertSpec, UniformLoss, WakeupCorrupt,
 };
 pub use graph::{Graph, NodeId};
 pub use message::MessageSize;

@@ -35,9 +35,9 @@ pub struct RoundEvents {
     pub collisions: usize,
     /// Sleeping nodes woken by their first reception this round.
     pub wakeups: usize,
-    /// Fault occurrences this round (all zero under
-    /// [`crate::faults::NoFaults`]), so observers can attribute slowdowns to
-    /// injected adversity rather than protocol behavior.
+    /// Fault occurrences this round (all zero on the clean channel), so
+    /// observers can attribute slowdowns to injected adversity rather
+    /// than protocol behavior.
     pub faults: FaultEvents,
 }
 
@@ -163,10 +163,10 @@ pub trait Observer<N: Node> {
     /// records a [`RoundDetail`] for every round and delivers it via
     /// [`Observer::on_round_detail`] right after [`Observer::on_round`].
     ///
-    /// This is the same zero-cost gating pattern as
-    /// [`crate::faults::FaultModel::ENABLED`]: the recording hooks sit
-    /// behind `if DETAIL` on a monomorphized constant, so the default
-    /// `false` compiles the entire detail path out of the hot loop.
+    /// The choice belongs to the observer type, so it is a constant:
+    /// the recording hooks sit behind `if DETAIL` on a monomorphized
+    /// constant, so the default `false` compiles the entire detail path
+    /// out of the hot loop.
     const DETAIL: bool = false;
 
     /// Called once after every executed round with that round's channel

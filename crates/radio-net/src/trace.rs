@@ -23,8 +23,8 @@
 //!   [`TraceSummary::merge`] deterministically in seed order, so sweep
 //!   output is independent of worker-thread count.
 //!
-//! Tracing follows the same zero-cost discipline as [`crate::faults`]
-//! and [`crate::verify`]: it only exists on the opt-in path (a harness
+//! Tracing follows the same zero-cost discipline as [`crate::verify`]:
+//! it only exists on the opt-in path (a harness
 //! wraps its observer in [`Traced`]); a session driven without the tee
 //! monomorphizes to the exact pre-trace hot loop, bit for bit.
 

@@ -156,11 +156,11 @@ pub struct ModelChecker {
     /// actually ran on, never a stale one.
     graph: Graph,
     /// An independent replica of the engine's dynamic-topology model
-    /// (`None` for static runs). Topology models are deterministic in
-    /// their own state, so replaying the same round sequence
-    /// reproduces the engine's exact graph sequence without any trace
-    /// schema change.
-    topo: Option<BuiltTopology>,
+    /// ([`BuiltTopology::Static`] for a frozen graph). Topology models
+    /// are deterministic in their own state, so replaying the same
+    /// round sequence reproduces the engine's exact graph sequence
+    /// without any trace schema change.
+    topo: BuiltTopology,
     awake: Vec<bool>,
     /// Per-round generation counter backing the stamp arrays below, so
     /// none of them is cleared between rounds.
@@ -245,7 +245,7 @@ impl ModelChecker {
         }
         ModelChecker {
             graph,
-            topo: None,
+            topo: BuiltTopology::Static,
             awake,
             gen: 0,
             stamp: vec![0; n],
@@ -268,7 +268,8 @@ impl ModelChecker {
     }
 
     /// [`ModelChecker::new_with_cd`] for an engine under dynamic
-    /// topology (see [`crate::dyntopo`]): `topo` must be an
+    /// topology (see [`crate::dyntopo`]; [`BuiltTopology::Static`] is
+    /// the frozen graph): `topo` must be an
     /// *independent replica* of the engine's churn model — same spec,
     /// same seed, same base graph (e.g. a clone taken before the
     /// engine was built, or a second `ChurnSpec::build`). The checker
@@ -286,9 +287,10 @@ impl ModelChecker {
         cd: bool,
         topo: BuiltTopology,
     ) -> Self {
-        let mut checker = Self::new_with_cd(graph, initially_awake, cd);
-        checker.topo = Some(topo);
-        checker
+        ModelChecker {
+            topo,
+            ..Self::new_with_cd(graph, initially_awake, cd)
+        }
     }
 
     /// `true` if no axiom has been violated so far.
@@ -314,10 +316,8 @@ impl ModelChecker {
         // derived against the same per-round snapshot the engine's own
         // reshape hook installed before this round's transmissions
         // resolved.
-        if let Some(model) = &mut self.topo {
-            if let Some(g) = model.reshape(d.round, &self.graph) {
-                self.graph = g;
-            }
+        if let Some(g) = self.topo.reshape(d.round, &self.graph) {
+            self.graph = g;
         }
         let n = self.graph.len();
         let round = d.round;
@@ -861,8 +861,8 @@ impl<O: Observer<N>, N: Node> Observer<N> for Verified<'_, O, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyntopo::StaticTopology;
     use crate::engine::{Engine, Node};
+    use crate::faults::BuiltFaults;
     use crate::session::NoopObserver;
     use crate::topology;
 
@@ -993,8 +993,6 @@ mod tests {
         // A 2-path whose only edge is cut from round 1: the checker's
         // replica must track the engine's reshape exactly — deliveries
         // before the split, silence after it, zero violations.
-        use crate::engine::NoCd;
-        use crate::faults::NoFaults;
         let g = topology::path(2).unwrap();
         let nodes = vec![
             Scripted::new((0..6).map(|_| Some(7)).collect()),
@@ -1009,10 +1007,9 @@ mod tests {
             false,
             replica,
         )));
-        let mut e = Engine::<Scripted, NoFaults, NoCd, BuiltTopology>::with_topology(
-            g, nodes, awake, NoFaults, topo,
-        )
-        .unwrap();
+        let mut e =
+            Engine::<Scripted>::with_topology(g, nodes, awake, BuiltFaults::default(), topo)
+                .unwrap();
         for _ in 0..6 {
             e.step_observed(&mut stack);
         }
@@ -1026,8 +1023,6 @@ mod tests {
         // resolving receptions against the pre-split adjacency; the
         // checker's replica cuts the edge at round 1, so the round-1
         // delivery arrives over an edge that no longer exists.
-        use crate::engine::NoCd;
-        use crate::faults::NoFaults;
         let g = topology::path(2).unwrap();
         let nodes = vec![
             Scripted::new((0..3).map(|_| Some(7)).collect()),
@@ -1042,10 +1037,9 @@ mod tests {
             false,
             replica,
         )));
-        let mut e = Engine::<Scripted, NoFaults, NoCd, BuiltTopology>::with_topology(
-            g, nodes, awake, NoFaults, topo,
-        )
-        .unwrap();
+        let mut e =
+            Engine::<Scripted>::with_topology(g, nodes, awake, BuiltFaults::default(), topo)
+                .unwrap();
         e.churn_stale_graph = true;
         for _ in 0..3 {
             e.step_observed(&mut stack);
@@ -1064,8 +1058,6 @@ mod tests {
         // applied graph (a broken incremental CSR update): the checker
         // re-derives a delivery the engine never made.
         use crate::dyntopo::PartitionHeal;
-        use crate::engine::NoCd;
-        use crate::faults::NoFaults;
         let g = topology::path(2).unwrap();
         let nodes = vec![
             Scripted::new((0..2).map(|_| Some(7)).collect()),
@@ -1082,10 +1074,9 @@ mod tests {
             false,
             topo.clone(),
         )));
-        let mut e = Engine::<Scripted, NoFaults, NoCd, BuiltTopology>::with_topology(
-            g, nodes, awake, NoFaults, topo,
-        )
-        .unwrap();
+        let mut e =
+            Engine::<Scripted>::with_topology(g, nodes, awake, BuiltFaults::default(), topo)
+                .unwrap();
         e.churn_drop_edges_of = Some(1);
         for _ in 0..2 {
             e.step_observed(&mut stack);
@@ -1389,8 +1380,15 @@ mod tests {
         g: Graph,
         nodes: Vec<Scripted>,
         awake: Vec<NodeId>,
-    ) -> Engine<Scripted, crate::faults::NoFaults, crate::engine::WithCd> {
-        Engine::with_topology(g, nodes, awake, crate::faults::NoFaults, StaticTopology).unwrap()
+    ) -> Engine<Scripted, BuiltFaults, crate::engine::WithCd> {
+        Engine::with_topology(
+            g,
+            nodes,
+            awake,
+            BuiltFaults::default(),
+            BuiltTopology::Static,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   neighbors" while the `NoCd` hook never fires at all.
 
 use proptest::prelude::*;
-use radio_net::dyntopo::StaticTopology;
+use radio_net::dyntopo::BuiltTopology;
 use radio_net::engine::{CdModel, Engine, Node};
-use radio_net::faults::NoFaults;
+use radio_net::faults::BuiltFaults;
 use radio_net::graph::{Graph, NodeId};
 use radio_net::stats::{RoundOutcome, SimStats};
 use radio_net::{NoCd, WithCd};
@@ -160,12 +160,12 @@ fn run_engine_as<C: CdModel>(
         })
         .collect();
     let awake_ids: Vec<NodeId> = (0..n).filter(|&i| awake0[i]).map(NodeId::new).collect();
-    let mut engine = Engine::<Scripted, NoFaults, C>::with_topology(
+    let mut engine = Engine::<Scripted, BuiltFaults, C>::with_topology(
         graph,
         nodes,
         awake_ids,
-        NoFaults,
-        StaticTopology,
+        BuiltFaults::default(),
+        BuiltTopology::Static,
     )
     .expect("engine builds");
     let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.step()).collect();

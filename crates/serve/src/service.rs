@@ -32,7 +32,7 @@ use kbcast::dynamic::{
 use kbcast::packet::PacketKey;
 use kbcast::runner::{round_cap, RunOptions};
 use kbcast::session::{Drive, LiveSession};
-use radio_net::dyntopo::{BuiltTopology, ChurnSpec};
+use radio_net::dyntopo::ChurnSpec;
 use radio_net::engine::{Engine, NoCd};
 use radio_net::faults::{BuiltFaults, FaultSpec};
 use radio_net::graph::{Graph, NodeId};
@@ -45,10 +45,9 @@ use crate::proto::{
     Envelope, InjectPacket, LatencyBlock, PacketState, Request, Response, StatsBlock,
 };
 
-/// The service's session: the streaming protocol over runtime-chosen
-/// fault and churn models. A frozen graph is [`BuiltTopology::Static`],
-/// whose reshape hook draws no randomness.
-type Session = LiveSession<DynamicNode, BuiltFaults, NoCd, BuiltTopology, NoopObserver>;
+/// The service's session: the streaming protocol without collision
+/// detection, its faults and churn built from the session's options.
+type Session = LiveSession<DynamicNode, NoCd, NoopObserver>;
 
 /// One `tick` / `run_until_drained` span: the engine runs up to the
 /// absolute round `target`, injecting queued arrivals, and with `drain`
@@ -60,10 +59,10 @@ struct Span<'a> {
     source: &'a mut ScheduleSource,
 }
 
-impl Drive<DynamicNode, BuiltFaults, NoCd, BuiltTopology> for Span<'_> {
+impl Drive<DynamicNode, NoCd> for Span<'_> {
     fn drive<O: Observer<DynamicNode>>(
         self,
-        engine: &mut Engine<DynamicNode, BuiltFaults, NoCd, BuiltTopology>,
+        engine: &mut Engine<DynamicNode, BuiltFaults, NoCd>,
         obs: &mut O,
     ) -> SessionEnd {
         let Span {

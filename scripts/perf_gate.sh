@@ -5,11 +5,14 @@
 # in results/BENCH_engine.json, or below its absolute floor. A gated
 # scenario with no row in that file fails the gate too.
 #
-# perf_smoke drives Engine<_, NoFaults> with an Observer whose
-# DETAIL = false, so holding this floor is the zero-cost proof for
-# five opt-in subsystems at once:
-#   - faults: FaultModel::ENABLED is false for NoFaults and every fault
-#     hook in the hot loop is behind `if F::ENABLED`;
+# perf_smoke drives the one engine every session runs, on an empty
+# BuiltFaults and BuiltTopology::Static, with an Observer whose
+# DETAIL = false, so holding this floor is the cost proof for five
+# opt-in subsystems at once:
+#   - faults: the engine reads FaultModel::enabled() once per round;
+#     an empty BuiltFaults reads false, so every fault hook is skipped
+#     and deliveries take the word-parallel path. The floors therefore
+#     also gate the cost of that runtime flag;
 #   - verification: the round-detail assembly the ModelChecker needs is
 #     behind `if O::DETAIL`, which only the VerifyStack observer sets;
 #   - tracing: the Traced tee only exists in the session driver's
@@ -21,15 +24,14 @@
 #     hot loop is behind `if C::ENABLED`, so the no-CD grid floors
 #     below must hold unchanged — with bit-identical round counts,
 #     which tests/engine_bit_identity.rs pins separately;
-#   - dynamic topology: TopologyModel::ENABLED is false for
-#     StaticTopology (the default every unchurned caller gets), so the
-#     per-round reshape hook at the top of the step compiles out
-#     entirely and perf_smoke's engine is the exact pre-churn loop —
-#     bit-identical round counts again pinned by
-#     tests/engine_bit_identity.rs and, for the inert dynamic models
-#     themselves, by tests/churn_static_equivalence.rs.
-# A clean, unverified, untraced engine must therefore monomorphize to
-# the pre-subsystem loop and keep its throughput (the 35% slack against
+#   - dynamic topology: the reshape hook at the top of the step runs
+#     every round, and BuiltTopology::Static (what an empty churn spec
+#     builds) returns None without drawing anything, so the floors
+#     gate that per-round call too — bit-identical round counts again
+#     pinned by tests/engine_bit_identity.rs and, for the inert dynamic
+#     models themselves, by tests/churn_static_equivalence.rs.
+# A clean, unverified, untraced engine must therefore run the
+# pre-subsystem delivery loop and keep its throughput (the 35% slack against
 # the committed baseline is for machine variance, not for
 # instrumentation cost).
 #

@@ -12,7 +12,7 @@ use radio_kbcast::kbcast::baseline::{BiiConfig, BiiNode};
 use radio_kbcast::kbcast::packet::Packet;
 use radio_kbcast::kbcast::runner::Workload;
 use radio_kbcast::protocols::decay::Decay;
-use radio_kbcast::radio_net::dyntopo::StaticTopology;
+use radio_kbcast::radio_net::dyntopo::BuiltTopology;
 use radio_kbcast::radio_net::engine::{Engine, NoCd, Node};
 use radio_kbcast::radio_net::faults::FaultSpec;
 use radio_kbcast::radio_net::graph::NodeId;
@@ -248,7 +248,8 @@ fn session<N: Node<Msg = Packet>>(
         .collect();
     let faults = faults.build(n, seed).unwrap();
     let mut engine =
-        Engine::<_, _, NoCd>::with_topology(g, nodes, awake, faults, StaticTopology).unwrap();
+        Engine::<_, _, NoCd>::with_topology(g, nodes, awake, faults, BuiltTopology::Static)
+            .unwrap();
     let epoch = Decay::new(cfg.delta_bound).epoch_len() as u64;
     let cap = 8 * ((k as u64 + d as u64 + 2) * cfg.epochs_per_packet as u64 * epoch) + 64;
     let all_done = engine.run_until_all_done(cap);

@@ -1,19 +1,20 @@
 //! Differential property tests for the dynamic-topology seam: an
-//! *inert* churn model must be indistinguishable from no churn model
-//! at all.
+//! *inert* churn model must be indistinguishable from the frozen graph.
 //!
-//! Two laws, each checked at full-session granularity on random
-//! edge-list graphs (including word-boundary sizes, 60..100 nodes, so
-//! multi-word bitset state with a masked tail word is in scope):
+//! Every session runs the engine over a `BuiltTopology`; an empty churn
+//! spec builds `BuiltTopology::Static`, whose reshape returns `None`
+//! without touching any model state. Two laws, each checked at
+//! full-session granularity on random edge-list graphs (including
+//! word-boundary sizes, 60..100 nodes, so multi-word bitset state with
+//! a masked tail word is in scope):
 //!
-//! * **Rate-zero edge churn ≡ static.** `edge:rho=0` enables the
-//!   dynamic engine (`BuiltTopology`, reshape hook live every round)
-//!   but never flips an edge — and, crucially, never advances its RNG
-//!   stream. The run must be bit-identical to the `StaticTopology`
-//!   monomorphization: same completion, same rounds, same channel
-//!   statistics, same per-node delivery. Any drift means the hook
-//!   perturbed engine state (or drew randomness) on the do-nothing
-//!   path.
+//! * **Rate-zero edge churn ≡ static.** `edge:rho=0` builds a live
+//!   `EdgeChurn` model whose reshape runs every round but never flips
+//!   an edge — and, crucially, never advances its RNG stream. The run
+//!   must be bit-identical to the empty spec's `Static` session: same
+//!   completion, same rounds, same channel statistics, same per-node
+//!   delivery. Any drift means the model perturbed engine state (or
+//!   drew randomness) on the do-nothing path.
 //!
 //! * **Empty-schedule partition ≡ static.** `PartitionHeal` with no
 //!   window precomputes its bisection but never opens it; same

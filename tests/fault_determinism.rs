@@ -1,8 +1,9 @@
 //! Determinism contract of the fault-injection subsystem: a
 //! [`FaultSpec`] plus a seed pins the *entire* execution. Two runs with
 //! the same spec and seed must agree on every report field, a zero-rate
-//! `uniform:` spec (which runs the `BuiltFaults` engine) must be
-//! bit-identical to the clean (`NoFaults`) session, and the `uniform:`
+//! `uniform:` spec (a present fault family: the engine takes its
+//! per-listener path) must be bit-identical to the clean session (an
+//! empty spec: the word-parallel path), and the `uniform:`
 //! fault model must reproduce the recorded outputs of the engine's
 //! original loss path exactly (same RNG salt, same draw points).
 
@@ -244,10 +245,11 @@ fn uniform_fault_model_reproduces_recorded_loss_goldens() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `NoFaults` is the pre-subsystem engine: a zero-rate `uniform:`
-    /// spec, which runs the `BuiltFaults` engine and takes the
-    /// per-listener slow path instead of the word-parallel one, must be
-    /// bit-identical to the clean session for arbitrary topology
+    /// The runtime fault flag picks the delivery path: the empty spec
+    /// builds a `BuiltFaults` that is not enabled, so the engine takes
+    /// the word-parallel path of the pre-subsystem engine, while a
+    /// zero-rate `uniform:` spec is enabled and takes the per-listener
+    /// path. The two must be bit-identical for arbitrary topology
     /// parameters and workloads, and the clean session never reports a
     /// fault. Every drop of a lossy `uniform:` spec must be attributed
     /// to a stage.

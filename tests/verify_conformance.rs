@@ -11,7 +11,7 @@ use radio_kbcast::kbcast::dynamic::{Arrival, DynamicProtocol};
 use radio_kbcast::kbcast::ghk::GhkProtocol;
 use radio_kbcast::kbcast::runner::{CodedProtocol, RunOptions, Workload};
 use radio_kbcast::kbcast::session::{run_protocol, run_protocol_on_graph};
-use radio_kbcast::radio_net::dyntopo::{ChurnSpec, PartitionWindow, StaticTopology};
+use radio_kbcast::radio_net::dyntopo::{BuiltTopology, ChurnSpec, PartitionWindow};
 use radio_kbcast::radio_net::engine::{Engine, Node, WithCd};
 use radio_kbcast::radio_net::error::Error;
 use radio_kbcast::radio_net::faults::FaultSpec;
@@ -342,7 +342,7 @@ fn cd_fault_interactions_match_the_checker() {
             nodes,
             awake,
             faults,
-            StaticTopology,
+            BuiltTopology::Static,
         )
         .expect("engine builds");
         let mut obs = NoopObserver;
