@@ -103,7 +103,7 @@ fn main() -> std::io::Result<()> {
             stage_faults.disseminate += s.disseminate;
         }
         let entry = |protocol, summary, stage_faults| Entry {
-            fault: fault.label(),
+            fault: fault.to_string(),
             protocol,
             summary,
             stage_faults,

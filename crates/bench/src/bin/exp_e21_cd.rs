@@ -92,7 +92,7 @@ fn main() -> std::io::Result<()> {
                 .count() as u64;
             let entry = |protocol, summary, clean_elections| Entry {
                 topology: topo.to_string(),
-                fault: fault.label(),
+                fault: fault.to_string(),
                 protocol,
                 summary,
                 clean_elections,

@@ -136,7 +136,7 @@ fn main() -> std::io::Result<()> {
             ] {
                 entries.push(Entry {
                     topology: topo.to_string(),
-                    churn: churn.label(),
+                    churn: churn.to_string(),
                     protocol,
                     summary,
                 });

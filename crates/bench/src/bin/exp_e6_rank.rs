@@ -3,10 +3,14 @@
 //! Paper claim: an `l × w` matrix with i.i.d. uniform GF(2) entries has
 //! full column rank with probability ≥ 1 - ε once
 //! `l ≥ 2(w+2) + 8·ln(1/ε)`. This is the correctness engine of the
-//! Stage 4 decoder. The Monte-Carlo sweep shows (a) the bound holds and
-//! (b) it is conservative: in practice `w + Θ(1)` rows already suffice.
+//! Stage 4 decoder, so the Monte Carlo runs on that decoder: each trial
+//! feeds `l` uniform random rows to a fresh [`Decoder`] (payloads are
+//! empty; only the rank matters) and counts it full-rank once the
+//! decoder is complete. The sweep shows (a) the bound holds and (b) it
+//! is conservative: in practice `w + Θ(1)` rows already suffice.
 
-use gf2::matrix::{lemma3_row_threshold, BitMatrix};
+use gf2::bitvec::BitVec;
+use gf2::decoder::{lemma3_row_threshold, Decoder};
 use kbcast_bench::table::{f3, Table};
 use kbcast_bench::Scale;
 use radio_net::rng;
@@ -31,7 +35,15 @@ fn main() {
     for &w in &ws {
         let mut probe = |l: usize| -> f64 {
             let full = (0..trials)
-                .filter(|_| BitMatrix::random(l, w, &mut rng).has_full_column_rank())
+                .filter(|_| {
+                    // All `l` rows are drawn even once the decoder is
+                    // complete, so every trial consumes the same stream.
+                    let mut decoder = Decoder::new(w, 0);
+                    for _ in 0..l {
+                        decoder.insert(BitVec::random(w, &mut rng), Vec::new());
+                    }
+                    decoder.is_complete()
+                })
                 .count();
             #[allow(clippy::cast_precision_loss)]
             {

@@ -216,12 +216,40 @@ impl fmt::Debug for Decoder {
     }
 }
 
+/// The paper's Lemma 3 row-count threshold: once a [`Decoder`] of group
+/// size `w` has been fed `l ≥ 2(w+2) + 8·ln(1/ε)` uniform random
+/// coefficient rows, it is complete with probability at least `1 - ε`.
+///
+/// ```
+/// let l = gf2::decoder::lemma3_row_threshold(10, 0.01);
+/// assert!(l >= 24);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `epsilon` is not in `(0, 1]`.
+#[must_use]
+pub fn lemma3_row_threshold(w: usize, epsilon: f64) -> usize {
+    assert!(
+        epsilon > 0.0 && epsilon <= 1.0,
+        "epsilon must be in (0, 1], got {epsilon}"
+    );
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_truncation
+    )]
+    let extra = (8.0 * (1.0 / epsilon).ln()).ceil() as usize;
+    2 * (w + 2) + extra
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn sample_group(rng: &mut impl Rng, w: usize, len: usize) -> Vec<Vec<u8>> {
         (0..w)
@@ -386,6 +414,65 @@ mod tests {
             d.insert(BitVec::unit(1, 0), vec![1, 2, 3]),
             Insert::Redundant
         );
+    }
+
+    #[test]
+    fn lemma3_threshold_formula() {
+        // w = 10, eps = 0.01: 2*12 + ceil(8*ln 100) = 24 + 37 = 61.
+        assert_eq!(lemma3_row_threshold(10, 0.01), 61);
+        assert_eq!(lemma3_row_threshold(0, 1.0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon")]
+    fn lemma3_threshold_rejects_zero_epsilon() {
+        let _ = lemma3_row_threshold(4, 0.0);
+    }
+
+    #[test]
+    fn lemma3_holds_empirically_small() {
+        // Sanity version of experiment E6: at the Lemma 3 threshold for
+        // eps = 0.1, at least 90% of decoders fed that many uniform rows
+        // are complete.
+        let w = 8;
+        let l = lemma3_row_threshold(w, 0.1);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let trials = 200;
+        let full = (0..trials)
+            .filter(|_| {
+                let mut d = Decoder::new(w, 0);
+                for _ in 0..l {
+                    d.insert(BitVec::random(w, &mut rng), Vec::new());
+                }
+                d.is_complete()
+            })
+            .count();
+        assert!(full >= trials * 9 / 10, "only {full}/{trials} complete");
+    }
+
+    #[test]
+    fn rank_equals_log2_of_the_row_span_exhaustively() {
+        // Rank oracle, independent of any elimination: the rows span
+        // exactly 2^rank distinct vectors, and the span is the set of
+        // XORs of every subset of the rows, built one row at a time
+        // (subsets without the row, plus those with it). Checked on
+        // every l x w 0/1 matrix with l * w <= 12.
+        for w in 1..=12usize {
+            for l in 1..=12 / w {
+                for bits in 0u64..1 << (l * w) {
+                    let rows: Vec<u64> = (0..l).map(|i| bits >> (i * w) & ((1 << w) - 1)).collect();
+                    let mut span = HashSet::from([0u64]);
+                    let mut d = Decoder::new(w, 0);
+                    for &r in &rows {
+                        let with_r: Vec<u64> = span.iter().map(|v| v ^ r).collect();
+                        span.extend(with_r);
+                        d.insert(BitVec::from_lsb_bits(r, w), Vec::new());
+                    }
+                    assert_eq!(1usize << d.rank(), span.len(), "rows {rows:?}, w = {w}");
+                    assert_eq!(d.is_complete(), d.rank() == w);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -9,11 +9,11 @@
 //! paper bounds how many random rows that takes).
 //!
 //! * [`bitvec::BitVec`] — compact bit-vectors (the coefficient headers).
-//! * [`matrix::BitMatrix`] — dense GF(2) matrices with rank / row
-//!   reduction, plus uniform random sampling for the Lemma 3 experiment.
 //! * [`decoder::Decoder`] — incremental Gaussian elimination over coded
 //!   payloads: insert `(coefficients, payload)` rows as they arrive and
-//!   read the decoded packets out the moment rank `w` is reached.
+//!   read the decoded packets out the moment rank `w` is reached. It is
+//!   the crate's only eliminator: experiment E6 checks Lemma 3 on it,
+//!   against [`decoder::lemma3_row_threshold`].
 //! * [`coded`] — the wire representation of a coded packet and the random
 //!   subset encoder.
 //!
@@ -48,9 +48,7 @@
 pub mod bitvec;
 pub mod coded;
 pub mod decoder;
-pub mod matrix;
 
 pub use bitvec::BitVec;
 pub use coded::CodedPacket;
 pub use decoder::Decoder;
-pub use matrix::BitMatrix;

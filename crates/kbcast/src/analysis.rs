@@ -3,7 +3,9 @@
 //! The paper's analysis rests on three tools: a Chernoff-type bound for
 //! Bernoulli sums (Lemma 1), one for sums of geometric random variables
 //! (Lemma 2), and the full-rank probability of random binary matrices
-//! (Lemma 3, exercised through [`gf2::matrix`]). Experiment E11
+//! (Lemma 3, which experiment E6 checks on the Stage 4
+//! [`gf2::decoder::Decoder`] against
+//! [`gf2::decoder::lemma3_row_threshold`]). Experiment E11
 //! reproduces Lemmas 1 and 2 empirically via this module: each function
 //! returns the *empirical* tail probability, to be compared against the
 //! analytic bound.

@@ -452,7 +452,7 @@ impl StageProbe<GhkNode> for GhkStageProbe {
 }
 
 /// Protocol-level invariants of a GHK session, run under
-/// [`RunOptions::verify`] alongside the model checker.
+/// [`crate::runner::RunOptions::verify`] alongside the model checker.
 ///
 /// Always on (any fault family): distance estimates are write-once,
 /// the candidate set only shrinks, per-node packet knowledge only

@@ -17,19 +17,6 @@ use crate::packet::Packet;
 use crate::stage3::CollectState;
 use crate::stage4::DissemState;
 
-/// Which stage a round belongs to, from one node's perspective.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// Stage 1: leader election.
-    Leader,
-    /// Stage 2: BFS construction.
-    Bfs,
-    /// Stage 3: packet collection.
-    Collect,
-    /// Stage 4: coded dissemination.
-    Disseminate,
-}
-
 /// Per-message-type transmission counters of one node (the protocol's
 /// "energy" profile; aggregated into
 /// [`crate::runner::KbcastMeta::tx_by_type`]).
@@ -165,18 +152,6 @@ impl KbcastNode {
         self.is_root
     }
 
-    /// The leader-election outcome, if this node was a candidate.
-    #[must_use]
-    pub fn leader_outcome(&self) -> Option<LeaderOutcome> {
-        self.leader.outcome()
-    }
-
-    /// This node's BFS distance, once labeled.
-    #[must_use]
-    pub fn bfs_distance(&self) -> Option<u32> {
-        self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist)
-    }
-
     /// This node's full BFS label (distance + parent), once labeled.
     /// Labels are adopted exactly once, so a returned label is final.
     #[must_use]
@@ -220,19 +195,6 @@ impl KbcastNode {
         self.collect.as_ref().map(CollectState::phase)
     }
 
-    /// Total packet count `k`, once known (the root knows it after Stage
-    /// 3; others learn it from coded headers).
-    #[must_use]
-    pub fn known_k(&self) -> Option<u32> {
-        if self.is_root {
-            self.collect
-                .as_ref()
-                .and_then(|c| c.finished_at().map(|_| c.collected().len() as u32))
-        } else {
-            self.dissem.as_ref().and_then(DissemState::k)
-        }
-    }
-
     /// All packets this node holds: for the root, everything collected;
     /// for others, everything decoded so far.
     #[must_use]
@@ -258,20 +220,6 @@ impl KbcastNode {
             self.collection_finished_at().is_some()
         } else {
             self.dissem.as_ref().is_some_and(DissemState::is_complete)
-        }
-    }
-
-    /// The stage containing `round` from this node's perspective.
-    #[must_use]
-    pub fn stage_at(&self, round: u64) -> Stage {
-        if round < self.s1_end() {
-            Stage::Leader
-        } else if round < self.s2_end() {
-            Stage::Bfs
-        } else if self.s4_start.is_none_or(|s| round < s) {
-            Stage::Collect
-        } else {
-            Stage::Disseminate
         }
     }
 
@@ -361,8 +309,8 @@ impl radio_net::engine::Node for KbcastNode {
         self.has_all_packets()
     }
 
-    /// Delegates to the current stage's hint (see [`setup_activity`]
-    /// and [`collect_dissem_activity`]).
+    /// Delegates to the current stage's hint (see `setup_activity` and
+    /// `collect_dissem_activity` in this module).
     fn next_activity(&self, round: u64) -> u64 {
         setup_activity(
             round,
@@ -545,18 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_at_tracks_boundaries() {
-        let n = node_with(1);
-        let c = cfg();
-        assert_eq!(n.stage_at(0), Stage::Leader);
-        assert_eq!(n.stage_at(c.stage1_rounds() - 1), Stage::Leader);
-        assert_eq!(n.stage_at(c.stage1_rounds()), Stage::Bfs);
-        assert_eq!(n.stage_at(c.stage3_start()), Stage::Collect);
-        // Stage 4 is only reported once the node transitions.
-        assert_eq!(n.stage_at(c.stage3_start() + 1_000_000), Stage::Collect);
-    }
-
-    #[test]
     fn tx_counts_accumulate_per_variant() {
         let mut counts = TxCounts::default();
         counts.record(&Msg::Probe(protocols::leader::ProbeMsg { iter: 0 }));
@@ -583,7 +519,6 @@ mod tests {
         }
         assert!(n.is_done(), "lone node must finish");
         assert!(n.is_root());
-        assert_eq!(n.known_k(), Some(1));
         assert_eq!(n.packets().len(), 1);
     }
 
@@ -592,7 +527,6 @@ mod tests {
         let n = node_with(0);
         assert_eq!(n.tx_counts().total(), 0);
         assert!(!n.has_all_packets());
-        assert_eq!(n.known_k(), None);
-        assert_eq!(n.bfs_distance(), None);
+        assert!(n.bfs_label().is_none());
     }
 }

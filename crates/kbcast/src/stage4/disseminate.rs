@@ -173,12 +173,6 @@ impl DissemState {
         }
     }
 
-    /// Total packet count, once known.
-    #[must_use]
-    pub fn k(&self) -> Option<u32> {
-        self.k
-    }
-
     /// Group count, once known.
     #[must_use]
     pub fn num_groups(&self) -> Option<u32> {

@@ -1,4 +1,4 @@
-//! Collection strategies ([`vec`]).
+//! Collection strategies ([`vec()`]).
 
 use std::fmt::Debug;
 
@@ -63,7 +63,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone, Copy, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -54,6 +54,7 @@ use rand::Rng;
 use crate::error::Error;
 use crate::graph::Graph;
 use crate::rng::{self, salts};
+use crate::spec::{invalid, Args};
 use crate::topology::unit_disk_graph;
 
 /// Type-level dynamic-topology capability of an
@@ -432,6 +433,8 @@ impl TopologyModel for BuiltTopology {
 /// * `waypoint:radius=0.3,speed=0.01`
 /// * `partition:at=200,heal=400` (optionally `,period=1000`)
 ///
+/// A key the kind does not take, or a key given twice, is an error.
+///
 /// `Copy`, so it rides inside copyable option structs such as
 /// `RunOptions`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -488,13 +491,6 @@ impl ChurnSpec {
             }
         })
     }
-
-    /// Stable label for tables and result files (re-parses to the same
-    /// spec; same as the `Display` form).
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl fmt::Display for ChurnSpec {
@@ -516,91 +512,43 @@ impl fmt::Display for ChurnSpec {
     }
 }
 
-fn bad_spec(reason: String) -> Error {
-    Error::InvalidParameter { reason }
-}
-
-fn parse_f64(kind: &str, key: &str, val: &str) -> Result<f64, Error> {
-    val.parse()
-        .map_err(|_| bad_spec(format!("churn spec {kind}: {key}={val} is not a number")))
-}
-
-fn parse_u64(kind: &str, key: &str, val: &str) -> Result<u64, Error> {
-    val.parse()
-        .map_err(|_| bad_spec(format!("churn spec {kind}: {key}={val} is not an integer")))
-}
-
 impl FromStr for ChurnSpec {
     type Err = Error;
 
     fn from_str(s: &str) -> Result<Self, Error> {
         let s = s.trim();
         if s.is_empty() {
-            return Err(bad_spec("empty churn spec".into()));
+            return Err(invalid("empty churn spec".into()));
         }
         let (kind, args) = match s.split_once(':') {
             Some((k, a)) => (k.trim(), a.trim()),
             None => (s, ""),
         };
-        // key=val pairs; a single bare value maps to the kind's
-        // primary key (same shorthand rule as fault specs).
-        let mut kv: Vec<(&str, &str)> = Vec::new();
-        if !args.is_empty() {
-            for item in args.split(',') {
-                let item = item.trim();
-                match item.split_once('=') {
-                    Some((k, v)) => kv.push((k.trim(), v.trim())),
-                    None => kv.push(("", item)),
-                }
+        // A single bare value is the kind's primary key, as in fault specs.
+        let mut args = Args::new(format!("churn spec {kind}"), args);
+        let spec = match kind {
+            "none" => ChurnSpec::None,
+            "edge" => ChurnSpec::Edge {
+                rho: args.primary("rho")?,
+                heal: args.opt("heal")?.unwrap_or(0.1),
+            },
+            "waypoint" => ChurnSpec::Waypoint {
+                radius: args.get("radius")?,
+                speed: args.get("speed")?,
+            },
+            "partition" => ChurnSpec::Partition(PartitionWindow {
+                split_at: args.get("at")?,
+                heal_at: args.get("heal")?,
+                period: args.opt("period")?,
+            }),
+            other => {
+                return Err(invalid(format!(
+                    "unknown churn kind {other:?} (expected none/edge/waypoint/partition)"
+                )))
             }
-        }
-        let lookup = |key: &str| kv.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
-        let primary = |key: &str| {
-            lookup(key).or(match kv.as_slice() {
-                [("", v)] => Some(*v),
-                _ => None,
-            })
         };
-        match kind {
-            "none" => Ok(ChurnSpec::None),
-            "edge" => {
-                let rho = primary("rho")
-                    .ok_or_else(|| bad_spec("churn spec edge: missing rho".into()))?;
-                Ok(ChurnSpec::Edge {
-                    rho: parse_f64("edge", "rho", rho)?,
-                    heal: lookup("heal")
-                        .map(|v| parse_f64("edge", "heal", v))
-                        .transpose()?
-                        .unwrap_or(0.1),
-                })
-            }
-            "waypoint" => {
-                let get = |key: &str| {
-                    lookup(key)
-                        .ok_or_else(|| bad_spec(format!("churn spec waypoint: missing {key}")))
-                };
-                Ok(ChurnSpec::Waypoint {
-                    radius: parse_f64("waypoint", "radius", get("radius")?)?,
-                    speed: parse_f64("waypoint", "speed", get("speed")?)?,
-                })
-            }
-            "partition" => {
-                let get = |key: &str| {
-                    lookup(key)
-                        .ok_or_else(|| bad_spec(format!("churn spec partition: missing {key}")))
-                };
-                Ok(ChurnSpec::Partition(PartitionWindow {
-                    split_at: parse_u64("partition", "at", get("at")?)?,
-                    heal_at: parse_u64("partition", "heal", get("heal")?)?,
-                    period: lookup("period")
-                        .map(|v| parse_u64("partition", "period", v))
-                        .transpose()?,
-                }))
-            }
-            other => Err(bad_spec(format!(
-                "unknown churn kind {other:?} (expected none/edge/waypoint/partition)"
-            ))),
-        }
+        args.finish()?;
+        Ok(spec)
     }
 }
 
@@ -814,22 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_rejects_malformed_input() {
-        for bad in [
-            "",
-            "edge",
-            "edge:rho=abc",
-            "waypoint:radius=0.3",
-            "partition:at=5",
-            "partition:at=x,heal=9",
-            "mobility:rate=0.1",
-            "edge:rho=0.1+partition:at=1,heal=2",
-        ] {
-            assert!(bad.parse::<ChurnSpec>().is_err(), "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
     fn spec_build_validates_parameters() {
         let g = topology::path(4).unwrap();
         assert!(matches!(
@@ -878,6 +810,53 @@ mod tests {
                 gb = next;
             }
             assert_eq!(ga, gb, "replica diverged at round {r}");
+        }
+    }
+
+    #[test]
+    fn parse_errors_pin_their_messages() {
+        for (input, reason) in [
+            ("", "empty churn spec"),
+            ("edge", "churn spec edge: missing rho"),
+            ("edge:rho=abc", "churn spec edge: rho=abc is not a number"),
+            (
+                "edge:rho=0.1,heal=y",
+                "churn spec edge: heal=y is not a number",
+            ),
+            ("waypoint:radius=0.3", "churn spec waypoint: missing speed"),
+            ("partition:at=5", "churn spec partition: missing heal"),
+            (
+                "partition:at=x,heal=9",
+                "churn spec partition: at=x is not an integer",
+            ),
+            (
+                "partition:at=1,heal=3,period=p",
+                "churn spec partition: period=p is not an integer",
+            ),
+            (
+                "mobility:rate=0.1",
+                "unknown churn kind \"mobility\" (expected none/edge/waypoint/partition)",
+            ),
+            (
+                "edge:rho=0.1+partition:at=1,heal=2",
+                "churn spec edge: rho=0.1+partition:at=1 is not a number",
+            ),
+            // Every key must be known, and given once.
+            (
+                "edge:rho=0.1,rho=0.2",
+                r#"churn spec edge: key "rho" given twice"#,
+            ),
+            (
+                "waypoint:radius=0.3,speed=0.01,sped=2",
+                r#"churn spec waypoint: unknown key "sped""#,
+            ),
+        ] {
+            let err = input.parse::<ChurnSpec>().unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid parameter: {reason}"),
+                "{input:?}"
+            );
         }
     }
 }

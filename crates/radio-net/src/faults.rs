@@ -57,6 +57,7 @@ use rand::Rng;
 use crate::error::Error;
 use crate::graph::{Graph, NodeId};
 use crate::rng::{self, salts};
+use crate::spec::{invalid, Args};
 
 /// Per-round fault occurrences, reported by the engine alongside the
 /// ordinary channel events (see [`crate::session::RoundEvents`]).
@@ -684,6 +685,7 @@ pub struct CrashSpec {
 /// * `wakeup:rate=0.5` (or shorthand `wakeup:0.5`)
 /// * `uniform:rate=0.05+crash:frac=0.1,from=0,until=1000` (stacked)
 ///
+/// A key the kind does not take, or a key given twice, is an error.
 /// A family may appear at most once: each one draws from one fixed
 /// salt per seed, so a second copy would replay the first one's stream
 /// and add no independent fault. `none` components add nothing. The
@@ -742,13 +744,6 @@ impl FaultSpec {
                 .transpose()?,
         })
     }
-
-    /// Stable label for tables and result files (re-parses to the same
-    /// spec; same as the `Display` form).
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl fmt::Display for FaultSpec {
@@ -798,24 +793,10 @@ impl fmt::Display for FaultSpec {
     }
 }
 
-fn bad_spec(reason: String) -> Error {
-    Error::InvalidParameter { reason }
-}
-
-fn parse_f64(kind: &str, key: &str, val: &str) -> Result<f64, Error> {
-    val.parse()
-        .map_err(|_| bad_spec(format!("fault spec {kind}: {key}={val} is not a number")))
-}
-
-fn parse_u64(kind: &str, key: &str, val: &str) -> Result<u64, Error> {
-    val.parse()
-        .map_err(|_| bad_spec(format!("fault spec {kind}: {key}={val} is not an integer")))
-}
-
 /// Fills `slot` with one parsed family, refusing a second copy.
 fn fill<T>(slot: &mut Option<T>, kind: &str, value: T) -> Result<(), Error> {
     if slot.replace(value).is_some() {
-        return Err(bad_spec(format!(
+        return Err(invalid(format!(
             "fault spec names {kind} twice (each family may appear once)"
         )));
     }
@@ -829,77 +810,37 @@ fn parse_one(part: &str, spec: &mut FaultSpec) -> Result<(), Error> {
         Some((k, a)) => (k.trim(), a.trim()),
         None => (part, ""),
     };
-    // key=val pairs; a single bare value maps to the kind's primary key.
-    let mut kv: Vec<(&str, &str)> = Vec::new();
-    if !args.is_empty() {
-        for item in args.split(',') {
-            let item = item.trim();
-            match item.split_once('=') {
-                Some((k, v)) => kv.push((k.trim(), v.trim())),
-                None => kv.push(("", item)),
-            }
-        }
-    }
-    let lookup = |key: &str| kv.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
-    // The shorthand (single bare value) is the kind's primary knob.
-    let primary = |key: &str| {
-        lookup(key).or(match kv.as_slice() {
-            [("", v)] => Some(*v),
-            _ => None,
-        })
-    };
+    let mut args = Args::new(format!("fault spec {kind}"), args);
     match kind {
-        "none" => Ok(()),
-        "uniform" => {
-            let rate = primary("rate")
-                .ok_or_else(|| bad_spec("fault spec uniform: missing rate".into()))?;
-            fill(&mut spec.uniform, kind, parse_f64("uniform", "rate", rate)?)
-        }
+        "none" => {}
+        "uniform" => fill(&mut spec.uniform, kind, args.primary("rate")?)?,
         "ge" => {
-            let get = |key: &str| {
-                lookup(key).ok_or_else(|| bad_spec(format!("fault spec ge: missing {key}")))
-            };
             let ge = GilbertSpec {
-                p_bad: parse_f64("ge", "p_bad", get("p_bad")?)?,
-                p_good: parse_f64("ge", "p_good", get("p_good")?)?,
-                loss_good: parse_f64("ge", "loss_good", get("loss_good")?)?,
-                loss_bad: parse_f64("ge", "loss_bad", get("loss_bad")?)?,
+                p_bad: args.get("p_bad")?,
+                p_good: args.get("p_good")?,
+                loss_good: args.get("loss_good")?,
+                loss_bad: args.get("loss_bad")?,
             };
-            fill(&mut spec.ge, kind, ge)
+            fill(&mut spec.ge, kind, ge)?;
         }
         "crash" => {
-            let frac =
-                primary("frac").ok_or_else(|| bad_spec("fault spec crash: missing frac".into()))?;
             let crash = CrashSpec {
-                fraction: parse_f64("crash", "frac", frac)?,
-                from: lookup("from")
-                    .map(|v| parse_u64("crash", "from", v))
-                    .transpose()?
-                    .unwrap_or(0),
-                until: lookup("until")
-                    .map(|v| parse_u64("crash", "until", v))
-                    .transpose()?
-                    .unwrap_or(u64::MAX),
-                downtime: lookup("down")
-                    .map(|v| parse_u64("crash", "down", v))
-                    .transpose()?,
+                fraction: args.primary("frac")?,
+                from: args.opt("from")?.unwrap_or(0),
+                until: args.opt("until")?.unwrap_or(u64::MAX),
+                downtime: args.opt("down")?,
             };
-            fill(&mut spec.crash, kind, crash)
+            fill(&mut spec.crash, kind, crash)?;
         }
-        "jam" => {
-            let budget = primary("budget")
-                .ok_or_else(|| bad_spec("fault spec jam: missing budget".into()))?;
-            fill(&mut spec.jam, kind, parse_u64("jam", "budget", budget)?)
+        "jam" => fill(&mut spec.jam, kind, args.primary("budget")?)?,
+        "wakeup" => fill(&mut spec.wakeup, kind, args.primary("rate")?)?,
+        other => {
+            return Err(invalid(format!(
+                "unknown fault kind {other:?} (expected none/uniform/ge/crash/jam/wakeup)"
+            )))
         }
-        "wakeup" => {
-            let rate = primary("rate")
-                .ok_or_else(|| bad_spec("fault spec wakeup: missing rate".into()))?;
-            fill(&mut spec.wakeup, kind, parse_f64("wakeup", "rate", rate)?)
-        }
-        other => Err(bad_spec(format!(
-            "unknown fault kind {other:?} (expected none/uniform/ge/crash/jam/wakeup)"
-        ))),
     }
+    args.finish()
 }
 
 impl FromStr for FaultSpec {
@@ -908,7 +849,7 @@ impl FromStr for FaultSpec {
     fn from_str(s: &str) -> Result<Self, Error> {
         let s = s.trim();
         if s.is_empty() {
-            return Err(bad_spec("empty fault spec".into()));
+            return Err(invalid("empty fault spec".into()));
         }
         let mut spec = FaultSpec::default();
         for part in s.split('+') {
@@ -1199,10 +1140,13 @@ mod tests {
         ];
         for s in cases {
             let spec: FaultSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
-            let back: FaultSpec = spec.label().parse().unwrap();
+            let back: FaultSpec = spec.to_string().parse().unwrap();
             assert_eq!(spec, back, "{s} must round-trip");
             spec.build(16, 0).unwrap_or_else(|e| panic!("{s}: {e}"));
         }
+        // Parses but fails validation at build time.
+        let spec: FaultSpec = "uniform:rate=1.5".parse().unwrap();
+        assert!(spec.build(8, 0).is_err());
     }
 
     #[test]
@@ -1236,23 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_rejects_garbage() {
-        for bad in [
-            "",
-            "flood:everything",
-            "uniform",
-            "uniform:rate=lots",
-            "ge:p_bad=0.1",
-            "jam:budget=-3",
-        ] {
-            assert!(bad.parse::<FaultSpec>().is_err(), "{bad:?} must not parse");
-        }
-        // Parses but fails validation at build time.
-        let spec: FaultSpec = "uniform:rate=1.5".parse().unwrap();
-        assert!(spec.build(8, 0).is_err());
-    }
-
-    #[test]
     fn spec_is_none_sees_through_stacks() {
         assert!(FaultSpec::default().is_none());
         assert!("none+none".parse::<FaultSpec>().unwrap().is_none());
@@ -1277,6 +1204,71 @@ mod tests {
         assert_eq!(sojourn(&mut rng, 1.0), 1);
         for _ in 0..100 {
             assert!(sojourn(&mut rng, 0.5) >= 1);
+        }
+    }
+
+    #[test]
+    fn parse_errors_pin_their_messages() {
+        for (input, reason) in [
+            ("", "empty fault spec"),
+            ("uniform", "fault spec uniform: missing rate"),
+            (
+                "uniform:rate=lots",
+                "fault spec uniform: rate=lots is not a number",
+            ),
+            ("uniform:0.1,0.2", "fault spec uniform: missing rate"),
+            ("ge:p_bad=0.1", "fault spec ge: missing p_good"),
+            (
+                "ge:p_bad=0.1,p_good=x",
+                "fault spec ge: p_good=x is not a number",
+            ),
+            ("crash:from=3", "fault spec crash: missing frac"),
+            (
+                "crash:frac=0.2,until=soon",
+                "fault spec crash: until=soon is not an integer",
+            ),
+            (
+                "crash:frac=0.2,down=-1",
+                "fault spec crash: down=-1 is not an integer",
+            ),
+            (
+                "jam:budget=-3",
+                "fault spec jam: budget=-3 is not an integer",
+            ),
+            ("wakeup", "fault spec wakeup: missing rate"),
+            (
+                "jam:5+jam:6",
+                "fault spec names jam twice (each family may appear once)",
+            ),
+            (
+                "flood:everything",
+                "unknown fault kind \"flood\" (expected none/uniform/ge/crash/jam/wakeup)",
+            ),
+            // Every key must be known, and given once.
+            (
+                "crash:frac=0.25,unti=4000",
+                r#"fault spec crash: unknown key "unti""#,
+            ),
+            (
+                "uniform:rate=0.1,rat=0.5",
+                r#"fault spec uniform: unknown key "rat""#,
+            ),
+            (
+                "uniform:rate=0.1,rate=0.2",
+                r#"fault spec uniform: key "rate" given twice"#,
+            ),
+            (
+                "crash:frac=0.25,4000",
+                r#"fault spec crash: value "4000" has no key"#,
+            ),
+            ("none:x=1", r#"fault spec none: unknown key "x""#),
+        ] {
+            let err = input.parse::<FaultSpec>().unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid parameter: {reason}"),
+                "{input:?}"
+            );
         }
     }
 }

@@ -116,6 +116,7 @@ pub mod graph;
 pub mod message;
 pub mod rng;
 pub mod session;
+mod spec;
 pub mod stats;
 pub mod topology;
 pub mod trace;

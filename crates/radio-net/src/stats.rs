@@ -44,18 +44,6 @@ impl SimStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Receptions per transmission; a crude measure of how much of the
-    /// channel's activity did useful work. `None` if nothing was sent.
-    #[must_use]
-    pub fn delivery_ratio(&self) -> Option<f64> {
-        if self.transmissions == 0 {
-            None
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            Some(self.receptions as f64 / self.transmissions as f64)
-        }
-    }
 }
 
 /// Exact nearest-rank percentile of a *sorted* sample: the smallest
@@ -134,16 +122,5 @@ mod tests {
         assert_eq!(nearest_rank(&s, 75.0), Some(3));
         assert_eq!(nearest_rank(&s, 76.0), Some(4));
         assert_eq!(nearest_rank(&s, 99.0), Some(4));
-    }
-
-    #[test]
-    fn delivery_ratio_handles_zero() {
-        assert_eq!(SimStats::new().delivery_ratio(), None);
-        let s = SimStats {
-            transmissions: 4,
-            receptions: 2,
-            ..SimStats::new()
-        };
-        assert_eq!(s.delivery_ratio(), Some(0.5));
     }
 }

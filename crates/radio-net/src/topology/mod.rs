@@ -26,6 +26,7 @@ use std::str::FromStr;
 
 use crate::error::Error;
 use crate::graph::Graph;
+use crate::spec::{invalid, value, Args};
 
 /// A topology family plus parameters, as plain data.
 ///
@@ -193,46 +194,19 @@ impl fmt::Display for Topology {
     }
 }
 
-fn bad_topology(reason: String) -> Error {
-    Error::InvalidParameter { reason }
-}
-
 /// Splits `family(args)` into `(family, args)`.
 fn split_call(s: &str) -> Result<(&str, &str), Error> {
     let open = s
         .find('(')
-        .ok_or_else(|| bad_topology(format!("topology {s:?}: expected family(args)")))?;
+        .ok_or_else(|| invalid(format!("topology {s:?}: expected family(args)")))?;
     let rest = &s[open + 1..];
     let close = rest
         .rfind(')')
-        .ok_or_else(|| bad_topology(format!("topology {s:?}: missing ')'")))?;
+        .ok_or_else(|| invalid(format!("topology {s:?}: missing ')'")))?;
     if !rest[close + 1..].trim().is_empty() {
-        return Err(bad_topology(format!("topology {s:?}: trailing garbage")));
+        return Err(invalid(format!("topology {s:?}: trailing garbage")));
     }
     Ok((s[..open].trim(), rest[..close].trim()))
-}
-
-/// Parses `key=val,key=val` arguments into a lookup list.
-fn parse_kv(args: &str) -> Result<Vec<(String, String)>, Error> {
-    let mut kv = Vec::new();
-    for item in args.split(',') {
-        let item = item.trim();
-        let (k, v) = item
-            .split_once('=')
-            .ok_or_else(|| bad_topology(format!("topology argument {item:?}: expected key=val")))?;
-        kv.push((k.trim().to_string(), v.trim().to_string()));
-    }
-    Ok(kv)
-}
-
-fn parse_usize(family: &str, key: &str, val: &str) -> Result<usize, Error> {
-    val.parse()
-        .map_err(|_| bad_topology(format!("topology {family}: {key}={val} is not an integer")))
-}
-
-fn parse_f64(family: &str, key: &str, val: &str) -> Result<f64, Error> {
-    val.parse()
-        .map_err(|_| bad_topology(format!("topology {family}: {key}={val} is not a number")))
 }
 
 impl FromStr for Topology {
@@ -242,71 +216,75 @@ impl FromStr for Topology {
     /// echoed by result files and service responses can be fed back in
     /// verbatim: `path(n=5)`, `grid(4x8)`, `torus(3x4)`,
     /// `hypercube(d=3)`, `dumbbell(clique=3,bridge=2)`,
-    /// `udg(n=16,r=0.6)`, ...
+    /// `udg(n=16,r=0.6)`, ... A key the family does not take, or a key
+    /// given twice, is an error.
     fn from_str(s: &str) -> Result<Self, Error> {
         let s = s.trim();
         if s.is_empty() {
-            return Err(bad_topology("empty topology spec".into()));
+            return Err(invalid("empty topology spec".into()));
         }
         let (family, args) = split_call(s)?;
         // grid/torus take the `RxC` shorthand rather than key=val pairs.
         if family == "grid" || family == "torus" {
-            let (r, c) = args.split_once('x').ok_or_else(|| {
-                bad_topology(format!("topology {family}: expected {family}(RxC)"))
-            })?;
-            let rows = parse_usize(family, "rows", r.trim())?;
-            let cols = parse_usize(family, "cols", c.trim())?;
+            let (r, c) = args
+                .split_once('x')
+                .ok_or_else(|| invalid(format!("topology {family}: expected {family}(RxC)")))?;
+            let what = format!("topology {family}");
+            let rows = value(&what, "rows", r.trim())?;
+            let cols = value(&what, "cols", c.trim())?;
             return Ok(if family == "grid" {
                 Topology::Grid2d { rows, cols }
             } else {
                 Topology::Torus { rows, cols }
             });
         }
-        let kv = parse_kv(args)?;
-        let get = |key: &str| {
-            kv.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| bad_topology(format!("topology {family}: missing {key}")))
-        };
-        let n = |key: &str| parse_usize(family, key, get(key)?);
-        match family {
-            "path" => Ok(Topology::Path { n: n("n")? }),
-            "cycle" => Ok(Topology::Cycle { n: n("n")? }),
-            "star" => Ok(Topology::Star { n: n("n")? }),
-            "complete" => Ok(Topology::Complete { n: n("n")? }),
-            "hypercube" => Ok(Topology::Hypercube { d: n("d")? }),
-            "btree" => Ok(Topology::BinaryTree { n: n("n")? }),
-            "dumbbell" => Ok(Topology::Dumbbell {
-                clique: n("clique")?,
-                bridge: n("bridge")?,
-            }),
-            "lollipop" => Ok(Topology::Lollipop {
-                clique: n("clique")?,
-                tail: n("tail")?,
-            }),
-            "caterpillar" => Ok(Topology::Caterpillar {
-                spine: n("spine")?,
-                legs: n("legs")?,
-            }),
-            "gnp" => Ok(Topology::Gnp {
-                n: n("n")?,
-                p: parse_f64(family, "p", get("p")?)?,
-            }),
-            "rtree" => Ok(Topology::RandomTree { n: n("n")? }),
-            "udg" => Ok(Topology::UnitDisk {
-                n: n("n")?,
-                radius: parse_f64(family, "r", get("r")?)?,
-            }),
-            "regular" => Ok(Topology::RandomRegular {
-                n: n("n")?,
-                d: n("d")?,
-            }),
-            other => Err(bad_topology(format!(
-                "unknown topology family {other:?} (expected path/cycle/star/complete/grid/\
-                 torus/hypercube/btree/dumbbell/lollipop/caterpillar/gnp/rtree/udg/regular)"
-            ))),
+        if let Some(item) = args.split(',').map(str::trim).find(|i| !i.contains('=')) {
+            return Err(invalid(format!(
+                "topology argument {item:?}: expected key=val"
+            )));
         }
+        let mut args = Args::new(format!("topology {family}"), args);
+        let topology = match family {
+            "path" => Topology::Path { n: args.get("n")? },
+            "cycle" => Topology::Cycle { n: args.get("n")? },
+            "star" => Topology::Star { n: args.get("n")? },
+            "complete" => Topology::Complete { n: args.get("n")? },
+            "hypercube" => Topology::Hypercube { d: args.get("d")? },
+            "btree" => Topology::BinaryTree { n: args.get("n")? },
+            "dumbbell" => Topology::Dumbbell {
+                clique: args.get("clique")?,
+                bridge: args.get("bridge")?,
+            },
+            "lollipop" => Topology::Lollipop {
+                clique: args.get("clique")?,
+                tail: args.get("tail")?,
+            },
+            "caterpillar" => Topology::Caterpillar {
+                spine: args.get("spine")?,
+                legs: args.get("legs")?,
+            },
+            "gnp" => Topology::Gnp {
+                n: args.get("n")?,
+                p: args.get("p")?,
+            },
+            "rtree" => Topology::RandomTree { n: args.get("n")? },
+            "udg" => Topology::UnitDisk {
+                n: args.get("n")?,
+                radius: args.get("r")?,
+            },
+            "regular" => Topology::RandomRegular {
+                n: args.get("n")?,
+                d: args.get("d")?,
+            },
+            other => {
+                return Err(invalid(format!(
+                    "unknown topology family {other:?} (expected path/cycle/star/complete/grid/\
+                     torus/hypercube/btree/dumbbell/lollipop/caterpillar/gnp/rtree/udg/regular)"
+                )))
+            }
+        };
+        args.finish()?;
+        Ok(topology)
     }
 }
 
@@ -379,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn from_str_accepts_whitespace_and_rejects_garbage() {
+    fn from_str_accepts_whitespace() {
         assert_eq!(
             " grid( 4x8 ) ".parse::<Topology>().unwrap(),
             Topology::Grid2d { rows: 4, cols: 8 }
@@ -388,17 +366,40 @@ mod tests {
             "udg(n=16, r=0.6)".parse::<Topology>().unwrap(),
             Topology::UnitDisk { n: 16, radius: 0.6 }
         );
-        for bad in [
-            "",
-            "grid",
-            "grid(4x8)x",
-            "grid(4)",
-            "mesh(n=4)",
-            "path(n=x)",
-            "gnp(n=16)",
-            "path(5)",
+    }
+
+    #[test]
+    fn parse_errors_pin_their_messages() {
+        for (input, reason) in [
+            ("", "empty topology spec"),
+            ("grid", r#"topology "grid": expected family(args)"#),
+            ("grid(4x8", r#"topology "grid(4x8": missing ')'"#),
+            ("grid(4x8)x", r#"topology "grid(4x8)x": trailing garbage"#),
+            ("grid(4)", "topology grid: expected grid(RxC)"),
+            ("torus(3xb)", "topology torus: cols=b is not an integer"),
+            ("grid(ax3)", "topology grid: rows=a is not an integer"),
+            (
+                "mesh(n=4)",
+                "unknown topology family \"mesh\" (expected path/cycle/star/complete/grid/\
+                 torus/hypercube/btree/dumbbell/lollipop/caterpillar/gnp/rtree/udg/regular)",
+            ),
+            ("path(n=x)", "topology path: n=x is not an integer"),
+            ("gnp(n=16)", "topology gnp: missing p"),
+            ("gnp(n=16,p=high)", "topology gnp: p=high is not a number"),
+            ("dumbbell(clique=3)", "topology dumbbell: missing bridge"),
+            ("path(5)", r#"topology argument "5": expected key=val"#),
+            ("path()", r#"topology argument "": expected key=val"#),
+            ("path(n=4,5)", r#"topology argument "5": expected key=val"#),
+            // Every key must be known, and given once.
+            ("gnp(n=8,p=0.5,q=1)", r#"topology gnp: unknown key "q""#),
+            ("path(n=4,n=5)", r#"topology path: key "n" given twice"#),
         ] {
-            assert!(bad.parse::<Topology>().is_err(), "{bad:?} must not parse");
+            let err = input.parse::<Topology>().unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid parameter: {reason}"),
+                "{input:?}"
+            );
         }
     }
 }

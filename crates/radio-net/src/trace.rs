@@ -44,7 +44,7 @@ const GAUGE_CURVE_CAPACITY: usize = 1024;
 
 /// A bounded change-point recorder for one scalar time series: stores
 /// `(round, value)` points, skips repeats of the current value, and —
-/// once [`GAUGE_CURVE_CAPACITY`] is reached — compacts by keeping every
+/// once `GAUGE_CURVE_CAPACITY` (1024) points are stored — compacts by keeping every
 /// second point and doubling the sampling stride. The retained subset
 /// is a pure function of the pushed change sequence, so curves are
 /// thread-invariant and reproducible.
@@ -334,22 +334,6 @@ pub struct StageSummary {
     /// Last gauge value observed in this stage ([`None`] if the probe
     /// never reported one here).
     pub gauge_end: Option<u64>,
-}
-
-impl StageSummary {
-    /// Successful receptions per round of this stage (0 for an empty
-    /// stage) — the per-stage throughput the Ghaffari–Haeupler–
-    /// Khabbazian bound caps.
-    #[must_use]
-    pub fn reception_rate(&self) -> f64 {
-        if self.rounds == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.totals.receptions as f64 / self.rounds as f64
-        }
-    }
 }
 
 /// Ring-buffered trace recorder; see the [module docs](self). Build one

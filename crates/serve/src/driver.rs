@@ -18,7 +18,6 @@ use std::str::FromStr;
 use kbcast_bench::traffic::{TrafficPattern, TrafficSpec};
 use radio_net::topology::Topology;
 
-use crate::json::Json;
 use crate::proto::{Envelope, InjectPacket, LatencyBlock, Request, Response, StatsBlock};
 use crate::service::Service;
 
@@ -486,11 +485,4 @@ pub fn parse_flip(arg: &str) -> Result<FaultFlip, String> {
         at,
         recover,
     })
-}
-
-/// Convenience for tests and the smoke stage: extracts a named `u64`
-/// from a raw response line.
-#[must_use]
-pub fn response_u64(line: &str, key: &str) -> Option<u64> {
-    Json::parse(line).ok()?.get(key)?.as_u64()
 }

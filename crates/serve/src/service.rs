@@ -286,7 +286,7 @@ impl Service {
             protocol: PROTOCOL.to_string(),
             topology: topo.to_string(),
             faults: spec.to_string(),
-            churn: (!churn_spec.is_none()).then(|| churn_spec.label()),
+            churn: (!churn_spec.is_none()).then(|| churn_spec.to_string()),
         }
     }
 

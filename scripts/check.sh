@@ -31,6 +31,11 @@ cargo test -q
 cargo test --release --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc build: every intra-doc link must resolve and no public doc may
+# link a private item, so a deleted module cannot leave a dangling
+# link behind.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace -q
+
 # Examples: every program under examples/ is built and run, not only
 # compiled. Each asserts its own outcome (sensor_aggregation, the one
 # unit-disk example, asserts full delivery); together they take well
@@ -46,6 +51,11 @@ done
 # untimed one (tests/timed_identity.rs), so a change to node forwarding
 # or parking that breaks the benchmark fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+# Lemma 3 smoke: the quick E6 configuration feeds random rows to the
+# Stage 4 decoder and asserts that the Lemma 3 threshold reaches full
+# rank with probability >= 0.99 for every group size (under a second).
+KB_SCALE=quick cargo run --release -q -p kbcast-bench --bin exp_e6_rank > /dev/null
 
 # Fault-injection smoke: the quick E17 configuration (grid 16x16, every
 # fault family, 2 seeds) must run to completion and emit its JSON. This
