@@ -23,10 +23,11 @@
 use std::fmt::Write as _;
 
 use kbcast::baseline::BiiProtocol;
-use kbcast::dynamic::{run_streaming, StreamingReport};
+use kbcast::dynamic::DynamicMeta;
 use kbcast::runner::{CodedProtocol, RunOptions, Workload};
-use kbcast::session::run_protocol;
+use kbcast::session::{run_protocol, SessionReport};
 use kbcast_bench::parallel::par_map_indexed;
+use kbcast_bench::session::sweep_dynamic;
 use kbcast_bench::stats::median;
 use kbcast_bench::table::Table;
 use kbcast_bench::traffic::{SaturationSpec, TrafficPattern, TrafficSpec};
@@ -64,15 +65,18 @@ struct Reference {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn summarize(topology: &Topology, lambda: f64, reports: &[StreamingReport]) -> Point {
-    let ok = reports.iter().filter(|r| r.latencies.len() == r.k).count() as u64;
+fn summarize(topology: &Topology, lambda: f64, reports: &[SessionReport<DynamicMeta>]) -> Point {
+    let ok = reports
+        .iter()
+        .filter(|r| r.meta.latencies.len() == r.k)
+        .count() as u64;
     let mean_k = reports.iter().map(|r| r.k as f64).sum::<f64>() / reports.len().max(1) as f64;
     let throughput = reports
         .iter()
-        .map(StreamingReport::sustained_throughput)
+        .map(SessionReport::sustained_throughput)
         .sum::<f64>()
         / reports.len().max(1) as f64;
-    let gauge = |f: &dyn Fn(&StreamingReport) -> f64| {
+    let gauge = |f: &dyn Fn(&SessionReport<DynamicMeta>) -> f64| {
         let v: Vec<f64> = reports.iter().map(f).collect();
         median(&v)
     };
@@ -107,34 +111,6 @@ fn summarize(topology: &Topology, lambda: f64, reports: &[StreamingReport]) -> P
         p95: pct(95.0),
         p99: pct(99.0),
     }
-}
-
-fn sweep_point(
-    topo: &Topology,
-    lambda: f64,
-    spec: &SaturationSpec,
-    seeds: u64,
-) -> Vec<StreamingReport> {
-    par_map_indexed(
-        usize::try_from(seeds).expect("seed count fits usize"),
-        |i| {
-            let seed = i as u64;
-            let graph = topo.build(seed).expect("topology builds");
-            let arrivals = TrafficSpec {
-                pattern: TrafficPattern::Poisson { lambda },
-                window: spec.window,
-            }
-            .generate(graph.len(), seed)
-            .expect("traffic spec is valid");
-            let options = RunOptions {
-                verify: verify_from_env(),
-                trace: true, // queue/in-flight gauges feed the curves
-                ..RunOptions::default()
-            };
-            run_streaming(topo, &arrivals, None, seed, spec.horizon, options)
-                .expect("streaming session runs")
-        },
-    )
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -222,7 +198,18 @@ fn main() -> std::io::Result<()> {
         refs.push(reference(topo, "coded", ref_k, seeds));
         refs.push(reference(topo, "bii", ref_k, seeds));
         for &lambda in &spec.lambdas {
-            let reports = sweep_point(topo, lambda, &spec, seeds);
+            let options = RunOptions {
+                verify: verify_from_env(),
+                trace: true, // queue/in-flight gauges feed the curves
+                ..RunOptions::default()
+            };
+            let traffic = TrafficSpec {
+                pattern: TrafficPattern::Poisson { lambda },
+                window: spec.window,
+            };
+            let reports = sweep_dynamic(topo, seeds, spec.horizon, options, |seed, n| {
+                traffic.generate(n, seed).expect("traffic spec is valid")
+            });
             points.push(summarize(topo, lambda, &reports));
         }
     }

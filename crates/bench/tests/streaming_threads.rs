@@ -4,13 +4,14 @@
 //! over 1 or 4 threads (`par_map_indexed_with` collects in index order
 //! and every per-seed session is self-contained).
 
-use kbcast::dynamic::{run_streaming, StreamingReport};
+use kbcast::dynamic::{run_streaming, DynamicMeta};
 use kbcast::runner::RunOptions;
+use kbcast::session::SessionReport;
 use kbcast_bench::parallel::par_map_indexed_with;
 use kbcast_bench::traffic::{TrafficPattern, TrafficSpec};
 use radio_net::topology::Topology;
 
-fn streaming_seed_run(seed: u64) -> StreamingReport {
+fn streaming_seed_run(seed: u64) -> SessionReport<DynamicMeta> {
     let topo = Topology::Grid2d { rows: 4, cols: 4 };
     let arrivals = TrafficSpec {
         pattern: TrafficPattern::Poisson { lambda: 0.003 },
@@ -33,13 +34,13 @@ fn streaming_sweep_is_thread_count_invariant() {
         assert_eq!(a.success, b.success, "seed {seed}: success");
         assert_eq!(a.k, b.k, "seed {seed}: k");
         assert_eq!(a.rounds_total, b.rounds_total, "seed {seed}: rounds");
-        assert_eq!(a.batches, b.batches, "seed {seed}: epoch records");
+        assert_eq!(a.meta.batches, b.meta.batches, "seed {seed}: epoch records");
         assert_eq!(
-            a.latencies, b.latencies,
+            a.meta.latencies, b.meta.latencies,
             "seed {seed}: per-packet latencies"
         );
         assert_eq!(
-            a.collect_closes, b.collect_closes,
+            a.meta.collect_closes, b.meta.collect_closes,
             "seed {seed}: collection closes"
         );
         assert_eq!(

@@ -257,16 +257,12 @@ impl BroadcastProtocol for BiiProtocol {
     ) -> (Vec<BiiNode>, Vec<NodeId>) {
         let cfg = self.resolve(net);
         let k = workload.k();
-        let awake = (0..net.n)
-            .filter(|&i| !workload.payloads_of(i).is_empty())
-            .map(NodeId::new)
-            .collect();
         let nodes = (0..net.n)
             .map(|i| {
                 BiiNode::with_target(cfg, workload.packets_of(i), rng::stream(seed, i as u64), k)
             })
             .collect();
-        (nodes, awake)
+        (nodes, workload.initially_awake())
     }
 
     fn observer(&self, _net: &NetParams) -> NoopObserver {

@@ -4,8 +4,9 @@
 //! solutions to such a more dynamic setting").
 //!
 //! The adaptation implemented here is *batch pipelining*: Stages 1–2
-//! (leader election, BFS) run once, and the network then loops Stage 3 +
-//! Stage 4 forever. Packets that arrive during batch `b` are collected
+//! (leader election, BFS) run once, on the same front end the one-shot
+//! [`crate::node::KbcastNode`] uses, and the network then loops Stages
+//! 3 and 4 forever. Packets that arrive during batch `b` are collected
 //! and disseminated in batch `b+1`. Every batch's dissemination carries
 //! a synthetic *batch-marker* packet from the root, so `k_b ≥ 1` always:
 //! every node learns the batch's group count from the coded headers and
@@ -25,30 +26,29 @@
 //! instead of `all_done`, and every packet carries birth/delivery
 //! *stamps* (see [`DynamicNode::stamps`]) from which per-packet latency
 //! percentiles are computed — batch-level accounting is derived, not
-//! primary. [`run_streaming`] is the entry point; experiment E19 sweeps
-//! it under Poisson load.
+//! primary. [`run_streaming`] is the entry point and returns the common
+//! [`SessionReport`] with [`DynamicMeta`]; [`ScheduleSource::run`] is
+//! the one streaming drive, shared with the line-protocol service.
+//! Experiment E19 sweeps it under Poisson load.
 
 use std::collections::{HashMap, HashSet};
 
-use protocols::bfs::{BfsBuild, BfsConfig};
-use protocols::leader::{LeaderConfig, LeaderElection};
-use radio_net::engine::{Engine, Node};
+use radio_net::engine::{Engine, NoCd, Node};
 use radio_net::faults::FaultModel;
 use radio_net::graph::NodeId;
 use radio_net::rng;
-use radio_net::session::{NoopObserver, RoundEvents, SessionEnd, TrafficSource};
+use radio_net::session::{NoopObserver, Observer, RoundEvents, SessionEnd, TrafficSource};
 use radio_net::stats::nearest_rank;
-use radio_net::stats::SimStats;
 use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 use rand::rngs::SmallRng;
 
 use crate::config::Config;
 use crate::messages::Msg;
-use crate::node::{collect_dissem_activity, setup_activity};
+use crate::node::{collect_dissem_activity, Setup};
 use crate::packet::{Packet, PacketKey};
 use crate::runner::{RunOptions, Workload};
-use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams};
+use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
 use crate::stage3::CollectState;
 use crate::stage4::DissemState;
 use crate::verify::EpochConservation;
@@ -87,16 +87,9 @@ pub struct BatchRecord {
 #[derive(Debug)]
 pub struct DynamicNode {
     cfg: Config,
-    my_id: u64,
     rng: SmallRng,
-    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`), as in
-    /// [`crate::node::KbcastNode`]: every poll consults them.
-    s1_end: u64,
-    s2_end: u64,
-
-    leader: LeaderElection,
-    is_root: bool,
-    bfs: Option<BfsBuild>,
+    /// Stages 1–2, shared with [`crate::node::KbcastNode`].
+    setup: Setup,
 
     batch: u32,
     batch_start: u64,
@@ -135,21 +128,10 @@ impl DynamicNode {
     /// engine's initially-awake set).
     #[must_use]
     pub fn new(cfg: Config, my_id: u64, initial: Vec<Vec<u8>>, rng: SmallRng) -> Self {
-        let candidate = !initial.is_empty();
-        let leader_cfg = LeaderConfig {
-            id_bits: cfg.id_bits,
-            window_rounds: cfg.epidemic_window_rounds(),
-            delta_bound: cfg.delta_bound,
-        };
         let mut node = DynamicNode {
             cfg,
-            my_id,
             rng,
-            s1_end: cfg.stage1_rounds(),
-            s2_end: cfg.stage3_start(),
-            leader: LeaderElection::new(leader_cfg, my_id, candidate),
-            is_root: false,
-            bfs: None,
+            setup: Setup::new(&cfg, my_id, !initial.is_empty()),
             batch: 0,
             batch_start: cfg.stage3_start(),
             collect: None,
@@ -183,7 +165,7 @@ impl DynamicNode {
     /// ride the next batch/epoch. The round only feeds the packet's
     /// delivery stamp at this node — scheduling is round-free.
     pub fn inject_at(&mut self, payload: Vec<u8>, round: u64) {
-        let p = Packet::new(self.my_id, self.next_seq, payload);
+        let p = Packet::new(self.setup.id(), self.next_seq, payload);
         self.next_seq += 1;
         self.delivered_keys.insert(p.key);
         if self.stamped.insert(p.key) {
@@ -196,13 +178,13 @@ impl DynamicNode {
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.my_id
+        self.setup.id()
     }
 
     /// Whether this node is the elected root.
     #[must_use]
     pub fn is_root(&self) -> bool {
-        self.is_root
+        self.setup.is_root()
     }
 
     /// Batch currently executing.
@@ -277,43 +259,22 @@ impl DynamicNode {
         }
     }
 
-    fn ensure_bfs(&mut self) {
-        if self.bfs.is_some() {
-            return;
-        }
-        self.leader.finalize();
-        self.is_root = self.leader.outcome().is_some_and(|o| o.is_leader);
-        self.bfs = Some(BfsBuild::new(
-            BfsConfig {
-                phase_rounds: self.cfg.bfs_phase_rounds(),
-                d_bound: self.cfg.d_bound,
-                delta_bound: self.cfg.delta_bound,
-            },
-            self.my_id,
-            self.is_root,
-        ));
-    }
-
     fn ensure_collect(&mut self, round: u64) {
         if self.collect.is_some() {
             return;
         }
-        self.ensure_bfs();
-        let parent = self
-            .bfs
-            .as_ref()
-            .and_then(|b| b.label())
-            .and_then(|l| l.parent);
+        self.setup.ensure_bfs();
+        let parent = self.setup.label().and_then(|l| l.parent);
         let mut eligible: Vec<Packet> = std::mem::take(&mut self.pending);
-        if self.is_root {
+        if self.setup.is_root() {
             // The batch marker guarantees k_b >= 1 so that every node can
             // learn the batch length from the coded headers.
             eligible.push(Packet::new(MARKER_ORIGIN, self.batch, Vec::new()));
         }
         self.collect = Some(CollectState::new(
             self.cfg,
-            self.my_id,
-            self.is_root,
+            self.setup.id(),
+            self.setup.is_root(),
             parent,
             eligible,
             round.saturating_sub(self.batch_start),
@@ -329,7 +290,7 @@ impl DynamicNode {
             return;
         };
         self.s4_start = Some(self.batch_start + finished);
-        if self.is_root {
+        if self.setup.is_root() {
             let collected = self
                 .collect
                 .as_ref()
@@ -340,13 +301,13 @@ impl DynamicNode {
             self.stamp_packets(self.batch_start + finished, &collected);
             self.collect_log
                 .push((self.batch, self.batch_start + finished));
-            let d = DissemState::new_root_in_batch(self.cfg, collected, self.batch);
+            let d = DissemState::new_root(self.cfg, collected, self.batch);
             self.batch_end =
                 Some(self.s4_start.expect("just set") + d.total_rounds().expect("root knows g"));
             self.dissem = Some(d);
         } else {
-            let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
-            self.dissem = Some(DissemState::new_node_in_batch(self.cfg, dist, self.batch));
+            let dist = self.setup.label().map(|l| l.dist);
+            self.dissem = Some(DissemState::new_node(self.cfg, dist, self.batch));
         }
     }
 
@@ -355,7 +316,7 @@ impl DynamicNode {
         if let Some(packets) = self.dissem.as_ref().map(DissemState::packets) {
             self.deliver_packets(&packets);
             self.stamp_packets(end, &packets);
-            if self.is_root {
+            if self.setup.is_root() {
                 let keys: Vec<PacketKey> = packets
                     .iter()
                     .map(|p| p.key)
@@ -386,7 +347,7 @@ impl DynamicNode {
         let rx = self
             .foreign_rx
             .entry(c.batch)
-            .or_insert_with(|| DissemState::new_node_in_batch(cfg, None, c.batch));
+            .or_insert_with(|| DissemState::new_node(cfg, None, c.batch));
         let before = rx.decoded_groups();
         rx.deliver(c);
         // Only a decode changes anything: the rows after completion are
@@ -444,10 +405,8 @@ impl DynamicNode {
     /// Coded-message delivery.
     fn receive_coded(&mut self, round: u64, c: &crate::messages::CodedMsg) {
         if c.batch == self.batch {
-            if self.dissem.is_none() && !self.is_root {
-                let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
-                self.dissem = Some(DissemState::new_node_in_batch(self.cfg, dist, self.batch));
-            }
+            self.setup
+                .ensure_dissem_rx(self.cfg, self.batch, &mut self.dissem);
             if let Some(d) = self.dissem.as_mut() {
                 let before = d.decoded_groups();
                 d.deliver(c);
@@ -477,38 +436,18 @@ impl Node for DynamicNode {
     type Msg = Msg;
 
     fn poll(&mut self, round: u64) -> Option<Msg> {
-        if round < self.s1_end {
-            return self.leader.poll(round, &mut self.rng).map(Msg::Probe);
-        }
-        self.ensure_bfs();
-        if round < self.s2_end {
-            let local = round - self.s1_end;
-            return self
-                .bfs
-                .as_mut()
-                .expect("bfs ensured")
-                .poll(local, &mut self.rng)
-                .map(Msg::Bfs);
+        if round < self.setup.s2_end() {
+            return self.setup.poll(round, &mut self.rng);
         }
         self.poll_batches(round)
     }
 
     fn receive(&mut self, round: u64, msg: &Msg) {
         match msg {
-            Msg::Probe(p) => {
-                if round < self.s1_end {
-                    self.leader.deliver(round, p);
-                }
-            }
-            Msg::Bfs(b) => {
-                if round >= self.s1_end && round < self.s2_end {
-                    self.ensure_bfs();
-                    let local = round - self.s1_end;
-                    self.bfs.as_mut().expect("bfs ensured").deliver(local, b);
-                }
-            }
+            Msg::Probe(p) => self.setup.receive_probe(round, p),
+            Msg::Bfs(b) => self.setup.receive_bfs(round, b),
             Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
-                if round >= self.s2_end {
+                if round >= self.setup.s2_end() {
                     self.ensure_collect(round);
                     let local = round - self.batch_start;
                     self.collect
@@ -518,7 +457,7 @@ impl Node for DynamicNode {
                 }
             }
             Msg::Coded(c) => {
-                self.ensure_bfs();
+                self.setup.ensure_bfs();
                 self.receive_coded(round, c);
             }
         }
@@ -532,14 +471,7 @@ impl Node for DynamicNode {
     /// predicate and observers read) and opens the next collection with
     /// `created_local = 0`.
     fn next_activity(&self, round: u64) -> u64 {
-        setup_activity(
-            round,
-            self.s1_end,
-            self.s2_end,
-            &self.leader,
-            self.bfs.as_ref(),
-        )
-        .unwrap_or_else(|| {
+        self.setup.next_activity(round).unwrap_or_else(|| {
             let hint = collect_dissem_activity(
                 round,
                 self.batch_start,
@@ -644,6 +576,27 @@ impl ScheduleSource {
             .push((node, payload));
         self.remaining += 1;
     }
+
+    /// Runs `engine` up to the absolute round `horizon`, injecting this
+    /// schedule's arrivals as their rounds come up. With `drain` set,
+    /// the run stops once the schedule is spent and every node holds
+    /// all `k` packets. This is the one streaming drive: the library's
+    /// session and the service's request spans both go through it.
+    pub fn run<F: FaultModel, T: radio_net::TopologyModel, O: Observer<DynamicNode>>(
+        &mut self,
+        engine: &mut Engine<DynamicNode, F, NoCd, T>,
+        horizon: u64,
+        obs: &mut O,
+        k: usize,
+        drain: bool,
+    ) -> SessionEnd {
+        engine.run_streaming_until(horizon, obs, self, |e| drain && holds_all(e.nodes(), k))
+    }
+}
+
+/// Whether every node holds `k` packets.
+fn holds_all(nodes: &[DynamicNode], k: usize) -> bool {
+    nodes.iter().all(|nd| nd.delivered_count() == k)
 }
 
 impl TrafficSource<DynamicNode> for ScheduleSource {
@@ -672,7 +625,8 @@ pub struct DynamicMeta {
     /// Closed batches (root's view).
     pub batches: Vec<BatchRecord>,
     /// Per-packet latency (birth round → last node's delivery stamp),
-    /// for packets every node holds.
+    /// for packets every node holds, sorted ascending (see
+    /// [`stamp_latencies`]).
     pub latencies: Vec<u64>,
     /// `(batch, engine round)` each batch's collection closed (root's
     /// view).
@@ -754,10 +708,6 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         seed: u64,
     ) -> (Vec<DynamicNode>, Vec<NodeId>) {
         let cfg = self.config_for(net);
-        let awake = (0..net.n)
-            .filter(|&i| !workload.payloads_of(i).is_empty())
-            .map(NodeId::new)
-            .collect();
         let nodes = (0..net.n)
             .map(|i| {
                 DynamicNode::new(
@@ -768,7 +718,7 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
                 )
             })
             .collect();
-        (nodes, awake)
+        (nodes, workload.initially_awake())
     }
 
     fn observer(&self, _net: &NetParams) -> NoopObserver {
@@ -808,29 +758,23 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         vec![Box::new(EpochConservation::new(self.arrivals, clean))]
     }
 
-    fn drive<
-        F: radio_net::faults::FaultModel,
-        T: radio_net::TopologyModel,
-        O: radio_net::session::Observer<DynamicNode>,
-    >(
+    fn drive<F: FaultModel, T: radio_net::TopologyModel, O: Observer<DynamicNode>>(
         &self,
-        engine: &mut Engine<DynamicNode, F, radio_net::NoCd, T>,
+        engine: &mut Engine<DynamicNode, F, NoCd, T>,
         cap: u64,
         obs: &mut O,
     ) -> SessionEnd {
         // The arrival seam: a ScheduleSource replays the schedule, and
         // the drain predicate (everything delivered everywhere) is the
         // stop condition — evaluated after each executed round, before
-        // that round's injections, matching the historical loop.
+        // that round's injections.
         let k = self.arrivals.len();
-        let mut source = ScheduleSource::new(self.arrivals);
-        let end = engine.run_streaming(cap, obs, &mut source, |e| {
-            e.nodes().iter().all(|nd| nd.delivered_count() == k)
-        });
+        let horizon = engine.round().saturating_add(cap);
+        let end = ScheduleSource::new(self.arrivals).run(engine, horizon, obs, k, true);
         // Success is delivery, not early exit: a run that fills the
         // horizon exactly when the last node decodes still completed.
         SessionEnd {
-            completed: engine.nodes().iter().all(|nd| nd.delivered_count() == k),
+            completed: holds_all(engine.nodes(), k),
             rounds: end.rounds,
         }
     }
@@ -849,11 +793,12 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
     }
 }
 
-/// Per-packet latency from the nodes' delivery stamps: for each arrival
-/// (in schedule order), the round its packet became available at the
-/// *last* node, minus its birth round — counted only once every node
-/// holds it. This is end-to-end broadcast latency measured per packet,
-/// not inferred from batch boundaries.
+/// Per-packet latency from the nodes' delivery stamps, sorted
+/// ascending (ready for [`nearest_rank`]): for each arrival, the round
+/// its packet became available at the *last* node, minus its birth
+/// round — counted only once every node holds it. This is end-to-end
+/// broadcast latency measured per packet, not inferred from batch
+/// boundaries.
 pub fn stamp_latencies(arrivals: &[Arrival], nodes: &[DynamicNode]) -> Vec<u64> {
     let mut counts = vec![0; nodes.len()];
     let births: Vec<(PacketKey, u64)> = arrivals
@@ -869,59 +814,35 @@ pub fn stamp_latencies(arrivals: &[Arrival], nodes: &[DynamicNode]) -> Vec<u64> 
             e.1 += 1;
         }
     }
-    births
+    let mut latencies: Vec<u64> = births
         .iter()
         .filter_map(|&(key, birth)| {
             let &(last, count) = last_stamp.get(&key)?;
             (count == nodes.len()).then(|| last.saturating_sub(birth))
         })
-        .collect()
+        .collect();
+    latencies.sort_unstable();
+    latencies
 }
 
-/// Result of a streaming run (see [`run_streaming`]).
-#[derive(Clone, Debug)]
-pub struct StreamingReport {
-    /// Nodes.
-    pub n: usize,
-    /// Total real packets that arrived.
-    pub k: usize,
-    /// Whether every arrived packet reached every node in the horizon.
-    pub success: bool,
-    /// Rounds executed.
-    pub rounds_total: u64,
-    /// Closed epochs (root's view).
-    pub batches: Vec<BatchRecord>,
-    /// Per-packet end-to-end latencies (stamp-derived), sorted
-    /// ascending — ready for [`nearest_rank`].
-    pub latencies: Vec<u64>,
-    /// `(epoch, engine round)` each epoch's collection closed (root's
-    /// view).
-    pub collect_closes: Vec<(u32, u64)>,
-    /// Fraction of `(node, packet)` deliveries achieved.
-    pub delivered_fraction: f64,
-    /// Channel statistics.
-    pub stats: SimStats,
-    /// Round trace, when [`RunOptions::trace`] was set.
-    pub trace: Option<Box<radio_net::trace::TraceReport>>,
-}
-
-impl StreamingReport {
+impl SessionReport<DynamicMeta> {
     /// Mean per-packet latency in rounds (0 if nothing was measured).
     #[must_use]
     pub fn mean_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
+        let latencies = &self.meta.latencies;
+        if latencies.is_empty() {
             return 0.0;
         }
         #[allow(clippy::cast_precision_loss)]
         {
-            self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
+            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
         }
     }
 
     /// Nearest-rank latency percentile (`p` in `[0, 100]`).
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        nearest_rank(&self.latencies, p)
+        nearest_rank(&self.meta.latencies, p)
     }
 
     /// Fully delivered packets per executed round — the sustained
@@ -933,7 +854,7 @@ impl StreamingReport {
         }
         #[allow(clippy::cast_precision_loss)]
         {
-            self.latencies.len() as f64 / self.rounds_total as f64
+            self.meta.latencies.len() as f64 / self.rounds_total as f64
         }
     }
 }
@@ -955,7 +876,7 @@ pub fn run_streaming(
     seed: u64,
     horizon: u64,
     options: RunOptions,
-) -> Result<StreamingReport, radio_net::error::Error> {
+) -> Result<SessionReport<DynamicMeta>, radio_net::error::Error> {
     if horizon == 0 {
         return Err(radio_net::error::Error::InvalidParameter {
             reason: "streaming horizon must be at least 1 round".into(),
@@ -979,21 +900,7 @@ pub fn run_streaming(
         horizon,
     };
     let workload = protocol.initial_workload(n);
-    let r = run_protocol_on_graph(&protocol, graph, &workload, seed, options)?;
-    let mut latencies = r.meta.latencies;
-    latencies.sort_unstable();
-    Ok(StreamingReport {
-        n: r.n,
-        k: r.k,
-        success: r.success,
-        rounds_total: r.rounds_total,
-        batches: r.meta.batches,
-        latencies,
-        collect_closes: r.meta.collect_closes,
-        delivered_fraction: r.delivered_fraction,
-        stats: r.stats,
-        trace: r.trace,
-    })
+    run_protocol_on_graph(&protocol, graph, &workload, seed, options)
 }
 
 #[cfg(test)]
@@ -1020,7 +927,7 @@ mod tests {
         arrivals: &[Arrival],
         seed: u64,
         horizon: u64,
-    ) -> Result<StreamingReport, Error> {
+    ) -> Result<SessionReport<DynamicMeta>, Error> {
         run_streaming(
             topology,
             arrivals,
@@ -1037,9 +944,9 @@ mod tests {
         let arrivals = steady_arrivals(16, 12, 1, 0);
         let r = stream(&Topology::Gnp { n: 16, p: 0.35 }, &arrivals, 1, 200_000).unwrap();
         assert!(r.success, "{r:?}");
-        assert_eq!(r.batches.len(), 1);
-        assert_eq!(r.batches[0].k, 12);
-        assert_eq!(r.latencies.len(), 12);
+        assert_eq!(r.meta.batches.len(), 1);
+        assert_eq!(r.meta.batches[0].k, 12);
+        assert_eq!(r.meta.latencies.len(), 12);
     }
 
     #[test]
@@ -1055,8 +962,12 @@ mod tests {
         }
         let r = stream(&Topology::Gnp { n: 16, p: 0.35 }, &arrivals, 2, 400_000).unwrap();
         assert!(r.success, "{r:?}");
-        assert!(r.batches.len() >= 2, "batches: {:?}", r.batches.len());
-        let first_batch_keys = &r.batches[0].keys;
+        assert!(
+            r.meta.batches.len() >= 2,
+            "batches: {:?}",
+            r.meta.batches.len()
+        );
+        let first_batch_keys = &r.meta.batches[0].keys;
         assert!(
             first_batch_keys.len() >= 6,
             "first batch must carry at least the initial wave"
@@ -1091,11 +1002,11 @@ mod tests {
         .unwrap();
         assert!(r.success, "{r:?}");
         assert!(
-            r.batches.iter().any(|b| b.k == 0),
+            r.meta.batches.iter().any(|b| b.k == 0),
             "expected marker-only batches"
         );
         assert_eq!(
-            r.batches.iter().map(|b| b.k).sum::<usize>(),
+            r.meta.batches.iter().map(|b| b.k).sum::<usize>(),
             2,
             "both real packets carried"
         );
@@ -1106,11 +1017,11 @@ mod tests {
         let arrivals = steady_arrivals(12, 4, 3, 3_000);
         let r = stream(&Topology::Gnp { n: 12, p: 0.4 }, &arrivals, 4, 500_000).unwrap();
         assert!(r.success, "{r:?}");
-        for w in r.batches.windows(2) {
+        for w in r.meta.batches.windows(2) {
             assert_eq!(w[0].end, w[1].start, "batches must tile time");
         }
         // Each batch's collection closes inside its own window.
-        for (b, &(batch, close)) in r.batches.iter().zip(&r.collect_closes) {
+        for (b, &(batch, close)) in r.meta.batches.iter().zip(&r.meta.collect_closes) {
             assert_eq!(b.batch, batch);
             assert!(
                 b.start <= close && close <= b.end,
@@ -1181,13 +1092,14 @@ mod tests {
         }
         let by_key = &by_key;
         let mut batch_lat: Vec<u64> = r
+            .meta
             .batches
             .iter()
             .flat_map(|b| b.keys.iter().map(move |k| b.end - by_key[k]))
             .collect();
         batch_lat.sort_unstable();
-        // `run_streaming` reports latencies sorted.
-        let stamp_lat = &r.latencies;
+        // `stamp_latencies` reports latencies sorted.
+        let stamp_lat = &r.meta.latencies;
         assert_eq!(stamp_lat.len(), batch_lat.len());
         // Sorted-order dominance follows from per-key dominance.
         for (s, b) in stamp_lat.iter().zip(&batch_lat) {

@@ -6,9 +6,13 @@
 //! (every node detects the same boundary w.h.p.); Stage 4's length
 //! follows from `k`, which the root knows and everyone else learns from
 //! coded-message headers.
+//!
+//! Stages 1 and 2 live in one crate-private front end, `Setup`, which
+//! [`KbcastNode`] and the streaming [`crate::dynamic::DynamicNode`]
+//! both hold: the two nodes differ only in what follows the BFS.
 
-use protocols::bfs::{BfsBuild, BfsConfig};
-use protocols::leader::{LeaderConfig, LeaderElection, LeaderOutcome};
+use protocols::bfs::{BfsBuild, BfsConfig, BfsLabel, BfsMsg};
+use protocols::leader::{LeaderConfig, LeaderElection, ProbeMsg};
 use rand::rngs::SmallRng;
 
 use crate::config::Config;
@@ -65,24 +69,162 @@ impl TxCounts {
     }
 }
 
+/// Stages 1 and 2, the front end [`KbcastNode`] and
+/// [`crate::dynamic::DynamicNode`] share: the leader election, then the
+/// BFS build seeded by its outcome. The node keeps its RNG and lends it
+/// to [`Setup::poll`], so the draw order is the node's.
+#[derive(Debug)]
+pub(crate) struct Setup {
+    id: u64,
+    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`): the
+    /// poll dispatch consults them every round, and deriving them from
+    /// the configuration each time is measurable at simulator scale.
+    s1_end: u64,
+    s2_end: u64,
+    leader: LeaderElection,
+    is_root: bool,
+    bfs_cfg: BfsConfig,
+    bfs: Option<BfsBuild>,
+}
+
+impl Setup {
+    /// The front end of node `id`; `candidate` nodes (those holding
+    /// packets at round 0) compete in the election.
+    pub(crate) fn new(cfg: &Config, id: u64, candidate: bool) -> Self {
+        let leader_cfg = LeaderConfig {
+            id_bits: cfg.id_bits,
+            window_rounds: cfg.epidemic_window_rounds(),
+            delta_bound: cfg.delta_bound,
+        };
+        Setup {
+            id,
+            s1_end: cfg.stage1_rounds(),
+            s2_end: cfg.stage3_start(),
+            leader: LeaderElection::new(leader_cfg, id, candidate),
+            is_root: false,
+            bfs_cfg: BfsConfig {
+                phase_rounds: cfg.bfs_phase_rounds(),
+                d_bound: cfg.d_bound,
+                delta_bound: cfg.delta_bound,
+            },
+            bfs: None,
+        }
+    }
+
+    /// The node's id.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// First round after Stage 2.
+    pub(crate) fn s2_end(&self) -> u64 {
+        self.s2_end
+    }
+
+    /// Whether the node won the election (final once
+    /// [`Setup::ensure_bfs`] ran).
+    pub(crate) fn is_root(&self) -> bool {
+        self.is_root
+    }
+
+    /// The node's BFS label, once labeled (labels are adopted once).
+    pub(crate) fn label(&self) -> Option<BfsLabel> {
+        self.bfs.as_ref().and_then(BfsBuild::label)
+    }
+
+    /// Finalizes the election and starts the BFS build, once.
+    pub(crate) fn ensure_bfs(&mut self) {
+        if self.bfs.is_some() {
+            return;
+        }
+        self.leader.finalize();
+        self.is_root = self.leader.outcome().is_some_and(|o| o.is_leader);
+        self.bfs = Some(BfsBuild::new(self.bfs_cfg, self.id, self.is_root));
+    }
+
+    /// The Stage 1–2 poll, for rounds before [`Setup::s2_end`].
+    pub(crate) fn poll(&mut self, round: u64, rng: &mut SmallRng) -> Option<Msg> {
+        if round < self.s1_end {
+            return self.leader.poll(round, rng).map(Msg::Probe);
+        }
+        self.ensure_bfs();
+        self.bfs
+            .as_mut()
+            .expect("bfs ensured")
+            .poll(round - self.s1_end, rng)
+            .map(Msg::Bfs)
+    }
+
+    /// A Stage 1 probe; ignored outside Stage 1.
+    pub(crate) fn receive_probe(&mut self, round: u64, p: &ProbeMsg) {
+        if round < self.s1_end {
+            self.leader.deliver(round, p);
+        }
+    }
+
+    /// A Stage 2 announcement; ignored outside Stage 2.
+    pub(crate) fn receive_bfs(&mut self, round: u64, b: &BfsMsg) {
+        if round >= self.s1_end && round < self.s2_end {
+            self.ensure_bfs();
+            self.bfs
+                .as_mut()
+                .expect("bfs ensured")
+                .deliver(round - self.s1_end, b);
+        }
+    }
+
+    /// Creates the non-root receive side of Stage 4 in `dissem` for
+    /// `batch`, unless one exists already: a decoder an early coded
+    /// reception created keeps its rows.
+    pub(crate) fn ensure_dissem_rx(
+        &self,
+        cfg: Config,
+        batch: u32,
+        dissem: &mut Option<DissemState>,
+    ) {
+        if dissem.is_none() && !self.is_root {
+            *dissem = Some(DissemState::new_node(
+                cfg,
+                self.label().map(|l| l.dist),
+                batch,
+            ));
+        }
+    }
+
+    /// The Stage 1–2 activity hint: the leader or BFS hint, translated
+    /// to global rounds and capped at the next stage boundary; `None`
+    /// from `s2_end` on.
+    ///
+    /// The `s2_end` cap is load-bearing: the poll there creates the stage-3
+    /// state with `created_local = 0`, and a node parked across it would
+    /// build divergent stage state on its next event. The `s1_end` cap
+    /// keeps `ensure_bfs` (leader finalization and the root scan) on the
+    /// boundary poll; a candidate's leader hint already stops there, and a
+    /// parked non-candidate would finalize to the same non-root outcome on
+    /// its next reception, so that cap is defensive.
+    pub(crate) fn next_activity(&self, round: u64) -> Option<u64> {
+        if round < self.s1_end {
+            return Some(self.leader.next_activity(round).min(self.s1_end));
+        }
+        if round < self.s2_end {
+            let hint = self
+                .bfs
+                .as_ref()
+                .map_or(u64::MAX, |b| b.next_activity(round - self.s1_end));
+            return Some(global_hint(self.s1_end, hint).min(self.s2_end));
+        }
+        None
+    }
+}
+
 /// One node of the k-broadcast protocol.
 #[derive(Debug)]
 pub struct KbcastNode {
     cfg: Config,
-    my_id: u64,
     rng: SmallRng,
-    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`): the
-    /// poll dispatch consults them every round, and deriving them from
-    /// `cfg` each time is measurable at simulator scale.
-    s1_end: u64,
-    s2_end: u64,
-
     initial_packets: Option<Vec<Packet>>,
     candidate: bool,
-
-    leader: LeaderElection,
-    is_root: bool,
-    bfs: Option<BfsBuild>,
+    setup: Setup,
     collect: Option<CollectState>,
     dissem: Option<DissemState>,
     s4_start: Option<u64>,
@@ -96,22 +238,12 @@ impl KbcastNode {
     #[must_use]
     pub fn new(cfg: Config, my_id: u64, packets: Vec<Packet>, rng: SmallRng) -> Self {
         let candidate = !packets.is_empty();
-        let leader_cfg = LeaderConfig {
-            id_bits: cfg.id_bits,
-            window_rounds: cfg.epidemic_window_rounds(),
-            delta_bound: cfg.delta_bound,
-        };
         KbcastNode {
             cfg,
-            my_id,
             rng,
-            s1_end: cfg.stage1_rounds(),
-            s2_end: cfg.stage1_rounds() + cfg.stage2_rounds(),
             initial_packets: Some(packets),
             candidate,
-            leader: LeaderElection::new(leader_cfg, my_id, candidate),
-            is_root: false,
-            bfs: None,
+            setup: Setup::new(&cfg, my_id, candidate),
             collect: None,
             dissem: None,
             s4_start: None,
@@ -119,18 +251,10 @@ impl KbcastNode {
         }
     }
 
-    fn s1_end(&self) -> u64 {
-        self.s1_end
-    }
-
-    fn s2_end(&self) -> u64 {
-        self.s2_end
-    }
-
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.my_id
+        self.setup.id()
     }
 
     /// Whether this node started with packets (and therefore competed in
@@ -149,14 +273,14 @@ impl KbcastNode {
     /// Whether this node won the leader election (valid after Stage 1).
     #[must_use]
     pub fn is_root(&self) -> bool {
-        self.is_root
+        self.setup.is_root()
     }
 
     /// This node's full BFS label (distance + parent), once labeled.
     /// Labels are adopted exactly once, so a returned label is final.
     #[must_use]
-    pub fn bfs_label(&self) -> Option<protocols::bfs::BfsLabel> {
-        self.bfs.as_ref().and_then(|b| b.label())
+    pub fn bfs_label(&self) -> Option<BfsLabel> {
+        self.setup.label()
     }
 
     /// Read-only view of this node's Stage 3 collection state (the
@@ -199,7 +323,7 @@ impl KbcastNode {
     /// for others, everything decoded so far.
     #[must_use]
     pub fn packets(&self) -> Vec<Packet> {
-        if self.is_root {
+        if self.is_root() {
             self.collect
                 .as_ref()
                 .map(|c| c.collected().to_vec())
@@ -215,7 +339,7 @@ impl KbcastNode {
     /// `true` once this node provably holds all `k` packets.
     #[must_use]
     pub fn has_all_packets(&self) -> bool {
-        if self.is_root {
+        if self.is_root() {
             // The root has everything exactly when collection ended.
             self.collection_finished_at().is_some()
         } else {
@@ -223,49 +347,21 @@ impl KbcastNode {
         }
     }
 
-    fn ensure_bfs(&mut self) {
-        if self.bfs.is_some() {
-            return;
-        }
-        self.leader.finalize();
-        self.is_root = self
-            .leader
-            .outcome()
-            .is_some_and(|o: LeaderOutcome| o.is_leader);
-        let bfs_cfg = BfsConfig {
-            phase_rounds: self.cfg.bfs_phase_rounds(),
-            d_bound: self.cfg.d_bound,
-            delta_bound: self.cfg.delta_bound,
-        };
-        self.bfs = Some(BfsBuild::new(bfs_cfg, self.my_id, self.is_root));
-    }
-
     fn ensure_collect(&mut self, round: u64) {
         if self.collect.is_some() {
             return;
         }
-        self.ensure_bfs();
-        let label = self.bfs.as_ref().and_then(|b| b.label());
-        let parent = label.and_then(|l| l.parent);
+        self.setup.ensure_bfs();
+        let parent = self.setup.label().and_then(|l| l.parent);
         let packets = self.initial_packets.take().unwrap_or_default();
         self.collect = Some(CollectState::new(
             self.cfg,
-            self.my_id,
-            self.is_root,
+            self.setup.id(),
+            self.setup.is_root(),
             parent,
             packets,
-            round.saturating_sub(self.s2_end()),
+            round.saturating_sub(self.setup.s2_end()),
         ));
-    }
-
-    /// Creates the receive side of Stage 4 as soon as it is needed
-    /// (either at the stage boundary or on the first coded reception).
-    fn ensure_dissem_rx(&mut self) {
-        if self.dissem.is_some() || self.is_root {
-            return;
-        }
-        let dist = self.bfs.as_ref().and_then(|b| b.label()).map(|l| l.dist);
-        self.dissem = Some(DissemState::new_node(self.cfg, dist));
     }
 
     /// Transitions into Stage 4 once collection has finished locally.
@@ -276,16 +372,16 @@ impl KbcastNode {
         let Some(finished) = self.collection_finished_at() else {
             return;
         };
-        self.s4_start = Some(self.s2_end() + finished);
-        if self.is_root {
+        self.s4_start = Some(self.setup.s2_end() + finished);
+        if self.setup.is_root() {
             let collected = self
                 .collect
                 .as_ref()
                 .map(|c| c.collected().to_vec())
                 .unwrap_or_default();
-            self.dissem = Some(DissemState::new_root(self.cfg, collected));
+            self.dissem = Some(DissemState::new_root(self.cfg, collected, 0));
         } else {
-            self.ensure_dissem_rx();
+            self.setup.ensure_dissem_rx(self.cfg, 0, &mut self.dissem);
         }
     }
 }
@@ -309,20 +405,13 @@ impl radio_net::engine::Node for KbcastNode {
         self.has_all_packets()
     }
 
-    /// Delegates to the current stage's hint (see `setup_activity` and
-    /// `collect_dissem_activity` in this module).
+    /// Delegates to the current stage's hint (see `Setup::next_activity`
+    /// and `collect_dissem_activity` in this module).
     fn next_activity(&self, round: u64) -> u64 {
-        setup_activity(
-            round,
-            self.s1_end,
-            self.s2_end,
-            &self.leader,
-            self.bfs.as_ref(),
-        )
-        .unwrap_or_else(|| {
+        self.setup.next_activity(round).unwrap_or_else(|| {
             collect_dissem_activity(
                 round,
-                self.s2_end,
+                self.setup.s2_end(),
                 self.collect.as_ref(),
                 self.s4_start,
                 self.dissem.as_ref(),
@@ -339,35 +428,6 @@ fn global_hint(stage_start: u64, hint: u64) -> u64 {
     } else {
         stage_start.saturating_add(hint)
     }
-}
-
-/// The Stage 1–2 activity hint shared by [`KbcastNode`] and
-/// [`crate::dynamic::DynamicNode`]: the leader or BFS hint, translated
-/// to global rounds and capped at the next stage boundary; `None` from
-/// `s2_end` on.
-///
-/// The `s2_end` cap is load-bearing: the poll there creates the stage-3
-/// state with `created_local = 0`, and a node parked across it would
-/// build divergent stage state on its next event. The `s1_end` cap
-/// keeps `ensure_bfs` (leader finalization and the root scan) on the
-/// boundary poll; a candidate's leader hint already stops there, and a
-/// parked non-candidate would finalize to the same non-root outcome on
-/// its next reception, so that cap is defensive.
-pub(crate) fn setup_activity(
-    round: u64,
-    s1_end: u64,
-    s2_end: u64,
-    leader: &LeaderElection,
-    bfs: Option<&BfsBuild>,
-) -> Option<u64> {
-    if round < s1_end {
-        return Some(leader.next_activity(round).min(s1_end));
-    }
-    if round < s2_end {
-        let hint = bfs.map_or(u64::MAX, |b| b.next_activity(round - s1_end));
-        return Some(global_hint(s1_end, hint).min(s2_end));
-    }
-    None
 }
 
 /// The Stage 3–4 activity hint of one collection (started at global
@@ -396,24 +456,14 @@ pub(crate) fn collect_dissem_activity(
 
 impl KbcastNode {
     fn poll_inner(&mut self, round: u64) -> Option<Msg> {
-        if round < self.s1_end() {
-            return self.leader.poll(round, &mut self.rng).map(Msg::Probe);
-        }
-        self.ensure_bfs();
-        if round < self.s2_end() {
-            let local = round - self.s1_end();
-            return self
-                .bfs
-                .as_mut()
-                .expect("bfs ensured")
-                .poll(local, &mut self.rng)
-                .map(Msg::Bfs);
+        if round < self.setup.s2_end() {
+            return self.setup.poll(round, &mut self.rng);
         }
         if self.collect.is_none() {
             self.ensure_collect(round);
         }
         if self.s4_start.is_none() {
-            let local = round - self.s2_end();
+            let local = round - self.setup.s2_end();
             let out = self
                 .collect
                 .as_mut()
@@ -436,22 +486,12 @@ impl KbcastNode {
 
     fn receive_inner(&mut self, round: u64, msg: &Msg) {
         match msg {
-            Msg::Probe(p) => {
-                if round < self.s1_end() {
-                    self.leader.deliver(round, p);
-                }
-            }
-            Msg::Bfs(b) => {
-                if round >= self.s1_end() && round < self.s2_end() {
-                    self.ensure_bfs();
-                    let local = round - self.s1_end();
-                    self.bfs.as_mut().expect("bfs ensured").deliver(local, b);
-                }
-            }
+            Msg::Probe(p) => self.setup.receive_probe(round, p),
+            Msg::Bfs(b) => self.setup.receive_bfs(round, b),
             Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
-                if round >= self.s2_end() {
+                if round >= self.setup.s2_end() {
                     self.ensure_collect(round);
-                    let local = round - self.s2_end();
+                    let local = round - self.setup.s2_end();
                     self.collect
                         .as_mut()
                         .expect("collect ensured")
@@ -459,8 +499,8 @@ impl KbcastNode {
                 }
             }
             Msg::Coded(c) => {
-                self.ensure_bfs();
-                self.ensure_dissem_rx();
+                self.setup.ensure_bfs();
+                self.setup.ensure_dissem_rx(self.cfg, 0, &mut self.dissem);
                 if let Some(d) = self.dissem.as_mut() {
                     d.deliver(c);
                 }

@@ -117,6 +117,16 @@ impl Workload {
             .collect()
     }
 
+    /// The nodes holding packets at round 0, in id order: the initially
+    /// awake set of every protocol built from this workload.
+    #[must_use]
+    pub fn initially_awake(&self) -> Vec<NodeId> {
+        (0..self.len())
+            .filter(|&i| !self.payloads[i].is_empty())
+            .map(NodeId::new)
+            .collect()
+    }
+
     /// The raw payloads of node `i` (no packet allocation).
     #[must_use]
     pub fn payloads_of(&self, i: usize) -> &[Vec<u8>] {
@@ -286,97 +296,55 @@ impl CodedProtocol {
     }
 }
 
-/// Stage/phase instrumentation for a [`CodedProtocol`] session.
-///
-/// Locates the root with a single node scan right after Stage 1 ends
-/// (leader flags are final from that round on) and then tracks the
-/// root's collection progress in O(1) per round — the session driver
-/// never introspects node internals after the run.
-#[derive(Debug)]
-pub struct StageObserver {
-    cfg: Config,
-    root: Option<usize>,
-    scanned: bool,
-    collect_end: Option<u64>,
-    phases: u32,
-    stage_faults: StageFaults,
+/// The paper's four stages, as a round is attributed to them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    Leader,
+    Bfs,
+    Collect,
+    Disseminate,
 }
 
-impl Observer<KbcastNode> for StageObserver {
-    fn on_round(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) {
-        if !self.scanned && events.round >= self.cfg.stage1_rounds() {
-            // Election winners finalize their flag during the first
-            // post-Stage-1 poll, so one scan here is definitive.
-            self.root = nodes.iter().position(KbcastNode::is_root);
-            self.scanned = true;
-        }
-        if let Some(r) = self.root {
-            let root = &nodes[r];
-            if self.collect_end.is_none() {
-                self.collect_end = root.collection_finished_at();
-            }
-            if let Some(p) = root.collection_phase() {
-                self.phases = p;
-            }
-        }
-        // Attribute this round's fault-lost receptions to the stage the
-        // round belongs to (collection counts until the root's
-        // collection actually finished, which is known by that round).
-        let lost = events.faults.lost_receptions() as u64;
-        if lost > 0 {
-            let s = &mut self.stage_faults;
-            if events.round < self.cfg.stage1_rounds() {
-                s.leader += lost;
-            } else if events.round < self.cfg.stage3_start() {
-                s.bfs += lost;
-            } else if match self.collect_end {
-                None => true,
-                Some(c) => events.round < self.cfg.stage3_start() + c,
-            } {
-                s.collect += lost;
-            } else {
-                s.disseminate += lost;
-            }
+impl Stage {
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Leader => "leader",
+            Stage::Bfs => "bfs",
+            Stage::Collect => "collect",
+            Stage::Disseminate => "disseminate",
         }
     }
 }
 
-/// Stage probe for a [`CodedProtocol`] session (see
-/// [`radio_net::trace`]): attributes each round to the paper's four
-/// stages with the same root-scan logic as [`StageObserver`], and
-/// reports summed GF(2) decoder rank across all nodes as the
-/// protocol-progress gauge — the trace's rank-progress curve is the
-/// per-round view of Stage 4's decoding front.
+/// The stage clock [`StageObserver`] and [`CodedStageProbe`] share.
 ///
-/// Ranks only grow on reception ([`DissemState::deliver`]), so the
-/// gauge is re-summed — one running total per node — only in rounds
-/// with a reception, and reused otherwise.
+/// Locates the root with a single node scan at the first observed round
+/// at or past Stage 1's end (election winners finalize their flag during
+/// the first post-Stage-1 poll, so that scan is definitive; under crash
+/// faults a later scan could answer differently), then tracks when the
+/// root's collection finished in O(1) per round. Collection counts until
+/// that finish, which is known by the round it happens in.
 #[derive(Debug)]
-pub struct CodedStageProbe {
+struct StageClock {
     cfg: Config,
     root: Option<usize>,
     scanned: bool,
     collect_end: Option<u64>,
-    gauge: Option<u64>,
 }
 
-impl CodedStageProbe {
-    /// A probe for a session configured with `cfg`.
-    #[must_use]
-    pub fn new(cfg: Config) -> Self {
-        CodedStageProbe {
+impl StageClock {
+    fn new(cfg: Config) -> Self {
+        StageClock {
             cfg,
             root: None,
             scanned: false,
             collect_end: None,
-            gauge: None,
         }
     }
-}
 
-impl StageProbe<KbcastNode> for CodedStageProbe {
-    fn sample(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) -> StageSample {
-        if !self.scanned && events.round >= self.cfg.stage1_rounds() {
+    /// Brings the root and its collection end up to date with `round`.
+    fn advance(&mut self, round: u64, nodes: &[KbcastNode]) {
+        if !self.scanned && round >= self.cfg.stage1_rounds() {
             self.root = nodes.iter().position(KbcastNode::is_root);
             self.scanned = true;
         }
@@ -385,18 +353,84 @@ impl StageProbe<KbcastNode> for CodedStageProbe {
                 self.collect_end = nodes[r].collection_finished_at();
             }
         }
-        let stage = if events.round < self.cfg.stage1_rounds() {
-            "leader"
-        } else if events.round < self.cfg.stage3_start() {
-            "bfs"
-        } else if match self.collect_end {
-            None => true,
-            Some(c) => events.round < self.cfg.stage3_start() + c,
-        } {
-            "collect"
+    }
+
+    /// The stage `round` belongs to (after [`StageClock::advance`]).
+    fn stage(&self, round: u64) -> Stage {
+        if round < self.cfg.stage1_rounds() {
+            Stage::Leader
+        } else if round < self.cfg.stage3_start() {
+            Stage::Bfs
+        } else if self
+            .collect_end
+            .is_none_or(|c| round < self.cfg.stage3_start() + c)
+        {
+            Stage::Collect
         } else {
-            "disseminate"
-        };
+            Stage::Disseminate
+        }
+    }
+}
+
+/// Stage instrumentation for a [`CodedProtocol`] session: the stage
+/// clock it shares with [`CodedStageProbe`] (one root scan right after
+/// Stage 1, then O(1) per round) plus the fault-lost receptions of each
+/// stage. After the run, [`BroadcastProtocol::finish`] reads only the
+/// root's collection phase count.
+#[derive(Debug)]
+pub struct StageObserver {
+    clock: StageClock,
+    stage_faults: StageFaults,
+}
+
+impl Observer<KbcastNode> for StageObserver {
+    fn on_round(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) {
+        self.clock.advance(events.round, nodes);
+        // Attribute this round's fault-lost receptions to the stage the
+        // round belongs to.
+        let lost = events.faults.lost_receptions() as u64;
+        if lost > 0 {
+            let s = &mut self.stage_faults;
+            *match self.clock.stage(events.round) {
+                Stage::Leader => &mut s.leader,
+                Stage::Bfs => &mut s.bfs,
+                Stage::Collect => &mut s.collect,
+                Stage::Disseminate => &mut s.disseminate,
+            } += lost;
+        }
+    }
+}
+
+/// Stage probe for a [`CodedProtocol`] session (see
+/// [`radio_net::trace`]): attributes each round to the paper's four
+/// stages on the same stage clock as [`StageObserver`], and reports
+/// summed GF(2) decoder rank across all nodes as the protocol-progress
+/// gauge — the trace's rank-progress curve is the per-round view of
+/// Stage 4's decoding front.
+///
+/// Ranks only grow on reception ([`DissemState::deliver`]), so the
+/// gauge is re-summed — one running total per node — only in rounds
+/// with a reception, and reused otherwise.
+#[derive(Debug)]
+pub struct CodedStageProbe {
+    clock: StageClock,
+    gauge: Option<u64>,
+}
+
+impl CodedStageProbe {
+    /// A probe for a session configured with `cfg`.
+    #[must_use]
+    pub fn new(cfg: Config) -> Self {
+        CodedStageProbe {
+            clock: StageClock::new(cfg),
+            gauge: None,
+        }
+    }
+}
+
+impl StageProbe<KbcastNode> for CodedStageProbe {
+    fn sample(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) -> StageSample {
+        self.clock.advance(events.round, nodes);
         let gauge = match self.gauge {
             Some(g) if events.receptions == 0 => g,
             _ => nodes
@@ -406,7 +440,7 @@ impl StageProbe<KbcastNode> for CodedStageProbe {
                 .sum(),
         };
         self.gauge = Some(gauge);
-        StageSample::new(stage).with_gauge(gauge)
+        StageSample::new(self.clock.stage(events.round).name()).with_gauge(gauge)
     }
 }
 
@@ -445,10 +479,6 @@ impl BroadcastProtocol for CodedProtocol {
         seed: u64,
     ) -> (Vec<KbcastNode>, Vec<NodeId>) {
         let cfg = self.resolve(net);
-        let awake = (0..net.n)
-            .filter(|&i| !workload.payloads_of(i).is_empty())
-            .map(NodeId::new)
-            .collect();
         let nodes = (0..net.n)
             .map(|i| {
                 KbcastNode::new(
@@ -459,16 +489,12 @@ impl BroadcastProtocol for CodedProtocol {
                 )
             })
             .collect();
-        (nodes, awake)
+        (nodes, workload.initially_awake())
     }
 
     fn observer(&self, net: &NetParams) -> StageObserver {
         StageObserver {
-            cfg: self.resolve(net),
-            root: None,
-            scanned: false,
-            collect_end: None,
-            phases: 0,
+            clock: StageClock::new(self.resolve(net)),
             stage_faults: StageFaults::default(),
         }
     }
@@ -500,20 +526,22 @@ impl BroadcastProtocol for CodedProtocol {
     }
 
     fn finish(&self, obs: StageObserver, nodes: &[KbcastNode], end: &SessionEnd) -> KbcastMeta {
-        let (stages, collection_phases) = if obs.root.is_some() {
-            let collect = obs.collect_end.unwrap_or(0);
-            let s123 = obs.cfg.stage3_start() + collect;
-            (
-                StageRounds {
-                    leader: obs.cfg.stage1_rounds(),
-                    bfs: obs.cfg.stage2_rounds(),
-                    collect,
-                    disseminate: end.rounds.saturating_sub(s123),
-                },
-                obs.phases,
-            )
-        } else {
-            (StageRounds::default(), 0)
+        let clock = &obs.clock;
+        let (stages, collection_phases) = match clock.root {
+            Some(r) => {
+                let collect = clock.collect_end.unwrap_or(0);
+                let s123 = clock.cfg.stage3_start() + collect;
+                (
+                    StageRounds {
+                        leader: clock.cfg.stage1_rounds(),
+                        bfs: clock.cfg.stage2_rounds(),
+                        collect,
+                        disseminate: end.rounds.saturating_sub(s123),
+                    },
+                    nodes[r].collection_phase().unwrap_or(0),
+                )
+            }
+            None => (StageRounds::default(), 0),
         };
         let mut tx_by_type = TxCounts::default();
         for node in nodes {

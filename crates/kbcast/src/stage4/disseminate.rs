@@ -96,17 +96,12 @@ pub(crate) enum Sabotage {
 
 impl DissemState {
     /// Root constructor: takes the packets collected in Stage 3, in their
-    /// canonical order, and builds the coded groups.
+    /// canonical order, and builds the coded groups of `batch` (0 for the
+    /// paper's static problem; the dynamic-arrival extension runs one
+    /// dissemination per batch, and rows from different batches must
+    /// never mix).
     #[must_use]
-    pub fn new_root(cfg: Config, packets: Vec<Packet>) -> Self {
-        Self::new_root_in_batch(cfg, packets, 0)
-    }
-
-    /// Root constructor tagged with a batch index (the dynamic-arrival
-    /// extension runs one dissemination per batch; rows from different
-    /// batches must never mix).
-    #[must_use]
-    pub fn new_root_in_batch(cfg: Config, packets: Vec<Packet>, batch: u32) -> Self {
+    pub fn new_root(cfg: Config, packets: Vec<Packet>, batch: u32) -> Self {
         let m = cfg.group_size();
         let k = packets.len();
         let groups: Vec<Vec<Vec<u8>>> = packets
@@ -142,18 +137,12 @@ impl DissemState {
         }
     }
 
-    /// Non-root constructor; `dist` is the node's BFS distance (ring), if
-    /// it was labeled in Stage 2 (unlabeled nodes decode but never
-    /// forward).
+    /// Non-root constructor for `batch`; `dist` is the node's BFS
+    /// distance (ring), if it was labeled in Stage 2 (unlabeled nodes
+    /// decode but never forward). Coded messages from other batches are
+    /// ignored.
     #[must_use]
-    pub fn new_node(cfg: Config, dist: Option<u32>) -> Self {
-        Self::new_node_in_batch(cfg, dist, 0)
-    }
-
-    /// Non-root constructor tagged with a batch index; coded messages
-    /// from other batches are ignored.
-    #[must_use]
-    pub fn new_node_in_batch(cfg: Config, dist: Option<u32>, batch: u32) -> Self {
+    pub fn new_node(cfg: Config, dist: Option<u32>, batch: u32) -> Self {
         DissemState {
             cfg,
             phase_len: cfg.forward_phase_rounds(),
@@ -549,9 +538,9 @@ mod tests {
         let nodes: Vec<DissemNode> = (0..n)
             .map(|i| DissemNode {
                 st: if i == root {
-                    DissemState::new_root(cfg, packets.clone())
+                    DissemState::new_root(cfg, packets.clone(), 0)
                 } else {
-                    DissemState::new_node(cfg, dist[i].map(|d| u32::try_from(d).unwrap()))
+                    DissemState::new_node(cfg, dist[i].map(|d| u32::try_from(d).unwrap()), 0)
                 },
                 rng: rng::stream(seed, i as u64),
             })
@@ -628,7 +617,7 @@ mod tests {
     #[test]
     fn empty_k_is_trivially_complete_at_root() {
         let cfg = Config::for_network(8, 3, 3);
-        let root = DissemState::new_root(cfg, Vec::new());
+        let root = DissemState::new_root(cfg, Vec::new(), 0);
         assert_eq!(root.total_phases(), Some(0));
         assert!(root.is_complete());
         assert!(root.packets().is_empty());
@@ -646,7 +635,7 @@ mod tests {
     #[test]
     fn unlabeled_node_decodes_but_never_transmits() {
         let cfg = Config::for_network(8, 2, 3);
-        let mut st = DissemState::new_node(cfg, None);
+        let mut st = DissemState::new_node(cfg, None, 0);
         let mut rng = rng::stream(0, 0);
         for r in 0..200 {
             assert_eq!(st.poll(r, &mut rng), None);
@@ -673,7 +662,7 @@ mod tests {
     #[test]
     fn foreign_batch_rows_are_ignored() {
         let cfg = Config::for_network(8, 2, 3);
-        let mut st = DissemState::new_node_in_batch(cfg, Some(1), 2);
+        let mut st = DissemState::new_node(cfg, Some(1), 2);
         st.deliver(&CodedMsg {
             batch: 1, // wrong batch
             group: 0,
@@ -706,7 +695,7 @@ mod tests {
     #[test]
     fn total_rounds_known_only_after_first_header() {
         let cfg = Config::for_network(16, 3, 3);
-        let mut st = DissemState::new_node(cfg, Some(1));
+        let mut st = DissemState::new_node(cfg, Some(1), 0);
         assert_eq!(st.total_rounds(), None);
         st.deliver(&CodedMsg {
             batch: 0,

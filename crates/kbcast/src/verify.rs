@@ -50,6 +50,39 @@ use crate::dynamic::{arrival_key, Arrival, DynamicNode};
 use crate::node::KbcastNode;
 use crate::packet::PacketKey;
 
+/// The end-of-session holdings audit both checkers run on node `i`:
+/// sorts its `keys`, flags every duplicate, then flags each key outside
+/// the sorted ground truth `expected` as forged and hands it to
+/// `per_key` for the checker's own per-key test. Returns the sorted
+/// keys.
+fn audit_holdings(
+    log: &mut ViolationLog,
+    i: usize,
+    mut keys: Vec<PacketKey>,
+    expected: &[PacketKey],
+    mut per_key: impl FnMut(&mut ViolationLog, PacketKey),
+) -> Vec<PacketKey> {
+    keys.sort_unstable();
+    for w in keys.windows(2) {
+        if w[0] == w[1] {
+            log.record(
+                u64::MAX,
+                format!("node {i} ended up holding duplicate key {:?}", w[0]),
+            );
+        }
+    }
+    for &key in &keys {
+        if expected.binary_search(&key).is_err() {
+            log.record(
+                u64::MAX,
+                format!("node {i} ended up holding forged key {key:?}"),
+            );
+        }
+        per_key(log, key);
+    }
+    keys
+}
+
 /// Online checker for the four-stage protocol's invariants (see the
 /// [module docs](self)). One instance observes one session.
 #[derive(Debug)]
@@ -307,24 +340,13 @@ impl Check<KbcastNode> for StageInvariants {
 
     fn on_session_end(&mut self, nodes: &[KbcastNode], _end: &SessionEnd) {
         for (i, node) in nodes.iter().enumerate() {
-            let mut keys: Vec<PacketKey> = node.packets().iter().map(|p| p.key).collect();
-            keys.sort_unstable();
-            for w in keys.windows(2) {
-                if w[0] == w[1] {
-                    self.log.record(
-                        u64::MAX,
-                        format!("node {i} ended up holding duplicate key {:?}", w[0]),
-                    );
-                }
-            }
-            for &key in &keys {
-                if !self.expects(key) {
-                    self.log.record(
-                        u64::MAX,
-                        format!("node {i} ended up holding forged key {key:?}"),
-                    );
-                }
-            }
+            let keys = audit_holdings(
+                &mut self.log,
+                i,
+                node.packets().iter().map(|p| p.key).collect(),
+                &self.expected,
+                |_, _| {},
+            );
             if self.clean && node.has_all_packets() && keys != self.expected {
                 self.log.record(
                     u64::MAX,
@@ -511,31 +533,21 @@ impl Check<DynamicNode> for EpochConservation {
 
     fn on_session_end(&mut self, nodes: &[DynamicNode], _end: &SessionEnd) {
         for (i, node) in nodes.iter().enumerate() {
-            let mut keys: Vec<PacketKey> = node.delivered().iter().map(|p| p.key).collect();
-            keys.sort_unstable();
-            for w in keys.windows(2) {
-                if w[0] == w[1] {
-                    self.log.record(
-                        u64::MAX,
-                        format!("node {i} ended up holding duplicate key {:?}", w[0]),
-                    );
-                }
-            }
             let stamped: HashSet<PacketKey> = node.stamps().iter().map(|&(k, _)| k).collect();
-            for &key in &keys {
-                if !self.expects(key) {
-                    self.log.record(
-                        u64::MAX,
-                        format!("node {i} ended up holding forged key {key:?}"),
-                    );
-                }
-                if !stamped.contains(&key) {
-                    self.log.record(
-                        u64::MAX,
-                        format!("node {i} holds key {key:?} without a delivery stamp"),
-                    );
-                }
-            }
+            let keys = audit_holdings(
+                &mut self.log,
+                i,
+                node.delivered().iter().map(|p| p.key).collect(),
+                &self.expected,
+                |log, key| {
+                    if !stamped.contains(&key) {
+                        log.record(
+                            u64::MAX,
+                            format!("node {i} holds key {key:?} without a delivery stamp"),
+                        );
+                    }
+                },
+            );
             if self.clean && keys.len() == self.expected.len() && keys != self.expected {
                 self.log.record(
                     u64::MAX,

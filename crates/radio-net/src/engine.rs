@@ -1043,9 +1043,10 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         }
     }
 
-    /// The streaming session loop: a [`Engine::run_session_with`] whose
-    /// control hook is split into an arrival-injection seam
-    /// ([`crate::session::TrafficSource`]) and a drain predicate.
+    /// The streaming session loop: a [`Engine::run_session_with`] up to
+    /// the absolute round `horizon`, whose control hook is split into an
+    /// arrival-injection seam ([`crate::session::TrafficSource`]) and a
+    /// drain predicate.
     ///
     /// Each control step first checks termination — the source is
     /// [`TrafficSource::exhausted`](crate::session::TrafficSource::exhausted)
@@ -1053,29 +1054,14 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// everywhere, or queues are empty) — and otherwise lets the source
     /// inject arrivals for the round about to execute. The stop check
     /// is skipped at round 0 (the session must wake the network first)
-    /// and injection is skipped once the budget is spent, so a
-    /// horizon-capped run executes exactly `max_rounds` rounds and
-    /// injects only into rounds that actually run.
+    /// and injection is skipped from `horizon` on, so a capped run
+    /// executes exactly the rounds up to `horizon` and injects only into
+    /// rounds that actually run. The budget is the distance from the
+    /// current round, so a paused session resumes mid-run.
     ///
-    /// Termination is by budget or drain, never by the engine's
+    /// Termination is by horizon or drain, never by the engine's
     /// `all_done` counter: streaming protocols are perpetual services
     /// and never report [`Node::is_done`].
-    pub fn run_streaming<O: Observer<N>, S: crate::session::TrafficSource<N>>(
-        &mut self,
-        max_rounds: u64,
-        obs: &mut O,
-        source: &mut S,
-        drained: impl FnMut(&Self) -> bool,
-    ) -> SessionEnd {
-        let horizon = self.round.saturating_add(max_rounds);
-        self.run_streaming_until(horizon, obs, source, drained)
-    }
-
-    /// [`Engine::run_streaming`] with an *absolute* round horizon, so a
-    /// paused streaming session can resume mid-run: the budget is the
-    /// distance from the current round to `horizon`, and injection is
-    /// gated on the absolute round rather than a relative budget. From
-    /// round 0 the two entry points are identical.
     pub fn run_streaming_until<O: Observer<N>, S: crate::session::TrafficSource<N>>(
         &mut self,
         horizon: u64,

@@ -194,7 +194,7 @@ impl<N: Node> Observer<N> for NoopObserver {
 /// An arrival-injection seam for streaming sessions: a harness-side
 /// source of external events (packet arrivals, wake-ups) that the
 /// engine consults once per round of a
-/// [`Engine::run_streaming`](crate::engine::Engine::run_streaming)
+/// [`Engine::run_streaming_until`](crate::engine::Engine::run_streaming_until)
 /// session, *before* the round executes.
 ///
 /// The source gets mutable engine access so it can wake nodes

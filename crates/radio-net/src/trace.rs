@@ -458,10 +458,7 @@ impl<N: Node> TraceCollector<N> {
         }
 
         if self.capacity > 0 {
-            let fault_lost = events.faults.dropped
-                + events.faults.jammed
-                + events.faults.crashed_rx
-                + events.faults.wakeups_suppressed;
+            let fault_lost = events.faults.lost_receptions();
             let sample = RoundSample {
                 round,
                 stage: idx,

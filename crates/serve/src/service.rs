@@ -10,11 +10,11 @@
 //!
 //! Ownership split: the [`Service`] owns engine *time* — rounds only
 //! advance inside `tick` / `run_until_drained` requests, each one
-//! `run_streaming_until` span of the session's engine. Wall-clock
-//! *ingestion* (requests arriving between runs)
-//! only mutates harness state: `inject` queues arrivals into the
-//! library's [`ScheduleSource`], which the engine consults once per
-//! round exactly as in the in-process streaming driver.
+//! [`ScheduleSource::run`] span of the session's engine, the drive the
+//! library's own streaming session runs. Wall-clock *ingestion*
+//! (requests arriving between runs) only mutates harness state:
+//! `inject` queues arrivals into that [`ScheduleSource`], which the
+//! engine consults once per round.
 //!
 //! Determinism contract: a session is fully determined by the `init`
 //! parameters plus the request sequence. The session is built lazily at
@@ -65,15 +65,8 @@ impl Drive<DynamicNode, NoCd> for Span<'_> {
         engine: &mut Engine<DynamicNode, BuiltFaults, NoCd>,
         obs: &mut O,
     ) -> SessionEnd {
-        let Span {
-            target,
-            drain,
-            k,
-            source,
-        } = self;
-        engine.run_streaming_until(target, obs, source, |e| {
-            drain && e.nodes().iter().all(|nd| nd.delivered_count() == k)
-        })
+        self.source
+            .run(engine, self.target, obs, self.k, self.drain)
     }
 }
 
@@ -551,8 +544,7 @@ impl Service {
         if self.live().is_none() {
             return (LatencyBlock::default(), Vec::new());
         }
-        let mut lats = stamp_latencies(&self.arrivals, self.nodes());
-        lats.sort_unstable();
+        let lats = stamp_latencies(&self.arrivals, self.nodes());
         let mean = if lats.is_empty() {
             0.0
         } else {

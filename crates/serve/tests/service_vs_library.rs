@@ -127,17 +127,17 @@ fn service_sessions_match_the_library_run_bit_for_bit() {
 
         // Latency distribution: count, every pinned percentile, max.
         let lat = q.get("latency").unwrap();
-        assert_eq!(get(lat, "count"), lib.latencies.len() as u64);
+        assert_eq!(get(lat, "count"), lib.meta.latencies.len() as u64);
         for (key, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
             assert_eq!(
                 lat.get(key).and_then(Json::as_u64),
-                nearest_rank(&lib.latencies, p),
+                nearest_rank(&lib.meta.latencies, p),
                 "{protocol}: {key}"
             );
         }
         assert_eq!(
             lat.get("max").and_then(Json::as_u64),
-            lib.latencies.last().copied(),
+            lib.meta.latencies.last().copied(),
             "{protocol}: max latency"
         );
 
@@ -236,11 +236,11 @@ fn churned_service_session_matches_the_library_run_bit_for_bit() {
     assert_eq!(get(stats, "collisions"), lib.stats.collisions);
     assert_eq!(get(stats, "wakeups"), lib.stats.wakeups);
     let lat = q.get("latency").unwrap();
-    assert_eq!(get(lat, "count"), lib.latencies.len() as u64);
+    assert_eq!(get(lat, "count"), lib.meta.latencies.len() as u64);
     for (key, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
         assert_eq!(
             lat.get(key).and_then(Json::as_u64),
-            nearest_rank(&lib.latencies, p),
+            nearest_rank(&lib.meta.latencies, p),
             "churned {key}"
         );
     }
@@ -327,11 +327,11 @@ fn faulted_service_session_matches_the_library_run_bit_for_bit() {
     assert_eq!(get(stats, "wakeups"), lib.stats.wakeups);
     assert_eq!(get(stats, "dropped"), lib.stats.dropped);
     let lat = q.get("latency").unwrap();
-    assert_eq!(get(lat, "count"), lib.latencies.len() as u64);
+    assert_eq!(get(lat, "count"), lib.meta.latencies.len() as u64);
     for (key, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
         assert_eq!(
             lat.get(key).and_then(Json::as_u64),
-            nearest_rank(&lib.latencies, p),
+            nearest_rank(&lib.meta.latencies, p),
             "faulted {key}"
         );
     }

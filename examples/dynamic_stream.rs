@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("rounds    : {}", report.rounds_total);
     println!();
     println!("batch  packets  start    end      span");
-    for b in &report.batches {
+    for b in &report.meta.batches {
         println!(
             "{:>5}  {:>7}  {:>7}  {:>7}  {:>6}",
             b.batch,
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "latency   : mean {:.0} rounds, max {} rounds (arrival → network-wide delivery)",
         report.mean_latency(),
-        report.latencies.last().copied().unwrap_or(0)
+        report.meta.latencies.last().copied().unwrap_or(0)
     );
     Ok(())
 }

@@ -114,8 +114,11 @@ grep -q '"per_stage"' target/E18_trace_smoke.json || {
 # measured knee (the delivery curve must be monotone in λ); the greps
 # pin the JSON schema markers the plotting consumers key on — the sweep
 # entries, the one-shot reference service rates and the per-topology
-# knees.
-KB_SCALE=quick KB_E19_OUT=target/E19_saturation_smoke.json \
+# knees. KB_VERIFY=1 runs every streaming session (and every one-shot
+# reference) under the ModelChecker plus EpochConservation, as the
+# E17/E22 smokes do for their dynamic rows; checkers only observe, so
+# the JSON is the unverified one.
+KB_SCALE=quick KB_VERIFY=1 KB_E19_OUT=target/E19_saturation_smoke.json \
     cargo run --release -q -p kbcast-bench --bin exp_e19_saturation
 for marker in '"experiment": "E19_saturation"' '"entries"' '"references"' \
     '"knees"' '"knee_lambda"' '"queue_max"' '"p99"'; do

@@ -1,12 +1,18 @@
 //! Integration tests of the dynamic-arrival extension
 //! (`kbcast::dynamic`): the batch pipeline on real topologies.
 
-use radio_kbcast::kbcast::dynamic::{run_streaming, Arrival, StreamingReport};
+use radio_kbcast::kbcast::dynamic::{run_streaming, Arrival, DynamicMeta};
 use radio_kbcast::kbcast::runner::RunOptions;
+use radio_kbcast::kbcast::session::SessionReport;
 use radio_kbcast::radio_net::topology::Topology;
 
 /// One streaming session with default options.
-fn stream(topo: &Topology, arrivals: &[Arrival], seed: u64, horizon: u64) -> StreamingReport {
+fn stream(
+    topo: &Topology,
+    arrivals: &[Arrival],
+    seed: u64,
+    horizon: u64,
+) -> SessionReport<DynamicMeta> {
     run_streaming(topo, arrivals, None, seed, horizon, RunOptions::default()).unwrap()
 }
 
@@ -35,9 +41,9 @@ fn three_waves_on_a_grid() {
     );
     assert!(r.success, "{r:?}");
     assert_eq!(r.k, 8);
-    assert_eq!(r.latencies.len(), 8);
+    assert_eq!(r.meta.latencies.len(), 8);
     // Batches tile time.
-    for w in r.batches.windows(2) {
+    for w in r.meta.batches.windows(2) {
         assert_eq!(w[0].end, w[1].start);
     }
     // Every wave is delivered no earlier than it arrived.
@@ -50,7 +56,7 @@ fn deterministic_in_seed() {
     let a = stream(&Topology::Cycle { n: 8 }, &arrivals, 3, 300_000);
     let b = stream(&Topology::Cycle { n: 8 }, &arrivals, 3, 300_000);
     assert_eq!(a.rounds_total, b.rounds_total);
-    assert_eq!(a.batches, b.batches);
+    assert_eq!(a.meta.batches, b.meta.batches);
 }
 
 #[test]
@@ -75,7 +81,7 @@ fn random_topology_with_steady_stream() {
     let r = stream(&Topology::Gnp { n: 27, p: 0.25 }, &arrivals, 5, 1_500_000);
     assert!(r.success, "{r:?}");
     assert_eq!(
-        r.batches.iter().map(|b| b.k).sum::<usize>(),
+        r.meta.batches.iter().map(|b| b.k).sum::<usize>(),
         r.k,
         "every packet is carried by exactly one batch"
     );

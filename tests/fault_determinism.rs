@@ -128,6 +128,50 @@ fn dynamic_runs_are_reproducible_for_every_fault_family() {
     }
 }
 
+/// The coded protocol's observer and its trace probe attribute rounds
+/// to stages on one stage clock, so the fault-lost receptions the
+/// observer books per stage (`meta.stage_faults`) equal the trace's
+/// per-stage `fault_lost` totals, stage by stage.
+#[test]
+fn stage_faults_agree_with_the_trace_stages() {
+    let topo = Topology::Grid2d { rows: 8, cols: 8 };
+    let mut total = 0;
+    for spec in [
+        "uniform:rate=0.05",
+        "crash:frac=0.1,from=0,until=4000",
+        "jam:budget=300",
+    ] {
+        for seed in 0..3 {
+            let graph = topo.build(seed).expect("topology builds");
+            let workload = Workload::random(graph.len(), 32, seed);
+            let options = RunOptions {
+                trace: true,
+                faults: spec.parse().expect("spec parses"),
+                ..RunOptions::default()
+            };
+            let r =
+                run_protocol_on_graph(&CodedProtocol::default(), graph, &workload, seed, options)
+                    .expect("session runs");
+            let trace = r.trace.as_ref().expect("traced session");
+            let traced = |name: &str| {
+                trace
+                    .stages
+                    .iter()
+                    .find(|s| s.name == name)
+                    .map_or(0, |s| s.totals.fault_lost())
+            };
+            let f = r.meta.stage_faults;
+            let what = format!("{spec}/seed{seed}");
+            assert_eq!(f.leader, traced("leader"), "{what}: leader");
+            assert_eq!(f.bfs, traced("bfs"), "{what}: bfs");
+            assert_eq!(f.collect, traced("collect"), "{what}: collect");
+            assert_eq!(f.disseminate, traced("disseminate"), "{what}: disseminate");
+            total += f.total();
+        }
+    }
+    assert!(total > 0, "the faults must have cost some receptions");
+}
+
 /// The `uniform:` model is the engine's original loss path, relocated:
 /// same seed ⇒ the same drops, and therefore the same session. These
 /// are that path's recorded outputs (coded protocol, rate 0.08).

@@ -76,8 +76,8 @@ fn streaming_golden_pins() {
     assert_eq!(r.stats.receptions, receptions, "receptions");
     assert_eq!(r.stats.collisions, collisions, "collisions");
     assert_eq!(r.stats.wakeups, wakeups, "wakeups");
-    assert_eq!(r.batches.len(), epochs, "epochs");
-    assert_eq!(r.latencies, latencies, "latencies");
+    assert_eq!(r.meta.batches.len(), epochs, "epochs");
+    assert_eq!(r.meta.latencies, latencies, "latencies");
 }
 
 #[test]

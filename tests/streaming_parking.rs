@@ -168,7 +168,7 @@ fn run(topology: &Topology, seed: u64, fault: &str, churn: &str, park: bool) -> 
     let mut source = Arrivals {
         pending: arrivals.into_iter().filter(|a| a.round > 0).collect(),
     };
-    let end = engine.run_streaming(HORIZON, &mut NoopObserver, &mut source, |e| {
+    let end = engine.run_streaming_until(HORIZON, &mut NoopObserver, &mut source, |e| {
         e.nodes().iter().all(|p| p.node.delivered_count() == k)
     });
     let nodes = engine.nodes();
