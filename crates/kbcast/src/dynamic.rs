@@ -306,8 +306,8 @@ impl DynamicNode {
                 Some(self.s4_start.expect("just set") + d.total_rounds().expect("root knows g"));
             self.dissem = Some(d);
         } else {
-            let dist = self.setup.label().map(|l| l.dist);
-            self.dissem = Some(DissemState::new_node(self.cfg, dist, self.batch));
+            self.setup
+                .ensure_dissem_rx(self.cfg, self.batch, &mut self.dissem);
         }
     }
 
@@ -1028,6 +1028,38 @@ mod tests {
                 "{b:?} closed at {close}"
             );
         }
+    }
+
+    #[test]
+    fn a_straggler_keeps_its_early_batch_rows() {
+        // A non-candidate node hears a batch-0 row before its own
+        // collection closed; entering Stage 4 must keep that decoder.
+        let cfg = Config::for_network(16, 4, 4);
+        let mut node = DynamicNode::new(cfg, 1, Vec::new(), rng::stream(0, 1));
+        let s2_end = cfg.stage3_start();
+        for round in 0..s2_end {
+            let _ = node.poll(round);
+        }
+        let row = crate::messages::CodedMsg {
+            batch: 0,
+            group: 0,
+            num_groups: 1,
+            k: 2,
+            group_size: 2,
+            payload_len: 16,
+            coeffs: gf2::BitVec::unit(2, 0),
+            payload: vec![0; 16],
+        };
+        node.receive(s2_end, &Msg::Coded(row));
+        let rank = |nd: &DynamicNode| nd.dissem.as_ref().map_or(0, DissemState::rank_total);
+        assert_eq!(rank(&node), 1);
+        let mut round = s2_end;
+        while node.s4_start.is_none() {
+            assert!(round < s2_end + 1_000_000, "collection never closed");
+            let _ = node.poll(round);
+            round += 1;
+        }
+        assert_eq!(rank(&node), 1, "the early row survived Stage 4's start");
     }
 
     #[test]
