@@ -117,10 +117,7 @@ fn measure(s: &Scenario, seed: u64) -> Measurement {
         }
     };
     let max_degree = graph.max_degree();
-    let awake: Vec<NodeId> = (0..n)
-        .filter(|&i| !workload.packets_of(i).is_empty())
-        .map(NodeId::new)
-        .collect();
+    let awake = workload.initially_awake();
 
     let (rounds, wall_s, all_done) = match s.protocol {
         Protocol::Coded => {

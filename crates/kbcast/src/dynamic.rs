@@ -38,7 +38,7 @@ use radio_net::faults::FaultModel;
 use radio_net::graph::NodeId;
 use radio_net::rng;
 use radio_net::session::{NoopObserver, Observer, RoundEvents, SessionEnd, TrafficSource};
-use radio_net::stats::nearest_rank;
+use radio_net::stats::{mean, nearest_rank};
 use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 use rand::rngs::SmallRng;
@@ -307,7 +307,7 @@ impl DynamicNode {
             self.dissem = Some(d);
         } else {
             self.setup
-                .ensure_dissem_rx(self.cfg, self.batch, &mut self.dissem);
+                .ensure_dissem_rx(&self.cfg, self.batch, &mut self.dissem);
         }
     }
 
@@ -406,7 +406,7 @@ impl DynamicNode {
     fn receive_coded(&mut self, round: u64, c: &crate::messages::CodedMsg) {
         if c.batch == self.batch {
             self.setup
-                .ensure_dissem_rx(self.cfg, self.batch, &mut self.dissem);
+                .ensure_dissem_rx(&self.cfg, self.batch, &mut self.dissem);
             if let Some(d) = self.dissem.as_mut() {
                 let before = d.decoded_groups();
                 d.deliver(c);
@@ -829,14 +829,7 @@ impl SessionReport<DynamicMeta> {
     /// Mean per-packet latency in rounds (0 if nothing was measured).
     #[must_use]
     pub fn mean_latency(&self) -> f64 {
-        let latencies = &self.meta.latencies;
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        }
+        mean(&self.meta.latencies)
     }
 
     /// Nearest-rank latency percentile (`p` in `[0, 100]`).

@@ -178,13 +178,13 @@ impl Setup {
     /// reception created keeps its rows.
     pub(crate) fn ensure_dissem_rx(
         &self,
-        cfg: Config,
+        cfg: &Config,
         batch: u32,
         dissem: &mut Option<DissemState>,
     ) {
         if dissem.is_none() && !self.is_root {
             *dissem = Some(DissemState::new_node(
-                cfg,
+                *cfg,
                 self.label().map(|l| l.dist),
                 batch,
             ));
@@ -381,7 +381,7 @@ impl KbcastNode {
                 .unwrap_or_default();
             self.dissem = Some(DissemState::new_root(self.cfg, collected, 0));
         } else {
-            self.setup.ensure_dissem_rx(self.cfg, 0, &mut self.dissem);
+            self.setup.ensure_dissem_rx(&self.cfg, 0, &mut self.dissem);
         }
     }
 }
@@ -500,7 +500,7 @@ impl KbcastNode {
             }
             Msg::Coded(c) => {
                 self.setup.ensure_bfs();
-                self.setup.ensure_dissem_rx(self.cfg, 0, &mut self.dissem);
+                self.setup.ensure_dissem_rx(&self.cfg, 0, &mut self.dissem);
                 if let Some(d) = self.dissem.as_mut() {
                     d.deliver(c);
                 }

@@ -296,25 +296,9 @@ impl CodedProtocol {
     }
 }
 
-/// The paper's four stages, as a round is attributed to them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
-    Leader,
-    Bfs,
-    Collect,
-    Disseminate,
-}
-
-impl Stage {
-    fn name(self) -> &'static str {
-        match self {
-            Stage::Leader => "leader",
-            Stage::Bfs => "bfs",
-            Stage::Collect => "collect",
-            Stage::Disseminate => "disseminate",
-        }
-    }
-}
+/// The paper's four stages by name, in schedule order: a
+/// [`StageClock`] reports a round's stage as an index into this.
+const STAGES: [&str; 4] = ["leader", "bfs", "collect", "disseminate"];
 
 /// The stage clock [`StageObserver`] and [`CodedStageProbe`] share.
 ///
@@ -326,25 +310,31 @@ impl Stage {
 /// that finish, which is known by the round it happens in.
 #[derive(Debug)]
 struct StageClock {
-    cfg: Config,
+    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`): the
+    /// clock runs every round, and deriving them from the configuration
+    /// each time is measurable at simulator scale.
+    s1_end: u64,
+    s3_start: u64,
     root: Option<usize>,
     scanned: bool,
     collect_end: Option<u64>,
 }
 
 impl StageClock {
-    fn new(cfg: Config) -> Self {
+    fn new(cfg: &Config) -> Self {
         StageClock {
-            cfg,
+            s1_end: cfg.stage1_rounds(),
+            s3_start: cfg.stage3_start(),
             root: None,
             scanned: false,
             collect_end: None,
         }
     }
 
-    /// Brings the root and its collection end up to date with `round`.
-    fn advance(&mut self, round: u64, nodes: &[KbcastNode]) {
-        if !self.scanned && round >= self.cfg.stage1_rounds() {
+    /// Observes the nodes after `round` and returns the round's stage
+    /// (an index into [`STAGES`]).
+    fn stage(&mut self, round: u64, nodes: &[KbcastNode]) -> usize {
+        if !self.scanned && round >= self.s1_end {
             self.root = nodes.iter().position(KbcastNode::is_root);
             self.scanned = true;
         }
@@ -353,21 +343,14 @@ impl StageClock {
                 self.collect_end = nodes[r].collection_finished_at();
             }
         }
-    }
-
-    /// The stage `round` belongs to (after [`StageClock::advance`]).
-    fn stage(&self, round: u64) -> Stage {
-        if round < self.cfg.stage1_rounds() {
-            Stage::Leader
-        } else if round < self.cfg.stage3_start() {
-            Stage::Bfs
-        } else if self
-            .collect_end
-            .is_none_or(|c| round < self.cfg.stage3_start() + c)
-        {
-            Stage::Collect
+        if round < self.s1_end {
+            0
+        } else if round < self.s3_start {
+            1
+        } else if self.collect_end.is_none_or(|c| round < self.s3_start + c) {
+            2
         } else {
-            Stage::Disseminate
+            3
         }
     }
 }
@@ -380,24 +363,14 @@ impl StageClock {
 #[derive(Debug)]
 pub struct StageObserver {
     clock: StageClock,
-    stage_faults: StageFaults,
+    /// Fault-lost receptions per stage, indexed like [`STAGES`].
+    lost: [u64; 4],
 }
 
 impl Observer<KbcastNode> for StageObserver {
     fn on_round(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) {
-        self.clock.advance(events.round, nodes);
-        // Attribute this round's fault-lost receptions to the stage the
-        // round belongs to.
-        let lost = events.faults.lost_receptions() as u64;
-        if lost > 0 {
-            let s = &mut self.stage_faults;
-            *match self.clock.stage(events.round) {
-                Stage::Leader => &mut s.leader,
-                Stage::Bfs => &mut s.bfs,
-                Stage::Collect => &mut s.collect,
-                Stage::Disseminate => &mut s.disseminate,
-            } += lost;
-        }
+        let stage = self.clock.stage(events.round, nodes);
+        self.lost[stage] += events.faults.lost_receptions() as u64;
     }
 }
 
@@ -422,7 +395,7 @@ impl CodedStageProbe {
     #[must_use]
     pub fn new(cfg: Config) -> Self {
         CodedStageProbe {
-            clock: StageClock::new(cfg),
+            clock: StageClock::new(&cfg),
             gauge: None,
         }
     }
@@ -430,7 +403,7 @@ impl CodedStageProbe {
 
 impl StageProbe<KbcastNode> for CodedStageProbe {
     fn sample(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) -> StageSample {
-        self.clock.advance(events.round, nodes);
+        let stage = self.clock.stage(events.round, nodes);
         let gauge = match self.gauge {
             Some(g) if events.receptions == 0 => g,
             _ => nodes
@@ -440,7 +413,7 @@ impl StageProbe<KbcastNode> for CodedStageProbe {
                 .sum(),
         };
         self.gauge = Some(gauge);
-        StageSample::new(self.clock.stage(events.round).name()).with_gauge(gauge)
+        StageSample::new(STAGES[stage]).with_gauge(gauge)
     }
 }
 
@@ -494,8 +467,8 @@ impl BroadcastProtocol for CodedProtocol {
 
     fn observer(&self, net: &NetParams) -> StageObserver {
         StageObserver {
-            clock: StageClock::new(self.resolve(net)),
-            stage_faults: StageFaults::default(),
+            clock: StageClock::new(&self.resolve(net)),
+            lost: [0; 4],
         }
     }
 
@@ -530,11 +503,11 @@ impl BroadcastProtocol for CodedProtocol {
         let (stages, collection_phases) = match clock.root {
             Some(r) => {
                 let collect = clock.collect_end.unwrap_or(0);
-                let s123 = clock.cfg.stage3_start() + collect;
+                let s123 = clock.s3_start + collect;
                 (
                     StageRounds {
-                        leader: clock.cfg.stage1_rounds(),
-                        bfs: clock.cfg.stage2_rounds(),
+                        leader: clock.s1_end,
+                        bfs: clock.s3_start - clock.s1_end,
                         collect,
                         disseminate: end.rounds.saturating_sub(s123),
                     },
@@ -547,11 +520,17 @@ impl BroadcastProtocol for CodedProtocol {
         for node in nodes {
             tx_by_type.add(&node.tx_counts());
         }
+        let [leader, bfs, collect, disseminate] = obs.lost;
         KbcastMeta {
             stages,
             collection_phases,
             tx_by_type,
-            stage_faults: obs.stage_faults,
+            stage_faults: StageFaults {
+                leader,
+                bfs,
+                collect,
+                disseminate,
+            },
         }
     }
 }

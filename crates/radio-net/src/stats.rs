@@ -68,6 +68,18 @@ pub fn nearest_rank(sorted: &[u64], p: f64) -> Option<u64> {
     Some(sorted[rank.min(sorted.len()) - 1])
 }
 
+/// Arithmetic mean of a sample (0 on an empty one).
+#[must_use]
+pub fn mean(sample: &[u64]) -> f64 {
+    if sample.is_empty() {
+        return 0.0;
+    }
+    #[allow(clippy::cast_precision_loss)]
+    {
+        sample.iter().sum::<u64>() as f64 / sample.len() as f64
+    }
+}
+
 /// Per-round outcome returned by [`crate::engine::Engine::step`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundOutcome {

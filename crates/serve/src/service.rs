@@ -37,7 +37,7 @@ use radio_net::engine::{Engine, NoCd};
 use radio_net::faults::{BuiltFaults, FaultSpec};
 use radio_net::graph::{Graph, NodeId};
 use radio_net::session::{NoopObserver, Observer, SessionEnd};
-use radio_net::stats::nearest_rank;
+use radio_net::stats::{mean, nearest_rank};
 use radio_net::topology::Topology;
 
 use crate::json::Json;
@@ -545,18 +545,10 @@ impl Service {
             return (LatencyBlock::default(), Vec::new());
         }
         let lats = stamp_latencies(&self.arrivals, self.nodes());
-        let mean = if lats.is_empty() {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                lats.iter().sum::<u64>() as f64 / lats.len() as f64
-            }
-        };
         (
             LatencyBlock {
                 count: lats.len() as u64,
-                mean,
+                mean: mean(&lats),
                 p50: nearest_rank(&lats, 50.0),
                 p90: nearest_rank(&lats, 90.0),
                 p99: nearest_rank(&lats, 99.0),

@@ -36,16 +36,16 @@
 # instrumentation cost).
 #
 # The streaming arrival seam is likewise zero-cost here: one-shot
-# sessions use run_session / run_session_with, which run_streaming
-# wraps rather than modifies — no TrafficSource type reaches the
-# one-shot path, so the loop this script gates monomorphizes without
-# any injection hook.
+# sessions use run_session / run_session_with, which
+# Engine::run_streaming_until wraps rather than modifies — no
+# TrafficSource type reaches the one-shot path, so the loop this script
+# gates monomorphizes without any injection hook.
 #
 # The kbcast-serve front-end sits strictly downstream of that seam: the
-# service drives Engine::run_streaming_until (the absolute-horizon form
-# run_streaming delegates to) and adds no code to radio-net or kbcast
-# beyond that resumable entry point, so the library one-shot path this
-# gate measures is untouched by the service crate.
+# service runs the library's one streaming drive, ScheduleSource::run
+# over Engine::run_streaming_until, and adds no code to radio-net or
+# kbcast, so the library one-shot path this gate measures is untouched
+# by the service crate.
 #
 # The absolute floors additionally pin the word-parallel + activity-hint
 # engine's order of magnitude, so a regression cannot slip through by

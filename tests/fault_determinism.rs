@@ -153,19 +153,13 @@ fn stage_faults_agree_with_the_trace_stages() {
                 run_protocol_on_graph(&CodedProtocol::default(), graph, &workload, seed, options)
                     .expect("session runs");
             let trace = r.trace.as_ref().expect("traced session");
-            let traced = |name: &str| {
-                trace
-                    .stages
-                    .iter()
-                    .find(|s| s.name == name)
-                    .map_or(0, |s| s.totals.fault_lost())
-            };
+            let traced = ["leader", "bfs", "collect", "disseminate"].map(|name| {
+                let stage = trace.stages.iter().find(|s| s.name == name);
+                stage.map_or(0, |s| s.totals.fault_lost())
+            });
             let f = r.meta.stage_faults;
-            let what = format!("{spec}/seed{seed}");
-            assert_eq!(f.leader, traced("leader"), "{what}: leader");
-            assert_eq!(f.bfs, traced("bfs"), "{what}: bfs");
-            assert_eq!(f.collect, traced("collect"), "{what}: collect");
-            assert_eq!(f.disseminate, traced("disseminate"), "{what}: disseminate");
+            let observed = [f.leader, f.bfs, f.collect, f.disseminate];
+            assert_eq!(observed, traced, "{spec}/seed{seed}");
             total += f.total();
         }
     }
