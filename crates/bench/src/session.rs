@@ -193,13 +193,7 @@ impl Summary {
             median_rounds: median_over(reports, |r| r.rounds_total as f64),
             mean_delivered: reports.iter().map(|r| r.delivered_fraction).sum::<f64>()
                 / reports.len().max(1) as f64,
-            lost_receptions: reports
-                .iter()
-                .map(|r| {
-                    let s = &r.stats;
-                    s.dropped + s.jammed + s.crashed_rx + s.wakeups_suppressed
-                })
-                .sum(),
+            lost_receptions: reports.iter().map(|r| r.stats.fault_lost()).sum(),
         }
     }
 }

@@ -55,39 +55,46 @@ impl BiiConfig {
     }
 }
 
-/// One node of the BII baseline. A silent poll, or a duplicate reception
-/// at a node knowing at most [`BiiNode::INLINE_KEYS`] packets, reads only
-/// this struct: no heap memory, hash probe, scan or division.
+/// One node of the BII baseline. A poll — silent, or transmitting one
+/// of the node's first [`BiiNode::INLINE_KEYS`] packets — and a
+/// duplicate reception at a node knowing at most that many packets read
+/// only this struct (a transmission also bumps its payload's shared
+/// refcount): no heap memory, hash probe, scan or division.
 #[derive(Debug)]
 pub struct BiiNode {
     rng: SmallRng,
     /// First round after the current epoch (0 = never polled).
     epoch_end: u64,
     /// FIFO budget cursor (the pipelining discipline): packets before
-    /// `head` are exhausted, `known[head]` has sent `spent < budget` epochs.
+    /// `head` are exhausted, packet `head` has sent `spent < budget` epochs.
     head: u32,
     spent: u32,
     budget: u32,
     decay: Decay,
     /// Known-packet count that completes the node (`u32::MAX`: never).
     target: u32,
-    /// Whether `known[head]` is transmitted this epoch.
+    /// Whether packet `head` is transmitted this epoch.
     sending: bool,
-    /// Keys of `known[..INLINE_KEYS]`; `spill` holds the rest.
-    inline: [PacketKey; Self::INLINE_KEYS],
+    /// Known-packet count: the `Some` slots of `inline` plus `spilled`.
+    count: u32,
+    /// The first known packets, in first-seen order; `spilled` holds the
+    /// rest and `spill` their keys.
+    inline: [Option<Packet>; Self::INLINE_KEYS],
     spill: HashSet<PacketKey>,
-    known: Vec<Packet>,
+    spilled: Vec<Packet>,
 }
 
 impl BiiNode {
-    /// Known keys held inline before the hash set (chosen in DESIGN §4c).
+    /// Known packets held inline before the spill (chosen in DESIGN §4c).
     pub const INLINE_KEYS: usize = 2;
 
     /// Creates a node initially holding `packets`.
     #[must_use]
     pub fn new(cfg: BiiConfig, packets: Vec<Packet>, rng: SmallRng) -> Self {
-        let empty = PacketKey { origin: 0, seq: 0 };
-        let (first, rest) = packets.split_at(packets.len().min(Self::INLINE_KEYS));
+        let count = u32::try_from(packets.len()).expect("packet count fits u32");
+        let mut packets = packets.into_iter();
+        let inline = std::array::from_fn(|_| packets.next());
+        let spilled: Vec<Packet> = packets.collect();
         BiiNode {
             rng,
             epoch_end: 0,
@@ -97,9 +104,10 @@ impl BiiNode {
             decay: Decay::new(cfg.delta_bound),
             target: u32::MAX,
             sending: false,
-            inline: std::array::from_fn(|i| first.get(i).map_or(empty, |p| p.key)),
-            spill: rest.iter().map(|p| p.key).collect(),
-            known: packets,
+            count,
+            inline,
+            spill: spilled.iter().map(|p| p.key).collect(),
+            spilled,
         }
     }
 
@@ -118,20 +126,19 @@ impl BiiNode {
         node
     }
 
-    /// Packets this node knows so far.
-    #[must_use]
-    pub fn known(&self) -> &[Packet] {
-        &self.known
+    /// Packets this node knows so far, in first-seen order.
+    pub fn known(&self) -> impl Iterator<Item = &Packet> + '_ {
+        self.inline.iter().flatten().chain(&self.spilled)
     }
 
     /// Number of distinct packets known.
     #[must_use]
     pub fn known_count(&self) -> usize {
-        self.known.len()
+        self.count as usize
     }
 
     fn has_budget(&self) -> bool {
-        (self.head as usize) < self.known.len() && self.spent < self.budget
+        (self.head as usize) < self.known_count() && self.spent < self.budget
     }
 
     /// Enters the epoch holding `round`: credits one epoch to the packet sent in the
@@ -157,8 +164,14 @@ impl Node for BiiNode {
             self.begin_epoch(round);
         }
         let rung = self.decay.rung_before(round, self.epoch_end);
-        (self.sending && Decay::rung_draw(rung, &mut self.rng))
-            .then(|| self.known[self.head as usize].clone())
+        if !(self.sending && Decay::rung_draw(rung, &mut self.rng)) {
+            return None;
+        }
+        let head = self.head as usize;
+        Some(match self.inline.get(head) {
+            Some(p) => p.as_ref().expect("the head packet is known").clone(),
+            None => self.spilled[head - Self::INLINE_KEYS].clone(),
+        })
     }
 
     fn receive(&mut self, round: u64, msg: &Packet) {
@@ -168,20 +181,25 @@ impl Node for BiiNode {
         if self.epoch_end != 0 && round >= self.epoch_end {
             self.begin_epoch(round);
         }
-        let n = self.known.len();
-        if self.inline[..n.min(Self::INLINE_KEYS)].contains(&msg.key) {
-            return;
+        for slot in &mut self.inline {
+            match slot {
+                Some(p) if p.key == msg.key => return,
+                Some(_) => {}
+                None => {
+                    *slot = Some(msg.clone());
+                    self.count += 1;
+                    return;
+                }
+            }
         }
-        if n < Self::INLINE_KEYS {
-            self.inline[n] = msg.key;
-        } else if !self.spill.insert(msg.key) {
-            return;
+        if self.spill.insert(msg.key) {
+            self.spilled.push(msg.clone());
+            self.count += 1;
         }
-        self.known.push(msg.clone());
     }
 
     fn is_done(&self) -> bool {
-        self.known.len() >= self.target as usize
+        self.known_count() >= self.target as usize
     }
 
     /// Transmitting a packet this epoch → active every round. Idle but
@@ -282,7 +300,7 @@ impl BroadcastProtocol for BiiProtocol {
     }
 
     fn delivered(&self, node: &BiiNode) -> Vec<PacketKey> {
-        node.known().iter().map(|p| p.key).collect()
+        node.known().map(|p| p.key).collect()
     }
 
     fn finish(&self, _obs: NoopObserver, _nodes: &[BiiNode], _end: &SessionEnd) {}

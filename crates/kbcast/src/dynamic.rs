@@ -641,7 +641,10 @@ pub struct DynamicMeta {
 /// across all nodes.
 #[derive(Debug)]
 pub struct DynamicStageProbe {
-    cfg: Config,
+    /// Cached stage boundaries (`stage1_rounds`, `stage3_start`), as in
+    /// the coded protocol's stage clock: the probe runs every round.
+    s1_end: u64,
+    s3_start: u64,
     root: Option<usize>,
     scanned: bool,
 }
@@ -651,7 +654,8 @@ impl DynamicStageProbe {
     #[must_use]
     pub fn new(cfg: Config) -> Self {
         DynamicStageProbe {
-            cfg,
+            s1_end: cfg.stage1_rounds(),
+            s3_start: cfg.stage3_start(),
             root: None,
             scanned: false,
         }
@@ -660,13 +664,13 @@ impl DynamicStageProbe {
 
 impl StageProbe<DynamicNode> for DynamicStageProbe {
     fn sample(&mut self, events: &RoundEvents, nodes: &[DynamicNode]) -> StageSample {
-        if !self.scanned && events.round >= self.cfg.stage1_rounds() {
+        if !self.scanned && events.round >= self.s1_end {
             self.root = nodes.iter().position(DynamicNode::is_root);
             self.scanned = true;
         }
-        let stage = if events.round < self.cfg.stage1_rounds() {
+        let stage = if events.round < self.s1_end {
             std::borrow::Cow::Borrowed("leader")
-        } else if events.round < self.cfg.stage3_start() {
+        } else if events.round < self.s3_start {
             std::borrow::Cow::Borrowed("bfs")
         } else {
             let batch = self.root.map_or(0, |r| nodes[r].batch());
@@ -751,11 +755,15 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
 
     fn verify_checks(
         &self,
-        _net: &NetParams,
+        net: &NetParams,
         _workload: &Workload,
         clean: bool,
     ) -> Vec<Box<dyn radio_net::verify::Check<DynamicNode>>> {
-        vec![Box::new(EpochConservation::new(self.arrivals, clean))]
+        vec![Box::new(EpochConservation::new(
+            self.config_for(net),
+            self.arrivals,
+            clean,
+        ))]
     }
 
     fn drive<F: FaultModel, T: radio_net::TopologyModel, O: Observer<DynamicNode>>(

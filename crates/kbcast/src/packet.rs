@@ -1,5 +1,7 @@
 //! Packets: the unit of work of multiple-message broadcast.
 
+use std::sync::Arc;
+
 use radio_net::message::MessageSize;
 
 /// Globally unique packet identity: the originating node's id plus a
@@ -14,12 +16,16 @@ pub struct PacketKey {
 }
 
 /// A payload-bearing packet.
+///
+/// Payloads never change after injection, so every copy of a packet
+/// shares one buffer: a relay's clone is a refcount bump, not a heap
+/// copy. Equality and hashing compare the bytes, not the buffer.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Unique identity.
     pub key: PacketKey,
-    /// Application payload bytes.
-    pub payload: Vec<u8>,
+    /// Application payload bytes, shared by every copy of the packet.
+    pub payload: Arc<[u8]>,
 }
 
 impl MessageSize for Packet {
@@ -34,7 +40,7 @@ impl Packet {
     pub fn new(origin: u64, seq: u32, payload: Vec<u8>) -> Self {
         Packet {
             key: PacketKey { origin, seq },
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -73,7 +79,7 @@ impl Packet {
         }
         Some(Packet {
             key: PacketKey { origin, seq },
-            payload: bytes[14..14 + len].to_vec(),
+            payload: bytes[14..14 + len].into(),
         })
     }
 }

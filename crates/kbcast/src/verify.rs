@@ -399,6 +399,8 @@ pub struct EpochConservation {
     /// Per-node arrivals keyed so far (see [`arrival_key`]).
     counts: Vec<u32>,
     clean: bool,
+    /// Stage 1's end: no node is root before it.
+    s1_end: u64,
     root: Option<usize>,
     /// Epoch records already validated.
     seen: usize,
@@ -410,11 +412,11 @@ pub struct EpochConservation {
 }
 
 impl EpochConservation {
-    /// A checker verifying against the keys of the arrival schedule
-    /// `arrivals`. `clean` enables the w.h.p.-only completeness
-    /// invariant.
+    /// A checker verifying a session configured with `cfg` against the
+    /// keys of the arrival schedule `arrivals`. `clean` enables the
+    /// w.h.p.-only completeness invariant.
     #[must_use]
-    pub fn new(arrivals: &[Arrival], clean: bool) -> Self {
+    pub fn new(cfg: Config, arrivals: &[Arrival], clean: bool) -> Self {
         let mut counts = Vec::new();
         let mut expected: Vec<PacketKey> = arrivals
             .iter()
@@ -425,6 +427,7 @@ impl EpochConservation {
             expected,
             counts,
             clean,
+            s1_end: cfg.stage1_rounds(),
             root: None,
             seen: 0,
             prev_end: None,
@@ -506,9 +509,10 @@ impl Check<DynamicNode> for EpochConservation {
     }
 
     fn on_round(&mut self, events: &RoundEvents, nodes: &[DynamicNode]) {
-        // The root flag finalizes in the first post-Stage-1 poll; scan
-        // until it appears, then pin it.
-        if self.root.is_none() {
+        // The root flag finalizes in a post-Stage-1 poll (a node crashed
+        // at Stage 1's end finalizes on recovery); scan from Stage 1's
+        // end until it appears, then pin it.
+        if self.root.is_none() && events.round >= self.s1_end {
             self.root = nodes.iter().position(DynamicNode::is_root);
         }
         let Some(root) = self.root else {
@@ -767,7 +771,8 @@ mod tests {
     fn epoch_conservation_flags_duplicate_and_forged_keys() {
         use crate::dynamic::BatchRecord;
         // Ground truth: keys (0,0) and (1,0).
-        let mut check = EpochConservation::new(&arrivals_at(&[0, 1]), true);
+        let mut check =
+            EpochConservation::new(Config::for_network(2, 1, 1), &arrivals_at(&[0, 1]), true);
         check.check_epoch(
             10,
             &BatchRecord {
@@ -819,12 +824,14 @@ mod tests {
                 PacketKey { origin: 2, seq: 0 },
             ],
         };
-        let mut told = EpochConservation::new(&arrivals_at(&[0]), true);
+        let mut told =
+            EpochConservation::new(Config::for_network(2, 1, 1), &arrivals_at(&[0]), true);
         told.on_inject(NodeId::new(2));
         told.check_epoch(10, &epoch);
         assert_eq!(told.total_violations(), 0, "{:?}", told.violations());
 
-        let mut untold = EpochConservation::new(&arrivals_at(&[0]), true);
+        let mut untold =
+            EpochConservation::new(Config::for_network(2, 1, 1), &arrivals_at(&[0]), true);
         untold.check_epoch(10, &epoch);
         let msgs: Vec<&str> = untold
             .violations()

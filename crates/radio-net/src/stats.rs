@@ -44,6 +44,13 @@ impl SimStats {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Receptions lost to injected faults: dropped, jammed, crashed
+    /// listener or suppressed wake-up.
+    #[must_use]
+    pub fn fault_lost(&self) -> u64 {
+        self.dropped + self.jammed + self.crashed_rx + self.wakeups_suppressed
+    }
 }
 
 /// Exact nearest-rank percentile of a *sorted* sample: the smallest

@@ -52,6 +52,14 @@ done
 # or parking that breaks the benchmark fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Benchmark workloads: one short run of each (about 25 s in total).
+# Each workload checks its sessions' outputs and exits non-zero when
+# one fails, so a library change that breaks a workload fails here.
+for workload in oneshot-coded bii-udg serve-stream oneshot-checked; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 0 > /dev/null
+done
+
 # Lemma 3 smoke: the quick E6 configuration feeds random rows to the
 # Stage 4 decoder and asserts that the Lemma 3 threshold reaches full
 # rank with probability >= 0.99 for every group size (under a second).

@@ -229,7 +229,7 @@ fn session<N: Node<Msg = Packet>>(
     seed: u64,
     faults: &FaultSpec,
     make: Make<N>,
-    known: fn(&N) -> &[Packet],
+    known: fn(&N) -> Vec<Packet>,
 ) -> Outcome {
     let g = topology.build(seed).unwrap();
     let n = g.len();
@@ -257,7 +257,7 @@ fn session<N: Node<Msg = Packet>>(
         rounds: engine.round(),
         stats: *engine.stats(),
         all_done,
-        known: engine.nodes().iter().map(|nd| known(nd).to_vec()).collect(),
+        known: engine.nodes().iter().map(known).collect(),
     }
 }
 
@@ -281,7 +281,7 @@ fn assert_matches_reference(faults: &str) {
                         seed,
                         &faults,
                         BiiNode::with_target,
-                        BiiNode::known,
+                        |nd| nd.known().cloned().collect(),
                     );
                     let old = session(
                         topology,
@@ -290,7 +290,7 @@ fn assert_matches_reference(faults: &str) {
                         seed,
                         &faults,
                         reference::BiiNode::with_target,
-                        reference::BiiNode::known,
+                        |nd| nd.known().to_vec(),
                     );
                     assert_eq!(
                         new, old,
@@ -329,7 +329,7 @@ fn default_budget_completes_clean_sessions() {
             1,
             &FaultSpec::default(),
             BiiNode::with_target,
-            BiiNode::known,
+            |nd| nd.known().cloned().collect(),
         );
         assert!(out.all_done, "k={k}: {out:?}");
         assert!(out.known.iter().all(|p| p.len() == k), "k={k}");
