@@ -7,7 +7,10 @@ use rand::Rng;
 /// A fixed-length vector over GF(2), stored LSB-first in 64-bit words.
 ///
 /// Used as the coefficient header of coded packets: bit `i` says whether
-/// source packet `i` of the group participates in the XOR.
+/// source packet `i` of the group participates in the XOR. A vector of
+/// at most 64 bits — every header the protocol sends, since the group
+/// size is `⌈log₂ n⌉` — keeps its one word inline, so building, cloning
+/// and reducing one allocates nothing; longer vectors use the heap.
 ///
 /// ```
 /// use gf2::bitvec::BitVec;
@@ -22,17 +25,33 @@ use rand::Rng;
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitVec {
     len: usize,
-    words: Vec<u64>,
+    words: Words,
+}
+
+/// The backing words: inline iff `len ≤ 64`, so equal lengths mean
+/// equal variants and the derived comparisons stay exact.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline(u64),
+    Heap(Vec<u64>),
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Inline(0)
+    }
 }
 
 impl BitVec {
     /// An all-zero vector of `len` bits.
     #[must_use]
     pub fn zeros(len: usize) -> Self {
-        BitVec {
-            len,
-            words: vec![0; len.div_ceil(64)],
-        }
+        let words = if len <= 64 {
+            Words::Inline(0)
+        } else {
+            Words::Heap(vec![0; len.div_ceil(64)])
+        };
+        BitVec { len, words }
     }
 
     /// Builds a vector of `len ≤ 64` bits from the low bits of `bits`
@@ -44,18 +63,15 @@ impl BitVec {
     #[must_use]
     pub fn from_lsb_bits(bits: u64, len: usize) -> Self {
         assert!(len <= 64, "from_lsb_bits supports at most 64 bits");
-        let mut v = BitVec::zeros(len);
-        if len > 0 {
-            let mask = if len == 64 {
-                u64::MAX
-            } else {
-                (1u64 << len) - 1
-            };
-            if !v.words.is_empty() {
-                v.words[0] = bits & mask;
-            }
+        let mask = if len == 64 {
+            u64::MAX
+        } else {
+            (1u64 << len) - 1
+        };
+        BitVec {
+            len,
+            words: Words::Inline(bits & mask),
         }
-        v
     }
 
     /// A unit vector: all zeros except bit `i`.
@@ -75,7 +91,7 @@ impl BitVec {
     #[must_use]
     pub fn random(len: usize, rng: &mut impl Rng) -> Self {
         let mut v = BitVec::zeros(len);
-        for w in &mut v.words {
+        for w in v.words_mut() {
             *w = rng.gen();
         }
         v.mask_tail();
@@ -122,7 +138,7 @@ impl BitVec {
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Sets bit `i` to `value`.
@@ -133,10 +149,11 @@ impl BitVec {
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let mask = 1u64 << (i % 64);
+        let w = &mut self.words_mut()[i / 64];
         if value {
-            self.words[i / 64] |= mask;
+            *w |= mask;
         } else {
-            self.words[i / 64] &= !mask;
+            *w &= !mask;
         }
     }
 
@@ -147,27 +164,32 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn xor_assign(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch in xor_assign");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
+        match (&mut self.words, &other.words) {
+            (Words::Inline(a), Words::Inline(b)) => *a ^= b,
+            _ => {
+                for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
+                    *a ^= b;
+                }
+            }
         }
     }
 
     /// `true` if every bit is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Number of set bits.
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Index of the lowest set bit, or `None` if zero.
     #[must_use]
     pub fn first_one(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
+        for (wi, &w) in self.words().iter().enumerate() {
             if w != 0 {
                 return Some(wi * 64 + w.trailing_zeros() as usize);
             }
@@ -180,12 +202,23 @@ impl BitVec {
     /// are zero.
     #[must_use]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            Words::Inline(w) => &std::slice::from_ref(w)[..self.len.div_ceil(64)],
+            Words::Heap(v) => v,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        let n = self.len.div_ceil(64);
+        match &mut self.words {
+            Words::Inline(w) => &mut std::slice::from_mut(w)[..n],
+            Words::Heap(v) => v,
+        }
     }
 
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
                 if w == 0 {
@@ -204,7 +237,7 @@ impl BitVec {
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
+            if let Some(last) = self.words_mut().last_mut() {
                 *last &= (1u64 << tail) - 1;
             }
         }
@@ -357,6 +390,25 @@ mod tests {
         let v = BitVec::random(10_000, &mut rng);
         let ones = v.count_ones();
         assert!((4_000..6_000).contains(&ones), "ones = {ones}");
+    }
+
+    #[test]
+    fn inline_and_heap_lengths_behave_alike() {
+        // 64 bits is the last inline length, 65 the first heap one.
+        for len in [0, 1, 63, 64, 65, 128, 130] {
+            let mut v = BitVec::zeros(len);
+            assert_eq!(v.words().len(), len.div_ceil(64), "len {len}");
+            if len > 0 {
+                v.set(len - 1, true);
+                assert_eq!(v.first_one(), Some(len - 1));
+                assert_eq!(v, BitVec::unit(len, len - 1));
+                let mut w = v.clone();
+                w.xor_assign(&v);
+                assert!(w.is_zero());
+                assert_eq!(w, BitVec::zeros(len));
+            }
+        }
+        assert_eq!(BitVec::default(), BitVec::zeros(0));
     }
 
     #[test]

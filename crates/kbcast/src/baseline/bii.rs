@@ -205,8 +205,11 @@ impl Node for BiiNode {
     /// Transmitting a packet this epoch → active every round. Idle but
     /// holding untransmitted budget (a packet arrived after this
     /// epoch's pick) → parked until the next epoch boundary, where
-    /// `begin_epoch` re-picks: `epoch_end`, as the hint follows a poll.
-    /// All budgets exhausted → silent until a reception, which voids it.
+    /// `begin_epoch` re-picks: `epoch_end`, which is current after a
+    /// poll and after a reception (`receive` catches a parked node's
+    /// epoch up first); the one stale value, 0 on a never-polled node,
+    /// reads as "poll next round". All budgets exhausted → silent until
+    /// a reception adds a packet.
     fn next_activity(&self, round: u64) -> u64 {
         match (self.sending, self.has_budget()) {
             (true, _) => round + 1,

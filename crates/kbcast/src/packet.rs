@@ -15,6 +15,16 @@ pub struct PacketKey {
     pub seq: u32,
 }
 
+/// Bytes [`Packet::to_bytes`] writes before the payload: origin,
+/// sequence number and payload length.
+const HEADER_BYTES: usize = 14;
+
+/// Largest payload a packet can carry, in bytes (65 521): Stage 4 codes
+/// a packet's byte form ([`Packet::to_bytes`], header plus payload) and
+/// its messages carry that form's length in a `u16`. Inputs that build
+/// packets (the service's `inject`) refuse larger payloads.
+pub const MAX_PAYLOAD_BYTES: usize = u16::MAX as usize - HEADER_BYTES;
+
 /// A payload-bearing packet.
 ///
 /// Payloads never change after injection, so every copy of a packet
@@ -53,12 +63,16 @@ impl Packet {
     /// Serializes to a self-delimiting byte blob for the Stage 4 coding
     /// layer (group members are XORed byte-wise, so each member must be
     /// parseable from a zero-padded buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is longer than [`MAX_PAYLOAD_BYTES`].
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(14 + self.payload.len());
+        let mut out = Vec::with_capacity(HEADER_BYTES + self.payload.len());
         out.extend_from_slice(&self.key.origin.to_le_bytes());
         out.extend_from_slice(&self.key.seq.to_le_bytes());
-        let len = u16::try_from(self.payload.len()).expect("payload fits u16 length");
+        let len = u16::try_from(self.payload.len()).expect("payload within MAX_PAYLOAD_BYTES");
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
@@ -68,18 +82,18 @@ impl Packet {
     /// [`Packet::to_bytes`]. Returns `None` on malformed input.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 14 {
+        if bytes.len() < HEADER_BYTES {
             return None;
         }
         let origin = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
         let seq = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
         let len = u16::from_le_bytes(bytes[12..14].try_into().ok()?) as usize;
-        if bytes.len() < 14 + len {
+        if bytes.len() < HEADER_BYTES + len {
             return None;
         }
         Some(Packet {
             key: PacketKey { origin, seq },
-            payload: bytes[14..14 + len].into(),
+            payload: bytes[HEADER_BYTES..HEADER_BYTES + len].into(),
         })
     }
 }

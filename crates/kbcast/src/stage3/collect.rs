@@ -246,41 +246,87 @@ impl CollectState {
 
     /// Earliest future stage-local round at which [`CollectState::poll`]
     /// may act again (see `radio_net::engine::Node::next_activity`).
-    /// Call right after `poll(local)` so `advance` has run.
+    /// Call right after `poll(local)` or `deliver(local, _)`, so
+    /// `advance` has run; it reads the state and mutates nothing.
     ///
-    /// A node with anything to send — the root (ack schedule), pending
-    /// relay slots, unacked own packets (launch slots, alarm
-    /// initiation) — or one relaying a heard alarm stays active every
-    /// round. A quiet node only has two mandatory polls per phase: the
-    /// alarm-window start (where `poll_alarm` arms the window — the
-    /// finish decision depends on it) and the next phase start (where
-    /// `advance` finalizes). Its skipped `poll_grab` rounds draw no
-    /// randomness (launch slots are drawn for unacked packets only)
-    /// and transmit nothing; receptions void the hint and the
-    /// bookkeeping catch-up in `advance`/`poll_grab` replays
-    /// deterministically at the next poll.
+    /// Every phase has two mandatory polls: the alarm-window start
+    /// (where `poll_alarm` arms the window — the finish decision
+    /// depends on it) and the next phase start (where `advance`
+    /// finalizes). In the grabbing epoch a pending relay slot keeps the
+    /// node active; the root and a source with an unacked packet act
+    /// only in their scheduled slots (see `next_grab_action`); any
+    /// other node is silent until the alarm window. In the alarm
+    /// window a node relaying (or initiating) the alarm epidemic is
+    /// active and everyone else waits for the next phase. Skipped polls
+    /// draw no randomness and transmit nothing; the cursor catch-up in
+    /// `advance`/`poll_grab` replays deterministically at the next
+    /// poll, and a reception that changes the schedule (a relay slot,
+    /// an ack, a root arrival, an alarm) changes this answer.
     #[must_use]
     pub fn next_activity(&self, local: u64) -> u64 {
         if self.finished.is_some() {
             return u64::MAX;
         }
-        if self.is_root
-            || self.relay_data.is_some()
-            || self.relay_ack.is_some()
-            || self.has_unacked()
-        {
+        let pl = local - self.phase_start;
+        if pl >= self.grab_len {
+            if self.alarm_armed != Some(self.phase) || self.heard_alarm {
+                // Not yet armed (defensive; post-poll this cannot
+                // happen) or in the alarm epidemic: active every round.
+                return local + 1;
+            }
+            return self.phase_start + self.phase_len;
+        }
+        if self.relay_data.is_some() || self.relay_ack.is_some() {
             return local + 1;
         }
-        let pl = local - self.phase_start;
-        if pl < self.grab_len {
+        if !self.is_root && !self.has_unacked() {
             return self.phase_start + self.grab_len;
         }
-        if self.alarm_armed != Some(self.phase) || self.heard_alarm {
-            // Not yet armed (defensive; post-poll this cannot happen)
-            // or relaying the alarm epidemic: active every round.
+        self.next_grab_action(local, pl)
+    }
+
+    /// [`CollectState::next_activity`] inside the grabbing epoch for the
+    /// root and for a source with an unacked packet (no relay pending):
+    /// the first of the procedure's next scheduled action — the root's
+    /// next ack-emission round, a source's next launch slot still
+    /// holding an unacked packet — and the next procedure start, where
+    /// `arm_proc` draws the new slots (acks heard meanwhile change what
+    /// it draws, so that poll stays at its exact round). The last
+    /// procedure's end is the alarm-window start.
+    fn next_grab_action(&self, local: u64, pl: u64) -> u64 {
+        let mut p = self.cur_proc;
+        while p + 1 < self.procs.len() && self.procs[p].end() <= pl {
+            p += 1;
+        }
+        let proc = self.procs[p];
+        if pl < proc.start || self.armed_proc != Some(p) {
+            // Late join, or the procedure is not armed yet: the next
+            // poll arms it.
             return local + 1;
         }
-        self.phase_start + self.phase_len
+        let r = pl - proc.start;
+        let mut next = self.procs.get(p + 1).map_or(self.grab_len, |q| q.start) - proc.start;
+        if self.is_root {
+            // Ack `i` leaves at `send_end + 1 + i·ack_spacing`.
+            let first = proc.send_end + 1;
+            let i = if r < first {
+                0
+            } else {
+                (r - first) / self.cfg.ack_spacing + 1
+            };
+            if usize::try_from(i).is_ok_and(|i| i < self.proc_arrivals.len()) {
+                next = next.min(first + i * self.cfg.ack_spacing);
+            }
+        } else if self.parent.is_some() {
+            if let Some((&slot, _)) = self
+                .launches
+                .range(r + 1..)
+                .find(|&(_, &idx)| !self.own[idx].acked)
+            {
+                next = next.min(slot);
+            }
+        }
+        self.phase_start + proc.start + next
     }
 
     fn poll_grab(&mut self, pl: u64, rng: &mut impl Rng) -> Option<Msg> {

@@ -335,8 +335,10 @@ impl DissemState {
     /// its BFS distance, and only for groups it has fully decoded:
     /// active inside such a phase (decay draws every round), parked to
     /// the next eligible phase with a decoded group otherwise, and
-    /// parked indefinitely when nothing is decoded — a reception voids
-    /// the hint, and decoding only happens in `deliver`.
+    /// parked indefinitely when nothing is decoded. Decoding only
+    /// happens in `deliver`, and the answer reads the round and the
+    /// decoded set alone, so it is as honest after `deliver` as after
+    /// `poll`.
     #[must_use]
     pub fn next_activity(&self, local: u64) -> u64 {
         let phase_len = self.phase_len;

@@ -109,8 +109,9 @@ impl BfsBuild {
     /// label: unlabelled → silent until a reception; phase still ahead
     /// → parked until that phase starts; phase passed (or out of
     /// `d_bound`) → silent forever. Labels are permanent (the first
-    /// announcement wins), so the hint can only be voided early by a
-    /// reception, which the engine handles.
+    /// announcement wins), so only the reception that labels the node
+    /// changes the answer; it reads the label and the round alone, so
+    /// it is as honest after `deliver` as after `poll`.
     #[must_use]
     pub fn next_activity(&self, local_round: u64) -> u64 {
         let Some(label) = self.label else {

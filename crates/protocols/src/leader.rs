@@ -177,14 +177,15 @@ impl LeaderElection {
 
     /// Earliest future local round at which [`LeaderElection::poll`]
     /// may act again (see `radio_net::engine::Node::next_activity`).
-    /// Call right after `poll(local_round)` so the window state is
-    /// synced.
+    /// Call right after `poll(local_round)` or `deliver(local_round, _)`:
+    /// both sync the window state.
     ///
     /// An informed relay transmits by decay every round of the current
     /// window; an uninformed candidate is silent until the next window
     /// is armed (`sync` replays the skipped window bookkeeping
-    /// deterministically at that poll); an uninformed non-candidate can
-    /// only be activated by a reception, which voids the hint.
+    /// deterministically at that poll); an uninformed non-candidate
+    /// stays silent until a reception of the current window's probe
+    /// informs it, after which this answer is the next round.
     #[must_use]
     pub fn next_activity(&self, local_round: u64) -> u64 {
         if self.window >= self.cfg.id_bits {

@@ -154,7 +154,8 @@ pub trait Node {
     /// Called when the node successfully receives `msg` (i.e. exactly one
     /// neighbor transmitted this round and this node was listening). If
     /// the node was asleep, the engine wakes it; from the next round on it
-    /// will be polled.
+    /// will be polled. If it was parked (see [`Node::next_activity`]),
+    /// the engine asks for a fresh hint right after this call.
     fn receive(&mut self, round: u64, msg: &Self::Msg);
 
     /// Reports protocol-local completion; used by harness stop conditions
@@ -178,11 +179,11 @@ pub trait Node {
     /// `NoCd` engines never call this: under the seed paper's model a
     /// collision is indistinguishable from silence, so the default
     /// no-op keeps every existing protocol valid in both models.
-    /// Like [`Node::receive`], a call voids any outstanding
-    /// [`Node::next_activity`] parking promise — the engine resumes
-    /// polling from the next round. Sleeping nodes hear nothing
-    /// (noise carries no message and cannot wake a node); crashed
-    /// listeners are deaf.
+    /// Like [`Node::receive`], a call on a parked node is followed by a
+    /// fresh [`Node::next_activity`] question: the node stays parked
+    /// only if its new hint still skips the next round. Sleeping nodes
+    /// hear nothing (noise carries no message and cannot wake a node);
+    /// crashed listeners are deaf.
     fn collision_heard(&mut self, round: u64) {
         let _ = round;
     }
@@ -190,18 +191,24 @@ pub trait Node {
     /// The earliest future round at which this node may act again —
     /// the engine's permission to skip polls ("parking").
     ///
-    /// Called right after [`Node::poll`]`(round)` on an awake node. A
-    /// return of `next > round + 1` promises that every poll at a
-    /// round `r` with `round < r < next` would return `None`, draw no
-    /// randomness and cause no externally visible state change
-    /// (including [`Node::is_done`]); the engine then skips those
-    /// polls wholesale and resumes at `next`. Returning `u64::MAX`
-    /// parks the node indefinitely.
+    /// Called right after [`Node::poll`]`(round)` on an awake node, and
+    /// again right after a [`Node::receive`] or
+    /// [`Node::collision_heard`] in `round` on a parked one, so the
+    /// answer must be honest in both places. A return of
+    /// `next > round + 1` promises that every poll at a round `r` with
+    /// `round < r < next` would return `None`, draw no randomness and
+    /// cause no externally visible state change (including
+    /// [`Node::is_done`]); the engine then skips those polls wholesale
+    /// and resumes at `next`. Returning `u64::MAX` parks the node
+    /// indefinitely. Any answer `≤ round + 1` (a stale cached round
+    /// included) means "poll me next round".
     ///
-    /// A successful [`Node::receive`] — or harness mutation via
-    /// [`Engine::node_mut`] — invalidates the promise: the engine
-    /// resumes polling such a node from the next round, and asks for a
-    /// fresh hint after that poll.
+    /// After a reception the node stays parked if the new hint still
+    /// passes `round + 1` (an unchanged hint reuses its pending timer),
+    /// and returns to the polled set otherwise. Harness mutation via
+    /// [`Engine::node_mut`], an [`Engine::wake`] and a radio wake-up
+    /// void the promise outright: the engine polls such a node from
+    /// the next round and asks for a fresh hint after that poll.
     ///
     /// The default (`round + 1`, never park) is always correct: a
     /// parked execution must be bit-identical to a never-parked one.
@@ -252,8 +259,8 @@ pub struct Engine<
     /// removes; nodes never go back to sleep.
     active: ActiveSet,
     /// Per-node round of the latest park, i.e. the round its activity
-    /// hint expires (`u64::MAX` = parked until a reception or harness
-    /// event; 0 = never parked). Whether the node is parked *now* is
+    /// hint expires (`u64::MAX` = parked until an event shortens the
+    /// hint; 0 = never parked). Whether the node is parked *now* is
     /// "awake and not in `active`": an unpark leaves this value alone,
     /// so a later re-park to the same round finds its finite entry
     /// still pending in [`Engine::timers`] and pushes no second one.
@@ -263,7 +270,8 @@ pub struct Engine<
     /// Pending hint expirations `(round, node)`, drained at the top of
     /// each round. Finite hints get an entry unless the node's pending
     /// one already holds that round; `u64::MAX` parks don't (they end
-    /// only via reception / [`Engine::node_mut`]).
+    /// only when a reception's fresh hint or [`Engine::node_mut`]
+    /// ends them).
     timers: BinaryHeap<Reverse<(u64, u32)>>,
     round: u64,
     stats: SimStats,
@@ -485,35 +493,60 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
 
     /// Refreshes the done flags of nodes mutated via [`Engine::node_mut`]
     /// and cancels their parking (the harness may have changed state the
-    /// activity hint was based on).
+    /// activity hint was based on). Awake nodes outside `active` are
+    /// exactly the parked ones; a timer entry stays in the heap, where
+    /// firing it for an active node is a no-op and a re-park to the same
+    /// round reuses it.
     fn flush_dirty(&mut self) {
         while let Some(i) = self.dirty.pop() {
             let i = i as usize;
             self.refresh_done(i);
-            self.unpark(i);
+            if self.awake[i] {
+                self.active.insert(i);
+            }
         }
     }
 
-    /// Returns node `i` to the pollable set if it was parked (awake
-    /// nodes outside `active` are exactly the parked ones). Its timer
-    /// entry (if any) is left in the heap: firing it for an active node
-    /// is a no-op, and a re-park to the same round reuses it.
+    /// Records that node `i`, already out of `active`, sleeps until
+    /// round `next` (`> round + 1`; `u64::MAX` = until an event).
+    /// `parked_until[i] == next` means the entry of an earlier park to
+    /// this round is still pending (it pops at `next`, which is in the
+    /// future), so no second entry is pushed.
     #[inline]
-    fn unpark(&mut self, i: usize) {
-        if self.awake[i] {
-            self.active.insert(i);
+    fn park_until(&mut self, i: usize, next: u64) {
+        if next != u64::MAX && next != self.parked_until[i] {
+            #[allow(clippy::cast_possible_truncation)]
+            self.timers.push(Reverse((next, i as u32))); // node count fits u32
+        }
+        self.parked_until[i] = next;
+    }
+
+    /// Re-asks awake node `v`'s activity hint after it received or
+    /// heard noise in `round`, if it is parked: it stays parked while
+    /// the new hint skips the next round, and returns to the polled set
+    /// otherwise. An active node — a sleeper woken this round included —
+    /// keeps its slot; its next poll asks anyway.
+    #[inline]
+    fn rehint(&mut self, v: usize, round: u64) {
+        if self.active.contains(v) {
+            return;
+        }
+        let next = self.nodes[v].next_activity(round);
+        if next > round + 1 {
+            self.park_until(v, next);
+        } else {
+            self.active.insert(v);
         }
     }
 
     /// Delivers a collision-noise observation to awake listener `v`
-    /// (CD engines only): fires [`Node::collision_heard`], voids the
-    /// node's parking promise (hearing noise is an externally visible
-    /// event the activity hint could not have promised away), refreshes
-    /// its done flag, and records a `noise` detail entry.
+    /// (CD engines only): fires [`Node::collision_heard`], re-asks a
+    /// parked node's activity hint, refreshes its done flag, and
+    /// records a `noise` detail entry.
     #[inline]
     fn hear_noise<R: DetailSink>(&mut self, v: usize, v32: u32, round: u64, sink: &mut R) {
         self.nodes[v].collision_heard(round);
-        self.unpark(v);
+        self.rehint(v, round);
         if !self.done[v] {
             self.refresh_done(v);
         }
@@ -620,8 +653,8 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
 
         // Expired activity hints: return parked nodes to the pollable
         // set before phase 1. Entries whose `parked_until` no longer
-        // matches are stale (the node was unparked by a reception or
-        // `node_mut` and re-parked to another round since) and are
+        // matches are stale (a reception moved the node's hint, or it
+        // was unparked and re-parked to another round since) and are
         // dropped; a matching entry of a node unparked meanwhile finds
         // it already active.
         while let Some(&Reverse((when, id))) = self.timers.peek() {
@@ -690,13 +723,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     let next = self.nodes[i].next_activity(round);
                     if next > round + 1 {
                         self.active.remove(i);
-                        // `parked_until[i] == next` means the entry of an
-                        // earlier park to this round is still pending
-                        // (it pops at `next`, which is in the future).
-                        if next != u64::MAX && next != self.parked_until[i] {
-                            self.timers.push(Reverse((next, raw)));
-                        }
-                        self.parked_until[i] = next;
+                        self.park_until(i, next);
                     }
                 }
             }
@@ -793,13 +820,12 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                         self.awake[v] = true;
                         self.active.insert(v);
                         self.stats.wakeups += 1;
-                    } else {
-                        self.unpark(v);
                     }
                     let t = self.last_tx[v] as usize;
                     // `tx[t]` is Some by construction of `last_tx`.
                     let msg = self.tx[t].as_ref().expect("recorded transmitter sent");
                     self.nodes[v].receive(round, msg);
+                    self.rehint(v, round);
                     outcome.receptions += 1;
                     self.stats.receptions += 1;
                     if !self.done[v] {
@@ -874,16 +900,15 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                         if R::ENABLED {
                             sink.woken(v32);
                         }
-                    } else {
-                        // A dropped/jammed delivery leaves a parked
-                        // node parked (its state is untouched); only an
-                        // actual reception voids the activity hint.
-                        self.unpark(v);
                     }
                     let t = self.last_tx[v] as usize;
                     // `tx[t]` is Some by construction of `last_tx`.
                     let msg = self.tx[t].as_ref().expect("recorded transmitter sent");
                     self.nodes[v].receive(round, msg);
+                    // A dropped/jammed delivery leaves a parked node's
+                    // hint standing (its state is untouched); an actual
+                    // reception asks it again.
+                    self.rehint(v, round);
                     outcome.receptions += 1;
                     self.stats.receptions += 1;
                     if R::ENABLED {
@@ -1837,12 +1862,15 @@ mod tests {
     }
 
     #[test]
-    fn cd_noise_unparks_a_parked_node() {
-        // A parked node that hears noise must be re-polled from the
-        // next round (hearing noise is externally visible state).
+    fn cd_noise_re_asks_a_parked_nodes_hint() {
+        // A parked node that hears noise is asked for a fresh hint: it
+        // returns to the polled set only when the noise shortened it.
+        // The hub wants a poll right after noise in an even round and
+        // parks forever otherwise.
         struct Parker {
             polls: Vec<u64>,
             noise_rounds: Vec<u64>,
+            wake_at: u64,
         }
         impl Node for Parker {
             type Msg = u32;
@@ -1853,9 +1881,16 @@ mod tests {
             fn receive(&mut self, _round: u64, _msg: &u32) {}
             fn collision_heard(&mut self, round: u64) {
                 self.noise_rounds.push(round);
+                if round.is_multiple_of(2) {
+                    self.wake_at = round + 1;
+                }
             }
-            fn next_activity(&self, _round: u64) -> u64 {
-                u64::MAX // park forever unless an observation arrives
+            fn next_activity(&self, round: u64) -> u64 {
+                if self.wake_at > round {
+                    self.wake_at
+                } else {
+                    u64::MAX
+                }
             }
         }
         struct Shouter;
@@ -1866,12 +1901,13 @@ mod tests {
             }
             fn receive(&mut self, _round: u64, _msg: &u32) {}
         }
-        // Star: both leaves shout forever; the hub parks after round 0
-        // but noise re-activates it every round.
+        // Star: both leaves shout forever, so the hub hears noise in
+        // every round.
         let g = topology::star(3).unwrap();
         let hub = Parker {
             polls: Vec::new(),
             noise_rounds: Vec::new(),
+            wake_at: 0,
         };
         enum Either {
             Hub(Parker),
@@ -1916,15 +1952,16 @@ mod tests {
             BuiltTopology::Static,
         )
         .unwrap();
-        for _ in 0..4 {
+        for _ in 0..7 {
             e.step();
         }
         match e.node(NodeId::new(0)) {
             Either::Hub(p) => {
-                assert_eq!(p.noise_rounds, vec![0, 1, 2, 3]);
-                // Parked after each poll, unparked by each noise event:
-                // polled every round.
-                assert_eq!(p.polls, vec![0, 1, 2, 3]);
+                assert_eq!(p.noise_rounds, (0..7).collect::<Vec<_>>());
+                // Parked forever after each poll; noise in an even round
+                // shortens the hint to the next round, noise in an odd
+                // one leaves it parked.
+                assert_eq!(p.polls, vec![0, 1, 3, 5]);
             }
             Either::Leaf(_) => unreachable!(),
         }
@@ -1933,9 +1970,9 @@ mod tests {
     #[test]
     fn repark_to_the_same_round_reuses_the_timer_entry() {
         // Node 0 transmits in rounds 0..20. Node 1 promises round 50
-        // after every poll, and each reception voids that promise; the
-        // re-park that follows targets the same round, so the heap keeps
-        // its one pending entry instead of gaining one per reception.
+        // after its round-0 poll; each reception asks again and gets the
+        // same round, so the node stays parked and the heap keeps its
+        // one pending entry instead of gaining one per reception.
         struct Reparker {
             tx_until: u64,
             wake_at: u64,
@@ -1974,9 +2011,9 @@ mod tests {
             e.step();
             assert!(e.timers.len() <= 1, "heap holds {} entries", e.timers.len());
         }
-        // Polled after every reception (rounds 1..=20), then parked
+        // Receptions do not wake it: polled at round 0, then parked
         // until the entry fires at round 50.
-        let want: Vec<u64> = (0..=20).chain(50..60).collect();
+        let want: Vec<u64> = std::iter::once(0).chain(50..60).collect();
         assert_eq!(e.node(NodeId::new(1)).polls, want);
         assert!(e.timers.is_empty());
     }

@@ -14,12 +14,19 @@
 //! * hinted nodes — scripts that additionally implement
 //!   [`Node::next_activity`] from their plan, exercising the engine's
 //!   park/unpark machinery against the always-polling reference;
+//! * reactive nodes — scripts whose receptions schedule replies a few
+//!   rounds later, with a hint that reads the schedule, so a parked
+//!   node's re-asked hint is shortened, kept or ended (from `u64::MAX`)
+//!   by a reception; checked against a dense reference that polls every
+//!   awake node every round;
 //! * the CD differential — the same script run on `Engine<_, _, NoCd>`
 //!   and `Engine<_, _, WithCd>` must produce bit-identical outcomes,
 //!   receptions and stats (collision-noise is informational only), and
 //!   the `WithCd` noise log must match the reference derivation
 //!   "awake non-transmitting listener with >= 2 transmitting
 //!   neighbors" while the `NoCd` hook never fires at all.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use radio_net::dyntopo::BuiltTopology;
@@ -225,6 +232,200 @@ fn make_awake(n: usize, awake_seed: u64) -> Vec<bool> {
     awake0
 }
 
+/// How a reception moved a parked [`Reactive`] node's hint.
+#[derive(Clone, Copy, Debug, Default)]
+struct HintMoves {
+    /// The reply comes before the round the node was parked until.
+    shortened: u64,
+    /// The node stays parked until the same round.
+    kept: u64,
+    /// A node parked with `u64::MAX` gets a finite hint.
+    from_max: u64,
+}
+
+/// A scripted node whose receptions schedule replies: receiving `msg`
+/// in round `r` queues `msg + 1` for round `r + 1 + msg % 4` (unless
+/// that round already holds a reply). Its hint, when `hinted`, is the
+/// first scripted or queued transmission after the round.
+#[derive(Clone)]
+struct Reactive {
+    plan: Vec<Option<u32>>,
+    replies: BTreeMap<u64, u32>,
+    received: Vec<(u64, u32)>,
+    hinted: bool,
+    last_poll: Option<u64>,
+    moves: HintMoves,
+}
+
+impl Reactive {
+    fn new(plan: Vec<Option<u32>>, hinted: bool) -> Self {
+        Reactive {
+            plan,
+            replies: BTreeMap::new(),
+            received: Vec::new(),
+            hinted,
+            last_poll: None,
+            moves: HintMoves::default(),
+        }
+    }
+
+    fn hint(&self, round: u64) -> u64 {
+        let planned = ((round as usize + 1)..self.plan.len())
+            .find(|&r| self.plan[r].is_some())
+            .map_or(u64::MAX, |r| r as u64);
+        let reply = self
+            .replies
+            .range(round + 1..)
+            .next()
+            .map_or(u64::MAX, |(&r, _)| r);
+        planned.min(reply)
+    }
+}
+
+impl Node for Reactive {
+    type Msg = u32;
+    fn poll(&mut self, round: u64) -> Option<u32> {
+        self.last_poll = Some(round);
+        let reply = self.replies.remove(&round);
+        self.plan.get(round as usize).copied().flatten().or(reply)
+    }
+    fn receive(&mut self, round: u64, msg: &u32) {
+        // A node polled before but not in this round is parked (the
+        // engine polls every active node every round).
+        let parked = self.hinted && self.last_poll.is_some_and(|p| p < round);
+        let before = self.hint(round);
+        self.received.push((round, *msg));
+        self.replies
+            .entry(round + 1 + u64::from(msg % 4))
+            .or_insert(msg + 1);
+        let after = self.hint(round);
+        if parked {
+            if before == u64::MAX && after != u64::MAX {
+                self.moves.from_max += 1;
+            } else if after < before {
+                self.moves.shortened += 1;
+            } else {
+                self.moves.kept += 1;
+            }
+        }
+    }
+    fn next_activity(&self, round: u64) -> u64 {
+        if self.hinted {
+            self.hint(round)
+        } else {
+            round + 1
+        }
+    }
+}
+
+/// The always-polling reference for [`Reactive`] nodes: every awake
+/// node is polled every round (by a dense O(n²) scan, without the
+/// engine), receptions follow "exactly one transmitting neighbor", and
+/// receivers wake.
+fn reactive_reference(
+    n: usize,
+    edges: &[(usize, usize)],
+    plans: &[Vec<Option<u32>>],
+    awake0: &[bool],
+    rounds: usize,
+) -> (Receptions, Vec<RoundOutcome>) {
+    let mut adj = vec![vec![false; n]; n];
+    for &(u, v) in edges {
+        adj[u][v] = true;
+        adj[v][u] = true;
+    }
+    let mut nodes: Vec<Reactive> = plans
+        .iter()
+        .map(|p| Reactive::new(p.clone(), false))
+        .collect();
+    let mut awake = awake0.to_vec();
+    let mut outcomes = Vec::with_capacity(rounds);
+    for r in 0..rounds as u64 {
+        let tx: Vec<Option<u32>> = (0..n)
+            .map(|i| if awake[i] { nodes[i].poll(r) } else { None })
+            .collect();
+        let mut outcome = RoundOutcome {
+            round: r,
+            transmissions: tx.iter().flatten().count(),
+            ..RoundOutcome::default()
+        };
+        for v in 0..n {
+            if tx[v].is_some() {
+                continue;
+            }
+            let heard: Vec<u32> = (0..n)
+                .filter(|&u| adj[u][v])
+                .filter_map(|u| tx[u])
+                .collect();
+            match heard.as_slice() {
+                [msg] => {
+                    nodes[v].receive(r, msg);
+                    outcome.receptions += 1;
+                    awake[v] = true;
+                }
+                [] => {}
+                _ => outcome.collisions += 1,
+            }
+        }
+        outcomes.push(outcome);
+    }
+    let received = nodes.into_iter().map(|nd| nd.received).collect();
+    (received, outcomes)
+}
+
+/// Runs [`Reactive`] nodes on the engine under the chosen [`CdModel`]:
+/// per-round outcomes, reception logs and the summed hint moves.
+fn run_reactive<C: CdModel>(
+    n: usize,
+    edges: &[(usize, usize)],
+    plans: &[Vec<Option<u32>>],
+    awake0: &[bool],
+    rounds: usize,
+    hinted: bool,
+) -> (Vec<RoundOutcome>, Receptions, HintMoves) {
+    let graph = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
+    let nodes: Vec<Reactive> = plans
+        .iter()
+        .map(|p| Reactive::new(p.clone(), hinted))
+        .collect();
+    let awake_ids: Vec<NodeId> = (0..n).filter(|&i| awake0[i]).map(NodeId::new).collect();
+    let mut engine = Engine::<Reactive, BuiltFaults, C>::with_topology(
+        graph,
+        nodes,
+        awake_ids,
+        BuiltFaults::default(),
+        BuiltTopology::Static,
+    )
+    .expect("engine builds");
+    let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.step()).collect();
+    let received = engine
+        .nodes()
+        .iter()
+        .map(|nd| nd.received.clone())
+        .collect();
+    let mut moves = HintMoves::default();
+    for nd in engine.nodes() {
+        moves.shortened += nd.moves.shortened;
+        moves.kept += nd.moves.kept;
+        moves.from_max += nd.moves.from_max;
+    }
+    (outcomes, received, moves)
+}
+
+/// Plans for [`Reactive`] runs: the first half of the rounds scripted
+/// sparsely, the rest left to replies.
+fn reactive_plans(n: usize, rounds: usize, plan_seed: u64) -> Vec<Vec<Option<u32>>> {
+    make_plans(n, rounds, plan_seed)
+        .into_iter()
+        .map(|plan| {
+            plan.into_iter()
+                .enumerate()
+                .map(|(r, m)| m.filter(|&m| r < rounds / 2 && m % 2 == 0))
+                .collect()
+        })
+        .collect()
+}
+
 macro_rules! differential_check {
     ($topo:expr, $plan_seed:expr, $awake_seed:expr, $hinted:expr) => {{
         let (n, edges) = ($topo.n, $topo.edges);
@@ -308,6 +509,31 @@ proptest! {
     }
 
     #[test]
+    fn reactive_hints_match_the_always_polling_reference(
+        topo in proptest::graph::edge_list(3..80),
+        plan_seed in any::<u64>(),
+        awake_seed in any::<u64>(),
+    ) {
+        // Receptions schedule replies, so a parked node's hint moves on
+        // receptions; the engine re-asks it and must still poll exactly
+        // where the dense reference transmits. The CD engine takes the
+        // per-listener path and re-asks after noise as well.
+        let (n, edges) = (topo.n, topo.edges);
+        let rounds = 24usize;
+        let plans = reactive_plans(n, rounds, plan_seed);
+        let awake0 = make_awake(n, awake_seed);
+        let (expect, expect_outcomes) = reactive_reference(n, &edges, &plans, &awake0, rounds);
+        let (outcomes, received, _) =
+            run_reactive::<NoCd>(n, &edges, &plans, &awake0, rounds, true);
+        prop_assert_eq!(&outcomes, &expect_outcomes, "per-round outcomes diverge");
+        prop_assert_eq!(&received, &expect, "receptions diverge");
+        let (cd_outcomes, cd_received, _) =
+            run_reactive::<WithCd>(n, &edges, &plans, &awake0, rounds, true);
+        prop_assert_eq!(&cd_outcomes, &expect_outcomes, "CD outcomes diverge");
+        prop_assert_eq!(&cd_received, &expect, "CD receptions diverge");
+    }
+
+    #[test]
     fn cd_engine_is_bit_identical_to_the_nocd_engine(
         topo in proptest::graph::edge_list(3..80),
         plan_seed in any::<u64>(),
@@ -340,4 +566,34 @@ proptest! {
             }
         }
     }
+}
+
+/// The reactive differential reaches every way a reception can move a
+/// parked node's hint: shortened, kept, and ended from `u64::MAX`.
+#[test]
+fn reactive_receptions_shorten_keep_and_end_parks() {
+    let n = 12;
+    // A ring with two chords: sparse enough for unique receptions.
+    let mut edges: Vec<(usize, usize)> = (0..n)
+        .map(|i| (i.min((i + 1) % n), i.max((i + 1) % n)))
+        .collect();
+    edges.extend([(0, 6), (3, 9)]);
+    let rounds = 48;
+    let mut total = HintMoves::default();
+    for seed in 0..16u64 {
+        let plans = reactive_plans(n, rounds, seed);
+        let awake0 = make_awake(n, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (expect, expect_outcomes) = reactive_reference(n, &edges, &plans, &awake0, rounds);
+        let (outcomes, received, moves) =
+            run_reactive::<NoCd>(n, &edges, &plans, &awake0, rounds, true);
+        assert_eq!(outcomes, expect_outcomes, "seed {seed}: outcomes diverge");
+        assert_eq!(received, expect, "seed {seed}: receptions diverge");
+        total.shortened += moves.shortened;
+        total.kept += moves.kept;
+        total.from_max += moves.from_max;
+    }
+    assert!(
+        total.shortened > 0 && total.kept > 0 && total.from_max > 0,
+        "{total:?}"
+    );
 }

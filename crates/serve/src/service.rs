@@ -29,7 +29,7 @@ use kbcast::config::Config;
 use kbcast::dynamic::{
     arrival_key, stamp_latencies, Arrival, DynamicNode, DynamicProtocol, ScheduleSource,
 };
-use kbcast::packet::PacketKey;
+use kbcast::packet::{PacketKey, MAX_PAYLOAD_BYTES};
 use kbcast::runner::{round_cap, RunOptions};
 use kbcast::session::{Drive, LiveSession};
 use radio_net::dyntopo::ChurnSpec;
@@ -339,6 +339,12 @@ impl Service {
                 return err(format!(
                     "inject: node {} out of range (topology has {n} nodes)",
                     p.node
+                ));
+            }
+            if p.payload.len() > MAX_PAYLOAD_BYTES {
+                return err(format!(
+                    "inject: payload of {} bytes exceeds the limit of {MAX_PAYLOAD_BYTES} bytes",
+                    p.payload.len()
                 ));
             }
             let round = p.round.unwrap_or(floor);
@@ -751,6 +757,32 @@ mod tests {
         let lossy = misreported_injection_violations("uniform:rate=0");
         assert!(lossy > 0);
         assert_eq!(clean, lossy + 9);
+    }
+
+    #[test]
+    fn an_oversize_payload_is_refused_at_inject() {
+        // Accepted, this payload would panic the first Stage 4 encode of
+        // the following `run_until_drained`.
+        let inject = |len: usize| {
+            let payload = vec!["7"; len].join(",");
+            format!(r#"{{"op":"inject","node":0,"round":0,"payload":[{payload}]}}"#)
+        };
+        let mut s = Service::new();
+        ok(&s.handle_line(
+            r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":1}"#,
+        ));
+        let resp = s.handle_line(&inject(70_000));
+        let doc = Json::parse(&resp).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("limit of 65521 bytes"), "{error}");
+        // Nothing was queued: the drain has no round-0 packet to start.
+        let drain = Json::parse(&s.handle_line(r#"{"op":"run_until_drained"}"#)).unwrap();
+        assert_eq!(drain.get("ok").and_then(Json::as_bool), Some(false));
+        // A payload of exactly the limit is carried end to end.
+        ok(&s.handle_line(&inject(MAX_PAYLOAD_BYTES)));
+        let drain = ok(&s.handle_line(r#"{"op":"run_until_drained"}"#));
+        assert_eq!(drain.get("completed").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

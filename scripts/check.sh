@@ -168,6 +168,27 @@ for marker in '"ok":true' '"op":"init"' '"op":"inject"' '"op":"set_faults"' \
         exit 1
     }
 done
+if grep -q 'internal panic' target/serve_smoke_responses.jsonl; then
+    echo "check.sh: serve smoke responses report an internal panic" >&2
+    exit 1
+fi
+# A payload over the 65521-byte packet limit is refused at inject
+# (accepted, it would panic the next run's Stage 4 encode).
+{
+    echo '{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":1}'
+    printf '{"op":"inject","node":0,"round":0,"payload":[7'
+    yes ',7' | head -n 69999 | tr -d '\n'
+    echo ']}'
+    echo '{"op":"run_until_drained"}'
+} | ./target/release/kbcast-serve > target/serve_oversize_responses.jsonl
+grep -q 'exceeds the limit of 65521 bytes' target/serve_oversize_responses.jsonl || {
+    echo "check.sh: oversize inject was not refused with the payload limit" >&2
+    exit 1
+}
+if grep -q 'internal panic' target/serve_oversize_responses.jsonl; then
+    echo "check.sh: oversize inject script reports an internal panic" >&2
+    exit 1
+fi
 
 # CD smoke: the quick E21 configuration (grid 8x8, every fault family,
 # ghk vs coded vs bii) with the online verifiers on. KB_VERIFY=1 makes

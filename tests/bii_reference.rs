@@ -181,7 +181,8 @@ mod reference {
         /// holding untransmitted budget (a packet arrived after this
         /// epoch's pick) → parked until the next epoch boundary, where
         /// `begin_epoch` re-picks. All budgets exhausted → silent until a
-        /// reception, which voids the hint.
+        /// reception adds a packet. `receive` catches the epoch up first,
+        /// so the answer is as honest after a reception as after a poll.
         fn next_activity(&self, round: u64) -> u64 {
             if self.current.is_some() {
                 return round + 1;
