@@ -6,7 +6,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
 pub mod parallel;
 pub mod session;
 pub mod stats;

@@ -46,7 +46,7 @@ use rand::rngs::SmallRng;
 use crate::config::Config;
 use crate::messages::Msg;
 use crate::node::{collect_dissem_activity, Setup};
-use crate::packet::{Packet, PacketKey};
+use crate::packet::{check_payload, Packet, PacketKey};
 use crate::runner::{RunOptions, Workload};
 use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
 use crate::stage3::CollectState;
@@ -749,6 +749,14 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         keys
     }
 
+    fn check_payloads(&self, _workload: &Workload) -> Result<(), radio_net::error::Error> {
+        // The round-0 arrivals are the workload; the later ones arrive
+        // out of band.
+        self.arrivals
+            .iter()
+            .try_for_each(|a| check_payload(&a.payload))
+    }
+
     fn delivered(&self, node: &DynamicNode) -> Vec<PacketKey> {
         node.delivered().iter().map(|p| p.key).collect()
     }
@@ -867,8 +875,9 @@ impl SessionReport<DynamicMeta> {
 /// # Errors
 ///
 /// [`radio_net::error::Error::InvalidParameter`] when `horizon` is 0,
-/// no arrival occurs at round 0 (someone must wake the network), or an
-/// arrival names a node outside the topology; plus anything
+/// no arrival occurs at round 0 (someone must wake the network), an
+/// arrival names a node outside the topology or carries a payload over
+/// [`crate::packet::MAX_PAYLOAD_BYTES`]; plus anything
 /// [`RunOptions::validate`] or topology generation rejects.
 pub fn run_streaming(
     topology: &Topology,

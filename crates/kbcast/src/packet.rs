@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use radio_net::error::Error;
 use radio_net::message::MessageSize;
 
 /// Globally unique packet identity: the originating node's id plus a
@@ -21,9 +22,26 @@ const HEADER_BYTES: usize = 14;
 
 /// Largest payload a packet can carry, in bytes (65 521): Stage 4 codes
 /// a packet's byte form ([`Packet::to_bytes`], header plus payload) and
-/// its messages carry that form's length in a `u16`. Inputs that build
-/// packets (the service's `inject`) refuse larger payloads.
+/// its messages carry that form's length in a `u16`. Every input that
+/// builds packets refuses larger payloads through [`check_payload`].
 pub const MAX_PAYLOAD_BYTES: usize = u16::MAX as usize - HEADER_BYTES;
+
+/// Checks that `payload` fits in a packet ([`MAX_PAYLOAD_BYTES`]).
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming the limit when it does not.
+pub fn check_payload(payload: &[u8]) -> Result<(), Error> {
+    if payload.len() > MAX_PAYLOAD_BYTES {
+        return Err(Error::InvalidParameter {
+            reason: format!(
+                "payload of {} bytes exceeds the limit of {MAX_PAYLOAD_BYTES} bytes",
+                payload.len()
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// A payload-bearing packet.
 ///

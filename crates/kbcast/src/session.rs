@@ -49,7 +49,7 @@ use radio_net::topology::Topology;
 use radio_net::trace::{SingleStage, StageProbe, TraceCollector, TraceReport, Traced};
 use radio_net::verify::{Check, ModelChecker, Verified, VerifyStack};
 
-use crate::packet::PacketKey;
+use crate::packet::{check_payload, PacketKey};
 use crate::runner::{RunOptions, Workload};
 
 /// Ground-truth parameters of the network a session runs on, probed
@@ -122,6 +122,19 @@ pub trait BroadcastProtocol {
     /// out-of-band arrivals override this.
     fn expected_keys(&self, workload: &Workload) -> Vec<PacketKey> {
         workload.keys()
+    }
+
+    /// Checks every payload the session will carry with
+    /// [`check_payload`]. Defaults to the workload's payloads;
+    /// protocols with out-of-band arrivals override this.
+    ///
+    /// # Errors
+    ///
+    /// The first payload's [`check_payload`] error.
+    fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
+        (0..workload.len())
+            .flat_map(|i| workload.payloads_of(i))
+            .try_for_each(|p| check_payload(p))
     }
 
     /// The packet keys `node` holds at the end of the session (order
@@ -223,11 +236,8 @@ impl<M> SessionReport<M> {
 ///
 /// # Errors
 ///
-/// Propagates topology-generation failures and invalid options.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the topology's.
+/// Propagates topology-generation failures and everything
+/// [`run_protocol_on_graph`] rejects.
 pub fn run_protocol<P: BroadcastProtocol>(
     protocol: &P,
     topology: &Topology,
@@ -254,16 +264,14 @@ pub fn run_protocol<P: BroadcastProtocol>(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)` and
-/// for invalid fault or churn parameters — checked before any engine
+/// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)`, for
+/// invalid fault or churn parameters, for a workload shaped for another
+/// node count and for a payload over
+/// [`crate::packet::MAX_PAYLOAD_BYTES`] — checked before any engine
 /// state is constructed — and propagates engine-construction failures.
 /// With [`RunOptions::verify`] set, returns
 /// [`Error::VerificationFailed`] (carrying the seed and the first
 /// violations) if the online model/invariant checkers flag anything.
-///
-/// # Panics
-///
-/// Panics if the workload's node count differs from the graph's.
 pub fn run_protocol_on_graph<P: BroadcastProtocol>(
     protocol: &P,
     graph: Graph,
@@ -363,12 +371,10 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
     ///
     /// # Errors
     ///
-    /// Propagates fault-model, churn-model and engine-construction
-    /// failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload's node count differs from the graph's.
+    /// [`Error::InvalidParameter`] for a workload shaped for another
+    /// node count or a payload [`BroadcastProtocol::check_payloads`]
+    /// refuses; propagates fault-model, churn-model and
+    /// engine-construction failures.
     pub fn build<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
         protocol: &P,
         graph: Graph,
@@ -377,12 +383,15 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
         options: &RunOptions,
     ) -> Result<Self, Error> {
         let n = graph.len();
-        assert_eq!(
-            workload.len(),
-            n,
-            "workload shaped for {} nodes, graph has {n}",
-            workload.len()
-        );
+        if workload.len() != n {
+            return Err(Error::InvalidParameter {
+                reason: format!(
+                    "workload shaped for {} nodes, graph has {n}",
+                    workload.len()
+                ),
+            });
+        }
+        protocol.check_payloads(workload)?;
         let net = NetParams::of_graph(&graph);
         let expected = protocol.expected_keys(workload);
         debug_assert!(

@@ -25,6 +25,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use protocols::epidemic::Epidemic;
+use radio_net::engine::Node;
+use radio_net::graph::{Graph, NodeId};
+use radio_net::rng;
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::config::Config;
@@ -467,36 +471,90 @@ impl CollectState {
     }
 }
 
+/// Standalone adapter running [`CollectState`] directly on a
+/// [`radio_net::engine::Engine`] from stage-local round 0, for tests and
+/// the Lemma 4 experiment of Stage 3 in isolation: the BFS tree is
+/// installed by the harness ([`CollectNode::on_tree`]) instead of being
+/// built by Stage 2.
+#[derive(Debug)]
+pub struct CollectNode {
+    st: CollectState,
+    rng: SmallRng,
+}
+
+impl CollectNode {
+    /// Wraps a state machine created at stage-local round 0.
+    #[must_use]
+    pub fn new(st: CollectState, rng: SmallRng) -> Self {
+        CollectNode { st, rng }
+    }
+
+    /// One node per vertex of `graph`, rooted at `root`: every other
+    /// node's BFS parent is its smallest-id neighbor one ring closer to
+    /// the root, node `i` starts with `packets[i]` and draws from
+    /// `rng::stream(seed, i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is disconnected or `packets` does not hold one
+    /// list per node.
+    #[must_use]
+    pub fn on_tree(
+        graph: &Graph,
+        cfg: Config,
+        root: usize,
+        packets: Vec<Vec<Packet>>,
+        seed: u64,
+    ) -> Vec<Self> {
+        assert_eq!(packets.len(), graph.len(), "one packet list per node");
+        let dist = graph.bfs_distances(NodeId::new(root));
+        let parent_of = |i: usize| -> Option<u64> {
+            if i == root {
+                return None;
+            }
+            let di = dist[i].expect("connected graph");
+            graph
+                .neighbors(NodeId::new(i))
+                .iter()
+                .find(|&&p| dist[p.index()] == Some(di - 1))
+                .map(|p| p.index() as u64)
+        };
+        packets
+            .into_iter()
+            .enumerate()
+            .map(|(i, own)| {
+                let st = CollectState::new(cfg, i as u64, i == root, parent_of(i), own, 0);
+                CollectNode::new(st, rng::stream(seed, i as u64))
+            })
+            .collect()
+    }
+
+    /// The wrapped state machine.
+    #[must_use]
+    pub fn state(&self) -> &CollectState {
+        &self.st
+    }
+}
+
+impl Node for CollectNode {
+    type Msg = Msg;
+    fn poll(&mut self, round: u64) -> Option<Msg> {
+        self.st.poll(round, &mut self.rng)
+    }
+    fn receive(&mut self, round: u64, msg: &Msg) {
+        self.st.deliver(round, msg);
+    }
+    fn is_done(&self) -> bool {
+        self.st.finished_at().is_some()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use radio_net::dyntopo::BuiltTopology;
-    use radio_net::engine::{Engine, NoCd, Node};
-    use radio_net::graph::NodeId;
-    use radio_net::rng;
+    use radio_net::engine::{Engine, NoCd};
     use radio_net::topology::Topology;
-    use rand::rngs::SmallRng;
-
-    /// Standalone Stage 3 driver: BFS labels are installed by the
-    /// harness (Stage 2 is tested in `protocols::bfs`), so this tests
-    /// collection in isolation.
-    struct CollectNode {
-        st: CollectState,
-        rng: SmallRng,
-    }
-
-    impl Node for CollectNode {
-        type Msg = Msg;
-        fn poll(&mut self, round: u64) -> Option<Msg> {
-            self.st.poll(round, &mut self.rng)
-        }
-        fn receive(&mut self, round: u64, msg: &Msg) {
-            self.st.deliver(round, msg);
-        }
-        fn is_done(&self) -> bool {
-            self.st.finished_at().is_some()
-        }
-    }
 
     /// Builds a Stage 3-only network on `topology` with root `root` and
     /// `packets_at[i]` packets initially at node `i`.
@@ -509,36 +567,20 @@ mod tests {
         let g = topology.build(seed).unwrap();
         let n = g.len();
         let cfg = Config::for_network(n, g.diameter().unwrap(), g.max_degree());
-        let dist = g.bfs_distances(NodeId::new(root));
-        // Harness-installed BFS parents: smallest-id neighbor one ring up.
-        let parent_of = |i: usize| -> Option<u64> {
-            if i == root {
-                return None;
-            }
-            let di = dist[i].unwrap();
-            g.neighbors(NodeId::new(i))
-                .iter()
-                .find(|&&p| dist[p.index()] == Some(di - 1))
-                .map(|p| p.index() as u64)
-        };
-        let mut expected = Vec::new();
-        let nodes: Vec<CollectNode> = (0..n)
+        let packets: Vec<Vec<Packet>> = (0..n)
             .map(|i| {
-                let packets: Vec<Packet> = (0..packets_at[i])
+                (0..packets_at[i])
                     .map(|s| Packet::new(i as u64, s as u32, vec![i as u8, s as u8]))
-                    .collect();
-                expected.extend(packets.iter().cloned());
-                CollectNode {
-                    st: CollectState::new(cfg, i as u64, i == root, parent_of(i), packets, 0),
-                    rng: rng::stream(seed, i as u64),
-                }
+                    .collect()
             })
             .collect();
+        let mut expected: Vec<Packet> = packets.iter().flatten().cloned().collect();
+        let nodes = CollectNode::on_tree(&g, cfg, root, packets, seed);
         let mut e = Engine::new(g, nodes, (0..n).map(NodeId::new)).unwrap();
         let cap = 80 * schedule::phase_rounds(cfg.initial_estimate(), &cfg);
         let ok = e.run_until_all_done(cap);
         let rounds = e.round();
-        let root_node = &e.node(NodeId::new(root)).st;
+        let root_node = e.node(NodeId::new(root)).state();
         let phases = root_node.phase();
         let mut got: Vec<Packet> = root_node.collected().to_vec();
         got.sort_by_key(|p| p.key);
@@ -609,6 +651,24 @@ mod tests {
     }
 
     #[test]
+    fn one_overloaded_ospg_loses_packets() {
+        // k far above the 6y launch slots of the first OSPG(y): packets
+        // drawing a taken slot are not sent in this procedure, so the
+        // root holds at most 6y distinct ones when its window closes.
+        let g = Topology::Path { n: 6 }.build(0).unwrap();
+        let cfg = Config::for_network(6, 5, 2);
+        let ospg = schedule::grab_schedule(cfg.initial_estimate(), &cfg)[0];
+        let k = 60 * ospg.y;
+        let mut packets = vec![Vec::new(); 6];
+        packets[5] = (0..k).map(|s| Packet::new(5, s as u32, vec![1])).collect();
+        let nodes = CollectNode::on_tree(&g, cfg, 0, packets, 3);
+        let mut e = Engine::new(g, nodes, (0..6).map(NodeId::new)).unwrap();
+        e.run(ospg.send_end);
+        let got = e.node(NodeId::new(0)).state().collected().len();
+        assert!(got > 0 && got <= 6 * ospg.y, "got {got}");
+    }
+
+    #[test]
     fn silenced_channel_fails_truthfully_at_the_retry_cap() {
         // A channel that delivers nothing, ever: alarms can never reach
         // the root, so an uncapped node would double its estimate each
@@ -633,10 +693,8 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                CollectNode {
-                    st: CollectState::new(cfg, i as u64, i == 0, Some(0), packets, 0),
-                    rng: rng::stream(0, i as u64),
-                }
+                let st = CollectState::new(cfg, i as u64, i == 0, Some(0), packets, 0);
+                CollectNode::new(st, rng::stream(0, i as u64))
             })
             .collect();
         let mut e = Engine::<_, _, NoCd>::with_topology(
@@ -652,14 +710,14 @@ mod tests {
             e.run_until_all_done(cap),
             "every node must terminate despite total silence"
         );
-        let stuck = &e.node(NodeId::new(n - 1)).st;
+        let stuck = e.node(NodeId::new(n - 1)).state();
         assert!(stuck.has_unacked(), "the packet was never collected");
         assert_eq!(
             stuck.phase(),
             cfg.max_collect_phases,
             "alarm initiation must stop exactly at the cap"
         );
-        assert!(e.node(NodeId::new(0)).st.collected().is_empty());
+        assert!(e.node(NodeId::new(0)).state().collected().is_empty());
     }
 
     #[test]

@@ -13,5 +13,5 @@
 pub mod collect;
 pub mod schedule;
 
-pub use collect::CollectState;
+pub use collect::{CollectNode, CollectState};
 pub use schedule::{grab_rounds, grab_schedule, phase_rounds, phase_start, ProcDesc};

@@ -3,6 +3,10 @@
 use gf2::bitvec::BitVec;
 use gf2::decoder::{Decoder, Insert};
 use protocols::decay::Decay;
+use radio_net::engine::Node;
+use radio_net::graph::{Graph, NodeId};
+use radio_net::rng;
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::config::Config;
@@ -488,34 +492,78 @@ impl DissemState {
     }
 }
 
+/// Standalone adapter running [`DissemState`] directly on a
+/// [`radio_net::engine::Engine`] from stage-local round 0, for tests and
+/// the Lemma 6 experiment of Stage 4 in isolation: the BFS rings are
+/// installed by the harness ([`DissemNode::on_rings`]) instead of being
+/// built by Stage 2.
+#[derive(Debug)]
+pub struct DissemNode {
+    st: DissemState,
+    rng: SmallRng,
+}
+
+impl DissemNode {
+    /// One node per vertex of `graph`, rooted at `root`: the root sources
+    /// `packets` as batch 0, every other node's ring is its BFS distance
+    /// from the root, and node `i` draws from `rng::stream(seed, i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a distance does not fit in `u32`.
+    #[must_use]
+    pub fn on_rings(
+        graph: &Graph,
+        cfg: Config,
+        root: usize,
+        packets: &[Packet],
+        seed: u64,
+    ) -> Vec<Self> {
+        let dist = graph.bfs_distances(NodeId::new(root));
+        dist.iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let st = if i == root {
+                    DissemState::new_root(cfg, packets.to_vec(), 0)
+                } else {
+                    let ring = d.map(|d| u32::try_from(d).expect("distance fits u32"));
+                    DissemState::new_node(cfg, ring, 0)
+                };
+                DissemNode {
+                    st,
+                    rng: rng::stream(seed, i as u64),
+                }
+            })
+            .collect()
+    }
+
+    /// The wrapped state machine.
+    #[must_use]
+    pub fn state(&self) -> &DissemState {
+        &self.st
+    }
+}
+
+impl Node for DissemNode {
+    type Msg = Msg;
+    fn poll(&mut self, round: u64) -> Option<Msg> {
+        self.st.poll(round, &mut self.rng)
+    }
+    fn receive(&mut self, _round: u64, msg: &Msg) {
+        if let Msg::Coded(c) = msg {
+            self.st.deliver(c);
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.st.is_complete()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_net::engine::{Engine, Node};
-    use radio_net::graph::NodeId;
-    use radio_net::rng;
+    use radio_net::engine::Engine;
     use radio_net::topology::Topology;
-    use rand::rngs::SmallRng;
-
-    struct DissemNode {
-        st: DissemState,
-        rng: SmallRng,
-    }
-
-    impl Node for DissemNode {
-        type Msg = Msg;
-        fn poll(&mut self, round: u64) -> Option<Msg> {
-            self.st.poll(round, &mut self.rng)
-        }
-        fn receive(&mut self, _round: u64, msg: &Msg) {
-            if let Msg::Coded(c) = msg {
-                self.st.deliver(c);
-            }
-        }
-        fn is_done(&self) -> bool {
-            self.st.is_complete()
-        }
-    }
 
     fn make_packets(k: usize) -> Vec<Packet> {
         (0..k)
@@ -535,32 +583,18 @@ mod tests {
         let n = g.len();
         let mut cfg = Config::for_network(n, g.diameter().unwrap(), g.max_degree());
         cfg.group_size_override = group_override;
-        let dist = g.bfs_distances(NodeId::new(root));
         let packets = make_packets(k);
-        let nodes: Vec<DissemNode> = (0..n)
-            .map(|i| DissemNode {
-                st: if i == root {
-                    DissemState::new_root(cfg, packets.clone(), 0)
-                } else {
-                    DissemState::new_node(cfg, dist[i].map(|d| u32::try_from(d).unwrap()), 0)
-                },
-                rng: rng::stream(seed, i as u64),
-            })
-            .collect();
+        let nodes = DissemNode::on_rings(&g, cfg, root, &packets, seed);
         let mut e = Engine::new(g, nodes, (0..n).map(NodeId::new)).unwrap();
         // Generous cap: 4x the scheduled stage length.
-        let sched = {
-            let m = cfg.group_size();
-            let groups = k.div_ceil(m).max(1) as u64;
-            (3 * (groups - 1) + cfg.d_bound.max(1) as u64) * cfg.forward_phase_rounds()
-        };
+        let sched = e.node(NodeId::new(root)).state().total_rounds().unwrap();
         let ok = e.run_until_all_done(4 * sched + 64);
         if !ok {
             return (false, e.round());
         }
         // Every node must hold exactly the root's packets, in order.
         for i in 0..n {
-            if e.node(NodeId::new(i)).st.packets() != packets {
+            if e.node(NodeId::new(i)).state().packets() != packets {
                 return (false, e.round());
             }
         }
@@ -614,6 +648,35 @@ mod tests {
             rounds_coded < rounds_uncoded,
             "coded {rounds_coded} !< uncoded {rounds_uncoded}"
         );
+    }
+
+    #[test]
+    fn forward_phase_cut_short_leaves_ring_two_undecoded() {
+        // A root, 4 ring-1 nodes and 6 ring-2 nodes, rings 1 and 2 fully
+        // connected. Phase 0 hands the 8-packet group to ring 1; three
+        // Decay epochs of phase 1 give ring 2 too few rows to decode,
+        // the whole phase gives every ring-2 node full rank.
+        let (t, r) = (4, 6);
+        let edges = (1..=t).flat_map(|a| {
+            [(0, a)]
+                .into_iter()
+                .chain((t + 1..=t + r).map(move |b| (a, b)))
+        });
+        let g = Graph::from_edges(1 + t + r, edges).unwrap();
+        let cfg = Config::for_network(256, 2, 16);
+        let nodes = DissemNode::on_rings(&g, cfg, 0, &make_packets(cfg.group_size()), 1);
+        let mut e = Engine::new(g, nodes, (0..=t + r).map(NodeId::new)).unwrap();
+        let decoded = |nodes: &[DissemNode]| {
+            nodes[t + 1..]
+                .iter()
+                .filter(|nd| nd.state().is_complete())
+                .count()
+        };
+        let (phase, cut) = (cfg.forward_phase_rounds(), 3 * cfg.epoch_len() as u64);
+        e.run(phase + cut);
+        assert!(decoded(e.nodes()) < r / 2, "{} decoded", decoded(e.nodes()));
+        e.run(phase - cut);
+        assert_eq!(decoded(e.nodes()), r);
     }
 
     #[test]

@@ -17,4 +17,4 @@
 
 pub mod disseminate;
 
-pub use disseminate::{DissemState, GroupStatus};
+pub use disseminate::{DissemNode, DissemState, GroupStatus};

@@ -29,7 +29,7 @@ use kbcast::config::Config;
 use kbcast::dynamic::{
     arrival_key, stamp_latencies, Arrival, DynamicNode, DynamicProtocol, ScheduleSource,
 };
-use kbcast::packet::{PacketKey, MAX_PAYLOAD_BYTES};
+use kbcast::packet::{check_payload, PacketKey};
 use kbcast::runner::{round_cap, RunOptions};
 use kbcast::session::{Drive, LiveSession};
 use radio_net::dyntopo::ChurnSpec;
@@ -341,11 +341,8 @@ impl Service {
                     p.node
                 ));
             }
-            if p.payload.len() > MAX_PAYLOAD_BYTES {
-                return err(format!(
-                    "inject: payload of {} bytes exceeds the limit of {MAX_PAYLOAD_BYTES} bytes",
-                    p.payload.len()
-                ));
+            if let Err(e) = check_payload(&p.payload) {
+                return err(format!("inject: {e}"));
             }
             let round = p.round.unwrap_or(floor);
             if round < floor {
@@ -672,6 +669,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kbcast::packet::MAX_PAYLOAD_BYTES;
 
     fn ok(line: &str) -> Json {
         let doc = Json::parse(line).unwrap();

@@ -65,6 +65,13 @@ done
 # rank with probability >= 0.99 for every group size (under a second).
 KB_SCALE=quick cargo run --release -q -p kbcast-bench --bin exp_e6_rank > /dev/null
 
+# Lemma 6 and Lemma 4 smokes, on the shipped Stage 4 and Stage 3 nodes:
+# the quick E7 asserts that one FORWARD phase at the default budget
+# decodes every next-ring node, the quick E8 that one OSPG(y) with
+# y/k >= 1 delivers at least half the packets (both under a second).
+KB_SCALE=quick cargo run --release -q -p kbcast-bench --bin exp_e7_forward > /dev/null
+KB_SCALE=quick cargo run --release -q -p kbcast-bench --bin exp_e8_ospg > /dev/null
+
 # Fault-injection smoke: the quick E17 configuration (grid 16x16, every
 # fault family, 2 seeds) must run to completion and emit its JSON. This
 # exercises the whole fault stack — spec parsing, per-seed model

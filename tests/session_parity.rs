@@ -2,10 +2,12 @@
 //! with the coded and BII protocols must produce reports bit-identical
 //! to a hand-rolled engine drive that replicates the original post-hoc
 //! computation (fixed seeds, every report field). Also covers the
-//! `RunOptions` validation and round-cap contracts, and loss injection
-//! through the `UniformLoss` fault model.
+//! `RunOptions` and workload validation and round-cap contracts, and
+//! loss injection through the `UniformLoss` fault model.
 
 use radio_kbcast::kbcast::baseline::{BiiConfig, BiiNode, BiiProtocol};
+use radio_kbcast::kbcast::dynamic::{run_streaming, Arrival};
+use radio_kbcast::kbcast::packet::MAX_PAYLOAD_BYTES;
 use radio_kbcast::kbcast::runner::{
     round_cap, CodedProtocol, KbcastMeta, RunOptions, StageRounds, Workload,
 };
@@ -282,6 +284,63 @@ fn zero_round_cap_is_rejected_up_front() {
     };
     let err = run_protocol(&CodedProtocol::default(), &topo, &w, 0, opts).unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }));
+}
+
+#[test]
+fn oversize_payload_is_rejected_up_front() {
+    // Accepted, a payload over the limit would panic the first Stage 4
+    // encode; every session entry must refuse it with an error instead.
+    let refused = |err: Error| {
+        assert!(
+            matches!(&err, Error::InvalidParameter { reason } if reason.contains("limit of 65521 bytes")),
+            "{err}"
+        );
+    };
+    let topo = Topology::Grid2d { rows: 3, cols: 3 };
+    let one_at_0 = |len: usize| {
+        let mut payloads = vec![Vec::new(); 9];
+        payloads[0].push(vec![7; len]);
+        Workload::new(payloads)
+    };
+    let graph = topo.build(1).unwrap();
+    let w = one_at_0(MAX_PAYLOAD_BYTES + 1);
+    let coded = CodedProtocol::default();
+    refused(run_protocol_on_graph(&coded, graph, &w, 1, RunOptions::default()).unwrap_err());
+    // A streaming arrival after round 0 never enters the workload.
+    let arrival = |round: u64, len: usize| Arrival {
+        round,
+        node: 4,
+        payload: vec![7; len],
+    };
+    let arrivals = [arrival(0, 1), arrival(500, MAX_PAYLOAD_BYTES + 1)];
+    refused(run_streaming(&topo, &arrivals, None, 1, 100_000, RunOptions::default()).unwrap_err());
+    // A payload of exactly the limit is carried end to end.
+    let r = run_protocol(
+        &coded,
+        &topo,
+        &one_at_0(MAX_PAYLOAD_BYTES),
+        1,
+        RunOptions::default(),
+    );
+    assert!(r.unwrap().success);
+}
+
+#[test]
+fn workload_for_another_node_count_is_rejected() {
+    let topo = Topology::Path { n: 4 };
+    let w = Workload::random(5, 2, 0);
+    let err = run_protocol(
+        &CodedProtocol::default(),
+        &topo,
+        &w,
+        0,
+        RunOptions::default(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, Error::InvalidParameter { reason } if reason.contains("5 nodes, graph has 4")),
+        "{err}"
+    );
 }
 
 #[test]
