@@ -383,7 +383,9 @@ impl Observer<KbcastNode> for StageObserver {
 ///
 /// Ranks only grow on reception ([`DissemState::deliver`]), so the
 /// gauge is re-summed — one running total per node — only in rounds
-/// with a reception, and reused otherwise.
+/// with a reception, and reused otherwise. Before Stage 3 starts it is
+/// zero without a sum: coded rows exist only once a root has finished
+/// Stage 3, so no decoder can hold one earlier.
 #[derive(Debug)]
 pub struct CodedStageProbe {
     clock: StageClock,
@@ -405,6 +407,7 @@ impl StageProbe<KbcastNode> for CodedStageProbe {
     fn sample(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) -> StageSample {
         let stage = self.clock.stage(events.round, nodes);
         let gauge = match self.gauge {
+            _ if events.round < self.clock.s3_start => 0,
             Some(g) if events.receptions == 0 => g,
             _ => nodes
                 .iter()

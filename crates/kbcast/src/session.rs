@@ -407,29 +407,36 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
         // The checker stack gets its own copy of the engine's
         // construction inputs (topology, initial awake set and an
         // identically seeded topology model), so every round is
-        // re-derived from independent state.
-        let stack = if options.verify {
-            let mut stack = VerifyStack::new();
-            let awake = awake.iter().copied();
-            let replica = options.churn.build(&graph, seed)?;
-            stack.push(Box::new(ModelChecker::with_topology(
+        // re-derived from independent state. The engine is built
+        // first: it validates those inputs and reports a bad one as an
+        // error, which the checker would assert on.
+        let replica = if options.verify {
+            Some((
                 graph.clone(),
+                awake.clone(),
+                options.churn.build(&graph, seed)?,
+            ))
+        } else {
+            None
+        };
+        let engine = Engine::with_topology(graph, nodes, awake, faults, topo)?;
+        let stack = replica.map(|(graph, awake, topo)| {
+            let mut stack = VerifyStack::new();
+            stack.push(Box::new(ModelChecker::with_topology(
+                graph,
                 awake,
                 C::ENABLED,
-                replica,
+                topo,
             )));
             for check in protocol.verify_checks(&net, workload, clean) {
                 stack.push(check);
             }
-            Some(stack)
-        } else {
-            None
-        };
+            stack
+        });
         let tracer = options
             .trace
             .then(|| TraceCollector::new(protocol.trace_probe(&net)));
 
-        let engine = Engine::with_topology(graph, nodes, awake, faults, topo)?;
         let cap = options
             .max_rounds
             .unwrap_or_else(|| protocol.round_cap(&net, expected.len()));

@@ -28,9 +28,15 @@
 //!   ([`KbcastNode::has_all_packets`]) holds exactly the expected set.
 //!
 //! Per-round work follows receptions, since protocol state only
-//! changes in `receive`. The Stage 2/3 flag scans run only in rounds
-//! with a reception, so silent rounds cost one branch. The decoder
-//! checks are receiver-driven: they visit only the round's listeners
+//! changes in `receive`, and none of it scans all n nodes. The Stage 2
+//! label check walks a shrinking list of the nodes not yet labeled,
+//! only in rounds with a reception at or past Stage 1's end (no label
+//! exists before). The Stage 3 ledger check visits the roots that walk
+//! has found: a root labels itself in the same call that makes it root
+//! (`Setup::ensure_bfs`), so even a late root — one that finalizes its
+//! election on a poll after Stage 1 because a crash fault held it down
+//! — is found in the round it appears. The decoder checks are
+//! receiver-driven: they visit only the round's listeners
 //! (the [`RoundDetail`] deliveries), because a node's decoder ranks
 //! and decoded-group count change only in
 //! [`crate::stage4::DissemState::deliver`], which runs only inside
@@ -49,6 +55,7 @@ use crate::config::Config;
 use crate::dynamic::{arrival_key, Arrival, DynamicNode};
 use crate::node::KbcastNode;
 use crate::packet::PacketKey;
+use protocols::bfs::BfsLabel;
 
 /// The end-of-session holdings audit both checkers run on node `i`:
 /// sorts its `keys`, flags every duplicate, then flags each key outside
@@ -87,18 +94,22 @@ fn audit_holdings(
 /// [module docs](self)). One instance observes one session.
 #[derive(Debug)]
 pub struct StageInvariants {
-    cfg: Config,
     /// Ground-truth key set, sorted (the driver's `expected_keys`).
     expected: Vec<PacketKey>,
     /// Whether w.h.p.-only invariants (unique leader, conservation on
     /// completion) may be asserted.
     clean: bool,
     scanned: bool,
-    /// Per node: BFS label validated (labels are write-once, so each
-    /// node is checked exactly once).
-    bfs_checked: Vec<bool>,
-    /// Per node: last seen root-ledger size (only roots are tracked).
-    prev_collected: Vec<usize>,
+    /// Stage 1's end: no node holds a BFS label before it.
+    s1_end: u64,
+    /// Nodes whose BFS label has not been validated yet, ascending.
+    /// Labels are write-once, so each node is checked exactly once,
+    /// when it leaves this list.
+    unlabeled: Vec<u32>,
+    /// Roots the label scan has found, ascending, each with its last
+    /// seen ledger size. A root labels itself in the same call that
+    /// makes it root, so the scan finds it in the round it appears.
+    roots: Vec<(usize, usize)>,
     /// Per node: last seen decoded-group count.
     prev_decoded: Vec<u32>,
     /// Per node, per group: last seen decoder rank.
@@ -114,12 +125,13 @@ impl StageInvariants {
     pub fn new(cfg: Config, n: usize, expected: Vec<PacketKey>, clean: bool) -> Self {
         debug_assert!(expected.windows(2).all(|w| w[0] < w[1]));
         StageInvariants {
-            cfg,
             expected,
             clean,
             scanned: false,
-            bfs_checked: vec![false; n],
-            prev_collected: vec![0; n],
+            s1_end: cfg.stage1_rounds(),
+            #[allow(clippy::cast_possible_truncation)]
+            unlabeled: (0..n as u32).collect(), // node ids fit u32
+            roots: Vec::new(),
             prev_decoded: vec![0; n],
             prev_ranks: vec![Vec::new(); n],
             log: ViolationLog::default(),
@@ -159,75 +171,82 @@ impl StageInvariants {
         }
     }
 
-    /// Stage 2 shape: validates a node's label once, against its
-    /// parent's (final, write-once) label.
+    /// Stage 2 shape: validates each newly labeled node's label once,
+    /// against its parent's (final, write-once) label, and records the
+    /// new roots among them.
     fn check_bfs(&mut self, round: u64, nodes: &[KbcastNode]) {
-        for (i, node) in nodes.iter().enumerate() {
-            if self.bfs_checked[i] {
-                continue;
-            }
+        let mut unlabeled = std::mem::take(&mut self.unlabeled);
+        unlabeled.retain(|&i| {
+            let i = i as usize;
+            let node = &nodes[i];
             let Some(label) = node.bfs_label() else {
-                continue;
+                return true;
             };
-            self.bfs_checked[i] = true;
-            match label.parent {
-                None => {
-                    if !node.is_root() || label.dist != 0 {
-                        self.log.record(
-                            round,
-                            format!(
-                                "node {i} has a parentless label (dist {}) but is not the root",
-                                label.dist
-                            ),
-                        );
-                    }
-                }
-                Some(p) => {
-                    let pd = usize::try_from(p)
-                        .ok()
-                        .and_then(|pi| nodes.get(pi))
-                        .and_then(|pn| pn.bfs_label().map(|l| l.dist));
-                    match pd {
-                        None => self
-                            .log
-                            .record(round, format!("node {i} names unlabeled parent {p}")),
-                        Some(pd) if pd + 1 != label.dist => self.log.record(
-                            round,
-                            format!(
-                                "node {i} at BFS distance {} has parent {p} at distance {pd} \
-                                 (must differ by exactly 1)",
-                                label.dist
-                            ),
+            self.check_label(round, i, label, nodes);
+            if node.is_root() {
+                let at = self.roots.partition_point(|&(r, _)| r < i);
+                self.roots.insert(at, (i, 0));
+            }
+            false
+        });
+        self.unlabeled = unlabeled;
+    }
+
+    fn check_label(&mut self, round: u64, i: usize, label: BfsLabel, nodes: &[KbcastNode]) {
+        match label.parent {
+            None => {
+                if !nodes[i].is_root() || label.dist != 0 {
+                    self.log.record(
+                        round,
+                        format!(
+                            "node {i} has a parentless label (dist {}) but is not the root",
+                            label.dist
                         ),
-                        Some(_) => {}
-                    }
+                    );
+                }
+            }
+            Some(p) => {
+                let pd = usize::try_from(p)
+                    .ok()
+                    .and_then(|pi| nodes.get(pi))
+                    .and_then(|pn| pn.bfs_label().map(|l| l.dist));
+                match pd {
+                    None => self
+                        .log
+                        .record(round, format!("node {i} names unlabeled parent {p}")),
+                    Some(pd) if pd + 1 != label.dist => self.log.record(
+                        round,
+                        format!(
+                            "node {i} at BFS distance {} has parent {p} at distance {pd} \
+                             (must differ by exactly 1)",
+                            label.dist
+                        ),
+                    ),
+                    Some(_) => {}
                 }
             }
         }
     }
 
-    /// Stage 3 token conservation: the root ledger only grows, and only
-    /// with fresh ground-truth keys.
+    /// Stage 3 token conservation: each root's ledger only grows, and
+    /// only with fresh ground-truth keys.
     fn check_collection(&mut self, round: u64, nodes: &[KbcastNode]) {
-        for (i, node) in nodes.iter().enumerate() {
-            if !node.is_root() {
-                continue;
-            }
-            let Some(collect) = node.collect_state() else {
+        for r in 0..self.roots.len() {
+            let (i, prev) = self.roots[r];
+            let Some(collect) = nodes[i].collect_state() else {
                 continue;
             };
             let collected = collect.collected();
-            if collected.len() < self.prev_collected[i] {
+            if collected.len() < prev {
                 self.log.record(
                     round,
                     format!(
-                        "root {i} ledger shrank from {} to {} packets",
-                        self.prev_collected[i],
+                        "root {i} ledger shrank from {prev} to {} packets",
                         collected.len()
                     ),
                 );
             }
-            if collected.len() != self.prev_collected[i] {
+            if collected.len() != prev {
                 // Validate only on change; the ledger is append-only so
                 // re-validating old entries would be redundant work.
                 let mut keys: Vec<PacketKey> = collected.iter().map(|p| p.key).collect();
@@ -246,7 +265,7 @@ impl StageInvariants {
                             .record(round, format!("root {i} collected forged key {key:?}"));
                     }
                 }
-                self.prev_collected[i] = collected.len();
+                self.roots[r].1 = collected.len();
             }
         }
     }
@@ -318,19 +337,22 @@ impl Check<KbcastNode> for StageInvariants {
     }
 
     fn on_round(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) {
-        if !self.scanned && events.round >= self.cfg.stage1_rounds() {
+        if !self.scanned && events.round >= self.s1_end {
             self.scanned = true;
             if self.clean {
                 self.check_election(events.round, nodes);
             }
         }
-        // The flag scans below watch state that only changes through
-        // receptions; silent rounds are free.
-        if events.receptions == 0 {
+        // The checks below watch state that only changes through
+        // receptions; silent rounds are free, and so is Stage 1, where
+        // no node holds a label and so no root is known.
+        if events.receptions == 0 || events.round < self.s1_end {
             return;
         }
         let round = events.round;
-        self.check_bfs(round, nodes);
+        if !self.unlabeled.is_empty() {
+            self.check_bfs(round, nodes);
+        }
         self.check_collection(round, nodes);
     }
 

@@ -38,6 +38,7 @@
 //! recording side is gated on [`Observer::DETAIL`] — a monomorphized
 //! constant, so disabled runs compile to the unchecked hot loop.
 
+use crate::bitset::words_for;
 use crate::dyntopo::{BuiltTopology, TopologyModel};
 use crate::engine::Node;
 use crate::graph::{Graph, NodeId};
@@ -147,6 +148,15 @@ impl ViolationLog {
 /// under any [`Node`] and any fault model with zero false positives —
 /// faulted outcomes arrive pre-labelled in the trace and are checked
 /// for consistency rather than flagged.
+///
+/// Per round it pays for the round's events, never for n: a clean
+/// no-CD round (no fault or noise lists) is screened word-parallel in
+/// O(Σ deg(transmitters) + list lengths + touched words), the same
+/// fast/slow split as the engine's own round body. Only a round that
+/// fails the screen, carries fault or noise lists, or runs on a CD
+/// engine takes the per-listener pass, which alone formats violations,
+/// so what is recorded (messages, order, totals) does not depend on
+/// the split.
 #[derive(Debug)]
 pub struct ModelChecker {
     /// The checker's own copy of the adjacency. Under churn (see
@@ -161,7 +171,9 @@ pub struct ModelChecker {
     /// round sequence reproduces the engine's exact graph sequence
     /// without any trace schema change.
     topo: BuiltTopology,
-    awake: Vec<bool>,
+    /// Awake bits, bit `i % 64` of word `i / 64` (the engine's layout),
+    /// so the screen tests a whole listener word against them at once.
+    awake: Vec<u64>,
     /// Per-round generation counter backing the stamp arrays below, so
     /// none of them is cleared between rounds.
     gen: u64,
@@ -169,8 +181,10 @@ pub struct ModelChecker {
     stamp: Vec<u64>,
     /// Number of transmitting neighbors of `v` (valid under `stamp`).
     heard: Vec<u32>,
-    /// Last transmitting neighbor of `v` (valid under `stamp`).
-    from: Vec<u32>,
+    /// Last transmitting neighbor of `v`, rewritten on every neighbor
+    /// visit of both passes (valid for `v` adjacent to a transmitter
+    /// this round).
+    last_tx: Vec<u32>,
     /// `tx_mark[v] == gen` marks `v` as a transmitter this round.
     tx_mark: Vec<u64>,
     /// `accounted[v] == gen` marks `v` as having exactly one channel
@@ -206,7 +220,52 @@ pub struct ModelChecker {
     /// Aggregate events stashed by `on_round` for cross-checking
     /// against the detailed trace.
     pending: Option<RoundEvents>,
+    /// Per-word planes of the word-parallel screen (see
+    /// [`ModelChecker::screen`]), valid under their own `gen` stamp.
+    words: Vec<ScreenWord>,
+    /// Indices of the words the screen touched this round.
+    touched_words: Vec<u32>,
     log: ViolationLog,
+}
+
+/// One 64-listener word of the screen's bit-planes: bit `i % 64` stands
+/// for node `i` of word `i / 64`. `ones`/`twos` are the saturating
+/// two-bit count of transmitting neighbors (heard ≥ 1 / heard ≥ 2), as
+/// in the engine; the other planes hold the round's reported lists.
+/// Valid only while `gen` equals the checker's round generation; a
+/// stale word is reset when first touched, so no round clears all of
+/// them.
+#[derive(Clone, Copy, Debug, Default)]
+struct ScreenWord {
+    gen: u64,
+    ones: u64,
+    twos: u64,
+    tx: u64,
+    delivered: u64,
+    collided: u64,
+    woken: u64,
+    external: u64,
+}
+
+/// The screen word holding node `i`, reset and recorded as touched on
+/// its first use in round `gen`, plus `i`'s bit in it.
+fn screen_word<'w>(
+    words: &'w mut [ScreenWord],
+    touched: &mut Vec<u32>,
+    gen: u64,
+    i: usize,
+) -> (&'w mut ScreenWord, u64) {
+    let wi = i / 64;
+    let w = &mut words[wi];
+    if w.gen != gen {
+        *w = ScreenWord {
+            gen,
+            ..ScreenWord::default()
+        };
+        #[allow(clippy::cast_possible_truncation)]
+        touched.push(wi as u32); // ids are u32, so word indices are too
+    }
+    (w, 1u64 << (i % 64))
 }
 
 impl ModelChecker {
@@ -238,10 +297,11 @@ impl ModelChecker {
         cd: bool,
     ) -> Self {
         let n = graph.len();
-        let mut awake = vec![false; n];
+        let mut awake = vec![0; words_for(n)];
         for id in initially_awake {
-            assert!(id.index() < n, "initially-awake id out of range");
-            awake[id.index()] = true;
+            let i = id.index();
+            assert!(i < n, "initially-awake id out of range");
+            awake[i / 64] |= 1u64 << (i % 64);
         }
         ModelChecker {
             graph,
@@ -250,7 +310,7 @@ impl ModelChecker {
             gen: 0,
             stamp: vec![0; n],
             heard: vec![0; n],
-            from: vec![0; n],
+            last_tx: vec![0; n],
             tx_mark: vec![0; n],
             accounted: vec![0; n],
             delivered_mark: vec![0; n],
@@ -263,6 +323,8 @@ impl ModelChecker {
             touched: Vec::new(),
             derived_collisions: 0,
             pending: None,
+            words: vec![ScreenWord::default(); words_for(n)],
+            touched_words: Vec::new(),
             log: ViolationLog::default(),
         }
     }
@@ -311,6 +373,14 @@ impl ModelChecker {
         self.derived_collisions
     }
 
+    fn is_awake(&self, i: usize) -> bool {
+        self.awake[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    fn set_awake(&mut self, i: usize) {
+        self.awake[i / 64] |= 1u64 << (i % 64);
+    }
+
     fn check_round(&mut self, d: &RoundDetail<'_>) {
         // Replay the churn replica first: everything below must be
         // derived against the same per-round snapshot the engine's own
@@ -319,9 +389,152 @@ impl ModelChecker {
         if let Some(g) = self.topo.reshape(d.round, &self.graph) {
             self.graph = g;
         }
+        self.gen += 1;
+        // A clean no-CD round that passes the word-parallel screen is
+        // violation-free; anything else takes the per-listener pass,
+        // the only one that formats violations.
+        let screenable = !self.cd
+            && d.dropped.is_empty()
+            && d.jammed.is_empty()
+            && d.crashed.is_empty()
+            && d.wakeups_suppressed.is_empty()
+            && d.noise.is_empty();
+        if !(screenable && self.screen(d)) {
+            self.derive_round(d);
+        }
+    }
+
+    /// The word-parallel screen of a clean no-CD round (no fault or
+    /// noise lists): `true` iff [`ModelChecker::derive_round`] would
+    /// record no violation for it, in which case the round's state
+    /// changes (awake bits, derived collisions, the stashed aggregates)
+    /// are committed here. `false` leaves every piece of persistent
+    /// state as it was, so the per-listener pass can take the round
+    /// over from scratch.
+    ///
+    /// Per touched 64-listener word, with `L = ones & !tx` the
+    /// non-transmitting listeners and `awake` the bits after the
+    /// external wakes, the clean round's axioms are three equalities:
+    /// `delivered == L & !twos` (exactly-one reception, half-duplex and
+    /// the outcome partition's deliveries), `collided == L & twos`
+    /// (collision = silence, hence collision conservation) and
+    /// `woken == delivered & !awake` (a sleeper wakes exactly on its
+    /// first reception). Attribution is checked per delivery against
+    /// `last_tx`, and every list entry once for range and repeats. The
+    /// work is O(Σ deg(transmitters) + list lengths + touched words).
+    fn screen(&mut self, d: &RoundDetail<'_>) -> bool {
+        let n = self.graph.len();
+        let gen = self.gen;
+        let words = &mut self.words;
+        let touched = &mut self.touched_words;
+        touched.clear();
+        for &w in d.external_wakes {
+            let wi = w as usize;
+            if wi >= n || self.awake[wi / 64] & (1u64 << (wi % 64)) != 0 {
+                return false;
+            }
+            let (word, bit) = screen_word(words, touched, gen, wi);
+            if word.external & bit != 0 {
+                return false;
+            }
+            word.external |= bit;
+        }
+        for &t in d.transmitters {
+            let ti = t as usize;
+            if ti >= n {
+                return false;
+            }
+            let (word, bit) = screen_word(words, touched, gen, ti);
+            let awake = self.awake[ti / 64] | word.external;
+            if word.tx & bit != 0 || awake & bit == 0 {
+                return false;
+            }
+            word.tx |= bit;
+            for &v in self.graph.neighbors(NodeId::new(ti)) {
+                let vi = v.index();
+                let (word, bit) = screen_word(words, touched, gen, vi);
+                word.twos |= word.ones & bit;
+                word.ones |= bit;
+                self.last_tx[vi] = t;
+            }
+        }
+        for &(l, f) in d.deliveries {
+            let li = l as usize;
+            // A listener without a transmitting neighbor may hold a
+            // stale `last_tx`; its word's `ones` bit is clear, so the
+            // plane test below rejects the delivery anyway.
+            if li >= n || self.last_tx[li] != f {
+                return false;
+            }
+            let (word, bit) = screen_word(words, touched, gen, li);
+            if word.delivered & bit != 0 {
+                return false;
+            }
+            word.delivered |= bit;
+        }
+        for &l in d.collisions {
+            let li = l as usize;
+            if li >= n {
+                return false;
+            }
+            let (word, bit) = screen_word(words, touched, gen, li);
+            if word.collided & bit != 0 {
+                return false;
+            }
+            word.collided |= bit;
+        }
+        for &w in d.woken {
+            let wi = w as usize;
+            if wi >= n {
+                return false;
+            }
+            let (word, bit) = screen_word(words, touched, gen, wi);
+            if word.woken & bit != 0 {
+                return false;
+            }
+            word.woken |= bit;
+        }
+        for &wi in touched.iter() {
+            let w = &words[wi as usize];
+            let awake = self.awake[wi as usize] | w.external;
+            let listeners = w.ones & !w.tx;
+            if w.delivered != listeners & !w.twos
+                || w.collided != listeners & w.twos
+                || w.woken != w.delivered & !awake
+            {
+                return false;
+            }
+        }
+        if let Some(ev) = &self.pending {
+            let f = &ev.faults;
+            if ev.round != d.round
+                || ev.transmissions != d.transmitters.len()
+                || ev.receptions != d.deliveries.len()
+                || ev.collisions != d.collisions.len()
+                || ev.wakeups != d.woken.len()
+                || f.dropped != 0
+                || f.jammed != 0
+                || f.crashed_rx != 0
+                || f.wakeups_suppressed != 0
+            {
+                return false;
+            }
+        }
+        for &wi in touched.iter() {
+            let w = &words[wi as usize];
+            self.awake[wi as usize] |= w.external | w.woken;
+        }
+        self.derived_collisions += d.collisions.len() as u64;
+        self.pending = None;
+        true
+    }
+
+    /// The per-listener pass: re-derives the round listener by listener
+    /// and records every violation it finds. Runs for every round the
+    /// screen does not pass (faulted, noisy, CD or violating ones).
+    fn derive_round(&mut self, d: &RoundDetail<'_>) {
         let n = self.graph.len();
         let round = d.round;
-        self.gen += 1;
         let gen = self.gen;
 
         // External wakes precede the round. The engine's `wake` is
@@ -333,11 +546,11 @@ impl ModelChecker {
                     .record(round, format!("external wake of invalid node {w}"));
                 continue;
             }
-            if self.awake[w as usize] {
+            if self.is_awake(w as usize) {
                 self.log
                     .record(round, format!("external wake of already-awake node {w}"));
             }
-            self.awake[w as usize] = true;
+            self.set_awake(w as usize);
         }
 
         // Transmitters: must be awake, unique, and in range. Their
@@ -357,7 +570,7 @@ impl ModelChecker {
                 continue;
             }
             self.tx_mark[ti] = gen;
-            if !self.awake[ti] {
+            if !self.is_awake(ti) {
                 self.log
                     .record(round, format!("sleeping node {t} transmitted"));
             }
@@ -369,7 +582,7 @@ impl ModelChecker {
                     self.touched.push(vi as u32);
                 }
                 self.heard[vi] += 1;
-                self.from[vi] = t;
+                self.last_tx[vi] = t;
             }
         }
 
@@ -406,17 +619,17 @@ impl ModelChecker {
                          (exactly-one axiom)"
                     ),
                 );
-            } else if self.from[li] != f {
+            } else if self.last_tx[li] != f {
                 self.log.record(
                     round,
                     format!(
                         "delivery to {l} attributed to {f} but its unique transmitting \
                          neighbor is {}",
-                        self.from[li]
+                        self.last_tx[li]
                     ),
                 );
             }
-            if !self.awake[li] && self.woken_mark[li] != gen {
+            if !self.is_awake(li) && self.woken_mark[li] != gen {
                 self.log.record(
                     round,
                     format!("sleeping node {l} received without a wake event"),
@@ -505,7 +718,7 @@ impl ModelChecker {
             }
             self.account(round, l, "suppressed wake-up");
             let li = l as usize;
-            if self.awake[li] {
+            if self.is_awake(li) {
                 self.log.record(
                     round,
                     format!("wake-up of {l} suppressed but it was already awake"),
@@ -551,7 +764,7 @@ impl ModelChecker {
                     format!("half-duplex violated: transmitter {l} heard collision-noise"),
                 );
             }
-            if !self.awake[li] {
+            if !self.is_awake(li) {
                 self.log
                     .record(round, format!("sleeping node {l} heard collision-noise"));
             }
@@ -587,11 +800,11 @@ impl ModelChecker {
                 self.log
                     .record(round, format!("node {w} woken without receiving"));
             }
-            if self.awake[wi] {
+            if self.is_awake(wi) {
                 self.log
                     .record(round, format!("node {w} woken but already awake"));
             }
-            self.awake[wi] = true;
+            self.set_awake(wi);
         }
 
         // Completeness: every touched, non-transmitting listener must
@@ -623,7 +836,7 @@ impl ModelChecker {
             // by the woken pass above: a woken node received (exactly
             // one transmitter, not jammed), so it never enters here.
             if self.cd
-                && self.awake[vi]
+                && self.is_awake(vi)
                 && self.crash_mark[vi] != gen
                 && (self.heard[vi] >= 2 || self.jam_mark[vi] == gen)
                 && self.noise_mark[vi] != gen

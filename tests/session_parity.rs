@@ -2,17 +2,20 @@
 //! with the coded and BII protocols must produce reports bit-identical
 //! to a hand-rolled engine drive that replicates the original post-hoc
 //! computation (fixed seeds, every report field). Also covers the
-//! `RunOptions` and workload validation and round-cap contracts, and
-//! loss injection through the `UniformLoss` fault model.
+//! `RunOptions` and workload validation and round-cap contracts (the
+//! same error with verification on or off), and loss injection through
+//! the `UniformLoss` fault model.
 
 use radio_kbcast::kbcast::baseline::{BiiConfig, BiiNode, BiiProtocol};
 use radio_kbcast::kbcast::dynamic::{run_streaming, Arrival};
 use radio_kbcast::kbcast::packet::MAX_PAYLOAD_BYTES;
 use radio_kbcast::kbcast::runner::{
-    round_cap, CodedProtocol, KbcastMeta, RunOptions, StageRounds, Workload,
+    round_cap, CodedProtocol, KbcastMeta, RunOptions, StageObserver, StageRounds, Workload,
 };
-use radio_kbcast::kbcast::session::{run_protocol, run_protocol_on_graph, SessionReport};
-use radio_kbcast::kbcast::{Config, KbcastNode};
+use radio_kbcast::kbcast::session::{
+    run_protocol, run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport,
+};
+use radio_kbcast::kbcast::{Config, KbcastNode, PacketKey};
 use radio_kbcast::protocols::decay::Decay;
 use radio_kbcast::radio_net::engine::Engine;
 use radio_kbcast::radio_net::error::Error;
@@ -20,6 +23,7 @@ use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
 use radio_kbcast::radio_net::graph::NodeId;
 use radio_kbcast::radio_net::rng;
 use radio_kbcast::radio_net::topology::Topology;
+use radio_kbcast::radio_net::{NoCd, SessionEnd};
 
 /// A coded-protocol session through the driver.
 fn coded(
@@ -358,4 +362,66 @@ fn round_cap_reports_truthful_failure() {
     // report must say so rather than claim completion.
     assert!(r.delivered_fraction < 1.0);
     assert!(r.delivered_fraction >= 0.0);
+}
+
+/// [`CodedProtocol`] whose `build` names one initially-awake node past
+/// the end of the network.
+struct AwakeOutOfRange(CodedProtocol);
+
+impl BroadcastProtocol for AwakeOutOfRange {
+    type Node = KbcastNode;
+    type Cd = NoCd;
+    type Obs = StageObserver;
+    type Meta = KbcastMeta;
+
+    fn name(&self) -> &'static str {
+        "awake-out-of-range"
+    }
+
+    fn build(
+        &self,
+        net: &NetParams,
+        workload: &Workload,
+        seed: u64,
+    ) -> (Vec<KbcastNode>, Vec<NodeId>) {
+        let (nodes, mut awake) = self.0.build(net, workload, seed);
+        awake.push(NodeId::new(net.n + 3));
+        (nodes, awake)
+    }
+
+    fn observer(&self, net: &NetParams) -> StageObserver {
+        self.0.observer(net)
+    }
+
+    fn round_cap(&self, net: &NetParams, k: usize) -> u64 {
+        self.0.round_cap(net, k)
+    }
+
+    fn delivered(&self, node: &KbcastNode) -> Vec<PacketKey> {
+        self.0.delivered(node)
+    }
+
+    fn finish(&self, obs: StageObserver, nodes: &[KbcastNode], end: &SessionEnd) -> KbcastMeta {
+        self.0.finish(obs, nodes, end)
+    }
+}
+
+#[test]
+fn out_of_range_awake_id_is_the_same_error_with_verify() {
+    // The engine refuses the id; a verified session must return that
+    // error too, not panic in the model checker built beside it.
+    let topo = Topology::Grid2d { rows: 3, cols: 3 };
+    let w = Workload::random(9, 4, 0);
+    let protocol = AwakeOutOfRange(CodedProtocol::default());
+    for verify in [false, true] {
+        let opts = RunOptions {
+            verify,
+            ..RunOptions::default()
+        };
+        let err = run_protocol(&protocol, &topo, &w, 0, opts).unwrap_err();
+        assert!(
+            matches!(err, Error::NodeOutOfRange { node: 12, n: 9 }),
+            "verify {verify}: {err}"
+        );
+    }
 }

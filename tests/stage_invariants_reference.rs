@@ -335,10 +335,21 @@ type Shared = Rc<RefCell<Option<(Outcome, Outcome)>>>;
 /// Runs the current and the reference checker on the same session and
 /// hands both outcomes to the test at session end. It reports no
 /// violations itself, so the driver lets the session finish either way.
+///
+/// It also notes the late roots: nodes that are root at session end
+/// but were not at the first round past Stage 1, when the stage clock
+/// takes its one root scan.
 struct Paired {
     current: StageInvariants,
     reference: reference::StageInvariants,
     out: Shared,
+    s1_end: u64,
+    roots_at_scan: Option<Vec<usize>>,
+    late_roots: Rc<RefCell<Vec<usize>>>,
+}
+
+fn roots(nodes: &[KbcastNode]) -> Vec<usize> {
+    (0..nodes.len()).filter(|&i| nodes[i].is_root()).collect()
 }
 
 impl Check<KbcastNode> for Paired {
@@ -347,6 +358,9 @@ impl Check<KbcastNode> for Paired {
     }
 
     fn on_round(&mut self, events: &RoundEvents, nodes: &[KbcastNode]) {
+        if self.roots_at_scan.is_none() && events.round >= self.s1_end {
+            self.roots_at_scan = Some(roots(nodes));
+        }
         self.current.on_round(events, nodes);
         self.reference.on_round(events, nodes);
     }
@@ -361,6 +375,11 @@ impl Check<KbcastNode> for Paired {
         self.reference.on_session_end(nodes, end);
         let outcome = |c: &dyn Check<KbcastNode>| (c.violations().to_vec(), c.total_violations());
         *self.out.borrow_mut() = Some((outcome(&self.current), outcome(&self.reference)));
+        let scanned = self.roots_at_scan.take().unwrap_or_default();
+        *self.late_roots.borrow_mut() = roots(nodes)
+            .into_iter()
+            .filter(|r| !scanned.contains(r))
+            .collect();
     }
 
     fn on_inject(&mut self, node: NodeId) {
@@ -377,6 +396,9 @@ impl Check<KbcastNode> for Paired {
 struct Differential {
     inner: CodedProtocol,
     out: Shared,
+    late_roots: Rc<RefCell<Vec<usize>>>,
+    /// A node whose packets the checkers' ground truth leaves out.
+    forget_origin: Option<u64>,
 }
 
 impl BroadcastProtocol for Differential {
@@ -417,11 +439,15 @@ impl BroadcastProtocol for Differential {
         clean: bool,
     ) -> Vec<Box<dyn Check<KbcastNode>>> {
         let cfg = Config::for_network(net.n, net.diameter, net.max_degree);
-        let keys = workload.keys();
+        let mut keys = workload.keys();
+        keys.retain(|k| Some(k.origin) != self.forget_origin);
         vec![Box::new(Paired {
             current: StageInvariants::new(cfg, net.n, keys.clone(), clean),
             reference: reference::StageInvariants::new(cfg, net.n, keys, clean),
             out: Rc::clone(&self.out),
+            s1_end: cfg.stage1_rounds(),
+            roots_at_scan: None,
+            late_roots: Rc::clone(&self.late_roots),
         })]
     }
 
@@ -433,9 +459,25 @@ impl BroadcastProtocol for Differential {
 /// Runs one verified session under both checkers, asserts they agree,
 /// and returns the reference's total violation count.
 fn compare(topology: &Topology, workload: &Workload, seed: u64, options: RunOptions) -> usize {
+    let (reference, _) = compare_forgetting(topology, workload, seed, options, None);
+    reference.1
+}
+
+/// [`compare`] with the packets of `forget_origin` left out of the
+/// ground truth; returns the reference's outcome and the session's late
+/// roots.
+fn compare_forgetting(
+    topology: &Topology,
+    workload: &Workload,
+    seed: u64,
+    options: RunOptions,
+    forget_origin: Option<u64>,
+) -> (Outcome, Vec<usize>) {
     let protocol = Differential {
         inner: CodedProtocol::default(),
         out: Rc::default(),
+        late_roots: Rc::default(),
+        forget_origin,
     };
     let options = RunOptions {
         verify: true,
@@ -451,7 +493,8 @@ fn compare(topology: &Topology, workload: &Workload, seed: u64, options: RunOpti
         report.success
     );
     assert_eq!(current_total, reference_total, "{topology} seed {seed}");
-    reference_total
+    let late_roots = protocol.late_roots.take();
+    ((reference, reference_total), late_roots)
 }
 
 #[test]
@@ -528,4 +571,43 @@ fn split_election_violations_agree() {
         total > 0,
         "the split election no longer trips the reference"
     );
+}
+
+/// A node crashed across Stage 1's end finalizes its election on its
+/// first poll after recovery: a late root, which the stage clock's one
+/// root scan right after Stage 1 cannot see. Leaving the late root's
+/// own packets out of the ground truth makes its ledger forged, so both
+/// checkers must flag that ledger, in the same round and with the same
+/// message; the current checker reaches it only through its label walk.
+#[test]
+fn late_root_ledgers_agree() {
+    let topology = Topology::Grid2d { rows: 8, cols: 8 };
+    let net = NetParams::of_graph(&topology.build(0).expect("topology builds"));
+    let s1_end = Config::for_network(net.n, net.diameter, net.max_degree).stage1_rounds();
+    // A quarter of the nodes crash in Stage 1's last 400 rounds and stay
+    // down past its end.
+    let faults: FaultSpec = format!(
+        "crash:frac=0.25,from={},until={s1_end},down=600",
+        s1_end - 400
+    )
+    .parse()
+    .expect("fault spec parses");
+    let options = RunOptions {
+        faults,
+        ..RunOptions::default()
+    };
+    for seed in [1, 4, 5] {
+        let workload = Workload::random(64, 16, seed);
+        let (_, late) = compare_forgetting(&topology, &workload, seed, options, None);
+        assert!(!late.is_empty(), "seed {seed}: no late root occurred");
+        for root in late {
+            let ((violations, _), _) =
+                compare_forgetting(&topology, &workload, seed, options, Some(root as u64));
+            let flagged = format!("root {root} collected forged key");
+            assert!(
+                violations.iter().any(|v| v.message.starts_with(&flagged)),
+                "seed {seed}: late root {root}'s ledger was not checked: {violations:?}"
+            );
+        }
+    }
 }
