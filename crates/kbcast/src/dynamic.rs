@@ -6,14 +6,15 @@
 //! The adaptation implemented here is *batch pipelining*: Stages 1–2
 //! (leader election, BFS) run once, on the same front end the one-shot
 //! [`crate::node::KbcastNode`] uses, and the network then loops Stages
-//! 3 and 4 forever. Packets that arrive during batch `b` are collected
-//! and disseminated in batch `b+1`. Every batch's dissemination carries
-//! a synthetic *batch-marker* packet from the root, so `k_b ≥ 1` always:
-//! every node learns the batch's group count from the coded headers and
-//! therefore agrees on where the next batch starts. Coded messages are
-//! tagged with the batch index, so a lagging node never mixes batches
-//! (it decodes foreign batches in a receive-only mode instead of
-//! relaying them).
+//! 3 and 4 forever, each batch on the one Stage 3–4 batch machine the
+//! one-shot node runs once. Packets that arrive during batch `b` are
+//! collected and disseminated in batch `b+1`. Every batch's
+//! dissemination carries a synthetic *batch-marker* packet from the
+//! root, so `k_b ≥ 1` always: every node learns the batch's group count
+//! from the coded headers and therefore agrees on where the next batch
+//! starts. Coded messages are tagged with the batch index, so a lagging
+//! node never mixes batches (it decodes foreign batches in a
+//! receive-only mode instead of relaying them).
 //!
 //! Per-packet latency is `O(own batch's span)`: amortized `O(logΔ)`
 //! rounds per packet plus the batch-framing overhead — the fixed
@@ -45,11 +46,10 @@ use rand::rngs::SmallRng;
 
 use crate::config::Config;
 use crate::messages::Msg;
-use crate::node::{collect_dissem_activity, Setup};
+use crate::node::{Batch, Setup};
 use crate::packet::{check_payload, Packet, PacketKey};
 use crate::runner::{RunOptions, Workload};
 use crate::session::{run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport};
-use crate::stage3::CollectState;
 use crate::stage4::DissemState;
 use crate::verify::EpochConservation;
 
@@ -86,17 +86,12 @@ pub struct BatchRecord {
 /// One node of the dynamic k-broadcast protocol.
 #[derive(Debug)]
 pub struct DynamicNode {
-    cfg: Config,
     rng: SmallRng,
     /// Stages 1–2, shared with [`crate::node::KbcastNode`].
     setup: Setup,
-
-    batch: u32,
-    batch_start: u64,
-    collect: Option<CollectState>,
-    dissem: Option<DissemState>,
-    s4_start: Option<u64>,
-    batch_end: Option<u64>,
+    /// The batch executing: Stages 3–4, shared with
+    /// [`crate::node::KbcastNode`].
+    batch: Batch,
 
     /// Arrived packets waiting for the next batch.
     pending: Vec<Packet>,
@@ -129,15 +124,9 @@ impl DynamicNode {
     #[must_use]
     pub fn new(cfg: Config, my_id: u64, initial: Vec<Vec<u8>>, rng: SmallRng) -> Self {
         let mut node = DynamicNode {
-            cfg,
             rng,
-            setup: Setup::new(&cfg, my_id, !initial.is_empty()),
-            batch: 0,
-            batch_start: cfg.stage3_start(),
-            collect: None,
-            dissem: None,
-            s4_start: None,
-            batch_end: None,
+            setup: Setup::new(cfg, my_id, !initial.is_empty()),
+            batch: Batch::new(0, cfg.stage3_start()),
             pending: Vec::new(),
             next_seq: 0,
             delivered: Vec::new(),
@@ -190,7 +179,7 @@ impl DynamicNode {
     /// Batch currently executing.
     #[must_use]
     pub fn batch(&self) -> u32 {
-        self.batch
+        self.batch.index()
     }
 
     /// Per-packet delivery stamps at this node: `(key, round)` for
@@ -259,61 +248,9 @@ impl DynamicNode {
         }
     }
 
-    fn ensure_collect(&mut self, round: u64) {
-        if self.collect.is_some() {
-            return;
-        }
-        self.setup.ensure_bfs();
-        let parent = self.setup.label().and_then(|l| l.parent);
-        let mut eligible: Vec<Packet> = std::mem::take(&mut self.pending);
-        if self.setup.is_root() {
-            // The batch marker guarantees k_b >= 1 so that every node can
-            // learn the batch length from the coded headers.
-            eligible.push(Packet::new(MARKER_ORIGIN, self.batch, Vec::new()));
-        }
-        self.collect = Some(CollectState::new(
-            self.cfg,
-            self.setup.id(),
-            self.setup.is_root(),
-            parent,
-            eligible,
-            round.saturating_sub(self.batch_start),
-        ));
-    }
-
-    /// Transition into this batch's Stage 4 once collection finished.
-    fn ensure_stage4(&mut self) {
-        if self.s4_start.is_some() {
-            return;
-        }
-        let Some(finished) = self.collect.as_ref().and_then(CollectState::finished_at) else {
-            return;
-        };
-        self.s4_start = Some(self.batch_start + finished);
-        if self.setup.is_root() {
-            let collected = self
-                .collect
-                .as_ref()
-                .map(|c| c.collected().to_vec())
-                .unwrap_or_default();
-            // Root-side delivery bookkeeping (it now holds the batch).
-            self.deliver_packets(&collected);
-            self.stamp_packets(self.batch_start + finished, &collected);
-            self.collect_log
-                .push((self.batch, self.batch_start + finished));
-            let d = DissemState::new_root(self.cfg, collected, self.batch);
-            self.batch_end =
-                Some(self.s4_start.expect("just set") + d.total_rounds().expect("root knows g"));
-            self.dissem = Some(d);
-        } else {
-            self.setup
-                .ensure_dissem_rx(&self.cfg, self.batch, &mut self.dissem);
-        }
-    }
-
     /// Harvests a finished dissemination and opens the next batch.
     fn close_batch(&mut self, end: u64) {
-        if let Some(packets) = self.dissem.as_ref().map(DissemState::packets) {
+        if let Some(packets) = self.batch.dissem().map(DissemState::packets) {
             self.deliver_packets(&packets);
             self.stamp_packets(end, &packets);
             if self.setup.is_root() {
@@ -323,27 +260,23 @@ impl DynamicNode {
                     .filter(|k| k.origin != MARKER_ORIGIN)
                     .collect();
                 self.history.push(BatchRecord {
-                    batch: self.batch,
+                    batch: self.batch.index(),
                     k: keys.len(),
-                    start: self.batch_start,
+                    start: self.batch.start(),
                     end,
                     keys,
                 });
             }
         }
-        self.batch += 1;
-        self.batch_start = end;
-        self.collect = None;
-        self.dissem = None;
-        self.s4_start = None;
-        self.batch_end = None;
-        self.foreign_rx.remove(&self.batch.wrapping_sub(1));
+        let closed = self.batch.index();
+        self.batch = Batch::new(closed + 1, end);
+        self.foreign_rx.remove(&closed);
     }
 
     /// Receive-only decoding of a batch this node is not scheduled in
     /// (straggler recovery).
     fn foreign_deliver(&mut self, round: u64, c: &crate::messages::CodedMsg) {
-        let cfg = self.cfg;
+        let cfg = *self.setup.cfg();
         let rx = self
             .foreign_rx
             .entry(c.batch)
@@ -363,73 +296,22 @@ impl DynamicNode {
         }
     }
 
-    /// Post-Stage-2 poll: the batch loop.
-    fn poll_batches(&mut self, round: u64) -> Option<Msg> {
-        // Batch loop: close the batch when its schedule ends.
-        if let Some(end) = self.batch_end {
-            if round >= end {
-                self.close_batch(end);
-            }
-        }
-        self.ensure_collect(round);
-        if self.s4_start.is_none() {
-            let local = round - self.batch_start;
-            let out = self
-                .collect
-                .as_mut()
-                .expect("collect ensured")
-                .poll(local, &mut self.rng);
-            if out.is_some() {
-                return out;
-            }
-            self.ensure_stage4();
-        }
-        let s4 = self.s4_start?;
-        if round < s4 {
-            return None;
-        }
-        let out = self
-            .dissem
-            .as_mut()
-            .expect("stage 4 state exists once s4_start is set")
-            .poll(round - s4, &mut self.rng);
-        // Non-root nodes learn the batch end from headers.
-        if self.batch_end.is_none() {
-            if let Some(total) = self.dissem.as_ref().and_then(DissemState::total_rounds) {
-                self.batch_end = Some(s4 + total);
-            }
-        }
-        out
+    /// The batch executing, for the hand-off tests in `crate::node`.
+    #[cfg(test)]
+    pub(crate) fn current_batch(&self) -> &Batch {
+        &self.batch
     }
+}
 
-    /// Coded-message delivery.
-    fn receive_coded(&mut self, round: u64, c: &crate::messages::CodedMsg) {
-        if c.batch == self.batch {
-            self.setup
-                .ensure_dissem_rx(&self.cfg, self.batch, &mut self.dissem);
-            if let Some(d) = self.dissem.as_mut() {
-                let before = d.decoded_groups();
-                d.deliver(c);
-                // Earlier groups were stamped when they decoded.
-                if d.decoded_groups() != before {
-                    let packets = d.group_packets(c.group);
-                    self.stamp_packets(round, &packets);
-                }
-            }
-            if self.batch_end.is_none() {
-                if let (Some(s4), Some(total)) = (
-                    self.s4_start,
-                    self.dissem.as_ref().and_then(DissemState::total_rounds),
-                ) {
-                    self.batch_end = Some(s4 + total);
-                }
-            }
-        } else {
-            // Straggler recovery: decode foreign batches receive-only
-            // so content is never lost.
-            self.foreign_deliver(round, c);
-        }
+/// The packets batch `index` collects at a node: its pending queue,
+/// plus, at the root, the batch marker, which guarantees `k_b ≥ 1` so
+/// that every node can learn the batch length from the coded headers.
+fn batch_packets(pending: &mut Vec<Packet>, index: u32, root: bool) -> Vec<Packet> {
+    let mut packets = std::mem::take(pending);
+    if root {
+        packets.push(Packet::new(MARKER_ORIGIN, index, Vec::new()));
     }
+    packets
 }
 
 impl Node for DynamicNode {
@@ -439,47 +321,64 @@ impl Node for DynamicNode {
         if round < self.setup.s2_end() {
             return self.setup.poll(round, &mut self.rng);
         }
-        self.poll_batches(round)
+        // Batch loop: close the batch when its schedule ends.
+        if let Some(end) = self.batch.end() {
+            if round >= end {
+                self.close_batch(end);
+            }
+        }
+        let collecting = self.batch.s4_start().is_none();
+        let (pending, index) = (&mut self.pending, self.batch.index());
+        let out = self
+            .batch
+            .poll(&mut self.setup, round, &mut self.rng, |root| {
+                batch_packets(pending, index, root)
+            });
+        if collecting && self.setup.is_root() {
+            if let (Some(s4), Some(c)) = (self.batch.s4_start(), self.batch.collect()) {
+                // The root holds the batch from the hand-off on.
+                let collected = c.collected().to_vec();
+                self.deliver_packets(&collected);
+                self.stamp_packets(s4, &collected);
+                self.collect_log.push((self.batch.index(), s4));
+            }
+        }
+        out
     }
 
     fn receive(&mut self, round: u64, msg: &Msg) {
         match msg {
             Msg::Probe(p) => self.setup.receive_probe(round, p),
             Msg::Bfs(b) => self.setup.receive_bfs(round, b),
-            Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
-                if round >= self.setup.s2_end() {
-                    self.ensure_collect(round);
-                    let local = round - self.batch_start;
-                    self.collect
-                        .as_mut()
-                        .expect("collect ensured")
-                        .deliver(local, msg);
-                }
-            }
-            Msg::Coded(c) => {
+            Msg::Coded(c) if c.batch != self.batch.index() => {
+                // Straggler recovery: decode foreign batches
+                // receive-only so content is never lost.
                 self.setup.ensure_bfs();
-                self.receive_coded(round, c);
+                self.foreign_deliver(round, c);
+            }
+            _ => {
+                let (pending, index) = (&mut self.pending, self.batch.index());
+                let decoded = self.batch.receive(&mut self.setup, round, msg, |root| {
+                    batch_packets(pending, index, root)
+                });
+                // Earlier groups were stamped when they decoded.
+                if let (Some(group), Some(d)) = (decoded, self.batch.dissem()) {
+                    let packets = d.group_packets(group);
+                    self.stamp_packets(round, &packets);
+                }
             }
         }
     }
 
     /// Delegates to the current stage's hint, as
-    /// [`crate::node::KbcastNode`] does, with the batch start as the
-    /// collection's stage start. On top of the `s1_end`/`s2_end` caps,
-    /// the hint never passes `batch_end`: the poll there closes the
-    /// batch (delivering and stamping its packets, which the drain
-    /// predicate and observers read) and opens the next collection with
-    /// `created_local = 0`.
+    /// [`crate::node::KbcastNode`] does, and never passes the batch end:
+    /// the poll there closes the batch (delivering and stamping its
+    /// packets, which the drain predicate and observers read) and opens
+    /// the next collection with `created_local = 0`.
     fn next_activity(&self, round: u64) -> u64 {
         self.setup.next_activity(round).unwrap_or_else(|| {
-            let hint = collect_dissem_activity(
-                round,
-                self.batch_start,
-                self.collect.as_ref(),
-                self.s4_start,
-                self.dissem.as_ref(),
-            );
-            self.batch_end.map_or(hint, |end| hint.min(end))
+            let hint = self.batch.next_activity(round);
+            self.batch.end().map_or(hint, |end| hint.min(end))
         })
     }
 }
@@ -1038,38 +937,6 @@ mod tests {
                 "{b:?} closed at {close}"
             );
         }
-    }
-
-    #[test]
-    fn a_straggler_keeps_its_early_batch_rows() {
-        // A non-candidate node hears a batch-0 row before its own
-        // collection closed; entering Stage 4 must keep that decoder.
-        let cfg = Config::for_network(16, 4, 4);
-        let mut node = DynamicNode::new(cfg, 1, Vec::new(), rng::stream(0, 1));
-        let s2_end = cfg.stage3_start();
-        for round in 0..s2_end {
-            let _ = node.poll(round);
-        }
-        let row = crate::messages::CodedMsg {
-            batch: 0,
-            group: 0,
-            num_groups: 1,
-            k: 2,
-            group_size: 2,
-            payload_len: 16,
-            coeffs: gf2::BitVec::unit(2, 0),
-            payload: vec![0; 16],
-        };
-        node.receive(s2_end, &Msg::Coded(row));
-        let rank = |nd: &DynamicNode| nd.dissem.as_ref().map_or(0, DissemState::rank_total);
-        assert_eq!(rank(&node), 1);
-        let mut round = s2_end;
-        while node.s4_start.is_none() {
-            assert!(round < s2_end + 1_000_000, "collection never closed");
-            let _ = node.poll(round);
-            round += 1;
-        }
-        assert_eq!(rank(&node), 1, "the early row survived Stage 4's start");
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! follows from `k`, which the root knows and everyone else learns from
 //! coded-message headers.
 //!
-//! Stages 1 and 2 live in one crate-private front end, `Setup`, which
-//! [`KbcastNode`] and the streaming [`crate::dynamic::DynamicNode`]
-//! both hold: the two nodes differ only in what follows the BFS.
+//! The state machine has two crate-private halves, shared with the
+//! streaming [`crate::dynamic::DynamicNode`]: `Setup` is the one Stage
+//! 1–2 front end and `Batch` the one Stage 3–4 batch machine.
+//! [`KbcastNode`] is a `Setup` plus one `Batch`; the streaming node runs
+//! a `Batch` per epoch and differs only in the loop bookkeeping around
+//! it.
 
 use protocols::bfs::{BfsBuild, BfsConfig, BfsLabel, BfsMsg};
 use protocols::leader::{LeaderConfig, LeaderElection, ProbeMsg};
@@ -75,6 +78,7 @@ impl TxCounts {
 /// to [`Setup::poll`], so the draw order is the node's.
 #[derive(Debug)]
 pub(crate) struct Setup {
+    cfg: Config,
     id: u64,
     /// Cached stage boundaries (`stage1_rounds`, `stage3_start`): the
     /// poll dispatch consults them every round, and deriving them from
@@ -90,13 +94,14 @@ pub(crate) struct Setup {
 impl Setup {
     /// The front end of node `id`; `candidate` nodes (those holding
     /// packets at round 0) compete in the election.
-    pub(crate) fn new(cfg: &Config, id: u64, candidate: bool) -> Self {
+    pub(crate) fn new(cfg: Config, id: u64, candidate: bool) -> Self {
         let leader_cfg = LeaderConfig {
             id_bits: cfg.id_bits,
             window_rounds: cfg.epidemic_window_rounds(),
             delta_bound: cfg.delta_bound,
         };
         Setup {
+            cfg,
             id,
             s1_end: cfg.stage1_rounds(),
             s2_end: cfg.stage3_start(),
@@ -109,6 +114,11 @@ impl Setup {
             },
             bfs: None,
         }
+    }
+
+    /// The configuration the node runs.
+    pub(crate) fn cfg(&self) -> &Config {
+        &self.cfg
     }
 
     /// The node's id.
@@ -173,24 +183,6 @@ impl Setup {
         }
     }
 
-    /// Creates the non-root receive side of Stage 4 in `dissem` for
-    /// `batch`, unless one exists already: a decoder an early coded
-    /// reception created keeps its rows.
-    pub(crate) fn ensure_dissem_rx(
-        &self,
-        cfg: &Config,
-        batch: u32,
-        dissem: &mut Option<DissemState>,
-    ) {
-        if dissem.is_none() && !self.is_root {
-            *dissem = Some(DissemState::new_node(
-                *cfg,
-                self.label().map(|l| l.dist),
-                batch,
-            ));
-        }
-    }
-
     /// The Stage 1–2 activity hint: the leader or BFS hint, translated
     /// to global rounds and capped at the next stage boundary; `None`
     /// from `s2_end` on.
@@ -217,17 +209,244 @@ impl Setup {
     }
 }
 
+/// One batch of Stages 3–4, the back end [`KbcastNode`] runs once and
+/// [`crate::dynamic::DynamicNode`] runs per epoch: the collection
+/// toward the root (GRAB/OSPG) from global round `start`, then, from
+/// the round the collection closed, the coded FORWARD dissemination.
+///
+/// The node lends its front end and RNG to every call, so the draw
+/// order is the node's, and supplies the packets the batch collects:
+/// the `packets` callback runs once, when the collection starts, and is
+/// told whether the node is the root.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    index: u32,
+    start: u64,
+    collect: Option<CollectState>,
+    s4_start: Option<u64>,
+    dissem: Option<DissemState>,
+    end: Option<u64>,
+}
+
+impl Batch {
+    /// Batch `index`, whose collection starts at global round `start`.
+    pub(crate) fn new(index: u32, start: u64) -> Self {
+        Batch {
+            index,
+            start,
+            collect: None,
+            s4_start: None,
+            dissem: None,
+            end: None,
+        }
+    }
+
+    /// The batch index coded rows carry.
+    pub(crate) fn index(&self) -> u32 {
+        self.index
+    }
+
+    /// Global round the batch's collection starts.
+    pub(crate) fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// The Stage 3 state, once the collection started here.
+    pub(crate) fn collect(&self) -> Option<&CollectState> {
+        self.collect.as_ref()
+    }
+
+    /// The Stage 4 state, once the dissemination (or an early coded
+    /// reception) started here.
+    pub(crate) fn dissem(&self) -> Option<&DissemState> {
+        self.dissem.as_ref()
+    }
+
+    /// Global round Stage 4 starts: the round the collection closed,
+    /// once this node saw it close.
+    pub(crate) fn s4_start(&self) -> Option<u64> {
+        self.s4_start
+    }
+
+    /// Global round the dissemination's schedule ends, once this node
+    /// knows it: the root from the start of Stage 4, everyone else once
+    /// it has also heard a coded header of this batch.
+    pub(crate) fn end(&self) -> Option<u64> {
+        self.end
+    }
+
+    /// Caches [`Batch::end`], which the streaming node's hint reads on
+    /// every call, once Stage 4 has started and its length is known: at
+    /// the hand-off, or at the first coded reception after it.
+    fn learn_end(&mut self) {
+        if let (None, Some(s4), Some(d)) = (self.end, self.s4_start, &self.dissem) {
+            self.end = d.total_rounds().map(|total| s4 + total);
+        }
+    }
+
+    /// Starts the collection at `round`, once: the BFS label gives the
+    /// parent and `packets` the packets to collect.
+    fn ensure_collect(
+        &mut self,
+        setup: &mut Setup,
+        round: u64,
+        packets: impl FnOnce(bool) -> Vec<Packet>,
+    ) {
+        if self.collect.is_some() {
+            return;
+        }
+        setup.ensure_bfs();
+        let parent = setup.label().and_then(|l| l.parent);
+        self.collect = Some(CollectState::new(
+            *setup.cfg(),
+            setup.id(),
+            setup.is_root(),
+            parent,
+            packets(setup.is_root()),
+            round.saturating_sub(self.start),
+        ));
+    }
+
+    /// Creates the non-root receive side of Stage 4, unless one exists
+    /// already: a decoder an early coded reception created keeps its
+    /// rows.
+    fn ensure_dissem_rx(&mut self, setup: &Setup) {
+        if self.dissem.is_none() && !setup.is_root() {
+            self.dissem = Some(DissemState::new_node(
+                *setup.cfg(),
+                setup.label().map(|l| l.dist),
+                self.index,
+            ));
+        }
+    }
+
+    /// The Stage 3→4 hand-off, once the collection has closed: the root
+    /// sources what it collected, everyone else listens.
+    fn hand_off(&mut self, setup: &Setup) {
+        let Some(collect) = &self.collect else {
+            return;
+        };
+        let Some(finished) = collect.finished_at() else {
+            return;
+        };
+        self.s4_start = Some(self.start + finished);
+        if setup.is_root() {
+            let collected = collect.collected().to_vec();
+            self.dissem = Some(DissemState::new_root(*setup.cfg(), collected, self.index));
+        } else {
+            self.ensure_dissem_rx(setup);
+        }
+        self.learn_end();
+    }
+
+    /// The poll from `Setup::s2_end` on: the collection polls first; on
+    /// a silent collection round the hand-off runs, and the
+    /// dissemination then polls at its own local round.
+    pub(crate) fn poll(
+        &mut self,
+        setup: &mut Setup,
+        round: u64,
+        rng: &mut SmallRng,
+        packets: impl FnOnce(bool) -> Vec<Packet>,
+    ) -> Option<Msg> {
+        self.ensure_collect(setup, round, packets);
+        if self.s4_start.is_none() {
+            let out = self
+                .collect
+                .as_mut()
+                .expect("collect ensured")
+                .poll(round - self.start, rng);
+            if out.is_some() {
+                return out;
+            }
+            self.hand_off(setup);
+        }
+        let s4 = self.s4_start?;
+        if round < s4 {
+            return None;
+        }
+        self.dissem
+            .as_mut()
+            .expect("stage 4 state exists once s4_start is set")
+            .poll(round - s4, rng)
+    }
+
+    /// A Stage 3 or Stage 4 message. Stage 3 messages are ignored
+    /// before `Setup::s2_end`; a coded row goes to this batch's decoder
+    /// (which ignores other batches' rows). Returns the group the row
+    /// just decoded, if any.
+    pub(crate) fn receive(
+        &mut self,
+        setup: &mut Setup,
+        round: u64,
+        msg: &Msg,
+        packets: impl FnOnce(bool) -> Vec<Packet>,
+    ) -> Option<u32> {
+        match msg {
+            Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
+                if round >= setup.s2_end() {
+                    self.ensure_collect(setup, round, packets);
+                    self.collect
+                        .as_mut()
+                        .expect("collect ensured")
+                        .deliver(round - self.start, msg);
+                }
+                None
+            }
+            Msg::Coded(c) => {
+                setup.ensure_bfs();
+                self.ensure_dissem_rx(setup);
+                let d = self.dissem.as_mut()?;
+                let before = d.decoded_groups();
+                d.deliver(c);
+                let decoded = (d.decoded_groups() != before).then_some(c.group);
+                self.learn_end();
+                decoded
+            }
+            // Stage 1–2 messages are the front end's.
+            Msg::Probe(_) | Msg::Bfs(_) => None,
+        }
+    }
+
+    /// The batch's activity hint, translated to global rounds.
+    ///
+    /// Stage 3 needs no cap because its hints already target the
+    /// mandatory phase-boundary polls where `advance` decides the
+    /// finish, and the stage-3→4 hand-off happens inside the same poll
+    /// that observes the finish.
+    pub(crate) fn next_activity(&self, round: u64) -> u64 {
+        match self.s4_start {
+            None => self.collect.as_ref().map_or(round + 1, |c| {
+                global_hint(self.start, c.next_activity(round - self.start))
+            }),
+            Some(s4) if round < s4 => s4,
+            Some(s4) => self
+                .dissem
+                .as_ref()
+                .map_or(round + 1, |d| global_hint(s4, d.next_activity(round - s4))),
+        }
+    }
+}
+
+/// Translates a stage-local activity hint to a global round; `u64::MAX`
+/// (park until a reception) stays `u64::MAX`.
+fn global_hint(stage_start: u64, hint: u64) -> u64 {
+    if hint == u64::MAX {
+        u64::MAX
+    } else {
+        stage_start.saturating_add(hint)
+    }
+}
+
 /// One node of the k-broadcast protocol.
 #[derive(Debug)]
 pub struct KbcastNode {
-    cfg: Config,
     rng: SmallRng,
-    initial_packets: Option<Vec<Packet>>,
+    /// The node's packets until its collection takes them.
+    packets: Vec<Packet>,
     candidate: bool,
     setup: Setup,
-    collect: Option<CollectState>,
-    dissem: Option<DissemState>,
-    s4_start: Option<u64>,
+    batch: Batch,
     tx: TxCounts,
 }
 
@@ -239,14 +458,11 @@ impl KbcastNode {
     pub fn new(cfg: Config, my_id: u64, packets: Vec<Packet>, rng: SmallRng) -> Self {
         let candidate = !packets.is_empty();
         KbcastNode {
-            cfg,
             rng,
-            initial_packets: Some(packets),
+            packets,
             candidate,
-            setup: Setup::new(&cfg, my_id, candidate),
-            collect: None,
-            dissem: None,
-            s4_start: None,
+            setup: Setup::new(cfg, my_id, candidate),
+            batch: Batch::new(0, cfg.stage3_start()),
             tx: TxCounts::default(),
         }
     }
@@ -288,7 +504,7 @@ impl KbcastNode {
     /// the harness-side invariant checkers.
     #[must_use]
     pub fn collect_state(&self) -> Option<&CollectState> {
-        self.collect.as_ref()
+        self.batch.collect()
     }
 
     /// Read-only view of this node's Stage 4 dissemination state
@@ -296,27 +512,27 @@ impl KbcastNode {
     /// Used by the harness-side invariant checkers.
     #[must_use]
     pub fn dissem_state(&self) -> Option<&DissemState> {
-        self.dissem.as_ref()
+        self.batch.dissem()
     }
 
     /// Mutable Stage 4 state, for arming a
     /// [`crate::stage4::disseminate::Sabotage`] in tests.
     #[cfg(test)]
     pub(crate) fn dissem_state_mut(&mut self) -> Option<&mut DissemState> {
-        self.dissem.as_mut()
+        self.batch.dissem.as_mut()
     }
 
     /// Stage-local round at which this node saw Stage 3 end, if it has.
     #[must_use]
     pub fn collection_finished_at(&self) -> Option<u64> {
-        self.collect.as_ref().and_then(CollectState::finished_at)
+        self.batch.collect().and_then(CollectState::finished_at)
     }
 
     /// Number of collection phases this node executed (0-based current
     /// phase; equals the number of estimate doublings it performed).
     #[must_use]
     pub fn collection_phase(&self) -> Option<u32> {
-        self.collect.as_ref().map(CollectState::phase)
+        self.batch.collect().map(CollectState::phase)
     }
 
     /// All packets this node holds: for the root, everything collected;
@@ -324,13 +540,13 @@ impl KbcastNode {
     #[must_use]
     pub fn packets(&self) -> Vec<Packet> {
         if self.is_root() {
-            self.collect
-                .as_ref()
+            self.batch
+                .collect()
                 .map(|c| c.collected().to_vec())
                 .unwrap_or_default()
         } else {
-            self.dissem
-                .as_ref()
+            self.batch
+                .dissem()
                 .map(DissemState::packets)
                 .unwrap_or_default()
         }
@@ -343,45 +559,7 @@ impl KbcastNode {
             // The root has everything exactly when collection ended.
             self.collection_finished_at().is_some()
         } else {
-            self.dissem.as_ref().is_some_and(DissemState::is_complete)
-        }
-    }
-
-    fn ensure_collect(&mut self, round: u64) {
-        if self.collect.is_some() {
-            return;
-        }
-        self.setup.ensure_bfs();
-        let parent = self.setup.label().and_then(|l| l.parent);
-        let packets = self.initial_packets.take().unwrap_or_default();
-        self.collect = Some(CollectState::new(
-            self.cfg,
-            self.setup.id(),
-            self.setup.is_root(),
-            parent,
-            packets,
-            round.saturating_sub(self.setup.s2_end()),
-        ));
-    }
-
-    /// Transitions into Stage 4 once collection has finished locally.
-    fn ensure_stage4(&mut self) {
-        if self.s4_start.is_some() {
-            return;
-        }
-        let Some(finished) = self.collection_finished_at() else {
-            return;
-        };
-        self.s4_start = Some(self.setup.s2_end() + finished);
-        if self.setup.is_root() {
-            let collected = self
-                .collect
-                .as_ref()
-                .map(|c| c.collected().to_vec())
-                .unwrap_or_default();
-            self.dissem = Some(DissemState::new_root(self.cfg, collected, 0));
-        } else {
-            self.setup.ensure_dissem_rx(&self.cfg, 0, &mut self.dissem);
+            self.batch.dissem().is_some_and(DissemState::is_complete)
         }
     }
 }
@@ -390,7 +568,14 @@ impl radio_net::engine::Node for KbcastNode {
     type Msg = Msg;
 
     fn poll(&mut self, round: u64) -> Option<Msg> {
-        let out = self.poll_inner(round);
+        let out = if round < self.setup.s2_end() {
+            self.setup.poll(round, &mut self.rng)
+        } else {
+            let packets = &mut self.packets;
+            self.batch.poll(&mut self.setup, round, &mut self.rng, |_| {
+                std::mem::take(packets)
+            })
+        };
         if let Some(m) = &out {
             self.tx.record(m);
         }
@@ -398,7 +583,15 @@ impl radio_net::engine::Node for KbcastNode {
     }
 
     fn receive(&mut self, round: u64, msg: &Msg) {
-        self.receive_inner(round, msg);
+        match msg {
+            Msg::Probe(p) => self.setup.receive_probe(round, p),
+            Msg::Bfs(b) => self.setup.receive_bfs(round, b),
+            _ => {
+                let packets = &mut self.packets;
+                self.batch
+                    .receive(&mut self.setup, round, msg, |_| std::mem::take(packets));
+            }
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -406,106 +599,11 @@ impl radio_net::engine::Node for KbcastNode {
     }
 
     /// Delegates to the current stage's hint (see `Setup::next_activity`
-    /// and `collect_dissem_activity` in this module).
+    /// and `Batch::next_activity` in this module).
     fn next_activity(&self, round: u64) -> u64 {
-        self.setup.next_activity(round).unwrap_or_else(|| {
-            collect_dissem_activity(
-                round,
-                self.setup.s2_end(),
-                self.collect.as_ref(),
-                self.s4_start,
-                self.dissem.as_ref(),
-            )
-        })
-    }
-}
-
-/// Translates a stage-local activity hint to a global round; `u64::MAX`
-/// (park until a reception) stays `u64::MAX`.
-fn global_hint(stage_start: u64, hint: u64) -> u64 {
-    if hint == u64::MAX {
-        u64::MAX
-    } else {
-        stage_start.saturating_add(hint)
-    }
-}
-
-/// The Stage 3–4 activity hint of one collection (started at global
-/// round `s3_start`) and the dissemination that follows it (from
-/// `s4_start`), translated to global rounds.
-///
-/// Stage 3 needs no cap because its hints already target the mandatory
-/// phase-boundary polls where `advance` decides the finish, and the
-/// stage-3→4 hand-off happens inside the same poll that observes the
-/// finish.
-pub(crate) fn collect_dissem_activity(
-    round: u64,
-    s3_start: u64,
-    collect: Option<&CollectState>,
-    s4_start: Option<u64>,
-    dissem: Option<&DissemState>,
-) -> u64 {
-    match s4_start {
-        None => collect.map_or(round + 1, |c| {
-            global_hint(s3_start, c.next_activity(round - s3_start))
-        }),
-        Some(s4) if round < s4 => s4,
-        Some(s4) => dissem.map_or(round + 1, |d| global_hint(s4, d.next_activity(round - s4))),
-    }
-}
-
-impl KbcastNode {
-    fn poll_inner(&mut self, round: u64) -> Option<Msg> {
-        if round < self.setup.s2_end() {
-            return self.setup.poll(round, &mut self.rng);
-        }
-        if self.collect.is_none() {
-            self.ensure_collect(round);
-        }
-        if self.s4_start.is_none() {
-            let local = round - self.setup.s2_end();
-            let out = self
-                .collect
-                .as_mut()
-                .expect("collect ensured")
-                .poll(local, &mut self.rng);
-            if out.is_some() {
-                return out;
-            }
-            self.ensure_stage4();
-        }
-        let s4 = self.s4_start?;
-        if round < s4 {
-            return None;
-        }
-        self.dissem
-            .as_mut()
-            .expect("stage 4 state exists once s4_start is set")
-            .poll(round - s4, &mut self.rng)
-    }
-
-    fn receive_inner(&mut self, round: u64, msg: &Msg) {
-        match msg {
-            Msg::Probe(p) => self.setup.receive_probe(round, p),
-            Msg::Bfs(b) => self.setup.receive_bfs(round, b),
-            Msg::Data(_) | Msg::Ack(_) | Msg::Alarm(_) => {
-                if round >= self.setup.s2_end() {
-                    self.ensure_collect(round);
-                    let local = round - self.setup.s2_end();
-                    self.collect
-                        .as_mut()
-                        .expect("collect ensured")
-                        .deliver(local, msg);
-                }
-            }
-            Msg::Coded(c) => {
-                self.setup.ensure_bfs();
-                self.setup.ensure_dissem_rx(&self.cfg, 0, &mut self.dissem);
-                if let Some(d) = self.dissem.as_mut() {
-                    d.deliver(c);
-                }
-            }
-        }
+        self.setup
+            .next_activity(round)
+            .unwrap_or_else(|| self.batch.next_activity(round))
     }
 }
 
@@ -560,6 +658,46 @@ mod tests {
         assert!(n.is_done(), "lone node must finish");
         assert!(n.is_root());
         assert_eq!(n.packets().len(), 1);
+    }
+
+    /// A non-candidate hears a batch-0 coded row before its collection
+    /// closed; the Stage 3→4 hand-off must keep that decoder.
+    fn straggler_keeps_early_rows<N: radio_net::engine::Node<Msg = Msg>>(
+        mut node: N,
+        batch: impl Fn(&N) -> &Batch,
+    ) {
+        let s2_end = cfg().stage3_start();
+        for round in 0..s2_end {
+            let _ = node.poll(round);
+        }
+        let row = crate::messages::CodedMsg {
+            batch: 0,
+            group: 0,
+            num_groups: 1,
+            k: 2,
+            group_size: 2,
+            payload_len: 16,
+            coeffs: gf2::BitVec::unit(2, 0),
+            payload: vec![0; 16],
+        };
+        node.receive(s2_end, &Msg::Coded(row));
+        let rank = |nd: &N| batch(nd).dissem().map_or(0, DissemState::rank_total);
+        assert_eq!(rank(&node), 1);
+        let closed = (s2_end..s2_end + 1_000_000).find(|&round| {
+            let _ = node.poll(round);
+            batch(&node).s4_start().is_some()
+        });
+        assert!(closed.is_some(), "collection never closed");
+        assert_eq!(rank(&node), 1, "the early row survived Stage 4's start");
+    }
+
+    #[test]
+    fn a_straggler_keeps_its_early_batch_rows() {
+        straggler_keeps_early_rows(node_with(0), |n| &n.batch);
+        straggler_keeps_early_rows(
+            crate::dynamic::DynamicNode::new(cfg(), 1, Vec::new(), rng::stream(0, 1)),
+            crate::dynamic::DynamicNode::current_batch,
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::message::MessageSize;
 use crate::session::{
     NoopObserver, Observer, RoundEvents, RoundRecord, SessionControl, SessionEnd,
 };
-use crate::stats::{RoundOutcome, SimStats};
+use crate::stats::SimStats;
 
 /// Engine-internal sink for per-listener round events, gated by a
 /// `const ENABLED`: [`Engine::step`] runs with
@@ -578,7 +578,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         &mut self.faults
     }
 
-    /// Executes one synchronous round and returns its outcome.
+    /// Executes one synchronous round and returns its channel events.
     ///
     /// Each phase touches only the nodes that matter: phase 1 polls the
     /// active set (sleepers and parked nodes cost nothing — see
@@ -587,7 +587,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// phase 3 visits only the 64-listener words touched in phase 2,
     /// counting collisions by popcount — per-round cost is
     /// O(active + Σ deg(tx)) rather than O(n · Δ).
-    pub fn step(&mut self) -> RoundOutcome {
+    pub fn step(&mut self) -> RoundEvents {
         self.step_with(&mut NoDetail)
     }
 
@@ -600,7 +600,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// [`Engine::faults_mut`]). The round body is compiled once per
     /// answer, so a round with no fault present runs with every fault
     /// hook compiled out.
-    fn step_with<R: DetailSink>(&mut self, sink: &mut R) -> RoundOutcome {
+    fn step_with<R: DetailSink>(&mut self, sink: &mut R) -> RoundEvents {
         if self.faults.enabled() {
             self.round_with::<R, true>(sink)
         } else {
@@ -609,7 +609,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     }
 
     /// One round of [`Engine::step_with`], with the fault flag fixed.
-    fn round_with<R: DetailSink, const FAULTY: bool>(&mut self, sink: &mut R) -> RoundOutcome {
+    fn round_with<R: DetailSink, const FAULTY: bool>(&mut self, sink: &mut R) -> RoundEvents {
         self.flush_dirty();
         if R::ENABLED {
             for idx in 0..self.ext_wakes.len() {
@@ -642,9 +642,9 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         if let Some(x) = self.churn_drop_edges_of {
             self.graph = crate::dyntopo::drop_node_edges(&self.graph, x as usize);
         }
-        let mut outcome = RoundOutcome {
+        let mut outcome = RoundEvents {
             round,
-            ..RoundOutcome::default()
+            ..RoundEvents::default()
         };
         let mut fev = FaultEvents::default();
         if FAULTY {
@@ -820,6 +820,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                         self.awake[v] = true;
                         self.active.insert(v);
                         self.stats.wakeups += 1;
+                        outcome.wakeups += 1;
                     }
                     let t = self.last_tx[v] as usize;
                     // `tx[t]` is Some by construction of `last_tx`.
@@ -897,6 +898,7 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                         self.awake[v] = true;
                         self.active.insert(v);
                         self.stats.wakeups += 1;
+                        outcome.wakeups += 1;
                         if R::ENABLED {
                             sink.woken(v32);
                         }
@@ -988,9 +990,8 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// receives the per-listener [`crate::session::RoundDetail`] trace.
     /// The branch is on a monomorphized constant, so non-detail
     /// observers keep the bare hot loop.
-    pub fn step_observed<O: Observer<N>>(&mut self, obs: &mut O) -> RoundOutcome {
-        let wakeups_before = self.stats.wakeups;
-        let out = if O::DETAIL {
+    pub fn step_observed<O: Observer<N>>(&mut self, obs: &mut O) -> RoundEvents {
+        let events = if O::DETAIL {
             let mut rec = std::mem::take(&mut self.detail);
             rec.clear();
             let out = self.step_with(&mut rec);
@@ -999,20 +1000,11 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         } else {
             self.step()
         };
-        let events = RoundEvents {
-            round: out.round,
-            transmissions: out.transmissions,
-            receptions: out.receptions,
-            collisions: out.collisions,
-            wakeups: usize::try_from(self.stats.wakeups - wakeups_before)
-                .expect("per-round wakeups fit usize"),
-            faults: out.faults,
-        };
         obs.on_round(&events, &self.nodes);
         if O::DETAIL {
-            obs.on_round_detail(&self.detail.detail(out.round), &self.nodes);
+            obs.on_round_detail(&self.detail.detail(events.round), &self.nodes);
         }
-        out
+        events
     }
 
     /// The engine-owned session loop: runs rounds until every node

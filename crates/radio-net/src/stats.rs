@@ -87,21 +87,6 @@ pub fn mean(sample: &[u64]) -> f64 {
     }
 }
 
-/// Per-round outcome returned by [`crate::engine::Engine::step`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundOutcome {
-    /// The round that was just executed.
-    pub round: u64,
-    /// Number of nodes that transmitted this round.
-    pub transmissions: usize,
-    /// Number of successful receptions this round.
-    pub receptions: usize,
-    /// Number of listeners that lost a reception to a collision this round.
-    pub collisions: usize,
-    /// Fault occurrences this round (all zero in the clean model).
-    pub faults: crate::faults::FaultEvents,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

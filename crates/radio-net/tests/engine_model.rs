@@ -33,7 +33,8 @@ use radio_net::dyntopo::BuiltTopology;
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::faults::BuiltFaults;
 use radio_net::graph::{Graph, NodeId};
-use radio_net::stats::{RoundOutcome, SimStats};
+use radio_net::session::RoundEvents;
+use radio_net::stats::SimStats;
 use radio_net::{NoCd, WithCd};
 
 /// Per-node reception logs: `(round, message)` in delivery order.
@@ -81,7 +82,7 @@ impl Node for Scripted {
 /// Brute-force reference: replays the same script independently with a
 /// dense O(n·Δ) per-round scan — the pre-optimization semantics the
 /// active-set engine must reproduce bit for bit. Returns each node's
-/// reception sequence, the per-round [`RoundOutcome`]s, and each
+/// reception sequence, the per-round [`RoundEvents`]s, and each
 /// node's expected collision-noise rounds under the CD axiom (an awake
 /// non-transmitting listener with two or more transmitting neighbors
 /// hears noise; sleepers hear nothing — noise cannot wake).
@@ -91,7 +92,7 @@ fn reference(
     plans: &[Vec<Option<u32>>],
     awake0: &[bool],
     rounds: usize,
-) -> (Receptions, Vec<RoundOutcome>, NoiseLog) {
+) -> (Receptions, Vec<RoundEvents>, NoiseLog) {
     let mut adj = vec![vec![false; n]; n];
     for &(u, v) in edges {
         adj[u][v] = true;
@@ -112,10 +113,10 @@ fn reference(
                 }
             })
             .collect();
-        let mut outcome = RoundOutcome {
+        let mut outcome = RoundEvents {
             round: r as u64,
             transmissions: tx.iter().flatten().count(),
-            ..RoundOutcome::default()
+            ..RoundEvents::default()
         };
         let mut wakes = Vec::new();
         for v in 0..n {
@@ -129,6 +130,7 @@ fn reference(
                 outcome.receptions += 1;
                 if !awake[v] {
                     wakes.push(v);
+                    outcome.wakeups += 1;
                 }
             } else if transmitters.len() > 1 {
                 outcome.collisions += 1;
@@ -155,7 +157,7 @@ fn run_engine_as<C: CdModel>(
     awake0: &[bool],
     rounds: usize,
     hinted: bool,
-) -> (Vec<RoundOutcome>, Receptions, SimStats, NoiseLog) {
+) -> (Vec<RoundEvents>, Receptions, SimStats, NoiseLog) {
     let graph = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
     let nodes: Vec<Scripted> = plans
         .iter()
@@ -175,7 +177,7 @@ fn run_engine_as<C: CdModel>(
         BuiltTopology::Static,
     )
     .expect("engine builds");
-    let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.step()).collect();
+    let outcomes: Vec<RoundEvents> = (0..rounds).map(|_| engine.step()).collect();
     let stats = *engine.stats();
     let received = (0..n)
         .map(|i| engine.node(NodeId::new(i)).received.clone())
@@ -194,7 +196,7 @@ fn run_engine(
     awake0: &[bool],
     rounds: usize,
     hinted: bool,
-) -> (Vec<RoundOutcome>, Receptions, SimStats) {
+) -> (Vec<RoundEvents>, Receptions, SimStats) {
     let (outcomes, received, stats, noise) =
         run_engine_as::<NoCd>(n, edges, plans, awake0, rounds, hinted);
     assert!(
@@ -328,7 +330,7 @@ fn reactive_reference(
     plans: &[Vec<Option<u32>>],
     awake0: &[bool],
     rounds: usize,
-) -> (Receptions, Vec<RoundOutcome>) {
+) -> (Receptions, Vec<RoundEvents>) {
     let mut adj = vec![vec![false; n]; n];
     for &(u, v) in edges {
         adj[u][v] = true;
@@ -344,10 +346,10 @@ fn reactive_reference(
         let tx: Vec<Option<u32>> = (0..n)
             .map(|i| if awake[i] { nodes[i].poll(r) } else { None })
             .collect();
-        let mut outcome = RoundOutcome {
+        let mut outcome = RoundEvents {
             round: r,
             transmissions: tx.iter().flatten().count(),
-            ..RoundOutcome::default()
+            ..RoundEvents::default()
         };
         for v in 0..n {
             if tx[v].is_some() {
@@ -361,7 +363,10 @@ fn reactive_reference(
                 [msg] => {
                     nodes[v].receive(r, msg);
                     outcome.receptions += 1;
-                    awake[v] = true;
+                    if !awake[v] {
+                        awake[v] = true;
+                        outcome.wakeups += 1;
+                    }
                 }
                 [] => {}
                 _ => outcome.collisions += 1,
@@ -382,7 +387,7 @@ fn run_reactive<C: CdModel>(
     awake0: &[bool],
     rounds: usize,
     hinted: bool,
-) -> (Vec<RoundOutcome>, Receptions, HintMoves) {
+) -> (Vec<RoundEvents>, Receptions, HintMoves) {
     let graph = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
     let nodes: Vec<Reactive> = plans
         .iter()
@@ -397,7 +402,7 @@ fn run_reactive<C: CdModel>(
         BuiltTopology::Static,
     )
     .expect("engine builds");
-    let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.step()).collect();
+    let outcomes: Vec<RoundEvents> = (0..rounds).map(|_| engine.step()).collect();
     let received = engine
         .nodes()
         .iter()

@@ -74,7 +74,8 @@ pub enum Request {
     },
     /// Run until every injected packet is delivered everywhere.
     RunUntilDrained {
-        /// Extra round budget on top of the current round; `None` =
+        /// Extra round budget on top of the current round (at least
+        /// 1); `None` =
         /// up to the horizon, or — without one — a default budget of
         /// `kbcast::runner::round_cap` rounds for the injected packets.
         max_rounds: Option<u64>,
@@ -243,9 +244,16 @@ impl Envelope {
                 }
                 Request::Tick { rounds }
             }
-            "run_until_drained" => Request::RunUntilDrained {
-                max_rounds: opt_u64(&doc, "max_rounds", op)?,
-            },
+            "run_until_drained" => {
+                // A zero budget would build the session without running
+                // a round, leaving round 0 open to late injections that
+                // never join the election.
+                let max_rounds = opt_u64(&doc, "max_rounds", op)?;
+                if max_rounds == Some(0) {
+                    return Err(format!("{op}: \"max_rounds\" must be at least 1"));
+                }
+                Request::RunUntilDrained { max_rounds }
+            }
             "query" => {
                 let origin = opt_u64(&doc, "origin", op)?;
                 let seq = opt_u64(&doc, "seq", op)?;

@@ -171,6 +171,7 @@ fn every_bad_line_errs_and_the_service_keeps_serving() {
         ),
         ("isolated new node", r#"{"op":"add_node","neighbors":[]}"#),
         ("zero tick", r#"{"op":"tick","rounds":0}"#),
+        ("zero drain", r#"{"op":"run_until_drained","max_rounds":0}"#),
         (
             "drain without a round-0 packet",
             r#"{"op":"run_until_drained","max_rounds":10}"#,
@@ -190,6 +191,9 @@ fn every_bad_line_errs_and_the_service_keeps_serving() {
     assert!(!is_error(&s.handle_line(
         r#"{"op":"inject","node":0,"round":0,"payload":[1]}"#
     )));
+    // Refused even once a round-0 packet would let it start the session.
+    let resp = s.handle_line(r#"{"op":"run_until_drained","max_rounds":0}"#);
+    assert!(is_error(&resp), "zero-budget drain must fail: {resp}");
     assert!(!is_error(&s.handle_line(
         r#"{"op":"inject","node":1,"round":500,"payload":[2]}"#
     )));

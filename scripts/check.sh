@@ -234,16 +234,19 @@ for marker in '"experiment": "E22_churn"' '"monotone_degradation": true' \
     }
 done
 
-# Checkers only observe: the quick E17, E21 and E22 runs above had the
-# verifiers on; rerun with them off, each JSON must be byte-identical
-# (about 16 s, mostly E22).
+# Checkers only observe: the quick E17, E19, E21 and E22 runs above had
+# the verifiers on; rerun with them off, each JSON must be
+# byte-identical (about 17 s, mostly E22). E19 is the one smoke that
+# runs only the streaming node under the verifiers.
 KB_SCALE=quick KB_VERIFY=0 KB_E17_OUT=target/E17_faults_smoke_unverified.json \
     cargo run --release -q -p kbcast-bench --bin exp_e17_faults > /dev/null
+KB_SCALE=quick KB_VERIFY=0 KB_E19_OUT=target/E19_saturation_smoke_unverified.json \
+    cargo run --release -q -p kbcast-bench --bin exp_e19_saturation > /dev/null
 KB_SCALE=quick KB_VERIFY=0 KB_E21_OUT=target/E21_cd_smoke_unverified.json \
     cargo run --release -q -p kbcast-bench --bin exp_e21_cd > /dev/null
 KB_SCALE=quick KB_VERIFY=0 KB_E22_OUT=target/E22_churn_smoke_unverified.json \
     cargo run --release -q -p kbcast-bench --bin exp_e22_churn > /dev/null
-for smoke in E17_faults E21_cd E22_churn; do
+for smoke in E17_faults E19_saturation E21_cd E22_churn; do
     cmp "target/${smoke}_smoke.json" "target/${smoke}_smoke_unverified.json" || {
         echo "check.sh: verification changed the quick ${smoke} JSON" >&2
         exit 1
