@@ -190,9 +190,9 @@ fn main() -> std::io::Result<()> {
     // Self-check: the stage probe partitions every round into exactly
     // one stage, so per-stage round totals must sum to total rounds.
     for e in &entries {
-        let stage_rounds: u64 = e.summary.stages.iter().map(|s| s.rounds).sum();
+        let stage_rounds: u64 = e.summary.stages.iter().map(|s| s.totals.rounds).sum();
         assert_eq!(
-            stage_rounds, e.summary.rounds,
+            stage_rounds, e.summary.totals.rounds,
             "{}: per-stage rounds must partition the run",
             e.protocol
         );
@@ -211,13 +211,13 @@ fn main() -> std::io::Result<()> {
     for e in &entries {
         for s in &e.summary.stages {
             #[allow(clippy::cast_precision_loss)]
-            let share = s.rounds as f64 / e.summary.rounds.max(1) as f64;
+            let share = s.totals.rounds as f64 / e.summary.totals.rounds.max(1) as f64;
             #[allow(clippy::cast_precision_loss)]
-            let rx_rate = s.totals.receptions as f64 / s.rounds.max(1) as f64;
+            let rx_rate = s.totals.receptions as f64 / s.totals.rounds.max(1) as f64;
             t.row(&[
                 e.protocol.to_string(),
                 s.name.clone(),
-                format!("{}", s.rounds),
+                format!("{}", s.totals.rounds),
                 format!("{:.0}%", share * 100.0),
                 format!("{}", s.totals.transmissions),
                 format!("{}", s.totals.receptions),

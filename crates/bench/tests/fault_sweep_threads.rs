@@ -71,8 +71,11 @@ fn merged_trace_summary_is_thread_count_invariant() {
     assert_eq!(a, b, "merged trace summaries must not depend on threads");
     assert_eq!(a.to_json(), b.to_json(), "JSON rendering must agree too");
     assert_eq!(a.runs, 6, "every traced seed contributes one run");
-    let stage_rounds: u64 = a.stages.iter().map(|s| s.rounds).sum();
-    assert_eq!(stage_rounds, a.rounds, "stages partition the merged rounds");
+    let stage_rounds: u64 = a.stages.iter().map(|s| s.totals.rounds).sum();
+    assert_eq!(
+        stage_rounds, a.totals.rounds,
+        "stages partition the merged rounds"
+    );
 }
 
 /// Merging is deterministic and order-sensitive in the documented way:
@@ -100,7 +103,7 @@ fn merge_traces_is_deterministic() {
     });
     let empty = merge_traces(&untraced);
     assert_eq!(empty.runs, 0);
-    assert_eq!(empty.rounds, 0);
+    assert_eq!(empty.totals.rounds, 0);
     assert!(empty.stages.is_empty());
 }
 

@@ -1,14 +1,26 @@
 //! Protocol configuration: the paper's big-O constants made explicit.
 //!
 //! The paper proves its bounds for "sufficiently large" constants; an
-//! implementation has to pick numbers. Every constant is a field of
-//! [`Config`] so experiments can sweep them (and E13 documents the
-//! success probability of the defaults). All schedule lengths are
+//! implementation has to pick numbers. Every tunable constant is a
+//! field of [`Config`] so experiments can sweep them (and E13 documents
+//! the success probability of the defaults); the two spacings the
+//! collision-freeness proofs fix are the constants [`ACK_SPACING`] and
+//! [`GROUP_SPACING`]. All schedule lengths are
 //! deterministic functions of the *shared* estimates (`n_bound`,
 //! `d_bound`, `delta_bound`) plus these constants, which is what lets
 //! nodes agree on stage and phase boundaries without communication.
 
 use protocols::timing::{ceil_log2, epoch_len, log_n};
+
+/// Spacing (in rounds) between consecutive acknowledgements leaving the
+/// root: 3 makes them collision-free on the BFS tree (paper §2.3.1); a
+/// smaller value breaks that proof.
+pub const ACK_SPACING: u64 = 3;
+
+/// Spacing (in phases) between consecutive dissemination groups: 3
+/// keeps concurrently active rings non-adjacent (paper §2.4); a smaller
+/// value breaks that proof.
+pub const GROUP_SPACING: u64 = 3;
 
 /// Shared configuration of one k-broadcast execution.
 ///
@@ -41,13 +53,6 @@ pub struct Config {
     /// `⌈log n⌉`; `Some(1)` is the *uncoded* ablation (one packet per
     /// group, no mixing gain), used by experiment E12.
     pub group_size_override: Option<usize>,
-    /// Spacing (in rounds) between consecutive acknowledgements leaving
-    /// the root; 3 guarantees collision-freeness on the BFS tree (paper
-    /// §2.3.1).
-    pub ack_spacing: u64,
-    /// Spacing (in phases) between consecutive dissemination groups; 3
-    /// keeps concurrently active rings non-adjacent (paper §2.4).
-    pub group_spacing: u64,
     /// Bounded-retry cap on Stage 3 collection phases: a node stops
     /// *initiating* alarms (though it still relays others') once this
     /// many phases have elapsed, so a network where alarms can never
@@ -75,8 +80,6 @@ impl Config {
             c_grab: 2,
             c_fwd: 4,
             group_size_override: None,
-            ack_spacing: 3,
-            group_spacing: 3,
             max_collect_phases: 40,
         }
     }

@@ -30,7 +30,7 @@ use radio_net::rng;
 use radio_net::session::{Observer, RoundEvents, SessionEnd};
 use radio_net::trace::{StageProbe, StageSample};
 
-use crate::config::Config;
+use crate::config::{Config, GROUP_SPACING};
 use crate::node::{KbcastNode, TxCounts};
 use crate::packet::Packet;
 use crate::session::{BroadcastProtocol, NetParams};
@@ -267,7 +267,7 @@ pub fn round_cap(cfg: &Config, k: usize) -> u64 {
     let s3 = schedule::phase_start(phases + 1, cfg);
     // Stage 4 for k packets.
     let g = k.div_ceil(cfg.group_size()).max(1) as u64;
-    let s4 = (cfg.group_spacing * g + cfg.d_bound as u64 + 1) * cfg.forward_phase_rounds();
+    let s4 = (GROUP_SPACING * g + cfg.d_bound as u64 + 1) * cfg.forward_phase_rounds();
     2 * (s12 + s3 + s4) + 64
 }
 

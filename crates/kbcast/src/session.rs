@@ -43,11 +43,11 @@ use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::error::Error;
 use radio_net::faults::{BuiltFaults, FaultModel};
 use radio_net::graph::{Graph, NodeId};
-use radio_net::session::{Observer, SessionEnd};
+use radio_net::session::{Observer, SessionEnd, Tee};
 use radio_net::stats::SimStats;
 use radio_net::topology::Topology;
-use radio_net::trace::{SingleStage, StageProbe, TraceCollector, TraceReport, Traced};
-use radio_net::verify::{Check, ModelChecker, Verified, VerifyStack};
+use radio_net::trace::{SingleStage, StageProbe, TraceCollector, TraceReport};
+use radio_net::verify::{Check, ModelChecker, VerifyStack};
 
 use crate::packet::{check_payload, PacketKey};
 use crate::runner::{RunOptions, Workload};
@@ -454,9 +454,9 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
 
     /// Runs `drive` through the session's observer: the protocol's own,
     /// teed with the verify stack and the trace collector when they
-    /// exist. The tees inherit the inner observer's `DETAIL` choice, so
-    /// tracing alone never turns on the engine's recording path, and an
-    /// untraced, unverified session runs the bare observer's loop.
+    /// exist. The collector asks for no detail, so tracing alone never
+    /// turns on the engine's recording path, and an untraced,
+    /// unverified session runs the bare observer's loop.
     pub fn run<D: Drive<N, C>>(&mut self, drive: D) -> SessionEnd {
         let LiveSession {
             engine,
@@ -466,22 +466,11 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
             ..
         } = self;
         match (stack, tracer) {
-            (Some(stack), Some(collector)) => {
-                let mut verified = Verified { inner: obs, stack };
-                let mut tee = Traced {
-                    inner: &mut verified,
-                    collector,
-                };
-                drive.drive(engine, &mut tee)
+            (Some(stack), Some(tracer)) => {
+                drive.drive(engine, &mut Tee(&mut Tee(obs, stack), tracer))
             }
-            (Some(stack), None) => drive.drive(engine, &mut Verified { inner: obs, stack }),
-            (None, Some(collector)) => drive.drive(
-                engine,
-                &mut Traced {
-                    inner: obs,
-                    collector,
-                },
-            ),
+            (Some(stack), None) => drive.drive(engine, &mut Tee(obs, stack)),
+            (None, Some(tracer)) => drive.drive(engine, &mut Tee(obs, tracer)),
             (None, None) => drive.drive(engine, obs),
         }
     }

@@ -13,7 +13,7 @@
 //!   collision — lost copies stay unacknowledged.
 //! * **Acknowledgements.** After the send window (`6y + D` rounds) the
 //!   root emits one ack per packet that arrived in this procedure, spaced
-//!   `ack_spacing = 3` rounds apart. Each relay remembers the child it
+//!   `ACK_SPACING = 3` rounds apart. Each relay remembers the child it
 //!   received each packet from, so acks retrace the packet's path; the
 //!   3-round spacing keeps concurrently travelling acks at ring distance
 //!   ≥ 3, which on a BFS tree means they can never collide.
@@ -31,7 +31,7 @@ use radio_net::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::config::Config;
+use crate::config::{Config, ACK_SPACING};
 use crate::messages::{AckMsg, AlarmMsg, DataMsg, Msg};
 use crate::packet::{Packet, PacketKey};
 use crate::stage3::schedule::{self, ProcDesc};
@@ -311,15 +311,15 @@ impl CollectState {
         let r = pl - proc.start;
         let mut next = self.procs.get(p + 1).map_or(self.grab_len, |q| q.start) - proc.start;
         if self.is_root {
-            // Ack `i` leaves at `send_end + 1 + i·ack_spacing`.
+            // Ack `i` leaves at `send_end + 1 + i·ACK_SPACING`.
             let first = proc.send_end + 1;
             let i = if r < first {
                 0
             } else {
-                (r - first) / self.cfg.ack_spacing + 1
+                (r - first) / ACK_SPACING + 1
             };
             if usize::try_from(i).is_ok_and(|i| i < self.proc_arrivals.len()) {
-                next = next.min(first + i * self.cfg.ack_spacing);
+                next = next.min(first + i * ACK_SPACING);
             }
         } else if self.parent.is_some() {
             if let Some((&slot, _)) = self
@@ -381,10 +381,10 @@ impl CollectState {
                 }
             }
         } else if self.is_root {
-            // Ack emission window: one ack every `ack_spacing` rounds.
+            // Ack emission window: one ack every `ACK_SPACING` rounds.
             let since = r - proc.send_end - 1;
-            if since.is_multiple_of(self.cfg.ack_spacing) {
-                let i = usize::try_from(since / self.cfg.ack_spacing).expect("ack index fits");
+            if since.is_multiple_of(ACK_SPACING) {
+                let i = usize::try_from(since / ACK_SPACING).expect("ack index fits");
                 if let Some(&key) = self.proc_arrivals.get(i) {
                     if let Some(&child) = self.from_child.get(&key) {
                         return Some(Msg::Ack(AckMsg { to: child, key }));

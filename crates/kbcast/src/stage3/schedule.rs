@@ -14,7 +14,7 @@ use crate::config::Config;
 /// * rounds `1 ..= 6y`: randomly chosen launch slots;
 /// * upward relaying continues until round `6y + D` (`send_end`);
 /// * the root emits acknowledgements from `send_end + 1`, spaced
-///   [`Config::ack_spacing`] apart; they drain within the remaining
+///   [`crate::config::ACK_SPACING`] apart; they drain within the remaining
 ///   `3·(6y + D) + D` rounds;
 /// * total length `24y + 5D`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -9,7 +9,7 @@ use radio_net::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::config::Config;
+use crate::config::{Config, GROUP_SPACING};
 use crate::messages::{CodedMsg, Msg};
 use crate::packet::Packet;
 
@@ -181,7 +181,7 @@ impl DissemState {
         Some(if g == 0 {
             0
         } else {
-            self.cfg.group_spacing * (g - 1) + self.cfg.d_bound.max(1) as u64
+            GROUP_SPACING * (g - 1) + self.cfg.d_bound.max(1) as u64
         })
     }
 
@@ -276,10 +276,10 @@ impl DissemState {
 
     fn poll_root(&mut self, phase: u64, within: u64) -> Option<Msg> {
         let g = u64::from(self.g?);
-        if !phase.is_multiple_of(self.cfg.group_spacing) {
+        if !phase.is_multiple_of(GROUP_SPACING) {
             return None;
         }
-        let j = phase / self.cfg.group_spacing;
+        let j = phase / GROUP_SPACING;
         if j >= g {
             return None;
         }
@@ -301,10 +301,10 @@ impl DissemState {
     fn poll_ring(&mut self, phase: u64, within: u64, rng: &mut impl Rng) -> Option<Msg> {
         let d = u64::from(self.dist?);
         let g = u64::from(self.g?);
-        if d == 0 || phase < d || !(phase - d).is_multiple_of(self.cfg.group_spacing) {
+        if d == 0 || phase < d || !(phase - d).is_multiple_of(GROUP_SPACING) {
             return None;
         }
-        let j = (phase - d) / self.cfg.group_spacing;
+        let j = (phase - d) / GROUP_SPACING;
         if j >= g {
             return None;
         }
@@ -353,8 +353,8 @@ impl DissemState {
                 return u64::MAX;
             };
             let g = u64::from(g);
-            if phase.is_multiple_of(self.cfg.group_spacing) {
-                let j = phase / self.cfg.group_spacing;
+            if phase.is_multiple_of(GROUP_SPACING) {
+                let j = phase / GROUP_SPACING;
                 if j < g {
                     let group = &self.groups[usize::try_from(j).expect("group index fits")];
                     if within + 1 < group.len() as u64 {
@@ -362,11 +362,11 @@ impl DissemState {
                     }
                 }
             }
-            let jnext = phase / self.cfg.group_spacing + 1;
+            let jnext = phase / GROUP_SPACING + 1;
             if jnext >= g {
                 return u64::MAX;
             }
-            return jnext * self.cfg.group_spacing * phase_len;
+            return jnext * GROUP_SPACING * phase_len;
         }
         let (Some(d), Some(g)) = (self.dist, self.g) else {
             return u64::MAX;
@@ -381,8 +381,8 @@ impl DissemState {
                 .and_then(Option::as_ref)
                 .is_some_and(|rx| rx.ready.is_some())
         };
-        if phase >= d && (phase - d).is_multiple_of(self.cfg.group_spacing) {
-            let j = (phase - d) / self.cfg.group_spacing;
+        if phase >= d && (phase - d).is_multiple_of(GROUP_SPACING) {
+            let j = (phase - d) / GROUP_SPACING;
             if j < g && ready(j) {
                 return local + 1;
             }
@@ -390,11 +390,11 @@ impl DissemState {
         let start_j = if phase < d {
             0
         } else {
-            (phase - d) / self.cfg.group_spacing + 1
+            (phase - d) / GROUP_SPACING + 1
         };
         for j in start_j..g {
             if ready(j) {
-                return (d + j * self.cfg.group_spacing) * phase_len;
+                return (d + j * GROUP_SPACING) * phase_len;
             }
         }
         u64::MAX

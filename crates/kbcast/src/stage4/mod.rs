@@ -10,7 +10,7 @@
 //! bit-vector as header. A listener decodes once its received
 //! coefficient matrix has full rank (Lemma 3), which `O(log n)`
 //! receptions achieve w.h.p. (Lemma 6). Groups start
-//! [`crate::config::Config::group_spacing`] = 3 phases apart, so
+//! [`crate::config::GROUP_SPACING`] = 3 phases apart, so
 //! concurrently active rings stay ≥ 3 apart and never interfere
 //! (BFS neighbors differ by ≤ 1 ring). Total:
 //! `O(k·logΔ + D·log n·logΔ)` rounds (Lemma 7).

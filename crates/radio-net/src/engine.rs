@@ -12,93 +12,13 @@ use std::collections::BinaryHeap;
 use crate::bitset::{words_for, ActiveSet};
 use crate::dyntopo::{BuiltTopology, TopologyModel};
 use crate::error::Error;
-use crate::faults::{BuiltFaults, ChannelView, FaultEvents, FaultModel};
+use crate::faults::{BuiltFaults, ChannelView, FaultModel};
 use crate::graph::{Graph, NodeId};
 use crate::message::MessageSize;
 use crate::session::{
     NoopObserver, Observer, RoundEvents, RoundRecord, SessionControl, SessionEnd,
 };
 use crate::stats::SimStats;
-
-/// Engine-internal sink for per-listener round events, gated by a
-/// `const ENABLED`: [`Engine::step`] runs with
-/// [`NoDetail`] (`ENABLED = false`), so every recording call below
-/// monomorphizes to nothing and the hot loop is untouched; detail-opted
-/// observers (see [`Observer::DETAIL`]) run with a [`RoundRecord`] sink.
-pub(crate) trait DetailSink {
-    const ENABLED: bool;
-    fn external_wake(&mut self, node: u32);
-    fn transmit(&mut self, node: u32);
-    fn deliver(&mut self, listener: u32, from: u32);
-    fn collision(&mut self, listener: u32);
-    fn woken(&mut self, listener: u32);
-    fn dropped(&mut self, listener: u32);
-    fn jammed(&mut self, listener: u32);
-    fn crashed_listener(&mut self, listener: u32);
-    fn wakeup_suppressed(&mut self, listener: u32);
-    fn noise(&mut self, listener: u32);
-}
-
-/// The do-nothing sink behind plain [`Engine::step`].
-pub(crate) struct NoDetail;
-
-impl DetailSink for NoDetail {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn external_wake(&mut self, _node: u32) {}
-    #[inline(always)]
-    fn transmit(&mut self, _node: u32) {}
-    #[inline(always)]
-    fn deliver(&mut self, _listener: u32, _from: u32) {}
-    #[inline(always)]
-    fn collision(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn woken(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn dropped(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn jammed(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn crashed_listener(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn wakeup_suppressed(&mut self, _listener: u32) {}
-    #[inline(always)]
-    fn noise(&mut self, _listener: u32) {}
-}
-
-impl DetailSink for RoundRecord {
-    const ENABLED: bool = true;
-    fn external_wake(&mut self, node: u32) {
-        self.external_wakes.push(node);
-    }
-    fn transmit(&mut self, node: u32) {
-        self.transmitters.push(node);
-    }
-    fn deliver(&mut self, listener: u32, from: u32) {
-        self.deliveries.push((listener, from));
-    }
-    fn collision(&mut self, listener: u32) {
-        self.collisions.push(listener);
-    }
-    fn woken(&mut self, listener: u32) {
-        self.woken.push(listener);
-    }
-    fn dropped(&mut self, listener: u32) {
-        self.dropped.push(listener);
-    }
-    fn jammed(&mut self, listener: u32) {
-        self.jammed.push(listener);
-    }
-    fn crashed_listener(&mut self, listener: u32) {
-        self.crashed.push(listener);
-    }
-    fn wakeup_suppressed(&mut self, listener: u32) {
-        self.wakeups_suppressed.push(listener);
-    }
-    fn noise(&mut self, listener: u32) {
-        self.noise.push(listener);
-    }
-}
 
 /// Type-level collision-detection capability of an [`Engine`].
 ///
@@ -544,14 +464,14 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// parked node's activity hint, refreshes its done flag, and
     /// records a `noise` detail entry.
     #[inline]
-    fn hear_noise<R: DetailSink>(&mut self, v: usize, v32: u32, round: u64, sink: &mut R) {
+    fn hear_noise<const DETAIL: bool>(&mut self, v: usize, v32: u32, round: u64) {
         self.nodes[v].collision_heard(round);
         self.rehint(v, round);
         if !self.done[v] {
             self.refresh_done(v);
         }
-        if R::ENABLED {
-            sink.noise(v32);
+        if DETAIL {
+            self.detail.noise.push(v32);
         }
     }
 
@@ -588,33 +508,38 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// counting collisions by popcount — per-round cost is
     /// O(active + Σ deg(tx)) rather than O(n · Δ).
     pub fn step(&mut self) -> RoundEvents {
-        self.step_with(&mut NoDetail)
+        self.step_with::<false>()
     }
 
-    /// [`Engine::step`] with a detail sink. Every `sink` call sits behind
-    /// `if R::ENABLED`, so the [`NoDetail`] instantiation is bit- and
-    /// cost-identical to the pre-detail hot loop.
+    /// [`Engine::step`], also filling the engine's [`RoundRecord`] when
+    /// `DETAIL` is set. Every recording push sits behind `if DETAIL`,
+    /// so the `false` instantiation is bit- and cost-identical to the
+    /// pre-detail hot loop.
     ///
     /// [`FaultModel::enabled`] is read once per round, not per session:
     /// a harness may swap the fault model between rounds (see
     /// [`Engine::faults_mut`]). The round body is compiled once per
     /// answer, so a round with no fault present runs with every fault
     /// hook compiled out.
-    fn step_with<R: DetailSink>(&mut self, sink: &mut R) -> RoundEvents {
+    fn step_with<const DETAIL: bool>(&mut self) -> RoundEvents {
         if self.faults.enabled() {
-            self.round_with::<R, true>(sink)
+            self.round_with::<DETAIL, true>()
         } else {
-            self.round_with::<R, false>(sink)
+            self.round_with::<DETAIL, false>()
         }
     }
 
     /// One round of [`Engine::step_with`], with the fault flag fixed.
-    fn round_with<R: DetailSink, const FAULTY: bool>(&mut self, sink: &mut R) -> RoundEvents {
+    /// Each channel event is counted once, into the returned
+    /// [`RoundEvents`]; the cumulative [`SimStats`] takes the round's
+    /// sum at the end.
+    fn round_with<const DETAIL: bool, const FAULTY: bool>(&mut self) -> RoundEvents {
         self.flush_dirty();
-        if R::ENABLED {
-            for idx in 0..self.ext_wakes.len() {
-                sink.external_wake(self.ext_wakes[idx]);
-            }
+        if DETAIL {
+            self.detail.clear();
+            self.detail
+                .external_wakes
+                .extend_from_slice(&self.ext_wakes);
         }
         self.ext_wakes.clear();
         let round = self.round;
@@ -646,9 +571,8 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
             round,
             ..RoundEvents::default()
         };
-        let mut fev = FaultEvents::default();
         if FAULTY {
-            self.faults.begin_round(round, &mut fev);
+            self.faults.begin_round(round, &mut outcome.faults);
         }
 
         // Expired activity hints: return parked nodes to the pollable
@@ -701,13 +625,12 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     let raw = i as u32; // node count fits u32 (checked at construction)
                     if let Some(msg) = self.nodes[i].poll(round) {
                         outcome.transmissions += 1;
-                        self.stats.transmissions += 1;
-                        self.stats.bits_transmitted += msg.size_bits() as u64;
+                        outcome.bits_transmitted += msg.size_bits() as u64;
                         self.tx[i] = Some(msg);
                         self.tx_ids.push(raw);
                         self.tx_mask[wi] |= 1u64 << b;
-                        if R::ENABLED {
-                            sink.transmit(raw);
+                        if DETAIL {
+                            self.detail.transmitters.push(raw);
                         }
                     }
                     // Polling can complete a node (e.g. a source that
@@ -792,15 +715,11 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         // popcount per word and only unique receivers are visited
         // per-bit. Anything that needs per-listener decisions or events
         // — fault hooks, loss RNG draws (whose order anchors
-        // bit-identity), detail sinks, collision detection, the test
+        // bit-identity), detail recording, collision detection, the test
         // sabotage switches — takes the per-bit slow path instead. All
         // of these constants monomorphize.
-        let word_fast = !FAULTY
-            && !R::ENABLED
-            && !C::ENABLED
-            && !force_deliver
-            && !force_noise
-            && !force_silence;
+        let word_fast =
+            !FAULTY && !DETAIL && !C::ENABLED && !force_deliver && !force_noise && !force_silence;
         for widx in 0..self.touched_words.len() {
             let wi = self.touched_words[widx] as usize;
             let base = wi << 6;
@@ -811,7 +730,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
             if word_fast {
                 let ncoll = (listeners & self.twos[wi]).count_ones();
                 outcome.collisions += ncoll as usize;
-                self.stats.collisions += u64::from(ncoll);
                 let mut uniq = listeners & !self.twos[wi];
                 while uniq != 0 {
                     let v = base + uniq.trailing_zeros() as usize;
@@ -819,7 +737,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     if !self.awake[v] {
                         self.awake[v] = true;
                         self.active.insert(v);
-                        self.stats.wakeups += 1;
                         outcome.wakeups += 1;
                     }
                     let t = self.last_tx[v] as usize;
@@ -828,7 +745,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     self.nodes[v].receive(round, msg);
                     self.rehint(v, round);
                     outcome.receptions += 1;
-                    self.stats.receptions += 1;
                     if !self.done[v] {
                         self.refresh_done(v);
                     }
@@ -849,24 +765,24 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                 // from silence anyway.
                 if FAULTY && self.faults.is_crashed(v) {
                     if self.twos[wi] & vbit == 0 {
-                        fev.crashed_rx += 1;
+                        outcome.faults.crashed_rx += 1;
                     }
-                    if R::ENABLED {
-                        sink.crashed_listener(v32);
+                    if DETAIL {
+                        self.detail.crashed.push(v32);
                     }
                     continue;
                 }
                 if FAULTY && self.jam_stamp[v] == round {
-                    fev.jammed += 1;
-                    if R::ENABLED {
-                        sink.jammed(v32);
+                    outcome.faults.jammed += 1;
+                    if DETAIL {
+                        self.detail.jammed.push(v32);
                     }
                     // Jamming is channel noise: to a CD listener it is
                     // indistinguishable from a genuine collision, so an
                     // awake jammed listener hears collision-noise (a
                     // no-CD listener still just hears silence).
                     if C::ENABLED && self.awake[v] {
-                        self.hear_noise(v, v32, round, sink);
+                        self.hear_noise::<DETAIL>(v, v32, round);
                     }
                     continue;
                 }
@@ -880,27 +796,25 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                             .faults
                             .drop_delivery(round, self.last_tx[v] as usize, v)
                     {
-                        self.stats.dropped += 1;
-                        fev.dropped += 1;
-                        if R::ENABLED {
-                            sink.dropped(v32);
+                        outcome.faults.dropped += 1;
+                        if DETAIL {
+                            self.detail.dropped.push(v32);
                         }
                         continue;
                     }
                     if !self.awake[v] {
                         if FAULTY && self.faults.corrupt_wakeup(round, v) {
-                            fev.wakeups_suppressed += 1;
-                            if R::ENABLED {
-                                sink.wakeup_suppressed(v32);
+                            outcome.faults.wakeups_suppressed += 1;
+                            if DETAIL {
+                                self.detail.wakeups_suppressed.push(v32);
                             }
                             continue;
                         }
                         self.awake[v] = true;
                         self.active.insert(v);
-                        self.stats.wakeups += 1;
                         outcome.wakeups += 1;
-                        if R::ENABLED {
-                            sink.woken(v32);
+                        if DETAIL {
+                            self.detail.woken.push(v32);
                         }
                     }
                     let t = self.last_tx[v] as usize;
@@ -912,42 +826,31 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
                     // reception asks it again.
                     self.rehint(v, round);
                     outcome.receptions += 1;
-                    self.stats.receptions += 1;
-                    if R::ENABLED {
-                        sink.deliver(v32, self.last_tx[v]);
+                    if DETAIL {
+                        self.detail.deliveries.push((v32, self.last_tx[v]));
                     }
                     if !self.done[v] {
                         self.refresh_done(v);
                     }
                 } else {
                     outcome.collisions += 1;
-                    self.stats.collisions += 1;
-                    if R::ENABLED {
-                        sink.collision(v32);
+                    if DETAIL {
+                        self.detail.collisions.push(v32);
                     }
                     // The CD axiom: an awake, non-crashed, non-jammed
                     // listener with ≥ 2 transmitting neighbors observes
                     // collision-noise. Sleeping listeners hear nothing
                     // (noise carries no message and cannot wake).
                     if C::ENABLED && self.awake[v] && !force_silence {
-                        self.hear_noise(v, v32, round, sink);
+                        self.hear_noise::<DETAIL>(v, v32, round);
                     }
                 }
             }
         }
         self.touched_words.clear();
 
-        if FAULTY {
-            self.stats.jammed += fev.jammed as u64;
-            self.stats.crashed_rx += fev.crashed_rx as u64;
-            self.stats.wakeups_suppressed += fev.wakeups_suppressed as u64;
-            self.stats.crash_events += fev.crashes as u64;
-            self.stats.recover_events += fev.recoveries as u64;
-        }
-        outcome.faults = fev;
-
         self.round += 1;
-        self.stats.rounds += 1;
+        self.stats.add(&outcome);
         outcome
     }
 
@@ -956,21 +859,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         for _ in 0..rounds {
             self.step();
         }
-    }
-
-    /// Runs until `pred(self)` holds, checking after every round, for at
-    /// most `max_rounds` rounds. Returns `true` if the predicate held.
-    pub fn run_until(&mut self, max_rounds: u64, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        if pred(self) {
-            return true;
-        }
-        for _ in 0..max_rounds {
-            self.step();
-            if pred(self) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Runs until every node reports [`Node::is_done`], for at most
@@ -985,18 +873,14 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
     /// Executes one round and reports it to `obs` — the round's channel
     /// events plus read-only access to every node state machine.
     ///
-    /// If the observer opted in with [`Observer::DETAIL`], the round is
-    /// executed through a recording sink and the observer additionally
-    /// receives the per-listener [`crate::session::RoundDetail`] trace.
-    /// The branch is on a monomorphized constant, so non-detail
-    /// observers keep the bare hot loop.
+    /// If the observer opted in with [`Observer::DETAIL`], the round
+    /// records its per-listener events and the observer additionally
+    /// receives them as a [`crate::session::RoundDetail`]. The branch is
+    /// on a monomorphized constant, so non-detail observers keep the
+    /// bare hot loop.
     pub fn step_observed<O: Observer<N>>(&mut self, obs: &mut O) -> RoundEvents {
         let events = if O::DETAIL {
-            let mut rec = std::mem::take(&mut self.detail);
-            rec.clear();
-            let out = self.step_with(&mut rec);
-            self.detail = rec;
-            out
+            self.step_with::<true>()
         } else {
             self.step()
         };
@@ -1334,16 +1218,6 @@ mod tests {
             Engine::new(g, nodes, [NodeId::new(5)]),
             Err(Error::NodeOutOfRange { node: 5, n: 2 })
         ));
-    }
-
-    #[test]
-    fn run_until_stops_early() {
-        let g = topology::path(2).unwrap();
-        let nodes = vec![Scripted::silent(), Scripted::silent()];
-        let mut e = Engine::new(g, nodes, all_awake(2)).unwrap();
-        let reached = e.run_until(100, |e| e.round() >= 5);
-        assert!(reached);
-        assert_eq!(e.round(), 5);
     }
 
     /// A lone leaf transmitting to its neighbor every round for `rounds`

@@ -54,7 +54,8 @@
 //!   them per protocol stage (via a [`trace::StageProbe`]) and exports
 //!   JSONL event streams, Chrome-trace span files and mergeable
 //!   [`trace::TraceSummary`] aggregates. Zero-cost when off — the
-//!   [`trace::Traced`] tee only exists on the opt-in path.
+//!   collector is teed onto a session's observer
+//!   ([`session::Tee`]) only on the opt-in path.
 //! * [`verify`] — online model-conformance checking:
 //!   [`verify::ModelChecker`] re-derives every round from the graph and
 //!   transmit set and asserts the radio axioms above, via opt-in
@@ -133,10 +134,12 @@ pub use faults::{
 };
 pub use graph::{Graph, NodeId};
 pub use message::MessageSize;
-pub use session::{NoopObserver, Observer, RoundDetail, RoundEvents, SessionControl, SessionEnd};
+pub use session::{
+    NoopObserver, Observer, RoundDetail, RoundEvents, SessionControl, SessionEnd, Tee,
+};
 pub use stats::SimStats;
 pub use trace::{
-    CounterTotals, CurveRec, GaugeStats, StageProbe, StageSample, StageSummary, TraceCollector,
-    TraceReport, TraceSummary, Traced,
+    CurveRec, GaugeStats, StageProbe, StageSample, StageSummary, TraceCollector, TraceReport,
+    TraceSummary,
 };
-pub use verify::{Check, ModelChecker, Verified, VerifyStack, Violation, ViolationLog};
+pub use verify::{Check, ModelChecker, VerifyStack, Violation, ViolationLog};

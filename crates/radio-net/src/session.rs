@@ -20,15 +20,19 @@ use crate::faults::{FaultEvents, FaultModel};
 
 /// Everything that happened on the channel in one executed round.
 ///
-/// Counts mirror the cumulative [`crate::stats::SimStats`] fields but
-/// are per-round deltas, so an observer can attribute channel activity
-/// to protocol phases without differencing the statistics itself.
+/// The engine counts each channel event once, here; the cumulative
+/// [`crate::stats::SimStats`] is the sum of these records
+/// ([`crate::stats::SimStats::add`]), so an observer can attribute
+/// channel activity to protocol phases without differencing the
+/// statistics itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundEvents {
     /// The round that was just executed.
     pub round: u64,
     /// Nodes that transmitted this round.
     pub transmissions: usize,
+    /// Bits those transmissions put on the air (sum of message sizes).
+    pub bits_transmitted: u64,
     /// Successful receptions this round.
     pub receptions: usize,
     /// Listeners that lost a reception to a collision this round.
@@ -189,6 +193,31 @@ pub struct NoopObserver;
 impl<N: Node> Observer<N> for NoopObserver {
     #[inline(always)]
     fn on_round(&mut self, _events: &RoundEvents, _nodes: &[N]) {}
+}
+
+/// Tees one session into two observers, first `.0` then `.1` at each
+/// hook. The engine records details when either side asks for them,
+/// and each side's [`Observer::on_round_detail`] runs only if that side
+/// opted in — so teeing a non-detail observer (the trace collector)
+/// onto another never turns on the engine's recording path.
+pub struct Tee<'a, A, B>(pub &'a mut A, pub &'a mut B);
+
+impl<N: Node, A: Observer<N>, B: Observer<N>> Observer<N> for Tee<'_, A, B> {
+    const DETAIL: bool = A::DETAIL || B::DETAIL;
+
+    fn on_round(&mut self, events: &RoundEvents, nodes: &[N]) {
+        self.0.on_round(events, nodes);
+        self.1.on_round(events, nodes);
+    }
+
+    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, nodes: &[N]) {
+        if A::DETAIL {
+            self.0.on_round_detail(detail, nodes);
+        }
+        if B::DETAIL {
+            self.1.on_round_detail(detail, nodes);
+        }
+    }
 }
 
 /// An arrival-injection seam for streaming sessions: a harness-side

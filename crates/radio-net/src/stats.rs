@@ -1,8 +1,14 @@
 //! Channel-usage accounting collected by the engine.
 
+use crate::session::RoundEvents;
+
 /// Aggregate statistics over a simulation run.
 ///
-/// All counters are cumulative since engine construction. "Collisions" are
+/// All counters are cumulative since engine construction: the sum, by
+/// [`SimStats::add`], of every executed round's [`RoundEvents`], plus
+/// the external wake-ups of [`crate::engine::Engine::wake`] in
+/// [`SimStats::wakeups`] (they happen between rounds). A trace sums the
+/// rounds it saw the same way. "Collisions" are
 /// counted from the *listener's* perspective: a listening node whose
 /// neighborhood contained two or more simultaneous transmitters lost a
 /// potential reception in that round (it cannot itself detect this — the
@@ -19,7 +25,8 @@ pub struct SimStats {
     pub collisions: u64,
     /// Total bits put on the air (sum of message sizes over transmissions).
     pub bits_transmitted: u64,
-    /// Number of wake-up events (sleeping node receiving its first message).
+    /// Number of wake-up events: a sleeping node receiving its first
+    /// message, or woken from outside by [`crate::engine::Engine::wake`].
     pub wakeups: u64,
     /// Receptions dropped by injected channel noise — a fault model's
     /// `drop_delivery` hook; 0 in the paper's clean model.
@@ -43,6 +50,38 @@ impl SimStats {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Counts one executed round.
+    pub fn add(&mut self, ev: &RoundEvents) {
+        self.rounds += 1;
+        self.transmissions += ev.transmissions as u64;
+        self.receptions += ev.receptions as u64;
+        self.collisions += ev.collisions as u64;
+        self.bits_transmitted += ev.bits_transmitted;
+        self.wakeups += ev.wakeups as u64;
+        self.dropped += ev.faults.dropped as u64;
+        self.jammed += ev.faults.jammed as u64;
+        self.crashed_rx += ev.faults.crashed_rx as u64;
+        self.wakeups_suppressed += ev.faults.wakeups_suppressed as u64;
+        self.crash_events += ev.faults.crashes as u64;
+        self.recover_events += ev.faults.recoveries as u64;
+    }
+
+    /// Adds another record's counts (merging runs or stages).
+    pub fn merge(&mut self, other: &SimStats) {
+        self.rounds += other.rounds;
+        self.transmissions += other.transmissions;
+        self.receptions += other.receptions;
+        self.collisions += other.collisions;
+        self.bits_transmitted += other.bits_transmitted;
+        self.wakeups += other.wakeups;
+        self.dropped += other.dropped;
+        self.jammed += other.jammed;
+        self.crashed_rx += other.crashed_rx;
+        self.wakeups_suppressed += other.wakeups_suppressed;
+        self.crash_events += other.crash_events;
+        self.recover_events += other.recover_events;
     }
 
     /// Receptions lost to injected faults: dropped, jammed, crashed

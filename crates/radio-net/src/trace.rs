@@ -5,8 +5,8 @@
 //! always-on counters, and export both in machine-readable formats.
 //! This module is that layer for the simulator:
 //!
-//! * [`TraceCollector`] is an [`Observer`]-side recorder (installed via
-//!   the [`Traced`] tee) that keeps per-round counter samples in a
+//! * [`TraceCollector`] is an [`Observer`] (teed onto the protocol's
+//!   own with [`crate::session::Tee`]) that keeps per-round counter samples in a
 //!   fixed-capacity **ring buffer** (old rounds are evicted, never
 //!   reallocated), aggregates them per protocol **stage**, and tracks a
 //!   protocol-progress **gauge** (e.g. summed GF(2) decoder rank) as a
@@ -25,13 +25,16 @@
 //!
 //! Tracing follows the same zero-cost discipline as [`crate::verify`]:
 //! it only exists on the opt-in path (a harness
-//! wraps its observer in [`Traced`]); a session driven without the tee
-//! monomorphizes to the exact pre-trace hot loop, bit for bit.
+//! tees a collector onto its observer); a session driven without the tee
+//! monomorphizes to the exact pre-trace hot loop, bit for bit. The
+//! collector's counters are [`SimStats`] summed with [`SimStats::add`],
+//! the engine's own accounting.
 
 use std::borrow::Cow;
 
 use crate::engine::Node;
-use crate::session::{Observer, RoundDetail, RoundEvents};
+use crate::session::{Observer, RoundEvents};
+use crate::stats::SimStats;
 
 /// Default ring-buffer capacity of a [`TraceCollector`] (retained
 /// per-round samples; older rounds are evicted but still counted).
@@ -146,61 +149,6 @@ impl GaugeStats {
         {
             self.sum as f64 / self.rounds as f64
         }
-    }
-}
-
-/// Cumulative channel counters, mirroring the per-round fields of
-/// [`RoundEvents`] (and hence the corresponding
-/// [`crate::stats::SimStats`] fields).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterTotals {
-    /// Transmissions.
-    pub transmissions: u64,
-    /// Successful receptions.
-    pub receptions: u64,
-    /// Listener-rounds lost to collisions.
-    pub collisions: u64,
-    /// Radio wake-ups.
-    pub wakeups: u64,
-    /// Receptions dropped by the fault model's loss.
-    pub dropped: u64,
-    /// Listener-rounds silenced by jamming.
-    pub jammed: u64,
-    /// Would-be receptions lost to crashed listeners.
-    pub crashed_rx: u64,
-    /// First receptions that failed to wake a sleeping node.
-    pub wakeups_suppressed: u64,
-}
-
-impl CounterTotals {
-    /// Accumulates one round's events.
-    pub fn add_events(&mut self, ev: &RoundEvents) {
-        self.transmissions += ev.transmissions as u64;
-        self.receptions += ev.receptions as u64;
-        self.collisions += ev.collisions as u64;
-        self.wakeups += ev.wakeups as u64;
-        self.dropped += ev.faults.dropped as u64;
-        self.jammed += ev.faults.jammed as u64;
-        self.crashed_rx += ev.faults.crashed_rx as u64;
-        self.wakeups_suppressed += ev.faults.wakeups_suppressed as u64;
-    }
-
-    /// Accumulates another totals record (summary merging).
-    pub fn merge(&mut self, other: &CounterTotals) {
-        self.transmissions += other.transmissions;
-        self.receptions += other.receptions;
-        self.collisions += other.collisions;
-        self.wakeups += other.wakeups;
-        self.dropped += other.dropped;
-        self.jammed += other.jammed;
-        self.crashed_rx += other.crashed_rx;
-        self.wakeups_suppressed += other.wakeups_suppressed;
-    }
-
-    /// Receptions lost to injected faults (all four fault outcomes).
-    #[must_use]
-    pub fn fault_lost(&self) -> u64 {
-        self.dropped + self.jammed + self.crashed_rx + self.wakeups_suppressed
     }
 }
 
@@ -327,18 +275,17 @@ pub struct StageSummary {
     pub name: String,
     /// Number of disjoint spans that carried this label.
     pub spans: u64,
-    /// Rounds attributed to this stage.
-    pub rounds: u64,
-    /// Channel counters accumulated over those rounds.
-    pub totals: CounterTotals,
+    /// Channel counters accumulated over the rounds attributed to this
+    /// stage (`totals.rounds` counts them).
+    pub totals: SimStats,
     /// Last gauge value observed in this stage ([`None`] if the probe
     /// never reported one here).
     pub gauge_end: Option<u64>,
 }
 
 /// Ring-buffered trace recorder; see the [module docs](self). Build one
-/// per session, feed it via [`Traced`], then [`TraceCollector::finish`]
-/// it into a [`TraceReport`].
+/// per session, observe the session with it (teed onto the protocol's
+/// observer), then [`TraceCollector::finish`] it into a [`TraceReport`].
 pub struct TraceCollector<N> {
     probe: Box<dyn StageProbe<N>>,
     capacity: usize,
@@ -351,8 +298,7 @@ pub struct TraceCollector<N> {
     spans: Vec<Span>,
     /// Currently open span: `(stage index, start round)`.
     open: Option<(u32, u64)>,
-    totals: CounterTotals,
-    rounds: u64,
+    totals: SimStats,
     /// One past the last observed round.
     end_round: u64,
     gauge_curve: CurveRec,
@@ -365,7 +311,7 @@ pub struct TraceCollector<N> {
 impl<N> std::fmt::Debug for TraceCollector<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCollector")
-            .field("rounds", &self.rounds)
+            .field("rounds", &self.totals.rounds)
             .field("stages", &self.stages.len())
             .field("retained", &self.ring.len())
             .finish()
@@ -392,8 +338,7 @@ impl<N: Node> TraceCollector<N> {
             stages: Vec::new(),
             spans: Vec::new(),
             open: None,
-            totals: CounterTotals::default(),
-            rounds: 0,
+            totals: SimStats::new(),
             end_round: 0,
             gauge_curve: CurveRec::new(),
             queue_curve: CurveRec::new(),
@@ -414,8 +359,57 @@ impl<N: Node> TraceCollector<N> {
         u32::try_from(self.stages.len() - 1).expect("stage count fits u32")
     }
 
-    /// Records one executed round. Called by [`Traced::on_round`].
-    pub fn record(&mut self, events: &RoundEvents, nodes: &[N]) {
+    fn close_span(&mut self, stage: u32, start: u64, end: u64) {
+        self.stages[stage as usize].spans += 1;
+        self.spans.push(Span {
+            name: self.stages[stage as usize].name.clone(),
+            start,
+            end,
+        });
+    }
+
+    /// A [`TraceSummary`] of everything recorded so far, without
+    /// freezing the collector — the live-snapshot counterpart of
+    /// [`TraceReport::summary`] for long-running sessions (e.g. a
+    /// service answering a `snapshot` request mid-run). The currently
+    /// open span, if any, is counted as if it closed at the last
+    /// observed round; recording may continue afterwards.
+    #[must_use]
+    pub fn snapshot_summary(&self) -> TraceSummary {
+        let open_stage = self.open.map(|(stage, _)| stage as usize);
+        TraceSummary::of_run(self.totals, &self.stages, open_stage)
+    }
+
+    /// Closes the open span and freezes the trace.
+    #[must_use]
+    pub fn finish(mut self) -> TraceReport {
+        if let Some((stage, start)) = self.open.take() {
+            let end = self.end_round;
+            self.close_span(stage, start, end);
+        }
+        // Unroll the ring into chronological order.
+        let mut samples = Vec::with_capacity(self.ring.len());
+        samples.extend_from_slice(&self.ring[self.ring_head..]);
+        samples.extend_from_slice(&self.ring[..self.ring_head]);
+        TraceReport {
+            totals: self.totals,
+            stages: self.stages,
+            spans: self.spans,
+            samples_dropped: self.pushed - samples.len() as u64,
+            samples,
+            gauge_curve: self.gauge_curve.into_points(),
+            queue_curve: self.queue_curve.into_points(),
+            in_flight_curve: self.in_flight_curve.into_points(),
+            queue_stats: self.queue_stats,
+            in_flight_stats: self.in_flight_stats,
+        }
+    }
+}
+
+/// The collector needs no per-listener detail, so tracing alone never
+/// turns on the engine's recording path.
+impl<N: Node> Observer<N> for TraceCollector<N> {
+    fn on_round(&mut self, events: &RoundEvents, nodes: &[N]) {
         let s = self.probe.sample(events, nodes);
         let idx = self.stage_index(&s.stage);
         let round = events.round;
@@ -432,13 +426,11 @@ impl<N: Node> TraceCollector<N> {
         }
 
         let stage = &mut self.stages[idx as usize];
-        stage.rounds += 1;
-        stage.totals.add_events(events);
+        stage.totals.add(events);
         if s.gauge.is_some() {
             stage.gauge_end = s.gauge;
         }
-        self.totals.add_events(events);
-        self.rounds += 1;
+        self.totals.add(events);
         self.end_round = round + 1;
 
         if let Some(g) = s.gauge {
@@ -480,105 +472,13 @@ impl<N: Node> TraceCollector<N> {
             self.pushed += 1;
         }
     }
-
-    fn close_span(&mut self, stage: u32, start: u64, end: u64) {
-        self.stages[stage as usize].spans += 1;
-        self.spans.push(Span {
-            name: self.stages[stage as usize].name.clone(),
-            start,
-            end,
-        });
-    }
-
-    /// A [`TraceSummary`] of everything recorded so far, without
-    /// freezing the collector — the live-snapshot counterpart of
-    /// [`TraceReport::summary`] for long-running sessions (e.g. a
-    /// service answering a `snapshot` request mid-run). The currently
-    /// open span, if any, is counted as if it closed at the last
-    /// observed round; recording may continue afterwards.
-    #[must_use]
-    pub fn snapshot_summary(&self) -> TraceSummary {
-        let open_stage = self.open.map(|(stage, _)| stage as usize);
-        TraceSummary {
-            runs: 1,
-            rounds: self.rounds,
-            totals: self.totals,
-            stages: self
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(i, s)| StageAgg {
-                    name: s.name.clone(),
-                    runs: 1,
-                    spans: s.spans + u64::from(open_stage == Some(i)),
-                    rounds: s.rounds,
-                    totals: s.totals,
-                })
-                .collect(),
-        }
-    }
-
-    /// Closes the open span and freezes the trace.
-    #[must_use]
-    pub fn finish(mut self) -> TraceReport {
-        if let Some((stage, start)) = self.open.take() {
-            let end = self.end_round;
-            self.close_span(stage, start, end);
-        }
-        // Unroll the ring into chronological order.
-        let mut samples = Vec::with_capacity(self.ring.len());
-        samples.extend_from_slice(&self.ring[self.ring_head..]);
-        samples.extend_from_slice(&self.ring[..self.ring_head]);
-        TraceReport {
-            rounds: self.rounds,
-            totals: self.totals,
-            stages: self.stages,
-            spans: self.spans,
-            samples_dropped: self.pushed - samples.len() as u64,
-            samples,
-            gauge_curve: self.gauge_curve.into_points(),
-            queue_curve: self.queue_curve.into_points(),
-            in_flight_curve: self.in_flight_curve.into_points(),
-            queue_stats: self.queue_stats,
-            in_flight_stats: self.in_flight_stats,
-        }
-    }
-}
-
-/// Observer tee that forwards every hook to the protocol's own observer
-/// and records the round into a [`TraceCollector`] — the tracing
-/// counterpart of [`crate::verify::Verified`]. `DETAIL` is inherited
-/// from the inner observer, so tracing alone never turns on the
-/// engine's per-listener recording path.
-pub struct Traced<'a, O, N: Node> {
-    /// The protocol's own observer.
-    pub inner: &'a mut O,
-    /// The trace recorder run alongside it.
-    pub collector: &'a mut TraceCollector<N>,
-}
-
-impl<O: Observer<N>, N: Node> Observer<N> for Traced<'_, O, N> {
-    const DETAIL: bool = O::DETAIL;
-
-    fn on_round(&mut self, events: &RoundEvents, nodes: &[N]) {
-        self.inner.on_round(events, nodes);
-        self.collector.record(events, nodes);
-    }
-
-    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, nodes: &[N]) {
-        if O::DETAIL {
-            self.inner.on_round_detail(detail, nodes);
-        }
-    }
 }
 
 /// The frozen trace of one session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceReport {
-    /// Rounds observed.
-    pub rounds: u64,
-    /// Whole-run channel counters.
-    pub totals: CounterTotals,
+    /// Whole-run channel counters (`totals.rounds` = rounds observed).
+    pub totals: SimStats,
     /// Per-stage aggregates, in first-appearance order.
     pub stages: Vec<StageSummary>,
     /// Stage span timeline (contiguous, non-overlapping, covering every
@@ -623,7 +523,7 @@ impl TraceReport {
             out,
             "{{\"type\": \"meta\", \"rounds\": {}, \"samples\": {}, \"samples_dropped\": {}, \
              \"stages\": [{}]}}",
-            self.rounds,
+            self.totals.rounds,
             self.samples.len(),
             self.samples_dropped,
             names.join(", ")
@@ -721,22 +621,7 @@ impl TraceReport {
     /// The compact cross-run aggregate of this trace.
     #[must_use]
     pub fn summary(&self) -> TraceSummary {
-        TraceSummary {
-            runs: 1,
-            rounds: self.rounds,
-            totals: self.totals,
-            stages: self
-                .stages
-                .iter()
-                .map(|s| StageAgg {
-                    name: s.name.clone(),
-                    runs: 1,
-                    spans: s.spans,
-                    rounds: s.rounds,
-                    totals: s.totals,
-                })
-                .collect(),
-        }
+        TraceSummary::of_run(self.totals, &self.stages, None)
     }
 }
 
@@ -749,10 +634,8 @@ pub struct StageAgg {
     pub runs: u64,
     /// Spans summed over those runs.
     pub spans: u64,
-    /// Rounds summed over those runs.
-    pub rounds: u64,
-    /// Channel counters summed over those runs.
-    pub totals: CounterTotals,
+    /// Channel counters (rounds included) summed over those runs.
+    pub totals: SimStats,
 }
 
 /// Compact aggregate of one or more traced runs, embedded in sweep
@@ -762,26 +645,41 @@ pub struct StageAgg {
 pub struct TraceSummary {
     /// Runs aggregated.
     pub runs: u64,
-    /// Rounds summed over all runs.
-    pub rounds: u64,
-    /// Channel counters summed over all runs.
-    pub totals: CounterTotals,
+    /// Channel counters (rounds included) summed over all runs.
+    pub totals: SimStats,
     /// Per-stage aggregates; stages are aligned by name, ordered by
     /// first appearance across the merge sequence.
     pub stages: Vec<StageAgg>,
 }
 
 impl TraceSummary {
+    /// One run's summary; `open_stage`'s span, still open, counts as
+    /// closed.
+    fn of_run(totals: SimStats, stages: &[StageSummary], open_stage: Option<usize>) -> Self {
+        TraceSummary {
+            runs: 1,
+            totals,
+            stages: stages
+                .iter()
+                .enumerate()
+                .map(|(i, s)| StageAgg {
+                    name: s.name.clone(),
+                    runs: 1,
+                    spans: s.spans + u64::from(open_stage == Some(i)),
+                    totals: s.totals,
+                })
+                .collect(),
+        }
+    }
+
     /// Folds another summary in (stage alignment by name).
     pub fn merge(&mut self, other: &TraceSummary) {
         self.runs += other.runs;
-        self.rounds += other.rounds;
         self.totals.merge(&other.totals);
         for o in &other.stages {
             if let Some(s) = self.stages.iter_mut().find(|s| s.name == o.name) {
                 s.runs += o.runs;
                 s.spans += o.spans;
-                s.rounds += o.rounds;
                 s.totals.merge(&o.totals);
             } else {
                 self.stages.push(o.clone());
@@ -802,7 +700,7 @@ impl TraceSummary {
                 escape(&s.name),
                 s.runs,
                 s.spans,
-                s.rounds,
+                s.totals.rounds,
                 s.totals.transmissions,
                 s.totals.receptions,
                 s.totals.collisions,
@@ -816,7 +714,7 @@ impl TraceSummary {
             "{{\"runs\": {}, \"rounds\": {}, \"tx\": {}, \"rx\": {}, \"collisions\": {}, \
              \"wakeups\": {}, \"fault_lost\": {}, \"per_stage\": [{}]}}",
             self.runs,
-            self.rounds,
+            self.totals.rounds,
             self.totals.transmissions,
             self.totals.receptions,
             self.totals.collisions,
@@ -845,7 +743,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, Node};
     use crate::graph::NodeId;
-    use crate::session::NoopObserver;
+    use crate::session::{NoopObserver, Tee};
     use crate::topology;
 
     struct Chatty(u64);
@@ -871,13 +769,8 @@ mod tests {
         let nodes = (0..3).map(Chatty).collect();
         let mut e = Engine::new(g, nodes, (0..3).map(NodeId::new)).unwrap();
         let mut tc = TraceCollector::with_capacity(Box::new(Alternating), capacity);
-        let mut inner = NoopObserver;
         for _ in 0..rounds {
-            let mut tee = Traced {
-                inner: &mut inner,
-                collector: &mut tc,
-            };
-            e.step_observed(&mut tee);
+            e.step_observed(&mut tc);
         }
         (tc.finish(), *e.stats())
     }
@@ -885,11 +778,7 @@ mod tests {
     #[test]
     fn totals_match_engine_stats() {
         let (report, stats) = traced_run(12, 64);
-        assert_eq!(report.rounds, stats.rounds);
-        assert_eq!(report.totals.transmissions, stats.transmissions);
-        assert_eq!(report.totals.receptions, stats.receptions);
-        assert_eq!(report.totals.collisions, stats.collisions);
-        assert_eq!(report.totals.wakeups, stats.wakeups);
+        assert_eq!(report.totals, stats);
     }
 
     #[test]
@@ -906,8 +795,8 @@ mod tests {
             covered = sp.end;
         }
         assert_eq!(covered, 12);
-        let stage_rounds: u64 = report.stages.iter().map(|s| s.rounds).sum();
-        assert_eq!(stage_rounds, report.rounds);
+        let stage_rounds: u64 = report.stages.iter().map(|s| s.totals.rounds).sum();
+        assert_eq!(stage_rounds, report.totals.rounds);
     }
 
     #[test]
@@ -918,17 +807,13 @@ mod tests {
         let mut tc = TraceCollector::with_capacity(Box::new(Alternating), 64);
         let mut inner = NoopObserver;
         for _ in 0..12 {
-            let mut tee = Traced {
-                inner: &mut inner,
-                collector: &mut tc,
-            };
-            e.step_observed(&mut tee);
+            e.step_observed(&mut Tee(&mut inner, &mut tc));
         }
         // The snapshot must equal the frozen summary: the open span is
         // counted as-if closed at the last observed round.
         let snap = tc.snapshot_summary();
         assert_eq!(snap, tc.finish().summary());
-        assert_eq!(snap.rounds, 12);
+        assert_eq!(snap.totals.rounds, 12);
         let spans: u64 = snap.stages.iter().map(|s| s.spans).sum();
         assert_eq!(spans, 6);
     }
@@ -993,11 +878,11 @@ mod tests {
         let mut m = a.summary();
         m.merge(&b.summary());
         assert_eq!(m.runs, 2);
-        assert_eq!(m.rounds, 20);
+        assert_eq!(m.totals.rounds, 20);
         assert_eq!(m.stages.len(), 2);
         let even = m.stages.iter().find(|s| s.name == "even").unwrap();
         assert_eq!(even.runs, 2);
-        let total: u64 = m.stages.iter().map(|s| s.rounds).sum();
+        let total: u64 = m.stages.iter().map(|s| s.totals.rounds).sum();
         assert_eq!(total, 20);
     }
 
@@ -1031,13 +916,8 @@ mod tests {
         let nodes = (0..3).map(Chatty).collect();
         let mut e = Engine::new(g, nodes, (0..3).map(NodeId::new)).unwrap();
         let mut tc = TraceCollector::with_capacity(Box::new(Streaming), 64);
-        let mut inner = NoopObserver;
         for _ in 0..rounds {
-            let mut tee = Traced {
-                inner: &mut inner,
-                collector: &mut tc,
-            };
-            e.step_observed(&mut tee);
+            e.step_observed(&mut tc);
         }
         tc.finish()
     }

@@ -949,7 +949,8 @@ impl<N: Node> Check<N> for ModelChecker {
 
 /// A set of [`Check`]s run side by side as one detail-opted
 /// [`Observer`]. The driver owns the stack, runs the session through
-/// it (alongside the protocol's own observer via [`Verified`]), and
+/// it (teed onto the protocol's own observer with
+/// [`crate::session::Tee`]), and
 /// asks [`VerifyStack::total_violations`] afterwards.
 pub struct VerifyStack<N: Node> {
     checks: Vec<Box<dyn Check<N>>>,
@@ -1044,39 +1045,12 @@ impl<N: Node> Observer<N> for VerifyStack<N> {
     }
 }
 
-/// Tees one session into a protocol observer and a [`VerifyStack`]:
-/// the protocol keeps its instrumentation, the stack keeps its checks,
-/// and the engine records details because `DETAIL` is `true` here
-/// regardless of the inner observer's choice.
-pub struct Verified<'a, O, N: Node> {
-    /// The protocol's own observer.
-    pub inner: &'a mut O,
-    /// The checker stack run alongside it.
-    pub stack: &'a mut VerifyStack<N>,
-}
-
-impl<O: Observer<N>, N: Node> Observer<N> for Verified<'_, O, N> {
-    const DETAIL: bool = true;
-
-    fn on_round(&mut self, events: &RoundEvents, nodes: &[N]) {
-        self.inner.on_round(events, nodes);
-        Observer::on_round(self.stack, events, nodes);
-    }
-
-    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, nodes: &[N]) {
-        if O::DETAIL {
-            self.inner.on_round_detail(detail, nodes);
-        }
-        Observer::on_round_detail(self.stack, detail, nodes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, Node};
     use crate::faults::BuiltFaults;
-    use crate::session::NoopObserver;
+    use crate::session::{NoopObserver, Tee};
     use crate::topology;
 
     /// Transmits `plan[round]` each round; counts receptions.
@@ -1788,11 +1762,7 @@ mod tests {
         let mut stack = model_stack(g_ref(&g), &awake);
         let mut e = Engine::new(g, nodes, awake).unwrap();
         let mut inner = NoopObserver;
-        let mut tee = Verified {
-            inner: &mut inner,
-            stack: &mut stack,
-        };
-        e.step_observed(&mut tee);
+        e.step_observed(&mut Tee(&mut inner, &mut stack));
         assert!(stack.is_clean(), "{}", stack.summary(8));
     }
 }

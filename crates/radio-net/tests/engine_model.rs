@@ -33,9 +33,15 @@ use radio_net::dyntopo::BuiltTopology;
 use radio_net::engine::{CdModel, Engine, Node};
 use radio_net::faults::BuiltFaults;
 use radio_net::graph::{Graph, NodeId};
+use radio_net::message::MessageSize;
 use radio_net::session::RoundEvents;
 use radio_net::stats::SimStats;
 use radio_net::{NoCd, WithCd};
+
+/// Bits a round's transmissions put on the air.
+fn bits_of(tx: &[Option<u32>]) -> u64 {
+    tx.iter().flatten().map(|m| m.size_bits() as u64).sum()
+}
 
 /// Per-node reception logs: `(round, message)` in delivery order.
 type Receptions = Vec<Vec<(u64, u32)>>;
@@ -116,6 +122,7 @@ fn reference(
         let mut outcome = RoundEvents {
             round: r as u64,
             transmissions: tx.iter().flatten().count(),
+            bits_transmitted: bits_of(&tx),
             ..RoundEvents::default()
         };
         let mut wakes = Vec::new();
@@ -349,6 +356,7 @@ fn reactive_reference(
         let mut outcome = RoundEvents {
             round: r,
             transmissions: tx.iter().flatten().count(),
+            bits_transmitted: bits_of(&tx),
             ..RoundEvents::default()
         };
         for v in 0..n {

@@ -122,6 +122,20 @@ grep -q '"per_stage"' target/E18_trace_smoke.json || {
     echo "check.sh: trace smoke summary lacks a per-stage breakdown" >&2
     exit 1
 }
+# The same smoke with the verifiers on: the session then tees the trace
+# collector onto the verify stack, and all three files must be
+# byte-identical to the trace-only run's.
+KB_SCALE=quick KB_TRACE=1 KB_VERIFY=1 \
+    KB_E18_OUT=target/E18_trace_smoke_verified.json \
+    KB_E18_JSONL=target/E18_trace_smoke_verified.jsonl \
+    KB_E18_CHROME=target/E18_trace_smoke_verified_chrome.json \
+    cargo run --release -q -p kbcast-bench --bin exp_e18_trace > /dev/null
+for f in .json .jsonl _chrome.json; do
+    cmp "target/E18_trace_smoke$f" "target/E18_trace_smoke_verified$f" || {
+        echo "check.sh: verification changed the quick E18 trace file *$f" >&2
+        exit 1
+    }
+done
 
 # Streaming smoke: the quick E19 configuration runs a short λ-sweep of
 # the streaming (continuous-arrival) sessions, sequential epochs on

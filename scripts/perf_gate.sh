@@ -15,10 +15,10 @@
 #     also gate the cost of that runtime flag;
 #   - verification: the round-detail assembly the ModelChecker needs is
 #     behind `if O::DETAIL`, which only the VerifyStack observer sets;
-#   - tracing: the Traced tee only exists in the session driver's
-#     trace-on match arm, and it inherits DETAIL from its inner
-#     observer — an untraced session monomorphizes to the exact
-#     pre-trace loop, with bit-identical round counts;
+#   - tracing: the collector is teed on only in the session driver's
+#     trace-on match arms, and it sets no DETAIL of its own — an
+#     untraced session monomorphizes to the exact pre-trace loop, with
+#     bit-identical round counts;
 #   - collision detection: CdModel::ENABLED is false for NoCd (the
 #     default every pre-CD caller gets) and every noise branch in the
 #     hot loop is behind `if C::ENABLED`, so the no-CD grid floors

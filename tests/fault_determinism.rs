@@ -5,17 +5,25 @@
 //! per-listener path) must be bit-identical to the clean session (an
 //! empty spec: the word-parallel path), and the `uniform:`
 //! fault model must reproduce the recorded outputs of the engine's
-//! original loss path exactly (same RNG salt, same draw points).
+//! original loss path exactly (same RNG salt, same draw points). Under
+//! every family the engine's [`SimStats`] must be exactly the sum of
+//! the per-round events its observers saw.
 
 use proptest::prelude::*;
 use radio_kbcast::kbcast::baseline::BiiProtocol;
 use radio_kbcast::kbcast::dynamic::{Arrival, DynamicProtocol};
+use radio_kbcast::kbcast::ghk::GhkProtocol;
 use radio_kbcast::kbcast::node::TxCounts;
 use radio_kbcast::kbcast::runner::{
     CodedProtocol, KbcastMeta, RunOptions, StageFaults, StageRounds, Workload,
 };
-use radio_kbcast::kbcast::session::{run_protocol_on_graph, BroadcastProtocol, SessionReport};
-use radio_kbcast::radio_net::faults::FaultSpec;
+use radio_kbcast::kbcast::session::{
+    run_protocol_on_graph, BroadcastProtocol, Drive, LiveSession, SessionReport,
+};
+use radio_kbcast::radio_net::dyntopo::BuiltTopology;
+use radio_kbcast::radio_net::engine::Engine;
+use radio_kbcast::radio_net::faults::{BuiltFaults, FaultSpec};
+use radio_kbcast::radio_net::session::{Observer, RoundDetail, RoundEvents, SessionEnd, Tee};
 use radio_kbcast::radio_net::stats::SimStats;
 use radio_kbcast::radio_net::topology::Topology;
 
@@ -347,5 +355,166 @@ proptest! {
         let rate = f64::from(loss_centi) / 100.0;
         let lossy = faulted_with(rate);
         prop_assert_eq!(lossy.meta.stage_faults.total(), lossy.stats.dropped);
+    }
+}
+
+/// Sums every round's [`RoundEvents`] field by field (not through
+/// `SimStats::add`, the code under test) and, as a detail observer
+/// (`D = true`), counts the external wake-ups the round details name.
+#[derive(Default)]
+struct EventSum<const D: bool> {
+    sum: SimStats,
+    external_wakes: u64,
+}
+
+impl<N: radio_kbcast::radio_net::engine::Node, const D: bool> Observer<N> for EventSum<D> {
+    const DETAIL: bool = D;
+
+    fn on_round(&mut self, ev: &RoundEvents, _nodes: &[N]) {
+        let s = &mut self.sum;
+        s.rounds += 1;
+        s.transmissions += ev.transmissions as u64;
+        s.receptions += ev.receptions as u64;
+        s.collisions += ev.collisions as u64;
+        s.bits_transmitted += ev.bits_transmitted;
+        s.wakeups += ev.wakeups as u64;
+        s.dropped += ev.faults.dropped as u64;
+        s.jammed += ev.faults.jammed as u64;
+        s.crashed_rx += ev.faults.crashed_rx as u64;
+        s.wakeups_suppressed += ev.faults.wakeups_suppressed as u64;
+        s.crash_events += ev.faults.crashes as u64;
+        s.recover_events += ev.faults.recoveries as u64;
+    }
+
+    fn on_round_detail(&mut self, detail: &RoundDetail<'_>, _nodes: &[N]) {
+        self.external_wakes += detail.external_wakes.len() as u64;
+    }
+}
+
+/// The protocol's own drive, with an [`EventSum`] teed onto whatever
+/// observer the session assembled.
+struct Summed<'a, P, S> {
+    protocol: &'a P,
+    cap: u64,
+    sum: &'a mut S,
+}
+
+impl<P: BroadcastProtocol, S: Observer<P::Node>> Drive<P::Node, P::Cd> for Summed<'_, P, S> {
+    fn drive<O: Observer<P::Node>>(
+        self,
+        engine: &mut Engine<P::Node, BuiltFaults, P::Cd, BuiltTopology>,
+        obs: &mut O,
+    ) -> SessionEnd {
+        self.protocol
+            .drive(engine, self.cap, &mut Tee(obs, self.sum))
+    }
+}
+
+/// Runs `protocol` twice under `fault` — bare with a plain event sum,
+/// then verified and traced with a detail event sum — and checks each
+/// run's engine stats (and the trace's totals) against the sum of the
+/// events observed. Returns the stats and the external wake-ups.
+fn stats_equal_event_sums<P: BroadcastProtocol>(
+    protocol: &P,
+    workload: &Workload,
+    fault: &FaultSpec,
+    name: &str,
+) -> (SimStats, u64) {
+    let (seed, what) = (3, format!("{name}/{fault}"));
+    let graph = || {
+        Topology::Grid2d { rows: 4, cols: 4 }
+            .build(seed)
+            .expect("topology builds")
+    };
+    let bare = RunOptions {
+        faults: *fault,
+        ..RunOptions::default()
+    };
+    let checked = RunOptions {
+        verify: true,
+        trace: true,
+        ..bare
+    };
+
+    let mut session = LiveSession::build(protocol, graph(), workload, seed, &bare).expect("builds");
+    let cap = protocol.round_cap(&session.net(), workload.k());
+    let mut plain = EventSum::<false>::default();
+    session.run(Summed {
+        protocol,
+        cap,
+        sum: &mut plain,
+    });
+    let stats = *session.engine().stats();
+    let radio = SimStats {
+        wakeups: plain.sum.wakeups,
+        ..stats
+    };
+    assert_eq!(radio, plain.sum, "{what}: stats vs the summed events");
+    let external = stats.wakeups - plain.sum.wakeups;
+
+    let mut session =
+        LiveSession::build(protocol, graph(), workload, seed, &checked).expect("builds");
+    let mut detailed = EventSum::<true>::default();
+    session.run(Summed {
+        protocol,
+        cap,
+        sum: &mut detailed,
+    });
+    assert_eq!(*session.engine().stats(), stats, "{what}: detail path");
+    assert_eq!(detailed.external_wakes, external, "{what}: external wakes");
+    let mut expect = detailed.sum;
+    expect.wakeups += detailed.external_wakes;
+    assert_eq!(
+        stats, expect,
+        "{what}: stats vs the summed events + external wakes"
+    );
+    let traced = session.tracer().expect("traced").snapshot_summary().totals;
+    assert_eq!(traced, detailed.sum, "{what}: trace totals");
+    (stats, external)
+}
+
+/// The engine forms [`SimStats`] in one place, from the round's events:
+/// under every fault family, on the CD engine and in a streaming
+/// session with external arrivals, each counter equals the sum of the
+/// per-round events an observer saw (plus `Engine::wake`'s external
+/// wake-ups for `wakeups`), on the bare and the detail path.
+#[test]
+fn sim_stats_are_the_sum_of_the_observed_round_events() {
+    let workload = Workload::random(16, 5, 1);
+    let arrivals = [(0, 0), (0, 15), (300, 7)].map(|(round, node)| Arrival {
+        round,
+        node,
+        payload: vec![node as u8],
+    });
+    let mut initial = vec![Vec::new(); 16];
+    initial[0].push(vec![0u8]);
+    let streaming_workload = Workload::new(initial);
+    let streaming = DynamicProtocol {
+        arrivals: &arrivals,
+        config: None,
+        horizon: 50_000,
+    };
+    let (mut total, mut external) = (SimStats::new(), 0);
+    for fault in spec_zoo().iter().chain([&FaultSpec::default()]) {
+        let runs = [
+            stats_equal_event_sums(&CodedProtocol::default(), &workload, fault, "coded"),
+            stats_equal_event_sums(&GhkProtocol::default(), &workload, fault, "ghk"),
+            stats_equal_event_sums(&streaming, &streaming_workload, fault, "streaming"),
+        ];
+        for (stats, ext) in runs {
+            total.merge(&stats);
+            external += ext;
+        }
+    }
+    assert!(external > 0, "the streaming sessions must wake nodes");
+    for (name, count) in [
+        ("dropped", total.dropped),
+        ("jammed", total.jammed),
+        ("crashed_rx", total.crashed_rx),
+        ("wakeups_suppressed", total.wakeups_suppressed),
+        ("crash_events", total.crash_events),
+        ("recover_events", total.recover_events),
+    ] {
+        assert!(count > 0, "no session exercised {name}");
     }
 }

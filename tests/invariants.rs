@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use radio_kbcast::kbcast::config::{ACK_SPACING, GROUP_SPACING};
 use radio_kbcast::kbcast::messages::{Msg, HEADER_BITS};
 use radio_kbcast::kbcast::runner::Workload;
 use radio_kbcast::kbcast::{Config, KbcastNode};
@@ -101,7 +102,7 @@ fn message_sizes_stay_within_the_models_budget() {
 
 #[test]
 fn root_acks_are_spaced_by_ack_spacing() {
-    let (log, cfg, root) = traced_run(&Topology::RandomTree { n: 24 }, 48, 2);
+    let (log, _, root) = traced_run(&Topology::RandomTree { n: 24 }, 48, 2);
     let ack_rounds: Vec<u64> = log
         .iter()
         .filter(|(_, from, m)| *from == root && matches!(m, Msg::Ack(_)))
@@ -110,11 +111,11 @@ fn root_acks_are_spaced_by_ack_spacing() {
     assert!(!ack_rounds.is_empty(), "the root must have acked something");
     for w in ack_rounds.windows(2) {
         assert!(
-            w[1] - w[0] >= cfg.ack_spacing,
+            w[1] - w[0] >= ACK_SPACING,
             "root acks at rounds {} and {} are closer than {}",
             w[0],
             w[1],
-            cfg.ack_spacing
+            ACK_SPACING
         );
     }
 }
@@ -161,13 +162,13 @@ fn stage4_transmitters_respect_ring_schedule() {
             let phase = (*round - s4_start) / l4;
             let d = ring(*from);
             assert!(
-                phase >= d && (phase - d) % cfg.group_spacing == 0,
+                phase >= d && (phase - d) % GROUP_SPACING == 0,
                 "node {from} (ring {d}) sent group {} in phase {phase}",
                 c.group
             );
             assert_eq!(
                 u64::from(c.group),
-                (phase - d) / cfg.group_spacing,
+                (phase - d) / GROUP_SPACING,
                 "group/phase/ring relation violated"
             );
         }

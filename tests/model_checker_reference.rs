@@ -1034,7 +1034,7 @@ fn events(d: &RoundDetail<'_>) -> RoundEvents {
         receptions: d.deliveries.len(),
         collisions: d.collisions.len(),
         wakeups: d.woken.len(),
-        faults: FaultEvents::default(),
+        ..RoundEvents::default()
     }
 }
 

@@ -23,7 +23,7 @@ use radio_kbcast::radio_net::faults::{FaultSpec, UniformLoss};
 use radio_kbcast::radio_net::graph::NodeId;
 use radio_kbcast::radio_net::rng;
 use radio_kbcast::radio_net::topology::Topology;
-use radio_kbcast::radio_net::{NoCd, SessionEnd};
+use radio_kbcast::radio_net::{NoCd, NoopObserver, SessionControl, SessionEnd};
 
 /// A coded-protocol session through the driver.
 fn coded(
@@ -127,7 +127,7 @@ fn legacy_coded_run(topology: &Topology, k: usize, seed: u64) -> SessionReport<K
     }
 }
 
-/// The original BII runner, verbatim: `run_until` with the
+/// The original BII runner: the plain step loop, stopped by the
 /// all-nodes-know-k predicate.
 fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> SessionReport<()> {
     let g = topology.build(seed).unwrap();
@@ -151,7 +151,15 @@ fn legacy_bii_run(topology: &Topology, k: usize, seed: u64) -> SessionReport<()>
     let mut engine = Engine::new(g, nodes, awake).unwrap();
     let epoch = Decay::new(cfg.delta_bound).epoch_len() as u64;
     let cap = 8 * ((k as u64 + d as u64 + 2) * cfg.epochs_per_packet as u64 * epoch) + 64;
-    let success = engine.run_until(cap, |e| e.nodes().iter().all(|nd| nd.known_count() == k));
+    let success = engine
+        .run_session_with(cap, &mut NoopObserver, |e| {
+            if e.nodes().iter().all(|nd| nd.known_count() == k) {
+                SessionControl::Stop
+            } else {
+                SessionControl::Continue
+            }
+        })
+        .completed;
     SessionReport {
         n,
         k,

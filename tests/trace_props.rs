@@ -5,10 +5,10 @@
 //! Two laws, checked against the engine's own accounting rather than
 //! against the trace's idea of itself:
 //!
-//! * **Counter conservation.** A traced session's [`CounterTotals`]
-//!   must equal the engine's [`SimStats`] on every shared counter. The
-//!   trace accumulates per-round [`radio_net::session::RoundEvents`];
-//!   the engine accumulates the same rounds internally. The coded
+//! * **Counter conservation.** A traced session's totals must equal
+//!   the engine's [`SimStats`] on every counter. The trace sums the
+//!   per-round [`radio_net::session::RoundEvents`] it observes; the
+//!   engine sums the same rounds internally. The coded
 //!   protocol never wakes nodes outside the round loop, so the two
 //!   bookkeepers see exactly the same events — any drift is a bug in
 //!   one of them. (The dynamic protocol's mid-session arrival wake-ups
@@ -55,20 +55,12 @@ proptest! {
         let t = &trace.totals;
         let s = &r.stats;
 
-        prop_assert_eq!(trace.rounds, s.rounds, "rounds");
-        prop_assert_eq!(t.transmissions, s.transmissions, "transmissions");
-        prop_assert_eq!(t.receptions, s.receptions, "receptions");
-        prop_assert_eq!(t.collisions, s.collisions, "collisions");
-        prop_assert_eq!(t.wakeups, s.wakeups, "wakeups");
-        prop_assert_eq!(t.dropped, s.dropped, "dropped");
-        prop_assert_eq!(t.jammed, s.jammed, "jammed");
-        prop_assert_eq!(t.crashed_rx, s.crashed_rx, "crashed_rx");
-        prop_assert_eq!(t.wakeups_suppressed, s.wakeups_suppressed, "wakeups_suppressed");
+        prop_assert_eq!(t, s, "trace totals vs engine stats");
 
         // Per-stage totals must re-sum to the run totals: stages
         // partition the rounds, so nothing is counted twice or lost.
-        let stage_rounds: u64 = trace.stages.iter().map(|st| st.rounds).sum();
-        prop_assert_eq!(stage_rounds, trace.rounds, "stage rounds partition the run");
+        let stage_rounds: u64 = trace.stages.iter().map(|st| st.totals.rounds).sum();
+        prop_assert_eq!(stage_rounds, t.rounds, "stage rounds partition the run");
         let stage_tx: u64 = trace.stages.iter().map(|st| st.totals.transmissions).sum();
         prop_assert_eq!(stage_tx, t.transmissions, "stage tx partition the run");
         let stage_rx: u64 = trace.stages.iter().map(|st| st.totals.receptions).sum();
@@ -91,7 +83,7 @@ proptest! {
         prop_assert_eq!(trace.spans[0].start, 0, "first span starts at round 0");
         prop_assert_eq!(
             trace.spans.last().unwrap().end,
-            trace.rounds,
+            trace.totals.rounds,
             "last span ends at the final round"
         );
         for span in &trace.spans {

@@ -16,9 +16,9 @@ use radio_kbcast::radio_net::engine::{Engine, Node, WithCd};
 use radio_kbcast::radio_net::error::Error;
 use radio_kbcast::radio_net::faults::FaultSpec;
 use radio_kbcast::radio_net::graph::{Graph, NodeId};
-use radio_kbcast::radio_net::session::{NoopObserver, SessionControl};
+use radio_kbcast::radio_net::session::{NoopObserver, SessionControl, Tee};
 use radio_kbcast::radio_net::topology::Topology;
-use radio_kbcast::radio_net::verify::{ModelChecker, Verified, VerifyStack};
+use radio_kbcast::radio_net::verify::{ModelChecker, VerifyStack};
 
 fn verify_opts() -> RunOptions {
     RunOptions {
@@ -346,11 +346,9 @@ fn cd_fault_interactions_match_the_checker() {
         )
         .expect("engine builds");
         let mut obs = NoopObserver;
-        let mut verified = Verified {
-            inner: &mut obs,
-            stack: &mut stack,
-        };
-        let end = engine.run_session_with(4, &mut verified, |_| SessionControl::Continue);
+        let end = engine.run_session_with(4, &mut Tee(&mut obs, &mut stack), |_| {
+            SessionControl::Continue
+        });
         stack.session_end(engine.nodes(), &end);
 
         let violations: Vec<String> = stack
