@@ -21,24 +21,29 @@
 //! `(D + log n)·log n` Stage 3 floor is paid once per batch, which is
 //! exactly the static bound recycled (experiment E19).
 //!
-//! **Streaming.** The session is driven through
-//! [`radio_net::session::TrafficSource`] ([`ScheduleSource`] here), so
-//! unbounded workloads terminate on a round budget or a drain predicate
-//! instead of `all_done`, and every packet carries birth/delivery
-//! *stamps* (see [`DynamicNode::stamps`]) from which per-packet latency
-//! percentiles are computed — batch-level accounting is derived, not
-//! primary. [`run_streaming`] is the entry point and returns the common
+//! **Streaming.** A [`ScheduleSource`] replays the arrival schedule in
+//! round order on the engine's one session loop
+//! ([`Engine::run_session_with`]), so unbounded workloads terminate on a
+//! round budget or once everything is delivered instead of on
+//! `all_done`, and every packet carries birth/delivery *stamps* (see
+//! [`DynamicNode::stamps`]) from which per-packet latency percentiles
+//! are computed — batch-level accounting is derived, not primary.
+//! [`run_streaming`] is the entry point and returns the common
 //! [`SessionReport`] with [`DynamicMeta`]; [`ScheduleSource::run`] is
 //! the one streaming drive, shared with the line-protocol service.
 //! Experiment E19 sweeps it under Poisson load.
+//!
+//! [`check_arrival`] is the one arrival rule: the session's build-time
+//! check applies it to the whole schedule, the service to each `inject`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use radio_net::engine::{Engine, NoCd, Node};
+use radio_net::error::Error;
 use radio_net::faults::FaultModel;
 use radio_net::graph::NodeId;
 use radio_net::rng;
-use radio_net::session::{NoopObserver, Observer, RoundEvents, SessionEnd, TrafficSource};
+use radio_net::session::{NoopObserver, Observer, RoundEvents, SessionControl, SessionEnd};
 use radio_net::stats::{mean, nearest_rank};
 use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
@@ -393,7 +398,8 @@ impl Node for DynamicNode {
 /// builds that workload from an arrival schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicProtocol<'a> {
-    /// The full arrival schedule (at least one arrival at round 0).
+    /// The full arrival schedule in round order (at least one arrival at
+    /// round 0).
     pub arrivals: &'a [Arrival],
     /// Explicit configuration, or `None` for [`Config::for_network`].
     pub config: Option<Config>,
@@ -412,12 +418,15 @@ impl DynamicProtocol<'_> {
 
     /// The driver's workload on `n` nodes: the round-0 arrivals, which
     /// wake the network. Later arrivals enter through a
-    /// [`ScheduleSource`].
+    /// [`ScheduleSource`]. An arrival at a node outside `0..n` is left
+    /// out, for the session's build-time check to refuse.
     #[must_use]
     pub fn initial_workload(&self, n: usize) -> Workload {
         let mut initial: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
         for a in self.arrivals.iter().filter(|a| a.round == 0) {
-            initial[a.node].push(a.payload.clone());
+            if let Some(payloads) = initial.get_mut(a.node) {
+                payloads.push(a.payload.clone());
+            }
         }
         Workload::new(initial)
     }
@@ -440,47 +449,73 @@ pub fn arrival_key(counts: &mut Vec<u32>, node: usize) -> PacketKey {
     key
 }
 
-/// A [`TrafficSource`] replaying a fixed arrival schedule: each round's
-/// arrivals (in schedule order) are injected into their nodes, waking
-/// them if asleep. Round-0 arrivals are assumed pre-injected by the
-/// workload (they are the leader-election candidates) and are counted
-/// as already dispatched.
+/// The arrival rule, the one definition of a valid arrival: `a` names
+/// a node of an `n`-node network, its payload fits in a packet
+/// ([`check_payload`]) and it arrives no earlier than `floor`. Arrivals
+/// are replayed in round order, so the floor is the round of the
+/// arrival before it (and, in a running service session, the current
+/// round).
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming the first condition `a` breaks.
+pub fn check_arrival(a: &Arrival, n: usize, floor: u64) -> Result<(), Error> {
+    if a.node >= n {
+        return Err(Error::InvalidParameter {
+            reason: format!("arrival at node {} but the topology has {n} nodes", a.node),
+        });
+    }
+    check_payload(&a.payload)?;
+    if a.round < floor {
+        return Err(Error::InvalidParameter {
+            reason: format!(
+                "arrival at round {} is in the past (arrival rounds must be \
+                 non-decreasing; the floor is round {floor})",
+                a.round
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// A fixed arrival schedule replayed in round order: each arrival is
+/// injected into its node, waking it if asleep, at the top of its
+/// round. Round-0 arrivals are the workload's (they are the
+/// leader-election candidates) and are not queued.
 #[derive(Debug)]
 pub struct ScheduleSource {
-    schedule: HashMap<u64, Vec<(usize, Vec<u8>)>>,
-    remaining: usize,
+    queue: VecDeque<Arrival>,
 }
 
 impl ScheduleSource {
-    /// Builds the source from an arrival schedule, skipping round-0
-    /// entries (the workload owns those).
+    /// Queues a schedule's arrivals after round 0, in schedule order.
+    /// The schedule must be one [`check_arrival`] accepts arrival by
+    /// arrival (rounds non-decreasing): an arrival queued behind a later
+    /// round is never injected.
     #[must_use]
     pub fn new(arrivals: &[Arrival]) -> Self {
-        let mut source = ScheduleSource {
-            schedule: HashMap::new(),
-            remaining: 0,
-        };
-        for a in arrivals.iter().filter(|a| a.round > 0) {
-            source.push(a.round, a.node, a.payload.clone());
+        debug_assert!(arrivals.windows(2).all(|w| w[0].round <= w[1].round));
+        ScheduleSource {
+            queue: arrivals.iter().filter(|a| a.round > 0).cloned().collect(),
         }
-        source
     }
 
-    /// Schedules one more arrival: `payload` enters `node` at the top of
-    /// `round`, after every arrival already scheduled for that round.
-    pub fn push(&mut self, round: u64, node: usize, payload: Vec<u8>) {
-        self.schedule
-            .entry(round)
-            .or_default()
-            .push((node, payload));
-        self.remaining += 1;
+    /// Queues one more arrival, entering at the top of its round after
+    /// every arrival queued before it. Its round must not be earlier
+    /// than the last queued one's or the engine's current round (see
+    /// [`check_arrival`]).
+    pub fn push(&mut self, arrival: Arrival) {
+        debug_assert!(self.queue.back().is_none_or(|b| b.round <= arrival.round));
+        self.queue.push_back(arrival);
     }
 
-    /// Runs `engine` up to the absolute round `horizon`, injecting this
-    /// schedule's arrivals as their rounds come up. With `drain` set,
-    /// the run stops once the schedule is spent and every node holds
-    /// all `k` packets. This is the one streaming drive: the library's
-    /// session and the service's request spans both go through it.
+    /// Runs `engine` up to the absolute round `horizon` (so a paused
+    /// session resumes mid-run), injecting the queued arrivals as their
+    /// rounds come up; nothing is injected at or past `horizon`. With
+    /// `drain` set, the run stops once the queue is empty and every node
+    /// holds all `k` packets, checked from round 1 on. `completed` means
+    /// every node holds all `k`, however the run ended. This is the one
+    /// streaming drive, of the library's session and the service alike.
     pub fn run<F: FaultModel, T: radio_net::TopologyModel, O: Observer<DynamicNode>>(
         &mut self,
         engine: &mut Engine<DynamicNode, F, NoCd, T>,
@@ -489,33 +524,31 @@ impl ScheduleSource {
         k: usize,
         drain: bool,
     ) -> SessionEnd {
-        engine.run_streaming_until(horizon, obs, self, |e| drain && holds_all(e.nodes(), k))
+        let queue = &mut self.queue;
+        let budget = horizon.saturating_sub(engine.round());
+        let end = engine.run_session_with(budget, obs, |e| {
+            let round = e.round();
+            if drain && round > 0 && queue.is_empty() && holds_all(e.nodes(), k) {
+                return SessionControl::Stop;
+            }
+            if round < horizon {
+                while let Some(a) = queue.pop_front_if(|a| a.round == round) {
+                    e.wake(NodeId::new(a.node));
+                    e.node_mut(NodeId::new(a.node)).inject_at(a.payload, round);
+                }
+            }
+            SessionControl::Continue
+        });
+        SessionEnd {
+            completed: holds_all(engine.nodes(), k),
+            rounds: end.rounds,
+        }
     }
 }
 
 /// Whether every node holds `k` packets.
 fn holds_all(nodes: &[DynamicNode], k: usize) -> bool {
     nodes.iter().all(|nd| nd.delivered_count() == k)
-}
-
-impl TrafficSource<DynamicNode> for ScheduleSource {
-    fn inject<F: FaultModel, C: radio_net::CdModel, T: radio_net::TopologyModel>(
-        &mut self,
-        engine: &mut Engine<DynamicNode, F, C, T>,
-    ) {
-        let round = engine.round();
-        if let Some(batch) = self.schedule.remove(&round) {
-            for (node, payload) in batch {
-                engine.wake(NodeId::new(node));
-                engine.node_mut(NodeId::new(node)).inject_at(payload, round);
-                self.remaining -= 1;
-            }
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.remaining == 0
-    }
 }
 
 /// Completion metadata of a [`DynamicProtocol`] session.
@@ -648,12 +681,25 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         keys
     }
 
-    fn check_payloads(&self, _workload: &Workload) -> Result<(), radio_net::error::Error> {
-        // The round-0 arrivals are the workload; the later ones arrive
-        // out of band.
-        self.arrivals
-            .iter()
-            .try_for_each(|a| check_payload(&a.payload))
+    /// Refuses, before anything is built, what [`run_streaming`] lists
+    /// under *Errors*; each arrival's floor is its predecessor's round.
+    fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
+        if self.horizon == 0 {
+            return Err(Error::InvalidParameter {
+                reason: "streaming horizon must be at least 1 round".into(),
+            });
+        }
+        if !self.arrivals.iter().any(|a| a.round == 0) {
+            return Err(Error::InvalidParameter {
+                reason: "at least one packet must arrive at round 0 to wake the network".into(),
+            });
+        }
+        let mut floor = 0;
+        for a in self.arrivals {
+            check_arrival(a, workload.len(), floor)?;
+            floor = a.round;
+        }
+        Ok(())
     }
 
     fn delivered(&self, node: &DynamicNode) -> Vec<PacketKey> {
@@ -679,19 +725,10 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         cap: u64,
         obs: &mut O,
     ) -> SessionEnd {
-        // The arrival seam: a ScheduleSource replays the schedule, and
-        // the drain predicate (everything delivered everywhere) is the
-        // stop condition — evaluated after each executed round, before
-        // that round's injections.
-        let k = self.arrivals.len();
+        // A ScheduleSource replays the schedule and stops once
+        // everything is delivered everywhere.
         let horizon = engine.round().saturating_add(cap);
-        let end = ScheduleSource::new(self.arrivals).run(engine, horizon, obs, k, true);
-        // Success is delivery, not early exit: a run that fills the
-        // horizon exactly when the last node decodes still completed.
-        SessionEnd {
-            completed: holds_all(engine.nodes(), k),
-            rounds: end.rounds,
-        }
+        ScheduleSource::new(self.arrivals).run(engine, horizon, obs, self.arrivals.len(), true)
     }
 
     fn finish(&self, _obs: NoopObserver, nodes: &[DynamicNode], _end: &SessionEnd) -> DynamicMeta {
@@ -773,11 +810,10 @@ impl SessionReport<DynamicMeta> {
 ///
 /// # Errors
 ///
-/// [`radio_net::error::Error::InvalidParameter`] when `horizon` is 0,
-/// no arrival occurs at round 0 (someone must wake the network), an
-/// arrival names a node outside the topology or carries a payload over
-/// [`crate::packet::MAX_PAYLOAD_BYTES`]; plus anything
-/// [`RunOptions::validate`] or topology generation rejects.
+/// [`Error::InvalidParameter`] when `horizon` is 0, no arrival occurs at
+/// round 0 (someone must wake the network) or [`check_arrival`] refuses
+/// an arrival; plus anything [`RunOptions::validate`] or topology
+/// generation rejects.
 pub fn run_streaming(
     topology: &Topology,
     arrivals: &[Arrival],
@@ -785,24 +821,9 @@ pub fn run_streaming(
     seed: u64,
     horizon: u64,
     options: RunOptions,
-) -> Result<SessionReport<DynamicMeta>, radio_net::error::Error> {
-    if horizon == 0 {
-        return Err(radio_net::error::Error::InvalidParameter {
-            reason: "streaming horizon must be at least 1 round".into(),
-        });
-    }
-    if !arrivals.iter().any(|a| a.round == 0) {
-        return Err(radio_net::error::Error::InvalidParameter {
-            reason: "at least one packet must arrive at round 0 to wake the network".into(),
-        });
-    }
+) -> Result<SessionReport<DynamicMeta>, Error> {
     let graph = topology.build(seed)?;
     let n = graph.len();
-    if let Some(a) = arrivals.iter().find(|a| a.node >= n) {
-        return Err(radio_net::error::Error::InvalidParameter {
-            reason: format!("arrival at node {} but the topology has {n} nodes", a.node),
-        });
-    }
     let protocol = DynamicProtocol {
         arrivals,
         config,
@@ -815,7 +836,6 @@ pub fn run_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_net::error::Error;
 
     fn steady_arrivals(n: usize, per_wave: usize, waves: usize, gap: u64) -> Vec<Arrival> {
         let mut out = Vec::new();

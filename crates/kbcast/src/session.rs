@@ -124,13 +124,15 @@ pub trait BroadcastProtocol {
         workload.keys()
     }
 
-    /// Checks every payload the session will carry with
-    /// [`check_payload`]. Defaults to the workload's payloads;
-    /// protocols with out-of-band arrivals override this.
+    /// Checks the session's inputs before anything is built. Defaults to
+    /// every workload payload with [`check_payload`]; protocols with
+    /// out-of-band arrivals override this (the streaming protocol checks
+    /// its whole arrival schedule with
+    /// [`crate::dynamic::check_arrival`]).
     ///
     /// # Errors
     ///
-    /// The first payload's [`check_payload`] error.
+    /// The first refusal, e.g. a payload's [`check_payload`] error.
     fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
         (0..workload.len())
             .flat_map(|i| workload.payloads_of(i))
@@ -266,9 +268,11 @@ pub fn run_protocol<P: BroadcastProtocol>(
 ///
 /// Returns [`Error::InvalidParameter`] for `max_rounds == Some(0)`, for
 /// invalid fault or churn parameters, for a workload shaped for another
-/// node count and for a payload over
-/// [`crate::packet::MAX_PAYLOAD_BYTES`] — checked before any engine
-/// state is constructed — and propagates engine-construction failures.
+/// node count, for a payload over
+/// [`crate::packet::MAX_PAYLOAD_BYTES`] and for any other input
+/// [`BroadcastProtocol::check_payloads`] refuses (a streaming schedule
+/// whose rounds decrease) — checked before any engine state is
+/// constructed — and propagates engine-construction failures.
 /// With [`RunOptions::verify`] set, returns
 /// [`Error::VerificationFailed`] (carrying the seed and the first
 /// violations) if the online model/invariant checkers flag anything.
@@ -372,7 +376,7 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] for a workload shaped for another
-    /// node count or a payload [`BroadcastProtocol::check_payloads`]
+    /// node count or an input [`BroadcastProtocol::check_payloads`]
     /// refuses; propagates fault-model, churn-model and
     /// engine-construction failures.
     pub fn build<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(

@@ -944,44 +944,6 @@ impl<N: Node, F: FaultModel, C: CdModel, T: TopologyModel> Engine<N, F, C, T> {
         }
     }
 
-    /// The streaming session loop: a [`Engine::run_session_with`] up to
-    /// the absolute round `horizon`, whose control hook is split into an
-    /// arrival-injection seam ([`crate::session::TrafficSource`]) and a
-    /// drain predicate.
-    ///
-    /// Each control step first checks termination — the source is
-    /// [`TrafficSource::exhausted`](crate::session::TrafficSource::exhausted)
-    /// and `drained` holds (e.g. every injected packet was delivered
-    /// everywhere, or queues are empty) — and otherwise lets the source
-    /// inject arrivals for the round about to execute. The stop check
-    /// is skipped at round 0 (the session must wake the network first)
-    /// and injection is skipped from `horizon` on, so a capped run
-    /// executes exactly the rounds up to `horizon` and injects only into
-    /// rounds that actually run. The budget is the distance from the
-    /// current round, so a paused session resumes mid-run.
-    ///
-    /// Termination is by horizon or drain, never by the engine's
-    /// `all_done` counter: streaming protocols are perpetual services
-    /// and never report [`Node::is_done`].
-    pub fn run_streaming_until<O: Observer<N>, S: crate::session::TrafficSource<N>>(
-        &mut self,
-        horizon: u64,
-        obs: &mut O,
-        source: &mut S,
-        mut drained: impl FnMut(&Self) -> bool,
-    ) -> SessionEnd {
-        let budget = horizon.saturating_sub(self.round);
-        self.run_session_with(budget, obs, |e| {
-            if e.round() > 0 && source.exhausted() && drained(e) {
-                return SessionControl::Stop;
-            }
-            if e.round() < horizon {
-                source.inject(e);
-            }
-            SessionControl::Continue
-        })
-    }
-
     /// The round about to be executed (0 before the first [`Engine::step`]).
     #[must_use]
     pub fn round(&self) -> u64 {

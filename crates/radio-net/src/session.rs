@@ -13,10 +13,16 @@
 //! [`Engine::run_until_all_done`](crate::engine::Engine::run_until_all_done)
 //! — which is now a `NoopObserver` session — compiles to the same hot
 //! loop it had before observers existed.
+//!
+//! Sessions with external events run the same loop:
+//! [`Engine::run_session_with`](crate::engine::Engine::run_session_with)
+//! hands a control hook mutable engine access before every round, so a
+//! harness can inject the round's arrivals (waking nodes and handing
+//! them packets) and decide when the session is over. The streaming
+//! protocol's arrival schedule replays this way.
 
-use crate::dyntopo::TopologyModel;
-use crate::engine::{CdModel, Engine, Node};
-use crate::faults::{FaultEvents, FaultModel};
+use crate::engine::Node;
+use crate::faults::FaultEvents;
 
 /// Everything that happened on the channel in one executed round.
 ///
@@ -218,44 +224,6 @@ impl<N: Node, A: Observer<N>, B: Observer<N>> Observer<N> for Tee<'_, A, B> {
             self.1.on_round_detail(detail, nodes);
         }
     }
-}
-
-/// An arrival-injection seam for streaming sessions: a harness-side
-/// source of external events (packet arrivals, wake-ups) that the
-/// engine consults once per round of a
-/// [`Engine::run_streaming_until`](crate::engine::Engine::run_streaming_until)
-/// session, *before* the round executes.
-///
-/// The source gets mutable engine access so it can wake nodes
-/// ([`Engine::wake`](crate::engine::Engine::wake)) and hand them
-/// payloads ([`Engine::node_mut`](crate::engine::Engine::node_mut)) —
-/// the same omniscient-harness tools the one-shot drivers already use.
-/// Mutating a node through `node_mut` voids its activity-parking hint,
-/// so `next_activity` parking stays correct under mid-run injection:
-/// a parked node that receives an arrival is re-polled from the next
-/// round on.
-///
-/// Unlike a one-shot workload, a traffic source need not be finite; a
-/// streaming session terminates on its round budget or on the caller's
-/// drain predicate once [`TrafficSource::exhausted`] reports the source
-/// dry.
-pub trait TrafficSource<N: Node> {
-    /// Injects this round's arrivals (if any) into the engine. Called
-    /// once before every round with the engine positioned at
-    /// [`Engine::round`](crate::engine::Engine::round) == the round
-    /// about to execute. Generic over the engine's fault,
-    /// collision-detection and topology models: injection is a
-    /// harness-side event and behaves the same in every channel
-    /// model.
-    fn inject<F: FaultModel, C: CdModel, T: TopologyModel>(
-        &mut self,
-        engine: &mut Engine<N, F, C, T>,
-    );
-
-    /// `true` once the source will never inject again (a bounded
-    /// schedule ran out, or a generator hit its packet budget). An
-    /// unbounded source simply always returns `false`.
-    fn exhausted(&self) -> bool;
 }
 
 /// Flow control returned by a session's control hook.

@@ -17,7 +17,8 @@ use crate::json::Json;
 pub struct InjectPacket {
     /// Destination node.
     pub node: usize,
-    /// Arrival round; `None` = the engine's current round.
+    /// Arrival round; `None` = the current floor: the engine's current
+    /// round or the previous injection's round, whichever is later.
     pub round: Option<u64>,
     /// Application payload bytes.
     pub payload: Vec<u8>,
@@ -39,9 +40,9 @@ pub enum Request {
         faults: Option<String>,
         /// Absolute round horizon; `None` = unbounded.
         horizon: Option<u64>,
-        /// Run the online verify stack; `None` = `KB_VERIFY` env.
+        /// Run the online verify stack; `None` = off.
         verify: Option<bool>,
-        /// Record a structured trace; `None` = `KB_TRACE` env.
+        /// Record a structured trace; `None` = off.
         trace: Option<bool>,
         /// Collision detection: must be absent or `false`. The
         /// streaming protocol never listens for collision noise, so

@@ -13,11 +13,14 @@
 //! [`ScheduleSource::run`] span of the session's engine, the drive the
 //! library's own streaming session runs. Wall-clock *ingestion*
 //! (requests arriving between runs) only mutates harness state:
-//! `inject` queues arrivals into that [`ScheduleSource`], which the
-//! engine consults once per round.
+//! `inject` checks each arrival with the library's arrival rule
+//! ([`check_arrival`]) and queues it into that [`ScheduleSource`], which
+//! replays it at the top of its round.
 //!
 //! Determinism contract: a session is fully determined by the `init`
-//! parameters plus the request sequence. The session is built lazily at
+//! parameters plus the request sequence; nothing is read from the
+//! environment (an absent `verify` or `trace` switch is off). The
+//! session is built lazily at
 //! the first run request, from the arrivals logged so far, so a service
 //! session whose faults are never flipped mid-run reproduces the
 //! library run bit-for-bit on the same seed (pinned by
@@ -27,9 +30,10 @@ use std::str::FromStr;
 
 use kbcast::config::Config;
 use kbcast::dynamic::{
-    arrival_key, stamp_latencies, Arrival, DynamicNode, DynamicProtocol, ScheduleSource,
+    arrival_key, check_arrival, stamp_latencies, Arrival, DynamicNode, DynamicProtocol,
+    ScheduleSource,
 };
-use kbcast::packet::{check_payload, PacketKey};
+use kbcast::packet::PacketKey;
 use kbcast::runner::{round_cap, RunOptions};
 use kbcast::session::{Drive, LiveSession};
 use radio_net::dyntopo::ChurnSpec;
@@ -51,7 +55,8 @@ type Session = LiveSession<DynamicNode, NoCd, NoopObserver>;
 
 /// One `tick` / `run_until_drained` span: the engine runs up to the
 /// absolute round `target`, injecting queued arrivals, and with `drain`
-/// set stops early once every node holds all `k` packets.
+/// set stops early once every node holds all `k` packets (see
+/// [`ScheduleSource::run`]).
 struct Span<'a> {
     target: u64,
     drain: bool,
@@ -104,10 +109,9 @@ pub struct Service {
     options: RunOptions,
     /// Full arrival log in request order. Because inject rounds are
     /// monotone, this is simultaneously schedule order — the order the
-    /// key rule ([`arrival_key`]) counts in.
+    /// key rule ([`arrival_key`]) counts in — and its last entry holds
+    /// the highest round injected at.
     arrivals: Vec<Arrival>,
-    /// Highest round any packet was injected at (monotonicity floor).
-    last_inject_round: u64,
     /// Set once `shutdown` was acknowledged.
     done: bool,
 }
@@ -145,7 +149,6 @@ impl Service {
             horizon: u64::MAX,
             options: RunOptions::default(),
             arrivals: Vec::new(),
-            last_inject_round: 0,
             done: false,
         }
     }
@@ -265,8 +268,8 @@ impl Service {
         self.seed = seed;
         self.horizon = horizon;
         self.options = RunOptions {
-            verify: verify.unwrap_or_else(kbcast_bench::verify_from_env),
-            trace: trace.unwrap_or_else(kbcast_bench::trace_from_env),
+            verify: verify.unwrap_or(false),
+            trace: trace.unwrap_or(false),
             churn: churn_spec,
             faults: spec,
             ..RunOptions::default()
@@ -332,48 +335,35 @@ impl Service {
         };
         // Validate the whole batch before accepting any of it, so a
         // failed request leaves no partial state behind.
-        let mut floor = self.last_inject_round.max(current);
-        let mut resolved: Vec<(usize, u64, Vec<u8>)> = Vec::with_capacity(packets.len());
-        for p in &packets {
-            if p.node >= n {
-                return err(format!(
-                    "inject: node {} out of range (topology has {n} nodes)",
-                    p.node
-                ));
-            }
-            if let Err(e) = check_payload(&p.payload) {
+        let mut floor = self.arrivals.last().map_or(0, |a| a.round).max(current);
+        let mut resolved: Vec<Arrival> = Vec::with_capacity(packets.len());
+        for p in packets {
+            let arrival = Arrival {
+                round: p.round.unwrap_or(floor),
+                node: p.node,
+                payload: p.payload,
+            };
+            if let Err(e) = check_arrival(&arrival, n, floor) {
                 return err(format!("inject: {e}"));
             }
-            let round = p.round.unwrap_or(floor);
-            if round < floor {
+            if arrival.round >= self.horizon && arrival.round > 0 {
                 return err(format!(
-                    "inject: round {round} is in the past (rounds must be non-decreasing; \
-                     current floor is {floor})"
+                    "inject: round {} is at or beyond the horizon ({})",
+                    arrival.round, self.horizon
                 ));
             }
-            if round >= self.horizon && round > 0 {
-                return err(format!(
-                    "inject: round {round} is at or beyond the horizon ({})",
-                    self.horizon
-                ));
-            }
-            floor = round;
-            resolved.push((p.node, round, p.payload.clone()));
+            floor = arrival.round;
+            resolved.push(arrival);
         }
         let accepted = resolved.len() as u64;
-        for (node, round, payload) in resolved {
-            self.last_inject_round = round;
+        for arrival in resolved {
             if let Phase::Running(live) = &mut self.phase {
                 // Round-0 packets only exist pre-start (the floor is
                 // the current round once running).
-                live.source.push(round, node, payload.clone());
-                live.session.on_inject(NodeId::new(node));
+                live.source.push(arrival.clone());
+                live.session.on_inject(NodeId::new(arrival.node));
             }
-            self.arrivals.push(Arrival {
-                round,
-                node,
-                payload,
-            });
+            self.arrivals.push(arrival);
         }
         Response::InjectAck {
             accepted,
@@ -412,18 +402,14 @@ impl Service {
     /// Builds the session if it is still `Configured`: the library's
     /// [`LiveSession::build`] over the arrivals logged so far, exactly
     /// as [`kbcast::dynamic::run_streaming`] builds it for the same
-    /// schedule.
+    /// schedule — refusing, like it, a schedule without a round-0
+    /// arrival.
     fn ensure_running(&mut self) -> Result<(), String> {
         let graph = match &self.phase {
             Phase::Uninit => return Err("no session (send init first)".into()),
             Phase::Running(_) => return Ok(()),
             Phase::Configured(g) => g,
         };
-        if !self.arrivals.iter().any(|a| a.round == 0) {
-            return Err(
-                "at least one packet must be injected at round 0 to wake the network".into(),
-            );
-        }
         if !graph.is_connected() {
             return Err("the topology is disconnected".into());
         }
@@ -527,14 +513,14 @@ impl Service {
         let budget = match (max_rounds, self.live()) {
             (Some(m), _) => current.saturating_add(m),
             (None, Some(live)) if self.horizon == u64::MAX => current
-                .max(self.last_inject_round)
+                .max(self.arrivals.last().map_or(0, |a| a.round))
                 .saturating_add(round_cap(&live.cfg, self.arrivals.len())),
             (None, _) => u64::MAX,
         };
         let target = budget.min(self.horizon);
         let end = self.run_span(target, true);
         Response::DrainAck {
-            completed: end.completed && self.is_drained(),
+            completed: end.completed,
             round: self.round(),
         }
     }
@@ -733,12 +719,13 @@ mod tests {
             panic!("tick starts the session");
         };
         live.session.on_inject(NodeId::new(1));
-        live.source.push(10, 2, vec![2]);
-        s.arrivals.push(Arrival {
+        let arrival = Arrival {
             round: 10,
             node: 2,
             payload: vec![2],
-        });
+        };
+        live.source.push(arrival.clone());
+        s.arrivals.push(arrival);
         let drain = ok(&s.handle_line(r#"{"op":"run_until_drained","max_rounds":400000}"#));
         assert_eq!(drain.get("completed").and_then(Json::as_bool), Some(true));
         let sd = ok(&s.handle_line(r#"{"op":"shutdown"}"#));

@@ -9,6 +9,7 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 
 use kbcast_serve::driver::{drive_sessions, run_script, FaultFlip, Transport, WorkloadSpec};
+use kbcast_serve::json::Json;
 
 fn serve_bin() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_kbcast-serve"))
@@ -113,4 +114,31 @@ fn transport_surfaces_error_responses_with_request_context() {
         "error should carry the service's message: {err}"
     );
     t.close();
+}
+
+/// A session is fixed by `init` and the request sequence: an `init`
+/// without `verify`/`trace` switches runs unverified and untraced even
+/// when the process environment carries the experiment binaries'
+/// `KB_VERIFY`/`KB_TRACE` switches. `scripts/check.sh` replays the same
+/// script with and without them and compares the responses.
+#[test]
+fn absent_switches_ignore_the_environment() {
+    let mut child = Command::new(serve_bin())
+        .envs([("KB_TRACE", "1"), ("KB_VERIFY", "1")])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let script = include_bytes!("switchless.req.jsonl");
+    child.stdin.take().unwrap().write_all(script).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "service exited with {:?}", out.status);
+    let text = String::from_utf8(out.stdout).unwrap();
+    let snapshot = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|doc| doc.get("op").and_then(Json::as_str) == Some("snapshot"))
+        .unwrap_or_else(|| panic!("no snapshot response in {text}"));
+    assert_eq!(snapshot.get("round").and_then(Json::as_u64), Some(200));
+    assert_eq!(snapshot.get("trace"), Some(&Json::Null), "{text}");
 }

@@ -155,7 +155,7 @@ fn service_sessions_match_the_library_run_bit_for_bit() {
 /// streaming run bit-for-bit, verify stack live the whole way. This
 /// pins the service's churn plumbing end to end: spec parsing, the
 /// identically-seeded engine + checker-replica construction, and the
-/// per-round reshape inside `run_streaming_until` spans.
+/// per-round reshape inside the service's `ScheduleSource::run` spans.
 #[test]
 fn churned_service_session_matches_the_library_run_bit_for_bit() {
     let (protocol, seed) = ("stream-seq", 43u64);

@@ -210,6 +210,17 @@ if grep -q 'internal panic' target/serve_oversize_responses.jsonl; then
     echo "check.sh: oversize inject script reports an internal panic" >&2
     exit 1
 fi
+# A session is fixed by init plus the request sequence: a script whose
+# init names no verify/trace switch must answer byte-identically with
+# and without the experiment binaries' KB_VERIFY/KB_TRACE switches set.
+./target/release/kbcast-serve < crates/serve/tests/switchless.req.jsonl \
+    > target/serve_switchless_bare.jsonl
+KB_VERIFY=1 KB_TRACE=1 ./target/release/kbcast-serve \
+    < crates/serve/tests/switchless.req.jsonl > target/serve_switchless_env.jsonl
+cmp target/serve_switchless_bare.jsonl target/serve_switchless_env.jsonl || {
+    echo "check.sh: KB_VERIFY/KB_TRACE changed a switch-less service session" >&2
+    exit 1
+}
 
 # CD smoke: the quick E21 configuration (grid 8x8, every fault family,
 # ghk vs coded vs bii) with the online verifiers on. KB_VERIFY=1 makes

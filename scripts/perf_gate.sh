@@ -35,17 +35,16 @@
 # the committed baseline is for machine variance, not for
 # instrumentation cost).
 #
-# The streaming arrival seam is likewise zero-cost here: one-shot
-# sessions use run_session / run_session_with, which
-# Engine::run_streaming_until wraps rather than modifies — no
-# TrafficSource type reaches the one-shot path, so the loop this script
-# gates monomorphizes without any injection hook.
+# Streaming arrivals are likewise zero-cost here: the one streaming
+# drive, ScheduleSource::run, is a control closure on
+# Engine::run_session_with — no injection code reaches the one-shot
+# path, so the loop this script gates monomorphizes without any
+# injection hook.
 #
-# The kbcast-serve front-end sits strictly downstream of that seam: the
-# service runs the library's one streaming drive, ScheduleSource::run
-# over Engine::run_streaming_until, and adds no code to radio-net or
-# kbcast, so the library one-shot path this gate measures is untouched
-# by the service crate.
+# The kbcast-serve front-end sits strictly downstream of that drive:
+# the service runs the library's ScheduleSource::run and adds no code
+# to radio-net or kbcast, so the library one-shot path this gate
+# measures is untouched by the service crate.
 #
 # The absolute floors additionally pin the word-parallel + activity-hint
 # engine's order of magnitude, so a regression cannot slip through by

@@ -7,8 +7,9 @@
 //! placement) rather than just its reporting — bump them only with a
 //! changelog note explaining why the schedule legitimately changed.
 
-use kbcast::dynamic::{run_streaming, Arrival};
+use kbcast::dynamic::{run_streaming, Arrival, DynamicProtocol};
 use kbcast::runner::RunOptions;
+use kbcast::session::run_protocol_on_graph;
 use radio_net::topology::Topology;
 
 /// A fixed little schedule: two round-0 packets (waking the network)
@@ -83,26 +84,58 @@ fn streaming_golden_pins() {
 #[test]
 fn streaming_rejects_invalid_specs() {
     use radio_net::error::Error;
+    fn refused<T: std::fmt::Debug>(r: Result<T, Error>, why: &str) {
+        assert!(
+            matches!(&r, Err(Error::InvalidParameter { reason }) if reason.contains(why)),
+            "expected a refusal naming {why:?}, got {r:?}"
+        );
+    }
     let topo = Topology::Grid2d { rows: 3, cols: 3 };
     let opts = RunOptions::default();
     let all = arrivals();
 
-    let r = run_streaming(&topo, &all, None, 1, 0, opts);
-    assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
-
+    refused(run_streaming(&topo, &all, None, 1, 0, opts), "horizon");
+    // Someone must be present at round 0 to wake the network.
     let no_wake: Vec<Arrival> = all.iter().filter(|a| a.round > 0).cloned().collect();
-    let r = run_streaming(&topo, &no_wake, None, 1, 1_000, opts);
-    assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
-
+    refused(
+        run_streaming(&topo, &no_wake, None, 1, 1_000, opts),
+        "round 0",
+    );
     let mut oob = all.clone();
     oob[0].node = 99;
-    let r = run_streaming(&topo, &oob, None, 1, 1_000, opts);
-    assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
-
+    refused(run_streaming(&topo, &oob, None, 1, 1_000, opts), "node 99");
     let bad_opts = RunOptions {
         max_rounds: Some(0),
         ..RunOptions::default()
     };
-    let r = run_streaming(&topo, &all, None, 1, 1_000, bad_opts);
-    assert!(matches!(r, Err(Error::InvalidParameter { .. })), "{r:?}");
+    refused(
+        run_streaming(&topo, &all, None, 1, 1_000, bad_opts),
+        "max_rounds",
+    );
+
+    // Arrivals are replayed in round order, so a schedule whose rounds
+    // decrease is refused, by the streaming entry point and by the
+    // session driver alike: accepted, its late-listed round-100 packet
+    // would enter at round 9000 and report a wrong latency.
+    let decreasing: Vec<Arrival> = [(0, 0), (9_000, 3), (100, 3)]
+        .into_iter()
+        .map(|(round, node)| Arrival {
+            round,
+            node,
+            payload: vec![node as u8],
+        })
+        .collect();
+    let mut verified = opts;
+    verified.verify = true;
+    let r = run_streaming(&topo, &decreasing, None, 3, 200_000, verified);
+    refused(r, "non-decreasing");
+    let graph = topo.build(3).unwrap();
+    let protocol = DynamicProtocol {
+        arrivals: &decreasing,
+        config: None,
+        horizon: 200_000,
+    };
+    let workload = protocol.initial_workload(graph.len());
+    let r = run_protocol_on_graph(&protocol, graph, &workload, 3, verified);
+    refused(r, "non-decreasing");
 }

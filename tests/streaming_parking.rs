@@ -12,13 +12,14 @@
 //! outputs, and the parked run must poll strictly less.
 //!
 //! Three protocols park: the streaming `DynamicNode` (with a test-local
-//! [`TrafficSource`] injecting mid-run arrivals through
-//! `Engine::node_mut`, which voids a park), the one-shot coded
-//! `KbcastNode` and the `BiiNode` baseline. Each runs on three
-//! topologies and three seeds under five channel conditions: clean,
-//! uniform loss, crashes (leaving streaming stragglers that decode
-//! foreign batches), jamming and edge churn.
+//! control hook on `Engine::run_session_with` injecting mid-run
+//! arrivals through `Engine::node_mut`, which voids a park), the
+//! one-shot coded `KbcastNode` and the `BiiNode` baseline. Each runs
+//! on three topologies and three seeds under five channel conditions:
+//! clean, uniform loss, crashes (leaving streaming stragglers that
+//! decode foreign batches), jamming and edge churn.
 
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 use radio_kbcast::kbcast::baseline::bii::{BiiNode, BiiProtocol};
@@ -28,11 +29,11 @@ use radio_kbcast::kbcast::packet::{Packet, PacketKey};
 use radio_kbcast::kbcast::runner::{CodedProtocol, Workload};
 use radio_kbcast::kbcast::session::{BroadcastProtocol, NetParams};
 use radio_kbcast::protocols::bfs::BfsLabel;
-use radio_kbcast::radio_net::dyntopo::{BuiltTopology, ChurnSpec, TopologyModel};
-use radio_kbcast::radio_net::engine::{CdModel, Engine, NoCd, Node};
-use radio_kbcast::radio_net::faults::{BuiltFaults, FaultModel, FaultSpec};
+use radio_kbcast::radio_net::dyntopo::{BuiltTopology, ChurnSpec};
+use radio_kbcast::radio_net::engine::{Engine, NoCd, Node};
+use radio_kbcast::radio_net::faults::{BuiltFaults, FaultSpec};
 use radio_kbcast::radio_net::graph::{Graph, NodeId};
-use radio_kbcast::radio_net::session::{NoopObserver, SessionEnd, TrafficSource};
+use radio_kbcast::radio_net::session::{NoopObserver, SessionControl, SessionEnd};
 use radio_kbcast::radio_net::stats::SimStats;
 use radio_kbcast::radio_net::topology::Topology;
 
@@ -185,35 +186,36 @@ struct StreamOut {
     batch: u32,
 }
 
-/// Replays `(round, node, payload)` arrivals after round 0: wakes the
-/// node and injects through `node_mut`, as the service's queue does.
-struct Arrivals {
-    pending: Vec<Arrival>,
-}
-
-impl TrafficSource<Probe<DynamicNode>> for Arrivals {
-    fn inject<F: FaultModel, C: CdModel, T: TopologyModel>(
-        &mut self,
-        engine: &mut Engine<Probe<DynamicNode>, F, C, T>,
-    ) {
-        let round = engine.round();
-        while self.pending.first().is_some_and(|a| a.round == round) {
-            let a = self.pending.remove(0);
-            engine.wake(NodeId::new(a.node));
-            engine
-                .node_mut(NodeId::new(a.node))
-                .node
-                .inject_at(a.payload, round);
+/// Replays the arrivals after round 0 up to [`HORIZON`] under the rules
+/// of the library's `ScheduleSource::run`: each wakes its node and
+/// enters it through `node_mut`; the drain stop is checked from round 1.
+fn replay(
+    e: &mut ProbeEngine<DynamicNode>,
+    mut pending: VecDeque<Arrival>,
+    k: usize,
+) -> SessionEnd {
+    e.run_session_with(HORIZON, &mut NoopObserver, |e| {
+        let round = e.round();
+        if round > 0
+            && pending.is_empty()
+            && e.nodes().iter().all(|p| p.node.delivered_count() == k)
+        {
+            return SessionControl::Stop;
         }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pending.is_empty()
-    }
+        if round < HORIZON {
+            while let Some(a) = pending.pop_front_if(|a| a.round == round) {
+                e.wake(NodeId::new(a.node));
+                e.node_mut(NodeId::new(a.node))
+                    .node
+                    .inject_at(a.payload, round);
+            }
+        }
+        SessionControl::Continue
+    })
 }
 
 /// Two round-0 packets, then one arrival every 900 rounds at a rotating
-/// node (sorted by round, as [`Arrivals`] expects).
+/// node (sorted by round, as [`replay`] expects).
 fn schedule(n: usize) -> Vec<Arrival> {
     let mut out = vec![
         Arrival {
@@ -256,15 +258,8 @@ fn streaming(
         &protocol.initial_workload(n),
         seed,
     );
-    let k = arrivals.len();
-    let mut source = Arrivals {
-        pending: arrivals.iter().filter(|a| a.round > 0).cloned().collect(),
-    };
-    let drive = |e: &mut ProbeEngine<DynamicNode>| {
-        e.run_streaming_until(HORIZON, &mut NoopObserver, &mut source, |e| {
-            e.nodes().iter().all(|p| p.node.delivered_count() == k)
-        })
-    };
+    let pending = arrivals.iter().filter(|a| a.round > 0).cloned().collect();
+    let drive = |e: &mut ProbeEngine<DynamicNode>| replay(e, pending, arrivals.len());
     let out = |node: &DynamicNode| StreamOut {
         stamps: node.stamps().to_vec(),
         delivered: node.delivered().to_vec(),
