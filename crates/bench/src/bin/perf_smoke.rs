@@ -18,12 +18,9 @@
 //! unit disk), which are skipped at quick scale and always run a single
 //! repetition so the committed baseline stays regenerable.
 //!
-//! Scale-out scenarios avoid the all-pairs `Graph::diameter` probe
-//! (quadratic in n): grids use the closed form `rows + cols - 2` and
-//! unit disks the `2 × eccentricity(0)` upper bound, both valid
-//! diameter bounds for protocol parameterization. The original four
-//! scenarios keep the exact probe so their round counts remain
-//! bit-identical across engine rework PRs.
+//! Every scenario parameterizes its protocol with the exact diameter
+//! (`Graph::diameter`, about a second at a million nodes), so round
+//! counts stay bit-identical across engine rework.
 //!
 //! Every scenario must complete (`all_done`) — a cap hit aborts the
 //! benchmark, so a committed baseline always reflects finished runs.
@@ -51,18 +48,6 @@ enum Protocol {
     Bii { epochs_per_packet: usize },
 }
 
-/// How the scenario obtains the diameter bound fed to the protocol
-/// configuration.
-enum DiameterBound {
-    /// `Graph::diameter()` — exact but quadratic in n.
-    Exact,
-    /// A closed form known for the topology (e.g. `rows + cols - 2`).
-    Formula(usize),
-    /// `2 × eccentricity(0)` — a 2-approximate upper bound from one
-    /// BFS, the only affordable probe at a million nodes.
-    DoubleEccentricity,
-}
-
 struct Scenario {
     name: &'static str,
     topology: Topology,
@@ -71,7 +56,6 @@ struct Scenario {
     spread: bool,
     k: usize,
     protocol: Protocol,
-    diameter: DiameterBound,
     /// Scale-out scenario: skipped at quick scale, single repetition at
     /// full scale.
     full_only: bool,
@@ -109,13 +93,7 @@ fn measure(s: &Scenario, seed: u64) -> Measurement {
     } else {
         Workload::single_source(n, 0, s.k)
     };
-    let diameter = match s.diameter {
-        DiameterBound::Exact => graph.diameter().expect("connected"),
-        DiameterBound::Formula(d) => d,
-        DiameterBound::DoubleEccentricity => {
-            2 * graph.eccentricity(NodeId::new(0)).expect("connected")
-        }
-    };
+    let diameter = graph.diameter().expect("connected");
     let max_degree = graph.max_degree();
     let awake = workload.initially_awake();
 
@@ -191,7 +169,6 @@ fn main() -> std::io::Result<()> {
             spread: false,
             k: 8,
             protocol: Protocol::Coded,
-            diameter: DiameterBound::Exact,
             full_only: false,
         },
         Scenario {
@@ -200,7 +177,6 @@ fn main() -> std::io::Result<()> {
             spread: true,
             k: 64,
             protocol: Protocol::Coded,
-            diameter: DiameterBound::Exact,
             full_only: false,
         },
         Scenario {
@@ -209,7 +185,6 @@ fn main() -> std::io::Result<()> {
             spread: false,
             k: 8,
             protocol: Protocol::Coded,
-            diameter: DiameterBound::Exact,
             full_only: false,
         },
         Scenario {
@@ -218,7 +193,6 @@ fn main() -> std::io::Result<()> {
             spread: true,
             k: 64,
             protocol: Protocol::Coded,
-            diameter: DiameterBound::Exact,
             full_only: false,
         },
         Scenario {
@@ -230,7 +204,6 @@ fn main() -> std::io::Result<()> {
             spread: false,
             k: 8,
             protocol: Protocol::Coded,
-            diameter: DiameterBound::Formula(256 + 256 - 2),
             full_only: true,
         },
         Scenario {
@@ -244,7 +217,6 @@ fn main() -> std::io::Result<()> {
             protocol: Protocol::Bii {
                 epochs_per_packet: 24,
             },
-            diameter: DiameterBound::DoubleEccentricity,
             full_only: true,
         },
     ];

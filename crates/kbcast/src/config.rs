@@ -11,6 +11,7 @@
 //! nodes agree on stage and phase boundaries without communication.
 
 use protocols::timing::{ceil_log2, epoch_len, log_n};
+use radio_net::error::Error;
 
 /// Spacing (in rounds) between consecutive acknowledgements leaving the
 /// root: 3 makes them collision-free on the BFS tree (paper §2.3.1); a
@@ -164,6 +165,28 @@ impl Config {
         let epochs = self.c_fwd * (self.group_size() + 4);
         (epochs * self.epoch_len().max(2)).max(self.group_size()) as u64
     }
+}
+
+/// Checks that an election over `id_bits`-bit ids numbers every node of
+/// an `n`-node network: ids are `u64`, so 1 to 64 bits, and id `n − 1`
+/// must fit. A caller's [`Config`] or [`crate::GhkConfig`] whose width
+/// fails this would panic the election or run it on truncated ids.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming the width and the id.
+pub fn check_id_bits(id_bits: usize, n: usize) -> Result<(), Error> {
+    let top = n.saturating_sub(1) as u64;
+    if (1..=64).contains(&id_bits) && (id_bits == 64 || top >> id_bits == 0) {
+        return Ok(());
+    }
+    Err(Error::InvalidParameter {
+        reason: format!(
+            "the configuration's {id_bits}-bit ids cannot number {n} nodes \
+             (id {top} needs {} bits)",
+            (u64::BITS - top.leading_zeros()).max(1)
+        ),
+    })
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use radio_net::topology::Topology;
 use radio_net::trace::{StageProbe, StageSample};
 use rand::rngs::SmallRng;
 
-use crate::config::Config;
+use crate::config::{check_id_bits, Config};
 use crate::messages::Msg;
 use crate::node::{Batch, Setup};
 use crate::packet::{check_payload, Packet, PacketKey};
@@ -451,15 +451,16 @@ pub fn arrival_key(counts: &mut Vec<u32>, node: usize) -> PacketKey {
 
 /// The arrival rule, the one definition of a valid arrival: `a` names
 /// a node of an `n`-node network, its payload fits in a packet
-/// ([`check_payload`]) and it arrives no earlier than `floor`. Arrivals
+/// ([`check_payload`]) and it arrives in `floor..ceiling`. Arrivals
 /// are replayed in round order, so the floor is the round of the
 /// arrival before it (and, in a running service session, the current
-/// round).
+/// round); the ceiling is the session's horizon, at and past which
+/// nothing is injected.
 ///
 /// # Errors
 ///
 /// [`Error::InvalidParameter`] naming the first condition `a` breaks.
-pub fn check_arrival(a: &Arrival, n: usize, floor: u64) -> Result<(), Error> {
+pub fn check_arrival(a: &Arrival, n: usize, floor: u64, ceiling: u64) -> Result<(), Error> {
     if a.node >= n {
         return Err(Error::InvalidParameter {
             reason: format!("arrival at node {} but the topology has {n} nodes", a.node),
@@ -471,6 +472,14 @@ pub fn check_arrival(a: &Arrival, n: usize, floor: u64) -> Result<(), Error> {
             reason: format!(
                 "arrival at round {} is in the past (arrival rounds must be \
                  non-decreasing; the floor is round {floor})",
+                a.round
+            ),
+        });
+    }
+    if a.round >= ceiling {
+        return Err(Error::InvalidParameter {
+            reason: format!(
+                "arrival at round {} is at or beyond the horizon ({ceiling})",
                 a.round
             ),
         });
@@ -683,7 +692,10 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
 
     /// Refuses, before anything is built, what [`run_streaming`] lists
     /// under *Errors*; each arrival's floor is its predecessor's round.
-    fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        if let Some(cfg) = &self.config {
+            check_id_bits(cfg.id_bits as usize, workload.len())?;
+        }
         if self.horizon == 0 {
             return Err(Error::InvalidParameter {
                 reason: "streaming horizon must be at least 1 round".into(),
@@ -696,7 +708,7 @@ impl BroadcastProtocol for DynamicProtocol<'_> {
         }
         let mut floor = 0;
         for a in self.arrivals {
-            check_arrival(a, workload.len(), floor)?;
+            check_arrival(a, workload.len(), floor, self.horizon)?;
             floor = a.round;
         }
         Ok(())

@@ -44,6 +44,7 @@ use std::collections::HashSet;
 use protocols::decay::Decay;
 use protocols::timing::{epoch_len, log_n};
 use radio_net::engine::Node;
+use radio_net::error::Error;
 use radio_net::graph::NodeId;
 use radio_net::message::MessageSize;
 use radio_net::rng;
@@ -52,6 +53,7 @@ use radio_net::trace::{StageProbe, StageSample};
 use radio_net::verify::{Check, Violation, ViolationLog};
 use rand::rngs::SmallRng;
 
+use crate::config::check_id_bits;
 use crate::packet::{Packet, PacketKey};
 use crate::runner::Workload;
 use crate::session::{BroadcastProtocol, NetParams};
@@ -628,6 +630,14 @@ impl BroadcastProtocol for GhkProtocol {
 
     fn trace_probe(&self, net: &NetParams) -> Box<dyn StageProbe<GhkNode>> {
         Box::new(GhkStageProbe::new(self.resolve(net)))
+    }
+
+    /// The payloads, and a caller's [`GhkConfig`] against the node count.
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        if let Some(cfg) = &self.config {
+            check_id_bits(cfg.id_bits, workload.len())?;
+        }
+        workload.check_payloads()
     }
 
     fn verify_checks(

@@ -24,13 +24,14 @@
 //! ```
 
 use radio_net::dyntopo::ChurnSpec;
+use radio_net::error::Error;
 use radio_net::faults::FaultSpec;
 use radio_net::graph::NodeId;
 use radio_net::rng;
 use radio_net::session::{Observer, RoundEvents, SessionEnd};
 use radio_net::trace::{StageProbe, StageSample};
 
-use crate::config::{Config, GROUP_SPACING};
+use crate::config::{check_id_bits, Config, GROUP_SPACING};
 use crate::node::{KbcastNode, TxCounts};
 use crate::packet::Packet;
 use crate::session::{BroadcastProtocol, NetParams};
@@ -131,6 +132,18 @@ impl Workload {
     #[must_use]
     pub fn payloads_of(&self, i: usize) -> &[Vec<u8>] {
         &self.payloads[i]
+    }
+
+    /// Checks every payload with [`crate::packet::check_payload`].
+    ///
+    /// # Errors
+    ///
+    /// The first payload's refusal.
+    pub fn check_payloads(&self) -> Result<(), Error> {
+        self.payloads
+            .iter()
+            .flatten()
+            .try_for_each(|p| crate::packet::check_payload(p))
     }
 
     /// The sorted ground-truth key set of all `k` packets, built
@@ -477,6 +490,14 @@ impl BroadcastProtocol for CodedProtocol {
 
     fn round_cap(&self, net: &NetParams, k: usize) -> u64 {
         round_cap(&self.resolve(net), k)
+    }
+
+    /// The payloads, and a caller's [`Config`] against the node count.
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        if let Some(cfg) = &self.config {
+            check_id_bits(cfg.id_bits as usize, workload.len())?;
+        }
+        workload.check_payloads()
     }
 
     fn trace_probe(&self, net: &NetParams) -> Box<dyn StageProbe<KbcastNode>> {

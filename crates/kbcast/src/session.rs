@@ -49,7 +49,7 @@ use radio_net::topology::Topology;
 use radio_net::trace::{SingleStage, StageProbe, TraceCollector, TraceReport};
 use radio_net::verify::{Check, ModelChecker, VerifyStack};
 
-use crate::packet::{check_payload, PacketKey};
+use crate::packet::PacketKey;
 use crate::runner::{RunOptions, Workload};
 
 /// Ground-truth parameters of the network a session runs on, probed
@@ -125,18 +125,18 @@ pub trait BroadcastProtocol {
     }
 
     /// Checks the session's inputs before anything is built. Defaults to
-    /// every workload payload with [`check_payload`]; protocols with
-    /// out-of-band arrivals override this (the streaming protocol checks
-    /// its whole arrival schedule with
-    /// [`crate::dynamic::check_arrival`]).
+    /// every workload payload ([`Workload::check_payloads`]); protocols
+    /// override this to check a caller's configuration too (its id
+    /// width must number every node: [`crate::config::check_id_bits`])
+    /// and, with out-of-band arrivals, the whole arrival schedule
+    /// ([`crate::dynamic::check_arrival`]).
     ///
     /// # Errors
     ///
-    /// The first refusal, e.g. a payload's [`check_payload`] error.
-    fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
-        (0..workload.len())
-            .flat_map(|i| workload.payloads_of(i))
-            .try_for_each(|p| check_payload(p))
+    /// The first refusal, e.g. a payload's
+    /// [`crate::packet::check_payload`] error.
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        workload.check_payloads()
     }
 
     /// The packet keys `node` holds at the end of the session (order
@@ -270,8 +270,9 @@ pub fn run_protocol<P: BroadcastProtocol>(
 /// invalid fault or churn parameters, for a workload shaped for another
 /// node count, for a payload over
 /// [`crate::packet::MAX_PAYLOAD_BYTES`] and for any other input
-/// [`BroadcastProtocol::check_payloads`] refuses (a streaming schedule
-/// whose rounds decrease) — checked before any engine state is
+/// [`BroadcastProtocol::check_inputs`] refuses (a caller's `Config`
+/// too narrow for the node ids, a streaming schedule whose rounds
+/// decrease or reach its horizon) — checked before any engine state is
 /// constructed — and propagates engine-construction failures.
 /// With [`RunOptions::verify`] set, returns
 /// [`Error::VerificationFailed`] (carrying the seed and the first
@@ -376,7 +377,7 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] for a workload shaped for another
-    /// node count or an input [`BroadcastProtocol::check_payloads`]
+    /// node count or an input [`BroadcastProtocol::check_inputs`]
     /// refuses; propagates fault-model, churn-model and
     /// engine-construction failures.
     pub fn build<P: BroadcastProtocol<Node = N, Cd = C, Obs = O>>(
@@ -395,7 +396,7 @@ impl<N: Node, C: CdModel, O: Observer<N>> LiveSession<N, C, O> {
                 ),
             });
         }
-        protocol.check_payloads(workload)?;
+        protocol.check_inputs(workload)?;
         let net = NetParams::of_graph(&graph);
         let expected = protocol.expected_keys(workload);
         debug_assert!(

@@ -1,7 +1,6 @@
 //! Immutable undirected graphs with the distance queries the protocols and
 //! experiment harnesses need (BFS distances, diameter, degree statistics).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::error::Error;
@@ -228,28 +227,21 @@ impl Graph {
     /// Panics if `source` is not a node of this graph.
     #[must_use]
     pub fn bfs_distances(&self, source: NodeId) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.len()];
-        dist[source.index()] = Some(0);
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.index()].expect("queued nodes have distances");
-            for &w in self.neighbors(u) {
-                if dist[w.index()].is_none() {
-                    dist[w.index()] = Some(du + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+        let mut bfs = Bfs::new(self.len());
+        bfs.run(self, source.0);
+        bfs.dist
+            .iter()
+            .map(|&d| (d != UNREACHED).then_some(d as usize))
+            .collect()
     }
 
     /// Eccentricity of `source` (max BFS distance), or `None` if some node
     /// is unreachable from it.
     #[must_use]
     pub fn eccentricity(&self, source: NodeId) -> Option<usize> {
-        self.bfs_distances(source)
-            .into_iter()
-            .try_fold(0, |acc, d| d.map(|d| acc.max(d)))
+        let mut bfs = Bfs::new(self.len());
+        let ecc = bfs.run(self, source.0);
+        bfs.reached_all().then_some(ecc as usize)
     }
 
     /// `true` if the graph is connected (a single node counts as connected).
@@ -258,15 +250,205 @@ impl Graph {
         self.eccentricity(NodeId::new(0)).is_some()
     }
 
-    /// Exact diameter via an all-sources BFS, or `None` if disconnected.
+    /// Exact diameter, or `None` if disconnected.
     ///
-    /// Runs in `O(n · (n + m))`; intended for experiment setup, not for the
-    /// simulation hot path.
+    /// iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, TCS 2013): a
+    /// 4-sweep picks a central node `u` and a lower bound `lb` (the
+    /// largest eccentricity seen), then the BFS levels of `u` are
+    /// evaluated from the farthest inward while `lb < 2i`. Every pair of
+    /// nodes left unevaluated lies within level `i` of `u`, so its
+    /// distance is at most `2i ≤ lb` and `lb` is the diameter. Each level
+    /// is evaluated 64 sources per bit-parallel BFS pass (MS-BFS: Then
+    /// et al., PVLDB 2014), so a graph whose fringe holds most nodes
+    /// (G(n,p) with a small diameter) costs `n / 64` passes, not `n`.
+    ///
+    /// Worst case `O(n · (n + m) / 64)`, but typically a handful of BFS
+    /// passes: 8 on a 16×16 grid. Measured on a 2-vCPU host (release):
+    /// 6–11 ms on a 20 000-node unit disk (all-sources BFS: 17 s),
+    /// 1.0–1.4 s on a million-node one (2.6–3.9 s with one scalar BFS
+    /// per fringe node), 3 ms on G(1024, 2 ln n / n) (scalar: 28 ms),
+    /// 1.1 s on G(16 384, 2 ln n / n), whose fringe holds most nodes.
     #[must_use]
     pub fn diameter(&self) -> Option<usize> {
-        self.node_ids()
-            .map(|v| self.eccentricity(v))
-            .try_fold(0, |acc, e| e.map(|e| acc.max(e)))
+        let n = self.len();
+        let mut bfs = Bfs::new(n);
+        let (center, mut lb) = self.center(&mut bfs)?;
+        let top = bfs.run(self, center);
+        lb = lb.max(top);
+        // The BFS queue lists the nodes by level; `starts[i]` is where
+        // level i begins in it.
+        let order = std::mem::take(&mut bfs.queue);
+        let mut starts = Vec::with_capacity(top as usize + 2);
+        for (at, &v) in order.iter().enumerate() {
+            if bfs.dist[v as usize] as usize == starts.len() {
+                starts.push(at);
+            }
+        }
+        starts.push(n);
+        drop(bfs);
+        let mut multi = MultiBfs::new(n);
+        'fringe: for i in (1..=top as usize).rev() {
+            for chunk in order[starts[i]..starts[i + 1]].chunks(64) {
+                if lb as usize >= 2 * i {
+                    break 'fringe;
+                }
+                lb = lb.max(multi.run(self, chunk));
+            }
+        }
+        Some(lb as usize)
+    }
+
+    /// The 4-sweep: a double sweep a = far(0), b = far(a), then another
+    /// (a', b') from the center estimate r, the argmin over v of v's
+    /// largest distance to a and b. Returns the argmin of the largest
+    /// distance to all four sweep ends and the largest eccentricity seen
+    /// (a lower bound on the diameter); `None` if disconnected. (The
+    /// midpoint of the a→b path is no substitute: on a grid that path
+    /// hugs the border and its midpoint is a corner.)
+    fn center(&self, bfs: &mut Bfs) -> Option<(u32, u32)> {
+        let mut reach = vec![0u32; self.len()];
+        let mut center = 0;
+        let mut lb = 0;
+        for sweep in 0..2 {
+            lb = lb.max(bfs.run(self, center));
+            if sweep == 0 && !bfs.reached_all() {
+                return None;
+            }
+            for _ in 0..2 {
+                let end = bfs.farthest();
+                lb = lb.max(bfs.run(self, end));
+                for (r, &d) in reach.iter_mut().zip(&bfs.dist) {
+                    *r = (*r).max(d);
+                }
+            }
+            center = (0..self.len() as u32)
+                .min_by_key(|&v| reach[v as usize])
+                .unwrap_or(0);
+        }
+        Some((center, lb))
+    }
+}
+
+/// Distance of a node a BFS has not reached.
+const UNREACHED: u32 = u32::MAX;
+
+/// The flat BFS kernel: one distance array and one queue, reused run
+/// after run.
+struct Bfs {
+    dist: Vec<u32>,
+    /// The nodes the last run reached, in visit order, hence by
+    /// non-decreasing distance.
+    queue: Vec<u32>,
+}
+
+impl Bfs {
+    fn new(n: usize) -> Self {
+        Bfs {
+            dist: vec![UNREACHED; n],
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// BFS from `source`; returns the largest distance reached.
+    fn run(&mut self, g: &Graph, source: u32) -> u32 {
+        let Bfs { dist, queue } = self;
+        dist.fill(UNREACHED);
+        queue.clear();
+        dist[source as usize] = 0;
+        queue.push(source);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u as usize] + 1;
+            for &w in g.neighbors(NodeId(u)) {
+                if dist[w.index()] == UNREACHED {
+                    dist[w.index()] = du;
+                    queue.push(w.0);
+                }
+            }
+        }
+        self.dist[self.farthest() as usize]
+    }
+
+    /// `true` if the last run reached every node.
+    fn reached_all(&self) -> bool {
+        self.queue.len() == self.dist.len()
+    }
+
+    /// A node at the largest distance of the last run (its last visit).
+    fn farthest(&self) -> u32 {
+        *self.queue.last().expect("a run visits its source")
+    }
+}
+
+/// A BFS from up to 64 sources at once, one bit per source in a `u64`
+/// per node, driven by the frontier (only nodes some bit reached last
+/// level push on).
+struct MultiBfs {
+    /// Per node, the sources that have reached it.
+    seen: Vec<u64>,
+    /// Per node, the sources that reached it last level (zero between runs).
+    visit: Vec<u64>,
+    /// Per node, the sources reaching it this level (zero between runs).
+    next: Vec<u64>,
+    frontier: Vec<u32>,
+    next_frontier: Vec<u32>,
+}
+
+impl MultiBfs {
+    fn new(n: usize) -> Self {
+        MultiBfs {
+            seen: vec![0; n],
+            visit: vec![0; n],
+            next: vec![0; n],
+            frontier: Vec::new(),
+            next_frontier: Vec::new(),
+        }
+    }
+
+    /// BFS from the (at most 64, distinct) `sources` of a connected
+    /// graph; returns their largest eccentricity: the levels run until
+    /// no bit moves.
+    fn run(&mut self, g: &Graph, sources: &[u32]) -> u32 {
+        debug_assert!(sources.len() <= 64);
+        let MultiBfs {
+            seen,
+            visit,
+            next,
+            frontier,
+            next_frontier,
+        } = self;
+        seen.fill(0);
+        frontier.clear();
+        for (j, &s) in sources.iter().enumerate() {
+            seen[s as usize] = 1 << j;
+            visit[s as usize] = 1 << j;
+            frontier.push(s);
+        }
+        let mut level = 0;
+        loop {
+            next_frontier.clear();
+            for &v in frontier.iter() {
+                let bits = std::mem::take(&mut visit[v as usize]);
+                for &w in g.neighbors(NodeId(v)) {
+                    let w = w.index();
+                    let new = bits & !seen[w];
+                    if new != 0 {
+                        if next[w] == 0 {
+                            next_frontier.push(w as u32);
+                        }
+                        next[w] |= new;
+                        seen[w] |= new;
+                    }
+                }
+            }
+            if next_frontier.is_empty() {
+                return level;
+            }
+            level += 1;
+            std::mem::swap(visit, next);
+            std::mem::swap(frontier, next_frontier);
+        }
     }
 }
 
@@ -337,6 +519,34 @@ mod tests {
         let disconnected = Graph::from_edges(3, [(0, 1)]).unwrap();
         assert!(!disconnected.is_connected());
         assert_eq!(disconnected.diameter(), None);
+    }
+
+    /// On a grid the a→b sweep path hugs the border, so its midpoint is
+    /// a corner; the 4-sweep's argmin center is one of the four middle
+    /// nodes, and the sweeps have already met a corner-to-corner pair.
+    #[test]
+    fn grid_center_is_the_middle_not_a_corner() {
+        let g = crate::topology::grid2d(16, 16).unwrap();
+        let (center, lb) = g.center(&mut Bfs::new(g.len())).unwrap();
+        let (row, col) = (center / 16, center % 16);
+        assert!(
+            (7..=8).contains(&row) && (7..=8).contains(&col),
+            "center ({row}, {col})"
+        );
+        assert_eq!(lb, 30);
+        assert_eq!(g.diameter(), Some(30));
+    }
+
+    /// Both graphs have D = 4 where the sweeps only find 3. Stopping the
+    /// fringe walk once `lb > 2(i - 1)`, tested before level i is
+    /// evaluated, returns 3: on `gnp(n=64,p=0.13)` seed 5 with a
+    /// midpoint center, on `gnp(n=16,p=0.25)` seed 40 with this one.
+    #[test]
+    fn fringe_level_is_evaluated_before_the_stop_test() {
+        for (n, p, seed) in [(64, 0.13, 5), (16, 0.25, 40)] {
+            let g = crate::topology::gnp_connected(n, p, seed).unwrap();
+            assert_eq!(g.diameter(), Some(4), "gnp(n={n},p={p}) seed {seed}");
+        }
     }
 
     #[test]

@@ -211,7 +211,9 @@ fn run() -> Result<bool, String> {
     let injected = report.packets();
     #[allow(clippy::cast_precision_loss)]
     let rate = injected as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
+    // Wall-clock figures go to stderr, so stdout (the report) is a
+    // deterministic function of the arguments.
+    eprintln!(
         "wall: {:.2}s for {injected} packets across {} sessions ({rate:.0} pkt/s)",
         elapsed.as_secs_f64(),
         report.sessions.len()

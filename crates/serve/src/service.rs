@@ -35,7 +35,7 @@ use kbcast::dynamic::{
 };
 use kbcast::packet::PacketKey;
 use kbcast::runner::{round_cap, RunOptions};
-use kbcast::session::{Drive, LiveSession};
+use kbcast::session::{Drive, LiveSession, NetParams};
 use radio_net::dyntopo::ChurnSpec;
 use radio_net::engine::{Engine, NoCd};
 use radio_net::faults::{BuiltFaults, FaultSpec};
@@ -262,9 +262,7 @@ impl Service {
         if let Err(e) = churn_spec.build(&graph, seed) {
             return err(format!("init: {e}"));
         }
-        let n = graph.len() as u64;
-        let diameter = graph.diameter().unwrap_or(0) as u64;
-        let max_degree = graph.max_degree() as u64;
+        let net = NetParams::of_graph(&graph);
         self.seed = seed;
         self.horizon = horizon;
         self.options = RunOptions {
@@ -276,9 +274,9 @@ impl Service {
         };
         self.phase = Phase::Configured(graph);
         Response::InitAck {
-            n,
-            diameter,
-            max_degree,
+            n: net.n as u64,
+            diameter: net.diameter as u64,
+            max_degree: net.max_degree as u64,
             protocol: PROTOCOL.to_string(),
             topology: topo.to_string(),
             faults: spec.to_string(),
@@ -343,14 +341,8 @@ impl Service {
                 node: p.node,
                 payload: p.payload,
             };
-            if let Err(e) = check_arrival(&arrival, n, floor) {
+            if let Err(e) = check_arrival(&arrival, n, floor, self.horizon) {
                 return err(format!("inject: {e}"));
-            }
-            if arrival.round >= self.horizon && arrival.round > 0 {
-                return err(format!(
-                    "inject: round {} is at or beyond the horizon ({})",
-                    arrival.round, self.horizon
-                ));
             }
             floor = arrival.round;
             resolved.push(arrival);

@@ -291,3 +291,34 @@ fn set_faults_refuses_a_repeated_family() {
         "{resp}"
     );
 }
+
+/// An `inject` at or past the `init` horizon is refused with an error
+/// naming the horizon, alone or inside a batch (which is then refused
+/// whole); the last round before the horizon is accepted.
+#[test]
+fn inject_at_the_horizon_is_refused() {
+    let mut s = Service::new();
+    let resp = s.handle_line(
+        r#"{"op":"init","topology":"grid(3x3)","protocol":"stream-seq","seed":2,"horizon":100}"#,
+    );
+    assert!(!is_error(&resp), "init failed: {resp}");
+    for line in [
+        r#"{"op":"inject","node":0,"round":100,"payload":[1]}"#,
+        r#"{"op":"inject","packets":[{"node":0,"round":0,"payload":[1]},{"node":1,"round":100,"payload":[2]}]}"#,
+    ] {
+        let resp = s.handle_line(line);
+        assert!(is_error(&resp), "{line}: expected an error, got {resp}");
+        let doc = Json::parse(&resp).unwrap();
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("horizon (100)"), "{error}");
+    }
+    for line in [
+        r#"{"op":"inject","node":0,"round":0,"payload":[1]}"#,
+        r#"{"op":"inject","node":1,"round":99,"payload":[2]}"#,
+    ] {
+        let resp = s.handle_line(line);
+        assert!(!is_error(&resp), "{line} failed: {resp}");
+    }
+    let q = Json::parse(&s.handle_line(r#"{"op":"query"}"#)).unwrap();
+    assert_eq!(q.get("k").and_then(Json::as_u64), Some(2));
+}

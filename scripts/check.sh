@@ -165,17 +165,26 @@ done
 # every packet was delivered with zero verify violations. The recorded
 # script is then piped into a bare kbcast-serve process and the response
 # stream is grepped for the line-protocol schema markers external
-# consumers key on.
+# consumers key on. The report holds session outcomes only (the
+# wall-clock line goes to stderr), so a rerun must reproduce it byte for
+# byte.
 cargo build --release -q -p kbcast-serve
-./target/release/kbcast-drive \
-    --sessions 2 --topology 'grid(3x4)' --protocol stream-seq \
-    --seed 5 --lambda 0.01 --window 2000 \
-    --flip 'uniform:rate=0.02@600+1500' --verify \
-    --serve target/release/kbcast-serve --compare \
-    --record target/serve_smoke_session.jsonl \
-    > target/serve_smoke_report.txt
+serve_smoke() {
+    ./target/release/kbcast-drive \
+        --sessions 2 --topology 'grid(3x4)' --protocol stream-seq \
+        --seed 5 --lambda 0.01 --window 2000 \
+        --flip 'uniform:rate=0.02@600+1500' --verify \
+        --serve target/release/kbcast-serve --compare \
+        --record target/serve_smoke_session.jsonl
+}
+serve_smoke > target/serve_smoke_report.txt
 grep -q 'delivered=true' target/serve_smoke_report.txt || {
     echo "check.sh: serve smoke report lacks delivered=true" >&2
+    exit 1
+}
+serve_smoke > target/serve_smoke_report_rerun.txt
+cmp target/serve_smoke_report.txt target/serve_smoke_report_rerun.txt || {
+    echo "check.sh: a rerun of the serve smoke drive changed its report" >&2
     exit 1
 }
 ./target/release/kbcast-serve \

@@ -742,8 +742,8 @@ impl<P: BroadcastProtocol> BroadcastProtocol for Differential<P> {
         self.inner.expected_keys(workload)
     }
 
-    fn check_payloads(&self, workload: &Workload) -> Result<(), Error> {
-        self.inner.check_payloads(workload)
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        self.inner.check_inputs(workload)
     }
 
     fn delivered(&self, node: &P::Node) -> Vec<PacketKey> {

@@ -15,7 +15,7 @@ use radio_kbcast::kbcast::runner::{
 use radio_kbcast::kbcast::session::{
     run_protocol, run_protocol_on_graph, BroadcastProtocol, NetParams, SessionReport,
 };
-use radio_kbcast::kbcast::{Config, KbcastNode, PacketKey};
+use radio_kbcast::kbcast::{Config, GhkConfig, GhkProtocol, KbcastNode, PacketKey};
 use radio_kbcast::protocols::decay::Decay;
 use radio_kbcast::radio_net::engine::Engine;
 use radio_kbcast::radio_net::error::Error;
@@ -296,6 +296,73 @@ fn zero_round_cap_is_rejected_up_front() {
     };
     let err = run_protocol(&CodedProtocol::default(), &topo, &w, 0, opts).unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }));
+}
+
+#[test]
+fn undersized_config_is_rejected_up_front() {
+    // A caller's configuration sized for n/4 nodes has ids too narrow
+    // for the nodes above n/4: accepted, its leader election would
+    // panic ("id 16 does not fit in 4 bits").
+    let refused = |err: Error| {
+        assert!(
+            matches!(&err, Error::InvalidParameter { reason }
+                if reason.contains("4-bit ids cannot number 64 nodes")),
+            "{err}"
+        );
+    };
+    let topo = Topology::Grid2d { rows: 8, cols: 8 };
+    let g = topo.build(1).unwrap();
+    let (n, d, delta) = (g.len(), g.diameter().unwrap(), g.max_degree());
+    let w = Workload::single_source(n, 0, 4);
+    let small = Config::for_network(n / 4, d, delta);
+    for verify in [false, true] {
+        let opts = RunOptions {
+            verify,
+            ..RunOptions::default()
+        };
+        let coded = CodedProtocol {
+            config: Some(small),
+            uncoded: false,
+        };
+        refused(run_protocol(&coded, &topo, &w, 1, opts).unwrap_err());
+        let arrivals = [Arrival {
+            round: 0,
+            node: 0,
+            payload: vec![1],
+        }];
+        refused(run_streaming(&topo, &arrivals, Some(small), 1, 100_000, opts).unwrap_err());
+    }
+    let fits = CodedProtocol {
+        config: Some(Config::for_network(n, d, delta)),
+        uncoded: false,
+    };
+    assert!(
+        run_protocol(&fits, &topo, &w, 1, RunOptions::default())
+            .unwrap()
+            .success
+    );
+}
+
+#[test]
+fn undersized_ghk_config_is_rejected_up_front() {
+    let topo = Topology::Grid2d { rows: 8, cols: 8 };
+    let g = topo.build(1).unwrap();
+    let (n, d, delta) = (g.len(), g.diameter().unwrap(), g.max_degree());
+    let w = Workload::single_source(n, 0, 4);
+    let ghk = |nodes| GhkProtocol {
+        config: Some(GhkConfig::for_network(nodes, d, delta)),
+    };
+    let err = run_protocol(&ghk(n / 4), &topo, &w, 1, RunOptions::default()).unwrap_err();
+    assert!(
+        matches!(&err, Error::InvalidParameter { reason }
+            if reason.contains("4-bit ids cannot number 64 nodes")),
+        "{err}"
+    );
+    assert!(
+        run_protocol(&ghk(n), &topo, &w, 1, RunOptions::default())
+            .unwrap()
+            .success
+    );
 }
 
 #[test]

@@ -138,4 +138,23 @@ fn streaming_rejects_invalid_specs() {
     let workload = protocol.initial_workload(graph.len());
     let r = run_protocol_on_graph(&protocol, graph, &workload, 3, verified);
     refused(r, "non-decreasing");
+
+    // The horizon is the arrival rule's ceiling: nothing is injected at
+    // or past it, so a schedule reaching it is refused up front rather
+    // than run to a `success: false`.
+    let last = all.iter().map(|a| a.round).max().unwrap();
+    for horizon in [last - 1, last] {
+        let r = run_streaming(&topo, &all, None, 1, horizon, opts);
+        refused(r, &format!("at or beyond the horizon ({horizon})"));
+    }
+    let graph = topo.build(1).unwrap();
+    let protocol = DynamicProtocol {
+        arrivals: &all,
+        config: None,
+        horizon: last,
+    };
+    let workload = protocol.initial_workload(graph.len());
+    let r = run_protocol_on_graph(&protocol, graph, &workload, 1, opts);
+    refused(r, "horizon");
+    assert!(run_streaming(&topo, &all, None, 1, last + 1, opts).is_ok());
 }
