@@ -98,12 +98,11 @@ where
     P: BroadcastProtocol + Sync,
     P::Meta: Send,
 {
-    let n = probe(spec.topology).n;
     let seeds = usize::try_from(spec.seeds).expect("seed count fits usize");
     par_map_indexed(seeds, |i| {
         let seed = i as u64;
         let graph = spec.topology.build(seed).expect("topology builds");
-        let workload = spec.workload.build(n, spec.k, seed);
+        let workload = spec.workload.build(graph.len(), spec.k, seed);
         run_protocol_on_graph(protocol, graph, &workload, seed, spec.options).expect("session runs")
     })
 }

@@ -186,6 +186,26 @@ impl Decoder {
         )
     }
 
+    /// Moves the decoded packets out once complete, in group order, so a
+    /// caller that keeps them need not copy them. `None` while rank <
+    /// `w`. The decoder keeps its rank, row count and coefficient rows;
+    /// only its payloads are emptied, so a later [`Decoder::decode`]
+    /// or [`Decoder::packet`] reads empty payloads.
+    pub fn take_decoded(&mut self) -> Option<Vec<Vec<u8>>> {
+        if !self.is_complete() {
+            return None;
+        }
+        Some(
+            self.pivot
+                .iter_mut()
+                .map(|p| {
+                    let row = p.as_mut().expect("complete decoder has all pivots");
+                    std::mem::take(&mut row.payload)
+                })
+                .collect(),
+        )
+    }
+
     /// The single decoded packet at `index`, available as soon as that
     /// pivot row has been fully reduced to a unit vector (which, in RREF,
     /// happens exactly when the decoder is complete for partial groups;
@@ -280,6 +300,20 @@ mod tests {
             ));
         }
         assert_eq!(d.decode().unwrap(), group);
+    }
+
+    #[test]
+    fn take_decoded_moves_the_group_out_and_keeps_the_rank() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let group = sample_group(&mut rng, 3, 5);
+        let mut d = Decoder::new(3, 5);
+        d.insert(BitVec::unit(3, 0), group[0].clone());
+        assert_eq!(d.take_decoded(), None);
+        d.insert(BitVec::unit(3, 1), group[1].clone());
+        d.insert(BitVec::unit(3, 2), group[2].clone());
+        assert_eq!(d.take_decoded().unwrap(), group);
+        assert!(d.is_complete());
+        assert_eq!((d.rank(), d.rows_seen()), (3, 3));
     }
 
     #[test]

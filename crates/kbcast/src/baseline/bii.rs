@@ -18,6 +18,7 @@ use std::collections::HashSet;
 use protocols::decay::Decay;
 use protocols::timing::{epoch_len, log_n};
 use radio_net::engine::Node;
+use radio_net::error::Error;
 use radio_net::graph::NodeId;
 use radio_net::rng;
 use radio_net::session::{NoopObserver, RoundEvents, SessionEnd};
@@ -298,6 +299,25 @@ impl BroadcastProtocol for BiiProtocol {
         8 * ((k as u64 + net.diameter as u64 + 2) * cfg.epochs_per_packet as u64 * epoch) + 64
     }
 
+    /// The payloads, and a caller's [`BiiConfig`]: with no epochs per
+    /// packet no node ever transmits, and Decay needs a degree bound of
+    /// at least 1.
+    fn check_inputs(&self, workload: &Workload) -> Result<(), Error> {
+        if let Some(cfg) = &self.config {
+            for (field, value) in [
+                ("epochs_per_packet", cfg.epochs_per_packet),
+                ("delta_bound", cfg.delta_bound),
+            ] {
+                if value == 0 {
+                    return Err(Error::InvalidParameter {
+                        reason: format!("BiiConfig::{field} must be at least 1"),
+                    });
+                }
+            }
+        }
+        workload.check_payloads()
+    }
+
     fn trace_probe(&self, _net: &NetParams) -> Box<dyn StageProbe<BiiNode>> {
         Box::new(BiiStageProbe::default())
     }
@@ -362,6 +382,39 @@ mod tests {
         );
         assert!(r.success);
         assert_eq!(r.rounds_total, 0);
+    }
+
+    #[test]
+    fn zero_config_fields_are_refused() {
+        for (cfg, field) in [
+            (
+                BiiConfig {
+                    epochs_per_packet: 0,
+                    delta_bound: 2,
+                },
+                "epochs_per_packet",
+            ),
+            (
+                BiiConfig {
+                    epochs_per_packet: 2,
+                    delta_bound: 0,
+                },
+                "delta_bound",
+            ),
+        ] {
+            let err = crate::session::run_protocol(
+                &BiiProtocol { config: Some(cfg) },
+                &Topology::Path { n: 4 },
+                &Workload::single_source(4, 0, 2),
+                0,
+                crate::runner::RunOptions::default(),
+            )
+            .unwrap_err();
+            match err {
+                Error::InvalidParameter { reason } => assert!(reason.contains(field), "{reason}"),
+                other => panic!("{field}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -670,16 +670,13 @@ mod tests {
         for round in 0..s2_end {
             let _ = node.poll(round);
         }
-        let row = crate::messages::CodedMsg {
-            batch: 0,
-            group: 0,
-            num_groups: 1,
-            k: 2,
-            group_size: 2,
-            payload_len: 16,
-            coeffs: gf2::BitVec::unit(2, 0),
-            payload: vec![0; 16],
-        };
+        let row = crate::messages::CodedMsg::by_hand(
+            0,
+            1,
+            2,
+            gf2::BitVec::unit(2, 0),
+            vec![vec![0; 16]; 2],
+        );
         node.receive(s2_end, &Msg::Coded(row));
         let rank = |nd: &N| batch(nd).dissem().map_or(0, DissemState::rank_total);
         assert_eq!(rank(&node), 1);

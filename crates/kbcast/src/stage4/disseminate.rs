@@ -1,5 +1,7 @@
 //! The per-node dissemination state machine (`FORWARD` + decoding).
 
+use std::sync::Arc;
+
 use gf2::bitvec::BitVec;
 use gf2::decoder::{Decoder, Insert};
 use protocols::decay::Decay;
@@ -22,12 +24,13 @@ struct GroupMeta {
 }
 
 /// A group being received: the online decoder plus, once complete, the
-/// decoded member blobs ready for re-coding.
+/// decoded member blobs ready for re-coding, shared with every row this
+/// node sends of them.
 #[derive(Clone, Debug)]
 struct GroupRx {
     meta: GroupMeta,
     decoder: Decoder,
-    ready: Option<Vec<Vec<u8>>>,
+    ready: Option<Arc<[Vec<u8>]>>,
 }
 
 /// Harness-visible decoding status of one group slot, as reported by
@@ -55,9 +58,10 @@ pub struct DissemState {
     dist: Option<u32>,
     is_root: bool,
 
-    // Root: original packets and the serialized, padded groups.
+    // Root: original packets and the serialized, padded groups, each
+    // shared with every row the root sends of it.
     root_packets: Vec<Packet>,
-    groups: Vec<Vec<Vec<u8>>>,
+    groups: Vec<Arc<[Vec<u8>]>>,
 
     // Everyone: totals (root knows; others learn from headers).
     k: Option<u32>,
@@ -108,7 +112,7 @@ impl DissemState {
     pub fn new_root(cfg: Config, packets: Vec<Packet>, batch: u32) -> Self {
         let m = cfg.group_size();
         let k = packets.len();
-        let groups: Vec<Vec<Vec<u8>>> = packets
+        let groups: Vec<Arc<[Vec<u8>]>> = packets
             .chunks(m)
             .map(|chunk| {
                 let blobs: Vec<Vec<u8>> = chunk.iter().map(Packet::to_bytes).collect();
@@ -119,7 +123,8 @@ impl DissemState {
                         b.resize(len, 0);
                         b
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
+                    .into()
             })
             .collect();
         DissemState {
@@ -289,13 +294,8 @@ impl DissemState {
             return None;
         }
         // Raw member `i`, encoded as the unit combination.
-        Some(self.coded_msg(
-            u32::try_from(j).expect("fits"),
-            BitVec::unit(group.len(), i),
-            group[i].clone(),
-            group.len(),
-            group.first().map_or(0, Vec::len),
-        ))
+        let coeffs = BitVec::unit(group.len(), i);
+        Some(self.coded_msg(u32::try_from(j).expect("fits"), coeffs, group))
     }
 
     fn poll_ring(&mut self, phase: u64, within: u64, rng: &mut impl Rng) -> Option<Msg> {
@@ -318,15 +318,10 @@ impl DissemState {
         // selection is excluded — it carries no information (see
         // `BitVec::random_nonzero`); with the paper's group size this
         // changes the distribution by 2^-⌈log n⌉ ≤ 1/n per draw.
+        // The row shares the decoded group; a receiver computes the XOR
+        // only if it still needs the row (`insert_row`).
         let coeffs = BitVec::random_nonzero(members.len(), rng);
-        let mut payload = vec![0u8; rx.meta.payload_len];
-        for i in coeffs.iter_ones() {
-            for (a, b) in payload.iter_mut().zip(&members[i]) {
-                *a ^= b;
-            }
-        }
-        let (size, len) = (rx.meta.size, rx.meta.payload_len);
-        Some(self.coded_msg(jj, coeffs, payload, size, len))
+        Some(self.coded_msg(jj, coeffs, members))
     }
 
     /// Earliest future stage-local round at which [`DissemState::poll`]
@@ -400,24 +395,15 @@ impl DissemState {
         u64::MAX
     }
 
-    fn coded_msg(
-        &self,
-        group: u32,
-        coeffs: BitVec,
-        payload: Vec<u8>,
-        group_size: usize,
-        payload_len: usize,
-    ) -> Msg {
-        Msg::Coded(CodedMsg {
-            batch: self.batch,
+    fn coded_msg(&self, group: u32, coeffs: BitVec, members: &Arc<[Vec<u8>]>) -> Msg {
+        Msg::Coded(CodedMsg::new(
+            self.batch,
             group,
-            num_groups: self.g.expect("sender knows g"),
-            k: self.k.expect("sender knows k"),
-            group_size: u16::try_from(group_size).expect("group size fits u16"),
-            payload_len: u16::try_from(payload_len).expect("payload len fits u16"),
+            self.g.expect("sender knows g"),
+            self.k.expect("sender knows k"),
             coeffs,
-            payload,
-        })
+            Arc::clone(members),
+        ))
     }
 
     /// Handles a received coded message (time-independent: decoding does
@@ -459,13 +445,11 @@ impl DissemState {
         if rx.ready.is_some() || msg.coeffs.len() != rx.meta.size {
             return; // already decoded, or malformed row
         }
-        if let Insert::Innovative { .. } =
-            rx.decoder.insert(msg.coeffs.clone(), msg.payload.clone())
-        {
+        if let Insert::Innovative { .. } = rx.decoder.insert(msg.coeffs.clone(), msg.payload()) {
             self.rank_total += 1;
         }
         if rx.decoder.is_complete() {
-            rx.ready = rx.decoder.decode();
+            rx.ready = rx.decoder.take_decoded().map(Arc::from);
             if rx.ready.is_some() {
                 self.decoded += 1;
             }
@@ -484,7 +468,7 @@ impl DissemState {
         match s {
             Sabotage::ForgetRows => rx.decoder = Decoder::new(rx.meta.size, rx.meta.payload_len),
             Sabotage::DecodeEarly if rx.ready.is_none() => {
-                rx.ready = Some(Vec::new());
+                rx.ready = Some(Arc::from(Vec::new()));
                 self.decoded += 1;
             }
             _ => {}
@@ -564,6 +548,12 @@ mod tests {
     use super::*;
     use radio_net::engine::Engine;
     use radio_net::topology::Topology;
+
+    fn padded(p: &Packet, len: usize) -> Vec<u8> {
+        let mut b = p.to_bytes();
+        b.resize(len, 0);
+        b
+    }
 
     fn make_packets(k: usize) -> Vec<Packet> {
         (0..k)
@@ -680,6 +670,32 @@ mod tests {
     }
 
     #[test]
+    fn a_relays_rows_decode_to_the_group() {
+        // Phase 0 hands the root's group to a ring-1 relay; the rows the
+        // relay sends in phase 1, by reference to its decoded copy, must
+        // decode back to the root's group at a fresh decoder.
+        let cfg = Config::for_network(256, 2, 4);
+        let phase = cfg.forward_phase_rounds();
+        let mut root = DissemState::new_root(cfg, make_packets(cfg.group_size()), 0);
+        let mut relay = DissemState::new_node(cfg, Some(1), 0);
+        let (mut root_rng, mut relay_rng) = (rng::stream(0, 0), rng::stream(0, 1));
+        for local in 0..phase {
+            if let Some(Msg::Coded(row)) = root.poll(local, &mut root_rng) {
+                relay.deliver(&row);
+            }
+        }
+        assert!(relay.is_complete());
+        let group = root.groups[0].to_vec();
+        let mut fresh = Decoder::new(group.len(), group[0].len());
+        for local in phase..2 * phase {
+            if let Some(Msg::Coded(row)) = relay.poll(local, &mut relay_rng) {
+                fresh.insert(row.coeffs.clone(), row.payload());
+            }
+        }
+        assert_eq!(fresh.decode(), Some(group));
+    }
+
+    #[test]
     fn empty_k_is_trivially_complete_at_root() {
         let cfg = Config::for_network(8, 3, 3);
         let root = DissemState::new_root(cfg, Vec::new(), 0);
@@ -706,20 +722,13 @@ mod tests {
             assert_eq!(st.poll(r, &mut rng), None);
         }
         // It still decodes from headers.
-        st.deliver(&CodedMsg {
-            batch: 0,
-            group: 0,
-            num_groups: 1,
-            k: 1,
-            group_size: 1,
-            payload_len: 16,
-            coeffs: BitVec::unit(1, 0),
-            payload: {
-                let mut b = Packet::new(4, 0, vec![1, 2]).to_bytes();
-                b.resize(16, 0);
-                b
-            },
-        });
+        st.deliver(&CodedMsg::by_hand(
+            0,
+            1,
+            1,
+            BitVec::unit(1, 0),
+            vec![padded(&Packet::new(4, 0, vec![1, 2]), 16)],
+        ));
         assert!(st.is_complete());
         assert_eq!(st.packets(), vec![Packet::new(4, 0, vec![1, 2])]);
     }
@@ -728,32 +737,24 @@ mod tests {
     fn foreign_batch_rows_are_ignored() {
         let cfg = Config::for_network(8, 2, 3);
         let mut st = DissemState::new_node(cfg, Some(1), 2);
-        st.deliver(&CodedMsg {
-            batch: 1, // wrong batch
-            group: 0,
-            num_groups: 1,
-            k: 1,
-            group_size: 1,
-            payload_len: 16,
-            coeffs: BitVec::unit(1, 0),
-            payload: vec![0; 16],
-        });
+        // Wrong batch.
+        st.deliver(&CodedMsg::by_hand(
+            1,
+            1,
+            1,
+            BitVec::unit(1, 0),
+            vec![vec![0; 16]],
+        ));
         assert_eq!(st.num_groups(), None);
         assert!(!st.is_complete());
-        st.deliver(&CodedMsg {
-            batch: 2, // right batch
-            group: 0,
-            num_groups: 1,
-            k: 1,
-            group_size: 1,
-            payload_len: 16,
-            coeffs: BitVec::unit(1, 0),
-            payload: {
-                let mut b = Packet::new(3, 0, vec![4]).to_bytes();
-                b.resize(16, 0);
-                b
-            },
-        });
+        // Right batch.
+        st.deliver(&CodedMsg::by_hand(
+            2,
+            1,
+            1,
+            BitVec::unit(1, 0),
+            vec![padded(&Packet::new(3, 0, vec![4]), 16)],
+        ));
         assert!(st.is_complete());
     }
 
@@ -762,16 +763,13 @@ mod tests {
         let cfg = Config::for_network(16, 3, 3);
         let mut st = DissemState::new_node(cfg, Some(1), 0);
         assert_eq!(st.total_rounds(), None);
-        st.deliver(&CodedMsg {
-            batch: 0,
-            group: 0,
-            num_groups: 2,
-            k: 7,
-            group_size: 4,
-            payload_len: 20,
-            coeffs: BitVec::zeros(4),
-            payload: vec![0; 20],
-        });
+        st.deliver(&CodedMsg::by_hand(
+            0,
+            2,
+            7,
+            BitVec::zeros(4),
+            vec![vec![0; 20]; 4],
+        ));
         let phases = 3 + cfg.d_bound.max(1) as u64;
         assert_eq!(st.total_rounds(), Some(phases * cfg.forward_phase_rounds()));
     }

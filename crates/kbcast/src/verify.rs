@@ -891,16 +891,7 @@ mod tests {
                     .sabotage = Some(sabotage);
             }
             let round = 100 + r as u64;
-            let row = CodedMsg {
-                batch: 0,
-                group: 0,
-                num_groups: 1,
-                k: 4,
-                group_size: 4,
-                payload_len: 8,
-                coeffs: BitVec::unit(4, r % 4),
-                payload: vec![0; 8],
-            };
+            let row = CodedMsg::by_hand(0, 1, 4, BitVec::unit(4, r % 4), vec![vec![0; 8]; 4]);
             nodes[1].receive(round, &Msg::Coded(row));
             let events = RoundEvents {
                 round,
